@@ -12,14 +12,24 @@ let normalize_key key =
 let xor_pad key byte =
   Bytes.map (fun c -> Char.chr (Char.code c lxor byte)) key
 
-let mac ~key data =
-  let key = normalize_key key in
-  let inner = Sha256.digest_list [ xor_pad key 0x36; data ] in
-  Sha256.digest_list [ xor_pad key 0x5C; inner ]
+(* A key is prepared once into the SHA-256 midstates after its inner and
+   outer pad blocks; a tag then costs only the compressions over the data
+   and the one of the outer hash. [mac] and [mac_parts] prepare and apply in
+   one go, so every caller goes through the same code path. *)
+type prepared = { inner : Sha256.midstate; outer : Sha256.midstate }
 
-let mac_parts ~key parts =
+let prepare key =
   let key = normalize_key key in
-  let inner = Sha256.digest_list (xor_pad key 0x36 :: parts) in
-  Sha256.digest_list [ xor_pad key 0x5C; inner ]
+  {
+    inner = Sha256.midstate_of_block (xor_pad key 0x36);
+    outer = Sha256.midstate_of_block (xor_pad key 0x5C);
+  }
+
+let mac_prepared p parts =
+  Sha256.digest_list_from p.outer [ Sha256.digest_list_from p.inner parts ]
+
+let mac_parts ~key parts = mac_prepared (prepare key) parts
+
+let mac ~key data = mac_parts ~key [ data ]
 
 let verify ~key ~data ~tag = Bytes.equal (mac ~key data) tag

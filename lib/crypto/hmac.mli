@@ -4,4 +4,15 @@ val mac : key:bytes -> bytes -> bytes
 (** 32-byte authentication tag. *)
 
 val mac_parts : key:bytes -> bytes list -> bytes
+(** The tag of the concatenation of the parts. *)
+
+type prepared
+(** A key with its inner and outer pad blocks already compressed. *)
+
+val prepare : bytes -> prepared
+
+val mac_prepared : prepared -> bytes list -> bytes
+(** [mac_prepared (prepare key) parts] = [mac_parts ~key parts], two
+    compressions cheaper; [mac] and [mac_parts] are defined this way. *)
+
 val verify : key:bytes -> data:bytes -> tag:bytes -> bool

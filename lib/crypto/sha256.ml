@@ -37,11 +37,21 @@ type ctx = {
   mutable total_len : int; (* bytes fed so far (fits: native int is 63-bit) *)
 }
 
-let init () =
+(* The chaining state after a whole number of blocks. Never mutated:
+   starting a hash copies [m_h] into the context. *)
+type midstate = { m_h : int array; m_len : int }
+
+let iv =
   {
-    h =
+    m_h =
       [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f;
          0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |];
+    m_len = 0;
+  }
+
+let init () =
+  {
+    h = Array.copy iv.m_h;
     w = Array.make 64 0;
     block = Bytes.create 64;
     block_len = 0;
@@ -232,6 +242,14 @@ let feed ctx data off len =
     ctx.block_len <- !remaining
   end
 
+(* Big-endian bytes of the first [len] (<= 32) digest bytes of [h]. *)
+let store h dst off len =
+  for i = 0 to len - 1 do
+    let v = Array.unsafe_get h (i lsr 2) in
+    Bytes.unsafe_set dst (off + i)
+      (Char.unsafe_chr ((v lsr (24 - ((i land 3) * 8))) land 0xFF))
+  done
+
 let finish ctx =
   let bitlen = ctx.total_len * 8 in
   (* Padding: 0x80, zeros, 8-byte big-endian bit length. *)
@@ -249,49 +267,63 @@ let finish ctx =
   done;
   compress ctx ctx.block 0;
   let out = Bytes.create 32 in
-  for i = 0 to 7 do
-    let v = ctx.h.(i) in
-    Bytes.set out (i * 4) (Char.chr ((v lsr 24) land 0xFF));
-    Bytes.set out ((i * 4) + 1) (Char.chr ((v lsr 16) land 0xFF));
-    Bytes.set out ((i * 4) + 2) (Char.chr ((v lsr 8) land 0xFF));
-    Bytes.set out ((i * 4) + 3) (Char.chr (v land 0xFF))
-  done;
+  store ctx.h out 0 32;
   out
 
-let reset ctx =
-  let h = ctx.h in
-  h.(0) <- 0x6a09e667;
-  h.(1) <- 0xbb67ae85;
-  h.(2) <- 0x3c6ef372;
-  h.(3) <- 0xa54ff53a;
-  h.(4) <- 0x510e527f;
-  h.(5) <- 0x9b05688c;
-  h.(6) <- 0x1f83d9ab;
-  h.(7) <- 0x5be0cd19;
+let start ctx m =
+  Array.blit m.m_h 0 ctx.h 0 8;
   ctx.block_len <- 0;
-  ctx.total_len <- 0
+  ctx.total_len <- m.m_len
 
 (* One-shot digests reuse a per-domain scratch context: most hashes in the
    repository are over kappa-sized inputs (one or two blocks), where the
    ~1.2 KB of per-call ctx allocation would otherwise dominate. Domain-local
    storage keeps this safe under parallel execution; [finish] leaves no
-   residual state that [reset] does not clear. *)
+   residual state that [start] does not clear. *)
 let scratch = Domain.DLS.new_key init
 
-let digest data =
+let digest_list_from m parts =
   let ctx = Domain.DLS.get scratch in
-  reset ctx;
-  feed ctx data 0 (Bytes.length data);
+  start ctx m;
+  List.iter (fun p -> feed ctx p 0 (Bytes.length p)) parts;
   finish ctx
+
+let digest_list parts = digest_list_from iv parts
+
+let digest data = digest_list [ data ]
 
 (* Reading only, so viewing the string as bytes without a copy is safe. *)
 let digest_string s = digest (Bytes.unsafe_of_string s)
 
-let digest_list parts =
+let midstate_of_block b =
+  if Bytes.length b <> 64 then invalid_arg "Sha256.midstate_of_block: size";
   let ctx = Domain.DLS.get scratch in
-  reset ctx;
-  List.iter (fun p -> feed ctx p 0 (Bytes.length p)) parts;
-  finish ctx
+  start ctx iv;
+  compress ctx b 0;
+  { m_h = Array.copy ctx.h; m_len = 64 }
+
+(* The one-block fast path for the hash chains: the message and its padding
+   fit one block, so the block is built in place — message, 0x80, zeros, and
+   a bit length that fits the last two bytes (at most 440) — and compressed
+   once from the IV, with no streaming state and no digest allocation. *)
+let max_short = 55
+
+let digest_short_into src off len dst dst_off out_len =
+  if len < 0 || len > max_short || off < 0 || off + len > Bytes.length src
+  then invalid_arg "Sha256.digest_short_into: input";
+  if out_len < 0 || out_len > 32 || dst_off < 0
+     || dst_off + out_len > Bytes.length dst
+  then invalid_arg "Sha256.digest_short_into: output";
+  let ctx = Domain.DLS.get scratch in
+  let b = ctx.block in
+  Bytes.blit src off b 0 len;
+  Bytes.unsafe_set b len '\x80';
+  Bytes.unsafe_fill b (len + 1) (62 - len - 1) '\000';
+  Bytes.unsafe_set b 62 (Char.unsafe_chr ((len * 8) lsr 8));
+  Bytes.unsafe_set b 63 (Char.unsafe_chr ((len * 8) land 0xFF));
+  start ctx iv;
+  compress ctx b 0;
+  store ctx.h dst dst_off out_len
 
 let hex_chars = "0123456789abcdef"
 

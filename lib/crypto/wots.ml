@@ -27,19 +27,20 @@ type secret_key = { seed : bytes }
 type verification_key = bytes (* kappa bytes *)
 type signature = bytes array (* num_chains values of kappa bytes *)
 
-let chain_start sk i =
-  Prf.eval_parts ~key:sk.seed
-    [ Bytes.of_string "wots-chain"; Bytes.of_string (string_of_int i) ]
-  |> fun d -> Bytes.sub d 0 Hashx.kappa_bytes
+(* Chain i starts at PRF_seed("wots-chain", i) (the HMAC of [Prf.eval_parts]),
+   with the seed prepared once per keygen or sign rather than per chain. The
+   label bytes are shared and only ever read. *)
+let chain_label = Bytes.of_string "wots-chain"
+let chain_indices = Array.init num_chains (fun i -> Bytes.of_string (string_of_int i))
+
+let chain_start prf i =
+  Bytes.sub
+    (Hmac.mac_prepared prf [ chain_label; chain_indices.(i) ])
+    0 Hashx.kappa_bytes
 
 (* Apply the one-way function [steps] times; each step is domain-tagged with
    the chain index and depth so chains cannot be spliced together. *)
-let advance ~chain ~from_depth ~steps v =
-  let v = ref v in
-  for d = from_depth to from_depth + steps - 1 do
-    v := Hashx.hash ~tag:"wots-f" [ Bytes.of_string (Printf.sprintf "%d.%d" chain d); !v ]
-  done;
-  !v
+let advance ~chain ~from_depth ~steps v = Hashx.chain ~chain ~from_depth ~steps v
 
 let chunks_of_digest digest =
   let msg =
@@ -53,16 +54,13 @@ let chunks_of_digest digest =
   in
   Array.of_list (msg @ checksum)
 
-let derive_vk sk =
+let keygen seed =
+  let prf = Hmac.prepare seed in
   let ends =
     List.init num_chains (fun i ->
-        advance ~chain:i ~from_depth:0 ~steps:chain_depth (chain_start sk i))
+        advance ~chain:i ~from_depth:0 ~steps:chain_depth (chain_start prf i))
   in
-  Hashx.hash ~tag:"wots-vk" ends
-
-let keygen seed =
-  let sk = { seed } in
-  (derive_vk sk, sk)
+  (Hashx.hash ~tag:"wots-vk" ends, { seed })
 
 (* Oblivious key generation: a uniform digest-sized string. Distribution of
    real vks is a hash output, so this is indistinguishable; no signing key
@@ -79,14 +77,18 @@ let sign sk msg_digest : signature =
   Repro_obs.Counters.bump c_sign;
   if Bytes.length msg_digest <> Hashx.kappa_bytes then
     invalid_arg "Wots.sign: digest size";
+  let prf = Hmac.prepare sk.seed in
   let chunks = chunks_of_digest msg_digest in
   Array.init num_chains (fun i ->
-      advance ~chain:i ~from_depth:0 ~steps:chunks.(i) (chain_start sk i))
+      advance ~chain:i ~from_depth:0 ~steps:chunks.(i) (chain_start prf i))
 
-let verify_uncached vk msg_digest (sg : signature) =
+let well_formed msg_digest (sg : signature) =
   Bytes.length msg_digest = Hashx.kappa_bytes
   && Array.length sg = num_chains
   && Array.for_all (fun v -> Bytes.length v = Hashx.kappa_bytes) sg
+
+let verify_uncached vk msg_digest (sg : signature) =
+  well_formed msg_digest sg
   &&
   let chunks = chunks_of_digest msg_digest in
   let ends =
@@ -104,36 +106,43 @@ let verify_uncached vk msg_digest (sg : signature) =
    onto one computation. Bounded by periodic reset.
 
    The table is domain-local: concurrent experiment cells each memoize into
-   their own table, so there is no cross-domain mutation. Keys are full
-   cryptographic content, so a stale or cleared table can only cost a
-   recomputation, never a wrong answer. *)
+   their own table, so there is no cross-domain mutation. The key is the
+   content itself — vk, digest and the 35 chain values, each
+   length-prefixed — so a hit is exact without relying on collision
+   resistance, and a stale or cleared table can only cost a recomputation,
+   never a wrong answer. Only well-formed signatures reach the table, so
+   keys are ~630 bytes, hence the 2^15-entry bound (~20 MiB at worst, as the
+   2^18 16-byte digest keys it replaced). *)
 let cache : (string, bool) Hashtbl.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 4096)
 
-let cache_limit = 1 lsl 18
+let cache_limit = 1 lsl 15
 
 let clear_cache () = Hashtbl.reset (Domain.DLS.get cache)
 
+let memo_key vk msg_digest (sg : signature) =
+  let b = Buffer.create ((num_chains + 2) * (Hashx.kappa_bytes + 1)) in
+  Repro_util.Encode.bytes b vk;
+  Repro_util.Encode.bytes b msg_digest;
+  Array.iter (Repro_util.Encode.bytes b) sg;
+  Buffer.contents b
+
 let verify vk msg_digest (sg : signature) =
   Repro_obs.Counters.bump c_verify;
-  if Array.length sg <> num_chains then false
-  else begin
-    let cache = Domain.DLS.get cache in
-    let key =
-      Bytes.to_string
-        (Hashx.hash ~tag:"wots-vcache" (vk :: msg_digest :: Array.to_list sg))
-    in
-    match Hashtbl.find_opt cache key with
-    | Some r ->
-      Repro_obs.Counters.bump c_hit;
-      r
-    | None ->
-      Repro_obs.Counters.bump c_miss;
-      let r = verify_uncached vk msg_digest sg in
-      if Hashtbl.length cache > cache_limit then Hashtbl.reset cache;
-      Hashtbl.add cache key r;
-      r
-  end
+  well_formed msg_digest sg
+  &&
+  let cache = Domain.DLS.get cache in
+  let key = memo_key vk msg_digest sg in
+  match Hashtbl.find_opt cache key with
+  | Some r ->
+    Repro_obs.Counters.bump c_hit;
+    r
+  | None ->
+    Repro_obs.Counters.bump c_miss;
+    let r = verify_uncached vk msg_digest sg in
+    if Hashtbl.length cache > cache_limit then Hashtbl.reset cache;
+    Hashtbl.add cache key r;
+    r
 
 let signature_size = num_chains * Hashx.kappa_bytes
 let vk_size = Hashx.kappa_bytes

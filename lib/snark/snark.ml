@@ -20,7 +20,8 @@
    and prover running time of a real SNARK (covered by the timing
    microbenches only as the oracle's cost). *)
 
-type crs = { mac_key : bytes; crs_id : bytes }
+(* The key is prepared once at setup: every prove and verify tags with it. *)
+type crs = { mac_key : Repro_crypto.Hmac.prepared; crs_id : bytes }
 
 type proof = bytes (* kappa-byte tag; adversaries see/forward it freely *)
 
@@ -31,7 +32,7 @@ type 'w relation = {
 
 let setup rng =
   {
-    mac_key = Repro_util.Rng.bytes rng 32;
+    mac_key = Repro_crypto.Hmac.prepare (Repro_util.Rng.bytes rng 32);
     crs_id = Repro_util.Rng.bytes rng Repro_crypto.Hashx.kappa_bytes;
   }
 
@@ -41,7 +42,7 @@ let proof_size = Repro_crypto.Hashx.kappa_bytes
 
 let tag_of crs rel statement =
   let full =
-    Repro_crypto.Hmac.mac_parts ~key:crs.mac_key
+    Repro_crypto.Hmac.mac_prepared crs.mac_key
       [ Bytes.of_string rel.rel_tag; statement ]
   in
   Bytes.sub full 0 proof_size

@@ -77,6 +77,100 @@ let test_hmac_verify () =
   Bytes.set tag 0 (Char.chr (Char.code (Bytes.get tag 0) lxor 1));
   Alcotest.(check bool) "verify tampered" false (Hmac.verify ~key ~data ~tag)
 
+(* --- Prepared HMAC: same tags as [mac], through split parts --- *)
+
+let rfc4231_case2 = "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
+let rfc4231_case6 = "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
+
+let test_hmac_prepared_rfc4231 () =
+  let split s cuts =
+    let rec go pos = function
+      | [] -> [ Bytes.of_string (String.sub s pos (String.length s - pos)) ]
+      | c :: rest -> Bytes.of_string (String.sub s pos (c - pos)) :: go c rest
+    in
+    go 0 cuts
+  in
+  let case key data cuts expected =
+    let parts = split data cuts in
+    Alcotest.(check string) "mac_parts, split" expected
+      (Sha256.hex (Hmac.mac_parts ~key parts));
+    Alcotest.(check string) "mac_prepared, split" expected
+      (Sha256.hex (Hmac.mac_prepared (Hmac.prepare key) parts))
+  in
+  case (Bytes.of_string "Jefe") "what do ya want for nothing?" [ 0; 4; 5; 27 ]
+    rfc4231_case2;
+  case (Bytes.make 131 '\xaa')
+    "Test Using Larger Than Block-Size Key - Hash Key First" [ 1; 30; 54 ]
+    rfc4231_case6
+
+let prop_hmac_parts_eq_mac =
+  QCheck.Test.make ~name:"hmac mac_parts = mac on the concatenation" ~count:200
+    QCheck.(pair (string_of_size Gen.(0 -- 150)) (small_list string))
+    (fun (key, parts) ->
+      let key = Bytes.of_string key in
+      let parts = List.map Bytes.of_string parts in
+      let expected = Hmac.mac ~key (Bytes.concat Bytes.empty parts) in
+      Bytes.equal expected (Hmac.mac_parts ~key parts)
+      && Bytes.equal expected (Hmac.mac_prepared (Hmac.prepare key) parts))
+
+(* --- One-block SHA-256 and the WOTS chain kernel --- *)
+
+let test_sha_short_into () =
+  for len = 0 to Sha256.max_short do
+    let src = Bytes.init (len + 3) (fun i -> Char.chr (((i * 37) + len) land 0xFF)) in
+    let expected = Sha256.digest (Bytes.sub src 3 len) in
+    let dst = Bytes.make 40 '\xee' in
+    Sha256.digest_short_into src 3 len dst 4 32;
+    Alcotest.(check string) (Printf.sprintf "len %d" len) (Sha256.hex expected)
+      (Sha256.hex (Bytes.sub dst 4 32));
+    Alcotest.(check string) "bytes around the digest untouched" "\xee\xee\xee\xee\xee\xee\xee\xee"
+      (Bytes.to_string (Bytes.cat (Bytes.sub dst 0 4) (Bytes.sub dst 36 4)));
+    Sha256.digest_short_into src 3 len dst 0 Hashx.kappa_bytes;
+    Alcotest.(check string) "truncated" (Sha256.hex (Bytes.sub expected 0 16))
+      (Sha256.hex (Bytes.sub dst 0 16))
+  done;
+  Alcotest.check_raises "56 bytes do not fit one block"
+    (Invalid_argument "Sha256.digest_short_into: input") (fun () ->
+      Sha256.digest_short_into (Bytes.create 56) 0 56 (Bytes.create 32) 0 32)
+
+(* The definition [Hashx.chain] must reproduce: the generic cached hash,
+   one step at a time. *)
+let generic_step ~chain d v =
+  Hashx.hash ~tag:"wots-f" [ Bytes.of_string (Printf.sprintf "%d.%d" chain d); v ]
+
+let prop_chain_equals_generic =
+  QCheck.Test.make ~name:"Hashx.chain = generic wots-f loop, every chain and span"
+    ~count:10
+    QCheck.(string_of_size (Gen.return Hashx.kappa_bytes))
+    (fun s ->
+      let v = Bytes.of_string s in
+      let ok = ref true in
+      for chain = 0 to Wots.num_chains - 1 do
+        for from_depth = 0 to Wots.chain_depth do
+          (* [expected] walks the generic loop one step ahead of [steps] *)
+          let expected = ref v in
+          for steps = 0 to Wots.chain_depth - from_depth do
+            if not (Bytes.equal !expected (Hashx.chain ~chain ~from_depth ~steps v))
+            then ok := false;
+            if steps < Wots.chain_depth - from_depth then
+              expected := generic_step ~chain (from_depth + steps) !expected
+          done
+        done
+      done;
+      !ok && Bytes.equal v (Bytes.of_string s))
+
+let test_chain_rejects_out_of_range () =
+  let v = Bytes.make Hashx.kappa_bytes 'v' in
+  List.iter
+    (fun (chain, from_depth, steps, v) ->
+      Alcotest.check_raises
+        (Printf.sprintf "chain %d from %d steps %d len %d" chain from_depth steps
+           (Bytes.length v))
+        (Invalid_argument "Hashx.chain") (fun () ->
+          ignore (Hashx.chain ~chain ~from_depth ~steps v)))
+    [ (Wots.num_chains, 0, 1, v); (-1, 0, 1, v); (0, 10, 6, v); (0, -1, 1, v);
+      (0, 0, 1, Bytes.make 17 'v') ]
+
 (* --- Hashx --- *)
 
 let test_hashx_domain_separation () =
@@ -233,6 +327,14 @@ let suite =
     Alcotest.test_case "hmac rfc4231" `Quick test_hmac_rfc4231;
     Alcotest.test_case "hmac long key" `Quick test_hmac_long_key;
     Alcotest.test_case "hmac verify" `Quick test_hmac_verify;
+    Alcotest.test_case "hmac prepared rfc4231 split parts" `Quick
+      test_hmac_prepared_rfc4231;
+    QCheck_alcotest.to_alcotest prop_hmac_parts_eq_mac;
+    Alcotest.test_case "sha256 one-block = digest, len 0-55" `Quick
+      test_sha_short_into;
+    QCheck_alcotest.to_alcotest prop_chain_equals_generic;
+    Alcotest.test_case "hashx chain range checks" `Quick
+      test_chain_rejects_out_of_range;
     Alcotest.test_case "hashx domains" `Quick test_hashx_domain_separation;
     Alcotest.test_case "hashx to_int" `Quick test_hashx_to_int_nonneg;
     Alcotest.test_case "prf expand" `Quick test_prf_expand_deterministic;

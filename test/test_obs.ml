@@ -625,6 +625,95 @@ let test_profile_report_json () =
     Alcotest.(check bool) "hotspots present" true
       (Option.bind nondet (Json.member "hotspots_by_alloc") <> None)
 
+(* Counter pin. The deterministic profile section of one owf and one snark
+   cell at n = 64 (beta 0.1, seed 1), recorded before the WOTS chain kernel,
+   prepared HMAC keys and content-keyed verify memo went in. Those fast
+   paths produce the same bytes; one that also skipped a counted operation
+   would move a counter here. The single intended difference: the verify
+   memo key is no longer a hash, so [hashx.hash] reads exactly one less per
+   [wots.verify] than the recording below. Counters and histograms are
+   compared where nonzero (other tests register zero-valued ones in this
+   process); the span tree, identical for both cells, by digest. *)
+let pinned_sync_histograms msg_bytes =
+  [ ("engine.inbox_depth", [ 2835; 54187; 485; 314; 17; 362; 1001; 656 ]);
+    ("net.active_set", [ 10; 398; 0; 0; 0; 0; 6; 0; 4 ]);
+    ("net.dirty_depth", [ 10; 364; 2; 0; 0; 0; 4; 0; 4 ]);
+    ("net.msg_bytes", msg_bytes) ]
+
+let pinned_spans_digest =
+  "dbc1deef4bc607c0901e030bf313eab13ba825ae2c2f7a0ae541470f8356efcd"
+
+let pinned_cells =
+  [
+    ( Runner.This_work_owf,
+      [ ("aecomm.enc_hit", 320); ("aecomm.enc_miss", 90);
+        ("encode.memo_hit", 9327); ("encode.memo_miss", 69);
+        ("engine.msgs", 54187); ("hashx.hash", 102282);
+        ("srds-owf.aggregate", 212); ("srds-owf.keygen", 198);
+        ("srds-owf.sign", 180); ("srds-owf.verify", 58); ("wots.sign", 30);
+        ("wots.verify", 18946) ],
+      pinned_sync_histograms
+        [ 74604; 124880893; 48640; 0; 289; 0; 12238; 972; 0; 0; 0; 1466; 2127;
+          1968; 525; 560; 5819 ] );
+    ( Runner.This_work_snark,
+      [ ("aecomm.enc_hit", 320); ("aecomm.enc_miss", 90);
+        ("encode.memo_hit", 11889); ("encode.memo_miss", 221);
+        ("engine.msgs", 54187); ("hashx.hash", 257085); ("pcd.prove", 2908);
+        ("pcd.verify", 6332); ("snark.prove", 2908); ("snark.verify", 6332);
+        ("srds-snark.aggregate", 212); ("srds-snark.keygen", 198);
+        ("srds-snark.sign", 180); ("srds-snark.verify", 58);
+        ("wots.sign", 180); ("wots.verify", 5392) ],
+      pinned_sync_histograms
+        [ 77629; 3979999; 48160; 0; 289; 0; 12238; 7856; 5530; 0; 0; 2978;
+          578 ] );
+  ]
+
+let test_profile_counters_pinned () =
+  List.iter
+    (fun (protocol, recorded, histograms) ->
+      let name = Runner.protocol_name protocol in
+      let _row, _wall, _gc =
+        Runner.run_profiled ~protocol ~n:64 ~beta:0.1 ~seed:1
+      in
+      let counters = Counters.deterministic_snapshot () in
+      let hists = Counters.deterministic_histogram_snapshot () in
+      let json = Profile.deterministic_json () in
+      profiling_off ();
+      let verifies = List.assoc "wots.verify" counters in
+      let expected =
+        List.map
+          (fun (k, v) -> if k = "hashx.hash" then (k, v - verifies) else (k, v))
+          recorded
+      in
+      Alcotest.(check (list (pair string int)))
+        (name ^ " nonzero deterministic counters")
+        expected
+        (List.filter (fun (_, v) -> v <> 0) counters);
+      (* count, sum, then the buckets up to the last nonzero one *)
+      let flat (count, sum, buckets) =
+        let last = ref (-1) in
+        Array.iteri (fun j v -> if v > 0 then last := j) buckets;
+        count :: sum :: Array.to_list (Array.sub buckets 0 (!last + 1))
+      in
+      Alcotest.(check (list (pair string (list int))))
+        (name ^ " nonempty deterministic histograms")
+        histograms
+        (List.filter_map
+           (fun (k, ((count, _, _) as h)) ->
+             if count > 0 then Some (k, flat h) else None)
+           hists);
+      let find sub =
+        let rec go i =
+          if String.sub json i (String.length sub) = sub then i else go (i + 1)
+        in
+        go 0
+      in
+      let from = find "\"spans\":" + String.length "\"spans\":" in
+      let spans_json = String.sub json from (find ",\"probes\":" - from) in
+      Alcotest.(check string) (name ^ " span tree") pinned_spans_digest
+        (Repro_crypto.Sha256.hex (Repro_crypto.Sha256.digest_string spans_json)))
+    pinned_cells
+
 let test_profile_compare () =
   let doc counters spans =
     Printf.sprintf
@@ -688,5 +777,7 @@ let suite =
     Alcotest.test_case "profile shape deterministic" `Quick
       test_profile_shape_deterministic;
     Alcotest.test_case "profile report json" `Quick test_profile_report_json;
+    Alcotest.test_case "profile counters pinned (owf, snark n=64)" `Quick
+      test_profile_counters_pinned;
     Alcotest.test_case "profile compare gate" `Quick test_profile_compare;
   ]

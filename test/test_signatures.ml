@@ -40,6 +40,48 @@ let test_wots_tamper_signature () =
   sg'.(0) <- Hashx.hash_string ~tag:"junk" "tamper";
   Alcotest.(check bool) "tampered rejected" false (Wots.verify vk d sg')
 
+(* The verify memo is keyed by content: once a valid signature sits in the
+   table, nothing that differs from it in any byte may hit its entry. *)
+let test_wots_memo_teeth () =
+  Wots.clear_cache ();
+  let vk, sk = Wots.keygen (Bytes.of_string "memo-teeth") in
+  let d = digest_of "cached" in
+  let sg = Wots.sign sk d in
+  Alcotest.(check bool) "valid" true (Wots.verify vk d sg);
+  Alcotest.(check bool) "valid again (memo hit)" true (Wots.verify vk d sg);
+  let tweak f =
+    let sg' = Array.map Bytes.copy sg in
+    f sg';
+    sg'
+  in
+  List.iter
+    (fun (chain, byte) ->
+      let flipped =
+        tweak (fun s ->
+            let b = s.(chain) in
+            Bytes.set b byte (Char.chr (Char.code (Bytes.get b byte) lxor 0x01)))
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "byte %d of chain %d flipped" byte chain)
+        false (Wots.verify vk d flipped))
+    [ (0, 0); (17, 8); (Wots.num_chains - 1, 15) ];
+  let other_vk, _ = Wots.keygen (Bytes.of_string "memo-teeth-other") in
+  Alcotest.(check bool) "different vk" false (Wots.verify other_vk d sg);
+  Alcotest.(check bool) "too few chains" false
+    (Wots.verify vk d (Array.sub sg 0 (Wots.num_chains - 1)));
+  Alcotest.(check bool) "too many chains" false
+    (Wots.verify vk d (Array.append sg [| sg.(0) |]));
+  Alcotest.(check bool) "17-byte chain" false
+    (Wots.verify vk d (tweak (fun s -> s.(3) <- Bytes.cat s.(3) (Bytes.make 1 '\000'))));
+  (* same concatenated bytes, different split: only the length prefixes tell
+     this apart from the cached signature *)
+  Alcotest.(check bool) "byte moved across a chain boundary" false
+    (Wots.verify vk d
+       (tweak (fun s ->
+            s.(5) <- Bytes.cat s.(5) (Bytes.sub s.(6) 0 1);
+            s.(6) <- Bytes.sub s.(6) 1 (Bytes.length s.(6) - 1))));
+  Alcotest.(check bool) "original still valid" true (Wots.verify vk d sg)
+
 let test_wots_encode_roundtrip () =
   let vk, sk = Wots.keygen (Bytes.of_string "seed-5") in
   let d = digest_of "enc" in
@@ -174,6 +216,7 @@ let suite =
     Alcotest.test_case "wots deterministic" `Quick test_wots_deterministic_keys;
     Alcotest.test_case "wots oblivious shape" `Quick test_wots_oblivious_shape;
     Alcotest.test_case "wots tamper" `Quick test_wots_tamper_signature;
+    Alcotest.test_case "wots verify memo teeth" `Quick test_wots_memo_teeth;
     Alcotest.test_case "wots encode" `Quick test_wots_encode_roundtrip;
     Alcotest.test_case "merkle paths" `Quick test_merkle_paths_all_verify;
     Alcotest.test_case "merkle wrong leaf" `Quick test_merkle_wrong_leaf;

@@ -7,6 +7,13 @@
    committee in round 0 over authenticated channels, so every honest member
    holds the winning payload — no fetch round is needed.
 
+   Digests are computed lazily: a member hashes its own candidate once (its
+   BA input) and keeps the round-0 payloads as received. Only on a decision
+   for a digest other than its own does it hash received payloads, in
+   arrival order, until one matches. Every payload with the agreed digest
+   is the same bytes, so which match is adopted does not matter; the
+   unanimous case hashes nothing beyond the BA input.
+
    This combinator realizes the agreement core of both f_ct (agree on the
    reconstructed coin) and f_aggr-sig (agree on the aggregated signature)
    within good tree nodes, at digest-size BA cost plus one payload
@@ -17,8 +24,9 @@ type t = {
   members : int array;
   me : int;
   candidate : bytes;
+  own : bytes; (* digest of [candidate], the BA input *)
   valid : bytes -> bool;
-  known : (string, bytes) Hashtbl.t; (* digest -> payload *)
+  mutable received : bytes list; (* members' round-0 payloads, arrival order *)
   ba : Multi_ba.t;
   mutable output : bytes option option; (* None until decided *)
 }
@@ -31,15 +39,15 @@ let rounds ~members = pre_rounds + Multi_ba.rounds ~members
 
 let create ~members ~me ~candidate ?(valid = fun _ -> true) () =
   let members_arr = Array.of_list (List.sort_uniq compare members) in
-  let known = Hashtbl.create 8 in
-  Hashtbl.replace known (Bytes.to_string (digest candidate)) candidate;
+  let own = digest candidate in
   {
     members = members_arr;
     me;
     candidate;
+    own;
     valid;
-    known;
-    ba = Multi_ba.create ~members ~me ~input:(digest candidate);
+    received = [];
+    ba = Multi_ba.create ~members ~me ~input:own;
     output = None;
   }
 
@@ -50,20 +58,28 @@ let m_send t ~round =
   if round = 0 then List.map (fun p -> (p, t.candidate)) (peers t)
   else Multi_ba.m_send t.ba ~round:(round - pre_rounds)
 
+(* The payload whose digest is [d]: the own candidate when it won, else the
+   first received payload that hashes to [d]. *)
+let adopt t d =
+  if Bytes.equal d t.own then Some t.candidate
+  else List.find_opt (fun payload -> Bytes.equal (digest payload) d) t.received
+
 let m_recv t ~round msgs =
   if round = 0 then
-    List.iter
-      (fun (src, payload) ->
-        if Array.exists (fun q -> q = src) t.members then
-          Hashtbl.replace t.known (Bytes.to_string (digest payload)) payload)
-      msgs
-  else begin
+    t.received <-
+      List.filter_map
+        (fun (src, payload) ->
+          if Array.exists (fun q -> q = src) t.members then Some payload else None)
+        msgs
+  else if t.output = None then begin
+    (* Rounds past the decision (a smaller committee sharing an engine run
+       with a larger one) neither re-hash nor re-validate. *)
     Multi_ba.m_recv t.ba ~round:(round - pre_rounds) msgs;
     match Multi_ba.output t.ba with
     | None -> ()
     | Some None -> t.output <- Some None
     | Some (Some d) -> (
-      match Hashtbl.find_opt t.known (Bytes.to_string d) with
+      match adopt t d with
       | Some payload when t.valid payload -> t.output <- Some (Some payload)
       | _ -> t.output <- Some None)
   end

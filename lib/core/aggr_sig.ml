@@ -18,7 +18,14 @@
    Child committees have already agreed on their outputs, so honest
    members' candidates normally coincide and agreement converges on the
    first phase; when corrupt children equivocate, the agreed value is still
-   some honest member's validly-aggregated candidate. *)
+   some honest member's validly-aggregated candidate.
+
+   Simulation cost: step 1 and the validity check are pure functions of a
+   member's inputs, so one {!shared} table per tree level computes each
+   candidate once per distinct member input and each verdict once per
+   distinct payload. A committee of m members with one input costs one
+   aggregation, not m; the protocol, its messages and its outputs are
+   unchanged. *)
 
 module Committee = Repro_consensus.Committee
 module Params = Repro_aetree.Params
@@ -47,28 +54,66 @@ module Make (S : Srds_intf.SCHEME) = struct
     let nlo, nhi = Tree.range tree ~level ~idx in
     S.min_index sg >= nlo && S.max_index sg <= nhi
 
-  (* One member's f_aggr-sig instance for node (level, idx): [raw] is the
-     signature bytes this member received for the node. The result is a
-     {!Committee.t} to be driven by the engine; its output payload is the
-     node signature (possibly [Bytes.empty] when nothing aggregated). *)
-  let instance ~pp ~vks ~tree ~level ~idx ~members ~me ~msg ~raw =
-    let candidate =
-      Repro_obs.Trace.span ~cat:"srds" "srds.aggregate" @@ fun () ->
-      let sigs = List.filter_map W.of_bytes raw in
-      let checked = List.filter (range_ok tree ~level ~idx) sigs in
-      let filtered = S.aggregate1 pp ~vks ~msg checked in
-      match S.aggregate2 pp ~msg filtered with
-      | Some sg -> W.to_bytes sg
-      | None -> Bytes.empty
-    in
-    let valid payload =
-      Bytes.length payload = 0
-      ||
-      match W.of_bytes payload with
-      | Some sg -> S.verify_partial pp ~vks ~msg sg && node_range_ok tree ~level ~idx sg
-      | None -> false
-    in
-    Committee.create ~members ~me ~candidate ~valid ()
+  (* The members' shared pure work at one tree level. The functionality
+     hands every member the same aggregate, and members holding the same
+     inputs compute the same candidate, so the simulation computes each
+     candidate once per distinct [(idx, msg, raw)] — [raw] in received
+     order, which Aggregate1's tie-break reads — and each [valid] verdict
+     once per distinct [(idx, msg, payload)]. The level's constant inputs
+     are bound here, so a key holds every input that can differ between
+     members. A hit returns the bytes a fresh computation would produce:
+     Aggregate1/2, WOTS and the PCD oracle are deterministic. Create one per
+     level and drop it when the level ends. *)
+  type shared = {
+    pp : S.pp;
+    vks : bytes array;
+    tree : Tree.t;
+    level : int;
+    candidates : (int * bytes * bytes list, bytes) Hashtbl.t;
+    verdicts : (int * bytes * bytes, bool) Hashtbl.t;
+  }
+
+  let shared ~pp ~vks ~tree ~level =
+    { pp; vks; tree; level; candidates = Hashtbl.create 64; verdicts = Hashtbl.create 64 }
+
+  let memo tbl key f =
+    match Hashtbl.find_opt tbl key with
+    | Some v -> v
+    | None ->
+      let v = f () in
+      Hashtbl.add tbl key v;
+      v
+
+  (* Step 1: the member's candidate aggregate from the signature bytes
+     [raw] it received for node [idx], in received order. *)
+  let candidate sh ~idx ~msg ~raw =
+    let { pp; vks; tree; level; _ } = sh in
+    memo sh.candidates (idx, msg, raw) @@ fun () ->
+    Repro_obs.Trace.span ~cat:"srds" "srds.aggregate" @@ fun () ->
+    let sigs = List.filter_map W.of_bytes raw in
+    let checked = List.filter (range_ok tree ~level ~idx) sigs in
+    let filtered = S.aggregate1 pp ~vks ~msg checked in
+    match S.aggregate2 pp ~msg filtered with
+    | Some sg -> W.to_bytes sg
+    | None -> Bytes.empty
+
+  (* Step 2's external validity: partially verifies and stays within the
+     node's virtual-ID range (the empty payload is "nothing aggregated"). *)
+  let valid sh ~idx ~msg payload =
+    let { pp; vks; tree; level; _ } = sh in
+    Bytes.length payload = 0
+    || memo sh.verdicts (idx, msg, payload) @@ fun () ->
+       match W.of_bytes payload with
+       | Some sg -> S.verify_partial pp ~vks ~msg sg && node_range_ok tree ~level ~idx sg
+       | None -> false
+
+  (* One member's f_aggr-sig instance for node [idx] of the level. The
+     result is a {!Committee.t} to be driven by the engine; its output
+     payload is the node signature (possibly [Bytes.empty] when nothing
+     aggregated). *)
+  let instance sh ~idx ~members ~me ~msg ~raw =
+    Committee.create ~members ~me ~candidate:(candidate sh ~idx ~msg ~raw)
+      ~valid:(valid sh ~idx ~msg) ()
 
   let rounds ~members = Committee.rounds ~members
 

@@ -347,6 +347,7 @@ module Make (S : Srds_intf.SCHEME) = struct
         Hashtbl.create 64
       in
       let members_of idx = Array.to_list (Tree.assigned tree ~level ~idx) in
+      let shared = Agg.shared ~pp:ctx.pp ~vks:ctx.vks ~tree ~level in
       for idx = 0 to node_count - 1 do
         List.iter
           (fun p ->
@@ -356,8 +357,8 @@ module Make (S : Srds_intf.SCHEME) = struct
               | Some msg ->
                 let raw = incoming_find p (level, idx) in
                 Hashtbl.replace agree_states (idx, p)
-                  (Agg.instance ~pp:ctx.pp ~vks:ctx.vks ~tree ~level ~idx
-                     ~members:(members_of idx) ~me:p ~msg ~raw)
+                  (Agg.instance shared ~idx ~members:(members_of idx) ~me:p ~msg
+                     ~raw)
             end)
           (members_of idx)
       done;

@@ -29,22 +29,6 @@ let c_msgs = Repro_obs.Counters.make "engine.msgs"
    driven, hence deterministic. *)
 let h_inbox = Repro_obs.Counters.histogram "engine.inbox_depth"
 
-(* Allocation-free prefix test: engine dispatch runs once per delivered
-   message, so the "tag/" match must not build substrings just to compare. *)
-let has_prefix ~tag full =
-  let tl = String.length tag and fl = String.length full in
-  fl > tl
-  && full.[tl] = '/'
-  &&
-  let rec eq i = i >= tl || (full.[i] = tag.[i] && eq (i + 1)) in
-  eq 0
-
-let split_tag ~tag full =
-  if has_prefix ~tag full then
-    let pl = String.length tag + 1 in
-    Some (String.sub full pl (String.length full - pl))
-  else None
-
 (* [machines p] lists party p's instances as (instance-id, machine); entries
    for corrupt parties are ignored (their traffic comes from the adversary).
    The engine runs [rounds] local rounds starting from the network's current
@@ -52,11 +36,27 @@ let split_tag ~tag full =
 let run net ?adversary ~tag ~rounds ~(machines : int -> (string * machine) list)
     () =
   let n = Network.n net in
-  (* Sparse: only parties that own at least one instance get a table and a
+  (* Full instance tags are interned once per run and shared by every
+     party: each send of an instance carries the same string, so no concat
+     happens per send and dispatch below usually matches on pointers. *)
+  let interned : (string, string) Hashtbl.t = Hashtbl.create 16 in
+  let full_tag inst =
+    match Hashtbl.find_opt interned inst with
+    | Some f -> f
+    | None ->
+      let f = instance_tag tag inst in
+      Hashtbl.add interned inst f;
+      f
+  in
+  (* Sparse: only parties that own at least one instance get slots and a
      handler. A party with no instances is a strict no-op in every round
      (nothing to dispatch to, nothing to send), so skipping it entirely
      leaves the transcript unchanged while each round costs O(participants),
-     not O(n) — with sortition that is polylog(n) parties. *)
+     not O(n) — with sortition that is polylog(n) parties.
+
+     A party's instances live in a slot array, in the iteration order of a
+     Hashtbl keyed by instance id. Slot order is the order of the party's
+     sends within a round, which every pinned transcript depends on. *)
   let participants =
     List.filter_map
       (fun p ->
@@ -72,76 +72,55 @@ let run net ?adversary ~tag ~rounds ~(machines : int -> (string * machine) list)
                   invalid_arg ("Engine.run: duplicate instance " ^ inst);
                 Hashtbl.add tbl inst m)
               ms;
-            Some (p, tbl))
+            let slots = ref [] in
+            Hashtbl.iter (fun inst m -> slots := (full_tag inst, m) :: !slots) tbl;
+            Some (p, Array.of_list (List.rev !slots), Array.make (Hashtbl.length tbl) []))
       (List.init n (fun p -> p))
   in
   let start = Network.round net in
-  (* Per-message constants matter: one committee phase can deliver millions
-     of messages. Full instance tags are interned once per run (no string
-     concat per send) and tag-splitting is memoized by tag content (no
-     substring allocation per delivered message). *)
-  let interned : (string, string) Hashtbl.t = Hashtbl.create 16 in
-  let full_tag inst =
-    match Hashtbl.find_opt interned inst with
-    | Some f -> f
-    | None ->
-      let f = instance_tag tag inst in
-      Hashtbl.add interned inst f;
-      f
-  in
-  let split_memo : (string, string option) Hashtbl.t = Hashtbl.create 16 in
-  let split full =
-    match Hashtbl.find_opt split_memo full with
-    | Some r -> r
-    | None ->
-      let r = split_tag ~tag full in
-      Hashtbl.add split_memo full r;
-      r
-  in
-  let handler p tbl ~round ~inbox =
+  let handler p slots pending ~round ~inbox =
     let local = round - start in
-    (* Dispatch last round's deliveries per instance, preserving order. *)
+    let k = Array.length slots in
+    (* Dispatch last round's deliveries per instance, preserving order. A
+       message belongs to the slot whose full tag it carries; anything else
+       (another phase's leftovers, another instance, a lookalike prefix) is
+       dropped. Engine sends carry the interned tag itself, which
+       [String.equal] accepts on pointer equality before comparing bytes. *)
     if local > 0 then
       Repro_obs.Trace.span ~cat:"engine" "engine.dispatch" (fun () ->
           Repro_obs.Counters.observe h_inbox (List.length inbox);
-          let by_inst = Hashtbl.create 8 in
           List.iter
             (fun (m : Wire.msg) ->
-              match split m.tag with
-              | None -> () (* other phase's leftovers: ignore *)
-              | Some inst ->
-                if Hashtbl.mem tbl inst then begin
-                  Repro_obs.Counters.bump c_msgs;
-                  Hashtbl.replace by_inst inst
-                    ((m.src, m.payload)
-                    :: (try Hashtbl.find by_inst inst with Not_found -> []))
-                end)
+              let rec find j =
+                if j < k then
+                  if String.equal (fst slots.(j)) m.tag then begin
+                    Repro_obs.Counters.bump c_msgs;
+                    pending.(j) <- (m.src, m.payload) :: pending.(j)
+                  end
+                  else find (j + 1)
+              in
+              find 0)
             inbox;
-          Hashtbl.iter
-            (fun inst msgs ->
-              let m = Hashtbl.find tbl inst in
-              m.m_recv ~round:(local - 1) (List.rev msgs))
-            by_inst;
-          (* Instances that received nothing still observe the round. *)
-          Hashtbl.iter
-            (fun inst m ->
-              if not (Hashtbl.mem by_inst inst) then
-                m.m_recv ~round:(local - 1) [])
-            tbl);
+          Array.iteri
+            (fun j (_, m) ->
+              let msgs = List.rev pending.(j) in
+              pending.(j) <- [];
+              m.m_recv ~round:(local - 1) msgs)
+            slots);
     if local < rounds then
-      Hashtbl.iter
-        (fun inst m ->
+      Array.iter
+        (fun (ft, m) ->
           match m.m_send ~round:local with
           | [] -> ()
           | msgs ->
-            let ft = full_tag inst in
             List.iter
-              (fun (dst, payload) ->
-                Network.send net ~src:p ~dst ~tag:ft payload)
+              (fun (dst, payload) -> Network.send net ~src:p ~dst ~tag:ft payload)
               msgs)
-        tbl
+        slots
   in
-  let parties = List.map (fun (p, tbl) -> (p, handler p tbl)) participants in
+  let parties =
+    List.map (fun (p, slots, pending) -> (p, handler p slots pending)) participants
+  in
   (* The engine tag ("coin-ba", "aggr-ba-2", ...) is the finest-grained
      phase label the auditor's timeline and violations carry; the flight
      recorder gets the same mark so forensic cones can name the phase. *)

@@ -322,17 +322,19 @@ let deliver_async t a =
 
 (* Adversary turn, delivery and round close shared by every stepping mode. *)
 let finish_round t adversary =
+  (* Computed once: the adversary only adds corrupt-sourced sends, and only
+     [c_observe] below can corrupt a party, so both see the same list. *)
+  let honest_staged = staged_honest t in
   t.in_adv_step <- true;
   Fun.protect
     ~finally:(fun () -> t.in_adv_step <- false)
-    (fun () ->
-      adversary.adv_step t ~round:t.round ~honest_staged:(staged_honest t));
+    (fun () -> adversary.adv_step t ~round:t.round ~honest_staged);
   (* The adaptive hook observes the same honest traffic the rushing
      adversary just saw, and may upgrade its corrupt set before delivery —
      upgrades take effect from the next round's honest check. *)
   (match (t.condition, t.async) with
   | Some c, Some a ->
-    c.Sched.c_observe ~now:a.a_vt ~round:t.round ~msgs:(staged_honest t)
+    c.Sched.c_observe ~now:a.a_vt ~round:t.round ~msgs:honest_staged
       ~corrupt:(mark_corrupt t)
   | _ -> ());
   (match t.async with Some a -> deliver_async t a | None -> deliver t);

@@ -237,6 +237,63 @@ let test_committee_agree_validity_filter () =
     (fun st -> Alcotest.(check bool) "rejected" true (Committee.output st = Some None))
     states
 
+(* The lazy adoption path: a member whose own candidate lost takes the
+   winner from the payloads it received. 8 of 9 members hold A (each its
+   own copy), member 4 holds B; A wins the digest BA outright. *)
+let test_committee_adopts_received_winner () =
+  let n = 9 in
+  let members = members_of n in
+  let a = String.make 300 'a' and b = String.make 300 'b' in
+  let candidates =
+    Array.init n (fun me -> Bytes.of_string (if me = 4 then b else a))
+  in
+  let states =
+    Array.init n (fun me -> Committee.create ~members ~me ~candidate:candidates.(me) ())
+  in
+  let _ =
+    run_committee ~n ~corrupt:[] ~rounds:(Committee.rounds ~members) ~adversary:None
+      ~make:(fun _ p -> Committee.machine states.(p))
+  in
+  Array.iteri
+    (fun p st ->
+      match Committee.output st with
+      | Some (Some out) ->
+        Alcotest.(check string) (Printf.sprintf "member %d adopts A" p) a
+          (Bytes.to_string out);
+        if p = 4 then
+          Alcotest.(check bool) "loser's output is not its own candidate" false
+            (out == candidates.(4))
+      | _ -> Alcotest.fail (Printf.sprintf "member %d: expected A" p))
+    states
+
+(* Digests are lazy: a unanimous committee hashes each member's candidate
+   once (its BA input) and nothing else — 7 [committee-agree] hashes for 7
+   members, where an eager digest -> payload table costs 7 * (2 + 6). *)
+let test_committee_unanimous_hash_count () =
+  let module C = Repro_obs.Counters in
+  let hashes = C.make "hashx.hash" in
+  let was = C.is_enabled () in
+  C.enable ();
+  let n = 7 in
+  let members = members_of n in
+  let payload = Bytes.of_string (String.make 500 'p') in
+  let before = C.value hashes in
+  let states =
+    Array.init n (fun me -> Committee.create ~members ~me ~candidate:payload ())
+  in
+  let _ =
+    run_committee ~n ~corrupt:[] ~rounds:(Committee.rounds ~members) ~adversary:None
+      ~make:(fun _ p -> Committee.machine states.(p))
+  in
+  let delta = C.value hashes - before in
+  if not was then C.disable ();
+  Alcotest.(check int) "hashx.hash delta" 7 delta;
+  Array.iter
+    (fun st ->
+      Alcotest.(check bool) "payload adopted" true
+        (Committee.output st = Some (Some payload)))
+    states
+
 (* --- coin toss --- *)
 
 let run_coin ~n ~corrupt ~adversary ~seed =
@@ -647,6 +704,10 @@ let suite =
     Alcotest.test_case "committee unanimous" `Quick test_committee_agree_unanimous;
     Alcotest.test_case "committee divergent" `Quick test_committee_agree_divergent_candidates;
     Alcotest.test_case "committee validity" `Quick test_committee_agree_validity_filter;
+    Alcotest.test_case "committee adopts received winner" `Quick
+      test_committee_adopts_received_winner;
+    Alcotest.test_case "committee unanimous hash count" `Quick
+      test_committee_unanimous_hash_count;
     Alcotest.test_case "coin agreement" `Quick test_coin_agreement;
     Alcotest.test_case "coin fresh" `Quick test_coin_differs_across_runs;
     Alcotest.test_case "coin silent corrupt" `Quick test_coin_with_silent_corrupt;

@@ -202,6 +202,86 @@ let test_engine_instance_isolation () =
   Engine.run net ~tag:"iso" ~rounds:1 ~machines ();
   Alcotest.(check int) "b received nothing" 0 !b_got
 
+(* Demux keeps each instance's deliveries in inbox order across several
+   sources, with another instance's traffic interleaved on the same party. *)
+let test_engine_delivery_order () =
+  let net = Network.create ~n:4 ~corrupt:[] () in
+  let got = Hashtbl.create 4 in
+  let machine p inst =
+    {
+      Engine.m_send =
+        (fun ~round ->
+          if round = 0 && p < 3 then
+            List.map
+              (fun k -> (3, Bytes.of_string (Printf.sprintf "%s:%d.%d" inst p k)))
+              [ 0; 1; 2 ]
+          else []);
+      m_recv =
+        (fun ~round msgs ->
+          if p = 3 && round = 0 then
+            Hashtbl.replace got inst
+              (List.map (fun (src, b) -> (src, Bytes.to_string b)) msgs));
+    }
+  in
+  let machines p = [ ("x", machine p "x"); ("y", machine p "y") ] in
+  Engine.run net ~tag:"ord" ~rounds:1 ~machines ();
+  List.iter
+    (fun inst ->
+      Alcotest.(check (list (pair int string)))
+        (inst ^ " in source then send order")
+        (List.concat_map
+           (fun p -> List.map (fun k -> (p, Printf.sprintf "%s:%d.%d" inst p k)) [ 0; 1; 2 ])
+           [ 0; 1; 2 ])
+        (Option.value ~default:[] (Hashtbl.find_opt got inst)))
+    [ "x"; "y" ]
+
+(* Only an exact "tag/instance" for a hosted instance is delivered: a
+   lookalike tag prefix, an instance the party does not host and the bare
+   engine tag are dropped. The genuine message is built afresh, so it is
+   matched by content, not by the engine's interned tag. *)
+let test_engine_drops_foreign_tags () =
+  let net = Network.create ~n:2 ~corrupt:[] () in
+  let got = Hashtbl.create 2 in
+  let machine inst =
+    {
+      Engine.m_send = (fun ~round:_ -> []);
+      m_recv =
+        (fun ~round:_ msgs ->
+          Hashtbl.replace got inst
+            (List.map (fun (_, b) -> Bytes.to_string b) msgs
+            @ Option.value ~default:[] (Hashtbl.find_opt got inst)));
+    }
+  in
+  let machines p = if p = 1 then [ ("a", machine "a"); ("b", machine "b") ] else [] in
+  List.iter
+    (fun tag -> Network.send net ~src:0 ~dst:1 ~tag (Bytes.of_string tag))
+    [ "isox/a"; "iso/c"; "iso"; "iso/"; String.concat "/" [ "iso"; "a" ] ];
+  Engine.run net ~tag:"iso" ~rounds:2 ~machines ();
+  Alcotest.(check (list string)) "a gets only iso/a" [ "iso/a" ]
+    (Option.value ~default:[] (Hashtbl.find_opt got "a"));
+  Alcotest.(check (list string)) "b gets nothing" []
+    (Option.value ~default:[] (Hashtbl.find_opt got "b"))
+
+(* A party's instances send in a fixed order — the iteration order of a
+   Hashtbl keyed by instance id, which every recorded transcript was made
+   with. Pinned here through the network tap. *)
+let test_engine_send_order_pinned () =
+  let net = Network.create ~n:2 ~corrupt:[] () in
+  let sent = ref [] in
+  Network.set_tap net (Some (fun ~round:_ (m : Wire.msg) -> sent := m.tag :: !sent));
+  let machine =
+    {
+      Engine.m_send = (fun ~round -> if round = 0 then [ (1, Bytes.empty) ] else []);
+      m_recv = (fun ~round:_ _ -> ());
+    }
+  in
+  let machines p =
+    if p = 0 then List.map (fun inst -> (inst, machine)) [ "0"; "7"; "13" ] else []
+  in
+  Engine.run net ~tag:"ord" ~rounds:1 ~machines ();
+  Alcotest.(check (list string)) "send order" [ "ord/7"; "ord/13"; "ord/0" ]
+    (List.rev !sent)
+
 let test_engine_rounds_observed () =
   (* m_recv must be called once per completed round even with no traffic. *)
   let net = Network.create ~n:1 ~corrupt:[] () in
@@ -392,6 +472,9 @@ let suite =
     Alcotest.test_case "engine multiplexing" `Quick test_engine_multiplexing;
     Alcotest.test_case "engine isolation" `Quick test_engine_instance_isolation;
     Alcotest.test_case "engine rounds" `Quick test_engine_rounds_observed;
+    Alcotest.test_case "engine delivery order" `Quick test_engine_delivery_order;
+    Alcotest.test_case "engine drops foreign tags" `Quick test_engine_drops_foreign_tags;
+    Alcotest.test_case "engine send order pinned" `Quick test_engine_send_order_pinned;
     Alcotest.test_case "tag grouping" `Quick test_tag_grouping;
     Alcotest.test_case "tag breakdown" `Quick test_tag_breakdown_accumulates;
     Alcotest.test_case "report empty selection" `Quick test_report_empty_selection;

@@ -160,6 +160,70 @@ module Ex_snark = Exercise (Srds_snark)
 module Ex_vrf = Exercise (Srds_vrf)
 module Ex_ms = Exercise (Baseline_multisig)
 
+(* --- f_aggr-sig shared candidates ---
+
+   Phase F computes each candidate once per distinct member input and each
+   validity verdict once per distinct payload. Members here: two with the
+   same (raw, msg), one with the same raw under another msg, one with raw
+   reordered — three distinct keys. Every shared result must equal the
+   unshared computation (a fresh per-member table), and the scheme's
+   aggregate counter moves once per distinct key. *)
+module Shared (S : Srds_intf.SCHEME) = struct
+  module W = Srds_intf.Wire (S)
+  module Agg = Aggr_sig.Make (S)
+  module Params = Repro_aetree.Params
+  module Tree = Repro_aetree.Tree
+
+  let test () =
+    let module C = Repro_obs.Counters in
+    let params = Params.make ~n:8 ~z:2 ~leaf_size:8 ~committee_size:4 ~branching:2 in
+    let rng = Rng.create 5 in
+    let tree = Tree.random params (Rng.of_label rng "tree") in
+    let pp, master = S.setup rng ~n:params.Params.num_slots in
+    let keys =
+      Array.init params.Params.num_slots (fun i -> S.keygen pp master rng ~index:i)
+    in
+    let vks = Array.map fst keys in
+    let fresh_table () = Agg.shared ~pp ~vks ~tree ~level:1 in
+    let idx = 0 in
+    let lo, hi = Params.leaf_slot_range params idx in
+    let raw =
+      List.filter_map
+        (fun i -> Option.map W.to_bytes (S.sign pp (snd keys.(i)) ~index:i ~msg))
+        (List.init (hi - lo + 1) (fun k -> lo + k))
+    in
+    Alcotest.(check bool) "at least two signatures to reorder" true (List.length raw >= 2);
+    let msg' = Bytes.of_string "another-message" in
+    let inputs = [ (msg, raw); (msg, raw); (msg', raw); (msg, List.rev raw) ] in
+    let counter = C.make (S.name ^ ".aggregate") in
+    let was = C.is_enabled () in
+    C.enable ();
+    let shared = fresh_table () in
+    let before = C.value counter in
+    let cands = List.map (fun (msg, raw) -> Agg.candidate shared ~idx ~msg ~raw) inputs in
+    let bumps = C.value counter - before in
+    if not was then C.disable ();
+    Alcotest.(check int) (S.name ^ ".aggregate once per distinct key") 3 bumps;
+    Alcotest.(check bool) "the signed candidate is non-empty" true
+      (Bytes.length (List.hd cands) > 0);
+    List.iter2
+      (fun (msg, raw) cand ->
+        Alcotest.(check bytes) "shared candidate = unshared" (Agg.candidate (fresh_table ()) ~idx ~msg ~raw)
+          cand;
+        List.iter
+          (fun payload ->
+            Alcotest.(check bool) "shared verdict = unshared"
+              (Agg.valid (fresh_table ()) ~idx ~msg payload)
+              (Agg.valid shared ~idx ~msg payload))
+          cands)
+      inputs cands;
+    Alcotest.(check bool) "the signed candidate is valid" true
+      (Agg.valid shared ~idx ~msg (List.hd cands))
+end
+
+module Shared_owf = Shared (Srds_owf)
+module Shared_snark = Shared (Srds_snark)
+
 (* --- scheme-operation counter shape (REPRO_COUNTERS contract) ---
 
    Every SCHEME instance exports <name>.{keygen,sign,aggregate,verify}
@@ -385,6 +449,8 @@ let suite =
   @ Ex_ms.suite "multisig"
   @ [
       Alcotest.test_case "scheme counter shape" `Quick test_scheme_counter_shape;
+      Alcotest.test_case "owf shared candidates" `Quick Shared_owf.test;
+      Alcotest.test_case "snark shared candidates" `Quick Shared_snark.test;
     ]
   @ [
       Alcotest.test_case "fig1 robustness vrf" `Quick test_robustness_vrf;

@@ -333,7 +333,7 @@ type attack_cell = {
   ac_gated : bool; (* counts toward the matrix gate (reference rows do not) *)
   ac_rounds : int;
   ac_vt : int; (* final virtual time (= rounds on lock-step backends) *)
-  ac_pre_gst_lost : int; (* condition cells: retransmit-path messages *)
+  ac_pre_gst_lost : int; (* condition cells: pre-GST slow deliveries *)
   ac_post_gst_late : int; (* 0 by the partial-synchrony contract *)
 }
 

@@ -94,7 +94,10 @@ type attack_cell = {
           ungated reference points) *)
   ac_rounds : int;
   ac_vt : int;  (** final virtual time (= rounds on lock-step backends) *)
-  ac_pre_gst_lost : int;  (** condition cells: retransmit-path messages *)
+  ac_pre_gst_lost : int;
+      (** condition cells: pre-GST deliveries slower than [1 + jitter] —
+          loss retransmits plus condition-delayed messages
+          ({!Repro_net.Sched.stats}) *)
   ac_post_gst_late : int;  (** 0 by the partial-synchrony contract *)
 }
 
@@ -448,7 +451,9 @@ type async_cell = {
   ay_rounds : int;
   ay_vt : int;  (** final virtual time (> rounds once jitter/loss bite) *)
   ay_max_latency : int;
-  ay_pre_gst_lost : int;  (** messages that took the retransmit path *)
+  ay_pre_gst_lost : int;
+      (** pre-GST deliveries slower than [1 + jitter]
+          ({!Repro_net.Sched.stats}) *)
   ay_post_gst_late : int;  (** 0 by the partial-synchrony contract *)
   ay_agreed : bool;
   ay_decided : float;

@@ -31,8 +31,10 @@ type t = {
   n : int;
   stats : party_stats array;
   mutable rounds : int;
-  by_tag : (string, int) Hashtbl.t; (* sent bytes per tag group *)
-  group_of_tag : (string, string) Hashtbl.t; (* memoized tag_group *)
+  by_group : (string, int ref) Hashtbl.t; (* sent bytes per tag group *)
+  cell_of_tag : (string, int ref) Hashtbl.t; (* tag -> its group's cell *)
+  mutable last_tag : string; (* the previous send's tag ... *)
+  mutable last_cell : int ref; (* ... and its group's cell *)
 }
 
 let fresh_party () =
@@ -61,7 +63,9 @@ let peer_add ~n ps peer =
 
 let create n =
   { n; stats = Array.init n (fun _ -> fresh_party ()); rounds = 0;
-    by_tag = Hashtbl.create 32; group_of_tag = Hashtbl.create 64 }
+    by_group = Hashtbl.create 32; cell_of_tag = Hashtbl.create 64;
+    (* a fresh string: physically equal to no tag ever sent *)
+    last_tag = String.make 1 '\000'; last_cell = ref 0 }
 
 (* Tag grouping for the per-phase breakdown: keep the part before '/',
    stripped of trailing digits and instance labels, so "aggr-ba-2/15",
@@ -97,17 +101,36 @@ let note_send t (m : Wire.msg) =
   s.bytes_sent <- s.bytes_sent + sz;
   s.msgs_sent <- s.msgs_sent + 1;
   peer_add ~n:t.n s.peers_sent m.dst;
-  (* Distinct tags are few; grouping each one once keeps the per-message
-     cost to a hash lookup instead of substring allocations. *)
-  let g =
-    match Hashtbl.find_opt t.group_of_tag m.tag with
-    | Some g -> g
-    | None ->
-      let g = tag_group m.tag in
-      Hashtbl.add t.group_of_tag m.tag g;
-      g
+  (* One lookup per send: each tag maps straight to its group's byte cell,
+     and engine sends reuse interned tags, so a run of sends with the
+     physically same tag skips even that. A group is registered in
+     [by_group] at the first send of its first tag, the insertion order
+     [tag_breakdown]'s fold sees. *)
+  let cell =
+    if m.tag == t.last_tag then t.last_cell
+    else begin
+      let cell =
+        match Hashtbl.find t.cell_of_tag m.tag with
+        | c -> c
+        | exception Not_found ->
+          let g = tag_group m.tag in
+          let c =
+            match Hashtbl.find t.by_group g with
+            | c -> c
+            | exception Not_found ->
+              let c = ref 0 in
+              Hashtbl.add t.by_group g c;
+              c
+          in
+          Hashtbl.add t.cell_of_tag m.tag c;
+          c
+      in
+      t.last_tag <- m.tag;
+      t.last_cell <- cell;
+      cell
+    end
   in
-  Hashtbl.replace t.by_tag g (sz + try Hashtbl.find t.by_tag g with Not_found -> 0)
+  cell := !cell + sz
 
 let note_recv t (m : Wire.msg) =
   let s = t.stats.(m.dst) in
@@ -193,7 +216,7 @@ let report ?(include_party = fun _ -> true) t =
 
 (* Sent bytes per tag group, largest first: the per-phase cost breakdown. *)
 let tag_breakdown t =
-  Hashtbl.fold (fun g b acc -> (g, b) :: acc) t.by_tag []
+  Hashtbl.fold (fun g c acc -> (g, !c) :: acc) t.by_group []
   |> List.sort (fun (_, a) (_, b) -> compare b a)
 
 (* A breakdown as a flat JSON object. Keys are re-sorted by name so the

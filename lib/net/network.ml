@@ -297,34 +297,35 @@ let deliver_async t a =
     | None -> false
     | Some c -> c.Sched.c_down ~now:a.a_vt ~round:(t.round + 1) dst
   in
-  let rec drain acc =
-    match Sched.Heap.peek a.a_heap with
-    | Some (time, _, _) when time <= !barrier -> (
-      match Sched.Heap.pop a.a_heap with
-      | Some (time, _, (m, send_vt)) ->
-        if down m.Wire.dst then begin
-          a.a_seq <- a.a_seq + 1;
-          Sched.Heap.push a.a_heap ~time:(!barrier + 1) ~seq:a.a_seq
-            (m, !barrier);
-          drain acc
-        end
-        else begin
-          Sched.note_delivery a.a_stats a.a_cfg ~send_vt ~deliver_vt:time;
-          drain (m :: acc)
-        end
-      | None -> acc)
-    | Some _ | None -> acc
-  in
-  (* [drain] accumulates by consing, so [acc] ends in reverse delivery
-     order — exactly what [deliver_msgs] expects. *)
-  deliver_msgs t (drain []);
+  let heap = a.a_heap in
+  let delivered = ref [] in
+  while Sched.Heap.size heap > 0 && Sched.Heap.min_time heap <= !barrier do
+    let time = Sched.Heap.min_time heap in
+    let m, send_vt = Sched.Heap.take heap in
+    if down m.Wire.dst then begin
+      a.a_seq <- a.a_seq + 1;
+      Sched.Heap.push heap ~time:(!barrier + 1) ~seq:a.a_seq (m, !barrier)
+    end
+    else begin
+      Sched.note_delivery a.a_stats a.a_cfg ~send_vt ~deliver_vt:time;
+      delivered := m :: !delivered
+    end
+  done;
+  (* Consing leaves [delivered] in reverse delivery order — exactly what
+     [deliver_msgs] expects. *)
+  deliver_msgs t !delivered;
   a.a_vt <- !barrier
 
 (* Adversary turn, delivery and round close shared by every stepping mode. *)
 let finish_round t adversary =
   (* Computed once: the adversary only adds corrupt-sourced sends, and only
      [c_observe] below can corrupt a party, so both see the same list. *)
-  let honest_staged = staged_honest t in
+  let honest_staged =
+    (* Nobody reads it without an adversary or a condition: skip the
+       filter-and-reverse of the whole staged list. *)
+    if adversary == null_adversary && Option.is_none t.condition then []
+    else staged_honest t
+  in
   t.in_adv_step <- true;
   Fun.protect
     ~finally:(fun () -> t.in_adv_step <- false)

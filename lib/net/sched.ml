@@ -10,10 +10,16 @@
      delivery (plus the protocol's spontaneous actors) are visited, with a
      transcript byte-identical to [Dense].
    - [Async cfg]: a deterministic asynchronous executor — every send is an
-     event on a priority queue keyed by virtual delivery time, with
-     per-edge latency/jitter/loss drawn from seeded SplitMix streams and a
-     GST knob for partial synchrony (delivery within 1 + delta once the
-     virtual clock passes [a_gst]).
+     event on a queue keyed by (virtual delivery time, send sequence),
+     with per-edge latency/jitter/loss drawn from seeded SplitMix streams
+     and a GST knob for partial synchrony (delivery within 1 + delta once
+     the virtual clock passes [a_gst]).
+
+   The async executor's per-message path is O(1) and allocation-free: the
+   queue groups events into per-time FIFOs under a small heap of those
+   FIFOs and drains through a non-allocating [min_time]/[take]
+   pair, and the per-edge streams live unboxed in one open-addressing
+   table keyed by the packed (src, dst) pair. Both are below.
 
    Determinism is the load-bearing property: the async executor draws all
    timing from per-edge child streams of one seed, so identical
@@ -66,112 +72,282 @@ let pure_sync cfg = cfg.a_delta <= 0 && cfg.a_jitter <= 0 && cfg.a_loss <= 0.0
 
 (* --- event queue ---
 
-   Binary min-heap over (delivery time, send sequence number): pops come
-   out in delivery order, ties broken by send order, so the drain order is
-   a total deterministic function of the pushed set. *)
+   Pops come out in (delivery time, send sequence) order, so the drain
+   order is a total deterministic function of the pushed set. The queue
+   exploits two facts about the executor's schedule: pending events share
+   few distinct delivery times (a round's sends land within the jitter
+   window, plus whatever a condition deferred), and the executor's send
+   counter only grows. So events are grouped into per-time FIFOs, and a
+   small binary min-heap orders the FIFOs, not the events: with [seq]
+   strictly increasing across pushes, push order within one FIFO *is*
+   seq order, and the (time, seq) comparison is made per FIFO rather than
+   per event. [push] enforces that contract rather than silently
+   misordering.
+
+   A FIFO takes pushes only until its first pop. A push finds the open
+   FIFO of its time through a small direct-mapped table; on a miss (a new
+   time, a slot taken by another time, or a FIFO already popped from) it
+   opens a fresh one. Two FIFOs of one time can therefore coexist; every
+   event of the older precedes every event of the newer in seq, so the
+   heap keys FIFOs by (time, seq of the first event) and order holds.
+
+   A FIFO is a pair of arrays with live window [\[head, tail)]. Slots
+   outside it must not keep popped values alive, and an ['a array] has no
+   neutral filler, so they hold the FIFO's *last* element, which leaves
+   last: growth fills with the value being pushed, the first pop fills
+   the unused suffix with the last element, every pop overwrites its own
+   slot with it, and the arrays are dropped when the FIFO empties. *)
 
 module Heap = struct
+  type 'a fifo = {
+    mutable f_seqs : int array;
+    mutable f_vals : 'a array;
+    mutable f_head : int; (* next to pop; > 0 once popped from: sealed *)
+    mutable f_tail : int; (* next free slot *)
+  }
+
+  let open_slots = 64
+
   type 'a t = {
+    (* min-heap over [0, nfifos) of FIFOs keyed by (time, first seq) *)
     mutable times : int array;
-    mutable seqs : int array;
-    mutable vals : 'a option array;
+    mutable firsts : int array;
+    mutable fifos : 'a fifo array;
+    mutable nfifos : int;
+    open_times : int array; (* direct-mapped by [time land 63] ... *)
+    open_fifos : 'a fifo array; (* ... the FIFO open for pushes there *)
+    sealed : 'a fifo; (* filler for unused entries; takes no pushes *)
     mutable size : int;
+    mutable last_seq : int;
   }
 
   let create () =
-    { times = Array.make 64 0; seqs = Array.make 64 0; vals = Array.make 64 None; size = 0 }
+    let sealed = { f_seqs = [||]; f_vals = [||]; f_head = 1; f_tail = 1 } in
+    {
+      times = Array.make 16 0;
+      firsts = Array.make 16 0;
+      fifos = Array.make 16 sealed;
+      nfifos = 0;
+      open_times = Array.make open_slots 0;
+      open_fifos = Array.make open_slots sealed;
+      sealed;
+      size = 0;
+      last_seq = min_int;
+    }
 
   let size h = h.size
 
-  let lt h i j =
-    h.times.(i) < h.times.(j)
-    || (h.times.(i) = h.times.(j) && h.seqs.(i) < h.seqs.(j))
+  let min_time h =
+    if h.size = 0 then invalid_arg "Sched.Heap.min_time: empty queue";
+    h.times.(0)
 
-  let swap h i j =
-    let t = h.times.(i) in
-    h.times.(i) <- h.times.(j);
-    h.times.(j) <- t;
-    let s = h.seqs.(i) in
-    h.seqs.(i) <- h.seqs.(j);
-    h.seqs.(j) <- s;
-    let v = h.vals.(i) in
-    h.vals.(i) <- h.vals.(j);
-    h.vals.(j) <- v
+  (* --- the heap of FIFOs, sifted by moving a hole --- *)
 
-  let grow h =
-    let cap = Array.length h.times in
-    h.times <- Array.append h.times (Array.make cap 0);
-    h.seqs <- Array.append h.seqs (Array.make cap 0);
-    h.vals <- Array.append h.vals (Array.make cap None)
+  let lt h i time first =
+    h.times.(i) < time || (h.times.(i) = time && h.firsts.(i) < first)
+
+  let place h i time first f =
+    h.times.(i) <- time;
+    h.firsts.(i) <- first;
+    h.fifos.(i) <- f
+
+  let move h ~src ~dst = place h dst h.times.(src) h.firsts.(src) h.fifos.(src)
+
+  let add_fifo h time first f =
+    let n = h.nfifos in
+    if n = Array.length h.times then begin
+      let grow a fill =
+        let a' = Array.make (2 * n) fill in
+        Array.blit a 0 a' 0 n;
+        a'
+      in
+      h.times <- grow h.times 0;
+      h.firsts <- grow h.firsts 0;
+      h.fifos <- grow h.fifos h.sealed
+    end;
+    let i = ref n in
+    while !i > 0 && not (lt h ((!i - 1) / 2) time first) do
+      move h ~src:((!i - 1) / 2) ~dst:!i;
+      i := (!i - 1) / 2
+    done;
+    place h !i time first f;
+    h.nfifos <- n + 1
+
+  (* The front FIFO emptied: drop it and sift the last entry down from the
+     root. *)
+  let drop_front h =
+    h.fifos.(0).f_vals <- [||];
+    let n = h.nfifos - 1 in
+    h.nfifos <- n;
+    let time = h.times.(n) and first = h.firsts.(n) and f = h.fifos.(n) in
+    h.fifos.(n) <- h.sealed;
+    if n > 0 then begin
+      let i = ref 0 and continue = ref true in
+      while !continue do
+        let l = (2 * !i) + 1 in
+        if l >= n then continue := false
+        else begin
+          let c =
+            if l + 1 < n && lt h (l + 1) h.times.(l) h.firsts.(l) then l + 1
+            else l
+          in
+          if lt h c time first then begin
+            move h ~src:c ~dst:!i;
+            i := c
+          end
+          else continue := false
+        end
+      done;
+      place h !i time first f
+    end
+    else h.fifos.(0) <- h.sealed
+
+  (* --- per-time FIFOs --- *)
 
   let push h ~time ~seq v =
-    if h.size = Array.length h.times then grow h;
-    let i = ref h.size in
-    h.times.(!i) <- time;
-    h.seqs.(!i) <- seq;
-    h.vals.(!i) <- Some v;
-    h.size <- h.size + 1;
-    while !i > 0 && lt h !i ((!i - 1) / 2) do
-      swap h !i ((!i - 1) / 2);
-      i := (!i - 1) / 2
-    done
+    if seq <= h.last_seq then
+      invalid_arg "Sched.Heap.push: seq must strictly increase across pushes";
+    h.last_seq <- seq;
+    let k = time land (open_slots - 1) in
+    let f = h.open_fifos.(k) in
+    let f =
+      if h.open_times.(k) = time && f.f_head = 0 then f
+      else begin
+        let f = { f_seqs = [||]; f_vals = [||]; f_head = 0; f_tail = 0 } in
+        h.open_times.(k) <- time;
+        h.open_fifos.(k) <- f;
+        add_fifo h time seq f;
+        f
+      end
+    in
+    if f.f_tail = 0 then begin
+      f.f_seqs <- Array.make 2 0;
+      f.f_vals <- Array.make 2 v
+    end
+    else if f.f_tail = Array.length f.f_vals then begin
+      (* Double by appending the arrays to themselves. Growth happens only
+         before the first pop, so the copies are queued values and valid
+         fillers; and unlike [Array.make] with a young filler, a large
+         append never forces a minor collection. *)
+      f.f_seqs <- Array.append f.f_seqs f.f_seqs;
+      f.f_vals <- Array.append f.f_vals f.f_vals
+    end;
+    f.f_seqs.(f.f_tail) <- seq;
+    f.f_vals.(f.f_tail) <- v;
+    f.f_tail <- f.f_tail + 1;
+    h.size <- h.size + 1
+
+  let take h =
+    if h.size = 0 then invalid_arg "Sched.Heap.take: empty queue";
+    let f = h.fifos.(0) in
+    let vals = f.f_vals in
+    let last = vals.(f.f_tail - 1) in
+    if f.f_head = 0 then
+      Array.fill vals f.f_tail (Array.length vals - f.f_tail) last;
+    let v = vals.(f.f_head) in
+    vals.(f.f_head) <- last;
+    f.f_head <- f.f_head + 1;
+    h.size <- h.size - 1;
+    if f.f_head = f.f_tail then drop_front h;
+    v
 
   let peek h =
     if h.size = 0 then None
     else
-      match h.vals.(0) with
-      | Some v -> Some (h.times.(0), h.seqs.(0), v)
-      | None -> assert false
+      let f = h.fifos.(0) in
+      Some (h.times.(0), f.f_seqs.(f.f_head), f.f_vals.(f.f_head))
 
   let pop h =
     if h.size = 0 then None
-    else begin
-      let time = h.times.(0) and seq = h.seqs.(0) and v = h.vals.(0) in
-      h.size <- h.size - 1;
-      h.times.(0) <- h.times.(h.size);
-      h.seqs.(0) <- h.seqs.(h.size);
-      h.vals.(0) <- h.vals.(h.size);
-      h.vals.(h.size) <- None;
-      let i = ref 0 in
-      let continue = ref true in
-      while !continue do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let m = ref !i in
-        if l < h.size && lt h l !m then m := l;
-        if r < h.size && lt h r !m then m := r;
-        if !m <> !i then begin
-          swap h !i !m;
-          i := !m
-        end
-        else continue := false
-      done;
-      match v with
-      | Some v -> Some (time, seq, v)
-      | None -> assert false
-    end
+    else
+      let time = h.times.(0) and f = h.fifos.(0) in
+      let seq = f.f_seqs.(f.f_head) in
+      Some (time, seq, take h)
 end
 
 (* --- per-edge latency streams ---
 
-   One SplitMix child stream per directed edge, derived by label from the
-   master seed. [Rng.of_label] never advances the parent, so the stream a
-   given edge sees is independent of edge creation order; the table only
-   memoizes the children. Draws on one edge happen in message send order
-   (the executor walks the staged list in send order), which makes the
-   whole timing schedule a deterministic function of (seed, transcript). *)
+   One SplitMix stream per directed edge, its starting state that of
+   [Rng.of_label master "edge-<src>-<dst>"]. [Rng.of_label] never advances
+   the parent, so the stream a given edge sees is independent of edge
+   creation order. Draws on one edge happen in message send order (the
+   executor walks the staged list in send order), which makes the whole
+   timing schedule a deterministic function of (seed, transcript).
 
-type edges = { e_master : Rng.t; e_streams : (int * int, Rng.t) Hashtbl.t }
+   The streams live in one open-addressing table: the edge packs into an
+   int key, linear probing finds its slot in [e_keys], and the slot's
+   64-bit state sits unboxed in [e_states] at byte [8 * slot], stepped in
+   place by {!Rng.bits_at}. A hit is an int multiply, a few int compares
+   and two in-place state steps: no allocation, no polymorphic hash or
+   compare, no write barrier. *)
+
+type edges = {
+  e_master : Rng.t;
+  mutable e_keys : int array; (* packed (src, dst) per slot; -1 = free *)
+  mutable e_states : Bytes.t; (* 8-byte SplitMix state per slot *)
+  mutable e_count : int; (* occupied slots; kept <= half the capacity *)
+}
+
+let edge_bits = 31
 
 let edges_create ~seed =
-  { e_master = Rng.create seed; e_streams = Hashtbl.create 97 }
+  {
+    e_master = Rng.create seed;
+    e_keys = Array.make 1024 (-1);
+    e_states = Bytes.create (8 * 1024);
+    e_count = 0;
+  }
 
-let edge_stream e ~src ~dst =
-  match Hashtbl.find_opt e.e_streams (src, dst) with
-  | Some r -> r
-  | None ->
-    let r = Rng.of_label e.e_master (Printf.sprintf "edge-%d-%d" src dst) in
-    Hashtbl.add e.e_streams (src, dst) r;
-    r
+(* Multiplicative hashing; the high product bits are folded down because
+   packed keys differ mostly in their low (dst) and middle (src) bits. *)
+let edge_home key mask =
+  let h = key * 0x7FEB352D4C6B1E5 in
+  (h lxor (h lsr 29)) land mask
+
+let rec edge_probe keys key mask i =
+  let k = keys.(i) in
+  if k = key || k < 0 then i else edge_probe keys key mask ((i + 1) land mask)
+
+let edges_grow e =
+  let keys = e.e_keys and states = e.e_states in
+  let cap = 2 * Array.length keys in
+  let keys' = Array.make cap (-1) and states' = Bytes.create (8 * cap) in
+  Array.iteri
+    (fun slot key ->
+      if key >= 0 then begin
+        let i = edge_probe keys' key (cap - 1) (edge_home key (cap - 1)) in
+        keys'.(i) <- key;
+        Bytes.blit states (8 * slot) states' (8 * i) 8
+      end)
+    keys;
+  e.e_keys <- keys';
+  e.e_states <- states'
+
+(* Byte offset of the (src, dst) stream's state in [e_states], creating the
+   stream on first use. *)
+let edge_slot e ~src ~dst =
+  if src lor dst < 0 || (src lor dst) lsr edge_bits <> 0 then
+    invalid_arg "Sched.draw_latency: party index out of range";
+  let key = (src lsl edge_bits) lor dst in
+  let mask = Array.length e.e_keys - 1 in
+  let i = edge_probe e.e_keys key mask (edge_home key mask) in
+  if e.e_keys.(i) = key then 8 * i
+  else begin
+    let i =
+      if 2 * (e.e_count + 1) > Array.length e.e_keys then begin
+        edges_grow e;
+        let mask = Array.length e.e_keys - 1 in
+        edge_probe e.e_keys key mask (edge_home key mask)
+      end
+      else i
+    in
+    e.e_keys.(i) <- key;
+    e.e_count <- e.e_count + 1;
+    Rng.state_into
+      (Rng.of_label e.e_master (Printf.sprintf "edge-%d-%d" src dst))
+      e.e_states (8 * i);
+    8 * i
+  end
 
 (* Latency of one message staged at virtual time [now].
 
@@ -191,9 +367,14 @@ let edge_stream e ~src ~dst =
 let draw_latency edges cfg ~src ~dst ~now =
   if pure_sync cfg then 1
   else begin
-    let rng = edge_stream edges ~src ~dst in
-    let j = if cfg.a_jitter > 0 then Rng.int rng (cfg.a_jitter + 1) else 0 in
-    let lost = cfg.a_loss > 0.0 && Rng.float rng < cfg.a_loss in
+    let off = edge_slot edges ~src ~dst in
+    let st = edges.e_states in
+    (* the draws [Rng.int] and [Rng.float] would make on this stream *)
+    let j =
+      if cfg.a_jitter > 0 then Rng.int_of_bits (Rng.bits_at st off) (cfg.a_jitter + 1)
+      else 0
+    in
+    let lost = cfg.a_loss > 0.0 && Rng.float_lt (Rng.bits_at st off) cfg.a_loss in
     if now >= cfg.a_gst then 1 + min j (max 0 cfg.a_delta)
     else if lost then 1 + j + 1 + max 0 cfg.a_delta
     else 1 + j
@@ -211,7 +392,9 @@ type delivery = { dl_send_vt : int; dl_deliver_vt : int }
 type stats = {
   mutable st_sends : int;
   mutable st_max_latency : int;
-  mutable st_pre_gst_lost : int; (* messages that took the retransmit path *)
+  mutable st_pre_gst_lost : int;
+      (* pre-GST deliveries slower than 1 + jitter: most loss
+         retransmits, and whatever a condition slowed past that *)
   mutable st_post_gst_late : int; (* post-GST sends beyond 1 + delta: must be 0 *)
   mutable st_log : delivery list; (* newest first, bounded *)
   mutable st_log_len : int;

@@ -8,7 +8,12 @@
     backends produce byte-identical transcripts (pinned by the golden
     conformance suite), and with chaos knobs on the async executor stays a
     deterministic function of (protocol, n, seed, cfg) on any domain-pool
-    size. *)
+    size.
+
+    The async executor's per-message path is O(1) and allocation-free: a
+    time-bucketed event queue ({!Heap}) drained through {!Heap.min_time}
+    and {!Heap.take}, and per-edge streams stored unboxed in one flat
+    table ({!edges}). *)
 
 type async_cfg = {
   a_seed : int;  (** master seed of the per-edge latency streams *)
@@ -37,15 +42,35 @@ val pure_sync : async_cfg -> bool
     stream is drawn, and the async transcript must be byte-identical to
     the lock-step backends. *)
 
-(** Deterministic binary min-heap keyed by (delivery time, send sequence):
-    pops come out in delivery order, ties broken by send order. *)
+(** Deterministic event queue keyed by (delivery time, send sequence):
+    pops come out in delivery order, ties broken by send order.
+
+    Contract: [seq] strictly increases across the pushes to one queue (the
+    executor's global send counter). Events of one time then pop in push
+    order, which is what lets the queue group events into per-time FIFOs
+    and compare (time, seq) per FIFO rather than per event. Popped values
+    are not kept reachable by the queue. *)
 module Heap : sig
   type 'a t
 
   val create : unit -> 'a t
   val size : 'a t -> int
+
   val push : 'a t -> time:int -> seq:int -> 'a -> unit
+  (** Raises [Invalid_argument] if [seq] is not greater than every [seq]
+      pushed before. *)
+
+  val min_time : 'a t -> int
+  (** The delivery time of the next event; does not allocate. Raises
+      [Invalid_argument] on an empty queue. *)
+
+  val take : 'a t -> 'a
+  (** Removes the next event and returns its value; its time is the
+      {!min_time} read before. Does not allocate. Raises
+      [Invalid_argument] on an empty queue. *)
+
   val pop : 'a t -> (int * int * 'a) option
+  (** {!take} with the event's time and seq. *)
 
   val peek : 'a t -> (int * int * 'a) option
   (** The element {!pop} would return, without removing it. *)
@@ -54,7 +79,7 @@ end
 type edges
 (** Per-directed-edge SplitMix latency streams, children of one master
     seed keyed by ["edge-<src>-<dst>"]; stream contents are independent of
-    edge creation order. *)
+    edge creation order. Party indices must lie in [\[0, 2{^31})]. *)
 
 val edges_create : seed:int -> edges
 
@@ -71,7 +96,12 @@ type stats = {
   mutable st_sends : int;
   mutable st_max_latency : int;
   mutable st_pre_gst_lost : int;
-      (** messages that took the pre-GST retransmit path *)
+      (** messages sent before GST and delivered later than [1 + jitter]
+          after their send, the most an unlost message the network alone
+          routed can take. Loss retransmits land here when their timeout
+          outweighs the jitter they did not draw, and so does every
+          pre-GST message a condition slowed past that bound; it is not a
+          count of lost messages *)
   mutable st_post_gst_late : int;
       (** post-GST sends delivered beyond [1 + delta] — 0 by construction *)
   mutable st_log : delivery list;  (** newest first, bounded *)

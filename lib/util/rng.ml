@@ -10,28 +10,49 @@ let create seed = { state = Int64.of_int seed }
 
 let copy t = { state = t.state }
 
-(* SplitMix64 step (Steele–Lea–Flood). *)
-let next64 t =
+(* SplitMix64 (Steele–Lea–Flood): a state step adds the golden gamma, the
+   output is the mixed new state. Both are shared by the boxed generator
+   below and by [bits_at], which steps a state stored unboxed in a
+   caller's buffer — one implementation, two storage layouts. *)
+let[@inline] step s = Int64.add s 0x9E3779B97F4A7C15L
+
+let[@inline] mix z =
   let open Int64 in
-  t.state <- add t.state 0x9E3779B97F4A7C15L;
-  let z = t.state in
   let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
 
-(* Non-negative 62-bit integer. *)
-let bits t = Int64.to_int (Int64.shift_right_logical (next64 t) 2)
+let next64 t =
+  t.state <- step t.state;
+  mix t.state
 
-let int t bound =
+(* Non-negative 62-bit integer. *)
+let[@inline] bits_of z = Int64.to_int (Int64.shift_right_logical z 2)
+
+let bits t = bits_of (next64 t)
+
+let bits_at buf off =
+  let s = step (Bytes.get_int64_le buf off) in
+  Bytes.set_int64_le buf off s;
+  bits_of (mix s)
+
+let state_into t buf off = Bytes.set_int64_le buf off t.state
+
+let int_of_bits b bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
-  bits t mod bound
+  b mod bound
+
+let int t bound = int_of_bits (bits t) bound
 
 let bool t = Int64.logand (next64 t) 1L = 1L
 
-let float t =
-  (* 53 random bits mapped to [0,1). *)
-  let x = Int64.to_int (Int64.shift_right_logical (next64 t) 11) in
-  float_of_int x /. 9007199254740992.0
+(* 53 random bits mapped to [0,1): the top 53 of the 64-bit output, i.e.
+   a [bits] value without its low 9 bits. *)
+let[@inline] float_of_bits b = float_of_int (b lsr 9) /. 9007199254740992.0
+
+let float t = float_of_bits (bits t)
+
+let float_lt b p = float_of_bits b < p
 
 let bytes t len =
   let b = Bytes.create len in

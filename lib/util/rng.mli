@@ -17,6 +17,23 @@ val next64 : t -> int64
 val bits : t -> int
 (** Uniform non-negative 62-bit integer. *)
 
+val bits_at : bytes -> int -> int
+(** [bits_at buf off] steps the generator state stored unboxed at bytes
+    [\[off, off + 8)] of [buf] (little-endian) and returns what {!bits}
+    would on a generator in that state. Does not allocate. *)
+
+val state_into : t -> bytes -> int -> unit
+(** [state_into t buf off] stores [t]'s state at [off] in the layout
+    {!bits_at} steps. *)
+
+val int_of_bits : int -> int -> int
+(** [int_of_bits b bound] is what {!int} returns when {!bits} would have
+    returned [b]. *)
+
+val float_lt : int -> float -> bool
+(** [float_lt b p] is [f < p], where [f] is what {!float} returns when
+    {!bits} would have returned [b]; the float is never boxed. *)
+
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. Raises on [bound <= 0]. *)
 

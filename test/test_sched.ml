@@ -34,7 +34,181 @@ let qcheck_heap_order =
       in
       popped = expected)
 
+(* Random interleavings of push and pop against a sorted-list model. Times
+   mix a near window (many events per time, as one round's sends land),
+   times 64 apart (which share a slot of the queue's open-FIFO table) and
+   far-future ones (a condition's [Defer]); seq is the push counter, as in
+   the executor, and pushes at a time already popped from occur. *)
+type heap_op = Push of int | Pop
+
+let heap_ops_gen =
+  QCheck.Gen.(
+    list_size (int_bound 300)
+      (frequency
+         [
+           (5, map (fun t -> Push t) (int_bound 6));
+           (1, map (fun k -> Push (64 * k)) (int_range 1 3));
+           (1, map (fun t -> Push (1000 + t)) (int_bound 1_000_000));
+           (4, return Pop);
+         ]))
+
+let qcheck_heap_model =
+  QCheck.Test.make ~name:"heap: interleaved push/pop match a sorted-list model"
+    ~count:300
+    (QCheck.make heap_ops_gen)
+    (fun ops ->
+      let h = Sched.Heap.create () in
+      let model = ref [] and seq = ref 0 and base = ref 0 in
+      List.for_all
+        (fun op ->
+          match op with
+          | Push dt ->
+            incr seq;
+            (* times never precede the last pop, as in the executor *)
+            let time = !base + dt in
+            Sched.Heap.push h ~time ~seq:!seq (string_of_int !seq);
+            model := List.merge compare !model [ (time, !seq, string_of_int !seq) ];
+            Sched.Heap.size h = List.length !model
+          | Pop -> (
+            match (!model, Sched.Heap.peek h) with
+            | [], None -> Sched.Heap.pop h = None
+            | ((t, _, _) as e) :: rest, Some p ->
+              let mt = Sched.Heap.min_time h in
+              model := rest;
+              base := t;
+              p = e && mt = t && Sched.Heap.pop h = Some e
+            | _ -> false))
+        ops
+      &&
+      let rec drain () =
+        match (!model, Sched.Heap.pop h) with
+        | [], None -> true
+        | e :: rest, Some p when p = e ->
+          model := rest;
+          drain ()
+        | _ -> false
+      in
+      drain ())
+
+let test_heap_seq_contract () =
+  let h = Sched.Heap.create () in
+  Sched.Heap.push h ~time:4 ~seq:10 ();
+  let raises seq =
+    match Sched.Heap.push h ~time:2 ~seq () with
+    | () -> false
+    | exception Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "repeated seq raises" true (raises 10);
+  Alcotest.(check bool) "smaller seq raises" true (raises 3);
+  Alcotest.(check int) "rejected pushes left the queue alone" 1
+    (Sched.Heap.size h);
+  Alcotest.(check bool) "greater seq accepted" false (raises 11);
+  Alcotest.(check (list int)) "drain order" [ 2; 4 ]
+    (List.init 2 (fun _ ->
+         let t = Sched.Heap.min_time h in
+         Sched.Heap.take h;
+         t))
+
+(* A popped value is not kept alive by the queue: not by its own slot, not
+   by the spare capacity of its time's FIFO, not by the FIFO's arrays after
+   a push into a partly drained time, nor once its time drained. *)
+let test_heap_releases_popped () =
+  let h = Sched.Heap.create () in
+  let w = Weak.create 11 in
+  let push i time =
+    let v = Bytes.make 16 (Char.chr (65 + i)) in
+    Weak.set w i (Some v);
+    Sched.Heap.push h ~time ~seq:i v
+  in
+  push 0 5;
+  push 1 5;
+  push 2 5;
+  push 3 9;
+  ignore (Sys.opaque_identity (Sched.Heap.take h));
+  Gc.full_major ();
+  Alcotest.(check bool) "popped head collected" false (Weak.check w 0);
+  Alcotest.(check bool) "queued values alive" true
+    (Weak.check w 1 && Weak.check w 2 && Weak.check w 3);
+  (* a push into the partly drained time 5 *)
+  push 4 5;
+  ignore (Sys.opaque_identity (Sched.Heap.take h));
+  ignore (Sys.opaque_identity (Sched.Heap.take h));
+  Gc.full_major ();
+  Alcotest.(check bool) "popped after a push-after-pop collected" false
+    (Weak.check w 1 || Weak.check w 2);
+  ignore (Sys.opaque_identity (Sched.Heap.take h));
+  Gc.full_major ();
+  Alcotest.(check bool) "last of a drained time collected" false (Weak.check w 4);
+  Alcotest.(check bool) "later time still queued" true (Weak.check w 3);
+  Alcotest.(check int) "one event left" 1 (Sched.Heap.size h);
+  (* six events of one time grow its FIFO past its first capacities; all
+     but the newest popped *)
+  for i = 5 to 10 do
+    push i 12
+  done;
+  for _ = 0 to 5 do
+    ignore (Sys.opaque_identity (Sched.Heap.take h))
+  done;
+  Gc.full_major ();
+  for i = 3 to 9 do
+    Alcotest.(check bool) (Printf.sprintf "value %d collected" i) false
+      (Weak.check w i)
+  done;
+  Alcotest.(check bool) "newest still queued" true (Weak.check w 10);
+  Alcotest.(check int) "and counted" 1 (Sched.Heap.size h)
+
 (* --- latency draws --- *)
+
+(* [draw_latency] against the specification it replaced: a boxed
+   [Rng.of_label] child per edge, drawing jitter with [Rng.int] and then
+   the loss coin with [Rng.float]. Party indices reach 2^20, edges repeat,
+   and a run touches enough distinct edges to grow the stream table
+   several times. *)
+let reference_latency streams master cfg ~src ~dst ~now =
+  let rng =
+    match Hashtbl.find_opt streams (src, dst) with
+    | Some r -> r
+    | None ->
+      let r = Rng.of_label master (Printf.sprintf "edge-%d-%d" src dst) in
+      Hashtbl.add streams (src, dst) r;
+      r
+  in
+  let j = if cfg.Sched.a_jitter > 0 then Rng.int rng (cfg.a_jitter + 1) else 0 in
+  let lost = cfg.a_loss > 0.0 && Rng.float rng < cfg.a_loss in
+  if now >= cfg.a_gst then 1 + min j (max 0 cfg.a_delta)
+  else if lost then 1 + j + 1 + max 0 cfg.a_delta
+  else 1 + j
+
+let qcheck_latency_reference =
+  QCheck.Test.make ~name:"draw_latency: equals per-edge Rng.of_label streams"
+    ~count:40
+    QCheck.(pair small_nat (pair (int_bound 5) (int_bound 3)))
+    (fun (seed, (jitter, delta)) ->
+      let cfg =
+        { Sched.a_seed = seed; a_delta = delta; a_jitter = jitter;
+          a_loss = 0.2; a_gst = 2500 }
+      in
+      let edges = Sched.edges_create ~seed in
+      let streams = Hashtbl.create 97 and master = Rng.create seed in
+      let gen = Rng.of_label (Rng.create seed) "edge-choice" in
+      let recent = Array.make 32 (0, 0) in
+      let ok = ref true in
+      for now = 0 to 4999 do
+        let src, dst =
+          if now > 0 && Rng.int gen 3 = 0 then recent.(Rng.int gen (min now 32))
+          else
+            let wide = Rng.bool gen in
+            let party () = Rng.int gen (if wide then (1 lsl 20) + 1 else 64) in
+            let e = (party (), party ()) in
+            recent.(now mod 32) <- e;
+            e
+        in
+        let lat = Sched.draw_latency edges cfg ~src ~dst ~now in
+        if lat <> reference_latency streams master cfg ~src ~dst ~now then
+          ok := false
+      done;
+      !ok && Hashtbl.length streams > 2048)
+
 
 let chaos ~seed =
   { Sched.a_seed = seed; a_delta = 2; a_jitter = 3; a_loss = 0.25; a_gst = 10 }
@@ -140,6 +314,106 @@ let test_post_gst_on_network () =
     (stats.Sched.st_pre_gst_lost > 0)
 
 (* --- async executor determinism --- *)
+
+(* A sharp oracle for executor order. At n = 64 the chaos *send*
+   transcript of the owf pipeline equals the lock-step one, so the rerun
+   and pool-size checks below cannot see a reordering bug. This fan-out
+   digests what the executor decides: every round's virtual time and each
+   inbox in delivery order, under jitter, pre-GST loss, a condition that
+   defers one edge set past the round barrier and a party dark for a
+   window, then the final delivery statistics. Values recorded with the
+   executor's earlier binary-heap queue and tuple-keyed edge streams. *)
+let oracle_cfg ~seed =
+  { Sched.a_seed = seed; a_delta = 2; a_jitter = 3; a_loss = 0.25; a_gst = 40 }
+
+let oracle_condition =
+  {
+    Sched.c_name = "oracle";
+    c_route =
+      (fun ~now ~round ~src ~dst ~lat ->
+        if round >= 2 && round < 5 && src mod 8 = 0 && dst mod 8 = 1 then
+          Sched.Defer (now + 9)
+        else Sched.Deliver lat);
+    c_down = (fun ~now:_ ~round p -> p = 5 && round >= 3 && round < 6);
+    c_observe = (fun ~now:_ ~round:_ ~msgs:_ ~corrupt:_ -> ());
+  }
+
+let executor_order_digest ~seed =
+  let n = 64 and rounds = 16 in
+  let net =
+    Network.create ~backend:(Sched.Async (oracle_cfg ~seed)) ~n ~corrupt:[] ()
+  in
+  Network.set_condition net oracle_condition;
+  let master = Rng.create seed in
+  let rngs = Array.init n (fun i -> Rng.of_label master (Printf.sprintf "p%d" i)) in
+  let handler i ~round ~inbox =
+    let rng = rngs.(i) in
+    for _ = 1 to Rng.int rng 5 do
+      let dst = Rng.int rng n in
+      let tag = Printf.sprintf "t%d" (Rng.int rng 3) in
+      Network.send net ~src:i ~dst ~tag
+        (Bytes.of_string
+           (Printf.sprintf "%d:%d:%d:%d" round i (List.length inbox) (Rng.bits rng)))
+    done
+  in
+  let handlers = Array.init n (fun i -> Some (handler i)) in
+  let ctx = Repro_crypto.Sha256.init () in
+  let feed s = Repro_crypto.Sha256.feed ctx (Bytes.unsafe_of_string s) 0 (String.length s) in
+  for _ = 1 to rounds do
+    Network.step net handlers;
+    feed (Printf.sprintf "vt=%d\n" (Network.virtual_time net));
+    for dst = 0 to n - 1 do
+      List.iter
+        (fun (m : Repro_net.Wire.msg) ->
+          feed (Printf.sprintf "%d|%d|%s|" dst m.src m.tag);
+          feed (Bytes.to_string m.payload);
+          feed "\n")
+        (Network.inbox net dst)
+    done
+  done;
+  (match Network.async_stats net with
+  | Some s ->
+    feed
+      (Printf.sprintf "sends=%d max=%d pre=%d post=%d\n" s.Sched.st_sends
+         s.Sched.st_max_latency s.Sched.st_pre_gst_lost s.Sched.st_post_gst_late)
+  | None -> Alcotest.fail "async network carries no stats");
+  Repro_crypto.Sha256.hex (Repro_crypto.Sha256.finish ctx)
+
+let test_executor_order_pinned () =
+  List.iter
+    (fun (seed, want) ->
+      Alcotest.(check string)
+        (Printf.sprintf "executor order digest, seed %d" seed)
+        want (executor_order_digest ~seed))
+    [
+      (1, "cef8283ab04dbd30e024839c2436607b04a652e17732367664102c87acce2bef");
+      (2, "363a06a657fa7fcb8494cc682e6dacf3a0ba5e6d30d991ba6a947c6549c612f6");
+      (11, "cac143d7c7866c49d50bd2cbe63b0a94d94f597119a3a9217bd95dfd0fddbcc5");
+    ]
+
+(* The same contract end to end: the equivocate x delay cell at n = 256
+   (the ledger's async workload), its send transcript hashed in
+   [Runner.run_digest]'s line format, with its virtual time and delivery
+   statistics. *)
+let test_attack_cell_pinned () =
+  let ctx = Repro_crypto.Sha256.init () in
+  let feed b = Repro_crypto.Sha256.feed ctx b 0 (Bytes.length b) in
+  let tap ~round (m : Repro_net.Wire.msg) =
+    feed (Bytes.of_string (Printf.sprintf "%d|%d|%d|%s|" round m.src m.dst m.tag));
+    feed m.payload;
+    feed (Bytes.of_string "\n")
+  in
+  let c =
+    Runner.run_attack_cell ~tap ~protocol:Runner.This_work_owf
+      ~strategy_name:"equivocate" ~condition_name:"delay" ~n:256 ~beta:0.1
+      ~seed:3 ~expect_fail:false ()
+  in
+  Alcotest.(check string) "transcript digest"
+    "7f768d11991fac88ea174ba5adec8f15eaf797897a9fa6fd88946a2025afa33a"
+    (Repro_crypto.Sha256.hex (Repro_crypto.Sha256.finish ctx));
+  Alcotest.(check int) "vt" 484 c.Runner.ac_vt;
+  Alcotest.(check int) "pre_gst_lost" 4700 c.Runner.ac_pre_gst_lost;
+  Alcotest.(check int) "post_gst_late" 0 c.Runner.ac_post_gst_late
 
 let async_digest ~n ~seed =
   let backend = Sched.Async (chaos ~seed) in
@@ -332,7 +606,13 @@ let test_lockstep_log_has_no_vt () =
 let suite =
   [
     QCheck_alcotest.to_alcotest qcheck_heap_order;
+    QCheck_alcotest.to_alcotest qcheck_heap_model;
+    Alcotest.test_case "heap: push enforces strictly increasing seq" `Quick
+      test_heap_seq_contract;
+    Alcotest.test_case "heap: popped values are released" `Quick
+      test_heap_releases_popped;
     QCheck_alcotest.to_alcotest qcheck_latency_bounds;
+    QCheck_alcotest.to_alcotest qcheck_latency_reference;
     Alcotest.test_case "pure sync draws nothing from the streams" `Quick
       test_pure_sync_no_draws;
     Alcotest.test_case "edge streams seeded and deterministic" `Quick
@@ -341,6 +621,10 @@ let suite =
       test_post_gst_teeth;
     Alcotest.test_case "post-GST bound holds on a real async run" `Quick
       test_post_gst_on_network;
+    Alcotest.test_case "executor order oracle pinned (n=64 fan-out)" `Quick
+      test_executor_order_pinned;
+    Alcotest.test_case "equivocate x delay cell pinned (n=256, seed 3)" `Quick
+      test_attack_cell_pinned;
     Alcotest.test_case "async transcript rerun-deterministic" `Quick
       test_async_rerun_deterministic;
     Alcotest.test_case "async transcript pool-independent" `Quick

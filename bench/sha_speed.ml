@@ -1,10 +1,13 @@
 (* Standalone SHA-256 throughput probe: the one number the multicore /
    hot-path work optimizes for. Prints MB/s over 64-byte and 4 KiB inputs
-   so regressions in either the compression loop or the streaming glue show
+   so regressions in either the compression kernel or the streaming glue show
    up, then the two kernels built on it: ns per WOTS chain step (a keygen
    walks 35 chains of 15 steps) and HMAC over a prepared vs an unprepared
-   key. Each figure is the best of several timed batches — the minimum batch
-   time is robust to scheduler noise on a shared box. *)
+   key. Last, the compression kernel this process selected and ns per raw
+   compression for each kernel the CPU can run, so a host without the SHA
+   extensions shows what the portable fallback costs. Each figure is the
+   best of several timed batches — the minimum batch time is robust to
+   scheduler noise on a shared box. *)
 
 (* Seconds per call of [f], best of [batches] batches of [iters] calls. *)
 let best_per_call ~iters ~batches f =
@@ -59,3 +62,15 @@ let () =
   in
   Printf.printf "hmac mac_parts, unprepared key: %6.0f ns\n" (unprep *. 1e9);
   Printf.printf "hmac mac_prepared:              %6.0f ns\n" (prep *. 1e9)
+
+let () =
+  let open Repro_crypto.Sha256 in
+  Printf.printf "kernel in use: %s\n" Kernel.name;
+  let h = Array.make 8 0x5be0cd19 and block = Bytes.make 64 'b' in
+  let per_compression f =
+    best_per_call ~iters:200_000 ~batches:8 (fun () -> f h block 0) *. 1e9
+  in
+  Printf.printf "compress portable:  %6.0f ns\n" (per_compression Kernel.portable);
+  match Kernel.sha_ni with
+  | Some f -> Printf.printf "compress sha-ni:    %6.0f ns\n" (per_compression f)
+  | None -> print_endline "compress sha-ni:    n/a (no SHA extensions on this CPU)"

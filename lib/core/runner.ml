@@ -897,7 +897,11 @@ let scale_ns_default = [ 256; 512; 1024; 2048; 4096 ]
    naive-flood is n^2 messages per round by construction. The this-work
    snark instantiation is polylog per party but round-heavy (its committee
    coin tosses dominate); 2048 keeps the default sweep under ~2 min for
-   that curve while still spanning 3 doublings. *)
+   that curve while still spanning 3 doublings. Re-timed with the C
+   SHA-256 kernel on the SHA extensions (2-vCPU Xeon): a snark cell takes
+   12.6-14.5 s at n = 2048 (22.2-22.3 s with the OCaml compression loop)
+   and 49 s at n = 4096, so the cap is now a choice about sweep length,
+   not a wall. *)
 let scale_cap = function
   | This_work_owf | Sqrt_boost -> None
   | This_work_snark -> Some 2048

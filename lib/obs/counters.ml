@@ -2,7 +2,7 @@
 
    Counters are plain [Atomic.t] cells behind one global enabled flag: a
    disabled bump is a single atomic load and branch, cheap enough to leave in
-   the SHA-256 compression loop. Sums of atomic increments are order
+   every SHA-256 compression. Sums of atomic increments are order
    independent, so totals accumulated from the domain pool are exact; whether
    they are also *pool-size* independent is a property of the call sites
    (recorded per counter in [deterministic]). *)

@@ -115,23 +115,167 @@ let prop_hmac_parts_eq_mac =
 
 (* --- One-block SHA-256 and the WOTS chain kernel --- *)
 
+(* Every (len, out_len) pair at non-zero offsets, with the bytes around the
+   digest untouched, and with [dst == src] over ranges that overlap the
+   input: the stub must read the whole message before it writes a byte of
+   the digest. *)
 let test_sha_short_into () =
+  let ok = ref true in
+  let fill n = Bytes.init n (fun i -> Char.chr (((i * 131) + 17) land 0xFF)) in
   for len = 0 to Sha256.max_short do
-    let src = Bytes.init (len + 3) (fun i -> Char.chr (((i * 37) + len) land 0xFF)) in
-    let expected = Sha256.digest (Bytes.sub src 3 len) in
-    let dst = Bytes.make 40 '\xee' in
-    Sha256.digest_short_into src 3 len dst 4 32;
-    Alcotest.(check string) (Printf.sprintf "len %d" len) (Sha256.hex expected)
-      (Sha256.hex (Bytes.sub dst 4 32));
-    Alcotest.(check string) "bytes around the digest untouched" "\xee\xee\xee\xee\xee\xee\xee\xee"
-      (Bytes.to_string (Bytes.cat (Bytes.sub dst 0 4) (Bytes.sub dst 36 4)));
-    Sha256.digest_short_into src 3 len dst 0 Hashx.kappa_bytes;
-    Alcotest.(check string) "truncated" (Sha256.hex (Bytes.sub expected 0 16))
-      (Sha256.hex (Bytes.sub dst 0 16))
+    let src = fill (len + 7) in
+    let full = Sha256.digest (Bytes.sub src 5 len) in
+    for out_len = 0 to 32 do
+      let expected = Bytes.sub full 0 out_len in
+      let dst = Bytes.make (out_len + 13) '\xee' in
+      Sha256.digest_short_into src 5 len dst 9 out_len;
+      if not (Bytes.equal expected (Bytes.sub dst 9 out_len)) then ok := false;
+      if Bytes.exists (( <> ) '\xee') (Bytes.sub dst 0 9)
+         || Bytes.exists (( <> ) '\xee') (Bytes.sub dst (9 + out_len) 4)
+      then ok := false;
+      List.iter
+        (fun dst_off ->
+          let buf = fill (len + 40) in
+          Sha256.digest_short_into buf 5 len buf dst_off out_len;
+          if not (Bytes.equal expected (Bytes.sub buf dst_off out_len)) then
+            ok := false)
+        [ 5; 6; 5 + (len / 2); 2; 0 ]
+    done
   done;
+  Alcotest.(check bool) "every len 0-55 x out_len 0-32, overlapping too" true !ok;
   Alcotest.check_raises "56 bytes do not fit one block"
     (Invalid_argument "Sha256.digest_short_into: input") (fun () ->
       Sha256.digest_short_into (Bytes.create 56) 0 56 (Bytes.create 32) 0 32)
+
+(* The padded one-block message for [s] (at most 55 bytes). *)
+let one_block s =
+  let b = Bytes.make 64 '\000' in
+  Bytes.blit_string s 0 b 0 (String.length s);
+  Bytes.set b (String.length s) '\x80';
+  Bytes.set_uint16_be b 62 (String.length s * 8);
+  b
+
+let iv () =
+  [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f; 0x9b05688c;
+     0x1f83d9ab; 0x5be0cd19 |]
+
+let state_hex h =
+  String.concat "" (Array.to_list (Array.map (Printf.sprintf "%08x") h))
+
+(* The NIST vectors above only reach the kernel this host selected; run the
+   portable one on them too. *)
+let test_kernel_portable_vectors () =
+  List.iter
+    (fun (s, expected) ->
+      let h = iv () in
+      Sha256.Kernel.portable h (one_block s) 0;
+      Alcotest.(check string) s expected (state_hex h))
+    [
+      ("", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+      ("abc", "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+    ];
+  Alcotest.check_raises "short state"
+    (Invalid_argument "Sha256.Kernel: state or block out of range") (fun () ->
+      Sha256.Kernel.portable (Array.make 7 0) (Bytes.create 64) 0);
+  Alcotest.check_raises "block past the end"
+    (Invalid_argument "Sha256.Kernel: state or block out of range") (fun () ->
+      Sha256.Kernel.portable (iv ()) (Bytes.create 64) 1)
+
+(* Hardware and portable kernels agree on random states and blocks. *)
+let prop_kernels_agree hw =
+  QCheck.Test.make ~name:"sha-ni compression = portable compression" ~count:2000
+    QCheck.(
+      triple
+        (array_of_size (Gen.return 8) (int_bound 0xFFFF_FFFF))
+        (string_of_size (Gen.return 64))
+        (int_bound 40))
+    (fun (h, block, off) ->
+      let b = Bytes.make (off + 64 + 3) '\x5a' in
+      Bytes.blit_string block 0 b off 64;
+      let h_hw = Array.copy h and h_port = Array.copy h in
+      hw h_hw b off;
+      Sha256.Kernel.portable h_port b off;
+      h_hw = h_port)
+
+let test_kernels_agree () =
+  match Sha256.Kernel.sha_ni with
+  | None ->
+    Printf.printf
+      "This CPU has no SHA extensions: only the portable kernel runs here, \
+       the differential check is skipped.\n";
+    Alcotest.skip ()
+  | Some hw ->
+    Printf.printf "Kernel in use: %s\n" Sha256.Kernel.name;
+    QCheck.Test.check_exn (prop_kernels_agree hw)
+
+(* [sha256.compress] is what the ledger's crypto.sha256_compress and busy
+   shares read: each physical compression must count exactly once, whether
+   it ran from OCaml glue or inside one C call. *)
+let test_compress_counter () =
+  let c = Repro_obs.Counters.make ~deterministic:false "sha256.compress" in
+  let was_on = Repro_obs.Counters.is_enabled () in
+  Repro_obs.Counters.enable ();
+  let delta f =
+    let v0 = Repro_obs.Counters.value c in
+    f ();
+    Repro_obs.Counters.value c - v0
+  in
+  let dst = Bytes.create 32 in
+  let cases =
+    [
+      ("digest_short_into", 1,
+       fun () -> Sha256.digest_short_into (Bytes.make 40 'x') 0 40 dst 0 16);
+      ("digest 64 B", 2, fun () -> ignore (Sha256.digest (Bytes.make 64 'x')));
+      ("digest 4 KiB", 65, fun () -> ignore (Sha256.digest (Bytes.make 4096 'x')));
+      ("midstate_of_block", 1,
+       fun () -> ignore (Sha256.midstate_of_block (Bytes.make 64 'x')));
+    ]
+  in
+  let got = List.map (fun (name, _, f) -> (name, delta f)) cases in
+  if not was_on then Repro_obs.Counters.disable ();
+  Alcotest.(check (list (pair string int))) "compressions counted"
+    (List.map (fun (name, n, _) -> (name, n)) cases)
+    got
+
+(* Four domains hash the same inputs at once, one-block and streaming; the
+   stubs must share no mutable state, and the kernel choice must hold. *)
+let test_domains_agree () =
+  let rng = Random.State.make [| 15 |] in
+  let inputs =
+    Array.init 1000 (fun i ->
+        let len =
+          if i land 1 = 0 then Random.State.int rng (Sha256.max_short + 1)
+          else Random.State.int rng 700
+        in
+        Bytes.init len (fun _ -> Char.chr (Random.State.int rng 256)))
+  in
+  let hash_all () =
+    Array.map
+      (fun b ->
+        let len = Bytes.length b in
+        if len <= Sha256.max_short then begin
+          let d = Bytes.create 32 in
+          Sha256.digest_short_into b 0 len d 0 32;
+          d
+        end
+        else begin
+          let ctx = Sha256.init () in
+          let half = len / 3 in
+          Sha256.feed ctx b 0 half;
+          Sha256.feed ctx b half (len - half);
+          Bytes.cat (Sha256.finish ctx) (Sha256.digest b)
+        end)
+      inputs
+  in
+  let sequential = hash_all () in
+  let results =
+    List.map Domain.join (List.init 4 (fun _ -> Domain.spawn hash_all))
+  in
+  List.iteri
+    (fun d r ->
+      Alcotest.(check bool) (Printf.sprintf "domain %d = sequential" d) true
+        (r = sequential))
+    results
 
 (* The definition [Hashx.chain] must reproduce: the generic cached hash,
    one step at a time. *)
@@ -332,6 +476,14 @@ let suite =
     QCheck_alcotest.to_alcotest prop_hmac_parts_eq_mac;
     Alcotest.test_case "sha256 one-block = digest, len 0-55" `Quick
       test_sha_short_into;
+    Alcotest.test_case "sha256 portable kernel vectors" `Quick
+      test_kernel_portable_vectors;
+    Alcotest.test_case "sha256 sha-ni kernel = portable kernel" `Quick
+      test_kernels_agree;
+    Alcotest.test_case "sha256 compress counter contract" `Quick
+      test_compress_counter;
+    Alcotest.test_case "sha256 four domains = sequential" `Quick
+      test_domains_agree;
     QCheck_alcotest.to_alcotest prop_chain_equals_generic;
     Alcotest.test_case "hashx chain range checks" `Quick
       test_chain_rejects_out_of_range;

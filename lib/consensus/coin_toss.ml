@@ -16,11 +16,21 @@
      0      deal: private shares + broadcast commitment vectors
      1      complaints (bitmask per dealer)
      2      reveal shares of qualified dealers
-     3...   Committee.agree on H(reconstructed sums)                       *)
+     3...   Committee.agree on H(reconstructed sums)
+
+   Simulation cost: every member would check the same bytes — each dealer's
+   commitment vectors reach all members, and each reveal payload is one
+   multicast buffer. A {!shared} value, one per coin-toss run, decodes each
+   distinct encoding once and hashes each distinct reveal's pairs once;
+   members compare those digests with their view of the commitments. The
+   run also keeps the Lagrange coefficients per interpolation point set.
+   The memo lives exactly as long as the run, so deterministic counters do
+   not depend on what ran before. *)
 
 module Field = Repro_crypto.Field
 module Shamir = Repro_crypto.Shamir
 module Hashx = Repro_crypto.Hashx
+module Encode = Repro_util.Encode
 
 let k_elements = 5 (* 5 * 31 bits > kappa = 128 bits of entropy *)
 
@@ -29,8 +39,82 @@ type deal = {
   d_commits : bytes array array; (* commits.(j).(e): member j, element e *)
 }
 
+(* One dealer's pairs as a revealer published them, with the commitment
+   digest of each pair. *)
+type revealed = {
+  pairs : (Shamir.share * bytes) array;
+  digests : bytes array; (* digests.(e) = commit_share pairs.(e) *)
+}
+
+let share_bytes (s : Shamir.share) = Encode.to_bytes (fun b -> Shamir.encode b s)
+
+let commit_share (s, nonce) = Hashx.hash ~tag:"coin-share" [ share_bytes s; nonce ]
+
+let enc_pair b (s, nonce) =
+  Shamir.encode b s;
+  Encode.bytes b nonce
+
+let dec_pair src =
+  let s = Shamir.decode src in
+  let nonce = Encode.r_bytes src in
+  (s, nonce)
+
+(* A deal is the recipient's pairs followed by the dealer's commitment
+   vectors, which are the same for every recipient: the dealer encodes them
+   once, and the run decodes each distinct encoding once. *)
+let enc_commits commits =
+  Encode.to_bytes (fun b -> Encode.array b (fun b row -> Encode.array b Encode.bytes row) commits)
+
+let dec_commits src = Encode.r_array src (fun src -> Encode.r_array src Encode.r_bytes)
+
+let enc_deal b ~mine ~commits =
+  Encode.array b enc_pair mine;
+  Encode.bytes_raw b commits
+
+let dec_deal src =
+  let mine = Encode.r_array src dec_pair in
+  (mine, Encode.r_bytes_raw src (Encode.remaining src))
+
+let dec_reveal src =
+  Encode.r_list src (fun src ->
+      let dealer = Encode.r_varint src in
+      let pairs = Encode.r_array src dec_pair in
+      (dealer, { pairs; digests = Array.map commit_share pairs }))
+
+(* One per run (see the header). Members normally all interpolate at the
+   first t + 1 revealer positions, so [weights] computes that point set's
+   Lagrange coefficients once. *)
+type shared = {
+  commits : bytes -> bytes array array option;
+  reveals : bytes -> (int * revealed) list option;
+  weights : (int list, Field.t list) Hashtbl.t; (* keyed by the xs *)
+}
+
+let shared () =
+  {
+    commits = Encode.memo_decode dec_commits;
+    reveals = Encode.memo_decode dec_reveal;
+    weights = Hashtbl.create 4;
+  }
+
+let interpolate sh (shares : Shamir.share list) =
+  let xs = List.map (fun (s : Shamir.share) -> s.x) shares in
+  let key = (xs :> int list) in
+  let ws =
+    match Hashtbl.find_opt sh.weights key with
+    | Some ws -> ws
+    | None ->
+      let ws = Shamir.lagrange_at_zero xs in
+      Hashtbl.add sh.weights key ws;
+      ws
+  in
+  List.fold_left2
+    (fun acc (s : Shamir.share) w -> Field.add acc (Field.mul s.y w))
+    Field.zero shares ws
+
 type t = {
-  members : int array;
+  shared : shared;
+  members : Members.t;
   me : int;
   my_pos : int;
   m : int;
@@ -39,10 +123,10 @@ type t = {
   mutable my_deal_private : (Shamir.share * bytes) array array;
       (* per member-position: k (share, nonce) *)
   mutable my_deal_commits : bytes array array;
-  deals : (int, deal) Hashtbl.t; (* dealer -> deal as seen by me *)
-  complaints : (int, int) Hashtbl.t; (* dealer -> #complaining members *)
-  reveals : (int, (int * (Shamir.share * bytes) array) list) Hashtbl.t;
-      (* dealer -> (revealer position, k pairs) *)
+  (* The rest is indexed by dealer position. *)
+  deals : deal option array; (* the dealer's deal as seen by me *)
+  complaints : int array; (* #complaining members *)
+  reveals : revealed list array array; (* .(dealer).(revealer position) *)
   mutable agree : Committee.t option;
   mutable candidate : bytes option;
 }
@@ -51,57 +135,27 @@ let agree_rounds ~members = Committee.rounds ~members
 
 let rounds ~members = 3 + agree_rounds ~members
 
-let pos_of members me =
-  let rec go i = if members.(i) = me then i else go (i + 1) in
-  go 0
-
-let create ~members ~me ~rng =
-  let members_arr = Array.of_list (List.sort_uniq compare members) in
-  let m = Array.length members_arr in
+let create ~shared ~members ~me ~rng =
+  let members = Members.of_list members in
+  let m = Array.length members in
+  let my_pos = Members.pos members me in
+  if my_pos < 0 then invalid_arg "Coin_toss.create: not a member";
   {
-    members = members_arr;
+    shared;
+    members;
     me;
-    my_pos = pos_of members_arr me;
+    my_pos;
     m;
     t_corrupt = Phase_king.max_corrupt m;
     rng;
     my_deal_private = [||];
     my_deal_commits = [||];
-    deals = Hashtbl.create 8;
-    complaints = Hashtbl.create 8;
-    reveals = Hashtbl.create 8;
+    deals = Array.make m None;
+    complaints = Array.make m 0;
+    reveals = Array.init m (fun _ -> Array.make m []);
     agree = None;
     candidate = None;
   }
-
-let share_bytes (s : Shamir.share) =
-  Repro_util.Encode.to_bytes (fun b -> Shamir.encode b s)
-
-let commit_share (s, nonce) = Hashx.hash ~tag:"coin-share" [ share_bytes s; nonce ]
-
-let enc_pair b (s, nonce) =
-  Shamir.encode b s;
-  Repro_util.Encode.bytes b nonce
-
-let dec_pair src =
-  let s = Shamir.decode src in
-  let nonce = Repro_util.Encode.r_bytes src in
-  (s, nonce)
-
-let enc_deal b ~mine ~commits =
-  Repro_util.Encode.array b enc_pair mine;
-  Repro_util.Encode.array b (fun b row -> Repro_util.Encode.array b Repro_util.Encode.bytes row) commits
-
-let dec_deal src =
-  let mine = Repro_util.Encode.r_array src dec_pair in
-  let commits =
-    Repro_util.Encode.r_array src (fun src -> Repro_util.Encode.r_array src Repro_util.Encode.r_bytes)
-  in
-  (mine, commits)
-
-let member_pos t src =
-  let rec go i = if i >= t.m then None else if t.members.(i) = src then Some i else go (i + 1) in
-  go 0
 
 let deal_ok t (mine : (Shamir.share * bytes) array) commits =
   Array.length mine = k_elements
@@ -132,58 +186,44 @@ let m_send t ~round =
     let commits = Array.map (fun pairs -> Array.map commit_share pairs) per_member in
     t.my_deal_private <- per_member;
     t.my_deal_commits <- commits;
-    Array.to_list
-      (Array.mapi
-         (fun j q ->
-           (q, Repro_util.Encode.to_bytes (fun b -> enc_deal b ~mine:per_member.(j) ~commits)))
-         t.members)
-    |> List.filter (fun (q, _) -> q <> t.me)
+    let commits = enc_commits commits in
+    let rec sends j acc =
+      if j < 0 then acc
+      else
+        let q = t.members.(j) in
+        sends (j - 1)
+          (if q = t.me then acc
+           else (q, Encode.to_bytes (fun b -> enc_deal b ~mine:per_member.(j) ~commits)) :: acc)
+    in
+    sends (t.m - 1) []
   end
   else if round = 1 then begin
     (* Complaints: bit per dealer position. *)
     let bits = Repro_util.Bitset.create t.m in
     Array.iteri
       (fun j dealer ->
-        if dealer <> t.me then
-          match Hashtbl.find_opt t.deals dealer with
-          | Some _ -> ()
-          | None -> Repro_util.Bitset.set bits j)
+        if dealer <> t.me && t.deals.(j) = None then Repro_util.Bitset.set bits j)
       t.members;
-    let payload = Repro_util.Encode.to_bytes (fun b -> Repro_util.Bitset.encode b bits) in
-    Array.to_list t.members
-    |> List.filter (fun q -> q <> t.me)
-    |> List.map (fun q -> (q, payload))
+    Members.to_peers t.members ~me:t.me
+      (Encode.to_bytes (fun b -> Repro_util.Bitset.encode b bits))
   end
   else if round = 2 then begin
-    (* Reveal shares of locally qualified dealers. *)
-    let qualified =
-      Array.to_list t.members
-      |> List.filter (fun dealer ->
-             let c = try Hashtbl.find t.complaints dealer with Not_found -> 0 in
-             c <= t.t_corrupt
-             && (dealer = t.me || Hashtbl.mem t.deals dealer))
-    in
-    let entries =
-      List.filter_map
-        (fun dealer ->
-          if dealer = t.me then Some (dealer, t.my_deal_private.(t.my_pos))
-          else
-            match Hashtbl.find_opt t.deals dealer with
-            | Some d -> Some (dealer, d.d_shares)
-            | None -> None)
-        qualified
-    in
-    let payload =
-      Repro_util.Encode.to_bytes (fun b ->
-          Repro_util.Encode.list b
-            (fun b (dealer, pairs) ->
-              Repro_util.Encode.varint b dealer;
-              Repro_util.Encode.array b enc_pair pairs)
-            entries)
-    in
-    Array.to_list t.members
-    |> List.filter (fun q -> q <> t.me)
-    |> List.map (fun q -> (q, payload))
+    (* Reveal shares of locally qualified dealers (my own deal is in
+       [deals] since round 0). *)
+    let entries = ref [] in
+    for j = t.m - 1 downto 0 do
+      match t.deals.(j) with
+      | Some d when t.complaints.(j) <= t.t_corrupt ->
+        entries := (t.members.(j), d.d_shares) :: !entries
+      | _ -> ()
+    done;
+    Members.to_peers t.members ~me:t.me
+      (Encode.to_bytes (fun b ->
+           Encode.list b
+             (fun b (dealer, pairs) ->
+               Encode.varint b dealer;
+               Encode.array b enc_pair pairs)
+             !entries))
   end
   else
     match t.agree with
@@ -192,107 +232,101 @@ let m_send t ~round =
 
 (* --- receiving --- *)
 
-let note_complaint t dealer = Hashtbl.replace t.complaints dealer (1 + try Hashtbl.find t.complaints dealer with Not_found -> 0)
-
 let m_recv t ~round msgs =
   if round = 0 then begin
     List.iter
       (fun (src, payload) ->
-        match member_pos t src with
-        | None -> ()
-        | Some _ -> (
-          match Repro_util.Encode.decode payload (fun s -> dec_deal s) with
-          | Some (mine, commits) when deal_ok t mine commits ->
-            Hashtbl.replace t.deals src { d_shares = mine; d_commits = commits }
-          | _ -> ()))
+        let j = Members.pos t.members src in
+        if j >= 0 then
+          match Encode.decode payload dec_deal with
+          | Some (mine, rest) -> (
+            match t.shared.commits rest with
+            | Some commits when deal_ok t mine commits ->
+              t.deals.(j) <- Some { d_shares = mine; d_commits = commits }
+            | _ -> ())
+          | None -> ())
       msgs;
     (* My own deal to myself. *)
-    Hashtbl.replace t.deals t.me
-      { d_shares = t.my_deal_private.(t.my_pos); d_commits = t.my_deal_commits }
+    t.deals.(t.my_pos) <-
+      Some { d_shares = t.my_deal_private.(t.my_pos); d_commits = t.my_deal_commits }
   end
   else if round = 1 then begin
     (* Count complaints (my own included). *)
-    Array.iter
-      (fun dealer -> if dealer <> t.me && not (Hashtbl.mem t.deals dealer) then note_complaint t dealer)
+    Array.iteri
+      (fun j dealer ->
+        if dealer <> t.me && t.deals.(j) = None then
+          t.complaints.(j) <- t.complaints.(j) + 1)
       t.members;
     List.iter
       (fun (src, payload) ->
-        match member_pos t src with
-        | None -> ()
-        | Some _ -> (
-          match Repro_util.Encode.decode payload Repro_util.Bitset.decode with
+        if Members.pos t.members src >= 0 then
+          match Encode.decode payload Repro_util.Bitset.decode with
           | Some bits when Repro_util.Bitset.length bits = t.m ->
-            Array.iteri
-              (fun j dealer -> if Repro_util.Bitset.mem bits j then note_complaint t dealer)
-              t.members
-          | _ -> ()))
+            for j = 0 to t.m - 1 do
+              if Repro_util.Bitset.mem bits j then t.complaints.(j) <- t.complaints.(j) + 1
+            done
+          | _ -> ())
       msgs
   end
   else if round = 2 then begin
-    (* Gather reveals; add my own. *)
-    let add_reveal pos (dealer, pairs) =
-      if Array.length pairs = k_elements then
-        Hashtbl.replace t.reveals dealer
-          ((pos, pairs) :: (try Hashtbl.find t.reveals dealer with Not_found -> []))
+    (* Gather reveals. My own shares were checked against their
+       commitments when the deals arrived, so their digests are the
+       commitments themselves. *)
+    let add_reveal pos (dealer, (r : revealed)) =
+      let j = Members.pos t.members dealer in
+      if j >= 0 && Array.length r.pairs = k_elements then
+        t.reveals.(j).(pos) <- r :: t.reveals.(j).(pos)
     in
-    (match Hashtbl.find_opt t.deals t.me with
-    | Some _ -> add_reveal t.my_pos (t.me, t.my_deal_private.(t.my_pos))
-    | None -> ());
-    Array.iter
-      (fun dealer ->
-        if dealer <> t.me then
-          match Hashtbl.find_opt t.deals dealer with
-          | Some d -> add_reveal t.my_pos (dealer, d.d_shares)
-          | None -> ())
-      t.members;
+    Array.iteri
+      (fun j deal ->
+        match deal with
+        | Some d ->
+          add_reveal t.my_pos
+            (t.members.(j), { pairs = d.d_shares; digests = d.d_commits.(t.my_pos) })
+        | None -> ())
+      t.deals;
     List.iter
       (fun (src, payload) ->
-        match member_pos t src with
-        | None -> ()
-        | Some pos -> (
-          match
-            Repro_util.Encode.decode payload (fun s ->
-                Repro_util.Encode.r_list s (fun s ->
-                    let dealer = Repro_util.Encode.r_varint s in
-                    let pairs = Repro_util.Encode.r_array s dec_pair in
-                    (dealer, pairs)))
-          with
+        let pos = Members.pos t.members src in
+        if pos >= 0 then
+          match t.shared.reveals payload with
           | Some entries -> List.iter (add_reveal pos) entries
-          | None -> ()))
+          | None -> ())
       msgs;
-    (* Reconstruct qualified dealers' secrets and form the candidate coin. *)
+    (* Reconstruct qualified dealers' secrets and form the candidate coin.
+       Per element, interpolate the first t + 1 commitment-verified shares
+       in x order. A share from revealer [pos] verifies only at x = pos + 1
+       and is bound by its digest, so walking revealers in position order
+       visits the verified shares sorted, one per revealer, at distinct
+       points: this is [Shamir.reconstruct] with the coefficients shared. *)
     let sums = Array.make k_elements Field.zero in
-    let contributed = ref [] in
-    Array.iter
-      (fun dealer ->
-        let complaints = try Hashtbl.find t.complaints dealer with Not_found -> 0 in
-        match Hashtbl.find_opt t.deals dealer with
-        | Some d when complaints <= t.t_corrupt -> (
-          (* per element, collect commitment-verified shares *)
-          let element_values =
-            Array.init k_elements (fun e ->
-                let verified =
-                  List.filter_map
-                    (fun (pos, pairs) ->
-                      let ((s, _) as pair) = pairs.(e) in
-                      if
-                        Field.to_int s.Shamir.x = pos + 1
-                        && Bytes.equal (commit_share pair) d.d_commits.(pos).(e)
-                      then Some s
-                      else None)
-                    (try Hashtbl.find t.reveals dealer with Not_found -> [])
-                  |> List.sort_uniq compare
-                in
-                if List.length verified >= t.t_corrupt + 1 then
-                  Some (Shamir.reconstruct (List.filteri (fun i _ -> i <= t.t_corrupt) verified))
-                else None)
-          in
-          if Array.for_all Option.is_some element_values then begin
-            Array.iteri (fun e v -> sums.(e) <- Field.add sums.(e) (Option.get v)) element_values;
-            contributed := dealer :: !contributed
-          end)
+    let reconstruct (d : deal) revealers e =
+      let rec go pos acc count =
+        if count > t.t_corrupt then Some (interpolate t.shared (List.rev acc))
+        else if pos >= t.m then None
+        else
+          match
+            List.find_opt
+              (fun r ->
+                let s, _ = r.pairs.(e) in
+                Field.to_int s.Shamir.x = pos + 1
+                && Bytes.equal r.digests.(e) d.d_commits.(pos).(e))
+              revealers.(pos)
+          with
+          | Some r -> go (pos + 1) (fst r.pairs.(e) :: acc) (count + 1)
+          | None -> go (pos + 1) acc count
+      in
+      go 0 [] 0
+    in
+    Array.iteri
+      (fun j deal ->
+        match deal with
+        | Some d when t.complaints.(j) <= t.t_corrupt ->
+          let element_values = Array.init k_elements (reconstruct d t.reveals.(j)) in
+          if Array.for_all Option.is_some element_values then
+            Array.iteri (fun e v -> sums.(e) <- Field.add sums.(e) (Option.get v)) element_values
         | _ -> ())
-      t.members;
+      t.deals;
     let candidate =
       Hashx.hash ~tag:"coin-candidate"
         (Array.to_list

@@ -5,9 +5,20 @@
 
 type t
 
+type shared
+(** Pure work the members of one coin-toss run share: each distinct reveal
+    payload is decoded, and its share commitments hashed, once per run
+    rather than once per receiving member. Create one per run (it retains
+    every reveal payload it has seen) and hand it to every member's
+    {!create}. *)
+
+val shared : unit -> shared
+
 val k_elements : int
 val rounds : members:int list -> int
-val create : members:int list -> me:int -> rng:Repro_util.Rng.t -> t
+
+val create :
+  shared:shared -> members:int list -> me:int -> rng:Repro_util.Rng.t -> t
 val machine : t -> Repro_net.Engine.machine
 val m_send : t -> round:int -> (int * bytes) list
 val m_recv : t -> round:int -> (int * bytes) list -> unit

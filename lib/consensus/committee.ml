@@ -18,10 +18,17 @@
    reconstructed coin) and f_aggr-sig (agree on the aggregated signature)
    within good tree nodes, at digest-size BA cost plus one payload
    broadcast. An optional [valid] predicate lets callers reject adopted
-   payloads that fail protocol-specific checks (external validity). *)
+   payloads that fail protocol-specific checks (external validity).
+
+   Simulation cost: the committee's sorted member array is built once and
+   shared with the inner Multi_ba and Phase_king instances. Each send
+   round builds its message list straight from it with one shared payload,
+   and each tally finds a source by binary search and marks it in a flag
+   string, so per-message work is a lookup and a decode — no per-message
+   tables and no per-instance peer lists. *)
 
 type t = {
-  members : int array;
+  members : Members.t;
   me : int;
   candidate : bytes;
   own : bytes; (* digest of [candidate], the BA input *)
@@ -38,24 +45,21 @@ let pre_rounds = 1
 let rounds ~members = pre_rounds + Multi_ba.rounds ~members
 
 let create ~members ~me ~candidate ?(valid = fun _ -> true) () =
-  let members_arr = Array.of_list (List.sort_uniq compare members) in
+  let members = Members.of_list members in
   let own = digest candidate in
   {
-    members = members_arr;
+    members;
     me;
     candidate;
     own;
     valid;
     received = [];
-    ba = Multi_ba.create ~members ~me ~input:own;
+    ba = Multi_ba.of_members ~members ~me ~input:own;
     output = None;
   }
 
-let peers t =
-  Array.to_list (Array.of_seq (Seq.filter (fun p -> p <> t.me) (Array.to_seq t.members)))
-
 let m_send t ~round =
-  if round = 0 then List.map (fun p -> (p, t.candidate)) (peers t)
+  if round = 0 then Members.to_peers t.members ~me:t.me t.candidate
   else Multi_ba.m_send t.ba ~round:(round - pre_rounds)
 
 (* The payload whose digest is [d]: the own candidate when it won, else the
@@ -69,7 +73,7 @@ let m_recv t ~round msgs =
     t.received <-
       List.filter_map
         (fun (src, payload) ->
-          if Array.exists (fun q -> q = src) t.members then Some payload else None)
+          if Members.pos t.members src >= 0 then Some payload else None)
         msgs
   else if t.output = None then begin
     (* Rounds past the decision (a smaller committee sharing an engine run

@@ -16,14 +16,15 @@
    value was broadcast by an honest member, so every honest member holds it. *)
 
 type t = {
-  members : int array;
+  members : Members.t;
   me : int;
   m : int;
   t_corrupt : int;
+  rounds : int;
   input : bytes;
   mutable x : bytes option; (* round-1 broadcast value *)
   mutable alternative : bytes option;
-  pk : Phase_king.t option ref; (* created after round 1 *)
+  mutable pk : Phase_king.t option; (* created after round 1 *)
   mutable decided : bool; (* completion flag *)
   mutable output : bytes option;
 }
@@ -32,23 +33,23 @@ let pre_rounds = 2
 
 let rounds ~members = pre_rounds + Phase_king.rounds ~members
 
-let create ~members ~me ~input =
-  let members_arr = Array.of_list (List.sort_uniq compare members) in
+let of_members ~members ~me ~input =
+  let m = Array.length members in
   {
-    members = members_arr;
+    members;
     me;
-    m = Array.length members_arr;
-    t_corrupt = Phase_king.max_corrupt (Array.length members_arr);
+    m;
+    t_corrupt = Phase_king.max_corrupt m;
+    rounds = rounds ~members:(Array.to_list members);
     input;
     x = None;
     alternative = None;
-    pk = ref None;
+    pk = None;
     decided = false;
     output = None;
   }
 
-let peers t =
-  Array.to_list (Array.of_seq (Seq.filter (fun p -> p <> t.me) (Array.to_seq t.members)))
+let create ~members ~me ~input = of_members ~members:(Members.of_list members) ~me ~input
 
 let enc_opt v =
   Repro_util.Encode.to_bytes (fun b ->
@@ -62,77 +63,75 @@ let dec_opt payload =
   | Some v -> v
   | None -> None
 
-(* Tally distinct members' byte values (own value included). *)
-let tally t own msgs =
-  let seen = Hashtbl.create t.m in
-  let counts : (string, int) Hashtbl.t = Hashtbl.create t.m in
-  let bump = function
-    | None -> ()
-    | Some v ->
-      let k = Bytes.to_string v in
-      Hashtbl.replace counts k (1 + try Hashtbl.find counts k with Not_found -> 0)
-  in
-  bump own;
-  List.iter
-    (fun (src, payload) ->
-      if src <> t.me && Array.exists (fun q -> q = src) t.members && not (Hashtbl.mem seen src)
-      then begin
-        Hashtbl.add seen src ();
-        bump (dec_opt payload)
-      end)
-    msgs;
-  counts
+(* Add [c] to [v]'s count in the association list [counts]. *)
+let rec bump counts v c =
+  match counts with
+  | [] -> [ (v, ref c) ]
+  | (k, r) :: rest ->
+    if Bytes.equal k v then begin
+      r := !r + c;
+      counts
+    end
+    else (k, r) :: bump rest v c
 
+(* Tally distinct members' byte values (own value included) as (value,
+   count) pairs. Payloads are grouped by their raw bytes first, so each
+   distinct payload is decoded once; equal payloads decode to equal values,
+   so merging the groups by value gives the per-value counts. *)
+let tally t own msgs =
+  let raw = ref [] in
+  Members.iter_first t.members ~me:t.me msgs (fun payload -> raw := bump !raw payload 1);
+  let counts = match own with Some v -> [ (v, ref 1) ] | None -> [] in
+  List.fold_left
+    (fun counts (payload, c) ->
+      match dec_opt payload with Some v -> bump counts v !c | None -> counts)
+    counts !raw
+
+(* The most supported value; ties go to the smallest. *)
 let best counts =
-  Hashtbl.fold
-    (fun k c acc ->
+  List.fold_left
+    (fun acc (k, c) ->
       match acc with
-      | Some (_, c') when c' > c -> acc
-      | Some (k', c') when c' = c && k' <= k -> acc (* deterministic tie-break *)
-      | _ -> Some (k, c))
-    counts None
+      | Some (_, c') when c' > !c -> acc
+      | Some (k', c') when c' = !c && Bytes.compare k' k <= 0 -> acc
+      | _ -> Some (k, !c))
+    None counts
 
 let m_send t ~round =
   if t.decided then [] (* instance finished; co-scheduled larger instances may still run *)
-  else if round = 0 then List.map (fun p -> (p, enc_opt (Some t.input))) (peers t)
-  else if round = 1 then List.map (fun p -> (p, enc_opt t.x)) (peers t)
+  else if round = 0 then Members.to_peers t.members ~me:t.me (enc_opt (Some t.input))
+  else if round = 1 then Members.to_peers t.members ~me:t.me (enc_opt t.x)
   else
-    match !(t.pk) with
+    match t.pk with
     | Some pk -> Phase_king.m_send pk ~round:(round - pre_rounds)
     | None -> []
 
 let m_recv t ~round msgs =
-  if round = 0 then begin
-    let counts = tally t (Some t.input) msgs in
+  if round = 0 then
+    (* at most one value reaches m - t > m/2 distinct members *)
     t.x <-
-      Hashtbl.fold
-        (fun k c acc -> if c >= t.m - t.t_corrupt then Some (Bytes.of_string k) else acc)
-        counts None
-  end
+      List.fold_left
+        (fun acc (k, c) -> if !c >= t.m - t.t_corrupt then Some k else acc)
+        None (tally t (Some t.input) msgs)
   else if round = 1 then begin
-    let counts = tally t t.x msgs in
     let confident =
-      match best counts with
+      match best (tally t t.x msgs) with
       | Some (k, c) ->
-        if c >= t.t_corrupt + 1 then t.alternative <- Some (Bytes.of_string k);
+        if c >= t.t_corrupt + 1 then t.alternative <- Some k;
         c >= t.m - t.t_corrupt
       | None -> false
     in
     (* binary BA input: true = "not confident / fall back to None" *)
-    t.pk :=
-      Some
-        (Phase_king.create
-           ~members:(Array.to_list t.members)
-           ~me:t.me ~input:(not confident))
+    t.pk <- Some (Phase_king.of_members ~members:t.members ~me:t.me ~input:(not confident))
   end
   else if not t.decided then begin
-    (match !(t.pk) with
+    (match t.pk with
     | Some pk -> Phase_king.m_recv pk ~round:(round - pre_rounds) msgs
     | None -> ());
-    if round = rounds ~members:(Array.to_list t.members) - 1 then begin
+    if round = t.rounds - 1 then begin
       t.decided <- true;
       t.output <-
-        (match !(t.pk) with
+        (match t.pk with
         | Some pk when Phase_king.output pk = Some false -> t.alternative
         | _ -> None)
     end

@@ -7,6 +7,11 @@ type t
 
 val rounds : members:int list -> int
 val create : members:int list -> me:int -> input:bytes -> t
+
+val of_members : members:Members.t -> me:int -> input:bytes -> t
+(** {!create} over an already sorted membership, shared with the inner
+    phase-king instance. *)
+
 val machine : t -> Repro_net.Engine.machine
 
 val m_send : t -> round:int -> (int * bytes) list

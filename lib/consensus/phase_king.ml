@@ -29,10 +29,11 @@ let value_of_bool b = if b then One else Zero
 let to_bool = function One -> Some true | Zero -> Some false | Bot -> None
 
 type t = {
-  members : int array; (* sorted, fixed for the instance *)
+  members : Members.t; (* fixed for the instance *)
   me : int;
   m : int;
   t_corrupt : int;
+  phases : int;
   mutable v : value;
   mutable w_star : value; (* majority bit after round 2 *)
   mutable d : int; (* its support *)
@@ -41,12 +42,13 @@ type t = {
 
 let max_corrupt m = (m - 1) / 3
 
-let phases ~members = max_corrupt (List.length members) + 1
+let phases_of m = max_corrupt m + 1
+
+let phases ~members = phases_of (List.length members)
 
 let rounds ~members = 3 * phases ~members
 
-let create ~members ~me ~input =
-  let members = Array.of_list (List.sort_uniq compare members) in
+let of_members ~members ~me ~input =
   let m = Array.length members in
   if m = 0 then invalid_arg "Phase_king.create: no members";
   {
@@ -54,15 +56,16 @@ let create ~members ~me ~input =
     me;
     m;
     t_corrupt = max_corrupt m;
+    phases = phases_of m;
     v = value_of_bool input;
     w_star = Zero;
     d = 0;
     decided = Bot;
   }
 
-let king t ~phase = t.members.(phase mod t.m)
+let create ~members ~me ~input = of_members ~members:(Members.of_list members) ~me ~input
 
-let peers t = Array.to_list (Array.of_seq (Seq.filter (fun p -> p <> t.me) (Array.to_seq t.members)))
+let king t ~phase = t.members.(phase mod t.m)
 
 let encode v = Bytes.make 1 (Char.chr (value_to_byte v))
 
@@ -71,40 +74,45 @@ let decode payload =
   else None
 
 (* Count each member's vote at most once (first message per source wins);
-   adds the member's own value. *)
+   adds the member's own value. Counts are indexed by [value_to_byte]. *)
 let tally t own msgs =
-  let seen = Hashtbl.create t.m in
-  let zero = ref 0 and one = ref 0 and bot = ref 0 in
-  let bump = function Zero -> incr zero | One -> incr one | Bot -> incr bot in
+  let counts = Array.make 3 0 in
+  let bump v =
+    let i = value_to_byte v in
+    counts.(i) <- counts.(i) + 1
+  in
   bump own;
-  List.iter
-    (fun (src, payload) ->
-      if src <> t.me && Array.exists (fun q -> q = src) t.members && not (Hashtbl.mem seen src)
-      then begin
-        Hashtbl.add seen src ();
-        match decode payload with Some v -> bump v | None -> ()
-      end)
-    msgs;
-  (!zero, !one, !bot)
+  Members.iter_first t.members ~me:t.me msgs (fun payload ->
+      match decode payload with Some v -> bump v | None -> ());
+  counts
+
+(* The first decodable message from [king]. *)
+let rec king_vote king = function
+  | [] -> None
+  | (src, payload) :: rest ->
+    match if src = king then decode payload else None with
+    | Some _ as v -> v
+    | None -> king_vote king rest
 
 let m_send t ~round =
   let phase = round / 3 and step = round mod 3 in
   match step with
-  | 0 | 1 -> List.map (fun p -> (p, encode t.v)) (peers t)
+  | 0 | 1 -> Members.to_peers t.members ~me:t.me (encode t.v)
   | _ ->
-    if king t ~phase = t.me then List.map (fun p -> (p, encode t.w_star)) (peers t)
+    if king t ~phase = t.me then Members.to_peers t.members ~me:t.me (encode t.w_star)
     else []
 
 let m_recv t ~round msgs =
   let phase = round / 3 and step = round mod 3 in
   match step with
   | 0 ->
-    let zero, one, _ = tally t t.v msgs in
-    t.v <- (if zero >= t.m - t.t_corrupt then Zero
-            else if one >= t.m - t.t_corrupt then One
+    let counts = tally t t.v msgs in
+    t.v <- (if counts.(0) >= t.m - t.t_corrupt then Zero
+            else if counts.(1) >= t.m - t.t_corrupt then One
             else Bot)
   | 1 ->
-    let zero, one, _ = tally t t.v msgs in
+    let counts = tally t t.v msgs in
+    let zero = counts.(0) and one = counts.(1) in
     if zero >= one then begin
       t.w_star <- Zero;
       t.d <- zero
@@ -114,14 +122,8 @@ let m_recv t ~round msgs =
       t.d <- one
     end
   | _ ->
-    let king_value =
-      if king t ~phase = t.me then Some t.w_star
-      else
-        List.fold_left
-          (fun acc (src, payload) ->
-            if src = king t ~phase && acc = None then decode payload else acc)
-          None msgs
-    in
+    let king = king t ~phase in
+    let king_value = if king = t.me then Some t.w_star else king_vote king msgs in
     let adopted =
       if t.d >= t.m - t.t_corrupt then t.w_star
       else
@@ -130,7 +132,7 @@ let m_recv t ~round msgs =
         | Some w -> w
     in
     t.v <- adopted;
-    if phase = phases ~members:(Array.to_list t.members) - 1 then t.decided <- t.v
+    if phase = t.phases - 1 then t.decided <- t.v
 
 let machine t =
   { Repro_net.Engine.m_send = (fun ~round -> m_send t ~round);

@@ -12,6 +12,11 @@ val rounds : members:int list -> int
 (** Local rounds the machine needs (pass to {!Repro_net.Engine.run}). *)
 
 val create : members:int list -> me:int -> input:bool -> t
+
+val of_members : members:Members.t -> me:int -> input:bool -> t
+(** {!create} over an already sorted membership, which the instance shares
+    rather than copies. *)
+
 val machine : t -> Repro_net.Engine.machine
 
 val m_send : t -> round:int -> (int * bytes) list

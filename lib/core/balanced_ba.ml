@@ -217,11 +217,12 @@ module Make (S : Srds_intf.SCHEME) = struct
 
     (* --- coin toss (f_ct) among the supreme committee --- *)
     let coin_states = Hashtbl.create 16 in
+    let coin_shared = Coin_toss.shared () in
     List.iter
       (fun p ->
         if honest ctx p then
           Hashtbl.replace coin_states p
-            (Coin_toss.create ~members:ctx.supreme ~me:p
+            (Coin_toss.create ~shared:coin_shared ~members:ctx.supreme ~me:p
                ~rng:(Rng.of_label ctx.rng (Printf.sprintf "coin-%s-%d" label p))))
       ctx.supreme;
     timed "C2: coin toss" (fun () ->
@@ -371,15 +372,18 @@ module Make (S : Srds_intf.SCHEME) = struct
         done;
         !r
       in
+      (* Each party's instances, in the reverse of the table's iteration
+         order: what filtering one fold over the table per party gives. *)
+      let by_party = Array.make n [] in
+      Hashtbl.fold (fun (idx, q) st () -> by_party.(q) <- (idx, st) :: by_party.(q))
+        agree_states ();
       Engine.run net ?adversary:ctx.adversary
         ~tag:(Printf.sprintf "aggr-%s-%d" label level)
         ~rounds:agree_rounds
         ~machines:(fun p ->
-          Hashtbl.fold
-            (fun (idx, q) st acc ->
-              if q = p then (string_of_int idx, Repro_consensus.Committee.machine st) :: acc
-              else acc)
-            agree_states [])
+          List.map
+            (fun (idx, st) -> (string_of_int idx, Repro_consensus.Committee.machine st))
+            by_party.(p))
         ();
       Network.flush net;
       if level < params.Params.height then begin
@@ -388,22 +392,21 @@ module Make (S : Srds_intf.SCHEME) = struct
         let forward_handler p ~round ~inbox =
           ignore round;
           ignore inbox;
-          Hashtbl.iter
-            (fun (idx, q) st ->
-              if q = p then
-                match Agg.output st with
-                | Some payload ->
-                  let parent = idx / params.Params.branching in
-                  let payload' =
-                    Encode.to_bytes (fun b ->
-                        Encode.varint b idx;
-                        Encode.bytes_raw b payload)
-                  in
-                  Network.send_many net ~src:p
-                    ~dsts:(Array.to_list (Tree.assigned tree ~level:(level + 1) ~idx:parent))
-                    ~tag:up_tag payload'
-                | None -> ())
-            agree_states
+          List.iter
+            (fun (idx, st) ->
+              match Agg.output st with
+              | Some payload ->
+                let parent = idx / params.Params.branching in
+                let payload' =
+                  Encode.to_bytes (fun b ->
+                      Encode.varint b idx;
+                      Encode.bytes_raw b payload)
+                in
+                Network.send_many net ~src:p
+                  ~dsts:(Array.to_list (Tree.assigned tree ~level:(level + 1) ~idx:parent))
+                  ~tag:up_tag payload'
+              | None -> ())
+            (List.rev by_party.(p))
         in
         let dec_up =
           Encode.memo_decode (fun src ->
@@ -513,17 +516,39 @@ module Make (S : Srds_intf.SCHEME) = struct
         in
         Repro_obs.Recorder.note_decide r ~round ~party:p ~value
     in
+    (* Every holder and every boost receiver checks the same few
+       certificates: decode each signature once per content, and keep one
+       verdict per distinct (pair, signature) content, found by pointer
+       first and by bytes otherwise. [S.verify] is a pure function of those
+       bytes. *)
+    let decode_sig = Encode.memo_decode S.decode_sig in
+    let verdicts = ref [] in
+    let verified pair_bytes sig_bytes =
+      match
+        List.find_opt
+          (fun (pb, sb, _) ->
+            (pb == pair_bytes && sb == sig_bytes)
+            || (Bytes.equal pb pair_bytes && Bytes.equal sb sig_bytes))
+          !verdicts
+      with
+      | Some (_, _, ok) -> ok
+      | None ->
+        let ok =
+          match decode_sig sig_bytes with
+          | Some sg -> S.verify ctx.pp ~vks:ctx.vks ~msg:pair_bytes sg
+          | None -> false
+        in
+        verdicts := (pair_bytes, sig_bytes, ok) :: !verdicts;
+        ok
+    in
     let accept p ~round pair_bytes sig_bytes =
-      match (pair_of_msg pair_bytes, W.of_bytes sig_bytes) with
-      | Some (payload, _s), Some sg ->
-        if S.verify ctx.pp ~vks:ctx.vks ~msg:pair_bytes sg then begin
-          if outputs.(p) = None then begin
-            outputs.(p) <- Some payload;
-            note_decide ~round p payload
-          end;
-          true
-        end
-        else false
+      match pair_of_msg pair_bytes with
+      | Some (payload, _s) when verified pair_bytes sig_bytes ->
+        if outputs.(p) = None then begin
+          outputs.(p) <- Some payload;
+          note_decide ~round p payload
+        end;
+        true
       | _ -> false
     in
     let boost_tag = "boost-" ^ label in

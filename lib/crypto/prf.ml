@@ -40,20 +40,23 @@ let to_int ~key data bound =
 let subset ~key ~index ~n ~size =
   if size >= n then List.init n (fun j -> j) |> List.filter (fun j -> j <> index)
   else begin
-    let chosen = Hashtbl.create size in
-    let ctr = ref 0 in
-    while Hashtbl.length chosen < size do
-      let d =
-        eval_parts ~key
-          [ Bytes.of_string "subset";
-            Bytes.of_string (string_of_int index);
-            Bytes.of_string (string_of_int !ctr) ]
-      in
+    (* One prepared key for every draw; a flag byte per party marks the
+       chosen ones. *)
+    let key = Hmac.prepare key in
+    let label = Bytes.of_string "subset" and me = Bytes.of_string (string_of_int index) in
+    let chosen = Bytes.make n '\000' in
+    let picked = ref [] and count = ref 0 and ctr = ref 0 in
+    while !count < size do
+      let d = Hmac.mac_prepared key [ label; me; Bytes.of_string (string_of_int !ctr) ] in
       let j = Hashx.to_int d mod n in
-      if j <> index && not (Hashtbl.mem chosen j) then Hashtbl.add chosen j ();
+      if j <> index && Bytes.get chosen j = '\000' then begin
+        Bytes.set chosen j '\001';
+        picked := j :: !picked;
+        incr count
+      end;
       incr ctr
     done;
-    Hashtbl.fold (fun j () acc -> j :: acc) chosen [] |> List.sort compare
+    List.sort compare !picked
   end
 
 let subset_mem ~key ~index ~n ~size j =

@@ -14,6 +14,20 @@ let share rng ~secret ~threshold ~num_shares =
       let x = Field.of_int (i + 1) in
       { x; y = Field.eval_poly coeffs x })
 
+(* Lagrange coefficients at x = 0: w_i = prod_{j <> i} x_j / (x_j - x_i). *)
+let lagrange_at_zero xs =
+  List.map
+    (fun x ->
+      let num, den =
+        List.fold_left
+          (fun (num, den) x' ->
+            if Field.equal x' x then (num, den)
+            else (Field.mul num x', Field.mul den (Field.sub x' x)))
+          (Field.one, Field.one) xs
+      in
+      Field.div num den)
+    xs
+
 (* Lagrange interpolation at x = 0. *)
 let reconstruct shares =
   match shares with
@@ -22,17 +36,9 @@ let reconstruct shares =
     let xs = List.map (fun s -> s.x) shares in
     if List.length (List.sort_uniq compare (xs :> int list)) <> List.length xs
     then invalid_arg "Shamir.reconstruct: duplicate x";
-    List.fold_left
-      (fun acc s ->
-        let num, den =
-          List.fold_left
-            (fun (num, den) s' ->
-              if Field.equal s'.x s.x then (num, den)
-              else (Field.mul num s'.x, Field.mul den (Field.sub s'.x s.x)))
-            (Field.one, Field.one) shares
-        in
-        Field.add acc (Field.mul s.y (Field.div num den)))
-      Field.zero shares
+    List.fold_left2
+      (fun acc s w -> Field.add acc (Field.mul s.y w))
+      Field.zero shares (lagrange_at_zero xs)
 
 let encode b s =
   Field.encode b s.x;

@@ -10,5 +10,11 @@ val share :
 val reconstruct : share list -> Field.t
 (** Lagrange interpolation at 0; requires > threshold distinct shares. *)
 
+val lagrange_at_zero : Field.t list -> Field.t list
+(** The Lagrange coefficients at 0 of distinct points [xs]: [reconstruct]
+    of shares at [xs] is the sum of their [y]s weighted by these, so
+    callers interpolating many sharings at one point set can compute them
+    once. *)
+
 val encode : Repro_util.Encode.sink -> share -> unit
 val decode : Repro_util.Encode.source -> share

@@ -29,6 +29,18 @@ let c_msgs = Repro_obs.Counters.make "engine.msgs"
    driven, hence deterministic. *)
 let h_inbox = Repro_obs.Counters.histogram "engine.inbox_depth"
 
+(* The index of the slot whose full tag is [tag], or -1: first by pointer
+   (engine sends carry the run's interned tag), then by bytes. *)
+let rec find_slot slots k tag j =
+  if j >= k then find_slot_bytes slots k tag 0
+  else if fst (Array.unsafe_get slots j) == tag then j
+  else find_slot slots k tag (j + 1)
+
+and find_slot_bytes slots k tag j =
+  if j >= k then -1
+  else if String.equal (fst (Array.unsafe_get slots j)) tag then j
+  else find_slot_bytes slots k tag (j + 1)
+
 (* [machines p] lists party p's instances as (instance-id, machine); entries
    for corrupt parties are ignored (their traffic comes from the adversary).
    The engine runs [rounds] local rounds starting from the network's current
@@ -84,22 +96,20 @@ let run net ?adversary ~tag ~rounds ~(machines : int -> (string * machine) list)
     (* Dispatch last round's deliveries per instance, preserving order. A
        message belongs to the slot whose full tag it carries; anything else
        (another phase's leftovers, another instance, a lookalike prefix) is
-       dropped. Engine sends carry the interned tag itself, which
-       [String.equal] accepts on pointer equality before comparing bytes. *)
+       dropped. Engine sends carry the interned tag itself, so a pass
+       comparing pointers finds their slot; only other messages (an
+       adversary's freshly built tags) fall back to comparing bytes. Slot
+       tags are distinct, so both passes can only pick the same slot. *)
     if local > 0 then
       Repro_obs.Trace.span ~cat:"engine" "engine.dispatch" (fun () ->
           Repro_obs.Counters.observe h_inbox (List.length inbox);
           List.iter
             (fun (m : Wire.msg) ->
-              let rec find j =
-                if j < k then
-                  if String.equal (fst slots.(j)) m.tag then begin
-                    Repro_obs.Counters.bump c_msgs;
-                    pending.(j) <- (m.src, m.payload) :: pending.(j)
-                  end
-                  else find (j + 1)
-              in
-              find 0)
+              let j = find_slot slots k m.tag 0 in
+              if j >= 0 then begin
+                Repro_obs.Counters.bump c_msgs;
+                pending.(j) <- (m.src, m.payload) :: pending.(j)
+              end)
             inbox;
           Array.iteri
             (fun j (_, m) ->

@@ -198,9 +198,9 @@ let send t ~src:s ~dst ~tag payload =
   | None -> ());
   Metrics.note_send t.metrics m;
   Repro_obs.Counters.observe h_msg_bytes (Bytes.length payload);
-  Option.iter
-    (fun a -> Repro_obs.Audit.note_send a ~src:s ~dst ~bits:(8 * Wire.size m))
-    t.audit;
+  (match t.audit with
+  | Some a -> Repro_obs.Audit.note_send a ~src:s ~dst ~bits:(8 * Wire.size m)
+  | None -> ());
   t.staged <- m :: t.staged
 
 let send_many t ~src ~dsts ~tag payload =
@@ -223,11 +223,11 @@ let deliver_msgs t msgs_rev =
   List.iter
     (fun (m : Wire.msg) ->
       Metrics.note_recv t.metrics m;
-      Option.iter
-        (fun a ->
-          Repro_obs.Audit.note_recv a ~src:m.Wire.src ~dst:m.Wire.dst
-            ~bits:(8 * Wire.size m))
-        t.audit;
+      (match t.audit with
+      | Some a ->
+        Repro_obs.Audit.note_recv a ~src:m.Wire.src ~dst:m.Wire.dst
+          ~bits:(8 * Wire.size m)
+      | None -> ());
       (match t.inboxes.(m.dst) with [] -> t.dirty <- m.dst :: t.dirty | _ -> ());
       t.inboxes.(m.dst) <- m :: t.inboxes.(m.dst))
     msgs_rev;

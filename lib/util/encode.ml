@@ -149,9 +149,11 @@ let decode data f =
    as a bonus makes physical-identity grouping (e.g. majority tallying)
    hit for values that arrived via different senders.
 
-   Lookup is content-addressed but cheap: buffers hash by (length, last 8
-   bytes); within a bucket, physical identity short-circuits before the
-   full byte comparison. The cache is unbounded by design — create the
+   Lookup is content-addressed but cheap: buffers hash by (length, first 8
+   bytes, last 8 bytes) — every copy of one certificate shares its length
+   and tail, so the head keeps different messages of one size apart;
+   within a bucket, physical identity short-circuits before the full byte
+   comparison. The cache is unbounded by design — create the
    closure per protocol phase so its lifetime (and the retained decoded
    values, one per distinct content) is bounded by the phase. *)
 (* Hit/miss totals are per-closure caches driven by the delivery schedule,
@@ -160,26 +162,39 @@ let decode data f =
 let c_memo_hit = Repro_obs.Counters.make "encode.memo_hit"
 let c_memo_miss = Repro_obs.Counters.make "encode.memo_miss"
 
+(* Fingerprints are mixed already, so the table hashes them as they are. *)
+module Fingerprints = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash x = x land max_int
+end)
+
+let fingerprint b =
+  let len = Bytes.length b in
+  if len < 8 then Hashtbl.hash b
+  else
+    let head = Int64.to_int (Bytes.get_int64_le b 0)
+    and tail = Int64.to_int (Bytes.get_int64_le b (len - 8)) in
+    let h = (len * 0x2545F491) lxor (head * 0x9E3779B1) lxor (tail * 0x85EBCA77) in
+    h lxor (h lsr 29)
+
+(* The value memoized for [data]'s content in its bucket. *)
+let rec memo_find data = function
+  | [] -> raise Not_found
+  | (k, v) :: rest -> if k == data || Bytes.equal k data then v else memo_find data rest
+
 let memo_decode f =
-  let cache : (int * int64, (bytes * 'a option) list) Hashtbl.t =
-    Hashtbl.create 64
-  in
-  let fingerprint b =
-    let len = Bytes.length b in
-    let tail = if len >= 8 then Bytes.get_int64_le b (len - 8) else 0L in
-    (len, tail)
-  in
+  let cache : (bytes * 'a option) list Fingerprints.t = Fingerprints.create 64 in
   fun data ->
     let key = fingerprint data in
-    let bucket = try Hashtbl.find cache key with Not_found -> [] in
-    match
-      List.find_opt (fun (k, _) -> k == data || Bytes.equal k data) bucket
-    with
-    | Some (_, v) ->
+    let bucket = try Fingerprints.find cache key with Not_found -> [] in
+    match memo_find data bucket with
+    | v ->
         Repro_obs.Counters.bump c_memo_hit;
         v
-    | None ->
+    | exception Not_found ->
         Repro_obs.Counters.bump c_memo_miss;
         let v = decode data f in
-        Hashtbl.replace cache key ((data, v) :: bucket);
+        Fingerprints.replace cache key ((data, v) :: bucket);
         v

@@ -299,9 +299,11 @@ let test_committee_unanimous_hash_count () =
 let run_coin ~n ~corrupt ~adversary ~seed =
   let members = members_of n in
   let rng = Repro_util.Rng.create seed in
+  let shared = Coin_toss.shared () in
   let states =
     Array.init n (fun me ->
-        Coin_toss.create ~members ~me ~rng:(Repro_util.Rng.of_label rng (string_of_int me)))
+        Coin_toss.create ~shared ~members ~me
+          ~rng:(Repro_util.Rng.of_label rng (string_of_int me)))
   in
   let _ =
     run_committee ~n ~corrupt ~rounds:(Coin_toss.rounds ~members) ~adversary
@@ -350,6 +352,240 @@ let test_coin_unbiased_by_withholding () =
       members
   in
   List.iter (fun c -> Alcotest.(check bytes) "consistent" (List.hd coins) c) coins
+
+(* A revealer's tampered share must stay out of reconstruction even when
+   the run's reveal memo already holds the honest payload it was forged
+   from. The forgery flips one bit of a share value deep inside the
+   payload, so it keeps the honest payload's length and first and last 8
+   bytes. Member 0 reveals it: its shares sit at x = 1, among the first
+   t + 1 that reconstruction interpolates, so an accepted forgery would
+   change the victim's candidate coin. *)
+let test_coin_tampered_reveal_rejected () =
+  let m = 7 in
+  let members = members_of m in
+  let rng = Repro_util.Rng.create 11 in
+  let shared = Coin_toss.shared () in
+  let states =
+    Array.init m (fun me ->
+        Coin_toss.create ~shared ~members ~me
+          ~rng:(Repro_util.Rng.of_label rng (string_of_int me)))
+  in
+  let victim = m - 1 in
+  let module E = Repro_util.Encode in
+  let forge payload =
+    let entries =
+      Option.get
+        (E.decode payload (fun src ->
+             E.r_list src (fun src ->
+                 let dealer = E.r_varint src in
+                 let pairs =
+                   E.r_array src (fun src ->
+                       let s = Repro_crypto.Shamir.decode src in
+                       (s, E.r_bytes src))
+                 in
+                 (dealer, pairs))))
+    in
+    let forged =
+      List.mapi
+        (fun i (dealer, pairs) ->
+          ( dealer,
+            Array.mapi
+              (fun e ((s : Repro_crypto.Shamir.share), nonce) ->
+                if i = 0 && e = 1 then
+                  let y = Repro_crypto.Field.to_int s.y lxor 1 in
+                  ({ s with y = Repro_crypto.Field.of_int y }, nonce)
+                else (s, nonce))
+              pairs ))
+        entries
+    in
+    E.to_bytes (fun b ->
+        E.list b
+          (fun b (dealer, pairs) ->
+            E.varint b dealer;
+            E.array b
+              (fun b (s, nonce) ->
+                Repro_crypto.Shamir.encode b s;
+                E.bytes b nonce)
+              pairs)
+          forged)
+  in
+  for round = 0 to 3 do
+    let sends = Array.map (fun st -> Coin_toss.m_send st ~round) states in
+    if round < 3 then
+      (* the victim goes last: every honest copy is memoized by then *)
+      for p = 0 to m - 1 do
+        let inbox =
+          List.concat
+            (List.init m (fun src ->
+                 List.filter_map
+                   (fun (dst, payload) ->
+                     if dst <> p then None
+                     else if round = 2 && src = 0 && p = victim then begin
+                       let forged = forge payload in
+                       let len = Bytes.length payload in
+                       Alcotest.(check bool) "forgery differs" false (Bytes.equal forged payload);
+                       Alcotest.(check int) "same length" len (Bytes.length forged);
+                       Alcotest.(check bytes) "same head" (Bytes.sub payload 0 8)
+                         (Bytes.sub forged 0 8);
+                       Alcotest.(check bytes) "same tail" (Bytes.sub payload (len - 8) 8)
+                         (Bytes.sub forged (len - 8) 8);
+                       Some (src, forged)
+                     end
+                     else Some (src, payload))
+                   sends.(src)))
+        in
+        Coin_toss.m_recv states.(p) ~round inbox
+      done
+    else
+      (* round 3 opens the agreement on the candidates: compare them *)
+      let candidate p = snd (List.hd sends.(p)) in
+      for p = 1 to m - 1 do
+        Alcotest.(check bytes) (Printf.sprintf "member %d candidate" p) (candidate 0)
+          (candidate p)
+      done
+  done
+
+(* The reveal memo is scoped to one run: two runs in one process count the
+   same deterministic operations as each run alone. *)
+let test_coin_counters_run_scoped () =
+  let module C = Repro_obs.Counters in
+  let was = C.is_enabled () in
+  C.enable ();
+  let counted f =
+    C.reset ();
+    f ();
+    C.deterministic_snapshot ()
+  in
+  let run seed () = ignore (run_coin ~n:7 ~corrupt:[] ~adversary:None ~seed) in
+  let a = counted (run 21) in
+  let b = counted (run 22) in
+  let both = counted (fun () -> run 21 (); run 22 ()) in
+  if not was then C.disable ();
+  C.reset ();
+  Alcotest.(check bool) "coin toss hashes" true (List.assoc "hashx.hash" a > 0);
+  Alcotest.(check (list (pair string int)))
+    "counters of two runs = sum of each alone"
+    (List.map2 (fun (k, x) (_, y) -> (k, x + y)) a b)
+    both
+
+(* Turpin–Coan round 0 counts decoded values, one per member, first
+   message first. A non-canonical encoding of "v0" (its length as a
+   two-byte varint) counts as "v0"; a junk first message uses up its
+   source. m = 4 and t = 1, so x is set only with 3 votes. *)
+let test_multi_tally_decoded () =
+  let module E = Repro_util.Encode in
+  let enc v = E.to_bytes (fun b -> E.option b E.bytes v) in
+  let v0 = Bytes.of_string "v0" and v1 = Bytes.of_string "v1" in
+  let loose_v0 = Bytes.of_string "\001\130\000v0" in
+  let junk = Bytes.of_string "\001\005" in
+  let x_after inbox =
+    let members = members_of 4 in
+    let st = Multi_ba.create ~members ~me:0 ~input:v0 in
+    ignore (Multi_ba.m_send st ~round:0);
+    Multi_ba.m_recv st ~round:0 inbox;
+    match Multi_ba.m_send st ~round:1 with
+    | (_, payload) :: _ -> payload
+    | [] -> Alcotest.fail "no round-1 sends"
+  in
+  Alcotest.(check bytes) "loose encoding counts as its value" (enc (Some v0))
+    (x_after [ (1, enc (Some v0)); (2, loose_v0); (3, enc (Some v1)) ]);
+  Alcotest.(check bytes) "junk first message uses up its source" (enc None)
+    (x_after [ (1, enc (Some v1)); (2, loose_v0); (3, junk); (3, enc (Some v0)) ])
+
+(* --- inbox robustness of the committee BA machines --- *)
+
+(* Two copies of every member run in lock step on one schedule. The clean
+   copy gets exactly the messages its peers sent, some of them replaced by
+   junk; the noisy copy gets the same inbox plus additions the tally rules
+   say to ignore: later messages from an already-counted source (whatever
+   their payload), messages from non-members and messages in the member's
+   own name. Every send and the final outputs must coincide, so a junk
+   first message still uses up its source. *)
+let inbox_robust ~rng ~m ~rounds ~send ~recv ~output =
+  let noise pool =
+    match Repro_util.Rng.int rng 3 with
+    | 0 -> Repro_util.Rng.bytes rng (Repro_util.Rng.int rng 20)
+    | _ -> (
+      match pool with
+      | [] -> Bytes.empty
+      | _ -> List.nth pool (Repro_util.Rng.int rng (List.length pool)))
+  in
+  let same = ref true in
+  for round = 0 to rounds - 1 do
+    let sends = Array.init 2 (fun copy -> Array.init m (fun p -> send copy p ~round)) in
+    if sends.(0) <> sends.(1) then same := false;
+    for p = 0 to m - 1 do
+      let inbox =
+        List.concat
+          (List.init m (fun src ->
+               List.filter_map
+                 (fun (dst, payload) ->
+                   if dst <> p then None
+                   else if Repro_util.Rng.int rng 6 = 0 then
+                     Some (src, Repro_util.Rng.bytes rng (Repro_util.Rng.int rng 4))
+                   else Some (src, payload))
+                 sends.(0).(src)))
+      in
+      let pool = List.map snd inbox in
+      let stray () =
+        if Repro_util.Rng.bool rng then (p, noise pool)
+        else (m + Repro_util.Rng.int rng 3, noise pool)
+      in
+      let noisy =
+        List.concat_map
+          (fun (src, payload) ->
+            let dups =
+              List.init (Repro_util.Rng.int rng 3) (fun _ -> (src, noise pool))
+            in
+            let strays = if Repro_util.Rng.int rng 3 = 0 then [ stray () ] else [] in
+            strays @ ((src, payload) :: dups))
+          inbox
+        @ [ stray () ]
+      in
+      recv 0 p ~round inbox;
+      recv 1 p ~round noisy
+    done
+  done;
+  !same && List.for_all (fun p -> output 0 p = output 1 p) (members_of m)
+
+let arb_committee =
+  QCheck.make
+    ~print:(fun (m, seed) -> Printf.sprintf "m=%d seed=%d" m seed)
+    QCheck.Gen.(pair (int_range 1 13) (int_range 0 1_000_000))
+
+let prop_inbox_robust name ~input ~create ~rounds ~send ~recv ~output =
+  QCheck.Test.make ~name:(name ^ ": ignored inbox additions change nothing") ~count:60
+    arb_committee (fun (m, seed) ->
+      let rng = Repro_util.Rng.create seed in
+      let members = members_of m in
+      let inputs = Array.init m (fun _ -> input rng) in
+      let states =
+        Array.init 2 (fun _ -> Array.init m (fun me -> create ~members ~me inputs.(me)))
+      in
+      inbox_robust ~rng ~m ~rounds:(rounds ~members)
+        ~send:(fun c p ~round -> send states.(c).(p) ~round)
+        ~recv:(fun c p ~round msgs -> recv states.(c).(p) ~round msgs)
+        ~output:(fun c p -> output states.(c).(p)))
+
+let value_of rng = Bytes.of_string (Printf.sprintf "v%d" (Repro_util.Rng.int rng 2))
+
+let prop_pk_inbox_robust =
+  prop_inbox_robust "phase-king" ~input:Repro_util.Rng.bool
+    ~create:(fun ~members ~me input -> Phase_king.create ~members ~me ~input)
+    ~rounds:Phase_king.rounds ~send:Phase_king.m_send ~recv:Phase_king.m_recv
+    ~output:Phase_king.output
+
+let prop_multi_inbox_robust =
+  prop_inbox_robust "multi-ba" ~input:value_of
+    ~create:(fun ~members ~me input -> Multi_ba.create ~members ~me ~input)
+    ~rounds:Multi_ba.rounds ~send:Multi_ba.m_send ~recv:Multi_ba.m_recv
+    ~output:Multi_ba.output
+
+let prop_committee_inbox_robust =
+  prop_inbox_robust "committee" ~input:value_of
+    ~create:(fun ~members ~me candidate -> Committee.create ~members ~me ~candidate ())
+    ~rounds:Committee.rounds ~send:Committee.m_send ~recv:Committee.m_recv
+    ~output:Committee.output
 
 (* --- gradecast --- *)
 
@@ -712,6 +948,13 @@ let suite =
     Alcotest.test_case "coin fresh" `Quick test_coin_differs_across_runs;
     Alcotest.test_case "coin silent corrupt" `Quick test_coin_with_silent_corrupt;
     Alcotest.test_case "coin withholding" `Quick test_coin_unbiased_by_withholding;
+    Alcotest.test_case "coin tampered reveal rejected" `Quick
+      test_coin_tampered_reveal_rejected;
+    Alcotest.test_case "coin counters run-scoped" `Quick test_coin_counters_run_scoped;
+    Alcotest.test_case "multi tally decoded" `Quick test_multi_tally_decoded;
+    QCheck_alcotest.to_alcotest prop_pk_inbox_robust;
+    QCheck_alcotest.to_alcotest prop_multi_inbox_robust;
+    QCheck_alcotest.to_alcotest prop_committee_inbox_robust;
     Alcotest.test_case "rb honest sender" `Quick test_rb_honest_sender;
     Alcotest.test_case "rb silent sender" `Quick test_rb_silent_sender_no_delivery;
     Alcotest.test_case "rb equivocation" `Quick test_rb_totality_under_equivocation;

@@ -354,6 +354,41 @@ let test_prf_subset_small_n () =
   let s = Prf.subset ~key ~index:1 ~n:3 ~size:5 in
   Alcotest.(check (list int)) "all others" [ 0; 2 ] s
 
+(* F_s(i) drawn the plain way — unprepared key, Hashtbl of chosen
+   parties, sort at the end: the reference [Prf.subset] must match draw
+   for draw. *)
+let reference_subset ~key ~index ~n ~size =
+  if size >= n then List.init n (fun j -> j) |> List.filter (fun j -> j <> index)
+  else begin
+    let chosen = Hashtbl.create size in
+    let ctr = ref 0 in
+    while Hashtbl.length chosen < size do
+      let d =
+        Prf.eval_parts ~key
+          [ Bytes.of_string "subset";
+            Bytes.of_string (string_of_int index);
+            Bytes.of_string (string_of_int !ctr) ]
+      in
+      let j = Hashx.to_int d mod n in
+      if j <> index && not (Hashtbl.mem chosen j) then Hashtbl.add chosen j ();
+      incr ctr
+    done;
+    Hashtbl.fold (fun j () acc -> j :: acc) chosen [] |> List.sort compare
+  end
+
+let prop_prf_subset_reference =
+  QCheck.Test.make ~name:"prf subset = reference implementation" ~count:200
+    QCheck.(
+      pair (string_of_size Gen.(0 -- 40))
+        (triple (int_range 1 64) (int_range 0 80) (int_range 0 1000)))
+    (fun (seed, (n, size, i)) ->
+      let key = Prf.of_seed (Bytes.of_string seed) and index = i mod n in
+      let expected = reference_subset ~key ~index ~n ~size in
+      Prf.subset ~key ~index ~n ~size = expected
+      && List.for_all
+           (fun j -> Prf.subset_mem ~key ~index ~n ~size j = List.mem j expected)
+           (List.init (n + 2) (fun j -> j - 1)))
+
 (* --- Commitments --- *)
 
 let test_commit_roundtrip () =
@@ -492,6 +527,7 @@ let suite =
     Alcotest.test_case "prf expand" `Quick test_prf_expand_deterministic;
     Alcotest.test_case "prf subset" `Quick test_prf_subset;
     Alcotest.test_case "prf subset small n" `Quick test_prf_subset_small_n;
+    QCheck_alcotest.to_alcotest prop_prf_subset_reference;
     Alcotest.test_case "commit roundtrip" `Quick test_commit_roundtrip;
     Alcotest.test_case "commit hiding shape" `Quick test_commit_hiding_shape;
     Alcotest.test_case "field basic" `Quick test_field_basic;

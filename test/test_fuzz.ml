@@ -75,9 +75,10 @@ let test_coin_distribution () =
     let n = 7 in
     let members = List.init n (fun i -> i) in
     let rng = Rng.create (seed * 101) in
+    let shared = Repro_consensus.Coin_toss.shared () in
     let states =
       Array.init n (fun me ->
-          Repro_consensus.Coin_toss.create ~members ~me
+          Repro_consensus.Coin_toss.create ~shared ~members ~me
             ~rng:(Rng.of_label rng (string_of_int me)))
     in
     let net = Repro_net.Network.create ~n ~corrupt:[] () in

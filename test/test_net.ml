@@ -262,6 +262,38 @@ let test_engine_drops_foreign_tags () =
   Alcotest.(check (list string)) "b gets nothing" []
     (Option.value ~default:[] (Hashtbl.find_opt got "b"))
 
+(* Engine sends carry the run's interned tag and are matched by pointer;
+   a message whose tag is a freshly built equal string still reaches its
+   slot, in delivery order among the engine's own, while a same-length
+   lookalike for an instance nobody hosts is dropped. *)
+let test_engine_fresh_tag_dispatch () =
+  let net = Network.create ~n:2 ~corrupt:[] () in
+  let got = Hashtbl.create 2 in
+  let record inst msgs =
+    Hashtbl.replace got inst
+      (Option.value ~default:[] (Hashtbl.find_opt got inst)
+      @ List.map (fun (_, b) -> Bytes.to_string b) msgs)
+  in
+  let machine inst sends =
+    {
+      Engine.m_send = (fun ~round -> if round = 0 then sends else []);
+      m_recv = (fun ~round:_ msgs -> record inst msgs);
+    }
+  in
+  let machines p =
+    if p = 0 then [ ("a", machine "a0" [ (1, Bytes.of_string "engine") ]) ]
+    else [ ("a", machine "a" []); ("b", machine "b" []) ]
+  in
+  List.iter
+    (fun (tag, payload) -> Network.send net ~src:0 ~dst:1 ~tag (Bytes.of_string payload))
+    [ (String.concat "/" [ "fr"; "a" ], "fresh-a"); ("fr/c", "lookalike");
+      (Bytes.to_string (Bytes.of_string "fr/b"), "fresh-b") ];
+  Engine.run net ~tag:"fr" ~rounds:2 ~machines ();
+  Alcotest.(check (list string)) "a: fresh then engine" [ "fresh-a"; "engine" ]
+    (Option.value ~default:[] (Hashtbl.find_opt got "a"));
+  Alcotest.(check (list string)) "b: fresh" [ "fresh-b" ]
+    (Option.value ~default:[] (Hashtbl.find_opt got "b"))
+
 (* A party's instances send in a fixed order — the iteration order of a
    Hashtbl keyed by instance id, which every recorded transcript was made
    with. Pinned here through the network tap. *)
@@ -474,6 +506,7 @@ let suite =
     Alcotest.test_case "engine rounds" `Quick test_engine_rounds_observed;
     Alcotest.test_case "engine delivery order" `Quick test_engine_delivery_order;
     Alcotest.test_case "engine drops foreign tags" `Quick test_engine_drops_foreign_tags;
+    Alcotest.test_case "engine fresh tag dispatch" `Quick test_engine_fresh_tag_dispatch;
     Alcotest.test_case "engine send order pinned" `Quick test_engine_send_order_pinned;
     Alcotest.test_case "tag grouping" `Quick test_tag_grouping;
     Alcotest.test_case "tag breakdown" `Quick test_tag_breakdown_accumulates;

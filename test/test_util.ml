@@ -213,9 +213,22 @@ let test_ascii_plot_empty () =
   let s = Ascii_plot.render ~title:"empty" ~x_label:"x" ~y_label:"y" [] in
   Alcotest.(check bool) "graceful" true (String.length s > 0)
 
+(* Buffers alike in length and in their first and last 8 bytes share a
+   memo fingerprint; each must still decode to its own value, copies
+   included. *)
+let test_memo_decode_same_fingerprint () =
+  let mk mid = Bytes.of_string ("headhead" ^ mid ^ "tailtail") in
+  let dec = Encode.memo_decode (fun src -> Encode.r_bytes_raw src (Encode.remaining src)) in
+  let a = mk "aaaa" and b = mk "bbbb" and c = mk "cccc" in
+  List.iter
+    (fun buf -> Alcotest.(check (option bytes)) "own value" (Some buf) (dec buf))
+    [ a; b; c; Bytes.copy b; a; Bytes.copy c ]
+
 let suite =
   [
     Alcotest.test_case "rng deterministic" `Quick test_rng_deterministic;
+    Alcotest.test_case "memo decode same fingerprint" `Quick
+      test_memo_decode_same_fingerprint;
     Alcotest.test_case "rng int bounds" `Quick test_rng_int_bounds;
     Alcotest.test_case "rng split" `Quick test_rng_split_independent;
     Alcotest.test_case "rng label" `Quick test_rng_label_stable;

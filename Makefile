@@ -106,8 +106,8 @@ forensics-smoke: build
 	python3 -m json.tool FORENSICS_attack.json > /dev/null && \
 	  echo "FORENSICS_attack.json: valid JSON"
 
-# <60s E18 smoke: cross-backend conformance (dense, sparse and zero-knob
-# async must produce one transcript digest per cell) plus the async chaos
+# <60s E18 smoke: cross-backend conformance (sparse and zero-knob async
+# must produce one transcript digest per cell) plus the async chaos
 # matrix — jitter and pre-GST loss against live adversaries, owf at n=256
 # included. Non-zero exit if any backend disagrees or a chaos cell breaks
 # agreement/validity or the post-GST bound. The repro-async/1 report is

@@ -55,10 +55,10 @@ let backend_name_arg =
     value & opt string "sparse"
     & info [ "backend" ] ~docv:"B"
         ~doc:
-          "Scheduler backend: dense (mailbox scan), sparse (active sets, \
-           the default), or async (deterministic event-queue executor; its \
-           chaos knobs are --gst, --delta, --jitter, --loss). All three \
-           produce identical transcripts when the knobs are zero.")
+          "Scheduler backend: sparse (lock-step delivery in send order, the \
+           default) or async (deterministic event-queue executor; its chaos \
+           knobs are --gst, --delta, --jitter, --loss). Both produce \
+           identical transcripts when the knobs are zero.")
 
 let gst_arg ~default =
   Arg.(
@@ -100,7 +100,7 @@ let backend_of ~name ~seed ~gst ~delta ~jitter ~loss =
   match Repro_net.Sched.backend_of_string ~async:cfg name with
   | Some b -> b
   | None ->
-    prerr_endline ("unknown backend: " ^ name ^ " (dense | sparse | async)");
+    prerr_endline ("unknown backend: " ^ name ^ " (sparse | async)");
     exit 2
 
 (* --- run --- *)
@@ -1172,7 +1172,7 @@ let conform_cmd =
   Cmd.v
     (Cmd.info "conform"
        ~doc:
-         "E18: run the cross-backend conformance suite (dense, sparse and \
+         "E18: run the cross-backend conformance suite (sparse and \
           zero-knob async must produce identical transcripts) and the async \
           chaos matrix (jitter/loss before GST against live adversaries); \
           non-zero exit if any backend disagrees or an async cell breaks \

@@ -226,9 +226,9 @@ let disseminate ?adversary net t ~label ~values =
   let start = Network.round net in
   (* Parties that ingested an internal-node value must keep acting in later
      rounds even if a round leaves their inbox empty — a rushing adversary
-     may deliver a level-L value *early*, and the dense engine would still
-     forward it at round (height - L). Keeping them in the active set
-     reproduces that; the set only ever holds committee members. *)
+     may deliver a level-L value *early*, and the party must still forward
+     it at round (height - L). Keeping them in the active set does that;
+     the set only ever holds committee members. *)
   let armed : (int, unit) Hashtbl.t = Hashtbl.create 16 in
   let handler p ~round ~inbox =
     (* ingest *)
@@ -274,10 +274,9 @@ let disseminate ?adversary net t ~label ~values =
           t.memberships.(p)
     end
   in
-  (* Sparse execution: round 0's spontaneous actors are the honest supreme
-     committee members; every later round is driven by deliveries plus the
-     armed set. Non-active parties are no-ops in the dense run, so the
-     transcript is byte-identical. *)
+  (* Round 0's spontaneous actors are the honest supreme committee members;
+     every later round is driven by deliveries plus the armed set. A party
+     outside both has received nothing to forward. *)
   let supreme =
     List.filter (Network.is_honest net)
       (List.sort_uniq compare (Array.to_list (Tree.supreme_committee tr)))

@@ -313,7 +313,10 @@ let run ?adversary net params ~rng =
   let handlers =
     Array.init n (fun p -> if Network.is_honest net p then Some (handler p) else None)
   in
-  Network.run net ?adversary ~rounds:(total_rounds + 1) handlers;
+  let everyone = Network.everyone net in
+  Network.run_active net ?adversary ~rounds:(total_rounds + 1)
+    ~extra:(fun ~round:_ -> everyone)
+    (Array.get handlers);
   (* non-relay parties adopt the majority of the 'final' candidates *)
   for p = 0 to n - 1 do
     if Network.is_honest net p && my_seed.(p) = None then

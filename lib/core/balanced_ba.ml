@@ -323,18 +323,21 @@ module Make (S : Srds_intf.SCHEME) = struct
             | _ -> ())
         inbox
     in
-    (* Sparse rounds: only slot owners holding the pair sign (everyone else
-       is a no-op in the dense run), and collection is delivery-driven. *)
+    (* Only slot owners holding the pair sign, and collection is
+       delivery-driven. *)
     let signers =
-      List.filter_map
+      List.filter
         (fun p ->
-          if honest ctx p && received_pair.(p) <> None
-             && Tree.party_slots tree p <> [] then Some (p, sign_handler p)
-          else None)
-        (List.init n (fun p -> p))
+          honest ctx p && received_pair.(p) <> None
+          && Tree.party_slots tree p <> [])
+        (Network.everyone net)
     in
+    let sign_handlers = Array.make n None in
+    List.iter (fun p -> sign_handlers.(p) <- Some (sign_handler p)) signers;
     timed "E: sign+send" (fun () ->
-        Network.run_parties net ?adversary:ctx.adversary ~rounds:1 signers;
+        Network.run_active net ?adversary:ctx.adversary ~rounds:1
+          ~extra:(fun ~round:_ -> signers)
+          (Array.get sign_handlers);
         Network.run_active net ?adversary:ctx.adversary ~rounds:1
           ~extra:(fun ~round:_ -> [])
           (fun p -> if honest ctx p then Some (collect_handler p) else None);
@@ -434,8 +437,13 @@ module Make (S : Srds_intf.SCHEME) = struct
           List.sort_uniq compare
             (Hashtbl.fold (fun (_, q) _ acc -> q :: acc) agree_states [])
         in
-        Network.run_parties net ?adversary:ctx.adversary ~rounds:1
-          (List.map (fun p -> (p, forward_handler p)) forwarders);
+        let forward_handlers = Array.make n None in
+        List.iter
+          (fun p -> forward_handlers.(p) <- Some (forward_handler p))
+          forwarders;
+        Network.run_active net ?adversary:ctx.adversary ~rounds:1
+          ~extra:(fun ~round:_ -> forwarders)
+          (Array.get forward_handlers);
         Network.run_active net ?adversary:ctx.adversary ~rounds:1
           ~extra:(fun ~round:_ -> [])
           (fun p -> if honest ctx p then Some (collect_up p) else None);
@@ -592,15 +600,16 @@ module Make (S : Srds_intf.SCHEME) = struct
     in
     (* Senders are exactly the cert holders; receivers are delivery-driven. *)
     let boosters =
-      List.filter_map
-        (fun p ->
-          if honest ctx p && received_cert.(p) <> None then
-            Some (p, boost_send p)
-          else None)
-        (List.init n (fun p -> p))
+      List.filter
+        (fun p -> honest ctx p && received_cert.(p) <> None)
+        (Network.everyone net)
     in
+    let boost_handlers = Array.make n None in
+    List.iter (fun p -> boost_handlers.(p) <- Some (boost_send p)) boosters;
     timed "H: boost round" (fun () ->
-        Network.run_parties net ?adversary:ctx.adversary ~rounds:1 boosters;
+        Network.run_active net ?adversary:ctx.adversary ~rounds:1
+          ~extra:(fun ~round:_ -> boosters)
+          (Array.get boost_handlers);
         Network.run_active net ?adversary:ctx.adversary ~rounds:1
           ~extra:(fun ~round:_ -> [])
           (fun p -> if honest ctx p then Some (boost_recv p) else None));

@@ -104,8 +104,11 @@ let run ?audit ?recorder ?tap ?backend (cfg : config) : result =
   | Some r -> Repro_obs.Recorder.note_phase r ~round:(Network.round net) "quorum"
   | None -> ());
   Repro_obs.Audit.with_phase (Network.audit net) "quorum" (fun () ->
-      Network.run net ~rounds:3
-        (Array.init n (fun p -> if honest p then Some (handler p) else None)));
+      let everyone = Network.everyone net in
+      Network.run_active net ~rounds:3
+        ~extra:(fun ~round:_ -> everyone)
+        (Array.get
+           (Array.init n (fun p -> if honest p then Some (handler p) else None))));
   let honest_list = List.filter honest (List.init n (fun p -> p)) in
   let decided = List.filter_map (fun p -> outputs.(p)) honest_list in
   let agreed =

@@ -245,10 +245,15 @@ module Make (S : Srds_intf.SCHEME) = struct
             | None -> ())
         inbox
     in
-    Network.run net ~adversary ~rounds:1
-      (Array.init n (fun p -> if honest p then Some (sender p) else None));
-    Network.run net ~rounds:1
-      (Array.init n (fun p -> if honest p then Some (receiver p) else None));
+    let everyone = Network.everyone net in
+    Network.run_active net ~adversary ~rounds:1
+      ~extra:(fun ~round:_ -> everyone)
+      (Array.get
+         (Array.init n (fun p -> if honest p then Some (sender p) else None)));
+    Network.run_active net ~rounds:1
+      ~extra:(fun ~round:_ -> everyone)
+      (Array.get
+         (Array.init n (fun p -> if honest p then Some (receiver p) else None)));
     let recovered = List.filter (fun p -> outputs.(p) = Some y) isolated in
     let fooled = List.filter (fun p -> outputs.(p) = Some (not y)) isolated in
     {

@@ -145,7 +145,10 @@ module Make (S : Srds_intf.SCHEME) = struct
       Array.init n (fun p -> if Network.is_honest net p then Some (handler p) else None)
     in
     (* height relay hops plus one final ingestion round *)
-    Network.run net ~rounds:(height + 1) handlers;
+    let everyone = Network.everyone net in
+    Network.run_active net ~rounds:(height + 1)
+      ~extra:(fun ~round:_ -> everyone)
+      (Array.get handlers);
     (* supreme members' candidates *)
     let root_key = (height, 0) in
     List.filter_map

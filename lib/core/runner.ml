@@ -332,7 +332,7 @@ type attack_cell = {
   ac_condition : string; (* "none": content-only cell on the default backend *)
   ac_gated : bool; (* counts toward the matrix gate (reference rows do not) *)
   ac_rounds : int;
-  ac_vt : int; (* final virtual time (= rounds on lock-step backends) *)
+  ac_vt : int; (* final virtual time (= rounds on the lock-step backend) *)
   ac_pre_gst_lost : int; (* condition cells: pre-GST slow deliveries *)
   ac_post_gst_late : int; (* 0 by the partial-synchrony contract *)
 }
@@ -1472,9 +1472,9 @@ let attack_forensics_json ~n bundles =
    synchrony ---
 
    The conformance suite is the contract that makes backend choice safe:
-   the same (protocol, n, beta, seed) cell runs on the dense, sparse and
-   async (all knobs zero) backends, and every send of every round is
-   hashed through the per-instance transcript tap. All three digests — and
+   the same (protocol, n, beta, seed) cell runs on the sparse and async
+   (all knobs zero) backends, and every send of every round is hashed
+   through the per-instance transcript tap. Both digests — and
    the measured rows behind them — must be identical. The async matrix
    then turns the chaos knobs on (latency jitter, pre-GST loss, a GST
    horizon) against live adversary strategies and checks that agreement,
@@ -1506,7 +1506,7 @@ type conform_cell = {
 }
 
 let conform_backends ~seed =
-  [ Sched.Dense; Sched.Sparse; Sched.Async { Sched.default_async with a_seed = seed } ]
+  [ Sched.Sparse; Sched.Async { Sched.default_async with a_seed = seed } ]
 
 let conformance_cell ~protocol ~n ~beta ~seed : conform_cell =
   let runs =

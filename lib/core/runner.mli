@@ -93,7 +93,7 @@ type attack_cell = {
       (** counts toward [am_gate_ok] (the Dolev–Strong condition rows are
           ungated reference points) *)
   ac_rounds : int;
-  ac_vt : int;  (** final virtual time (= rounds on lock-step backends) *)
+  ac_vt : int;  (** final virtual time (= rounds on the lock-step backend) *)
   ac_pre_gst_lost : int;
       (** condition cells: pre-GST deliveries slower than [1 + jitter] —
           loss retransmits plus condition-delayed messages
@@ -395,7 +395,7 @@ val attack_forensics_json : n:int -> forensic_bundle list -> string
     The cross-backend conformance suite is the contract that makes
     {!Repro_net.Sched.backend} choice safe: the same (protocol, n, beta,
     seed) cell must produce one transcript digest — and one measured row —
-    on the dense, sparse and async (all knobs zero) backends. The async
+    on the sparse and async (all knobs zero) backends. The async
     chaos matrix then runs the pipeline protocols under nonzero
     latency/jitter/loss with a GST horizon against live adversary
     strategies, checking agreement, validity and the post-GST delivery
@@ -424,9 +424,9 @@ type conform_cell = {
 }
 
 val conform_backends : seed:int -> Repro_net.Sched.backend list
-(** [Dense; Sparse; Async {default_async with a_seed = seed}] — the async
+(** [Sparse; Async {default_async with a_seed = seed}] — the async
     member runs with all chaos knobs at zero, where its transcript must be
-    byte-identical to the lock-step backends. *)
+    byte-identical to the lock-step backend. *)
 
 val conformance_cell :
   protocol:protocol -> n:int -> beta:float -> seed:int -> conform_cell

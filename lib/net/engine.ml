@@ -60,11 +60,11 @@ let run net ?adversary ~tag ~rounds ~(machines : int -> (string * machine) list)
       Hashtbl.add interned inst f;
       f
   in
-  (* Sparse: only parties that own at least one instance get slots and a
-     handler. A party with no instances is a strict no-op in every round
-     (nothing to dispatch to, nothing to send), so skipping it entirely
-     leaves the transcript unchanged while each round costs O(participants),
-     not O(n) — with sortition that is polylog(n) parties.
+  (* Only parties that own at least one instance get slots and a handler,
+     and they act every round. A party with no instances has nothing to
+     dispatch to and nothing to send, so it never acts, and each round
+     costs O(participants), not O(n) — with sortition that is polylog(n)
+     parties.
 
      A party's instances live in a slot array, in the iteration order of a
      Hashtbl keyed by instance id. Slot order is the order of the party's
@@ -87,7 +87,7 @@ let run net ?adversary ~tag ~rounds ~(machines : int -> (string * machine) list)
             let slots = ref [] in
             Hashtbl.iter (fun inst m -> slots := (full_tag inst, m) :: !slots) tbl;
             Some (p, Array.of_list (List.rev !slots), Array.make (Hashtbl.length tbl) []))
-      (List.init n (fun p -> p))
+      (Network.everyone net)
   in
   let start = Network.round net in
   let handler p slots pending ~round ~inbox =
@@ -128,9 +128,11 @@ let run net ?adversary ~tag ~rounds ~(machines : int -> (string * machine) list)
               msgs)
         slots
   in
-  let parties =
-    List.map (fun (p, slots, pending) -> (p, handler p slots pending)) participants
-  in
+  let handlers = Array.make n None in
+  List.iter
+    (fun (p, slots, pending) -> handlers.(p) <- Some (handler p slots pending))
+    participants;
+  let actors = List.map (fun (p, _, _) -> p) participants in
   (* The engine tag ("coin-ba", "aggr-ba-2", ...) is the finest-grained
      phase label the auditor's timeline and violations carry; the flight
      recorder gets the same mark so forensic cones can name the phase. *)
@@ -139,4 +141,6 @@ let run net ?adversary ~tag ~rounds ~(machines : int -> (string * machine) list)
   | None -> ());
   Repro_obs.Audit.with_phase (Network.audit net) ("engine:" ^ tag) @@ fun () ->
   Repro_obs.Trace.span ~cat:"engine" ("engine:" ^ tag) (fun () ->
-      Network.run_parties net ?adversary ~rounds:(rounds + 1) parties)
+      Network.run_active net ?adversary ~rounds:(rounds + 1)
+        ~extra:(fun ~round:_ -> actors)
+        (Array.get handlers))

@@ -8,24 +8,31 @@
    it observes every message the honest parties sent in the current round
    before choosing the corrupt parties' messages.
 
-   The {!Sched.backend} chosen at {!create} decides how rounds execute:
-   [Dense] visits every party's handler slot every round, [Sparse] visits
-   only the active set, and [Async cfg] schedules every delivery off a
-   deterministic seeded event queue with per-edge latency/jitter/loss and
-   a GST knob (see sched.ml for the synchronizer argument: round
-   semantics survive the chaos knobs, delivery order and the virtual
-   clock do not). All three share this module's send choke point, so the
-   tap/recorder/metrics/audit consumers are backend-agnostic.
+   One stepper, [run_active], advances rounds. Each round it visits the
+   active set in ascending party order: the parties holding a delivery
+   plus the protocol's spontaneous actors for that round ([extra]). A
+   party outside that set has an empty inbox and was not named as an
+   actor, so the per-round cost scales with the parties that talk, not
+   with n. Protocols in which every party acts every round name
+   [everyone] as their actors.
 
-   Protocols are arrays of per-party step functions closing over their own
-   state; corrupt slots are [None] and their behaviour lives entirely in the
-   adversary. All sends are metered through {!Metrics}. *)
+   The {!Sched.backend} chosen at {!create} decides how the round's sends
+   are delivered: [Sparse] delivers in send order; [Async cfg] schedules
+   every delivery off a deterministic seeded event queue with per-edge
+   latency/jitter/loss and a GST knob (see sched.ml for the synchronizer
+   argument: round semantics survive the chaos knobs, delivery order and
+   the virtual clock do not). Both share this module's send choke point,
+   so the tap/recorder/metrics/audit consumers are backend-agnostic.
+
+   Protocols are per-party step functions closing over their own state;
+   corrupt parties have no handler and their behaviour lives entirely in
+   the adversary. All sends are metered through {!Metrics}. *)
 
 let src = Logs.Src.create "repro.net" ~doc:"simulated network"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-(* Live state of the async executor; absent on the lock-step backends. *)
+(* Live state of the async executor; absent on the lock-step backend. *)
 type async_state = {
   a_cfg : Sched.async_cfg;
   a_edges : Sched.edges;
@@ -50,6 +57,7 @@ type t = {
   mutable staged : Wire.msg list; (* sent this round, reversed *)
   inboxes : Wire.msg list array; (* deliveries for the current round *)
   mutable dirty : int list; (* parties with a non-empty current inbox *)
+  in_active : Bytes.t; (* run_active's membership marks, all '\000' between rounds *)
   mutable round : int;
   mutable in_adv_step : bool; (* inside the adversary's turn of a round *)
   mutable condition : Sched.condition option;
@@ -85,7 +93,7 @@ let create ?(backend = Sched.Sparse) ~n ~corrupt () =
           a_vt = 0;
           a_seq = 0;
         }
-    | Sched.Dense | Sched.Sparse -> None
+    | Sched.Sparse -> None
   in
   {
     n;
@@ -99,6 +107,7 @@ let create ?(backend = Sched.Sparse) ~n ~corrupt () =
     staged = [];
     inboxes = Array.make n [];
     dirty = [];
+    in_active = Bytes.make n '\000';
     round = 0;
     in_adv_step = false;
     condition = None;
@@ -115,7 +124,7 @@ let virtual_time t =
 let async_stats t = Option.map (fun a -> a.a_stats) t.async
 
 (* Conditions program the async executor's delivery heap; the lock-step
-   backends have no heap to program, so attaching one there is a caller
+   backend has no heap to program, so attaching one there is a caller
    bug, not a silent no-op. *)
 let set_condition t c =
   (match t.async with
@@ -167,15 +176,16 @@ let set_tap t f = t.tap <- f
 let round t = t.round
 let is_corrupt t i = t.corrupt.(i)
 let is_honest t i = not t.corrupt.(i)
-let honest_parties t = List.filter (is_honest t) (List.init t.n (fun i -> i))
-let corrupt_parties t = List.filter (is_corrupt t) (List.init t.n (fun i -> i))
+let everyone t = List.init t.n Fun.id
+let honest_parties t = List.filter (is_honest t) (everyone t)
+let corrupt_parties t = List.filter (is_corrupt t) (everyone t)
 
 let h_msg_bytes = Repro_obs.Counters.histogram "net.msg_bytes"
 
-(* Scheduler occupancy of the sparse engine, observed once per
-   [run_active] round: how many parties were armed, and how many inboxes
-   were dirty before the spontaneous actors were merged in. Both are
-   functions of the delivery schedule, hence deterministic. *)
+(* Scheduler occupancy, observed once per round: how many parties were
+   active, and how many inboxes were dirty before the spontaneous actors
+   were merged in. Both are functions of the delivery schedule, hence
+   deterministic. *)
 let h_active = Repro_obs.Counters.histogram "net.active_set"
 let h_dirty = Repro_obs.Counters.histogram "net.dirty_depth"
 
@@ -316,7 +326,7 @@ let deliver_async t a =
   deliver_msgs t !delivered;
   a.a_vt <- !barrier
 
-(* Adversary turn, delivery and round close shared by every stepping mode. *)
+(* Adversary turn, delivery and round close. *)
 let finish_round t adversary =
   (* Computed once: the adversary only adds corrupt-sourced sends, and only
      [c_observe] below can corrupt a party, so both see the same list. *)
@@ -344,123 +354,63 @@ let finish_round t adversary =
   Option.iter (fun a -> Repro_obs.Audit.end_round a ~round:t.round) t.audit;
   t.round <- t.round + 1
 
-let step t ?(adversary = null_adversary) handlers =
-  Repro_obs.Trace.span ~cat:"net" "net.round" @@ fun () ->
-  Metrics.note_round t.metrics;
-  let scheduled = ref 0 in
-  Array.iteri
-    (fun i h ->
-      match h with
-      | Some handler when is_honest t i && party_up t i ->
-        incr scheduled;
-        handler ~round:t.round ~inbox:t.inboxes.(i)
-      | _ -> ())
-    handlers;
-  Option.iter
-    (fun a -> Repro_obs.Audit.note_scheduled a !scheduled)
-    t.audit;
-  finish_round t adversary
-
-let run t ?adversary ?stop ~rounds handlers =
-  if Array.length handlers <> t.n then
-    invalid_arg "Network.run: handler array arity";
+let run_active t ?(adversary = null_adversary) ?stop ~rounds ~extra handler_of =
   let stop = Option.value stop ~default:(fun ~round:_ -> false) in
   let target = t.round + rounds in
-  let rec go () =
-    if t.round < target && not (stop ~round:t.round) then begin
-      step t ?adversary handlers;
-      go ()
-    end
-  in
-  go ()
-
-(* Sparse stepping: only the listed parties act, in ascending party order —
-   exactly the order the dense [step] visits them — so a protocol whose
-   non-listed parties would have been no-ops produces a byte-identical
-   transcript while each round costs O(active), not O(n). *)
-
-let step_parties t ?(adversary = null_adversary) parties =
-  Repro_obs.Trace.span ~cat:"net" "net.round" @@ fun () ->
-  Metrics.note_round t.metrics;
-  let scheduled = ref 0 in
-  List.iter
-    (fun (i, handler) ->
-      if is_honest t i && party_up t i then begin
-        incr scheduled;
-        handler ~round:t.round ~inbox:t.inboxes.(i)
-      end)
-    parties;
-  Option.iter
-    (fun a -> Repro_obs.Audit.note_scheduled a !scheduled)
-    t.audit;
-  finish_round t adversary
-
-let run_parties t ?adversary ?stop ~rounds parties =
-  List.iter
-    (fun (i, _) ->
-      if i < 0 || i >= t.n then invalid_arg "Network.run_parties: party index")
-    parties;
-  match t.backend with
-  | Sched.Dense ->
-    (* The dense backend routes sparse callers through the full mailbox
-       scan: every slot is visited, unlisted parties are no-ops. The
-       transcript is identical by the run_parties contract; the execution
-       path is the genuinely dense one. *)
-    let handlers = Array.make t.n None in
-    List.iter (fun (i, h) -> handlers.(i) <- Some h) parties;
-    run t ?adversary ?stop ~rounds handlers
-  | Sched.Sparse | Sched.Async _ ->
-    let parties = List.sort (fun (a, _) (b, _) -> compare a b) parties in
-    let stop = Option.value stop ~default:(fun ~round:_ -> false) in
-    let target = t.round + rounds in
-    let rec go () =
-      if t.round < target && not (stop ~round:t.round) then begin
-        step_parties t ?adversary parties;
-        go ()
-      end
+  while t.round < target && not (stop ~round:t.round) do
+    Repro_obs.Trace.span ~cat:"net" "net.round" @@ fun () ->
+    (* Active set: the protocol's spontaneous actors for this round plus
+       the parties with pending deliveries, once each, ascending. Actor
+       lists usually come ascending and cover most inboxes, so only the
+       few other inboxes (say, corrupt committee members') are sorted and
+       merged in. Every active party's handler is looked up before any
+       handler runs. *)
+    let actors_rev = ref [] and ascending = ref true in
+    let unmark () =
+      List.iter (fun i -> Bytes.set t.in_active i '\000') !actors_rev
     in
-    go ()
-
-let run_active t ?adversary ?stop ~rounds ~extra handler_of =
-  let stop = Option.value stop ~default:(fun ~round:_ -> false) in
-  let target = t.round + rounds in
-  match t.backend with
-  | Sched.Dense ->
-    (* Dense: consult every party's handler every round (the active-set
-       optimization off). [handler_of] must be re-consulted per round —
-       lazily materialized parties appear as state arrives. *)
-    let rec go () =
-      if t.round < target && not (stop ~round:t.round) then begin
-        step t ?adversary (Array.init t.n handler_of);
-        go ()
-      end
+    List.iter
+      (fun i ->
+        if i < 0 || i >= t.n then begin
+          unmark ();
+          invalid_arg "Network.run_active: party index"
+        end;
+        if Bytes.get t.in_active i = '\000' then begin
+          Bytes.set t.in_active i '\001';
+          (match !actors_rev with j :: _ when j > i -> ascending := false | _ -> ());
+          actors_rev := i :: !actors_rev
+        end)
+      (extra ~round:t.round);
+    let others = List.filter (fun i -> Bytes.get t.in_active i = '\000') t.dirty in
+    unmark ();
+    let actors =
+      if !ascending then List.rev !actors_rev
+      else List.sort Int.compare !actors_rev
     in
-    go ()
-  | Sched.Sparse | Sched.Async _ ->
-    let rec go () =
-      if t.round < target && not (stop ~round:t.round) then begin
-        Repro_obs.Trace.span ~cat:"net" "net.sparse_round" (fun () ->
-            (* Active set: parties with pending deliveries plus the protocol's
-               spontaneous actors for this round (e.g. initial broadcasters). *)
-            let active =
-              List.sort_uniq compare
-                (List.rev_append t.dirty (extra ~round:t.round))
-            in
-            Repro_obs.Counters.observe h_dirty (List.length t.dirty);
-            Repro_obs.Counters.observe h_active (List.length active);
-            let parties =
-              List.filter_map
-                (fun i ->
-                  if i < 0 || i >= t.n then
-                    invalid_arg "Network.run_active: party index";
-                  match handler_of i with Some h -> Some (i, h) | None -> None)
-                active
-            in
-            step_parties t ?adversary parties);
-        go ()
-      end
+    let active =
+      match others with
+      | [] -> actors
+      | _ -> List.merge Int.compare actors (List.sort Int.compare others)
     in
-    go ()
+    Repro_obs.Counters.observe h_dirty (List.length t.dirty);
+    Repro_obs.Counters.observe h_active (List.length active);
+    let parties =
+      List.filter_map
+        (fun i -> match handler_of i with Some h -> Some (i, h) | None -> None)
+        active
+    in
+    Metrics.note_round t.metrics;
+    let scheduled = ref 0 in
+    List.iter
+      (fun (i, handler) ->
+        if is_honest t i && party_up t i then begin
+          incr scheduled;
+          handler ~round:t.round ~inbox:t.inboxes.(i)
+        end)
+      parties;
+    Option.iter (fun a -> Repro_obs.Audit.note_scheduled a !scheduled) t.audit;
+    finish_round t adversary
+  done
 
 (* Drop undelivered messages and pending inboxes between protocol phases so
    a new sub-protocol starts from a clean slate while metrics accumulate. *)

@@ -1,10 +1,10 @@
 (** Point-to-point network with authenticated channels and a rushing,
-    static adversary, executed under a pluggable {!Sched.backend}.
-    Messages sent in round r arrive at the start of round r+1;
-    honest-to-honest traffic cannot be dropped. On the async backend the
-    within-round delivery *order* and the virtual clock additionally
-    follow the seeded per-edge latency model (see {!Sched}); with all
-    chaos knobs at zero every backend produces a byte-identical
+    static adversary, advanced round by round by {!run_active} under a
+    pluggable {!Sched.backend}. Messages sent in round r arrive at the
+    start of round r+1; honest-to-honest traffic cannot be dropped. On the
+    async backend the within-round delivery *order* and the virtual clock
+    additionally follow the seeded per-edge latency model (see {!Sched});
+    with all chaos knobs at zero both backends produce a byte-identical
     transcript. *)
 
 type t
@@ -23,19 +23,19 @@ type adversary = {
 val null_adversary : adversary
 
 val create : ?backend:Sched.backend -> n:int -> corrupt:int list -> unit -> t
-(** [backend] defaults to {!Sched.Sparse}, the active-set stepper every
-    caller got before backends were pluggable. *)
+(** [backend] defaults to {!Sched.Sparse}: lock-step delivery in send
+    order. *)
 
 val backend : t -> Sched.backend
 
 val virtual_time : t -> int
 (** The async executor's virtual clock (the round number on the lock-step
-    backends, where the two coincide). Sends are stamped with it in the
+    backend, where the two coincide). Sends are stamped with it in the
     flight recorder; the per-round delivery barrier advances it. *)
 
 val async_stats : t -> Sched.stats option
 (** Delivery statistics of the async executor ([None] on the lock-step
-    backends): latency maxima, pre-GST retransmissions, and the sampled
+    backend): latency maxima, pre-GST retransmissions, and the sampled
     (send, deliver) log the partial-synchrony checks run against. *)
 
 val set_condition : t -> Sched.condition -> unit
@@ -43,7 +43,7 @@ val set_condition : t -> Sched.condition -> unit
     corruption — see {!Sched.condition}): it routes every subsequent
     delivery, may hold parties dark, and may upgrade the corrupt set after
     observing honest traffic. Raises [Invalid_argument] on the lock-step
-    backends, which have no delivery heap to program. *)
+    backend, which has no delivery heap to program. *)
 
 val condition : t -> Sched.condition option
 
@@ -81,6 +81,10 @@ val recorder : t -> Repro_obs.Recorder.t option
 val round : t -> int
 val is_corrupt : t -> int -> bool
 val is_honest : t -> int -> bool
+val everyone : t -> int list
+(** [0; 1; ...; n - 1]: the [extra] of a protocol in which every party
+    acts every round. *)
+
 val honest_parties : t -> int list
 val corrupt_parties : t -> int list
 
@@ -101,30 +105,6 @@ val send_many : t -> src:int -> dsts:int list -> tag:string -> bytes -> unit
 val inbox : t -> int -> Wire.msg list
 (** Current-round inbox (used by the adversary to read corrupt mail). *)
 
-val step : t -> ?adversary:adversary -> handler option array -> unit
-(** Run one round: honest handlers, adversary, delivery. *)
-
-val run :
-  t ->
-  ?adversary:adversary ->
-  ?stop:(round:int -> bool) ->
-  rounds:int ->
-  handler option array ->
-  unit
-(** Run up to [rounds] further rounds, stopping early when [stop] fires. *)
-
-val run_parties :
-  t ->
-  ?adversary:adversary ->
-  ?stop:(round:int -> bool) ->
-  rounds:int ->
-  (int * handler) list ->
-  unit
-(** Like {!run}, but only the listed parties act each round, visited in
-    ascending party order (the same order {!run} visits a handler array).
-    Behaviourally identical to {!run} with [None] in the unlisted slots,
-    at O(listed) instead of O(n) per round. *)
-
 val run_active :
   t ->
   ?adversary:adversary ->
@@ -133,12 +113,24 @@ val run_active :
   extra:(round:int -> int list) ->
   (int -> handler option) ->
   unit
-(** Delivery-driven sparse rounds: each round the active set is the parties
-    holding a pending delivery plus [extra ~round] (the protocol's
-    spontaneous actors, e.g. the initial broadcaster). [handler_of i] is
-    consulted only for active parties. Behaviourally identical to {!run}
-    whenever every party outside the active set would be a no-op — true for
-    pure gossip/forwarding phases where action requires input. *)
+(** Run up to [rounds] further rounds, checking [stop ~round] before each
+    one and returning when it holds. A round goes as follows.
+    + The active set is the parties holding a delivery plus
+      [extra ~round] (the protocol's spontaneous actors), each once, in
+      ascending party order.
+    + The last argument, [handler_of], is applied to every active party
+      before any handler runs; [None] means the party does not act.
+    + Every active party with a handler that is honest and up (see
+      {!party_up}) runs it on its current inbox, in ascending order.
+    + The adversary acts, having seen the honest sends of this round
+      (rushing), then every staged message is delivered for the next
+      round.
+
+    A party outside the active set has an empty inbox and does not act in
+    that round, so a round costs O(active parties), not O(n). A protocol
+    in which every party acts every round passes [everyone]; one whose
+    parties act only on input passes just the parties it wakes. Raises
+    [Invalid_argument] if [extra] names a party outside [0 .. n - 1]. *)
 
 val flush : t -> unit
 (** Drop all in-flight messages (between composed protocol phases). *)

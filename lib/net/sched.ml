@@ -1,14 +1,10 @@
 (* Scheduler backends for the simulated network.
 
-   The network executes protocols under one of three interchangeable
-   scheduling disciplines:
+   The network's one stepper ([Network.run_active]) delivers each
+   round's sends under one of two interchangeable disciplines:
 
-   - [Dense]: the original lock-step stepper — every party's handler slot
-     is visited every round, messages sent in round r are delivered at the
+   - [Sparse]: lock-step — messages sent in round r are delivered at the
      start of round r+1 in send order.
-   - [Sparse]: the active-set stepper — only parties holding a pending
-     delivery (plus the protocol's spontaneous actors) are visited, with a
-     transcript byte-identical to [Dense].
    - [Async cfg]: a deterministic asynchronous executor — every send is an
      event on a queue keyed by (virtual delivery time, send sequence),
      with per-edge latency/jitter/loss drawn from seeded SplitMix streams
@@ -37,7 +33,7 @@
    latency statistics the partial-synchrony checks run against. With all
    knobs zero the latency is exactly 1 with no stream draws, delivery
    order degenerates to send order, and the transcript is byte-identical
-   to the lock-step backends — pinned by the golden conformance suite. *)
+   to the lock-step backend — pinned by the golden conformance suite. *)
 
 module Rng = Repro_util.Rng
 
@@ -52,15 +48,13 @@ type async_cfg = {
 let default_async =
   { a_seed = 0; a_delta = 0; a_jitter = 0; a_loss = 0.0; a_gst = 0 }
 
-type backend = Dense | Sparse | Async of async_cfg
+type backend = Sparse | Async of async_cfg
 
 let backend_name = function
-  | Dense -> "dense"
   | Sparse -> "sparse"
   | Async _ -> "async"
 
 let backend_of_string ?(async = default_async) = function
-  | "dense" -> Some Dense
   | "sparse" -> Some Sparse
   | "async" -> Some (Async async)
   | _ -> None

@@ -1,10 +1,10 @@
-(** Scheduler backends for the simulated network: the lock-step dense and
-    sparse active-set steppers, plus a deterministic asynchronous executor
+(** Scheduler backends for the simulated network: lock-step delivery in
+    send order, plus a deterministic asynchronous executor
     with per-edge latency/jitter/loss streams and a GST knob for partial
     synchrony.
 
     Backend choice changes {e how} a protocol executes, never {e what} it
-    may observe beyond the model: with all async knobs at zero the three
+    may observe beyond the model: with all async knobs at zero the two
     backends produce byte-identical transcripts (pinned by the golden
     conformance suite), and with chaos knobs on the async executor stays a
     deterministic function of (protocol, n, seed, cfg) on any domain-pool
@@ -31,16 +31,16 @@ type async_cfg = {
 val default_async : async_cfg
 (** All knobs zero: exact synchrony (latency 1, no stream draws). *)
 
-type backend = Dense | Sparse | Async of async_cfg
+type backend = Sparse | Async of async_cfg
 
 val backend_name : backend -> string
 val backend_of_string : ?async:async_cfg -> string -> backend option
-(** ["dense"], ["sparse"], or ["async"] (with [async] as its config). *)
+(** ["sparse"] or ["async"] (with [async] as its config). *)
 
 val pure_sync : async_cfg -> bool
 (** Whether this config is exact synchrony — every latency is 1, no
     stream is drawn, and the async transcript must be byte-identical to
-    the lock-step backends. *)
+    the lock-step backend. *)
 
 (** Deterministic event queue keyed by (delivery time, send sequence):
     pops come out in delivery order, ties broken by send order.

@@ -26,7 +26,7 @@ type send_ev = {
   s_bits : int;  (** 8 * wire size: the bits the meter/auditor charged *)
   s_vt : int option;
       (** virtual staging time, stamped by async-backend networks; absent
-          on the lock-step backends (their clock is the round number) *)
+          on the lock-step backend (its clock is the round number) *)
   s_payload : string option;  (** raw payload, kept only with [keep_payloads] *)
 }
 

@@ -36,7 +36,9 @@ let transcript ?(n = 8) ?(corrupt = [ 0; 1 ]) ?(rounds = 3) ~adversary
     Array.init n (fun p ->
         if Network.is_corrupt net p then None else Some (handler p))
   in
-  Network.run net ~adversary ~rounds handlers;
+  Network.run_active net ~adversary ~rounds
+    ~extra:(fun ~round:_ -> Network.everyone net)
+    (Array.get handlers);
   List.rev !log
 
 (* Party 2 gossips a vote to every other honest party each round. *)

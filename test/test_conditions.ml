@@ -140,7 +140,9 @@ let qcheck_churn_lossless =
                 (Bytes.of_string (Printf.sprintf "%d.%d" round i))
           done
       in
-      Network.run net ~rounds (Array.init n (fun i -> Some (handler i)));
+      Network.run_active net ~rounds
+        ~extra:(fun ~round:_ -> Network.everyone net)
+        (fun i -> Some (handler i));
       let churned =
         List.filter
           (fun p -> List.exists (fun r -> down ~round:r p) (List.init rounds Fun.id))

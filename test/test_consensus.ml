@@ -587,259 +587,6 @@ let prop_committee_inbox_robust =
     ~rounds:Committee.rounds ~send:Committee.m_send ~recv:Committee.m_recv
     ~output:Committee.output
 
-(* --- gradecast --- *)
-
-let run_gradecast ~n ~corrupt ~sender ~input ~adversary =
-  let members = members_of n in
-  let states =
-    Array.init n (fun me -> Gradecast.create ~members ~me ~sender ~input)
-  in
-  let _ =
-    run_committee ~n ~corrupt ~rounds:Gradecast.rounds ~adversary
-      ~make:(fun _ p -> Gradecast.machine states.(p))
-  in
-  (states, members)
-
-let test_gradecast_honest_sender () =
-  let v = Bytes.of_string "graded-value" in
-  let states, members = run_gradecast ~n:7 ~corrupt:[] ~sender:2 ~input:v ~adversary:None in
-  List.iter
-    (fun p ->
-      match Gradecast.output states.(p) with
-      | Some (Some out, Gradecast.G2) -> Alcotest.(check bytes) "value" v out
-      | Some (_, g) ->
-        Alcotest.fail (Printf.sprintf "party %d grade %d" p (Gradecast.grade_to_int g))
-      | None -> Alcotest.fail "no output")
-    members
-
-let test_gradecast_silent_sender () =
-  let states, members =
-    run_gradecast ~n:7 ~corrupt:[ 0 ] ~sender:0 ~input:Bytes.empty ~adversary:None
-  in
-  List.iter
-    (fun p ->
-      if p <> 0 then
-        match Gradecast.output states.(p) with
-        | Some (None, Gradecast.G0) -> ()
-        | Some (_, g) ->
-          Alcotest.fail (Printf.sprintf "expected grade 0, got %d" (Gradecast.grade_to_int g))
-        | None -> Alcotest.fail "no output")
-    members
-
-let test_gradecast_grade_gap_at_most_one () =
-  (* equivocating corrupt sender: grades of honest members may split but by
-     at most one level, and any graded values agree *)
-  let n = 10 in
-  let members = members_of n in
-  let corrupt = [ 0; 7; 9 ] in
-  let states =
-    Array.init n (fun me -> Gradecast.create ~members ~me ~sender:0 ~input:Bytes.empty)
-  in
-  let adversary =
-    {
-      Network.adv_name = "equivocating sender";
-      adv_step =
-        (fun net ~round ~honest_staged:_ ->
-          if round = 0 then
-            (* sender 0 sends a to half, b to half; accomplices echo along *)
-            List.iteri
-              (fun i p ->
-                if p <> 0 then
-                  let v = if i mod 2 = 0 then "aaa" else "bbb" in
-                  Network.send net ~src:0 ~dst:p ~tag:"test/i"
-                    (Repro_util.Encode.to_bytes (fun b ->
-                         Repro_util.Encode.option b Repro_util.Encode.bytes
-                           (Some (Bytes.of_string v)))))
-              members);
-    }
-  in
-  let _ =
-    run_committee ~n ~corrupt ~rounds:Gradecast.rounds ~adversary:(Some adversary)
-      ~make:(fun _ p -> Gradecast.machine states.(p))
-  in
-  let outs =
-    List.filter_map
-      (fun p -> if List.mem p corrupt then None else Gradecast.output states.(p))
-      members
-  in
-  let grades = List.map (fun (_, g) -> Gradecast.grade_to_int g) outs in
-  let gmax = List.fold_left max 0 grades and gmin = List.fold_left min 2 grades in
-  Alcotest.(check bool)
-    (Printf.sprintf "grade gap <= 1 (%d..%d)" gmin gmax)
-    true
-    (gmax - gmin <= 1);
-  let graded_values =
-    List.filter_map (fun (v, g) -> if g <> Gradecast.G0 then v else None) outs
-  in
-  match graded_values with
-  | [] -> ()
-  | v :: rest ->
-    List.iter (fun v' -> Alcotest.(check bytes) "graded values agree" v v') rest
-
-(* --- Bracha reliable broadcast --- *)
-
-let run_rb ~n ~corrupt ~sender ~input ~adversary =
-  let members = members_of n in
-  let states =
-    Array.init n (fun me -> Reliable_broadcast.create ~members ~me ~sender ~input)
-  in
-  let _ =
-    run_committee ~n ~corrupt ~rounds:Reliable_broadcast.rounds ~adversary
-      ~make:(fun _ p -> Reliable_broadcast.machine states.(p))
-  in
-  states
-
-let test_rb_honest_sender () =
-  let v = Bytes.of_string "rb-value" in
-  let states = run_rb ~n:7 ~corrupt:[] ~sender:3 ~input:v ~adversary:None in
-  Array.iteri
-    (fun p st ->
-      match Reliable_broadcast.output st with
-      | Some out -> Alcotest.(check bytes) (Printf.sprintf "member %d" p) v out
-      | None -> Alcotest.fail "not delivered")
-    states
-
-let test_rb_silent_sender_no_delivery () =
-  let states =
-    run_rb ~n:7 ~corrupt:[ 0 ] ~sender:0 ~input:Bytes.empty ~adversary:None
-  in
-  List.iter
-    (fun p ->
-      if p <> 0 then
-        Alcotest.(check bool) "nothing delivered" true
-          (Reliable_broadcast.output states.(p) = None))
-    (members_of 7)
-
-let test_rb_totality_under_equivocation () =
-  (* equivocating corrupt sender: either nobody delivers, or all honest
-     deliver the same value *)
-  let n = 10 in
-  let corrupt = [ 0; 5; 9 ] in
-  let members = members_of n in
-  let states =
-    Array.init n (fun me ->
-        Reliable_broadcast.create ~members ~me ~sender:0 ~input:Bytes.empty)
-  in
-  let adversary =
-    {
-      Network.adv_name = "equivocating rb sender";
-      adv_step =
-        (fun net ~round ~honest_staged:_ ->
-          if round = 0 then
-            List.iteri
-              (fun i p ->
-                if p <> 0 then
-                  let v = if i mod 2 = 0 then "vA" else "vB" in
-                  let payload =
-                    Repro_util.Encode.to_bytes (fun b ->
-                        Repro_util.Encode.u8 b 0;
-                        Repro_util.Encode.bytes b (Bytes.of_string v))
-                  in
-                  Network.send net ~src:0 ~dst:p ~tag:"test/i" payload)
-              members);
-    }
-  in
-  let _ =
-    run_committee ~n ~corrupt ~rounds:Reliable_broadcast.rounds
-      ~adversary:(Some adversary)
-      ~make:(fun _ p -> Reliable_broadcast.machine states.(p))
-  in
-  let delivered =
-    List.filter_map
-      (fun p -> if List.mem p corrupt then None else Reliable_broadcast.output states.(p))
-      members
-  in
-  match delivered with
-  | [] -> () (* nobody delivered: allowed *)
-  | v :: rest ->
-    List.iter (fun v' -> Alcotest.(check bytes) "agreement on delivery" v v') rest
-
-(* --- MPC XOR aggregation (f_aggr-sig with secret randomness) --- *)
-
-let run_mpc ~n ~corrupt ~width ~inputs ~adversary ~seed =
-  let members = members_of n in
-  let rng = Repro_util.Rng.create seed in
-  let states =
-    Array.init n (fun me ->
-        Mpc_xor.create ~members ~me ~input:(inputs me) ~width
-          ~rng:(Repro_util.Rng.of_label rng (string_of_int me)))
-  in
-  let _ =
-    run_committee ~n ~corrupt ~rounds:Mpc_xor.rounds ~adversary
-      ~make:(fun _ p -> Mpc_xor.machine states.(p))
-  in
-  states
-
-let xor_all ~width values =
-  let acc = Bytes.make width '\000' in
-  List.iter
-    (fun v ->
-      for i = 0 to width - 1 do
-        Bytes.set acc i (Char.chr (Char.code (Bytes.get acc i) lxor Char.code (Bytes.get v i)))
-      done)
-    values;
-  acc
-
-let test_mpc_xor_correctness () =
-  let n = 7 and width = 16 in
-  let inputs p = Repro_util.Rng.bytes (Repro_util.Rng.create (p + 900)) width in
-  let states = run_mpc ~n ~corrupt:[] ~width ~inputs ~adversary:None ~seed:30 in
-  let expected = xor_all ~width (List.init n inputs) in
-  Array.iteri
-    (fun p st ->
-      match Mpc_xor.output st with
-      | Some out -> Alcotest.(check bytes) (Printf.sprintf "member %d output" p) expected out
-      | None -> Alcotest.fail "unexpected abort")
-    states
-
-let test_mpc_xor_abort_on_withholding () =
-  (* a corrupt member receives shares but never reveals its partial sum:
-     everyone must abort (None), never output a wrong value *)
-  let n = 7 and width = 16 in
-  let inputs p = Repro_util.Rng.bytes (Repro_util.Rng.create (p + 950)) width in
-  (* corrupt member participates in round 0 via the adversary, then silence *)
-  let adversary =
-    {
-      Network.adv_name = "deal-then-withhold";
-      adv_step =
-        (fun net ~round ~honest_staged:_ ->
-          if round = 0 then
-            (* member 6 deals zero-shares like an honest member would *)
-            List.iter
-              (fun dst ->
-                if dst <> 6 then
-                  Network.send net ~src:6 ~dst ~tag:"test/i" (Bytes.make width '\000'))
-              (members_of n));
-    }
-  in
-  let states =
-    run_mpc ~n ~corrupt:[ 6 ] ~width ~inputs ~adversary:(Some adversary) ~seed:31
-  in
-  List.iter
-    (fun p ->
-      if p <> 6 then
-        Alcotest.(check bool)
-          (Printf.sprintf "member %d aborts" p)
-          true
-          (Mpc_xor.output states.(p) = None))
-    (members_of n)
-
-let test_mpc_xor_share_privacy_shape () =
-  (* a single share reveals nothing: it differs from the input and is
-     freshly random across sessions *)
-  let width = 16 in
-  let input = Bytes.of_string "secret-aggregate" in
-  let mk seed =
-    Mpc_xor.create ~members:[ 0; 1; 2; 3 ] ~me:0 ~input ~width
-      ~rng:(Repro_util.Rng.create seed)
-  in
-  let shares_of st = Mpc_xor.m_send st ~round:0 |> List.map snd in
-  let s1 = shares_of (mk 1) and s2 = shares_of (mk 2) in
-  Alcotest.(check bool) "shares fresh per session" true (s1 <> s2);
-  List.iter
-    (fun sh -> Alcotest.(check bool) "share <> input" false (Bytes.equal sh input))
-    s1
-
 (* --- Dolev-Strong --- *)
 
 let make_ds_pki n =
@@ -955,15 +702,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_pk_inbox_robust;
     QCheck_alcotest.to_alcotest prop_multi_inbox_robust;
     QCheck_alcotest.to_alcotest prop_committee_inbox_robust;
-    Alcotest.test_case "rb honest sender" `Quick test_rb_honest_sender;
-    Alcotest.test_case "rb silent sender" `Quick test_rb_silent_sender_no_delivery;
-    Alcotest.test_case "rb equivocation" `Quick test_rb_totality_under_equivocation;
-    Alcotest.test_case "mpc-xor correctness" `Quick test_mpc_xor_correctness;
-    Alcotest.test_case "mpc-xor abort" `Quick test_mpc_xor_abort_on_withholding;
-    Alcotest.test_case "mpc-xor privacy shape" `Quick test_mpc_xor_share_privacy_shape;
-    Alcotest.test_case "gradecast honest" `Quick test_gradecast_honest_sender;
-    Alcotest.test_case "gradecast silent" `Quick test_gradecast_silent_sender;
-    Alcotest.test_case "gradecast gap" `Quick test_gradecast_grade_gap_at_most_one;
     Alcotest.test_case "dolev-strong honest" `Quick test_ds_honest_sender;
     Alcotest.test_case "dolev-strong silent sender" `Quick test_ds_silent_sender_default;
     Alcotest.test_case "dolev-strong forgery" `Quick test_ds_forged_chain_rejected;

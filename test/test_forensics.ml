@@ -5,8 +5,8 @@
    design: the network's send choke point feeds the tap, the metrics, the
    auditor and the recorder from the same call site, so the recorder must
    observe every send in exact send order and its per-round bit totals must
-   equal the auditor's [tr_sent_bits] — on both the dense handler-array
-   stepper and the delivery-driven sparse one. *)
+   equal the auditor's [tr_sent_bits] — on the lock-step backend and on
+   the async executor. *)
 
 open Repro_core
 module Rng = Repro_util.Rng
@@ -80,10 +80,10 @@ let expected_sends script =
   !out
 
 (* Drive the script through a fresh network with an auditor and a recorder
-   both attached; [sparse] picks the delivery-driven stepper, [backend]
-   overrides it (the async executor), and [condition] programs the async
-   delivery heap — dark parties skip their scripted sends. *)
-let drive ?backend ?condition ~sparse script =
+   both attached, every party acting every round; [backend] picks the
+   executor and [condition] programs the async delivery heap — dark
+   parties skip their scripted sends. *)
+let drive ?backend ?condition script =
   let net = Network.create ?backend ~n:script.sc_n ~corrupt:[] () in
   Option.iter (Network.set_condition net) condition;
   let audit =
@@ -101,19 +101,16 @@ let drive ?backend ?condition ~sparse script =
             (payload_of ~src ~dst ~len))
       script.sc_sends
   in
-  if sparse then
-    Network.run_active net ~rounds:script.sc_rounds
-      ~extra:(fun ~round:_ -> List.init script.sc_n Fun.id)
-      (fun i -> Some (handler i))
-  else
-    Network.run net ~rounds:script.sc_rounds
-      (Array.init script.sc_n (fun i -> Some (handler i)));
+  let everyone = Network.everyone net in
+  Network.run_active net ~rounds:script.sc_rounds
+    ~extra:(fun ~round:_ -> everyone)
+    (fun i -> Some (handler i));
   Audit.finalize audit;
   (r, audit)
 
 let check_conservation ?backend ?condition ?(down = fun ~round:_ _ -> false)
-    ~sparse script =
-  let r, audit = drive ?backend ?condition ~sparse script in
+    script =
+  let r, audit = drive ?backend ?condition script in
   (* A dark party's handler is skipped, so its scripted sends for that
      round never happen — the expectation filters them out; everything
      else must be charged exactly once, retransmit holds and deferred
@@ -167,17 +164,10 @@ let check_conservation ?backend ?condition ?(down = fun ~round:_ _ -> false)
     observed;
   true
 
-let prop_conservation_dense =
-  QCheck.Test.make ~count:80
-    ~name:"recorder: exact send order + per-round bits = audit (dense)"
-    arb_script
-    (check_conservation ~sparse:false)
-
 let prop_conservation_sparse =
   QCheck.Test.make ~count:80
     ~name:"recorder: exact send order + per-round bits = audit (sparse)"
-    arb_script
-    (check_conservation ~sparse:true)
+    arb_script check_conservation
 
 (* The same conservation law on the async executor: pre-GST loss puts
    messages on the retransmit path, yet the recorder and auditor charge
@@ -194,7 +184,7 @@ let prop_conservation_async_lossy =
     (fun script ->
       check_conservation
         ~backend:(Sched.Async (lossy ~seed:(script.sc_n + 31)))
-        ~sparse:false script)
+        script)
 
 (* ... and under a condition that both defers deliveries across rounds
    (condition-induced retransmissions) and holds parties dark (their
@@ -220,7 +210,7 @@ let prop_conservation_async_churn =
     (fun script ->
       check_conservation
         ~backend:(Sched.Async (lossy ~seed:(script.sc_n + 7)))
-        ~condition:churn_condition ~down:churn_down ~sparse:false script)
+        ~condition:churn_condition ~down:churn_down script)
 
 (* ------------------------------------------------------------------ *)
 (* Replay round-trip                                                   *)
@@ -375,7 +365,6 @@ let test_log_rerun_identical () =
 
 let suite =
   [
-    QCheck_alcotest.to_alcotest prop_conservation_dense;
     QCheck_alcotest.to_alcotest prop_conservation_sparse;
     QCheck_alcotest.to_alcotest prop_conservation_async_lossy;
     QCheck_alcotest.to_alcotest prop_conservation_async_churn;

@@ -4,11 +4,13 @@
    SRDS scheme and the complete message trace — every send of every network
    round, in send order, including tags and payload bytes — is hashed
    through the per-instance transcript tap ({!Repro_core.Runner.run_digest}).
-   The digests below were recorded from the dense (pre-sparse-engine)
-   execution path; every scheduler backend — the sparse active-set engine
-   and the async executor at zero chaos knobs alike — must reproduce them
-   byte-for-byte. Any drift in scheduling order, message content, RNG
-   consumption, or round structure changes the digest.
+   The n = 40 digests were recorded on an earlier stepper that visited
+   every party's handler every round, and the n = 64/256 ones on that
+   stepper, the active-set one and the async executor alike; every
+   scheduler backend — lock-step delivery and the async executor at zero
+   chaos knobs — must reproduce them byte-for-byte. Any drift in
+   scheduling order, message content, RNG consumption, or round structure
+   changes the digest.
 
    If a deliberate protocol change invalidates a digest, re-record it by
    running the test and copying the printed actual value — and say so in the
@@ -21,7 +23,7 @@ let cell_n = 40
 let cell_beta = 0.1
 let cell_seed = 1
 
-(* Recorded on the dense mailbox-scan engine; every backend must match. *)
+(* Recorded on the every-party stepper; every backend must match. *)
 let golden_owf = "03628b1b31b70ef318c4f2e35603afb09c5827bb1cbcf64753ee0a6d68267ce5"
 let golden_snark = "f8b5b2b4349d0844c7c8aa2b4f03542a09724d3018f658e8d92dc9db92f2b670"
 
@@ -42,7 +44,7 @@ let check_digest name protocol golden () =
       if actual <> golden then
         Alcotest.failf
           "%s transcript digest on the %s backend drifted from the \
-           dense-path recording\n\
+           pinned recording\n\
           \  pinned:  %s\n\
           \  actual:  %s\n\
            (message order, content, or RNG consumption changed)"
@@ -58,12 +60,25 @@ let test_rerun_stable () =
   let b = transcript_digest ~protocol:Runner.This_work_owf () in
   Alcotest.(check string) "same in-process rerun digest" a b
 
-(* Cross-backend conformance rows: at larger n the three backends exercise
-   genuinely different execution machinery (dense mailbox scan, sparse
-   active sets, the event-queue executor), yet the digest — and the full
-   measured row behind it — must stay a function of (protocol, n, beta,
-   seed) only. Equality is asserted across backends rather than against a
-   pinned hex so the rows stay robust to deliberate protocol changes. *)
+(* Cross-backend conformance rows at larger n: the lock-step and
+   event-queue executors must agree on the digest and on the full measured
+   row behind it, and the digest must equal the pin. These values were
+   identical on three executors when recorded (the every-party stepper,
+   the active-set one and the async one at zero knobs), so the pins keep
+   the every-party stepper's reference role now that only the active-set
+   stepper remains. *)
+let golden_conform =
+  [
+    ((Runner.This_work_owf, 64),
+     "dc86589be5e83e47e59acef0c03cf5b25b9404d302148b648938a64d57ece7d3");
+    ((Runner.This_work_snark, 64),
+     "c4ca00e8c6564e3b20898154fa78cda35ae3d2d469892e126a3a01cc8b5b4a02");
+    ((Runner.This_work_owf, 256),
+     "b1519f461b831e9397d192158461098b9f6c3123db68f7be7e7517fcb6123702");
+    ((Runner.This_work_snark, 256),
+     "c31d45c474f57b9485abf12ea965b320e36c69fd3240b1c77c4bebde3e8d2342");
+  ]
+
 let check_conform protocol n () =
   let c =
     Runner.conformance_cell ~protocol ~n ~beta:cell_beta ~seed:cell_seed
@@ -76,7 +91,14 @@ let check_conform protocol n () =
       (String.concat "\n"
          (List.map
             (fun (b, d) -> Printf.sprintf "  %-6s %s" b d)
-            c.Runner.cf_digests))
+            c.Runner.cf_digests));
+  let golden = List.assoc (protocol, n) golden_conform in
+  List.iter
+    (fun (b, d) ->
+      Alcotest.(check string)
+        (Printf.sprintf "%s n=%d digest pinned (%s)" c.Runner.cf_protocol n b)
+        golden d)
+    c.Runner.cf_digests
 
 let suite =
   [

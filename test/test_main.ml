@@ -7,6 +7,7 @@ let () =
       ("snark", Test_snark.suite);
       ("net", Test_net.suite);
       ("sched", Test_sched.suite);
+      ("stepper", Test_stepper.suite);
       ("conditions", Test_conditions.suite);
       ("golden", Test_golden.suite);
       ("obs", Test_obs.suite);

@@ -14,7 +14,9 @@ let test_delivery_next_round () =
     if round = 0 && p = 0 then
       Network.send net ~src:0 ~dst:1 ~tag:"t" (Bytes.of_string "hi")
   in
-  Network.run net ~rounds:3 (Array.init 3 (fun p -> Some (handler p)));
+  Network.run_active net ~rounds:3
+    ~extra:(fun ~round:_ -> Network.everyone net)
+    (fun p -> Some (handler p));
   Alcotest.(check (list (triple int int string))) "delivered round 1"
     [ (1, 0, "hi") ] got.(1);
   Alcotest.(check (list (triple int int string))) "nothing to 2" [] got.(2)
@@ -28,7 +30,9 @@ let test_metrics_accounting () =
       Network.send net ~src:0 ~dst:2 ~tag:"x" (Bytes.make 20 'a')
     end
   in
-  Network.run net ~rounds:2 (Array.init 4 (fun p -> Some (handler p)));
+  Network.run_active net ~rounds:2
+    ~extra:(fun ~round:_ -> Network.everyone net)
+    (fun p -> Some (handler p));
   let m = Network.metrics net in
   (* size = tag(1) + payload + 4 *)
   Alcotest.(check int) "sender bytes" (15 + 25) (Metrics.party_bytes_sent m 0);
@@ -43,7 +47,9 @@ let test_report_excludes_corrupt () =
     ignore inbox;
     if round = 0 && p = 0 then Network.send net ~src:0 ~dst:1 ~tag:"t" (Bytes.make 5 'x')
   in
-  Network.run net ~rounds:2 (Array.init 3 (fun p -> if p = 2 then None else Some (handler p)));
+  Network.run_active net ~rounds:2
+    ~extra:(fun ~round:_ -> Network.everyone net)
+    (fun p -> if p = 2 then None else Some (handler p));
   let r = Metrics.report ~include_party:(Network.is_honest net) (Network.metrics net) in
   Alcotest.(check int) "max bytes" 10 r.Metrics.max_bytes
 
@@ -72,8 +78,9 @@ let test_rushing_adversary_sees_staged () =
       inbox;
     if round = 0 && p = 0 then Network.send net ~src:0 ~dst:1 ~tag:"t" (Bytes.of_string "secret")
   in
-  Network.run net ~adversary ~rounds:2
-    (Array.init 3 (fun p -> if p = 2 then None else Some (handler p)));
+  Network.run_active net ~adversary ~rounds:2
+    ~extra:(fun ~round:_ -> Network.everyone net)
+    (fun p -> if p = 2 then None else Some (handler p));
   Alcotest.(check (list string)) "adversary saw" [ "secret" ] !seen;
   (* both original and echo arrive in round 1 *)
   Alcotest.(check int) "both delivered" 2 (List.length !got)
@@ -103,8 +110,9 @@ let test_adversary_cannot_impersonate () =
       got :=
         !got @ List.map (fun (m : Wire.msg) -> (m.src, Bytes.to_string m.payload)) inbox
   in
-  Network.run net ~adversary ~rounds:2
-    (Array.init 4 (fun p -> if p = 3 then None else Some (handler p)));
+  Network.run_active net ~adversary ~rounds:2
+    ~extra:(fun ~round:_ -> Network.everyone net)
+    (fun p -> if p = 3 then None else Some (handler p));
   (* the impersonation was rejected, the corrupt-src send delivered *)
   Alcotest.(check (list (pair int string))) "only corrupt mail" [ (3, "y") ] !got;
   (* outside the adversary's turn honest sends still work (next round) *)
@@ -113,8 +121,9 @@ let test_adversary_cannot_impersonate () =
     if p = 0 && round = 2 then
       Network.send net ~src:0 ~dst:1 ~tag:"t" (Bytes.of_string "later")
   in
-  Network.run net ~adversary ~rounds:1
-    (Array.init 4 (fun p -> if p = 3 then None else Some (handler2 p)))
+  Network.run_active net ~adversary ~rounds:1
+    ~extra:(fun ~round:_ -> Network.everyone net)
+    (fun p -> if p = 3 then None else Some (handler2 p))
 
 let test_flush_drops_in_flight () =
   let net = Network.create ~n:2 ~corrupt:[] () in
@@ -124,9 +133,13 @@ let test_flush_drops_in_flight () =
     if round = 0 && p = 0 then Network.send net ~src:0 ~dst:1 ~tag:"t" Bytes.empty
   in
   (* run only the sending round, then flush before delivery is consumed *)
-  Network.run net ~rounds:1 (Array.init 2 (fun p -> Some (handler p)));
+  Network.run_active net ~rounds:1
+    ~extra:(fun ~round:_ -> Network.everyone net)
+    (fun p -> Some (handler p));
   Network.flush net;
-  Network.run net ~rounds:1 (Array.init 2 (fun p -> Some (handler p)));
+  Network.run_active net ~rounds:1
+    ~extra:(fun ~round:_ -> Network.everyone net)
+    (fun p -> Some (handler p));
   Alcotest.(check int) "nothing received" 0 !received
 
 (* --- Engine: a 2-round ping/pong across two instances --- *)
@@ -355,7 +368,9 @@ let test_tag_breakdown_accumulates () =
       Network.send net ~src:0 ~dst:1 ~tag:"sig-ba" (Bytes.make 5 'a')
     end
   in
-  Network.run net ~rounds:2 (Array.init 2 (fun p -> Some (handler p)));
+  Network.run_active net ~rounds:2
+    ~extra:(fun ~round:_ -> Network.everyone net)
+    (fun p -> Some (handler p));
   let bd = Metrics.tag_breakdown (Network.metrics net) in
   (match List.assoc_opt "aggr-ba" bd with
   | Some b -> Alcotest.(check bool) "aggr grouped" true (b > 30)
@@ -377,7 +392,9 @@ let test_report_empty_selection () =
     if round = 0 && p = 0 then
       Network.send net ~src:0 ~dst:1 ~tag:"t" (Bytes.make 5 'x')
   in
-  Network.run net ~rounds:2 (Array.init 3 (fun p -> Some (handler p)));
+  Network.run_active net ~rounds:2
+    ~extra:(fun ~round:_ -> Network.everyone net)
+    (fun p -> Some (handler p));
   let r = Metrics.report ~include_party:(fun _ -> false) (Network.metrics net) in
   Alcotest.(check int) "max bytes zero" 0 r.Metrics.max_bytes;
   Alcotest.(check (float 0.)) "mean zero, not NaN" 0. r.Metrics.mean_bytes;
@@ -388,7 +405,9 @@ let test_report_empty_selection () =
 let test_report_json_keys_stable () =
   (* External tooling keys off these field names; lock them down. *)
   let net = Network.create ~n:2 ~corrupt:[] () in
-  Network.run net ~rounds:1 (Array.init 2 (fun _ -> Some (fun ~round:_ ~inbox:_ -> ())));
+  Network.run_active net ~rounds:1
+    ~extra:(fun ~round:_ -> Network.everyone net)
+    (fun _ -> Some (fun ~round:_ ~inbox:_ -> ()));
   let json = Metrics.report_to_json (Metrics.report (Network.metrics net)) in
   List.iter
     (fun key ->
@@ -421,7 +440,9 @@ let test_msgs_recv_counted () =
       Network.send net ~src:0 ~dst:1 ~tag:"t" Bytes.empty
     end
   in
-  Network.run net ~rounds:2 (Array.init 2 (fun p -> Some (handler p)));
+  Network.run_active net ~rounds:2
+    ~extra:(fun ~round:_ -> Network.everyone net)
+    (fun p -> Some (handler p));
   let m = Network.metrics net in
   Alcotest.(check int) "receiver msg count" 2 (Metrics.party_msgs_recv m 1);
   Alcotest.(check int) "sender received none" 0 (Metrics.party_msgs_recv m 0)

@@ -639,15 +639,20 @@ let test_profile_report_json () =
    work, are untouched. Counters and histograms are compared where nonzero
    (other tests register zero-valued ones in this process); the span tree,
    identical for both cells, by digest — only the [srds.aggregate] span
-   counts under [F: level k] moved with the re-pin. *)
+   counts under [F: level k] moved with the re-pin. The [net.active_set]
+   and [net.dirty_depth] histograms and the span digest were re-pinned
+   again when every caller moved onto the one active-set stepper: the
+   histograms are now observed on every network round (owf
+   [net.active_set] count 10 -> 131, sum 398 -> 4289), and each round is
+   one [net.round] span, no longer nested under [net.sparse_round]. *)
 let pinned_sync_histograms msg_bytes =
   [ ("engine.inbox_depth", [ 2835; 54187; 485; 314; 17; 362; 1001; 656 ]);
-    ("net.active_set", [ 10; 398; 0; 0; 0; 0; 6; 0; 4 ]);
-    ("net.dirty_depth", [ 10; 364; 2; 0; 0; 0; 4; 0; 4 ]);
+    ("net.active_set", [ 131; 4289; 0; 0; 0; 0; 95; 4; 32 ]);
+    ("net.dirty_depth", [ 131; 3641; 13; 1; 0; 1; 88; 4; 24 ]);
     ("net.msg_bytes", msg_bytes) ]
 
 let pinned_spans_digest =
-  "6887cf70163fee5b0e989666a1c605ca3bceb09402adaa7a3896365a07ef4c38"
+  "8a614ff7e9bbbdd7345b263c53fa29da4e1d4b51ebf0efdf3f0930c767f031db"
 
 let pinned_cells =
   [

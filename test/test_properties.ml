@@ -8,8 +8,7 @@
 
      - phase-king: agreement always; validity under unanimous inputs;
      - multivalued BA: agreement; output is an honest input or None;
-     - committee agreement: the adopted payload is some honest candidate;
-     - gradecast: grade gap <= 1, graded values agree.
+     - committee agreement: the adopted payload is some honest candidate.
 
    This complements the network-level tests with much broader adversarial
    coverage per CPU second. *)
@@ -138,42 +137,6 @@ let prop_committee_agree =
       in
       agreed && honest_payload)
 
-let prop_gradecast_grades =
-  QCheck.Test.make ~name:"gradecast: gap <= 1, graded values agree" ~count:120 arb_config
-    (fun (m, t, seed) ->
-      let rng = Rng.create seed in
-      let corrupt = corrupt_of rng ~m ~t in
-      let members = List.init m (fun i -> i) in
-      let sender = Rng.int rng m in
-      let v = Bytes.of_string "gv" in
-      let states =
-        Array.init m (fun me -> Gradecast.create ~members ~me ~sender ~input:v)
-      in
-      drive ~rng ~m ~corrupt ~rounds:Gradecast.rounds
-        ~send:(fun p ~round -> Gradecast.m_send states.(p) ~round)
-        ~recv:(fun p ~round msgs -> Gradecast.m_recv states.(p) ~round msgs);
-      let honest = List.filter (fun p -> not (List.mem p corrupt)) members in
-      let outs = List.filter_map (fun p -> Gradecast.output states.(p)) honest in
-      if List.length outs <> List.length honest then false
-      else begin
-        let grades = List.map (fun (_, g) -> Gradecast.grade_to_int g) outs in
-        let gmax = List.fold_left max 0 grades and gmin = List.fold_left min 2 grades in
-        let gap_ok = gmax - gmin <= 1 in
-        let values_ok =
-          let graded =
-            List.filter_map (fun (v, g) -> if g <> Gradecast.G0 then v else None) outs
-          in
-          match graded with
-          | [] -> true
-          | v0 :: rest -> List.for_all (Bytes.equal v0) rest
-        in
-        let sender_ok =
-          List.mem sender corrupt
-          || List.for_all (fun (ov, g) -> g = Gradecast.G2 && ov = Some v) outs
-        in
-        gap_ok && values_ok && sender_ok
-      end)
-
 (* WOTS forgery resistance as a property: random bit flips in a signature
    never verify. *)
 let prop_wots_bitflip =
@@ -210,7 +173,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_phase_king_agreement;
     QCheck_alcotest.to_alcotest prop_multi_ba_agreement;
     QCheck_alcotest.to_alcotest prop_committee_agree;
-    QCheck_alcotest.to_alcotest prop_gradecast_grades;
     QCheck_alcotest.to_alcotest prop_wots_bitflip;
     QCheck_alcotest.to_alcotest prop_merkle_index_binding;
   ]

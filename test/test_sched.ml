@@ -356,11 +356,13 @@ let executor_order_digest ~seed =
            (Printf.sprintf "%d:%d:%d:%d" round i (List.length inbox) (Rng.bits rng)))
     done
   in
-  let handlers = Array.init n (fun i -> Some (handler i)) in
+  let everyone = Network.everyone net in
   let ctx = Repro_crypto.Sha256.init () in
   let feed s = Repro_crypto.Sha256.feed ctx (Bytes.unsafe_of_string s) 0 (String.length s) in
   for _ = 1 to rounds do
-    Network.step net handlers;
+    Network.run_active net ~rounds:1
+      ~extra:(fun ~round:_ -> everyone)
+      (fun i -> Some (handler i));
     feed (Printf.sprintf "vt=%d\n" (Network.virtual_time net));
     for dst = 0 to n - 1 do
       List.iter
@@ -488,7 +490,9 @@ let test_condition_defer_crosses_rounds () =
       Network.send net ~src:0 ~dst:3 ~tag:"x" (Bytes.of_string "b")
     end
   in
-  Network.run net ~rounds:8 (Array.init n (fun i -> Some (handler i)));
+  Network.run_active net ~rounds:8
+    ~extra:(fun ~round:_ -> Network.everyone net)
+    (fun i -> Some (handler i));
   Alcotest.(check (list (triple int int int)))
     "undeferred copy next round, deferred copy at its virtual time"
     [ (3, 1, 0); (2, 5, 0) ]
@@ -521,7 +525,9 @@ let test_condition_down_party_skip () =
           (Bytes.of_string (string_of_int round))
     done
   in
-  Network.run net ~rounds (Array.init n (fun i -> Some (handler i)));
+  Network.run_active net ~rounds
+    ~extra:(fun ~round:_ -> Network.everyone net)
+    (fun i -> Some (handler i));
   List.iter
     (fun r ->
       Alcotest.(check bool)

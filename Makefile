@@ -28,16 +28,22 @@ bench-compare: build
 
 # Audit every Table-1 protocol against its declared complexity budget and
 # validate the per-round timeline (one JSON object per line). Exits
-# non-zero if a this-work protocol exceeds its own polylog budget.
+# non-zero if a this-work protocol exceeds its own polylog budget. The
+# timeline must be byte-identical across REPRO_DOMAINS=1 vs 4.
 audit: build
-	./_build/default/bin/ba_sim.exe audit --timeline-out audit_timeline.jsonl
+	REPRO_DOMAINS=1 ./_build/default/bin/ba_sim.exe audit \
+	  --timeline-out audit_timeline.jsonl
 	python3 -c "import json,sys; [json.loads(l) for l in open('audit_timeline.jsonl')]" && \
 	  echo "audit_timeline.jsonl: valid JSONL ($$(wc -l < audit_timeline.jsonl) rounds)"
+	REPRO_DOMAINS=4 ./_build/default/bin/ba_sim.exe audit \
+	  --timeline-out audit_timeline4.jsonl > /dev/null
+	cmp audit_timeline.jsonl audit_timeline4.jsonl && \
+	  echo "audit timeline: byte-identical across REPRO_DOMAINS=1 vs 4"
 
 # <30s attack-matrix smoke (E16): every catalogue strategy against both
 # pipeline protocols. Exits non-zero if any beta < 1/3 cell breaks
 # agreement/validity or the beta >= 1/3 sanity row fails to fail, then
-# checks the repro-attack/1 report parses.
+# checks the repro-attack/2 report parses.
 attack: build
 	./_build/default/bin/ba_sim.exe attack -n 40 --report ATTACK_report.json
 	python3 -m json.tool ATTACK_report.json > /dev/null && \
@@ -140,14 +146,15 @@ conditions-smoke: build
 	cmp CONDITIONS_report1.json CONDITIONS_report4.json && \
 	  echo "conditions report: byte-identical across REPRO_DOMAINS=1 vs 4"
 
-# Umbrella gate: build, unit tests, bench JSON smoke, attack matrix, scale
-# sweep smoke, profile smoke, async/conformance smoke — everything a PR
+# Umbrella gate: build, unit tests, bench JSON smoke, complexity audit,
+# attack matrix, scale sweep smoke, profile smoke, forensics smoke,
+# async/conformance smoke, conditions smoke — everything a PR
 # must keep green, with a wall-clock guard so a performance regression in
 # any harness fails the target rather than silently eating CI minutes.
 CHECK_BUDGET_S ?= 420
 check: build
 	@t0=$$(date +%s); \
-	$(MAKE) test bench-smoke attack scale-smoke profile-smoke \
+	$(MAKE) test bench-smoke audit attack scale-smoke profile-smoke \
 	  forensics-smoke async-smoke conditions-smoke || exit 1; \
 	t1=$$(date +%s); elapsed=$$((t1 - t0)); \
 	echo "check: all gates green in $${elapsed}s (budget $(CHECK_BUDGET_S)s)"; \
@@ -158,7 +165,8 @@ check: build
 
 clean:
 	dune clean
-	rm -f BENCH_results.json BENCH_prev.json trace.json audit_timeline.jsonl \
+	rm -f BENCH_results.json BENCH_prev.json trace.json \
+	  audit_timeline.jsonl audit_timeline4.jsonl \
 	  ATTACK_report.json SCALE_report.json PROFILE_report.json \
 	  FORENSICS_report.json FORENSICS_attack.json \
 	  FORENSICS_log1.jsonl FORENSICS_log4.jsonl \

@@ -118,14 +118,7 @@ let plurality values =
    injects (honest members inject the agreed value). Returns what each party
    adopted. Takes (height + 1) network rounds. *)
 let disseminate ?adversary net t ~label ~values =
-  (* Same phase mark in the flight recorder as in the auditor's timeline. *)
-  (match Network.recorder net with
-  | Some r ->
-    Repro_obs.Recorder.note_phase r ~round:(Network.round net)
-      ("aecomm:" ^ label)
-  | None -> ());
-  Repro_obs.Audit.with_phase (Network.audit net) ("aecomm:" ^ label)
-  @@ fun () ->
+  Network.phase net ("aecomm:" ^ label) @@ fun () ->
   Repro_obs.Trace.span ~cat:"aecomm" ~args:[ ("label", label) ]
     ("aecomm:" ^ label)
   @@ fun () ->

@@ -90,7 +90,6 @@ let majority = function
     Option.map (fun (k, _) -> Bytes.of_string k) !best
 
 let run ?adversary net params ~rng =
-  Repro_obs.Audit.with_phase (Network.audit net) "election" @@ fun () ->
   Repro_obs.Trace.span ~cat:"elect" "election.run" @@ fun () ->
   let n = Network.n net in
   let depth = levels_of params n in

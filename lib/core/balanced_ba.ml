@@ -65,49 +65,12 @@ type result = {
 let default_config ?adversary ~n ~corrupt ~inputs ~seed () =
   { n; corrupt; inputs; seed; boost_degree = None; adversary }
 
-(* Phase timing and diagnostics flow through a [Logs] debug source, so
-   normal runs are quiet and any reporter/level policy the embedding
-   application installs applies here too. Setting REPRO_TRACE in the
-   environment keeps the old one-knob behavior: it enables Debug for this
-   source and installs a stderr reporter if the application never set one. *)
-let src = Logs.Src.create "repro.ba" ~doc:"Balanced BA phase timing"
-
-module Log = (val Logs.src_log src)
-
-let () =
-  if Sys.getenv_opt "REPRO_TRACE" <> None then begin
-    Logs.Src.set_level src (Some Logs.Debug);
-    Logs.set_reporter
-      (Logs.format_reporter ~app:Format.err_formatter
-         ~dst:Format.err_formatter ())
-  end
-
-let trace_enabled () = Logs.Src.level src = Some Logs.Debug
-
-(* Each protocol phase is a [Repro_obs.Trace] span (category "ba"), so phase
-   structure lands in the exported Chrome trace; the legacy REPRO_TRACE
-   behavior — one debug log line with the phase wall time — rides on top of
-   the same measurement when the Logs source is at Debug. When the network
-   carries an auditor, the same phase name labels its timeline/violations. *)
-let timed ?audit name f =
-  Repro_obs.Audit.with_phase audit name @@ fun () ->
-  Repro_obs.Trace.span ~cat:"ba" name @@ fun () ->
-  if trace_enabled () then begin
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    Log.debug (fun m -> m "%-28s %6.2fs" name (Unix.gettimeofday () -. t0));
-    r
-  end
-  else f ()
-
-(* Network-aware variant: the same phase mark additionally lands in the
-   flight recorder (when one is attached) at the current network round, so
-   forensic cones can name the protocol phase a message belongs to. *)
-let timed_net net name f =
-  (match Network.recorder net with
-  | Some r -> Repro_obs.Recorder.note_phase r ~round:(Network.round net) name
-  | None -> ());
-  timed ?audit:(Network.audit net) name f
+(* Each protocol phase is a [Repro_obs.Trace] span (category "ba"), so
+   phase structure lands in the exported Chrome trace, and a network phase
+   mark, so the auditor's timeline and the flight recorder's log carry the
+   same name. *)
+let timed net name f =
+  Network.phase net name @@ fun () -> Repro_obs.Trace.span ~cat:"ba" name f
 
 module Make (S : Srds_intf.SCHEME) = struct
   module W = Srds_intf.Wire (S)
@@ -130,7 +93,7 @@ module Make (S : Srds_intf.SCHEME) = struct
     adversary : Network.adversary option;
   }
 
-  let make_ctx ?audit ?recorder ?tap ?backend ?condition (cfg : config) : ctx =
+  let make_ctx ?sinks ?backend ?condition (cfg : config) : ctx =
     Repro_crypto.Wots.clear_cache ();
     let n = cfg.n in
     let rng = Rng.create cfg.seed in
@@ -141,19 +104,16 @@ module Make (S : Srds_intf.SCHEME) = struct
     let setup_rng = Rng.of_label rng "srds-setup" in
     let pp, master = S.setup setup_rng ~n:num_slots in
     let keys =
-      timed "A: keygen" (fun () ->
+      Repro_obs.Trace.span ~cat:"ba" "A: keygen" (fun () ->
           (* Fanned out on the domain pool; per-slot rng children keep the
              result independent of the pool size. *)
           B.keygen_all pp master setup_rng ~count:num_slots)
     in
-    let net = Network.create ?backend ~n ~corrupt:cfg.corrupt () in
-    Option.iter (Network.attach_audit net) audit;
-    Option.iter (Network.attach_recorder net) recorder;
-    Network.set_tap net tap;
+    let net = Network.create ?backend ?sinks ~n ~corrupt:cfg.corrupt () in
     Option.iter (Network.set_condition net) condition;
     (* Phase B: election establishes the tree. *)
     let ae =
-      timed_net net "B: election" (fun () ->
+      timed net "B: election" (fun () ->
           Ae_comm.establish_with_assignment net params ~slot_party
             ~rng:(Rng.of_label rng "election"))
     in
@@ -161,19 +121,19 @@ module Make (S : Srds_intf.SCHEME) = struct
     (* Committee memberships are public outputs of the election: record the
        whole tree plus the supreme committee so forensic consumers can tie
        message flow to committee structure without re-deriving the tree. *)
-    (match Network.recorder net with
-    | Some r ->
+    if Network.observed net then begin
       let round = Network.round net in
+      let committee ~level ~idx members =
+        Network.emit net
+          (Repro_obs.Event.Committee { round; level; idx; members = Array.to_list members })
+      in
       for level = 1 to params.Params.height do
         for idx = 0 to Tree.nodes_at_level tree ~level - 1 do
-          Repro_obs.Recorder.note_committee r ~round ~level ~idx
-            ~members:(Array.to_list (Tree.assigned tree ~level ~idx))
+          committee ~level ~idx (Tree.assigned tree ~level ~idx)
         done
       done;
-      Repro_obs.Recorder.note_committee r ~round
-        ~level:(params.Params.height + 1) ~idx:0
-        ~members:(Array.to_list (Tree.supreme_committee tree))
-    | None -> ());
+      committee ~level:(params.Params.height + 1) ~idx:0 (Tree.supreme_committee tree)
+    end;
     {
       net;
       rng;
@@ -211,7 +171,7 @@ module Make (S : Srds_intf.SCHEME) = struct
   let certify ctx ~label ~values : bytes option array =
     let n = Network.n ctx.net in
     let net = ctx.net in
-    let timed name f = timed_net net name f in
+    let timed name f = timed net name f in
     let params = ctx.params in
     let tree = ctx.tree in
 
@@ -249,12 +209,6 @@ module Make (S : Srds_intf.SCHEME) = struct
             ~label:("pair-" ^ label) ~values:pair_values)
     in
     Network.flush net;
-    if trace_enabled () then begin
-      let got = Array.fold_left (fun a v -> if v <> None then a + 1 else a) 0 received_pair in
-      let supreme_with = List.length (List.filter (fun p -> pair_values p <> None) ctx.supreme) in
-      Log.debug (fun m ->
-          m "pair coverage: %d/%d parties, %d supreme injectors" got n supreme_with)
-    end;
 
     (* --- Phase E: sign per virtual identity, send to leaf committees --- *)
     (* Lazily materialized: only committee members ever hold signatures, so
@@ -459,23 +413,6 @@ module Make (S : Srds_intf.SCHEME) = struct
           agree_states;
     done;
 
-    if trace_enabled () then begin
-      (* diagnostic: how many supreme members hold a root signature, and
-         how many base signatures it attests *)
-      List.iter
-        (fun p ->
-          match incoming_find p (-1, -1) with
-          | [ sig_bytes ] ->
-            (match W.of_bytes sig_bytes with
-            | Some sg ->
-              Log.debug (fun m ->
-                  m "root@%d count=%d (threshold %d)" p (S.count sg)
-                    (S.threshold ctx.pp))
-            | None -> Log.debug (fun m -> m "root@%d undecodable" p))
-          | _ -> ())
-        ctx.supreme
-    end;
-
     (* --- Phase G: disseminate (payload, s, sigma_root) --- *)
     let cert_values p =
       match (received_pair.(p), incoming_find p (-1, -1)) with
@@ -513,16 +450,14 @@ module Make (S : Srds_intf.SCHEME) = struct
        that moment (party, round, value) is a recorded event — the anchor
        the causal-cone extractor explains backwards from. *)
     let note_decide ~round p payload =
-      match Network.recorder net with
-      | None -> ()
-      | Some r ->
+      if Network.observed net then
         let value =
           if Bytes.length payload = 1 then
             if Bytes.get payload 0 = '\000' then "0" else "1"
           else
             Repro_obs.Recorder.(hex_of_digest (digest_of_payload payload))
         in
-        Repro_obs.Recorder.note_decide r ~round ~party:p ~value
+        Network.emit net (Repro_obs.Event.Decide { round; party = p; value })
     in
     (* Every holder and every boost receiver checks the same few
        certificates: decode each signature once per content, and keep one
@@ -617,9 +552,9 @@ module Make (S : Srds_intf.SCHEME) = struct
 
   (* --- the full Byzantine agreement protocol --- *)
 
-  let run ?audit ?recorder ?tap ?backend ?condition (cfg : config) : result =
-    let ctx = make_ctx ?audit ?recorder ?tap ?backend ?condition cfg in
-    let timed name f = timed_net ctx.net name f in
+  let run ?sinks ?backend ?condition (cfg : config) : result =
+    let ctx = make_ctx ?sinks ?backend ?condition cfg in
+    let timed name f = timed ctx.net name f in
     let n = cfg.n in
     let corrupt p = Network.is_corrupt ctx.net p in
     let tree_good = Repro_aetree.Tree_check.check_goodness ctx.tree ~corrupt = [] in

@@ -39,13 +39,9 @@ type result = {
 
 let enc b = Bytes.make 1 (if b then '\001' else '\000')
 
-let run ?audit ?recorder ?tap ?backend ?condition ?adversary (cfg : config) :
-    result =
+let run ?sinks ?backend ?condition ?adversary (cfg : config) : result =
   let n = cfg.n in
-  let net = Network.create ?backend ~n ~corrupt:cfg.corrupt () in
-  Option.iter (Network.attach_audit net) audit;
-  Option.iter (Network.attach_recorder net) recorder;
-  Network.set_tap net tap;
+  let net = Network.create ?backend ?sinks ~n ~corrupt:cfg.corrupt () in
   Option.iter (Network.set_condition net) condition;
   (* PKI setup (uncharged, like the pipeline's phase A): one small Merkle
      key per party — a Dolev–Strong relayer signs each value once, so a
@@ -69,11 +65,7 @@ let run ?audit ?recorder ?tap ?backend ?condition ?adversary (cfg : config) :
         else None)
   in
   let rounds = Dolev.rounds ~members in
-  (match Network.recorder net with
-  | Some r ->
-    Repro_obs.Recorder.note_phase r ~round:(Network.round net) "dolev-strong"
-  | None -> ());
-  Repro_obs.Audit.with_phase (Network.audit net) "dolev-strong" (fun () ->
+  Network.phase net "dolev-strong" (fun () ->
       Engine.run net ?adversary ~tag:"ds" ~rounds
         ~machines:(fun p ->
           match sts.(p) with
@@ -93,18 +85,17 @@ let run ?audit ?recorder ?tap ?backend ?condition ?adversary (cfg : config) :
         | None -> ())
       | _ -> ())
     sts;
-  (match Network.recorder net with
-  | Some r ->
+  if Network.observed net then begin
     let round = Network.round net in
     Array.iteri
       (fun p o ->
         match o with
         | Some v when honest p ->
-          Repro_obs.Recorder.note_decide r ~round ~party:p
-            ~value:(if v then "1" else "0")
+          Network.emit net
+            (Repro_obs.Event.Decide { round; party = p; value = (if v then "1" else "0") })
         | _ -> ())
       outputs
-  | None -> ());
+  end;
   let honest_list = List.filter honest (List.init n (fun p -> p)) in
   let decided = List.filter_map (fun p -> outputs.(p)) honest_list in
   let agreed =

@@ -24,21 +24,16 @@ type result = {
   breakdown : (string * int) list; (* sent bytes per tag group *)
 }
 
-let run ?audit ?recorder ?tap ?backend (cfg : config) : result =
+let run ?sinks ?backend (cfg : config) : result =
   let n = cfg.n in
-  let net = Network.create ?backend ~n ~corrupt:cfg.corrupt () in
-  Option.iter (Network.attach_audit net) audit;
-  Option.iter (Network.attach_recorder net) recorder;
-  Network.set_tap net tap;
+  let net = Network.create ?backend ?sinks ~n ~corrupt:cfg.corrupt () in
   let honest p = Network.is_honest net p in
   let enc b = Bytes.make 1 (if b then '\001' else '\000') in
   let outputs = Array.make n None in
   let note_decide ~round p v =
-    match Network.recorder net with
-    | Some r ->
-      Repro_obs.Recorder.note_decide r ~round ~party:p
-        ~value:(if v then "1" else "0")
-    | None -> ()
+    if Network.observed net then
+      Network.emit net
+        (Repro_obs.Event.Decide { round; party = p; value = (if v then "1" else "0") })
   in
   let handler p ~round ~inbox =
     if round = 0 then begin
@@ -65,10 +60,7 @@ let run ?audit ?recorder ?tap ?backend (cfg : config) : result =
       end
     end
   in
-  (match Network.recorder net with
-  | Some r -> Repro_obs.Recorder.note_phase r ~round:(Network.round net) "flood"
-  | None -> ());
-  Repro_obs.Audit.with_phase (Network.audit net) "flood" (fun () ->
+  Network.phase net "flood" (fun () ->
       let everyone = Network.everyone net in
       Network.run_active net ~rounds:2
         ~extra:(fun ~round:_ -> everyone)

@@ -18,13 +18,10 @@ type result = {
 }
 
 val run :
-  ?audit:Repro_obs.Audit.t ->
-  ?recorder:Repro_obs.Recorder.t ->
-  ?tap:(round:int -> Repro_net.Wire.msg -> unit) ->
+  ?sinks:Repro_obs.Event.sink list ->
   ?backend:Repro_net.Sched.backend ->
   config ->
   result
-(** [?audit] attaches a complexity auditor to the run's network;
-    [?recorder] a flight recorder (sends, phase marks, decisions); [?tap]
-    a per-instance transcript tap; [?backend] selects the scheduler
-    backend (default sparse). *)
+(** [?sinks] subscribe to the run's network (auditor, flight recorder,
+    transcript tap: see {!Repro_net.Network.create}); [?backend] selects
+    the scheduler backend (default sparse). *)

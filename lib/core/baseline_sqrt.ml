@@ -33,7 +33,7 @@ type result = {
 
 let group_size n = max 1 (Repro_util.Mathx.isqrt n)
 
-let run ?audit ?recorder ?tap ?backend (cfg : config) : result =
+let run ?sinks ?backend (cfg : config) : result =
   let n = cfg.n in
   let g = group_size n in
   let num_groups = Repro_util.Mathx.ceil_div n g in
@@ -41,10 +41,7 @@ let run ?audit ?recorder ?tap ?backend (cfg : config) : result =
   let members_of_group k = List.filter (fun p -> p < n) (List.init g (fun j -> (k * g) + j)) in
   let row_of p = p mod g in
   let row_members r = List.filter (fun p -> p < n) (List.init num_groups (fun k -> (k * g) + r)) in
-  let net = Network.create ?backend ~n ~corrupt:cfg.corrupt () in
-  Option.iter (Network.attach_audit net) audit;
-  Option.iter (Network.attach_recorder net) recorder;
-  Network.set_tap net tap;
+  let net = Network.create ?backend ?sinks ~n ~corrupt:cfg.corrupt () in
   let honest p = Network.is_honest net p in
   let enc b = Bytes.make 1 (if b then '\001' else '\000') in
   let dec payload =
@@ -91,19 +88,13 @@ let run ?audit ?recorder ?tap ?backend (cfg : config) : result =
       let own = match group_value.(p) with Some v -> [ v ] | None -> [] in
       outputs.(p) <- majority (own @ votes);
       match outputs.(p) with
-      | Some v -> (
-        match Network.recorder net with
-        | Some r ->
-          Repro_obs.Recorder.note_decide r ~round ~party:p
-            ~value:(if v then "1" else "0")
-        | None -> ())
-      | None -> ()
+      | Some v when Network.observed net ->
+        Network.emit net
+          (Repro_obs.Event.Decide { round; party = p; value = (if v then "1" else "0") })
+      | _ -> ()
     end
   in
-  (match Network.recorder net with
-  | Some r -> Repro_obs.Recorder.note_phase r ~round:(Network.round net) "quorum"
-  | None -> ());
-  Repro_obs.Audit.with_phase (Network.audit net) "quorum" (fun () ->
+  Network.phase net "quorum" (fun () ->
       let everyone = Network.everyone net in
       Network.run_active net ~rounds:3
         ~extra:(fun ~round:_ -> everyone)

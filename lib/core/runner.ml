@@ -188,31 +188,30 @@ let run_full_ba name run_fn ~n ~beta ~seed : row =
          (if r.Balanced_ba.tree_good then "" else " tree-degraded"))
     ~breakdown:r.Balanced_ba.breakdown
 
-(* [audit], [recorder], [tap] and [backend] are threaded into the
-   protocol's own network; callers that want the auditor's verdict use
-   {!run_audited}, callers that want the flight-recorded log use
-   {!run_recorded}, callers pinning cross-backend conformance use
-   {!run_digest}. *)
-let run_with ?audit ?recorder ?tap ?backend ~protocol ~n ~beta ~seed () : row =
+(* [sinks] subscribe to the protocol's own network and [backend] picks its
+   executor; callers that want the auditor's verdict use {!run_audited},
+   callers that want the flight-recorded log use {!run_recorded}, callers
+   pinning cross-backend conformance use {!run_digest}. *)
+let run_with ?sinks ?backend ~protocol ~n ~beta ~seed () : row =
   match protocol with
   | This_work_owf ->
     run_full_ba "this-work-owf"
-      (Ba_owf.run ?audit ?recorder ?tap ?backend)
+      (Ba_owf.run ?sinks ?backend)
       ~n ~beta ~seed
   | This_work_snark ->
     run_full_ba "this-work-snark"
-      (Ba_snark.run ?audit ?recorder ?tap ?backend)
+      (Ba_snark.run ?sinks ?backend)
       ~n ~beta ~seed
   | Multisig_boost ->
     run_full_ba "multisig-boost"
-      (Ba_multisig.run ?audit ?recorder ?tap ?backend)
+      (Ba_multisig.run ?sinks ?backend)
       ~n ~beta ~seed
   | Sqrt_boost ->
     let rng = Rng.create seed in
     let corrupt = corrupt_set rng ~n ~beta in
     let holders = holders rng ~n ~corrupt in
     let r =
-      Baseline_sqrt.run ?audit ?recorder ?tap ?backend
+      Baseline_sqrt.run ?sinks ?backend
         { n; corrupt; holders; value = true; seed }
     in
     row_of_report ~protocol:"sqrt-quorum" ~n ~beta ~report:r.Baseline_sqrt.report
@@ -224,7 +223,7 @@ let run_with ?audit ?recorder ?tap ?backend ~protocol ~n ~beta ~seed () : row =
     let corrupt = corrupt_set rng ~n ~beta in
     let holders = holders rng ~n ~corrupt in
     let r =
-      Baseline_naive.run ?audit ?recorder ?tap ?backend
+      Baseline_naive.run ?sinks ?backend
         { n; corrupt; holders; value = true; seed }
     in
     row_of_report ~protocol:"naive-flood" ~n ~beta ~report:r.Baseline_naive.report
@@ -235,7 +234,7 @@ let run_with ?audit ?recorder ?tap ?backend ~protocol ~n ~beta ~seed () : row =
     let rng = Rng.create seed in
     let corrupt = corrupt_set rng ~n ~beta in
     let r =
-      Baseline_dolev.run ?audit ?recorder ?tap ?backend
+      Baseline_dolev.run ?sinks ?backend
         { n; corrupt; value = true; seed }
     in
     (* Broadcast validity is vacuous under a corrupt designated sender:
@@ -254,7 +253,7 @@ let run_with ?audit ?recorder ?tap ?backend ~protocol ~n ~beta ~seed () : row =
 
 let run_audited ?backend ~protocol ~n ~beta ~seed () : row * Audit.t =
   let a = make_auditor ~protocol ~n in
-  let row = run_with ?backend ~audit:a ~protocol ~n ~beta ~seed () in
+  let row = run_with ?backend ~sinks:[ Audit.observe a ] ~protocol ~n ~beta ~seed () in
   Audit.finalize a;
   (row, a)
 
@@ -370,7 +369,7 @@ let default_chaos ~seed : Sched.async_cfg =
 
 let c_attack_cells = Repro_obs.Counters.make "attack.cells"
 
-let run_attack_cell ?recorder ?tap ?backend ?condition_name ?(gated = true)
+let run_attack_cell ?sinks ?backend ?condition_name ?(gated = true)
     ~protocol ~strategy_name ~n ~beta ~seed ~expect_fail () =
   let strategy =
     match Strategy.find ~n ~seed strategy_name with
@@ -421,7 +420,7 @@ let run_attack_cell ?recorder ?tap ?backend ?condition_name ?(gated = true)
       in
       let run = if protocol = This_work_owf then Ba_owf.run else Ba_snark.run in
       let (r : Balanced_ba.result) =
-        run ?recorder ?tap ?backend ?condition:cond_inst cfg
+        run ?sinks ?backend ?condition:cond_inst cfg
       in
       ( r.Balanced_ba.agreed,
         r.Balanced_ba.decided_fraction,
@@ -430,7 +429,7 @@ let run_attack_cell ?recorder ?tap ?backend ?condition_name ?(gated = true)
         r.Balanced_ba.net )
     | Dolev_strong ->
       let (r : Baseline_dolev.result) =
-        Baseline_dolev.run ?recorder ?tap ?backend ?condition:cond_inst
+        Baseline_dolev.run ?sinks ?backend ?condition:cond_inst
           ~adversary { n; corrupt; value = true; seed }
       in
       (* broadcast validity is vacuous under a corrupt designated sender *)
@@ -1235,7 +1234,9 @@ module Recorder = Repro_obs.Recorder
 let run_recorded ?(keep_payloads = false) ?backend ~protocol ~n ~beta ~seed () :
     row * Recorder.t * int list =
   let r = Recorder.create ~keep_payloads () in
-  let row = run_with ?backend ~recorder:r ~protocol ~n ~beta ~seed () in
+  let row =
+    run_with ?backend ~sinks:[ Recorder.observe r ] ~protocol ~n ~beta ~seed ()
+  in
   (* The corrupt set is every run's first RNG draw (see the run_with
      branches), so it is recomputable here without touching protocol code;
      replay and evidence consumers get the ground truth alongside the log. *)
@@ -1381,7 +1382,7 @@ let cell_forensics (c : attack_cell) : forensic_bundle =
   in
   let r = Recorder.create () in
   let (_ : attack_cell) =
-    run_attack_cell ~recorder:r
+    run_attack_cell ~sinks:[ Recorder.observe r ]
       ?condition_name:
         (if c.ac_condition = "none" then None else Some c.ac_condition)
       ~gated:c.ac_gated ~protocol ~strategy_name:c.ac_strategy ~n:c.ac_n
@@ -1483,17 +1484,23 @@ let attack_forensics_json ~n bundles =
 
 module Sha256 = Repro_crypto.Sha256
 
-let run_digest ?backend ~protocol ~n ~beta ~seed () : row * string =
+let digest_sink () =
   let ctx = Sha256.init () in
   let feed_bytes b = Sha256.feed ctx b 0 (Bytes.length b) in
   let feed_str s = feed_bytes (Bytes.unsafe_of_string s) in
-  let tap ~round (m : Repro_net.Wire.msg) =
-    feed_str (Printf.sprintf "%d|%d|%d|%s|" round m.src m.dst m.tag);
-    feed_bytes m.payload;
-    feed_str "\n"
+  let sink : Repro_obs.Event.sink = function
+    | Send { round; src; dst; tag; payload; _ } ->
+      feed_str (Printf.sprintf "%d|%d|%d|%s|" round src dst tag);
+      feed_bytes payload;
+      feed_str "\n"
+    | _ -> ()
   in
-  let row = run_with ?backend ~tap ~protocol ~n ~beta ~seed () in
-  (row, Sha256.hex (Sha256.finish ctx))
+  (sink, fun () -> Sha256.hex (Sha256.finish ctx))
+
+let run_digest ?backend ~protocol ~n ~beta ~seed () : row * string =
+  let sink, digest = digest_sink () in
+  let row = run_with ?backend ~sinks:[ sink ] ~protocol ~n ~beta ~seed () in
+  (row, digest ())
 
 type conform_cell = {
   cf_protocol : string;
@@ -1575,19 +1582,12 @@ let run_async_cell ~protocol ~strategy_name ~n ~beta ~seed ~cfg () : async_cell 
   let corrupt = corrupt_set rng ~n ~beta in
   let inputs = Array.init n (fun i -> (i + seed) mod 2 = 0) in
   let bcfg = Balanced_ba.default_config ~adversary ~n ~corrupt ~inputs ~seed () in
-  let ctx = Sha256.init () in
-  let feed_bytes b = Sha256.feed ctx b 0 (Bytes.length b) in
-  let feed_str s = feed_bytes (Bytes.unsafe_of_string s) in
-  let tap ~round (m : Repro_net.Wire.msg) =
-    feed_str (Printf.sprintf "%d|%d|%d|%s|" round m.src m.dst m.tag);
-    feed_bytes m.payload;
-    feed_str "\n"
-  in
+  let sink, digest = digest_sink () in
   let backend = Sched.Async cfg in
   let (r : Balanced_ba.result) =
     match protocol with
-    | This_work_owf -> Ba_owf.run ~tap ~backend bcfg
-    | This_work_snark -> Ba_snark.run ~tap ~backend bcfg
+    | This_work_owf -> Ba_owf.run ~sinks:[ sink ] ~backend bcfg
+    | This_work_snark -> Ba_snark.run ~sinks:[ sink ] ~backend bcfg
     | _ -> invalid_arg "async matrix: pipeline protocols only (owf/snark)"
   in
   let net = r.Balanced_ba.net in
@@ -1617,7 +1617,7 @@ let run_async_cell ~protocol ~strategy_name ~n ~beta ~seed ~cfg () : async_cell 
     ay_agreed = r.Balanced_ba.agreed;
     ay_decided = r.Balanced_ba.decided_fraction;
     ay_valid = r.Balanced_ba.valid;
-    ay_digest = Sha256.hex (Sha256.finish ctx);
+    ay_digest = digest ();
     ay_ok = ok;
   }
 

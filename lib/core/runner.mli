@@ -53,6 +53,13 @@ val run :
     registry counter. [?backend] selects the scheduler backend (default
     sparse; see {!Repro_net.Sched}). *)
 
+val run_with :
+  ?sinks:Repro_obs.Event.sink list ->
+  ?backend:Repro_net.Sched.backend ->
+  protocol:protocol -> n:int -> beta:float -> seed:int -> unit -> row
+(** One run with [?sinks] subscribed to its network (see
+    {!Repro_net.Network.create}) and no global-audit auditor. *)
+
 val run_audited :
   ?backend:Repro_net.Sched.backend ->
   protocol:protocol -> n:int -> beta:float -> seed:int -> unit ->
@@ -130,8 +137,7 @@ val default_chaos : seed:int -> Repro_net.Sched.async_cfg
     chaotic scheduling followed by a bounded partial-synchrony tail. *)
 
 val run_attack_cell :
-  ?recorder:Repro_obs.Recorder.t ->
-  ?tap:(round:int -> Repro_net.Wire.msg -> unit) ->
+  ?sinks:Repro_obs.Event.sink list ->
   ?backend:Repro_net.Sched.backend ->
   ?condition_name:string ->
   ?gated:bool ->
@@ -145,9 +151,9 @@ val run_attack_cell :
   attack_cell
 (** One cell: the full BA protocol against one instantiated strategy. Every
     gated non-sanity failure bumps the [attack.violations.<strategy>]
-    counter. [?recorder] attaches a flight recorder to the cell's network
-    (the forensic re-run path); recording observes traffic without altering
-    it. [?tap] and [?backend] thread through to the cell's network.
+    counter. [?sinks] subscribe to the cell's network (a flight recorder on
+    the forensic re-run path, a transcript tap); observing never alters
+    traffic. [?backend] threads through to the cell's network.
     [?condition_name] resolves a {!Repro_adversary.Condition} and runs the
     cell on the async backend ({!default_chaos} unless an async [?backend]
     is given — a lock-step [?backend] raises); the static corrupt set is
@@ -319,7 +325,7 @@ val run_recorded :
   seed:int ->
   unit ->
   row * Repro_obs.Recorder.t * int list
-(** Run one cell with a flight recorder attached; returns the row, the
+(** Run one cell with a flight recorder subscribed; returns the row, the
     recorder holding the full event log, and the run's ground-truth corrupt
     set (recomputed: it is every run's first RNG draw). [keep_payloads]
     (default false) stores raw payload bytes for replay; digests-only
@@ -405,11 +411,15 @@ val run_digest :
   ?backend:Repro_net.Sched.backend ->
   protocol:protocol -> n:int -> beta:float -> seed:int -> unit ->
   row * string
-(** Run one cell with a per-instance transcript tap hashing every send
+(** Run one cell with a {!digest_sink} subscribed; returns the row and the
+    hex digest. *)
+
+val digest_sink : unit -> Repro_obs.Event.sink * (unit -> string)
+(** A transcript tap: the sink hashes every send
     ([round|src|dst|tag|payload] per message, in send order) through
-    SHA-256; returns the row and the hex digest. The per-instance tap
-    replaces the old process-global [Network.set_transcript_tap]: digests
-    of concurrent cells never interleave. *)
+    SHA-256, and the thunk returns the hex digest once the run is over.
+    Taps subscribe per network, so digests of concurrent cells never
+    interleave. *)
 
 type conform_cell = {
   cf_protocol : string;

@@ -134,12 +134,9 @@ let run net ?adversary ~tag ~rounds ~(machines : int -> (string * machine) list)
     participants;
   let actors = List.map (fun (p, _, _) -> p) participants in
   (* The engine tag ("coin-ba", "aggr-ba-2", ...) is the finest-grained
-     phase label the auditor's timeline and violations carry; the flight
-     recorder gets the same mark so forensic cones can name the phase. *)
-  (match Network.recorder net with
-  | Some r -> Repro_obs.Recorder.note_phase r ~round:start ("engine:" ^ tag)
-  | None -> ());
-  Repro_obs.Audit.with_phase (Network.audit net) ("engine:" ^ tag) @@ fun () ->
+     phase label the auditor's timeline and violations carry, and the one
+     forensic cones name a message's phase by. *)
+  Network.phase net ("engine:" ^ tag) @@ fun () ->
   Repro_obs.Trace.span ~cat:"engine" ("engine:" ^ tag) (fun () ->
       Network.run_active net ?adversary ~rounds:(rounds + 1)
         ~extra:(fun ~round:_ -> actors)

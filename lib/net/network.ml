@@ -21,16 +21,16 @@
    every delivery off a deterministic seeded event queue with per-edge
    latency/jitter/loss and a GST knob (see sched.ml for the synchronizer
    argument: round semantics survive the chaos knobs, delivery order and
-   the virtual clock do not). Both share this module's send choke point,
-   so the tap/recorder/metrics/audit consumers are backend-agnostic.
+   the virtual clock do not). Both share this module's choke points, so
+   its observers are backend-agnostic.
 
    Protocols are per-party step functions closing over their own state;
    corrupt parties have no handler and their behaviour lives entirely in
-   the adversary. All sends are metered through {!Metrics}. *)
+   the adversary. All sends are metered through {!Metrics}; everything
+   else that watches a run (auditor, flight recorder, transcript taps)
+   subscribes to the {!Repro_obs.Event} stream emitted here. *)
 
-let src = Logs.Src.create "repro.net" ~doc:"simulated network"
-
-module Log = (val Logs.src_log src : Logs.LOG)
+module Event = Repro_obs.Event
 
 (* Live state of the async executor; absent on the lock-step backend. *)
 type async_state = {
@@ -51,9 +51,7 @@ type t = {
   backend : Sched.backend;
   async : async_state option; (* Some iff backend is Async *)
   metrics : Metrics.t;
-  mutable audit : Repro_obs.Audit.t option; (* online complexity auditor *)
-  mutable recorder : Repro_obs.Recorder.t option; (* flight recorder *)
-  mutable tap : (round:int -> Wire.msg -> unit) option; (* per-instance *)
+  sinks : Event.sink list; (* observers, in subscription order *)
   mutable staged : Wire.msg list; (* sent this round, reversed *)
   inboxes : Wire.msg list array; (* deliveries for the current round *)
   mutable dirty : int list; (* parties with a non-empty current inbox *)
@@ -74,7 +72,12 @@ type adversary = {
 
 let null_adversary = { adv_name = "null"; adv_step = (fun _ ~round:_ ~honest_staged:_ -> ()) }
 
-let create ?(backend = Sched.Sparse) ~n ~corrupt () =
+let observed t = match t.sinks with [] -> false | _ -> true
+(* Top-level recursion rather than [List.iter]: no closure per event. *)
+let rec emit_to ev = function [] -> () | f :: rest -> f ev; emit_to ev rest
+let emit t ev = emit_to ev t.sinks
+
+let create ?(backend = Sched.Sparse) ?(sinks = []) ~n ~corrupt () =
   let c = Array.make n false in
   List.iter
     (fun i ->
@@ -95,28 +98,31 @@ let create ?(backend = Sched.Sparse) ~n ~corrupt () =
         }
     | Sched.Sparse -> None
   in
-  {
-    n;
-    corrupt = c;
-    backend;
-    async;
-    metrics = Metrics.create n;
-    audit = None;
-    recorder = None;
-    tap = None;
-    staged = [];
-    inboxes = Array.make n [];
-    dirty = [];
-    in_active = Bytes.make n '\000';
-    round = 0;
-    in_adv_step = false;
-    condition = None;
-  }
+  let t =
+    {
+      n;
+      corrupt = c;
+      backend;
+      async;
+      metrics = Metrics.create n;
+      sinks;
+      staged = [];
+      inboxes = Array.make n [];
+      dirty = [];
+      in_active = Bytes.make n '\000';
+      round = 0;
+      in_adv_step = false;
+      condition = None;
+    }
+  in
+  (* Subscribers learn the static corrupt set the way they learn upgrades. *)
+  if observed t then
+    Array.iteri (fun p bad -> if bad then emit t (Event.Corrupt p)) c;
+  t
 
 let n t = t.n
 let backend t = t.backend
 let metrics t = t.metrics
-let audit t = t.audit
 
 let virtual_time t =
   match t.async with Some a -> a.a_vt | None -> t.round
@@ -144,36 +150,28 @@ let party_up t i =
   | Some c, Some a -> not (c.Sched.c_down ~now:a.a_vt ~round:t.round i)
   | _ -> true
 
-(* Mid-run corruption upgrade (the adaptive adversary's move). The auditor
-   and recorder each hold a *copy* of the mask, so both are re-synced; the
+(* Mid-run corruption upgrade (the adaptive adversary's move). The mask
+   here is the only one; observers hear of the upgrade as an event. The
    upgraded party's handler stops being scheduled from the next honest
    check on. *)
 let mark_corrupt t p =
   if p < 0 || p >= t.n then invalid_arg "Network.mark_corrupt: party index";
   if not t.corrupt.(p) then begin
     t.corrupt.(p) <- true;
-    Option.iter (fun a -> Repro_obs.Audit.set_corrupt a t.corrupt) t.audit;
-    Option.iter
-      (fun r -> Repro_obs.Recorder.set_corrupt r t.corrupt)
-      t.recorder
+    emit t (Event.Corrupt p)
   end
 
-(* The auditor only budget-checks honest parties: the adversary can always
-   inflate its own parties' numbers. *)
-let attach_audit t a =
-  Repro_obs.Audit.set_corrupt a t.corrupt;
-  t.audit <- Some a
-
-(* Like the auditor, a recorder belongs to one network: the ground-truth
-   corrupt mask rides along so evidence extraction can tell accountable
-   equivocation from honest per-recipient fan-out. *)
-let attach_recorder t r =
-  Repro_obs.Recorder.set_corrupt r t.corrupt;
-  t.recorder <- Some r
-
-let recorder t = t.recorder
-let set_tap t f = t.tap <- f
 let round t = t.round
+
+(* Phase marks carry the round they open at; the exit is emitted even when
+   [f] raises, so observers' phase stacks never leak a frame. *)
+let phase t name f =
+  if not (observed t) then f ()
+  else begin
+    emit t (Event.Phase_enter { round = t.round; name });
+    Fun.protect ~finally:(fun () -> emit t Event.Phase_exit) f
+  end
+
 let is_corrupt t i = t.corrupt.(i)
 let is_honest t i = not t.corrupt.(i)
 let everyone t = List.init t.n Fun.id
@@ -197,20 +195,16 @@ let send t ~src:s ~dst ~tag payload =
   if t.in_adv_step && not t.corrupt.(s) then
     invalid_arg "Network.send: adversary send from honest src rejected";
   let m = { Wire.src = s; dst; tag; payload } in
-  (match t.tap with Some f -> f ~round:t.round m | None -> ());
-  (match t.recorder with
-  | Some r ->
-    (* On the async backend every event additionally carries the virtual
+  if observed t then begin
+    (* On the async backend every send additionally carries the virtual
        staging time, so replay can verify the timing schedule too. *)
     let vt = Option.map (fun a -> a.a_vt) t.async in
-    Repro_obs.Recorder.note_send r ?vt ~round:t.round ~src:s ~dst ~tag
-      ~bits:(8 * Wire.size m) ~payload ()
-  | None -> ());
+    emit t
+      (Event.Send
+         { round = t.round; vt; src = s; dst; tag; payload; bits = 8 * Wire.size m })
+  end;
   Metrics.note_send t.metrics m;
   Repro_obs.Counters.observe h_msg_bytes (Bytes.length payload);
-  (match t.audit with
-  | Some a -> Repro_obs.Audit.note_send a ~src:s ~dst ~bits:(8 * Wire.size m)
-  | None -> ());
   t.staged <- m :: t.staged
 
 let send_many t ~src ~dsts ~tag payload =
@@ -233,11 +227,9 @@ let deliver_msgs t msgs_rev =
   List.iter
     (fun (m : Wire.msg) ->
       Metrics.note_recv t.metrics m;
-      (match t.audit with
-      | Some a ->
-        Repro_obs.Audit.note_recv a ~src:m.Wire.src ~dst:m.Wire.dst
-          ~bits:(8 * Wire.size m)
-      | None -> ());
+      if observed t then
+        emit t
+          (Event.Deliver { src = m.Wire.src; dst = m.Wire.dst; bits = 8 * Wire.size m });
       (match t.inboxes.(m.dst) with [] -> t.dirty <- m.dst :: t.dirty | _ -> ());
       t.inboxes.(m.dst) <- m :: t.inboxes.(m.dst))
     msgs_rev;
@@ -350,8 +342,8 @@ let finish_round t adversary =
   | _ -> ());
   (match t.async with Some a -> deliver_async t a | None -> deliver t);
   (* Receives of round r's sends are charged to round r, keeping per-round
-     send/recv conservation; the auditor closes the round after delivery. *)
-  Option.iter (fun a -> Repro_obs.Audit.end_round a ~round:t.round) t.audit;
+     send/recv conservation; observers see the round close after delivery. *)
+  if observed t then emit t (Event.Round_end t.round);
   t.round <- t.round + 1
 
 let run_active t ?(adversary = null_adversary) ?stop ~rounds ~extra handler_of =
@@ -408,7 +400,7 @@ let run_active t ?(adversary = null_adversary) ?stop ~rounds ~extra handler_of =
           handler ~round:t.round ~inbox:t.inboxes.(i)
         end)
       parties;
-    Option.iter (fun a -> Repro_obs.Audit.note_scheduled a !scheduled) t.audit;
+    if observed t then emit t (Event.Scheduled !scheduled);
     finish_round t adversary
   done
 

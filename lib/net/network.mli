@@ -22,16 +22,24 @@ type adversary = {
 
 val null_adversary : adversary
 
-val create : ?backend:Sched.backend -> n:int -> corrupt:int list -> unit -> t
+val create :
+  ?backend:Sched.backend -> ?sinks:Repro_obs.Event.sink list -> n:int ->
+  corrupt:int list -> unit -> t
 (** [backend] defaults to {!Sched.Sparse}: lock-step delivery in send
-    order. *)
+    order. [sinks] (default none) subscribe to this network's observation
+    stream, each called in list order with every event: a [Corrupt] per
+    statically corrupt party right away, then per accepted send (in send
+    order, with the staging round), per delivery, per round close, per
+    phase mark, committee, decision and upgrade. Subscriptions are
+    per-instance, so concurrent networks on the domain pool never observe
+    each other; with no sink no event is built. *)
 
 val backend : t -> Sched.backend
 
 val virtual_time : t -> int
 (** The async executor's virtual clock (the round number on the lock-step
-    backend, where the two coincide). Sends are stamped with it in the
-    flight recorder; the per-round delivery barrier advances it. *)
+    backend, where the two coincide). [Send] events carry it; the
+    per-round delivery barrier advances it. *)
 
 val async_stats : t -> Sched.stats option
 (** Delivery statistics of the async executor ([None] on the lock-step
@@ -54,29 +62,27 @@ val party_up : t -> int -> bool
 
 val mark_corrupt : t -> int -> unit
 (** Upgrade one party to the corrupt set mid-run (the adaptive adversary's
-    move): idempotent, re-syncs the auditor's and recorder's mask copies,
-    and stops the party's handlers from the next honest check on. *)
-
-val attach_audit : t -> Repro_obs.Audit.t -> unit
-(** Attach an online per-party complexity auditor: every subsequent send,
-    delivery and round boundary is fed to it, and its budget checks are
-    restricted to the honest parties. *)
+    move): idempotent, emits [Corrupt], and stops the party's handlers
+    from the next honest check on. *)
 
 val n : t -> int
 val metrics : t -> Metrics.t
 
-val audit : t -> Repro_obs.Audit.t option
-(** The attached auditor, if any — protocol layers use it to tag phases. *)
+(** {2 Observation} *)
 
-val attach_recorder : t -> Repro_obs.Recorder.t -> unit
-(** Attach a flight recorder: every subsequent send is captured as a
-    compact event (round, src, dst, tag, payload digest, bits), and the
-    ground-truth corrupt mask is handed over for evidence extraction.
-    Per-instance, like {!attach_audit}; capture is off when absent. *)
+val observed : t -> bool
+(** Whether any sink subscribed: protocol layers test it before building
+    an event that costs something to compute. *)
 
-val recorder : t -> Repro_obs.Recorder.t option
-(** The attached recorder, if any — protocol layers use it to mark phase
-    entries, committee memberships and decisions. *)
+val emit : t -> Repro_obs.Event.t -> unit
+(** Hand one event to every sink (protocol layers emit [Committee] and
+    [Decide] this way; guard with {!observed} to build nothing for an
+    unobserved network). *)
+
+val phase : t -> string -> (unit -> 'a) -> 'a
+(** [phase t name f] runs [f] inside a named protocol phase: sinks see
+    [Phase_enter] at the current round, then [Phase_exit] once [f]
+    returns or raises. Without sinks it is just [f ()]. *)
 
 val round : t -> int
 val is_corrupt : t -> int -> bool
@@ -87,12 +93,6 @@ val everyone : t -> int list
 
 val honest_parties : t -> int list
 val corrupt_parties : t -> int list
-
-val set_tap : t -> (round:int -> Wire.msg -> unit) option -> unit
-(** Install (or clear) this network's transcript tap: invoked for every
-    accepted send on this instance, in send order, with the staging round,
-    before the metrics/audit/recorder accounting. Per-instance, so
-    concurrent networks on the domain pool never observe each other. *)
 
 val send : t -> src:int -> dst:int -> tag:string -> bytes -> unit
 (** Stage one message for delivery next round. Raises [Invalid_argument] if

@@ -114,9 +114,8 @@ let replay ?backend ~n ~corrupt events =
   (* The fresh network must run the backend the log was recorded on: an
      async log's virtual timestamps are a function of the seeded per-edge
      latency schedule, which only reproduces under the same config. *)
-  let net = Network.create ?backend ~n ~corrupt () in
   let re = Recorder.create ~keep_payloads:true () in
-  Network.attach_recorder net re;
+  let net = Network.create ?backend ~sinks:[ Recorder.observe re ] ~n ~corrupt () in
   try
     List.iter
       (fun (s : Recorder.send_ev) ->

@@ -17,7 +17,7 @@ val replay :
   Repro_obs.Recorder.event list -> (Repro_obs.Recorder.t, string) result
 (** Re-drive the send events through a fresh [n]-party network, advancing
     rounds so each send is staged at its recorded round, with a
-    payload-keeping recorder attached. [backend] must be the backend the
+    payload-keeping recorder subscribed. [backend] must be the backend the
     log was recorded on (default sparse): async logs carry virtual
     timestamps that only reproduce under the same latency config. Fails
     if a send lacks a captured payload ([keep_payloads] was off at record

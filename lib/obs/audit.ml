@@ -78,7 +78,7 @@ type t = {
   a_n : int;
   a_kappa : int;
   a_budgets : budgets;
-  mutable corrupt : bool array;
+  corrupt : bool array; (* folded from [Corrupt] events *)
   mutable honest_n : int; (* cached honest count, tracks [corrupt] *)
   (* per-round state, reset by end_round. Only parties actually charged
      this round are visited at the round boundary: [touched] lists them,
@@ -142,11 +142,13 @@ let n t = t.a_n
 let kappa t = t.a_kappa
 let budgets t = t.a_budgets
 
-let set_corrupt t mask =
-  if Array.length mask <> t.a_n then invalid_arg "Audit.set_corrupt: arity";
-  t.corrupt <- Array.copy mask;
-  t.honest_n <-
-    Array.fold_left (fun acc c -> if c then acc else acc + 1) 0 t.corrupt
+(* The budget checks skip corrupt parties from the moment their [Corrupt]
+   event arrives: the adversary can always inflate its own numbers. *)
+let mark_corrupt t p =
+  if p >= 0 && p < t.a_n && not t.corrupt.(p) then begin
+    t.corrupt.(p) <- true;
+    t.honest_n <- t.honest_n - 1
+  end
 
 let honest t p = not t.corrupt.(p)
 
@@ -162,13 +164,6 @@ let push_phase t name =
 
 let pop_phase t =
   match t.phases with [] -> () | _ :: rest -> t.phases <- rest
-
-let with_phase opt name f =
-  match opt with
-  | None -> f ()
-  | Some t ->
-    push_phase t name;
-    Fun.protect ~finally:(fun () -> pop_phase t) f
 
 (* --- accounting --- *)
 
@@ -286,6 +281,16 @@ let end_round t ~round =
       t.touched_mark.(p) <- false)
     touched;
   t.touched <- []
+
+let observe t : Event.t -> unit = function
+  | Send { src; dst; bits; _ } -> note_send t ~src ~dst ~bits
+  | Deliver { src; dst; bits } -> note_recv t ~src ~dst ~bits
+  | Scheduled k -> note_scheduled t k
+  | Round_end round -> end_round t ~round
+  | Phase_enter { name; _ } -> push_phase t name
+  | Phase_exit -> pop_phase t
+  | Corrupt p -> mark_corrupt t p
+  | Committee _ | Decide _ -> ()
 
 let finalize t =
   if not t.finalized then begin

@@ -5,9 +5,9 @@
     protocols by exactly this per-party figure, and the KSSV locality
     tradition bounds how many distinct neighbours a party touches. This
     module turns those statements into *online protocol invariants*: an
-    accountant, fed by the metered network, tracks every party's sent and
-    received bits and distinct-neighbour locality per round and per phase
-    tag, checks them against declared budget curves of the form
+    accountant, subscribed to the metered network's event stream, tracks
+    every party's sent and received bits and distinct-neighbour locality
+    per round and per phase tag, checks them against declared budget curves of the form
     [c * log2(n)^k * kappa^j], records a structured per-round timeline, and
     raises violations naming the offending party, round, phase and
     observed-vs-budget values.
@@ -70,39 +70,27 @@ val n : t -> int
 val kappa : t -> int
 val budgets : t -> budgets
 
-val set_corrupt : t -> bool array -> unit
-(** Restrict the budget checks to honest parties (the adversary can always
-    inflate its own parties' numbers). Called by the network on attach. *)
+(** {2 Feeding it}
 
-(** {2 Feeding it (the metered network calls these)} *)
+    An auditor is a subscriber: pass [observe a] in the [sinks] of the
+    network it belongs to, and every send, delivery, round boundary, phase
+    mark and corruption of that network reaches it. *)
 
-val note_send : t -> src:int -> dst:int -> bits:int -> unit
-val note_recv : t -> src:int -> dst:int -> bits:int -> unit
-
-val note_scheduled : t -> int -> unit
-(** Scheduler occupancy for the round being closed next: how many party
-    handlers the network stepper invoked (the armed set) — as opposed to
-    {!round_rec.tr_active}, which counts parties that actually moved bits.
-    Called once per round by the stepper; resets to 0 at [end_round]. *)
-
-val end_round : t -> round:int -> unit
-(** Close the network round: run the per-round budget checks for every
-    honest party, append the timeline record, reset the per-round state. *)
+val observe : t -> Event.t -> unit
+(** Fold one event: sends and deliveries charge both endpoints; [Scheduled]
+    records the round's armed set (as opposed to {!round_rec.tr_active},
+    which counts parties that actually moved bits); [Round_end] runs the
+    per-round budget checks for every honest party, appends the timeline
+    record and resets the per-round state; phase marks push and pop the
+    phase stack (nested phases join into a [>]-separated path, innermost
+    last); [Corrupt p] removes [p] from every later check, since the
+    adversary can always inflate its own parties' numbers. *)
 
 val finalize : t -> unit
 (** Run the whole-execution checks (total bits). Idempotent. *)
 
-(** {2 Phase tags} *)
-
-val push_phase : t -> string -> unit
-val pop_phase : t -> unit
-
-val with_phase : t option -> string -> (unit -> 'a) -> 'a
-(** [with_phase audit tag f] runs [f] with [tag] pushed on the phase stack
-    (restored even on exceptions); [None] is a zero-cost no-op. Nested
-    phases join into a [>]-separated path, innermost last. *)
-
 val current_phase : t -> string
+(** The open phase path ([""] outside every phase). *)
 
 (** {1 Results} *)
 
@@ -117,7 +105,7 @@ type round_rec = {
   tr_max_bits : int;  (** max over honest parties, sent+received this round *)
   tr_mean_bits : float;
   tr_active : int;  (** honest parties that sent or received this round *)
-  tr_scheduled : int;  (** handlers the scheduler invoked ({!note_scheduled}) *)
+  tr_scheduled : int;  (** handlers the scheduler invoked ([Scheduled]) *)
   tr_sent_bits : int;
       (** bits staged by sends this round, summed over all sources (corrupt
           included) — exactly one charge per send the transcript tap sees,
@@ -166,7 +154,7 @@ val pp_summary : Format.formatter -> t -> unit
 (** {1 Global audit mode}
 
     When enabled (the [REPRO_AUDIT] environment variable, [bench --audit],
-    [ba_sim run --audit]), the experiment runner attaches a fresh auditor
+    [ba_sim run --audit]), the experiment runner subscribes a fresh auditor
     with the protocol's declared budgets to every execution; each recorded
     violation bumps the [audit.violations] counter so bench experiments
     carry violation counts in their counter snapshots. *)

@@ -55,7 +55,7 @@ type t = {
   mutable spill_oc : out_channel option; (* opened lazily, on first flush *)
   mutable closed : bool;
   kp : bool;
-  mutable corrupt : bool array;
+  corrupt : (int, unit) Hashtbl.t; (* folded from [Corrupt] events *)
 }
 
 let dummy = Phase { p_round = -1; p_name = "" }
@@ -74,12 +74,10 @@ let create ?(capacity = 1 lsl 21) ?spill ?(keep_payloads = false) () =
     spill_oc = None;
     closed = false;
     kp = keep_payloads;
-    corrupt = [||];
+    corrupt = Hashtbl.create 16;
   }
 
-let set_corrupt t mask = t.corrupt <- Array.copy mask
-
-let is_corrupt t p = p >= 0 && p < Array.length t.corrupt && t.corrupt.(p)
+let is_corrupt t p = Hashtbl.mem t.corrupt p
 
 let keep_payloads t = t.kp
 let total_events t = t.total
@@ -202,27 +200,29 @@ let close t =
 
 (* --- feeding --- *)
 
-let note_send t ?vt ~round ~src ~dst ~tag ~bits ~payload () =
-  push t
-    (Send
-       {
-         s_round = round;
-         s_src = src;
-         s_dst = dst;
-         s_tag = tag;
-         s_digest = digest_of_payload payload;
-         s_bits = bits;
-         s_vt = vt;
-         s_payload = (if t.kp then Some (Bytes.to_string payload) else None);
-       })
-
-let note_phase t ~round name = push t (Phase { p_round = round; p_name = name })
-
-let note_committee t ~round ~level ~idx ~members =
-  push t (Committee { c_round = round; c_level = level; c_idx = idx; c_members = members })
-
-let note_decide t ~round ~party ~value =
-  push t (Decide { d_round = round; d_party = party; d_value = value })
+(* Only what the log keeps is folded in: deliveries, round boundaries and
+   phase exits are implied by the send rounds and phase entries. *)
+let observe t : Event.t -> unit = function
+  | Send { round; vt; src; dst; tag; payload; bits } ->
+    push t
+      (Send
+         {
+           s_round = round;
+           s_src = src;
+           s_dst = dst;
+           s_tag = tag;
+           s_digest = digest_of_payload payload;
+           s_bits = bits;
+           s_vt = vt;
+           s_payload = (if t.kp then Some (Bytes.to_string payload) else None);
+         })
+  | Phase_enter { round; name } -> push t (Phase { p_round = round; p_name = name })
+  | Committee { round; level; idx; members } ->
+    push t (Committee { c_round = round; c_level = level; c_idx = idx; c_members = members })
+  | Decide { round; party; value } ->
+    push t (Decide { d_round = round; d_party = party; d_value = value })
+  | Corrupt p -> Hashtbl.replace t.corrupt p ()
+  | Deliver _ | Scheduled _ | Round_end _ | Phase_exit -> ()
 
 (* --- decisions --- *)
 

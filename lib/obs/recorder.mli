@@ -11,7 +11,7 @@
 
     An instance is owned by one protocol execution (one network) and mutated
     single-threadedly by it, like {!Audit}. Capture is off by default —
-    nothing records unless a recorder is attached to a network. The event
+    nothing records unless a recorder subscribes to a network. The event
     stream is a function of the logical traffic only, so recorded logs are
     byte-identical across reruns and [REPRO_DOMAINS] settings. *)
 
@@ -56,22 +56,21 @@ val create : ?capacity:int -> ?spill:string -> ?keep_payloads:bool -> unit -> t
     [keep_payloads] the raw payload bytes ride along on send events —
     required for replay, off by default. *)
 
-val set_corrupt : t -> bool array -> unit
-(** Ground-truth corrupt mask, recorded by the network on attach; used to
-    separate accountable equivocation from honest per-recipient fan-out. *)
-
 val is_corrupt : t -> int -> bool
+(** Ground truth from the [Corrupt] events seen so far; used to separate
+    accountable equivocation from honest per-recipient fan-out. *)
+
 val keep_payloads : t -> bool
 
-(** {2 Feeding it (the network and protocol layers call these)} *)
+(** {2 Feeding it}
 
-val note_send :
-  t -> ?vt:int -> round:int -> src:int -> dst:int -> tag:string -> bits:int ->
-  payload:bytes -> unit -> unit
+    A recorder is a subscriber: pass [observe r] in the [sinks] of the
+    network it belongs to. *)
 
-val note_phase : t -> round:int -> string -> unit
-val note_committee : t -> round:int -> level:int -> idx:int -> members:int list -> unit
-val note_decide : t -> round:int -> party:int -> value:string -> unit
+val observe : t -> Event.t -> unit
+(** Log sends, phase entries, committee memberships and decisions as
+    {!event}s, and fold [Corrupt] into {!is_corrupt}; the other events
+    leave no trace in the log. *)
 
 (** {2 Log access} *)
 

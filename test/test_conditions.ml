@@ -17,7 +17,6 @@ module Sched = Repro_net.Sched
 module Network = Repro_net.Network
 module Wire = Repro_net.Wire
 module Rng = Repro_util.Rng
-module Sha256 = Repro_crypto.Sha256
 module Runner = Repro_core.Runner
 open Repro_core
 
@@ -230,6 +229,54 @@ let test_adaptive_unbounded_exceeds () =
     "teeth variant blows through floor(beta * n)" true
     (upgrades > int_of_float (beta *. float_of_int n))
 
+(* Mid-run upgrades reach every observer through the network's one corrupt
+   mask: the recorder's evidence ground truth names each upgraded party,
+   and from its upgrade round on the auditor stops budget-checking it —
+   though the party goes on receiving honest traffic, which a flat one-bit
+   budget would otherwise flag every round. *)
+let test_adaptive_upgrades_reach_observers () =
+  let n = 40 and beta = 0.2 in
+  let flat = Repro_obs.Audit.curve ~c:1.0 ~log_exp:0 ~kappa_exp:0 in
+  let audit =
+    Repro_obs.Audit.create ~n
+      ~budgets:{ Repro_obs.Audit.no_budgets with round_bits = Some flat }
+      ()
+  in
+  let recorder = Repro_obs.Recorder.create () in
+  (* Corrupt events before the first scheduled round are the static set;
+     later ones are upgrades, stamped with the round they happen in. *)
+  let started = ref false and round = ref 0 and upgrades = ref [] in
+  let log : Repro_obs.Event.sink = function
+    | Scheduled _ -> started := true
+    | Round_end r -> round := r + 1
+    | Corrupt p when !started -> upgrades := (p, !round) :: !upgrades
+    | _ -> ()
+  in
+  let (_ : Runner.attack_cell) =
+    Runner.run_attack_cell
+      ~sinks:
+        [ Repro_obs.Audit.observe audit; Repro_obs.Recorder.observe recorder; log ]
+      ~condition_name:"adaptive" ~protocol:Runner.This_work_owf
+      ~strategy_name:"silent" ~n ~beta ~seed:2 ~expect_fail:false ()
+  in
+  Repro_obs.Audit.finalize audit;
+  Alcotest.(check bool) "the condition upgraded someone" true (!upgrades <> []);
+  Alcotest.(check bool) "the budget bites honest parties" true
+    (Repro_obs.Audit.violation_count audit > 0);
+  List.iter
+    (fun (p, r0) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "recorder reads upgraded party %d corrupt" p)
+        true
+        (Repro_obs.Recorder.is_corrupt recorder p);
+      List.iter
+        (fun (v : Repro_obs.Audit.violation) ->
+          if v.v_party = p && v.v_round >= r0 then
+            Alcotest.failf "party %d, upgraded in round %d, flagged in round %d" p r0
+              v.v_round)
+        (Repro_obs.Audit.violations audit))
+    !upgrades
+
 (* --- the layer is off by default: pinned goldens, pass-through --- *)
 
 let test_condition_off_matches_goldens () =
@@ -243,14 +290,7 @@ let test_condition_off_matches_goldens () =
   check Runner.This_work_snark Test_golden.golden_snark
 
 let run_owf ?condition ~backend ~n ~seed () =
-  let ctx = Sha256.init () in
-  let feed_bytes b = Sha256.feed ctx b 0 (Bytes.length b) in
-  let feed_str s = feed_bytes (Bytes.unsafe_of_string s) in
-  let tap ~round (m : Wire.msg) =
-    feed_str (Printf.sprintf "%d|%d|%d|%s|" round m.Wire.src m.Wire.dst m.Wire.tag);
-    feed_bytes m.Wire.payload;
-    feed_str "\n"
-  in
+  let tap, digest = Runner.digest_sink () in
   let rng = Rng.create seed in
   let corrupt = Rng.subset rng ~n ~size:(n / 10) in
   let cfg =
@@ -258,8 +298,8 @@ let run_owf ?condition ~backend ~n ~seed () =
       ~inputs:(Array.init n (fun i -> i mod 2 = 0))
       ~seed ()
   in
-  let r = Ba_owf.run ~backend ?condition ~tap cfg in
-  (Sha256.hex (Sha256.finish ctx), r)
+  let r = Ba_owf.run ~backend ?condition ~sinks:[ tap ] cfg in
+  (digest (), r)
 
 let test_pass_condition_byte_identical () =
   let backend = Sched.Async (chaos ~seed:4) in
@@ -387,6 +427,8 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_adaptive_within_budget;
     Alcotest.test_case "unbounded adaptive exceeds the budget (teeth)" `Quick
       test_adaptive_unbounded_exceeds;
+    Alcotest.test_case "adaptive upgrades reach the auditor and the recorder"
+      `Quick test_adaptive_upgrades_reach_observers;
     Alcotest.test_case "condition-off digests match the pinned goldens" `Quick
       test_condition_off_matches_goldens;
     Alcotest.test_case "pass condition is byte-identical" `Quick

@@ -80,19 +80,21 @@ let expected_sends script =
   !out
 
 (* Drive the script through a fresh network with an auditor and a recorder
-   both attached, every party acting every round; [backend] picks the
+   both subscribed, every party acting every round; [backend] picks the
    executor and [condition] programs the async delivery heap — dark
    parties skip their scripted sends. *)
 let drive ?backend ?condition script =
-  let net = Network.create ?backend ~n:script.sc_n ~corrupt:[] () in
-  Option.iter (Network.set_condition net) condition;
   let audit =
     Audit.create ~label:"forensics-qcheck" ~n:script.sc_n
       ~budgets:Audit.no_budgets ()
   in
-  Network.attach_audit net audit;
   let r = Recorder.create () in
-  Network.attach_recorder net r;
+  let net =
+    Network.create ?backend
+      ~sinks:[ Audit.observe audit; Recorder.observe r ]
+      ~n:script.sc_n ~corrupt:[] ()
+  in
+  Option.iter (Network.set_condition net) condition;
   let handler i ~round ~inbox:_ =
     List.iter
       (fun (rr, src, dst, tg, len) ->
@@ -277,7 +279,7 @@ let test_replay_detects_tamper () =
 let test_equivocation_teeth () =
   let r = Recorder.create () in
   let cell =
-    Runner.run_attack_cell ~recorder:r ~protocol:Runner.This_work_owf
+    Runner.run_attack_cell ~sinks:[ Recorder.observe r ] ~protocol:Runner.This_work_owf
       ~strategy_name:"equivocate" ~n:32 ~beta:0.2 ~seed:5 ~expect_fail:false ()
   in
   Alcotest.(check bool)

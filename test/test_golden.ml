@@ -100,6 +100,42 @@ let check_conform protocol n () =
         golden d)
     c.Runner.cf_digests
 
+(* Observers only watch: the same four n = 40 cells with an auditor and a
+   payload-keeping flight recorder subscribed next to the tap must leave
+   the transcript and every measured figure of the row untouched. *)
+let test_observers_neutral () =
+  List.iter
+    (fun (protocol, golden) ->
+      List.iter
+        (fun backend ->
+          let label =
+            Printf.sprintf "%s on %s" (Runner.protocol_name protocol)
+              (Sched.backend_name backend)
+          in
+          let row, digest =
+            Runner.run_digest ~backend ~protocol ~n:cell_n ~beta:cell_beta
+              ~seed:cell_seed ()
+          in
+          let tap, observed_digest = Runner.digest_sink () in
+          let audit = Runner.make_auditor ~protocol ~n:cell_n in
+          let recorder = Repro_obs.Recorder.create ~keep_payloads:true () in
+          let observed_row =
+            Runner.run_with ~backend
+              ~sinks:
+                [ tap; Repro_obs.Audit.observe audit; Repro_obs.Recorder.observe recorder ]
+              ~protocol ~n:cell_n ~beta:cell_beta ~seed:cell_seed ()
+          in
+          Alcotest.(check string) (label ^ ": tap-only digest pinned") golden digest;
+          Alcotest.(check string)
+            (label ^ ": observed digest pinned") golden (observed_digest ());
+          Alcotest.(check bool) (label ^ ": rows identical") true (row = observed_row);
+          Alcotest.(check bool)
+            (label ^ ": the observers saw the run") true
+            (Repro_obs.Audit.rounds_seen audit = row.Runner.r_rounds
+            && Repro_obs.Recorder.total_events recorder > 0))
+        (Runner.conform_backends ~seed:cell_seed))
+    [ (Runner.This_work_owf, golden_owf); (Runner.This_work_snark, golden_snark) ]
+
 let suite =
   [
     Alcotest.test_case "owf transcript digest pinned (all backends)" `Quick
@@ -107,6 +143,8 @@ let suite =
     Alcotest.test_case "snark transcript digest pinned (all backends)" `Quick
       (check_digest "this-work-snark" Runner.This_work_snark golden_snark);
     Alcotest.test_case "owf transcript rerun-stable" `Quick test_rerun_stable;
+    Alcotest.test_case "auditor and recorder leave transcripts and rows alone"
+      `Quick test_observers_neutral;
     Alcotest.test_case "owf n=64 cross-backend conformance" `Quick
       (check_conform Runner.This_work_owf 64);
     Alcotest.test_case "snark n=64 cross-backend conformance" `Quick

@@ -311,9 +311,12 @@ let test_engine_fresh_tag_dispatch () =
    Hashtbl keyed by instance id, which every recorded transcript was made
    with. Pinned here through the network tap. *)
 let test_engine_send_order_pinned () =
-  let net = Network.create ~n:2 ~corrupt:[] () in
   let sent = ref [] in
-  Network.set_tap net (Some (fun ~round:_ (m : Wire.msg) -> sent := m.tag :: !sent));
+  let tap : Repro_obs.Event.sink = function
+    | Send { tag; _ } -> sent := tag :: !sent
+    | _ -> ()
+  in
+  let net = Network.create ~sinks:[ tap ] ~n:2 ~corrupt:[] () in
   let machine =
     {
       Engine.m_send = (fun ~round -> if round = 0 then [ (1, Bytes.empty) ] else []);

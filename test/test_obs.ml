@@ -6,6 +6,7 @@ open Repro_core
 module Counters = Repro_obs.Counters
 module Trace = Repro_obs.Trace
 module Audit = Repro_obs.Audit
+module Event = Repro_obs.Event
 module Parallel = Repro_util.Parallel
 module Json = Repro_util.Json
 
@@ -332,19 +333,27 @@ let test_audit_curve_eval () =
   Alcotest.(check (float 1e-9)) "kappa exponent" 16384.0
     (Audit.eval (Audit.curve ~c:1.0 ~log_exp:0 ~kappa_exp:2) ~n:64 ~kappa:128)
 
+(* The three hand-fed events of both unit tests: party 0 sends 8 bits to
+   each of 1 and 2, party 1 receives one, and round 0 closes. *)
+let feed_unit_round a =
+  let send dst : Event.t =
+    Send { round = 0; vt = None; src = 0; dst; tag = "t"; payload = Bytes.empty; bits = 8 }
+  in
+  List.iter (Audit.observe a)
+    [ send 1; send 2; Deliver { src = 0; dst = 1; bits = 8 }; Round_end 0 ]
+
 let test_audit_accounting () =
   let a = Audit.create ~label:"unit" ~n:4 ~budgets:tight_budgets () in
-  Audit.with_phase (Some a) "ph" (fun () ->
-      Alcotest.(check string) "phase path" "ph" (Audit.current_phase a);
-      Audit.with_phase (Some a) "inner" (fun () ->
-          Alcotest.(check string) "nested path joins" "ph>inner"
-            (Audit.current_phase a));
-      Alcotest.(check string) "phase restored" "ph" (Audit.current_phase a);
-      (* party 0 sends 8 bits to each of 1 and 2; party 1 receives one. *)
-      Audit.note_send a ~src:0 ~dst:1 ~bits:8;
-      Audit.note_send a ~src:0 ~dst:2 ~bits:8;
-      Audit.note_recv a ~src:0 ~dst:1 ~bits:8;
-      Audit.end_round a ~round:0);
+  let enter name = Audit.observe a (Phase_enter { round = 0; name }) in
+  enter "ph";
+  Alcotest.(check string) "phase path" "ph" (Audit.current_phase a);
+  enter "inner";
+  Alcotest.(check string) "nested path joins" "ph>inner" (Audit.current_phase a);
+  Audit.observe a Phase_exit;
+  Alcotest.(check string) "phase restored" "ph" (Audit.current_phase a);
+  feed_unit_round a;
+  Audit.observe a Phase_exit;
+  Alcotest.(check string) "phase closed" "" (Audit.current_phase a);
   Audit.finalize a;
   Audit.finalize a;
   (* budgets are 1 bit/round, 1 peer/round, 2 bits total: party 0 breaks
@@ -394,11 +403,8 @@ let test_audit_accounting () =
 
 let test_audit_corrupt_masked () =
   let a = Audit.create ~n:4 ~budgets:tight_budgets () in
-  Audit.set_corrupt a [| true; false; false; false |];
-  Audit.note_send a ~src:0 ~dst:1 ~bits:8;
-  Audit.note_send a ~src:0 ~dst:2 ~bits:8;
-  Audit.note_recv a ~src:0 ~dst:1 ~bits:8;
-  Audit.end_round a ~round:0;
+  Audit.observe a (Corrupt 0);
+  feed_unit_round a;
   Audit.finalize a;
   (* corrupt party 0's flood is its own business; only honest party 1's
      round-bits and total-bits overruns count. *)

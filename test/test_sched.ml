@@ -398,21 +398,15 @@ let test_executor_order_pinned () =
    [Runner.run_digest]'s line format, with its virtual time and delivery
    statistics. *)
 let test_attack_cell_pinned () =
-  let ctx = Repro_crypto.Sha256.init () in
-  let feed b = Repro_crypto.Sha256.feed ctx b 0 (Bytes.length b) in
-  let tap ~round (m : Repro_net.Wire.msg) =
-    feed (Bytes.of_string (Printf.sprintf "%d|%d|%d|%s|" round m.src m.dst m.tag));
-    feed m.payload;
-    feed (Bytes.of_string "\n")
-  in
+  let tap, digest = Runner.digest_sink () in
   let c =
-    Runner.run_attack_cell ~tap ~protocol:Runner.This_work_owf
+    Runner.run_attack_cell ~sinks:[ tap ] ~protocol:Runner.This_work_owf
       ~strategy_name:"equivocate" ~condition_name:"delay" ~n:256 ~beta:0.1
       ~seed:3 ~expect_fail:false ()
   in
   Alcotest.(check string) "transcript digest"
     "7f768d11991fac88ea174ba5adec8f15eaf797897a9fa6fd88946a2025afa33a"
-    (Repro_crypto.Sha256.hex (Repro_crypto.Sha256.finish ctx));
+    (digest ());
   Alcotest.(check int) "vt" 484 c.Runner.ac_vt;
   Alcotest.(check int) "pre_gst_lost" 4700 c.Runner.ac_pre_gst_lost;
   Alcotest.(check int) "post_gst_late" 0 c.Runner.ac_post_gst_late

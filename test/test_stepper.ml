@@ -131,13 +131,14 @@ let model c =
    included: skipping those is the stepper's job. *)
 let stepper ~backend c =
   let corrupt = List.filter (fun p -> c.corrupt.(p)) (List.init c.n Fun.id) in
-  let net = Network.create ~backend ~n:c.n ~corrupt () in
   let sends = ref [] and inboxes = ref [] and acted = ref [] in
   let ran = ref (-1) in
-  Network.set_tap net
-    (Some
-       (fun ~round (m : Wire.msg) ->
-         sends := (round, m.src, m.dst, m.tag, Bytes.to_string m.payload) :: !sends));
+  let tap : Repro_obs.Event.sink = function
+    | Send { round; src; dst; tag; payload; _ } ->
+      sends := (round, src, dst, tag, Bytes.to_string payload) :: !sends
+    | _ -> ()
+  in
+  let net = Network.create ~backend ~sinks:[ tap ] ~n:c.n ~corrupt () in
   let adversary =
     {
       Network.adv_name = "model-echo";

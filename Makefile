@@ -15,8 +15,7 @@ bench: build
 # <30s subset that still writes BENCH_results.json, then checks it parses.
 bench-smoke: build
 	BENCH_SMOKE=1 ./_build/default/bench/main.exe
-	python3 -m json.tool BENCH_results.json > /dev/null && \
-	  echo "BENCH_results.json: valid JSON"
+	./_build/default/bin/ba_sim.exe validate BENCH_results.json
 
 # Two smoke runs diffed against each other: exercises the regression
 # gate end-to-end (identical runs must report no regressions, exit 0).
@@ -33,8 +32,7 @@ bench-compare: build
 audit: build
 	REPRO_DOMAINS=1 ./_build/default/bin/ba_sim.exe audit \
 	  --timeline-out audit_timeline.jsonl
-	python3 -c "import json,sys; [json.loads(l) for l in open('audit_timeline.jsonl')]" && \
-	  echo "audit_timeline.jsonl: valid JSONL ($$(wc -l < audit_timeline.jsonl) rounds)"
+	./_build/default/bin/ba_sim.exe validate audit_timeline.jsonl
 	REPRO_DOMAINS=4 ./_build/default/bin/ba_sim.exe audit \
 	  --timeline-out audit_timeline4.jsonl > /dev/null
 	cmp audit_timeline.jsonl audit_timeline4.jsonl && \
@@ -46,15 +44,14 @@ audit: build
 # checks the repro-attack/2 report parses.
 attack: build
 	./_build/default/bin/ba_sim.exe attack -n 40 --report ATTACK_report.json
-	python3 -m json.tool ATTACK_report.json > /dev/null && \
-	  echo "ATTACK_report.json: valid JSON"
+	./_build/default/bin/ba_sim.exe validate ATTACK_report.json
 
 # Record a Chrome trace of one small BA run and check it is well-formed
 # JSON with at least one complete ("X") event. Open trace.json in
 # https://ui.perfetto.dev to browse it.
 trace: build
 	./_build/default/bin/ba_sim.exe run --protocol owf -n 128 --trace-out trace.json
-	python3 -m json.tool trace.json > /dev/null
+	./_build/default/bin/ba_sim.exe validate trace.json
 	grep -q '"ph":"X"' trace.json && \
 	  echo "trace.json: valid Chrome trace ($$(grep -c '"ph":"X"' trace.json) events)"
 
@@ -64,29 +61,25 @@ trace: build
 # baseline demonstrates the separation. Takes a few minutes.
 scale: build
 	./_build/default/bin/ba_sim.exe scale --report SCALE_report.json
-	python3 -m json.tool SCALE_report.json > /dev/null && \
-	  echo "SCALE_report.json: valid JSON"
+	./_build/default/bin/ba_sim.exe validate SCALE_report.json
 
 # Same sweep and gates at smoke scale (< 60s), for CI and `make check`.
 scale-smoke: build
 	./_build/default/bin/ba_sim.exe scale --ns 64,128,256 --report SCALE_report.json
-	python3 -m json.tool SCALE_report.json > /dev/null && \
-	  echo "SCALE_report.json: valid JSON"
+	./_build/default/bin/ba_sim.exe validate SCALE_report.json
 
 # Self-profiled BA run: per-span GC/alloc hotspot tables, cache and pool
 # introspection, and a validated repro-profile/1 report.
 profile: build
 	./_build/default/bin/ba_sim.exe profile -p owf -n 256 --report PROFILE_report.json
-	python3 -m json.tool PROFILE_report.json > /dev/null && \
-	  echo "PROFILE_report.json: valid JSON"
+	./_build/default/bin/ba_sim.exe validate PROFILE_report.json
 
 # <30s variant for CI and `make check`: a small profiled run, then a second
 # run compared against the fresh report — deterministic sections are exact,
 # so the self-compare must exit 0.
 profile-smoke: build
 	./_build/default/bin/ba_sim.exe profile -p owf -n 64 --report PROFILE_report.json
-	python3 -m json.tool PROFILE_report.json > /dev/null && \
-	  echo "PROFILE_report.json: valid JSON"
+	./_build/default/bin/ba_sim.exe validate PROFILE_report.json
 	./_build/default/bin/ba_sim.exe profile -p owf -n 64 --compare PROFILE_report.json
 
 # <60s forensics smoke: a small-n explain with the transcript-replay
@@ -98,8 +91,7 @@ profile-smoke: build
 forensics-smoke: build
 	./_build/default/bin/ba_sim.exe explain -p owf -n 48 --replay-check \
 	  --report FORENSICS_report.json
-	python3 -m json.tool FORENSICS_report.json > /dev/null && \
-	  echo "FORENSICS_report.json: valid JSON"
+	./_build/default/bin/ba_sim.exe validate FORENSICS_report.json
 	REPRO_DOMAINS=1 ./_build/default/bin/ba_sim.exe explain -p owf -n 48 \
 	  --log-out FORENSICS_log1.jsonl > /dev/null
 	REPRO_DOMAINS=4 ./_build/default/bin/ba_sim.exe explain -p owf -n 48 \
@@ -109,8 +101,7 @@ forensics-smoke: build
 	($$(wc -l < FORENSICS_log1.jsonl) events)"
 	./_build/default/bin/ba_sim.exe attack -n 40 --strategies equivocate \
 	  --forensics FORENSICS_attack.json
-	python3 -m json.tool FORENSICS_attack.json > /dev/null && \
-	  echo "FORENSICS_attack.json: valid JSON"
+	./_build/default/bin/ba_sim.exe validate FORENSICS_attack.json
 
 # <60s E18 smoke: cross-backend conformance (sparse and zero-knob async
 # must produce one transcript digest per cell) plus the async chaos
@@ -121,8 +112,7 @@ forensics-smoke: build
 async-smoke: build
 	REPRO_DOMAINS=1 ./_build/default/bin/ba_sim.exe conform --ns 64 \
 	  --report ASYNC_report1.json
-	python3 -m json.tool ASYNC_report1.json > /dev/null && \
-	  echo "ASYNC_report1.json: valid JSON"
+	./_build/default/bin/ba_sim.exe validate ASYNC_report1.json
 	REPRO_DOMAINS=4 ./_build/default/bin/ba_sim.exe conform --ns 64 \
 	  --report ASYNC_report4.json > /dev/null
 	cmp ASYNC_report1.json ASYNC_report4.json && \
@@ -138,8 +128,7 @@ conditions-smoke: build
 	REPRO_DOMAINS=1 ./_build/default/bin/ba_sim.exe attack -n 40 \
 	  --betas 0.125 --sanity-betas 0.45 --strategies silent,equivocate \
 	  --conditions --report CONDITIONS_report1.json
-	python3 -m json.tool CONDITIONS_report1.json > /dev/null && \
-	  echo "CONDITIONS_report1.json: valid JSON"
+	./_build/default/bin/ba_sim.exe validate CONDITIONS_report1.json
 	REPRO_DOMAINS=4 ./_build/default/bin/ba_sim.exe attack -n 40 \
 	  --betas 0.125 --sanity-betas 0.45 --strategies silent,equivocate \
 	  --conditions --report CONDITIONS_report4.json > /dev/null

@@ -17,6 +17,7 @@ module Rng = Repro_util.Rng
 module Tablefmt = Repro_util.Tablefmt
 module Parallel = Repro_util.Parallel
 module Metrics = Repro_net.Metrics
+module Json = Repro_util.Json
 
 let full = Sys.getenv_opt "BENCH_FULL" <> None
 
@@ -33,12 +34,11 @@ let section title =
 (* Machine-readable results: BENCH_results.json                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Collected as experiments run; written once at exit. Hand-rolled writer:
-   the repo deliberately has no JSON dependency for output (reading back is
-   Repro_util.Json). Each experiment carries its wall time, the full
-   crypto-operation counter snapshot accumulated while it ran (the registry
-   is reset between experiments), separately the deterministic subset — the
-   counters [--compare] gates regressions on, stable across pool sizes and
+(* Collected as experiments run; written once at exit as one Json.t value.
+   Each experiment carries its wall time, the full crypto-operation counter
+   snapshot accumulated while it ran (the registry is reset between
+   experiments), separately the deterministic subset — the counters
+   [--compare] gates regressions on, stable across pool sizes and
    machines — and (schema /5) a GC allocation profile: machine context like
    wall time, never gated. Schema /6 adds the E18 scheduler arrays:
    `conform` (cross-backend transcript digests) and `async` (partial-
@@ -46,119 +46,38 @@ let section title =
    object per network-condition attack cell (agreement/validity, rounds to
    decide, final virtual time, pre/post-GST loss counts). [--compare]
    skips any section the older file lacks, so /6 and earlier files stay
-   comparable. *)
-let experiment_times : (string * float * string * string * string) list ref =
-  ref []
-let table1_json_rows : string list ref = ref []
-let scale_json_rows : string list ref = ref []
-let conform_json_rows : string list ref = ref []
-let async_json_rows : string list ref = ref []
-let conditions_json_rows : string list ref = ref []
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let row_to_json (r : Runner.row) =
-  Printf.sprintf
-    "{\"protocol\":\"%s\",\"n\":%d,\"beta\":%.3f,\"rounds\":%d,\"max_bytes\":%d,\"mean_bytes\":%.1f,\"p50_bytes\":%.1f,\"p95_bytes\":%.1f,\"p99_bytes\":%.1f,\"stddev_bytes\":%.1f,\"total_bytes\":%d,\"locality\":%d,\"ok\":%b,\"note\":\"%s\",\"tag_breakdown\":%s}"
-    (json_escape r.Runner.r_protocol)
-    r.Runner.r_n r.Runner.r_beta r.Runner.r_rounds r.Runner.r_max_bytes
-    r.Runner.r_mean_bytes r.Runner.r_p50_bytes r.Runner.r_p95_bytes
-    r.Runner.r_p99_bytes r.Runner.r_stddev_bytes
-    r.Runner.r_total_bytes r.Runner.r_locality r.Runner.r_ok
-    (json_escape r.Runner.r_note)
-    (Metrics.breakdown_to_json r.Runner.r_breakdown)
-
-(* A scale-sweep point is a row plus the audit-vs-budget fields (schema
-   repro-bench/4): flat, so readers treat it as a row with extras. *)
-let scale_point_to_json ~cap (sp : Runner.scale_point) =
-  let base = row_to_json sp.Runner.sp_row in
-  let base = String.sub base 0 (String.length base - 1) in
-  Printf.sprintf
-    "%s,\"p99_bits\":%.1f,\"budget_bits\":%s,\"within\":%b,\"violations\":%d,\"cap\":%s}"
-    base sp.Runner.sp_p99_bits
-    (match sp.Runner.sp_budget_bits with
-    | None -> "null"
-    | Some b -> Printf.sprintf "%.1f" b)
-    sp.Runner.sp_within sp.Runner.sp_violations
-    (match cap with None -> "null" | Some c -> string_of_int c)
+   comparable. Every row object is the Runner serializer ba_sim's reports
+   use for the same record. *)
+let experiments : Json.t list ref = ref [] (* newest first *)
+let table1_rows : Runner.row list ref = ref []
+let scale_results : Runner.scale_result list ref = ref []
+let conform_cells : Runner.conform_cell list ref = ref []
+let async_cells : Runner.async_cell list ref = ref []
+let condition_cells : Runner.attack_cell list ref = ref []
 
 let write_results ~total_wall_s =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"schema\": \"repro-bench/7\",\n";
-  Buffer.add_string buf (Printf.sprintf "  \"mode\": \"%s\",\n" mode);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"domains\": %d,\n" (Parallel.domains ()));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"total_wall_s\": %.2f,\n" total_wall_s);
-  Buffer.add_string buf "  \"experiments\": [\n";
-  let times = List.rev !experiment_times in
-  List.iteri
-    (fun i (name, dt, counters, det, profile) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"name\": \"%s\", \"wall_s\": %.2f, \"counters\": %s, \
-            \"det_counters\": %s, \"profile\": %s}%s\n"
-           (json_escape name) dt counters det profile
-           (if i = List.length times - 1 then "" else ",")))
-    times;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf "  \"table1\": [\n";
-  let rows = List.rev !table1_json_rows in
-  List.iteri
-    (fun i row ->
-      Buffer.add_string buf
-        (Printf.sprintf "    %s%s\n" row
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string buf "  ],\n";
-  (* schema /4: the E17 scale sweep — table1-shaped rows with the
-     audit-vs-budget fields (p99_bits, budget_bits, within, violations,
-     cap). Empty when the scale experiment did not run. *)
-  Buffer.add_string buf "  \"scale\": [\n";
-  let rows = !scale_json_rows in
-  List.iteri
-    (fun i row ->
-      Buffer.add_string buf
-        (Printf.sprintf "    %s%s\n" row
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string buf "  ],\n";
-  (* schema /6: the E18 scheduler-backend arrays. Empty when the async
-     experiment did not run. *)
-  let array name rows =
-    Buffer.add_string buf (Printf.sprintf "  \"%s\": [\n" name);
-    List.iteri
-      (fun i row ->
-        Buffer.add_string buf
-          (Printf.sprintf "    %s%s\n" row
-             (if i = List.length rows - 1 then "" else ",")))
-      rows;
-    Buffer.add_string buf "  ]"
+  let rows f l = Json.List (List.map f l) in
+  (* schema /4: one scale point object per (protocol, n) *)
+  let scale_points sc =
+    List.map (Runner.scale_point_json ~cap:sc.Runner.sc_cap) sc.Runner.sc_points
   in
-  array "conform" !conform_json_rows;
-  Buffer.add_string buf ",\n";
-  array "async" !async_json_rows;
-  Buffer.add_string buf ",\n";
-  (* schema /7: the E19 network-condition cells. Empty when the async
-     experiment did not run. *)
-  array "conditions" !conditions_json_rows;
-  Buffer.add_string buf "\n";
-  Buffer.add_string buf "}\n";
+  let doc =
+    Json.(
+      Obj
+        [
+          "schema", Str "repro-bench/7"; "mode", Str mode;
+          "domains", int (Parallel.domains ());
+          "total_wall_s", fixed 2 total_wall_s;
+          "experiments", List (List.rev !experiments);
+          "table1", rows Runner.row_json !table1_rows;
+          "scale", List (List.concat_map scale_points !scale_results);
+          "conform", rows Runner.conform_cell_json !conform_cells;
+          "async", rows Runner.async_cell_json !async_cells;
+          "conditions", rows Runner.attack_cell_json !condition_cells;
+        ])
+  in
   let oc = open_out "BENCH_results.json" in
-  output_string oc (Buffer.contents buf);
+  output_string oc (Json.pretty doc);
   close_out oc;
   Printf.printf "wrote BENCH_results.json (%s mode, %d domains)\n" mode
     (Parallel.domains ())
@@ -170,26 +89,29 @@ let timed_experiment name f =
   f ();
   let dt = Unix.gettimeofday () -. t0 in
   let g1 = Gc.quick_stat () in
-  let counters =
-    Repro_obs.Counters.snapshot_to_json (Repro_obs.Counters.snapshot ())
-  in
-  let det =
-    Repro_obs.Counters.snapshot_to_json
-      (Repro_obs.Counters.deterministic_snapshot ())
-  in
   (* Caller-domain GC delta over the experiment (worker-domain allocation is
      not included; Gc.quick_stat minor counters are per-domain). *)
+  let words f = Json.fixed 0 (f g1 -. f g0) and count f = Json.int (f g1 - f g0) in
   let profile =
-    Printf.sprintf
-      "{\"minor_words\": %.0f, \"promoted_words\": %.0f, \"major_words\": \
-       %.0f, \"minor_collections\": %d, \"major_collections\": %d}"
-      (g1.Gc.minor_words -. g0.Gc.minor_words)
-      (g1.Gc.promoted_words -. g0.Gc.promoted_words)
-      (g1.Gc.major_words -. g0.Gc.major_words)
-      (g1.Gc.minor_collections - g0.Gc.minor_collections)
-      (g1.Gc.major_collections - g0.Gc.major_collections)
+    Json.Obj
+      [
+        "minor_words", words (fun g -> g.Gc.minor_words);
+        "promoted_words", words (fun g -> g.Gc.promoted_words);
+        "major_words", words (fun g -> g.Gc.major_words);
+        "minor_collections", count (fun g -> g.Gc.minor_collections);
+        "major_collections", count (fun g -> g.Gc.major_collections);
+      ]
   in
-  experiment_times := (name, dt, counters, det, profile) :: !experiment_times
+  experiments :=
+    Json.(
+      Obj
+        [
+          "name", Str name; "wall_s", fixed 2 dt;
+          "counters", of_counts (Repro_obs.Counters.snapshot ());
+          "det_counters", of_counts (Repro_obs.Counters.deterministic_snapshot ());
+          "profile", profile;
+        ])
+    :: !experiments
 
 (* ------------------------------------------------------------------ *)
 (* T1/E1: Table 1, measured                                            *)
@@ -203,7 +125,7 @@ let bench_table1 () =
   (* Compute the cells once (in parallel on the domain pool), then reuse the
      same rows for the printed table and the JSON report. *)
   let rows = Runner.table1_rows ~ns ~beta:0.1 ~seed:1 () in
-  table1_json_rows := List.rev_map row_to_json rows;
+  table1_rows := rows;
   Tablefmt.print (Runner.table1_of_rows ~beta:0.1 rows)
 
 (* ------------------------------------------------------------------ *)
@@ -276,13 +198,7 @@ let bench_scale () =
     else [ 256; 512; 1024 ]
   in
   let results = Runner.scale_rows ~ns ~beta:0.1 ~seed:1 () in
-  scale_json_rows :=
-    List.concat_map
-      (fun sc ->
-        List.map
-          (scale_point_to_json ~cap:sc.Runner.sc_cap)
-          sc.Runner.sc_points)
-      results;
+  scale_results := results;
   Tablefmt.print (Runner.scale_table results);
   print_endline
     "  (honest per-party p99 vs each protocol's declared total-bits curve;";
@@ -501,48 +417,6 @@ let bench_srds_ops () =
 (* E18: scheduler backends — conformance + async partial synchrony     *)
 (* ------------------------------------------------------------------ *)
 
-let conform_cell_to_json (c : Runner.conform_cell) =
-  Printf.sprintf
-    "{\"protocol\":\"%s\",\"n\":%d,\"beta\":%.3f,\"seed\":%d,\"rows_ok\":%b,\"match\":%b,\"digests\":[%s]}"
-    (json_escape c.Runner.cf_protocol)
-    c.Runner.cf_n c.Runner.cf_beta c.Runner.cf_seed c.Runner.cf_rows_ok
-    c.Runner.cf_match
-    (String.concat ","
-       (List.map
-          (fun (b, d) ->
-            Printf.sprintf "{\"backend\":\"%s\",\"digest\":\"%s\"}"
-              (json_escape b) (json_escape d))
-          c.Runner.cf_digests))
-
-let async_cell_to_json (a : Runner.async_cell) =
-  Printf.sprintf
-    "{\"protocol\":\"%s\",\"strategy\":\"%s\",\"n\":%d,\"beta\":%.3f,\"seed\":%d,\"delta\":%d,\"jitter\":%d,\"loss\":%.3f,\"gst\":%d,\"rounds\":%d,\"vt\":%d,\"max_latency\":%d,\"pre_gst_lost\":%d,\"post_gst_late\":%d,\"agreed\":%b,\"decided\":%.3f,\"valid\":%b,\"digest\":\"%s\",\"ok\":%b}"
-    (json_escape a.Runner.ay_protocol)
-    (json_escape a.Runner.ay_strategy)
-    a.Runner.ay_n a.Runner.ay_beta a.Runner.ay_seed
-    a.Runner.ay_cfg.Repro_net.Sched.a_delta
-    a.Runner.ay_cfg.Repro_net.Sched.a_jitter
-    a.Runner.ay_cfg.Repro_net.Sched.a_loss
-    a.Runner.ay_cfg.Repro_net.Sched.a_gst a.Runner.ay_rounds a.Runner.ay_vt
-    a.Runner.ay_max_latency a.Runner.ay_pre_gst_lost a.Runner.ay_post_gst_late
-    a.Runner.ay_agreed a.Runner.ay_decided a.Runner.ay_valid
-    (json_escape a.Runner.ay_digest)
-    a.Runner.ay_ok
-
-(* Same key set as the `cells` objects of the `repro-attack/2` report, so
-   one reader parses both. *)
-let condition_cell_to_json (c : Runner.attack_cell) =
-  Printf.sprintf
-    "{\"protocol\":\"%s\",\"strategy\":\"%s\",\"condition\":\"%s\",\"n\":%d,\"beta\":%.4f,\"seed\":%d,\"agreed\":%b,\"decided\":%.3f,\"valid\":%b,\"rounds\":%d,\"vt\":%d,\"pre_gst_lost\":%d,\"post_gst_late\":%d,\"ok\":%b,\"gated\":%b,\"expect\":\"%s\"}"
-    (json_escape c.Runner.ac_protocol)
-    (json_escape c.Runner.ac_strategy)
-    (json_escape c.Runner.ac_condition)
-    c.Runner.ac_n c.Runner.ac_beta c.Runner.ac_seed c.Runner.ac_agreed
-    c.Runner.ac_decided c.Runner.ac_valid c.Runner.ac_rounds c.Runner.ac_vt
-    c.Runner.ac_pre_gst_lost c.Runner.ac_post_gst_late c.Runner.ac_ok
-    c.Runner.ac_gated
-    (if c.Runner.ac_expect_fail then "may-fail" else "pass")
-
 let bench_async () =
   section
     "E18: scheduler backends - conformance + async partial synchrony";
@@ -582,8 +456,8 @@ let bench_async () =
   print_endline "   late column must be all zero)";
   if not (List.for_all (fun a -> a.Runner.ay_ok) cells) then
     failwith "E18: an async chaos cell broke agreement/validity";
-  conform_json_rows := List.map conform_cell_to_json conform;
-  async_json_rows := List.map async_cell_to_json cells;
+  conform_cells := conform;
+  async_cells := cells;
   (* E19 slice: the network-condition matrix at gate beta, including the
      two planted teeth rows (partition-forever, adaptive-unbounded). *)
   let conditions =
@@ -602,12 +476,8 @@ let bench_async () =
     failwith "E19: a gated network-condition cell broke agreement/validity";
   if not m.Runner.am_condition_teeth then
     failwith "E19: a planted never-healing/unbounded row passed silently";
-  conditions_json_rows :=
-    List.filter_map
-      (fun c ->
-        if c.Runner.ac_condition = "none" then None
-        else Some (condition_cell_to_json c))
-      m.Runner.am_cells
+  condition_cells :=
+    List.filter (fun c -> c.Runner.ac_condition <> "none") m.Runner.am_cells
 
 let bench_certificates () =
   section "E7: certificate size - SRDS aggregate vs multisig(+bitmask) vs n";
@@ -1134,14 +1004,12 @@ let bench_targeted_corruption () =
 (* ------------------------------------------------------------------ *)
 
 module Compare = struct
-  module J = Repro_util.Json
-
   let load path =
     let ic = open_in_bin path in
     let len = in_channel_length ic in
     let s = really_input_string ic len in
     close_in ic;
-    match J.parse s with
+    match Json.parse s with
     | Ok v -> v
     | Error e -> failwith (Printf.sprintf "%s: %s" path e)
 
@@ -1150,7 +1018,7 @@ module Compare = struct
      comparison "not comparable" — noted and skipped, never a crash and
      never a false regression. *)
   let section path key j =
-    match J.member key j with
+    match Json.member key j with
     | Some v -> Some v
     | None ->
       Printf.printf "  (%s: no \"%s\" section; not comparable, skipped)\n"
@@ -1159,33 +1027,33 @@ module Compare = struct
 
   let schema_of j =
     Option.value ~default:"pre-schema/1"
-      (Option.bind (J.member "schema" j) J.to_string)
+      (Option.bind (Json.member "schema" j) Json.to_string)
 
   (* name -> (wall_s, det counter assoc or None for pre-schema/3 files,
      profile minor_words or None for pre-schema/5 files) *)
   let experiments path j =
     section path "experiments" j
-    |> Fun.flip Option.bind J.to_list
+    |> Fun.flip Option.bind Json.to_list
     |> Option.value ~default:[]
     |> List.filter_map (fun e ->
-           match (J.member "name" e, J.member "wall_s" e) with
+           match (Json.member "name" e, Json.member "wall_s" e) with
            | Some name, Some wall ->
              let det =
-               match J.member "det_counters" e with
-               | Some (J.Obj kvs) ->
+               match Json.member "det_counters" e with
+               | Some (Json.Obj kvs) ->
                  Some
                    (List.filter_map
-                      (fun (k, v) -> Option.map (fun x -> (k, x)) (J.to_int v))
+                      (fun (k, v) -> Option.map (fun x -> (k, x)) (Json.to_int v))
                       kvs)
                | _ -> None
              in
              let alloc =
-               Option.bind (J.member "profile" e) (fun p ->
-                   Option.bind (J.member "minor_words" p) J.to_float)
+               Option.bind (Json.member "profile" e) (fun p ->
+                   Option.bind (Json.member "minor_words" p) Json.to_float)
              in
              Some
-               ( Option.value ~default:"?" (J.to_string name),
-                 Option.value ~default:0.0 (J.to_float wall),
+               ( Option.value ~default:"?" (Json.to_string name),
+                 Option.value ~default:0.0 (Json.to_float wall),
                  det,
                  alloc )
            | _ -> None)
@@ -1193,14 +1061,14 @@ module Compare = struct
   (* (protocol, n) -> (total_bytes, max_bytes) *)
   let table1 path j =
     section path "table1" j
-    |> Fun.flip Option.bind J.to_list
+    |> Fun.flip Option.bind Json.to_list
     |> Option.value ~default:[]
     |> List.filter_map (fun r ->
            match
-             ( Option.bind (J.member "protocol" r) J.to_string,
-               Option.bind (J.member "n" r) J.to_int,
-               Option.bind (J.member "total_bytes" r) J.to_int,
-               Option.bind (J.member "max_bytes" r) J.to_int )
+             ( Option.bind (Json.member "protocol" r) Json.to_string,
+               Option.bind (Json.member "n" r) Json.to_int,
+               Option.bind (Json.member "total_bytes" r) Json.to_int,
+               Option.bind (Json.member "max_bytes" r) Json.to_int )
            with
            | Some p, Some n, Some total, Some mx -> Some ((p, n), (total, mx))
            | _ -> None)
@@ -1209,23 +1077,23 @@ module Compare = struct
      -> (ok, gated, rounds, vt); schema /7 files only. *)
   let conditions path j =
     section path "conditions" j
-    |> Fun.flip Option.bind J.to_list
+    |> Fun.flip Option.bind Json.to_list
     |> Option.value ~default:[]
     |> List.filter_map (fun r ->
            match
-             ( Option.bind (J.member "protocol" r) J.to_string,
-               Option.bind (J.member "strategy" r) J.to_string,
-               Option.bind (J.member "condition" r) J.to_string,
-               Option.bind (J.member "n" r) J.to_int,
-               Option.bind (J.member "beta" r) J.to_float,
-               Option.bind (J.member "seed" r) J.to_int )
+             ( Option.bind (Json.member "protocol" r) Json.to_string,
+               Option.bind (Json.member "strategy" r) Json.to_string,
+               Option.bind (Json.member "condition" r) Json.to_string,
+               Option.bind (Json.member "n" r) Json.to_int,
+               Option.bind (Json.member "beta" r) Json.to_float,
+               Option.bind (Json.member "seed" r) Json.to_int )
            with
            | Some p, Some s, Some c, Some n, Some b, Some seed ->
              let flag k d =
-               Option.value ~default:d (Option.bind (J.member k r) J.to_bool)
+               Option.value ~default:d (Option.bind (Json.member k r) Json.to_bool)
              in
              let int k =
-               Option.value ~default:0 (Option.bind (J.member k r) J.to_int)
+               Option.value ~default:0 (Option.bind (Json.member k r) Json.to_int)
              in
              Some
                ( (p, s, c, n, int_of_float (b *. 1e4), seed),

@@ -11,10 +11,18 @@
      broadcast  the Cor. 1.2 amortization experiment
      explain    flight-record one run: causal cones, locality gate, replay
      profile    self-profile one cell: hotspots, caches, pool utilization
-     conform    cross-backend conformance + async partial-synchrony gate (E18) *)
+     conform    cross-backend conformance + async partial-synchrony gate (E18)
+     validate   check that report files parse as JSON / JSONL *)
 
 open Cmdliner
 open Repro_core
+
+module Json = Repro_util.Json
+
+let write_json file v =
+  let oc = open_out file in
+  output_string oc (Json.pretty v);
+  close_out oc
 
 let n_arg =
   Arg.(value & opt int 128 & info [ "n" ] ~docv:"N" ~doc:"Number of parties.")
@@ -442,9 +450,7 @@ let attack_cmd =
       broken;
     (match report_out with
     | Some file ->
-      let oc = open_out file in
-      output_string oc (Runner.attack_matrix_json m);
-      close_out oc;
+      write_json file (Runner.attack_matrix_json m);
       Printf.printf "report written to %s\n" file
     | None -> ());
     if m.Runner.am_gate_ok then
@@ -471,9 +477,7 @@ let attack_cmd =
       | None -> true
       | Some file ->
         let bundles = Runner.attack_forensics m in
-        let oc = open_out file in
-        output_string oc (Runner.attack_forensics_json ~n bundles);
-        close_out oc;
+        write_json file (Runner.attack_forensics_json ~n bundles);
         let total_ev =
           List.fold_left
             (fun a b -> a + List.length b.Runner.fb_evidence)
@@ -579,9 +583,7 @@ let scale_cmd =
     Repro_util.Tablefmt.print (Runner.scale_table results);
     (match report_out with
     | Some file ->
-      let oc = open_out file in
-      output_string oc (Runner.scale_json results);
-      close_out oc;
+      write_json file (Runner.scale_json results);
       Printf.printf "report written to %s\n" file
     | None -> ());
     print_endline
@@ -922,9 +924,7 @@ let explain_cmd =
     | None -> ());
     (match report_out with
     | Some file ->
-      let oc = open_out file in
-      output_string oc (Runner.explain_json ex);
-      close_out oc;
+      write_json file (Runner.explain_json ex);
       Printf.printf "report written to %s\n" file
     | None -> ());
     if replay_check then begin
@@ -1055,10 +1055,11 @@ let profile_cmd =
           (100.0 *. busy /. Float.max 1e-9 wall))
       util;
     let report =
-      Repro_obs.Profile.report_json
-        ~protocol:row.Runner.r_protocol ~n ~beta ~seed ~wall_s:wall
-        ~domains:(Repro_util.Parallel.domains ())
-        ~gc ~top ()
+      Json.pretty
+        (Repro_obs.Profile.report_json
+           ~protocol:row.Runner.r_protocol ~n ~beta ~seed ~wall_s:wall
+           ~domains:(Repro_util.Parallel.domains ())
+           ~gc ~top ())
     in
     (match report_out with
     | Some file ->
@@ -1155,9 +1156,7 @@ let conform_cmd =
       cells;
     (match report_out with
     | Some file ->
-      let oc = open_out file in
-      output_string oc (Runner.async_json ~conform ~cells);
-      close_out oc;
+      write_json file (Runner.async_json ~conform ~cells);
       Printf.printf "report written to %s\n" file
     | None -> ());
     if Runner.async_gate_ok ~conform ~cells then
@@ -1182,6 +1181,52 @@ let conform_cmd =
       $ delta_arg ~default:2 $ jitter_arg ~default:3 $ loss_arg ~default:0.1
       $ conform_report_arg)
 
+(* --- validate: the reports parse --- *)
+
+let validate_cmd =
+  let files_arg =
+    Arg.(
+      non_empty & pos_all file []
+      & info [] ~docv:"FILE"
+          ~doc:"A JSON document, or a JSONL file (one value per line) when \
+                the name ends in .jsonl.")
+  in
+  let check file =
+    let ic = open_in_bin file in
+    let text = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    let fail offset msg =
+      Printf.printf "%s:%d: %s\n" file offset msg;
+      exit 1
+    in
+    if Filename.check_suffix file ".jsonl" then begin
+      let lines = String.split_on_char '\n' text in
+      (* a final newline ends the last line; it does not open an empty one *)
+      let lines =
+        match List.rev lines with "" :: rest -> List.rev rest | _ -> lines
+      in
+      ignore
+        (List.fold_left
+           (fun start line ->
+             (match Json.parse_at line with
+             | Ok _ -> ()
+             | Error (offset, msg) -> fail (start + offset) msg);
+             start + String.length line + 1)
+           0 lines);
+      Printf.printf "%s: valid JSONL (%d lines)\n" file (List.length lines)
+    end
+    else
+      match Json.parse_at text with
+      | Ok _ -> Printf.printf "%s: valid JSON\n" file
+      | Error (offset, msg) -> fail offset msg
+  in
+  Cmd.v
+    (Cmd.info "validate"
+       ~doc:
+         "Parse each report with the repository's own JSON reader; print \
+          FILE:OFFSET and exit non-zero at the first malformed one.")
+    Term.(const (List.iter check) $ files_arg)
+
 let () =
   let info =
     Cmd.info "ba_sim" ~version:"1.0"
@@ -1192,4 +1237,4 @@ let () =
        (Cmd.group info
           [ run_cmd; audit_cmd; attack_cmd; table1_cmd; sweep_cmd; scale_cmd;
             games_cmd; boost_cmd; broadcast_cmd; attacks_cmd; breakdown_cmd;
-            explain_cmd; profile_cmd; conform_cmd ]))
+            explain_cmd; profile_cmd; conform_cmd; validate_cmd ]))

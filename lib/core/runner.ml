@@ -7,6 +7,7 @@ module Rng = Repro_util.Rng
 module Mathx = Repro_util.Mathx
 module Tablefmt = Repro_util.Tablefmt
 module Parallel = Repro_util.Parallel
+module Json = Repro_util.Json
 module Metrics = Repro_net.Metrics
 module Audit = Repro_obs.Audit
 module Sched = Repro_net.Sched
@@ -158,6 +159,24 @@ let row_of_report ~protocol ~n ~beta ~(report : Metrics.report) ~ok ~note
     r_note = note;
     r_breakdown = breakdown;
   }
+
+(* One JSON object per record type below, shared by every report that
+   carries the record (ba_sim's artifacts and BENCH_results.json alike).
+   A float's decimals are part of its schema: see {!Json.fixed}. *)
+let row_fields r =
+  Json.
+    [
+      "protocol", Str r.r_protocol; "n", int r.r_n; "beta", fixed 3 r.r_beta;
+      "rounds", int r.r_rounds; "max_bytes", int r.r_max_bytes;
+      "mean_bytes", fixed 1 r.r_mean_bytes; "p50_bytes", fixed 1 r.r_p50_bytes;
+      "p95_bytes", fixed 1 r.r_p95_bytes; "p99_bytes", fixed 1 r.r_p99_bytes;
+      "stddev_bytes", fixed 1 r.r_stddev_bytes;
+      "total_bytes", int r.r_total_bytes; "locality", int r.r_locality;
+      "ok", Bool r.r_ok; "note", Str r.r_note;
+      "tag_breakdown", Metrics.breakdown_json r.r_breakdown;
+    ]
+
+let row_json r = Json.Obj (row_fields r)
 
 module Ba_owf = Balanced_ba.Make (Srds_owf)
 module Ba_snark = Balanced_ba.Make (Srds_snark)
@@ -577,53 +596,40 @@ let attack_matrix ?(betas = [ 0.0; 0.0625; 0.125 ]) ?(sanity_betas = [ 0.45 ])
       && List.for_all (fun c -> not c.ac_ok) condition_teeth_cells;
   }
 
-(* schema repro-attack/2: readable back via Repro_util.Json; the writer is
-   hand-rolled (like bench/main.ml) so byte-identical reruns stay under our
-   control — the determinism test diffs the raw string. /2 adds the
+let attack_cell_json c =
+  Json.(
+    Obj
+      [
+        "protocol", Str c.ac_protocol; "strategy", Str c.ac_strategy;
+        "condition", Str c.ac_condition; "n", int c.ac_n;
+        "beta", fixed 4 c.ac_beta; "seed", int c.ac_seed;
+        "agreed", Bool c.ac_agreed; "decided", fixed 3 c.ac_decided;
+        "valid", Bool c.ac_valid; "rounds", int c.ac_rounds; "vt", int c.ac_vt;
+        "pre_gst_lost", int c.ac_pre_gst_lost;
+        "post_gst_late", int c.ac_post_gst_late; "ok", Bool c.ac_ok;
+        "gated", Bool c.ac_gated;
+        "expect", Str (if c.ac_expect_fail then "may-fail" else "pass");
+      ])
+
+(* schema repro-attack/2, readable back via Repro_util.Json. /2 adds the
    condition axis: a "conditions" header, per-cell condition/gated fields,
    the scheduler observables (rounds, vt, pre/post-GST counts) and the
    "condition_teeth" verdict for the planted expect-fail condition rows. *)
 let attack_matrix_json (m : attack_matrix) =
-  let buf = Buffer.create 4096 in
-  let str s = Printf.sprintf "\"%s\"" s in
-  let strs l = "[" ^ String.concat "," (List.map str l) ^ "]" in
-  let floats l =
-    "[" ^ String.concat "," (List.map (Printf.sprintf "%.4f") l) ^ "]"
-  in
-  let ints l = "[" ^ String.concat "," (List.map string_of_int l) ^ "]" in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"schema\": \"repro-attack/2\",\n";
-  Buffer.add_string buf (Printf.sprintf "  \"n\": %d,\n" m.am_n);
-  Buffer.add_string buf (Printf.sprintf "  \"betas\": %s,\n" (floats m.am_betas));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"sanity_betas\": %s,\n" (floats m.am_sanity_betas));
-  Buffer.add_string buf (Printf.sprintf "  \"seeds\": %s,\n" (ints m.am_seeds));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"protocols\": %s,\n" (strs m.am_protocols));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"strategies\": %s,\n" (strs m.am_strategies));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"conditions\": %s,\n" (strs m.am_conditions));
-  Buffer.add_string buf "  \"cells\": [\n";
-  let last = List.length m.am_cells - 1 in
-  List.iteri
-    (fun i c ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"protocol\":%s,\"strategy\":%s,\"condition\":%s,\"n\":%d,\"beta\":%.4f,\"seed\":%d,\"agreed\":%b,\"decided\":%.3f,\"valid\":%b,\"rounds\":%d,\"vt\":%d,\"pre_gst_lost\":%d,\"post_gst_late\":%d,\"ok\":%b,\"gated\":%b,\"expect\":%s}%s\n"
-           (str c.ac_protocol) (str c.ac_strategy) (str c.ac_condition) c.ac_n
-           c.ac_beta c.ac_seed c.ac_agreed c.ac_decided c.ac_valid c.ac_rounds
-           c.ac_vt c.ac_pre_gst_lost c.ac_post_gst_late c.ac_ok c.ac_gated
-           (str (if c.ac_expect_fail then "may-fail" else "pass"))
-           (if i = last then "" else ",")))
-    m.am_cells;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf (Printf.sprintf "  \"gate_ok\": %b,\n" m.am_gate_ok);
-  Buffer.add_string buf (Printf.sprintf "  \"teeth\": %b,\n" m.am_teeth);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"condition_teeth\": %b\n" m.am_condition_teeth);
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf
+  let strs l = Json.List (List.map (fun s -> Json.Str s) l) in
+  Json.(
+    Obj
+      [
+        "schema", Str "repro-attack/2"; "n", int m.am_n;
+        "betas", List (List.map (fixed 4) m.am_betas);
+        "sanity_betas", List (List.map (fixed 4) m.am_sanity_betas);
+        "seeds", List (List.map int m.am_seeds);
+        "protocols", strs m.am_protocols; "strategies", strs m.am_strategies;
+        "conditions", strs m.am_conditions;
+        "cells", List (List.map attack_cell_json m.am_cells);
+        "gate_ok", Bool m.am_gate_ok; "teeth", Bool m.am_teeth;
+        "condition_teeth", Bool m.am_condition_teeth;
+      ])
 
 (* One table row per (strategy, beta): the per-protocol columns count ok
    cells across seeds, so the rendering stays compact at any seed count.
@@ -970,43 +976,34 @@ let scale_rows ?(ns = scale_ns_default) ?(beta = 0.1) ?(seed = 1)
   in
   take protocols points
 
-(* schema repro-scale/1: the standalone artifact `ba_sim scale --report`
-   writes (BENCH_results.json carries the same rows inline under "scale").
-   Hand-rolled like attack_matrix_json so reruns stay byte-identical. *)
+(* A scale point is a Table-1 row plus the audit-vs-budget fields and the
+   sweep's cap: flat, so readers treat it as a row with extras. *)
+let scale_point_json ~cap sp =
+  Json.(
+    Obj
+      (row_fields sp.sp_row
+      @ [
+          "p99_bits", fixed 1 sp.sp_p99_bits;
+          "budget_bits", option (fixed 1) sp.sp_budget_bits;
+          "within", Bool sp.sp_within; "violations", int sp.sp_violations;
+          "cap", option int cap;
+        ]))
+
+(* schema repro-scale/2: the standalone artifact `ba_sim scale --report`
+   writes (BENCH_results.json carries the same points inline under
+   "scale"). /2 makes each point the full {!scale_point_json} object. *)
 let scale_json results =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"schema\": \"repro-scale/1\",\n";
-  Buffer.add_string buf "  \"protocols\": [\n";
-  let last = List.length results - 1 in
-  List.iteri
-    (fun i sc ->
-      Buffer.add_string buf
-        (Printf.sprintf "    {\"protocol\":\"%s\",\"cap\":%s,\"slope_p99\":%.3f,\"points\":[\n"
-           sc.sc_protocol
-           (match sc.sc_cap with None -> "null" | Some c -> string_of_int c)
-           sc.sc_slope_p99);
-      let plast = List.length sc.sc_points - 1 in
-      List.iteri
-        (fun j sp ->
-          let r = sp.sp_row in
-          Buffer.add_string buf
-            (Printf.sprintf
-               "      {\"n\":%d,\"beta\":%.3f,\"rounds\":%d,\"max_bytes\":%d,\"mean_bytes\":%.1f,\"p99_bytes\":%.1f,\"total_bytes\":%d,\"locality\":%d,\"ok\":%b,\"p99_bits\":%.1f,\"budget_bits\":%s,\"within\":%b,\"violations\":%d}%s\n"
-               r.r_n r.r_beta r.r_rounds r.r_max_bytes r.r_mean_bytes
-               r.r_p99_bytes r.r_total_bytes r.r_locality r.r_ok sp.sp_p99_bits
-               (match sp.sp_budget_bits with
-               | None -> "null"
-               | Some b -> Printf.sprintf "%.1f" b)
-               sp.sp_within sp.sp_violations
-               (if j = plast then "" else ",")))
-        sc.sc_points;
-      Buffer.add_string buf
-        (Printf.sprintf "    ]}%s\n" (if i = last then "" else ",")))
-    results;
-  Buffer.add_string buf "  ]\n";
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf
+  let protocol sc =
+    Json.(
+      Obj
+        [
+          "protocol", Str sc.sc_protocol; "cap", option int sc.sc_cap;
+          "slope_p99", fixed 3 sc.sc_slope_p99;
+          "points", List (List.map (scale_point_json ~cap:sc.sc_cap) sc.sc_points);
+        ])
+  in
+  Json.(
+    Obj [ "schema", Str "repro-scale/2"; "protocols", List (List.map protocol results) ])
 
 let scale_table results =
   let beta =
@@ -1107,8 +1104,6 @@ let run_profiled ~protocol ~n ~beta ~seed =
    mismatches (unparseable file, wrong schema, missing sections — e.g. a
    previous report predating a schema bump) are [Error]: not comparable,
    never a false failure. *)
-
-module Json = Repro_util.Json
 
 let profile_compare ~prev ~cur ~threshold =
   let obj_ints = function
@@ -1283,64 +1278,30 @@ let explain_cones ~protocol ~n ~beta ~seed (rec_ : Recorder.t) : explain_report 
     ex_violations = List.fold_left (fun a (_, v) -> a + v) 0 checked;
   }
 
-(* Minimal JSON string escaping for tags/strategy names (mirrors the
-   recorder's writer: the reports must stay byte-identical across reruns,
-   so all writers are hand-rolled). *)
-let jstr s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
+let cone_json ((c : Recorder.cone), over) =
+  let per_round (r, s) = Json.(List [ int r; int s ]) in
+  Json.(
+    Obj
+      [
+        "party", int c.cone_party; "round", int c.cone_round;
+        "value", Str c.cone_value; "events", int c.cone_events;
+        "parties", int c.cone_parties; "max_slice", int c.cone_max_round_size;
+        "over_budget", int over;
+        "per_round", List (List.map per_round c.cone_per_round);
+      ])
 
 (* schema repro-forensics/1, kind "explain". *)
 let explain_json (ex : explain_report) =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"schema\": \"repro-forensics/1\",\n";
-  Buffer.add_string buf "  \"kind\": \"explain\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"protocol\": %s,\n" (jstr ex.ex_protocol));
-  Buffer.add_string buf (Printf.sprintf "  \"n\": %d,\n" ex.ex_n);
-  Buffer.add_string buf (Printf.sprintf "  \"beta\": %.4f,\n" ex.ex_beta);
-  Buffer.add_string buf (Printf.sprintf "  \"seed\": %d,\n" ex.ex_seed);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"locality_budget\": %s,\n"
-       (match ex.ex_budget with
-       | None -> "null"
-       | Some b -> Printf.sprintf "%.1f" b));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"violations\": %d,\n" ex.ex_violations);
-  Buffer.add_string buf "  \"cones\": [\n";
-  let last = List.length ex.ex_cones - 1 in
-  List.iteri
-    (fun i ((c : Recorder.cone), over) ->
-      let per_round =
-        String.concat ","
-          (List.map
-             (fun (r, s) -> Printf.sprintf "[%d,%d]" r s)
-             c.Recorder.cone_per_round)
-      in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"party\":%d,\"round\":%d,\"value\":%s,\"events\":%d,\"parties\":%d,\"max_slice\":%d,\"over_budget\":%d,\"per_round\":[%s]}%s\n"
-           c.Recorder.cone_party c.Recorder.cone_round
-           (jstr c.Recorder.cone_value) c.Recorder.cone_events
-           c.Recorder.cone_parties c.Recorder.cone_max_round_size over per_round
-           (if i = last then "" else ",")))
-    ex.ex_cones;
-  Buffer.add_string buf "  ]\n";
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf
+  Json.(
+    Obj
+      [
+        "schema", Str "repro-forensics/1"; "kind", Str "explain";
+        "protocol", Str ex.ex_protocol; "n", int ex.ex_n;
+        "beta", fixed 4 ex.ex_beta; "seed", int ex.ex_seed;
+        "locality_budget", option (fixed 1) ex.ex_budget;
+        "violations", int ex.ex_violations;
+        "cones", List (List.map cone_json ex.ex_cones);
+      ])
 
 (* --- attack forensics: evidence bundles for interesting matrix cells --- *)
 
@@ -1423,51 +1384,40 @@ let forensics_teeth bundles =
   in
   planted <> [] && List.for_all (fun b -> b.fb_evidence <> []) planted
 
+let evidence_json (e : Recorder.evidence) =
+  let variant (digest, count, dsts) =
+    Json.(
+      Obj
+        [ "digest", Str digest; "count", int count; "dsts", List (List.map int dsts) ])
+  in
+  Json.(
+    Obj
+      [
+        "src", int e.ev_src; "round", int e.ev_round; "tag", Str e.ev_tag;
+        "src_corrupt", Bool e.ev_src_corrupt;
+        "variants", List (List.map variant e.ev_variants);
+      ])
+
+let forensic_bundle_json b =
+  Json.(
+    Obj
+      [
+        "protocol", Str b.fb_protocol; "strategy", Str b.fb_strategy;
+        "condition", Str b.fb_condition; "beta", fixed 4 b.fb_beta;
+        "seed", int b.fb_seed; "cell_ok", Bool b.fb_cell_ok;
+        "expect", Str (if b.fb_expect_fail then "may-fail" else "pass");
+        "evidence", List (List.map evidence_json b.fb_evidence);
+      ])
+
 (* schema repro-forensics/1, kind "attack". *)
 let attack_forensics_json ~n bundles =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"schema\": \"repro-forensics/1\",\n";
-  Buffer.add_string buf "  \"kind\": \"attack\",\n";
-  Buffer.add_string buf (Printf.sprintf "  \"n\": %d,\n" n);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"teeth\": %b,\n" (forensics_teeth bundles));
-  Buffer.add_string buf "  \"bundles\": [\n";
-  let last = List.length bundles - 1 in
-  List.iteri
-    (fun i b ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"protocol\":%s,\"strategy\":%s,\"condition\":%s,\"beta\":%.4f,\"seed\":%d,\"cell_ok\":%b,\"expect\":%s,\"evidence\":[\n"
-           (jstr b.fb_protocol) (jstr b.fb_strategy) (jstr b.fb_condition)
-           b.fb_beta b.fb_seed b.fb_cell_ok
-           (jstr (if b.fb_expect_fail then "may-fail" else "pass")));
-      let elast = List.length b.fb_evidence - 1 in
-      List.iteri
-        (fun j (e : Recorder.evidence) ->
-          let variants =
-            String.concat ","
-              (List.map
-                 (fun (digest, count, dsts) ->
-                   Printf.sprintf
-                     "{\"digest\":%s,\"count\":%d,\"dsts\":[%s]}" (jstr digest)
-                     count
-                     (String.concat "," (List.map string_of_int dsts)))
-                 e.Recorder.ev_variants)
-          in
-          Buffer.add_string buf
-            (Printf.sprintf
-               "      {\"src\":%d,\"round\":%d,\"tag\":%s,\"src_corrupt\":%b,\"variants\":[%s]}%s\n"
-               e.Recorder.ev_src e.Recorder.ev_round (jstr e.Recorder.ev_tag)
-               e.Recorder.ev_src_corrupt variants
-               (if j = elast then "" else ",")))
-        b.fb_evidence;
-      Buffer.add_string buf
-        (Printf.sprintf "    ]}%s\n" (if i = last then "" else ",")))
-    bundles;
-  Buffer.add_string buf "  ]\n";
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf
+  Json.(
+    Obj
+      [
+        "schema", Str "repro-forensics/1"; "kind", Str "attack"; "n", int n;
+        "teeth", Bool (forensics_teeth bundles);
+        "bundles", List (List.map forensic_bundle_json bundles);
+      ])
 
 (* --- E18: scheduler backends — cross-backend conformance + async partial
    synchrony ---
@@ -1640,49 +1590,44 @@ let async_gate_ok ~conform ~cells =
   List.for_all (fun c -> c.cf_match && c.cf_rows_ok) conform
   && List.for_all (fun a -> a.ay_ok) cells
 
-(* schema repro-async/1: hand-rolled like the other reports so reruns stay
-   byte-identical; parses back with Repro_util.Json. *)
+let conform_cell_json c =
+  let digest (b, d) = Json.(Obj [ "backend", Str b; "digest", Str d ]) in
+  Json.(
+    Obj
+      [
+        "protocol", Str c.cf_protocol; "n", int c.cf_n;
+        "beta", fixed 4 c.cf_beta; "seed", int c.cf_seed;
+        "rows_ok", Bool c.cf_rows_ok; "match", Bool c.cf_match;
+        "digests", List (List.map digest c.cf_digests);
+      ])
+
+let async_cell_json a =
+  let cfg = a.ay_cfg in
+  Json.(
+    Obj
+      [
+        "protocol", Str a.ay_protocol; "strategy", Str a.ay_strategy;
+        "n", int a.ay_n; "beta", fixed 4 a.ay_beta; "seed", int a.ay_seed;
+        "delta", int cfg.Sched.a_delta; "jitter", int cfg.Sched.a_jitter;
+        "loss", fixed 4 cfg.Sched.a_loss; "gst", int cfg.Sched.a_gst;
+        "rounds", int a.ay_rounds; "vt", int a.ay_vt;
+        "max_latency", int a.ay_max_latency;
+        "pre_gst_lost", int a.ay_pre_gst_lost;
+        "post_gst_late", int a.ay_post_gst_late; "agreed", Bool a.ay_agreed;
+        "decided", fixed 3 a.ay_decided; "valid", Bool a.ay_valid;
+        "digest", Str a.ay_digest; "ok", Bool a.ay_ok;
+      ])
+
+(* schema repro-async/1; parses back with Repro_util.Json. *)
 let async_json ~conform ~cells =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"schema\": \"repro-async/1\",\n";
-  Buffer.add_string buf "  \"conform\": [\n";
-  let last = List.length conform - 1 in
-  List.iteri
-    (fun i c ->
-      let digests =
-        String.concat ","
-          (List.map
-             (fun (b, d) -> Printf.sprintf "{\"backend\":%s,\"digest\":%s}" (jstr b) (jstr d))
-             c.cf_digests)
-      in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"protocol\":%s,\"n\":%d,\"beta\":%.4f,\"seed\":%d,\"rows_ok\":%b,\"match\":%b,\"digests\":[%s]}%s\n"
-           (jstr c.cf_protocol) c.cf_n c.cf_beta c.cf_seed c.cf_rows_ok
-           c.cf_match digests
-           (if i = last then "" else ",")))
-    conform;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf "  \"async\": [\n";
-  let last = List.length cells - 1 in
-  List.iteri
-    (fun i a ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"protocol\":%s,\"strategy\":%s,\"n\":%d,\"beta\":%.4f,\"seed\":%d,\"delta\":%d,\"jitter\":%d,\"loss\":%.4f,\"gst\":%d,\"rounds\":%d,\"vt\":%d,\"max_latency\":%d,\"pre_gst_lost\":%d,\"post_gst_late\":%d,\"agreed\":%b,\"decided\":%.3f,\"valid\":%b,\"digest\":%s,\"ok\":%b}%s\n"
-           (jstr a.ay_protocol) (jstr a.ay_strategy) a.ay_n a.ay_beta a.ay_seed
-           a.ay_cfg.Sched.a_delta a.ay_cfg.Sched.a_jitter a.ay_cfg.Sched.a_loss
-           a.ay_cfg.Sched.a_gst a.ay_rounds a.ay_vt a.ay_max_latency
-           a.ay_pre_gst_lost a.ay_post_gst_late a.ay_agreed a.ay_decided
-           a.ay_valid (jstr a.ay_digest) a.ay_ok
-           (if i = last then "" else ",")))
-    cells;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"gate_ok\": %b\n" (async_gate_ok ~conform ~cells));
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf
+  Json.(
+    Obj
+      [
+        "schema", Str "repro-async/1";
+        "conform", List (List.map conform_cell_json conform);
+        "async", List (List.map async_cell_json cells);
+        "gate_ok", Bool (async_gate_ok ~conform ~cells);
+      ])
 
 let conformance_table conform =
   let t =

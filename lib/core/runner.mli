@@ -44,6 +44,11 @@ type row = {
   r_breakdown : (string * int) list;  (** sent bytes per tag group *)
 }
 
+val row_json : row -> Repro_util.Json.t
+(** The Table-1 row object of every report that carries rows. Floats keep
+    fixed decimals ([beta] 3, byte statistics 1; see
+    {!Repro_util.Json.fixed}); [tag_breakdown] is sorted by key. *)
+
 val run :
   ?backend:Repro_net.Sched.backend ->
   protocol:protocol -> n:int -> beta:float -> seed:int -> unit -> row
@@ -107,6 +112,10 @@ type attack_cell = {
           ({!Repro_net.Sched.stats}) *)
   ac_post_gst_late : int;  (** 0 by the partial-synchrony contract *)
 }
+
+val attack_cell_json : attack_cell -> Repro_util.Json.t
+(** One [cells] object of [repro-attack/2]; BENCH_results.json's
+    [conditions] rows use the same object. *)
 
 type attack_matrix = {
   am_n : int;
@@ -183,9 +192,10 @@ val attack_matrix :
     arguments give an identical matrix (and identical
     {!attack_matrix_json} bytes) for any [REPRO_DOMAINS] pool size. *)
 
-val attack_matrix_json : attack_matrix -> string
-(** Machine-readable report, schema [repro-attack/2]; parses back with
-    {!Repro_util.Json}. Byte-identical across reruns with equal inputs. *)
+val attack_matrix_json : attack_matrix -> Repro_util.Json.t
+(** Machine-readable report, schema [repro-attack/2]. Equal inputs give
+    equal values, so its {!Repro_util.Json.pretty} bytes are identical
+    across reruns. *)
 
 val attack_table : attack_matrix -> Repro_util.Tablefmt.t
 (** Compact rendering: one row per (strategy, beta), per-protocol ok
@@ -255,6 +265,10 @@ type scale_result = {
   sc_slope_p99 : float;  (** fitted d log(p99 bits) / d log n *)
 }
 
+val scale_point_json : cap:int option -> scale_point -> Repro_util.Json.t
+(** {!row_json}'s fields, then [p99_bits], [budget_bits] (null without a
+    curve), [within], [violations] and the sweep's [cap]. *)
+
 val scale_ns_default : int list
 (** [256; 512; 1024; 2048; 4096]. *)
 
@@ -273,9 +287,10 @@ val scale_rows :
 (** One audited cell per (protocol, n <= cap), fanned out on the domain
     pool; results are bit-identical for any [REPRO_DOMAINS] pool size. *)
 
-val scale_json : scale_result list -> string
-(** Machine-readable report, schema [repro-scale/1]; parses back with
-    {!Repro_util.Json}. Byte-identical across reruns with equal inputs. *)
+val scale_json : scale_result list -> Repro_util.Json.t
+(** Machine-readable report, schema [repro-scale/2]: one object per
+    protocol with its [cap], [slope_p99] and {!scale_point_json} points.
+    Equal inputs give equal values. *)
 
 val scale_table : scale_result list -> Repro_util.Tablefmt.t
 (** Render: one row per point (p99 vs budget, violation count), the fitted
@@ -355,7 +370,7 @@ val explain_cones :
     curve — the polylog pipelines must explain every decision within their
     locality budget; naive flooding's Theta(n) cone blows the same check. *)
 
-val explain_json : explain_report -> string
+val explain_json : explain_report -> Repro_util.Json.t
 (** Machine-readable report, schema [repro-forensics/1] kind ["explain"];
     parses back with {!Repro_util.Json}. *)
 
@@ -393,7 +408,7 @@ val forensics_teeth : forensic_bundle list -> bool
     beta > 0, so every such bundle must carry evidence — [true] iff at
     least one planted-equivocation bundle exists and none came back empty. *)
 
-val attack_forensics_json : n:int -> forensic_bundle list -> string
+val attack_forensics_json : n:int -> forensic_bundle list -> Repro_util.Json.t
 (** Machine-readable report, schema [repro-forensics/1] kind ["attack"]. *)
 
 (** {1 E18: scheduler backends — conformance + async partial synchrony}
@@ -432,6 +447,9 @@ type conform_cell = {
   cf_match : bool;
       (** digests and measured rows identical across all backends *)
 }
+
+val conform_cell_json : conform_cell -> Repro_util.Json.t
+(** One [conform] row of [repro-async/1] and of BENCH_results.json. *)
 
 val conform_backends : seed:int -> Repro_net.Sched.backend list
 (** [Sparse; Async {default_async with a_seed = seed}] — the async
@@ -473,6 +491,9 @@ type async_cell = {
       (** agreed, >95% decided, valid, and no post-GST late delivery *)
 }
 
+val async_cell_json : async_cell -> Repro_util.Json.t
+(** One [async] row of [repro-async/1] and of BENCH_results.json. *)
+
 val run_async_cell :
   protocol:protocol ->
   strategy_name:string ->
@@ -503,9 +524,9 @@ val async_gate_ok :
     cell holds agreement/validity/post-GST bound. *)
 
 val async_json :
-  conform:conform_cell list -> cells:async_cell list -> string
-(** Machine-readable report, schema [repro-async/1]; parses back with
-    {!Repro_util.Json}. Byte-identical across reruns with equal inputs. *)
+  conform:conform_cell list -> cells:async_cell list -> Repro_util.Json.t
+(** Machine-readable report, schema [repro-async/1]. Equal inputs give
+    equal values. *)
 
 val conformance_table : conform_cell list -> Repro_util.Tablefmt.t
 val async_table : async_cell list -> Repro_util.Tablefmt.t

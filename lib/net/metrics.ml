@@ -221,15 +221,8 @@ let tag_breakdown t =
 
 (* A breakdown as a flat JSON object. Keys are re-sorted by name so the
    rendering is a stable function of the content, not of insertion order. *)
-let breakdown_to_json bd =
-  let buf = Buffer.create 128 in
-  Buffer.add_char buf '{';
-  List.sort (fun (a, _) (b, _) -> compare a b) bd
-  |> List.iteri (fun i (g, b) ->
-         if i > 0 then Buffer.add_char buf ',';
-         Buffer.add_string buf (Printf.sprintf "\"%s\":%d" g b));
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+let breakdown_json bd =
+  Repro_util.Json.of_counts (List.sort (fun (a, _) (b, _) -> compare a b) bd)
 
 let pp_breakdown ppf bd =
   let width =
@@ -251,12 +244,3 @@ let pp_report ppf r =
     (r.mean_bytes /. 1024.)
     (float_of_int r.total_bytes /. 1024.)
     r.max_locality r.rounds
-
-(* Machine-readable form for BENCH_results.json and any external tooling:
-   a flat JSON object string, keys stable across versions. *)
-let report_to_json r =
-  Printf.sprintf
-    "{\"max_bytes\":%d,\"mean_bytes\":%.1f,\"p50_bytes\":%.1f,\"p95_bytes\":%.1f,\"p99_bytes\":%.1f,\"stddev_bytes\":%.1f,\"total_bytes\":%d,\"max_msgs_sent\":%d,\"max_locality\":%d,\"mean_locality\":%.2f,\"rounds\":%d}"
-    r.max_bytes r.mean_bytes r.p50_bytes r.p95_bytes r.p99_bytes
-    r.stddev_bytes r.total_bytes r.max_msgs_sent r.max_locality
-    r.mean_locality r.rounds

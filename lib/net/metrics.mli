@@ -27,7 +27,7 @@ val tag_group : string -> string
 val tag_breakdown : t -> (string * int) list
 (** Total sent bytes per tag group, largest first. *)
 
-val breakdown_to_json : (string * int) list -> string
+val breakdown_json : (string * int) list -> Repro_util.Json.t
 (** A breakdown as a flat JSON object, keys sorted by name. *)
 
 val pp_breakdown : Format.formatter -> (string * int) list -> unit
@@ -55,7 +55,3 @@ val report : ?include_party:(int -> bool) -> t -> report
     values. *)
 
 val pp_report : Format.formatter -> report -> unit
-
-val report_to_json : report -> string
-(** The report as a flat JSON object (stable keys), for machine-readable
-    benchmark output. *)

@@ -352,35 +352,24 @@ let worst_offenders ?(top = 5) t =
 
 (* --- JSONL timeline --- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let timeline_row_json ?protocol r =
+  let protocol =
+    match protocol with Some p -> [ ("protocol", Json.Str p) ] | None -> []
+  in
+  Json.(
+    Obj
+      (protocol
+      @ [
+          "round", int r.tr_round; "phase", Str r.tr_phase;
+          "max_bits", int r.tr_max_bits; "mean_bits", fixed 1 r.tr_mean_bits;
+          "active", int r.tr_active; "scheduled", int r.tr_scheduled;
+          "sent_bits", int r.tr_sent_bits; "max_locality", int r.tr_max_locality;
+          "violations", int r.tr_violations;
+        ]))
 
 let timeline_jsonl ?protocol t =
-  let buf = Buffer.create 4096 in
-  List.iter
-    (fun r ->
-      (match protocol with
-      | Some p -> Buffer.add_string buf (Printf.sprintf "{\"protocol\":\"%s\"," (json_escape p))
-      | None -> Buffer.add_char buf '{');
-      Buffer.add_string buf
-        (Printf.sprintf
-           "\"round\":%d,\"phase\":\"%s\",\"max_bits\":%d,\"mean_bits\":%.1f,\"active\":%d,\"scheduled\":%d,\"sent_bits\":%d,\"max_locality\":%d,\"violations\":%d}\n"
-           r.tr_round (json_escape r.tr_phase) r.tr_max_bits r.tr_mean_bits
-           r.tr_active r.tr_scheduled r.tr_sent_bits r.tr_max_locality
-           r.tr_violations))
-    (timeline t);
-  Buffer.contents buf
+  String.concat ""
+    (List.map (fun r -> Json.compact (timeline_row_json ?protocol r) ^ "\n") (timeline t))
 
 (* --- summary --- *)
 

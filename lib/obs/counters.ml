@@ -103,17 +103,6 @@ let snapshot () = snapshot_of !registry
 let deterministic_snapshot () =
   snapshot_of (List.filter (fun c -> c.deterministic) !registry)
 
-let snapshot_to_json snap =
-  let buf = Buffer.create 256 in
-  Buffer.add_char buf '{';
-  List.iteri
-    (fun i (name, v) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "\"%s\":%d" name v))
-    snap;
-  Buffer.add_char buf '}';
-  Buffer.contents buf
-
 let pp_table ppf snap =
   let width =
     List.fold_left (fun acc (name, _) -> max acc (String.length name)) 8 snap

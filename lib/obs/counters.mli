@@ -45,9 +45,6 @@ val deterministic_snapshot : unit -> (string * int) list
 (** Only the counters whose values are pool-size independent — the subset
     compared by the determinism test. *)
 
-val snapshot_to_json : (string * int) list -> string
-(** A flat JSON object, keys in snapshot order. *)
-
 val pp_table : Format.formatter -> (string * int) list -> unit
 (** Human-readable two-column rendering of a snapshot. *)
 

@@ -137,114 +137,42 @@ let render_hotspots ?(top = 10) () =
 
 (* ---------- JSON ---------- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let add_kv_object buf kvs =
-  Buffer.add_char buf '{';
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "\"%s\":%d" (json_escape k) v))
-    kvs;
-  Buffer.add_char buf '}'
-
-let add_probes buf ps =
-  Buffer.add_char buf '{';
-  List.iteri
-    (fun i (name, kvs) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "\"%s\":" (json_escape name));
-      add_kv_object buf kvs)
-    ps;
-  Buffer.add_char buf '}'
+let probes_json ps =
+  Json.Obj (List.map (fun (name, kvs) -> (name, Json.of_counts kvs)) ps)
 
 (* Buckets are serialised up to the last nonzero one so the arrays stay
    short and adding trailing-empty buckets never changes the bytes. *)
-let add_histograms buf hs =
-  Buffer.add_char buf '{';
-  List.iteri
-    (fun i (name, (count, sum, buckets)) ->
-      if i > 0 then Buffer.add_char buf ',';
-      let last = ref (-1) in
-      Array.iteri (fun j v -> if v > 0 then last := j) buckets;
-      Buffer.add_string buf
-        (Printf.sprintf "\"%s\":{\"count\":%d,\"sum\":%d,\"buckets\":["
-           (json_escape name) count sum);
-      for j = 0 to !last do
-        if j > 0 then Buffer.add_char buf ',';
-        Buffer.add_string buf (string_of_int buckets.(j))
-      done;
-      Buffer.add_string buf "]}")
-    hs;
-  Buffer.add_char buf '}'
+let histogram_json (count, sum, buckets) =
+  let last = ref (-1) in
+  Array.iteri (fun j v -> if v > 0 then last := j) buckets;
+  let shown = Array.to_list (Array.sub buckets 0 (!last + 1)) in
+  Json.(Obj [ "count", int count; "sum", int sum; "buckets", List (List.map int shown) ])
 
-let add_deterministic buf =
-  Buffer.add_string buf "{\"counters\":";
-  add_kv_object buf (Counters.deterministic_snapshot ());
-  Buffer.add_string buf ",\"histograms\":";
-  add_histograms buf (Counters.deterministic_histogram_snapshot ());
-  Buffer.add_string buf ",\"spans\":[";
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "{\"path\":\"%s\",\"count\":%d}"
-           (json_escape (path_string r.p_path))
-           r.p_count))
-    (rows ());
-  Buffer.add_string buf "],\"probes\":";
-  add_probes buf (read_probes ~deterministic:true ());
-  Buffer.add_char buf '}'
+let span_json r =
+  Json.(Obj [ "path", Str (path_string r.p_path); "count", int r.p_count ])
 
 let deterministic_json () =
-  let buf = Buffer.create 1024 in
-  add_deterministic buf;
-  Buffer.contents buf
+  let hists = Counters.deterministic_histogram_snapshot () in
+  Json.(
+    Obj
+      [
+        "counters", of_counts (Counters.deterministic_snapshot ());
+        "histograms", Obj (List.map (fun (name, h) -> (name, histogram_json h)) hists);
+        "spans", List (List.map span_json (rows ()));
+        "probes", probes_json (read_probes ~deterministic:true ());
+      ])
 
-let add_hotspot_list buf rs =
-  Buffer.add_char buf '[';
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"path\":\"%s\",\"count\":%d,\"wall_ms\":%.3f,\"alloc_words\":%.0f}"
-           (json_escape (path_string r.p_path))
-           r.p_count (r.p_wall_us /. 1e3) (alloc_words r)))
-    rs;
-  Buffer.add_char buf ']'
+let hotspot_json r =
+  Json.(
+    Obj
+      [
+        "path", Str (path_string r.p_path); "count", int r.p_count;
+        "wall_ms", fixed 3 (r.p_wall_us /. 1e3);
+        "alloc_words", fixed 0 (alloc_words r);
+      ])
 
 let report_json ~protocol ~n ~beta ~seed ~wall_s ~domains ~(gc : Trace.gc_delta)
     ?(top = 10) () =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"schema\": \"repro-profile/1\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"protocol\": \"%s\",\n" (json_escape protocol));
-  Buffer.add_string buf (Printf.sprintf "  \"n\": %d,\n" n);
-  Buffer.add_string buf (Printf.sprintf "  \"beta\": %g,\n" beta);
-  Buffer.add_string buf (Printf.sprintf "  \"seed\": %d,\n" seed);
-  Buffer.add_string buf "  \"deterministic\": ";
-  add_deterministic buf;
-  Buffer.add_string buf ",\n  \"nondeterministic\": {";
-  Buffer.add_string buf (Printf.sprintf "\"wall_s\": %.6f" wall_s);
-  Buffer.add_string buf (Printf.sprintf ",\"domains\": %d" domains);
-  Buffer.add_string buf
-    (Printf.sprintf
-       ",\"gc\": {\"minor_words\":%.0f,\"promoted_words\":%.0f,\"major_words\":%.0f,\"minor_collections\":%d,\"major_collections\":%d}"
-       gc.Trace.g_minor_words gc.Trace.g_promoted_words gc.Trace.g_major_words
-       gc.Trace.g_minor_collections gc.Trace.g_major_collections);
   let det_names =
     List.map fst (Counters.deterministic_snapshot ()) |> List.sort_uniq compare
   in
@@ -253,14 +181,32 @@ let report_json ~protocol ~n ~beta ~seed ~wall_s ~domains ~(gc : Trace.gc_delta)
       (fun (name, _) -> not (List.mem name det_names))
       (Counters.snapshot ())
   in
-  Buffer.add_string buf ",\"counters\": ";
-  add_kv_object buf nondet_counters;
-  Buffer.add_string buf ",\"probes\": ";
-  add_probes buf (read_probes ~deterministic:false ());
   let rs = rows () in
-  Buffer.add_string buf ",\"hotspots_by_wall\": ";
-  add_hotspot_list buf (hotspots_by_wall ~top rs);
-  Buffer.add_string buf ",\"hotspots_by_alloc\": ";
-  add_hotspot_list buf (hotspots_by_alloc ~top rs);
-  Buffer.add_string buf "}\n}\n";
-  Buffer.contents buf
+  let hotspots l = Json.List (List.map hotspot_json l) in
+  let gc =
+    Json.(
+      Obj
+        [
+          "minor_words", fixed 0 gc.Trace.g_minor_words;
+          "promoted_words", fixed 0 gc.Trace.g_promoted_words;
+          "major_words", fixed 0 gc.Trace.g_major_words;
+          "minor_collections", int gc.Trace.g_minor_collections;
+          "major_collections", int gc.Trace.g_major_collections;
+        ])
+  in
+  Json.(
+    Obj
+      [
+        "schema", Str "repro-profile/1"; "protocol", Str protocol; "n", int n;
+        "beta", Num beta; "seed", int seed;
+        "deterministic", deterministic_json ();
+        ( "nondeterministic",
+          Obj
+            [
+              "wall_s", fixed 6 wall_s; "domains", int domains; "gc", gc;
+              "counters", of_counts nondet_counters;
+              "probes", probes_json (read_probes ~deterministic:false ());
+              "hotspots_by_wall", hotspots (hotspots_by_wall ~top rs);
+              "hotspots_by_alloc", hotspots (hotspots_by_alloc ~top rs);
+            ] );
+      ])

@@ -64,11 +64,11 @@ val render_hotspots : ?top:int -> unit -> string
 
 (** {1 Reports} *)
 
-val deterministic_json : unit -> string
+val deterministic_json : unit -> Json.t
 (** The deterministic half only — counters, histograms, span shape, and
-    deterministic probes — as one JSON object. Byte-identical across
-    reruns and [REPRO_DOMAINS] settings for the same logical run; the
-    determinism tests compare these strings directly. *)
+    deterministic probes — as one JSON object. Its {!Json.compact} bytes
+    are identical across reruns and [REPRO_DOMAINS] settings for the same
+    logical run; the determinism tests compare those strings directly. *)
 
 val report_json :
   protocol:string ->
@@ -80,7 +80,7 @@ val report_json :
   gc:Trace.gc_delta ->
   ?top:int ->
   unit ->
-  string
+  Json.t
 (** The full [repro-profile/1] document: run identity, the
     {!deterministic_json} object under ["deterministic"], and wall time,
     whole-run Gc totals, nondeterministic counters/probes and hotspot

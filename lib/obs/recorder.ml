@@ -87,52 +87,45 @@ let dropped t = t.n_dropped
 
 (* --- JSONL --- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let hex_of_string s =
   let b = Buffer.create (2 * String.length s) in
   String.iter (fun c -> Buffer.add_string b (Printf.sprintf "%02x" (Char.code c))) s;
   Buffer.contents b
 
-let event_jsonl = function
+let event_json = function
   | Send s ->
-    let vt =
-      match s.s_vt with
-      | None -> ""
-      | Some v -> Printf.sprintf ",\"vt\":%d" v
-    in
+    let vt = match s.s_vt with None -> [] | Some v -> [ ("vt", Json.int v) ] in
     let payload =
       match s.s_payload with
-      | None -> ""
-      | Some p -> Printf.sprintf ",\"payload\":\"%s\"" (hex_of_string p)
+      | None -> []
+      | Some p -> [ ("payload", Json.Str (hex_of_string p)) ]
     in
-    Printf.sprintf
-      "{\"e\":\"send\",\"round\":%d,\"src\":%d,\"dst\":%d,\"tag\":\"%s\",\"bits\":%d,\"digest\":\"%s\"%s%s}"
-      s.s_round s.s_src s.s_dst (json_escape s.s_tag) s.s_bits
-      (hex_of_digest s.s_digest) vt payload
+    Json.(
+      Obj
+        ([
+           "e", Str "send"; "round", int s.s_round; "src", int s.s_src;
+           "dst", int s.s_dst; "tag", Str s.s_tag; "bits", int s.s_bits;
+           "digest", Str (hex_of_digest s.s_digest);
+         ]
+        @ vt @ payload))
   | Phase p ->
-    Printf.sprintf "{\"e\":\"phase\",\"round\":%d,\"name\":\"%s\"}" p.p_round
-      (json_escape p.p_name)
+    Json.(Obj [ "e", Str "phase"; "round", int p.p_round; "name", Str p.p_name ])
   | Committee c ->
-    Printf.sprintf
-      "{\"e\":\"committee\",\"round\":%d,\"level\":%d,\"idx\":%d,\"members\":[%s]}"
-      c.c_round c.c_level c.c_idx
-      (String.concat "," (List.map string_of_int c.c_members))
+    Json.(
+      Obj
+        [
+          "e", Str "committee"; "round", int c.c_round; "level", int c.c_level;
+          "idx", int c.c_idx; "members", List (List.map int c.c_members);
+        ])
   | Decide d ->
-    Printf.sprintf "{\"e\":\"decide\",\"round\":%d,\"party\":%d,\"value\":\"%s\"}"
-      d.d_round d.d_party (json_escape d.d_value)
+    Json.(
+      Obj
+        [
+          "e", Str "decide"; "round", int d.d_round; "party", int d.d_party;
+          "value", Str d.d_value;
+        ])
+
+let event_jsonl e = Json.compact (event_json e)
 
 (* --- ring --- *)
 

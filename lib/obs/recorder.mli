@@ -93,10 +93,10 @@ val close : t -> unit
 
 (** {1 JSONL serialization}
 
-    One event per line, hand-rolled like the other report writers so
-    reruns stay byte-identical. Lines:
+    One event per line, each the {!Json.compact} rendering of the event's
+    object (every field an int or a string). Lines:
     {v
-    {"e":"send","round":R,"src":S,"dst":D,"tag":"T","bits":B,"digest":"H"[,"payload":"HEX"]}
+    {"e":"send","round":R,"src":S,"dst":D,"tag":"T","bits":B,"digest":"H"[,"vt":V][,"payload":"HEX"]}
     {"e":"phase","round":R,"name":"N"}
     {"e":"committee","round":R,"level":L,"idx":I,"members":[..]}
     {"e":"decide","round":R,"party":P,"value":"V"}

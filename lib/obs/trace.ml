@@ -178,47 +178,21 @@ let reset () =
       b.dropped <- 0)
     bs
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let event_json ev =
+  let args =
+    if ev.e_args = [] then []
+    else [ ("args", Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) ev.e_args)) ]
+  in
+  Json.(
+    Obj
+      ([
+         "name", Str ev.e_name; "cat", Str ev.e_cat; "ph", Str "X";
+         "ts", fixed 3 ev.e_ts; "dur", fixed 3 ev.e_dur; "pid", int 1;
+         "tid", int ev.e_tid;
+       ]
+      @ args))
 
-let to_chrome_json evs =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "[\n";
-  List.iteri
-    (fun i ev ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":%d"
-           (json_escape ev.e_name) (json_escape ev.e_cat) ev.e_ts ev.e_dur
-           ev.e_tid);
-      if ev.e_args <> [] then begin
-        Buffer.add_string buf ",\"args\":{";
-        List.iteri
-          (fun j (k, v) ->
-            if j > 0 then Buffer.add_char buf ',';
-            Buffer.add_string buf
-              (Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v)))
-          ev.e_args;
-        Buffer.add_char buf '}'
-      end;
-      Buffer.add_char buf '}')
-    evs;
-  Buffer.add_string buf "\n]\n";
-  Buffer.contents buf
+let to_chrome_json evs = Json.pretty (Json.List (List.map event_json evs))
 
 let flush () =
   match !out_file with

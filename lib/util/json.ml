@@ -1,181 +1,3 @@
-(* Minimal recursive-descent JSON reader. The repository has no JSON
-   dependency by design; this reader exists so tools can consume the
-   repository's own outputs (bench result files, audit timelines) without
-   one. It accepts the full RFC 8259 grammar; the only simplification is
-   that every number becomes a float (exact for the integer counters the
-   bench file holds, up to 2^53). *)
-
-type t =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | List of t list
-  | Obj of (string * t) list
-
-exception Err of int * string
-
-let fail pos msg = raise (Err (pos, msg))
-
-type state = { s : string; mutable pos : int }
-
-let peek st = if st.pos < String.length st.s then Some st.s.[st.pos] else None
-
-let skip_ws st =
-  while
-    st.pos < String.length st.s
-    && match st.s.[st.pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
-  do
-    st.pos <- st.pos + 1
-  done
-
-let expect st c =
-  match peek st with
-  | Some d when d = c -> st.pos <- st.pos + 1
-  | _ -> fail st.pos (Printf.sprintf "expected '%c'" c)
-
-let literal st word value =
-  let l = String.length word in
-  if st.pos + l <= String.length st.s && String.sub st.s st.pos l = word then begin
-    st.pos <- st.pos + l;
-    value
-  end
-  else fail st.pos ("expected " ^ word)
-
-let parse_string st =
-  expect st '"';
-  let buf = Buffer.create 16 in
-  let rec go () =
-    if st.pos >= String.length st.s then fail st.pos "unterminated string";
-    let c = st.s.[st.pos] in
-    st.pos <- st.pos + 1;
-    match c with
-    | '"' -> Buffer.contents buf
-    | '\\' -> (
-      if st.pos >= String.length st.s then fail st.pos "unterminated escape";
-      let e = st.s.[st.pos] in
-      st.pos <- st.pos + 1;
-      (match e with
-      | '"' -> Buffer.add_char buf '"'
-      | '\\' -> Buffer.add_char buf '\\'
-      | '/' -> Buffer.add_char buf '/'
-      | 'b' -> Buffer.add_char buf '\b'
-      | 'f' -> Buffer.add_char buf '\012'
-      | 'n' -> Buffer.add_char buf '\n'
-      | 'r' -> Buffer.add_char buf '\r'
-      | 't' -> Buffer.add_char buf '\t'
-      | 'u' ->
-        if st.pos + 4 > String.length st.s then fail st.pos "short \\u escape";
-        let hex = String.sub st.s st.pos 4 in
-        st.pos <- st.pos + 4;
-        let code =
-          try int_of_string ("0x" ^ hex)
-          with _ -> fail (st.pos - 4) "bad \\u escape"
-        in
-        (* Encode the code point as UTF-8; surrogate pairs are passed
-           through as two 3-byte sequences (adequate for our own files,
-           which never emit them). *)
-        if code < 0x80 then Buffer.add_char buf (Char.chr code)
-        else if code < 0x800 then begin
-          Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-          Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-        end
-        else begin
-          Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-          Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-          Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-        end
-      | _ -> fail (st.pos - 1) "bad escape");
-      go ())
-    | c -> Buffer.add_char buf c; go ()
-  in
-  go ()
-
-let parse_number st =
-  let start = st.pos in
-  let adv () = st.pos <- st.pos + 1 in
-  if peek st = Some '-' then adv ();
-  while (match peek st with Some '0' .. '9' -> true | _ -> false) do adv () done;
-  if peek st = Some '.' then begin
-    adv ();
-    while (match peek st with Some '0' .. '9' -> true | _ -> false) do adv () done
-  end;
-  (match peek st with
-  | Some ('e' | 'E') ->
-    adv ();
-    (match peek st with Some ('+' | '-') -> adv () | _ -> ());
-    while (match peek st with Some '0' .. '9' -> true | _ -> false) do adv () done
-  | _ -> ());
-  let text = String.sub st.s start (st.pos - start) in
-  match float_of_string_opt text with
-  | Some f -> f
-  | None -> fail start "bad number"
-
-let rec parse_value st =
-  skip_ws st;
-  match peek st with
-  | None -> fail st.pos "unexpected end of input"
-  | Some '{' ->
-    st.pos <- st.pos + 1;
-    skip_ws st;
-    if peek st = Some '}' then begin st.pos <- st.pos + 1; Obj [] end
-    else begin
-      let rec members acc =
-        skip_ws st;
-        let key = parse_string st in
-        skip_ws st;
-        expect st ':';
-        let v = parse_value st in
-        skip_ws st;
-        match peek st with
-        | Some ',' -> st.pos <- st.pos + 1; members ((key, v) :: acc)
-        | Some '}' -> st.pos <- st.pos + 1; Obj (List.rev ((key, v) :: acc))
-        | _ -> fail st.pos "expected ',' or '}'"
-      in
-      members []
-    end
-  | Some '[' ->
-    st.pos <- st.pos + 1;
-    skip_ws st;
-    if peek st = Some ']' then begin st.pos <- st.pos + 1; List [] end
-    else begin
-      let rec elems acc =
-        let v = parse_value st in
-        skip_ws st;
-        match peek st with
-        | Some ',' -> st.pos <- st.pos + 1; elems (v :: acc)
-        | Some ']' -> st.pos <- st.pos + 1; List (List.rev (v :: acc))
-        | _ -> fail st.pos "expected ',' or ']'"
-      in
-      elems []
-    end
-  | Some '"' -> Str (parse_string st)
-  | Some 't' -> literal st "true" (Bool true)
-  | Some 'f' -> literal st "false" (Bool false)
-  | Some 'n' -> literal st "null" Null
-  | Some ('-' | '0' .. '9') -> Num (parse_number st)
-  | Some c -> fail st.pos (Printf.sprintf "unexpected '%c'" c)
-
-let parse s =
-  let st = { s; pos = 0 } in
-  match parse_value st with
-  | v ->
-    skip_ws st;
-    if st.pos <> String.length s then
-      Error (Printf.sprintf "trailing data at offset %d" st.pos)
-    else Ok v
-  | exception Err (pos, msg) ->
-    Error (Printf.sprintf "%s at offset %d" msg pos)
-
-let parse_exn s =
-  match parse s with Ok v -> v | Error e -> failwith ("Json.parse: " ^ e)
-
-let member key = function
-  | Obj kvs -> List.assoc_opt key kvs
-  | _ -> None
-
-let to_list = function List l -> Some l | _ -> None
-let to_float = function Num f -> Some f | _ -> None
-let to_int = function Num f -> Some (int_of_float f) | _ -> None
-let to_string = function Str s -> Some s | _ -> None
-let to_bool = function Bool b -> Some b | _ -> None
+(* The JSON reader and writer live in [Repro_obs.Json], below this library,
+   so the observability sinks can build their reports as values too. *)
+include Repro_obs.Json

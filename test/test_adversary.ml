@@ -324,15 +324,15 @@ let small_matrix () =
     ~strategies:[ "equivocate" ] ~n:32 ()
 
 let test_matrix_deterministic () =
-  let j1 = Runner.attack_matrix_json (small_matrix ()) in
-  let j2 = Runner.attack_matrix_json (small_matrix ()) in
+  let j1 = Json.pretty (Runner.attack_matrix_json (small_matrix ())) in
+  let j2 = Json.pretty (Runner.attack_matrix_json (small_matrix ())) in
   Alcotest.(check string) "byte-identical report on rerun" j1 j2
 
 let test_matrix_pool_independent () =
   let saved = Parallel.domains () in
   let run_with domains =
     Parallel.set_domains domains;
-    Runner.attack_matrix_json (small_matrix ())
+    Json.pretty (Runner.attack_matrix_json (small_matrix ()))
   in
   let one = run_with 1 in
   let four = run_with 4 in
@@ -348,10 +348,13 @@ let test_matrix_report_and_teeth () =
     (List.exists
        (fun c -> c.Runner.ac_expect_fail && not c.Runner.ac_ok)
        m.Runner.am_cells);
-  let json = Runner.attack_matrix_json m in
+  let json = Json.pretty (Runner.attack_matrix_json m) in
   match Json.parse json with
   | Error e -> Alcotest.fail ("report does not parse: " ^ e)
   | Ok j ->
+    (* the written report is a fixed point of parse-then-print: every
+       rounded field already prints in its shortest form *)
+    Alcotest.(check string) "report is a writer fixed point" json (Json.pretty j);
     Alcotest.(check (option string)) "schema" (Some "repro-attack/2")
       (Option.bind (Json.member "schema" j) Json.to_string);
     let cells =

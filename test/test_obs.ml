@@ -12,10 +12,10 @@ module Json = Repro_util.Json
 
 (* --- minimal JSON well-formedness checker ---------------------------------
 
-   The repo has no JSON dependency and the exports are hand-rolled, so we
-   validate them with a small recursive-descent recognizer: objects, arrays,
-   strings with escapes, numbers, literals. Returns true iff the whole input
-   is exactly one JSON value. *)
+   The repo has no JSON dependency, so its one writer is checked against
+   this small recursive-descent recognizer, written independently of
+   [Repro_util.Json]: objects, arrays, strings with escapes, numbers,
+   literals. Returns true iff the whole input is exactly one JSON value. *)
 let json_well_formed s =
   let n = String.length s in
   let pos = ref 0 in
@@ -122,6 +122,77 @@ let json_well_formed s =
   value ();
   (not !fail) && !pos = n
 
+(* --- the writer against the reader and the recognizer above ------------- *)
+
+let gen_json_string =
+  let open QCheck.Gen in
+  let special =
+    oneofl
+      ([ '"'; '\\'; '\x7f'; '\xc3'; '\xa9'; '\xff' ]
+      @ List.init 0x20 Char.chr)
+  in
+  string_size ~gen:(frequency [ (1, char); (1, special) ]) (int_bound 8)
+
+let gen_json_float =
+  let open QCheck.Gen in
+  oneof
+    [
+      map (fun k -> float_of_int k) (int_range (-1000) 1000);
+      map (fun k -> 1e15 +. float_of_int k) (int_range (-3) 3);
+      map (fun k -> -1e15 +. float_of_int k) (int_range (-3) 3);
+      map (fun k -> float_of_int k *. 5e-324) (int_range 1 1000);
+      map (fun k -> float_of_int k /. 1000.) (int_range (-100000) 100000);
+      oneofl [ -0.; Float.min_float; Float.max_float; 0.1; 1. /. 3. ];
+      map (fun f -> if Float.is_finite f then f else 0.) float;
+    ]
+
+let gen_json =
+  let open QCheck.Gen in
+  let scalar =
+    oneof
+      [
+        return Json.Null;
+        map (fun b -> Json.Bool b) bool;
+        map (fun f -> Json.Num f) gen_json_float;
+        map (fun s -> Json.Str s) gen_json_string;
+      ]
+  in
+  let rec go depth =
+    if depth = 0 then scalar
+    else
+      frequency
+        [
+          (2, scalar);
+          (1, map (fun l -> Json.List l) (list_size (int_bound 4) (go (depth - 1))));
+          ( 1,
+            map (fun kvs -> Json.Obj kvs)
+              (list_size (int_bound 4) (pair gen_json_string (go (depth - 1)))) );
+        ]
+  in
+  go 4
+
+let prop_writer_roundtrip =
+  QCheck.Test.make ~name:"json writer round-trips" ~count:500
+    (QCheck.make ~print:Json.compact gen_json)
+    (fun v ->
+      List.for_all
+        (fun s -> Json.parse s = Ok v && json_well_formed s)
+        [ Json.compact v; Json.pretty v ])
+
+let test_writer_rejects_non_finite () =
+  List.iter
+    (fun f ->
+      List.iter
+        (fun v ->
+          match Json.compact v with
+          | _ -> Alcotest.fail "non-finite number printed"
+          | exception Invalid_argument _ -> (
+            match Json.pretty v with
+            | _ -> Alcotest.fail "non-finite number printed"
+            | exception Invalid_argument _ -> ()))
+        [ Json.Num f; Json.List [ Json.Num f ]; Json.Obj [ ("x", Json.Num f) ] ])
+    [ Float.nan; Float.infinity; Float.neg_infinity ]
+
 let test_json_checker_sanity () =
   List.iter
     (fun (s, ok) ->
@@ -174,7 +245,7 @@ let test_snapshot_shape () =
   Alcotest.(check bool) "zero counters included" true
     (List.exists (fun (_, v) -> v = 0) snap);
   Alcotest.(check bool) "snapshot json well-formed" true
-    (json_well_formed (Counters.snapshot_to_json snap));
+    (json_well_formed (Json.compact (Json.of_counts snap)));
   (* the deterministic subset excludes the cache/physical-work counters *)
   let det = List.map fst (Counters.deterministic_snapshot ()) in
   Alcotest.(check bool) "cache counters excluded" false
@@ -267,7 +338,7 @@ let test_counters_pool_independent () =
     let pairs = B.keygen_all pp master rng ~count:48 in
     let sks = Array.map snd pairs in
     ignore (B.sign_all pp sks ~msg:(Bytes.of_string "det"));
-    Counters.snapshot_to_json (Counters.deterministic_snapshot ())
+    Json.compact (Json.of_counts (Counters.deterministic_snapshot ()))
   in
   let one = run_with 1 in
   let four = run_with 4 in
@@ -590,7 +661,7 @@ let test_profile_shape_deterministic () =
       Runner.run_profiled ~protocol:Runner.This_work_snark ~n:32 ~beta:0.1
         ~seed:5
     in
-    Profile.deterministic_json ()
+    Json.compact (Profile.deterministic_json ())
   in
   let one = run 1 in
   let four = run 4 in
@@ -606,14 +677,16 @@ let test_profile_report_json () =
       ~seed:1
   in
   let json =
-    Profile.report_json ~protocol:row.Runner.r_protocol ~n:32 ~beta:0.1
-      ~seed:1 ~wall_s:wall ~domains:(Parallel.domains ()) ~gc ()
+    Json.pretty
+      (Profile.report_json ~protocol:row.Runner.r_protocol ~n:32 ~beta:0.1
+         ~seed:1 ~wall_s:wall ~domains:(Parallel.domains ()) ~gc ())
   in
   profiling_off ();
   Alcotest.(check bool) "report well-formed" true (json_well_formed json);
   match Json.parse json with
   | Error e -> Alcotest.fail ("report: " ^ e)
   | Ok v ->
+    Alcotest.(check string) "report is a writer fixed point" json (Json.pretty v);
     Alcotest.(check (option string)) "schema" (Some "repro-profile/1")
       (Option.bind (Json.member "schema" v) Json.to_string);
     let det = Json.member "deterministic" v in
@@ -694,7 +767,7 @@ let test_profile_counters_pinned () =
       in
       let counters = Counters.deterministic_snapshot () in
       let hists = Counters.deterministic_histogram_snapshot () in
-      let json = Profile.deterministic_json () in
+      let json = Json.compact (Profile.deterministic_json ()) in
       profiling_off ();
       Alcotest.(check (list (pair string int)))
         (name ^ " nonzero deterministic counters")
@@ -764,6 +837,9 @@ let test_profile_compare () =
 let suite =
   [
     Alcotest.test_case "json checker sanity" `Quick test_json_checker_sanity;
+    QCheck_alcotest.to_alcotest prop_writer_roundtrip;
+    Alcotest.test_case "json writer rejects non-finite" `Quick
+      test_writer_rejects_non_finite;
     Alcotest.test_case "counter basics" `Quick test_counter_basics;
     Alcotest.test_case "snapshot shape" `Quick test_snapshot_shape;
     Alcotest.test_case "histogram" `Quick test_histogram;

@@ -168,7 +168,12 @@ let test_json_parse () =
     Alcotest.(check bool) "scientific number" true
       (Option.bind (Json.member "c" v) Json.to_float = Some (-250.0));
     Alcotest.(check bool) "missing member is None" true
-      (Json.member "zz" v = None)
+      (Json.member "zz" v = None);
+    List.iter
+      (fun (s, f) ->
+        Alcotest.(check bool) ("number " ^ s) true (Json.parse s = Ok (Json.Num f)))
+      [ ("0", 0.); ("-0", -0.); ("10", 10.); ("0.5", 0.5); ("1e5", 1e5);
+        ("1E+5", 1e5); ("-2.5e-3", -2.5e-3) ]
 
 let test_json_rejects_malformed () =
   List.iter
@@ -176,7 +181,12 @@ let test_json_rejects_malformed () =
       match Json.parse s with
       | Ok _ -> Alcotest.fail ("accepted malformed: " ^ s)
       | Error e -> Alcotest.(check bool) "error has text" true (e <> ""))
-    [ ""; "{"; "{} extra"; "[1,]"; "tru"; "{\"a\"}"; "\"\\q\"" ]
+    [
+      ""; "{"; "{} extra"; "[1,]"; "tru"; "{\"a\"}"; "\"\\q\"";
+      (* RFC 8259 forbids these; python3 -m json.tool rejects them too *)
+      "01"; "-01"; "[00]"; "1."; "1.e5"; "-"; "1e"; ".5"; "\"\\u12_4\"";
+      "\"a\tb\""; "\"\x01\""; "\"\n\"";
+    ]
 
 let test_tablefmt () =
   let t =

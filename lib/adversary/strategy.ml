@@ -69,10 +69,14 @@ let corrupt_src env k =
   | [] -> None
   | cs -> Some (List.nth cs (k mod List.length cs))
 
+(* The distinct tags among the first [limit] honest sends, sorted; the
+   rest of the staged list is never walked. *)
 let observed_tags ?(limit = 4) env =
-  List.sort_uniq compare
-    (List.filteri (fun i _ -> i < limit)
-       (List.map (fun (m : Wire.msg) -> m.Wire.tag) env.honest_staged))
+  let rec first k acc = function
+    | (m : Wire.msg) :: rest when k < limit -> first (k + 1) (m.Wire.tag :: acc) rest
+    | _ -> acc
+  in
+  List.sort_uniq compare (first 0 [] env.honest_staged)
 
 let equivocate =
   make ~name:"equivocate" (fun rng env ->

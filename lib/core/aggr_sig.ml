@@ -24,8 +24,10 @@
    member's inputs, so one {!shared} table per tree level computes each
    candidate once per distinct member input and each verdict once per
    distinct payload. A committee of m members with one input costs one
-   aggregation, not m; the protocol, its messages and its outputs are
-   unchanged. *)
+   aggregation, not m. When a node's members hold several distinct inputs
+   (corrupt children equivocating), its candidates share the decoding of
+   each distinct received signature. The protocol, its messages and its
+   outputs are unchanged. *)
 
 module Committee = Repro_consensus.Committee
 module Params = Repro_aetree.Params
@@ -64,6 +66,13 @@ module Make (S : Srds_intf.SCHEME) = struct
      members. A hit returns the bytes a fresh computation would produce:
      Aggregate1/2, WOTS and the PCD oracle are deterministic. Create one per
      level and drop it when the level ends. *)
+  module Raw = Hashtbl.Make (struct
+    type t = bytes
+
+    let equal a b = a == b || Bytes.equal a b
+    let hash = Repro_util.Encode.fingerprint
+  end)
+
   type shared = {
     pp : S.pp;
     vks : bytes array;
@@ -71,10 +80,52 @@ module Make (S : Srds_intf.SCHEME) = struct
     level : int;
     candidates : (int * bytes * bytes list, bytes) Hashtbl.t;
     verdicts : (int * bytes * bytes, bool) Hashtbl.t;
+    mutable node : int; (* the node whose candidate was computed last *)
+    mutable decoded : S.signature option Raw.t option;
+        (* its raw signatures decoded, from its second candidate on *)
   }
 
   let shared ~pp ~vks ~tree ~level =
-    { pp; vks; tree; level; candidates = Hashtbl.create 64; verdicts = Hashtbl.create 64 }
+    {
+      pp;
+      vks;
+      tree;
+      level;
+      candidates = Hashtbl.create 64;
+      verdicts = Hashtbl.create 64;
+      node = -1;
+      decoded = None;
+    }
+
+  (* The decoder for a candidate of node [idx]. Members' inputs to one node
+     differ only where corrupt children equivocated, so a node's second and
+     later candidates look each distinct raw signature up in one table.
+     Nothing is retained for a node's first candidate (in a run without
+     equivocation every node has exactly one), and a node's table is
+     dropped when the next node's candidates begin. *)
+  let decoder sh ~idx =
+    if sh.node <> idx then begin
+      sh.node <- idx;
+      sh.decoded <- None;
+      W.of_bytes
+    end
+    else begin
+      let tbl =
+        match sh.decoded with
+        | Some tbl -> tbl
+        | None ->
+          let tbl = Raw.create 16 in
+          sh.decoded <- Some tbl;
+          tbl
+      in
+      fun raw ->
+        match Raw.find tbl raw with
+        | sg -> sg
+        | exception Not_found ->
+          let sg = W.of_bytes raw in
+          Raw.add tbl raw sg;
+          sg
+    end
 
   let memo tbl key f =
     match Hashtbl.find_opt tbl key with
@@ -90,7 +141,7 @@ module Make (S : Srds_intf.SCHEME) = struct
     let { pp; vks; tree; level; _ } = sh in
     memo sh.candidates (idx, msg, raw) @@ fun () ->
     Repro_obs.Trace.span ~cat:"srds" "srds.aggregate" @@ fun () ->
-    let sigs = List.filter_map W.of_bytes raw in
+    let sigs = List.filter_map (decoder sh ~idx) raw in
     let checked = List.filter (range_ok tree ~level ~idx) sigs in
     let filtered = S.aggregate1 pp ~vks ~msg checked in
     match S.aggregate2 pp ~msg filtered with

@@ -207,11 +207,21 @@ let run_full_ba name run_fn ~n ~beta ~seed : row =
          (if r.Balanced_ba.tree_good then "" else " tree-degraded"))
     ~breakdown:r.Balanced_ba.breakdown
 
+(* Every cell starts from cold per-domain crypto caches. A cell must not
+   inherit what its domain verified before: a [Wots.verify] memo hit skips
+   the chain steps and the vk hash that the deterministic [hashx.hash]
+   counter counts, so a warm cache would make a cell's counters depend on
+   which cells its domain ran first. *)
+let cold_caches () =
+  Repro_crypto.Hashx.clear_cache ();
+  Repro_crypto.Wots.clear_cache ()
+
 (* [sinks] subscribe to the protocol's own network and [backend] picks its
    executor; callers that want the auditor's verdict use {!run_audited},
    callers that want the flight-recorded log use {!run_recorded}, callers
    pinning cross-backend conformance use {!run_digest}. *)
 let run_with ?sinks ?backend ~protocol ~n ~beta ~seed () : row =
+  cold_caches ();
   match protocol with
   | This_work_owf ->
     run_full_ba "this-work-owf"
@@ -311,6 +321,7 @@ let corrupt_by_strategy ~strategy ~n ~beta ~seed =
     ~rng:(Rng.of_label rng "attack")
 
 let run_under_attack ~strategy ~n ~beta ~seed : row =
+  cold_caches ();
   let corrupt = corrupt_by_strategy ~strategy ~n ~beta ~seed in
   let inputs = Array.init n (fun i -> (i + seed) mod 2 = 0) in
   let cfg = Balanced_ba.default_config ~n ~corrupt ~inputs ~seed () in
@@ -390,6 +401,7 @@ let c_attack_cells = Repro_obs.Counters.make "attack.cells"
 
 let run_attack_cell ?sinks ?backend ?condition_name ?(gated = true)
     ~protocol ~strategy_name ~n ~beta ~seed ~expect_fail () =
+  cold_caches ();
   let strategy =
     match Strategy.find ~n ~seed strategy_name with
     | Some s -> s
@@ -1065,9 +1077,10 @@ let scale_table results =
 
    One cell with full observability on: counters, spans with Gc capture,
    pool utilization. Mutable observability state is reset up front so the
-   resulting report covers exactly this run, and the domain-local digest
-   caches are cleared so the cache counters/probes start cold (reruns then
-   produce identical deterministic sections). Collection is left enabled on
+   resulting report covers exactly this run; [run_with] starts it with
+   cold domain-local digest caches, so the cache counters/probes start cold
+   too (reruns then produce identical deterministic sections). Collection
+   is left enabled on
    return: the caller reads the trace buffer and counter registry to build
    the report. *)
 
@@ -1078,8 +1091,6 @@ let run_profiled ~protocol ~n ~beta ~seed =
   Repro_obs.Counters.reset ();
   Repro_obs.Trace.reset ();
   Parallel.reset_utilization ();
-  Repro_crypto.Hashx.clear_cache ();
-  Repro_crypto.Wots.clear_cache ();
   let g0 = Gc.quick_stat () in
   let t0 = Unix.gettimeofday () in
   let row = run_with ~protocol ~n ~beta ~seed () in
@@ -1522,6 +1533,7 @@ type async_cell = {
 }
 
 let run_async_cell ~protocol ~strategy_name ~n ~beta ~seed ~cfg () : async_cell =
+  cold_caches ();
   let strategy =
     match Strategy.find ~n ~seed strategy_name with
     | Some s -> s

@@ -82,10 +82,14 @@ let sign sk msg_digest : signature =
   Array.init num_chains (fun i ->
       advance ~chain:i ~from_depth:0 ~steps:chunks.(i) (chain_start prf i))
 
+(* A loop of its own: [Array.for_all] would allocate a closure per call. *)
+let rec chains_sized (sg : signature) i =
+  i = num_chains || (Bytes.length sg.(i) = Hashx.kappa_bytes && chains_sized sg (i + 1))
+
 let well_formed msg_digest (sg : signature) =
   Bytes.length msg_digest = Hashx.kappa_bytes
   && Array.length sg = num_chains
-  && Array.for_all (fun v -> Bytes.length v = Hashx.kappa_bytes) sg
+  && chains_sized sg 0
 
 let verify_uncached vk msg_digest (sg : signature) =
   well_formed msg_digest sg
@@ -106,43 +110,151 @@ let verify_uncached vk msg_digest (sg : signature) =
    onto one computation. Bounded by periodic reset.
 
    The table is domain-local: concurrent experiment cells each memoize into
-   their own table, so there is no cross-domain mutation. The key is the
-   content itself — vk, digest and the 35 chain values, each
-   length-prefixed — so a hit is exact without relying on collision
+   their own table, so there is no cross-domain mutation. It is keyed by
+   content — an entry holds one private flat copy of vk ‖ digest ‖ the 35
+   chain values — so a hit is exact without relying on collision
    resistance, and a stale or cleared table can only cost a recomputation,
-   never a wrong answer. Only well-formed signatures reach the table, so
-   keys are ~630 bytes, hence the 2^15-entry bound (~20 MiB at worst, as the
-   2^18 16-byte digest keys it replaced). *)
-let cache : (string, bool) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 4096)
+   never a wrong answer. A probe builds nothing: it hashes a few words of
+   the caller's own buffers and compares an entry's bytes against them in
+   place, and only a miss allocates, for the copy it stores. Only
+   well-formed signatures reach the table, so the digest and chain lengths
+   are fixed and the copy's length tells the vk's length. Open addressing
+   with linear probing, at most half full; at [cache_limit] entries
+   (~20 MiB at worst) it starts over. *)
+type memo = {
+  mutable keys : bytes array; (* flat copies; [Bytes.empty] = free slot *)
+  mutable verdicts : bool array;
+  mutable entries : int;
+}
 
+let memo_slots = 4096
 let cache_limit = 1 lsl 15
 
-let clear_cache () = Hashtbl.reset (Domain.DLS.get cache)
+let fresh_memo () =
+  {
+    keys = Array.make memo_slots Bytes.empty;
+    verdicts = Array.make memo_slots false;
+    entries = 0;
+  }
 
-let memo_key vk msg_digest (sg : signature) =
-  let b = Buffer.create ((num_chains + 2) * (Hashx.kappa_bytes + 1)) in
-  Repro_util.Encode.bytes b vk;
-  Repro_util.Encode.bytes b msg_digest;
-  Array.iter (Repro_util.Encode.bytes b) sg;
-  Buffer.contents b
+let cache : memo Domain.DLS.key = Domain.DLS.new_key fresh_memo
+
+let reset_memo m =
+  let f = fresh_memo () in
+  m.keys <- f.keys;
+  m.verdicts <- f.verdicts;
+  m.entries <- 0
+
+let clear_cache () = reset_memo (Domain.DLS.get cache)
+
+let kappa = Hashx.kappa_bytes
+let tail_bytes = kappa * (1 + num_chains) (* digest and chains, after the vk *)
+
+let[@inline] word b off = Int64.to_int (Bytes.get_int64_le b off)
+
+let mix_hash v d0 d8 s0 s1 =
+  let h =
+    (v * 0x9E3779B1) lxor (d0 * 0x85EBCA77) lxor (d8 * 0x2545F491)
+    lxor (s0 * 0x7FEB352D) lxor (s1 * 0x27D4EB2F)
+  in
+  h lxor (h lsr 29)
+
+(* A few words of the vk, the digest and the first and last chains. *)
+let memo_hash vk msg_digest (sg : signature) =
+  mix_hash
+    (if Bytes.length vk >= 8 then word vk 0 else Bytes.length vk)
+    (word msg_digest 0) (word msg_digest 8) (word sg.(0) 0)
+    (word sg.(num_chains - 1) 8)
+
+(* The same hash, read off a flat copy. *)
+let flat_hash key =
+  let l = Bytes.length key - tail_bytes in
+  mix_hash
+    (if l >= 8 then word key 0 else l)
+    (word key l) (word key (l + 8)) (word key (l + kappa))
+    (word key (l + (kappa * num_chains) + 8))
+
+(* [b] equals [key]'s bytes from [off] on, compared a word at a time. *)
+let rec eq_at key off b i =
+  let len = Bytes.length b in
+  i >= len
+  ||
+  if i + 8 <= len then
+    Bytes.get_int64_le key (off + i) = Bytes.get_int64_le b i
+    && eq_at key off b (i + 8)
+  else Bytes.get key (off + i) = Bytes.get b i && eq_at key off b (i + 1)
+
+let rec chains_eq key l (sg : signature) i =
+  i = num_chains
+  || (eq_at key (l + (kappa * (i + 1))) sg.(i) 0 && chains_eq key l sg (i + 1))
+
+let matches key vk msg_digest sg =
+  let l = Bytes.length vk in
+  Bytes.length key = l + tail_bytes
+  && eq_at key l msg_digest 0
+  && eq_at key 0 vk 0
+  && chains_eq key l sg 0
+
+(* The slot holding the entry for (vk, digest, sg), or the free slot
+   where it belongs. *)
+let rec probe keys mask vk msg_digest sg i =
+  let k = keys.(i) in
+  if Bytes.length k = 0 || matches k vk msg_digest sg then i
+  else probe keys mask vk msg_digest sg ((i + 1) land mask)
+
+let flat_copy vk msg_digest (sg : signature) =
+  let l = Bytes.length vk in
+  let key = Bytes.create (l + tail_bytes) in
+  Bytes.blit vk 0 key 0 l;
+  Bytes.blit msg_digest 0 key l kappa;
+  Array.iteri (fun i v -> Bytes.blit v 0 key (l + (kappa * (i + 1))) kappa) sg;
+  key
+
+let rec free_slot keys mask i =
+  if Bytes.length keys.(i) = 0 then i else free_slot keys mask ((i + 1) land mask)
+
+let memo_grow m =
+  let keys = m.keys and verdicts = m.verdicts in
+  let cap = 2 * Array.length keys in
+  let keys' = Array.make cap Bytes.empty and verdicts' = Array.make cap false in
+  Array.iteri
+    (fun slot key ->
+      if Bytes.length key > 0 then begin
+        let i = free_slot keys' (cap - 1) (flat_hash key land (cap - 1)) in
+        keys'.(i) <- key;
+        verdicts'.(i) <- verdicts.(slot)
+      end)
+    keys;
+  m.keys <- keys';
+  m.verdicts <- verdicts'
+
+(* Store a verdict that [probe] just missed. *)
+let memo_add m vk msg_digest sg r =
+  if m.entries >= cache_limit then reset_memo m;
+  if 2 * (m.entries + 1) > Array.length m.keys then memo_grow m;
+  let mask = Array.length m.keys - 1 in
+  let i = free_slot m.keys mask (memo_hash vk msg_digest sg land mask) in
+  m.keys.(i) <- flat_copy vk msg_digest sg;
+  m.verdicts.(i) <- r;
+  m.entries <- m.entries + 1
 
 let verify vk msg_digest (sg : signature) =
   Repro_obs.Counters.bump c_verify;
   well_formed msg_digest sg
   &&
-  let cache = Domain.DLS.get cache in
-  let key = memo_key vk msg_digest sg in
-  match Hashtbl.find_opt cache key with
-  | Some r ->
+  let m = Domain.DLS.get cache in
+  let mask = Array.length m.keys - 1 in
+  let i = probe m.keys mask vk msg_digest sg (memo_hash vk msg_digest sg land mask) in
+  if Bytes.length m.keys.(i) > 0 then begin
     Repro_obs.Counters.bump c_hit;
-    r
-  | None ->
+    m.verdicts.(i)
+  end
+  else begin
     Repro_obs.Counters.bump c_miss;
     let r = verify_uncached vk msg_digest sg in
-    if Hashtbl.length cache > cache_limit then Hashtbl.reset cache;
-    Hashtbl.add cache key r;
+    memo_add m vk msg_digest sg r;
     r
+  end
 
 let signature_size = num_chains * Hashx.kappa_bytes
 let vk_size = Hashx.kappa_bytes

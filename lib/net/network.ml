@@ -17,12 +17,15 @@
    [everyone] as their actors.
 
    The {!Sched.backend} chosen at {!create} decides how the round's sends
-   are delivered: [Sparse] delivers in send order; [Async cfg] schedules
-   every delivery off a deterministic seeded event queue with per-edge
+   are delivered: [Sparse] delivers in send order; [Async cfg] delivers
+   in (virtual delivery time, send seq) order, with per-edge
    latency/jitter/loss and a GST knob (see sched.ml for the synchronizer
    argument: round semantics survive the chaos knobs, delivery order and
-   the virtual clock do not). Both share this module's choke points, so
-   its observers are backend-agnostic.
+   the virtual clock do not). A round's sends due by its barrier are
+   bucketed by delivery time in reused buffers; only parked deliveries
+   (deferred past the barrier, or held for a dark party) sit on the
+   {!Sched.Heap}. Both backends share this module's choke points, so its
+   observers are backend-agnostic.
 
    Protocols are per-party step functions closing over their own state;
    corrupt parties have no handler and their behaviour lives entirely in
@@ -37,12 +40,18 @@ type async_state = {
   a_cfg : Sched.async_cfg;
   a_edges : Sched.edges;
   a_heap : (Wire.msg * int) Sched.Heap.t;
-      (* pending deliveries with their send virtual time; entries normally
-         drain within the round, but a condition's [Defer] verdict (and
-         deliveries held for a dark party) persist across rounds *)
+      (* parked deliveries with their send virtual time: a condition's
+         [Defer] past the round barrier, deliveries held for a dark party,
+         and the rare send more than [bucket_span] ticks out. A round's
+         other sends never touch it (see [deliver_async]). *)
   a_stats : Sched.stats;
   mutable a_vt : int; (* virtual clock; advances to the round barrier *)
   mutable a_seq : int; (* global send counter: heap tiebreak = send order *)
+  (* [deliver_async]'s per-round scratch, reused across rounds: *)
+  mutable a_sends : Wire.msg array; (* the round's sends, in send order *)
+  mutable a_offs : int array; (* per send: delivery time - a_vt; -1 = parked *)
+  mutable a_order : int array; (* due sends' indices, by (offset, send) *)
+  a_starts : int array; (* per offset: its first slot in [a_order] *)
 }
 
 type t = {
@@ -77,6 +86,13 @@ let observed t = match t.sinks with [] -> false | _ -> true
 let rec emit_to ev = function [] -> () | f :: rest -> f ev; emit_to ev rest
 let emit t ev = emit_to ev t.sinks
 
+(* Offsets past the clock up to which a round's due sends are bucketed;
+   latencies above it (a condition's choice) go through the heap. *)
+let bucket_span = 64
+
+(* Filler for [a_sends] slots not in use: never delivered. *)
+let no_msg = { Wire.src = -1; dst = -1; tag = ""; payload = Bytes.empty }
+
 let create ?(backend = Sched.Sparse) ?(sinks = []) ~n ~corrupt () =
   let c = Array.make n false in
   List.iter
@@ -95,6 +111,10 @@ let create ?(backend = Sched.Sparse) ?(sinks = []) ~n ~corrupt () =
           a_stats = Sched.stats_create ();
           a_vt = 0;
           a_seq = 0;
+          a_sends = [||];
+          a_offs = [||];
+          a_order = [||];
+          a_starts = Array.make (bucket_span + 1) 0;
         }
     | Sched.Sparse -> None
   in
@@ -214,7 +234,11 @@ let inbox t i = t.inboxes.(i)
 
 (* Messages of the current round's staging area sourced at honest parties:
    what a rushing adversary observes. *)
-let staged_honest t = List.rev (List.filter (fun m -> is_honest t m.Wire.src) t.staged)
+let staged_honest t =
+  (* [staged] is newest first, so folding from its head yields send order *)
+  List.fold_left
+    (fun acc (m : Wire.msg) -> if is_honest t m.Wire.src then m :: acc else acc)
+    [] t.staged
 
 (* Delivery costs O(messages), not O(n): the inbox array persists across
    rounds and only the slots dirtied last round are reset, so rounds where
@@ -239,46 +263,94 @@ let deliver_msgs t msgs_rev =
    sends reversed). *)
 let deliver t = deliver_msgs t t.staged
 
-(* Async delivery: every message staged this round enters the event queue
-   at [vt + latency], latency drawn on its (src, dst) edge stream in send
-   order; the round barrier is the maximum delivery time, so the queue
-   drains completely before the next round activates (round semantics are
-   preserved — see sched.ml). What the knobs change: inboxes fill in
-   (delivery-time, send-seq) pop order rather than send order, and the
-   virtual clock jumps to the barrier. With all knobs zero the latency is
-   uniformly 1, pop order equals send order, and this path is
-   byte-identical to {!deliver}. *)
+(* Async delivery: every message staged this round is due at [vt +
+   latency], latency drawn on its (src, dst) edge stream in send order;
+   the round barrier is the maximum delivery time, so the round's mail is
+   delivered completely before the next round activates (round semantics
+   are preserved — see sched.ml). What the knobs change: inboxes fill in
+   (delivery-time, send-seq) order rather than send order, and the virtual
+   clock jumps to the barrier. With all knobs zero the latency is
+   uniformly 1, that order equals send order, and this path is
+   byte-identical to {!deliver}.
+
+   The order is the event queue's (time, seq) order, but almost every send
+   is due within its own round, so those never enter the heap: they are
+   counting-sorted by offset into [a_order], send order kept within an
+   offset, and merged with the heap's parked events as they are drained.
+   At equal times the heap goes first: this round's heap events lie past
+   every bucket, so a heap event due at a bucketed time was sent in an
+   earlier round and its seq is older. Each send still takes a seq, so
+   the heap sees the seqs it would if every send were pushed. *)
+let grow_scratch a n =
+  if Array.length a.a_sends < n then begin
+    let cap = max n (2 * Array.length a.a_sends) in
+    (* [no_msg] is long-lived, so a large [Array.make] of it does not
+       force a minor collection *)
+    a.a_sends <- Array.make cap no_msg;
+    a.a_offs <- Array.make cap 0;
+    a.a_order <- Array.make cap 0
+  end
+
 let deliver_async t a =
-  let barrier = ref (a.a_vt + 1) in
-  List.iter
-    (fun (m : Wire.msg) ->
-      let lat =
-        Sched.draw_latency a.a_edges a.a_cfg ~src:m.Wire.src ~dst:m.Wire.dst
-          ~now:a.a_vt
-      in
-      (* The condition sees the drawn latency and may reroute: [Deliver]
-         stays inside the round (extends the barrier like any draw),
-         [Defer] parks the event past the barrier so it crosses rounds.
-         No condition = [Deliver lat], the historical behaviour. *)
-      let dv =
-        match t.condition with
-        | None ->
-          if a.a_vt + lat > !barrier then barrier := a.a_vt + lat;
-          a.a_vt + lat
-        | Some c -> (
-          match
-            c.Sched.c_route ~now:a.a_vt ~round:t.round ~src:m.Wire.src
-              ~dst:m.Wire.dst ~lat
-          with
-          | Sched.Deliver lat ->
-            let dv = a.a_vt + max 1 lat in
-            if dv > !barrier then barrier := dv;
-            dv
-          | Sched.Defer vt -> max (a.a_vt + 1) vt)
-      in
-      a.a_seq <- a.a_seq + 1;
-      Sched.Heap.push a.a_heap ~time:dv ~seq:a.a_seq (m, a.a_vt))
-    (List.rev t.staged);
+  let n = List.length t.staged in
+  grow_scratch a n;
+  let sends = a.a_sends and offs = a.a_offs and order = a.a_order in
+  List.iteri (fun k m -> sends.(n - 1 - k) <- m) t.staged;
+  let now = a.a_vt in
+  let barrier = ref (now + 1) in
+  for i = 0 to n - 1 do
+    let m = sends.(i) in
+    let lat =
+      Sched.draw_latency a.a_edges a.a_cfg ~src:m.Wire.src ~dst:m.Wire.dst ~now
+    in
+    (* The condition sees the drawn latency and may reroute: [Deliver]
+       stays inside the round (extends the barrier like any draw),
+       [Defer] parks the event past the barrier so it crosses rounds.
+       No condition = [Deliver lat], the historical behaviour. *)
+    let dv =
+      match t.condition with
+      | None ->
+        if now + lat > !barrier then barrier := now + lat;
+        now + lat
+      | Some c -> (
+        match c.Sched.c_route ~now ~round:t.round ~src:m.Wire.src ~dst:m.Wire.dst ~lat with
+        | Sched.Deliver lat ->
+          let dv = now + max 1 lat in
+          if dv > !barrier then barrier := dv;
+          dv
+        | Sched.Defer vt -> max (now + 1) vt)
+    in
+    offs.(i) <- dv - now
+  done;
+  let heap = a.a_heap in
+  let seq0 = a.a_seq in
+  a.a_seq <- seq0 + n;
+  (* Park what is not bucketed, in send (= seq) order; count the rest per
+     offset, then lay their indices out by (offset, send). *)
+  let due = min bucket_span (!barrier - now) in
+  let starts = a.a_starts in
+  Array.fill starts 0 (bucket_span + 1) 0;
+  for i = 0 to n - 1 do
+    let off = offs.(i) in
+    if off > due then begin
+      Sched.Heap.push heap ~time:(now + off) ~seq:(seq0 + i + 1) (sends.(i), now);
+      offs.(i) <- -1
+    end
+    else starts.(off) <- starts.(off) + 1
+  done;
+  let nb = ref 0 in
+  for off = 1 to due do
+    let c = starts.(off) in
+    starts.(off) <- !nb;
+    nb := !nb + c
+  done;
+  for i = 0 to n - 1 do
+    let off = offs.(i) in
+    if off > 0 then begin
+      order.(starts.(off)) <- i;
+      starts.(off) <- starts.(off) + 1
+    end
+  done;
   (* Drain everything due by the barrier; later events stay parked. A
      delivery whose destination is dark this round is requeued just past
      the barrier (fresh seq), so it retries every round until the party
@@ -287,8 +359,8 @@ let deliver_async t a =
      holding mail for a crashed receiver models a retransmit on resume,
      so the partial-synchrony straggler accounting (which bounds the
      *network's* latency, not a crashed party's outage) measures from the
-     re-offer. Delivery statistics are charged once, at the pop that
-     actually delivers. *)
+     re-offer. Delivery statistics are charged once, at the drain step
+     that actually delivers. *)
   (* A delivery made at the close of round r is read by its handler in
      round r + 1, so the hold test asks about the round the message would
      be *read* in — the exact complement of the handler skip, which is
@@ -297,13 +369,10 @@ let deliver_async t a =
   let down dst =
     match t.condition with
     | None -> false
-    | Some c -> c.Sched.c_down ~now:a.a_vt ~round:(t.round + 1) dst
+    | Some c -> c.Sched.c_down ~now ~round:(t.round + 1) dst
   in
-  let heap = a.a_heap in
   let delivered = ref [] in
-  while Sched.Heap.size heap > 0 && Sched.Heap.min_time heap <= !barrier do
-    let time = Sched.Heap.min_time heap in
-    let m, send_vt = Sched.Heap.take heap in
+  let offer (m : Wire.msg) ~send_vt ~time =
     if down m.Wire.dst then begin
       a.a_seq <- a.a_seq + 1;
       Sched.Heap.push heap ~time:(!barrier + 1) ~seq:a.a_seq (m, !barrier)
@@ -312,7 +381,27 @@ let deliver_async t a =
       Sched.note_delivery a.a_stats a.a_cfg ~send_vt ~deliver_vt:time;
       delivered := m :: !delivered
     end
+  in
+  let take_parked () =
+    let time = Sched.Heap.min_time heap in
+    let m, send_vt = Sched.Heap.take heap in
+    offer m ~send_vt ~time
+  in
+  let k = ref 0 in
+  while !k < !nb do
+    let i = order.(!k) in
+    let time = now + offs.(i) in
+    if Sched.Heap.size heap > 0 && Sched.Heap.min_time heap <= time then
+      take_parked ()
+    else begin
+      incr k;
+      offer sends.(i) ~send_vt:now ~time
+    end
   done;
+  while Sched.Heap.size heap > 0 && Sched.Heap.min_time heap <= !barrier do
+    take_parked ()
+  done;
+  Array.fill sends 0 n no_msg;
   (* Consing leaves [delivered] in reverse delivery order — exactly what
      [deliver_msgs] expects. *)
   deliver_msgs t !delivered;

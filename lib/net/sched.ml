@@ -11,11 +11,15 @@
      and a GST knob for partial synchrony (delivery within 1 + delta once
      the virtual clock passes [a_gst]).
 
-   The async executor's per-message path is O(1) and allocation-free: the
-   queue groups events into per-time FIFOs under a small heap of those
-   FIFOs and drains through a non-allocating [min_time]/[take]
-   pair, and the per-edge streams live unboxed in one open-addressing
-   table keyed by the packed (src, dst) pair. Both are below.
+   The async executor's per-message path is O(1) and allocation-free. The
+   per-edge streams live unboxed in one open-addressing table keyed by the
+   packed (src, dst) pair (below). A round's sends due by its barrier are
+   counting-sorted by delivery time in buffers the network reuses (see
+   [Network.deliver_async]); the event queue below holds only *parked*
+   events — a condition's [Defer] past the barrier, mail held for a dark
+   party — grouped into per-time FIFOs under a small heap of those FIFOs
+   and drained through a non-allocating [min_time]/[take] pair. Either
+   way, delivery follows the queue's (time, seq) order.
 
    Determinism is the load-bearing property: the async executor draws all
    timing from per-edge child streams of one seed, so identical
@@ -25,8 +29,7 @@
 
    The async executor is a *round synchronizer*: the per-round delivery
    barrier is the maximum delivery time of that round's sends, so every
-   message staged in round r is popped from the queue before round r+1
-   activates. Round-based protocols therefore keep their round semantics
+   message staged in round r is delivered before round r+1 activates. Round-based protocols therefore keep their round semantics
    under any latency/jitter/loss knobs; what the knobs change is the
    delivery *order* within the round (inboxes are filled in
    (delivery-time, send-seq) order), the virtual-clock trajectory, and the
@@ -268,29 +271,35 @@ end
    executor walks the staged list in send order), which makes the whole
    timing schedule a deterministic function of (seed, transcript).
 
-   The streams live in one open-addressing table: the edge packs into an
-   int key, linear probing finds its slot in [e_keys], and the slot's
-   64-bit state sits unboxed in [e_states] at byte [8 * slot], stepped in
-   place by {!Rng.bits_at}. A hit is an int multiply, a few int compares
-   and two in-place state steps: no allocation, no polymorphic hash or
-   compare, no write barrier. *)
+   The streams live in one open-addressing table of 16-byte slots: the
+   edge packs into an int key (bytes [0, 8) of its slot, -1 = free) found
+   by linear probing, and its SplitMix state (bytes [8, 16)) is stepped in
+   place by {!Rng.bits_at}. A new edge's state is the master's state after
+   the label prefix "edge-", with the decimal digits of src, "-" and dst
+   folded in place ({!Rng.label_int_at}): no label string is built. A hit
+   is an int multiply, a few int compares and two in-place state steps:
+   no allocation, no polymorphic hash or compare, no write barrier. *)
 
 type edges = {
-  e_master : Rng.t;
-  mutable e_keys : int array; (* packed (src, dst) per slot; -1 = free *)
-  mutable e_states : Bytes.t; (* 8-byte SplitMix state per slot *)
+  e_prefix : Rng.t; (* the master stream with "edge-" folded in *)
+  mutable e_table : Bytes.t; (* per slot: packed (src, dst) key, state *)
   mutable e_count : int; (* occupied slots; kept <= half the capacity *)
 }
 
 let edge_bits = 31
+let slot_bytes = 16
+
+let table_create cap = Bytes.make (slot_bytes * cap) '\255'
 
 let edges_create ~seed =
   {
-    e_master = Rng.create seed;
-    e_keys = Array.make 1024 (-1);
-    e_states = Bytes.create (8 * 1024);
+    e_prefix = Rng.of_label (Rng.create seed) "edge-";
+    e_table = table_create 1024;
     e_count = 0;
   }
+
+let[@inline] slot_key table i =
+  Int64.to_int (Bytes.get_int64_le table (slot_bytes * i))
 
 (* Multiplicative hashing; the high product bits are folded down because
    packed keys differ mostly in their low (dst) and middle (src) bits. *)
@@ -298,49 +307,49 @@ let edge_home key mask =
   let h = key * 0x7FEB352D4C6B1E5 in
   (h lxor (h lsr 29)) land mask
 
-let rec edge_probe keys key mask i =
-  let k = keys.(i) in
-  if k = key || k < 0 then i else edge_probe keys key mask ((i + 1) land mask)
+let rec edge_probe table key mask i =
+  let k = slot_key table i in
+  if k = key || k < 0 then i else edge_probe table key mask ((i + 1) land mask)
 
 let edges_grow e =
-  let keys = e.e_keys and states = e.e_states in
-  let cap = 2 * Array.length keys in
-  let keys' = Array.make cap (-1) and states' = Bytes.create (8 * cap) in
-  Array.iteri
-    (fun slot key ->
-      if key >= 0 then begin
-        let i = edge_probe keys' key (cap - 1) (edge_home key (cap - 1)) in
-        keys'.(i) <- key;
-        Bytes.blit states (8 * slot) states' (8 * i) 8
-      end)
-    keys;
-  e.e_keys <- keys';
-  e.e_states <- states'
+  let table = e.e_table in
+  let cap = 2 * (Bytes.length table / slot_bytes) in
+  let table' = table_create cap in
+  for slot = 0 to (Bytes.length table / slot_bytes) - 1 do
+    let key = slot_key table slot in
+    if key >= 0 then begin
+      let i = edge_probe table' key (cap - 1) (edge_home key (cap - 1)) in
+      Bytes.blit table (slot_bytes * slot) table' (slot_bytes * i) slot_bytes
+    end
+  done;
+  e.e_table <- table'
 
-(* Byte offset of the (src, dst) stream's state in [e_states], creating the
+(* Byte offset of the (src, dst) stream's state in [e_table], creating the
    stream on first use. *)
 let edge_slot e ~src ~dst =
   if src lor dst < 0 || (src lor dst) lsr edge_bits <> 0 then
     invalid_arg "Sched.draw_latency: party index out of range";
   let key = (src lsl edge_bits) lor dst in
-  let mask = Array.length e.e_keys - 1 in
-  let i = edge_probe e.e_keys key mask (edge_home key mask) in
-  if e.e_keys.(i) = key then 8 * i
+  let mask = (Bytes.length e.e_table / slot_bytes) - 1 in
+  let i = edge_probe e.e_table key mask (edge_home key mask) in
+  if slot_key e.e_table i = key then (slot_bytes * i) + 8
   else begin
     let i =
-      if 2 * (e.e_count + 1) > Array.length e.e_keys then begin
+      if 2 * (e.e_count + 1) > mask + 1 then begin
         edges_grow e;
-        let mask = Array.length e.e_keys - 1 in
-        edge_probe e.e_keys key mask (edge_home key mask)
+        let mask = (Bytes.length e.e_table / slot_bytes) - 1 in
+        edge_probe e.e_table key mask (edge_home key mask)
       end
       else i
     in
-    e.e_keys.(i) <- key;
+    let table = e.e_table and off = slot_bytes * i in
+    Bytes.set_int64_le table off (Int64.of_int key);
     e.e_count <- e.e_count + 1;
-    Rng.state_into
-      (Rng.of_label e.e_master (Printf.sprintf "edge-%d-%d" src dst))
-      e.e_states (8 * i);
-    8 * i
+    Rng.state_into e.e_prefix table (off + 8);
+    Rng.label_int_at table (off + 8) src;
+    Rng.label_at table (off + 8) "-";
+    Rng.label_int_at table (off + 8) dst;
+    off + 8
   end
 
 (* Latency of one message staged at virtual time [now].
@@ -362,7 +371,7 @@ let draw_latency edges cfg ~src ~dst ~now =
   if pure_sync cfg then 1
   else begin
     let off = edge_slot edges ~src ~dst in
-    let st = edges.e_states in
+    let st = edges.e_table in
     (* the draws [Rng.int] and [Rng.float] would make on this stream *)
     let j =
       if cfg.a_jitter > 0 then Rng.int_of_bits (Rng.bits_at st off) (cfg.a_jitter + 1)

@@ -10,10 +10,12 @@
     deterministic function of (protocol, n, seed, cfg) on any domain-pool
     size.
 
-    The async executor's per-message path is O(1) and allocation-free: a
-    time-bucketed event queue ({!Heap}) drained through {!Heap.min_time}
-    and {!Heap.take}, and per-edge streams stored unboxed in one flat
-    table ({!edges}). *)
+    The async executor's per-message path is O(1) and allocation-free:
+    per-edge streams stored unboxed in one flat table ({!edges}), and a
+    round's due sends counting-sorted by delivery time in the network's
+    reused buffers. The time-bucketed event queue ({!Heap}, drained
+    through {!Heap.min_time} and {!Heap.take}) holds only parked events:
+    deferrals past the round barrier and mail held for a dark party. *)
 
 type async_cfg = {
   a_seed : int;  (** master seed of the per-edge latency streams *)

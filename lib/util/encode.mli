@@ -45,6 +45,10 @@ val decode : bytes -> (source -> 'a) -> 'a option
 (** [decode data f] parses with [f], requiring all input consumed; [None] on
     any malformation. This is the entry point for parsing untrusted bytes. *)
 
+val fingerprint : bytes -> int
+(** Cheap content hash: length, first and last 8 bytes, mixed. Equal
+    contents have equal fingerprints. *)
+
 val memo_decode : (source -> 'a) -> bytes -> 'a option
 (** [memo_decode f] is {!decode} memoized by input *content*: the network
     delivers one shared payload buffer to every multicast recipient, and

@@ -4,12 +4,16 @@
     explicitly, so that every experiment is reproducible bit-for-bit. *)
 
 type t
+(** A generator is its 8-byte SplitMix state, stepped in place; the same
+    layout {!bits_at} steps at any offset of a caller's buffer. Drawing
+    with {!bits}, {!int} or {!float} allocates nothing. *)
 
 val create : int -> t
 (** [create seed] is a fresh generator. *)
 
 val copy : t -> t
-(** Independent copy with the same state. *)
+(** Independent copy with the same state: drawing from one never moves the
+    other. *)
 
 val next64 : t -> int64
 (** Next raw 64-bit output. *)
@@ -23,8 +27,17 @@ val bits_at : bytes -> int -> int
     would on a generator in that state. Does not allocate. *)
 
 val state_into : t -> bytes -> int -> unit
-(** [state_into t buf off] stores [t]'s state at [off] in the layout
-    {!bits_at} steps. *)
+(** [state_into t buf off] copies [t]'s state to [off], where {!bits_at}
+    and {!label_at} step it. *)
+
+val label_at : bytes -> int -> string -> unit
+(** [label_at buf off label] turns the state at [off] into that of
+    [of_label g label], [g] being a generator in that state. Does not
+    allocate. *)
+
+val label_int_at : bytes -> int -> int -> unit
+(** [label_int_at buf off i] is [label_at buf off (string_of_int i)] for
+    [i >= 0], without building the string. *)
 
 val int_of_bits : int -> int -> int
 (** [int_of_bits b bound] is what {!int} returns when {!bits} would have

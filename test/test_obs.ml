@@ -270,6 +270,29 @@ let test_histogram () =
   Counters.reset ();
   if not was then Counters.disable ()
 
+(* A cell's deterministic counters are a function of the cell alone, not
+   of what its domain ran before: every Runner cell starts from cold
+   crypto caches. A warm [Wots.verify] memo would skip the counted
+   [hashx.hash] of a signature already verified by an earlier cell (the
+   Dolev–Strong cells share their signers' keys across n). *)
+let test_cell_counters_history_free () =
+  let was = Counters.is_enabled () in
+  Counters.enable ();
+  let counted n =
+    Counters.reset ();
+    ignore (Runner.run_with ~protocol:Runner.Dolev_strong ~n ~beta:0.1 ~seed:1 ());
+    List.filter (fun (_, v) -> v <> 0) (Counters.deterministic_snapshot ())
+  in
+  let first = counted 24 in
+  ignore (counted 32);
+  let again = counted 24 in
+  Counters.reset ();
+  if not was then Counters.disable ();
+  Alcotest.(check bool) "the cell verified signatures" true
+    (List.mem_assoc "wots.verify" first);
+  Alcotest.(check (list (pair string int)))
+    "same counters after a different cell" first again
+
 (* --- trace spans --- *)
 
 let test_span_nesting () =
@@ -843,6 +866,8 @@ let suite =
     Alcotest.test_case "counter basics" `Quick test_counter_basics;
     Alcotest.test_case "snapshot shape" `Quick test_snapshot_shape;
     Alcotest.test_case "histogram" `Quick test_histogram;
+    Alcotest.test_case "cell counters independent of earlier cells" `Quick
+      test_cell_counters_history_free;
     Alcotest.test_case "span nesting" `Quick test_span_nesting;
     Alcotest.test_case "chrome json" `Quick test_chrome_json;
     Alcotest.test_case "counters pool-independent" `Quick

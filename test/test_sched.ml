@@ -313,6 +313,183 @@ let test_post_gst_on_network () =
   Alcotest.(check bool) "pre-GST losses occurred" true
     (stats.Sched.st_pre_gst_lost > 0)
 
+(* --- the executor against a naive (time, seq) model ---
+
+   The naive reading of async delivery: every send of a round becomes an
+   event (delivery time, seq); the round delivers every event due by its
+   barrier in (time, seq) order, found by re-sorting the whole pending set
+   after each step, and an event held for a dark party goes back just past
+   the barrier under a fresh seq. QCheck generates rounds of sends under
+   random knobs and random condition programs: extra latency (some of it
+   beyond the executor's bucketed range), latencies a condition shrinks
+   below 1, [Defer]s before, inside and past the barrier, and down
+   windows. The executor must match the model's inboxes and virtual time
+   after every round, and its delivery statistics at the end. *)
+
+type dcase = {
+  d_n : int;
+  d_cfg : Sched.async_cfg;
+  d_sends : (int * int) list array; (* per round: (src, dst), send order *)
+  d_cseed : int; (* the condition program's verdicts hash from this *)
+  d_defer : int; (* percent of sends deferred *)
+  d_extra : int; (* percent of sends given extra latency *)
+  d_down : (int * int * int) list; (* party dark for rounds [from, to) *)
+}
+
+let dcase_condition c =
+  {
+    Sched.c_name = "model";
+    c_route =
+      (fun ~now ~round ~src ~dst ~lat ->
+        let h = Hashtbl.hash (c.d_cseed, round, src, dst, lat) in
+        let pct = h mod 100 and x = h / 100 in
+        if pct < c.d_defer then Sched.Defer (now - 1 + (x mod 14))
+        else if pct < c.d_defer + c.d_extra then Sched.Deliver (lat + (x mod 90))
+        else if pct >= 95 then Sched.Deliver (lat - 3)
+        else Sched.Deliver lat);
+    c_down =
+      (fun ~now:_ ~round p ->
+        List.exists (fun (q, r0, r1) -> q = p && round >= r0 && round < r1) c.d_down);
+    c_observe = (fun ~now:_ ~round:_ ~msgs:_ ~corrupt:_ -> ());
+  }
+
+(* Send order: the network visits parties ascending and each sends its own
+   list in order. *)
+let dcase_round c r =
+  List.mapi (fun k (src, dst) -> (src, dst, Printf.sprintf "%d.%d" r k)) c.d_sends.(r)
+  |> List.stable_sort (fun (a, _, _) (b, _, _) -> compare a b)
+
+type dobs = {
+  o_rounds : (int * string list array) list; (* vt and inboxes per round *)
+  o_stats : int * int * int * int;
+  o_log : (int * int) list;
+}
+
+let stats_obs (s : Sched.stats) =
+  ( (s.Sched.st_sends, s.Sched.st_max_latency, s.Sched.st_pre_gst_lost,
+     s.Sched.st_post_gst_late),
+    List.map (fun d -> (d.Sched.dl_send_vt, d.Sched.dl_deliver_vt)) (Sched.deliveries s) )
+
+let run_delivery_executor c =
+  let n = c.d_n in
+  let net = Network.create ~backend:(Sched.Async c.d_cfg) ~n ~corrupt:[] () in
+  Network.set_condition net (dcase_condition c);
+  let everyone = Network.everyone net in
+  let rounds =
+    List.init (Array.length c.d_sends) (fun r ->
+        let sends = dcase_round c r in
+        Network.run_active net ~rounds:1
+          ~extra:(fun ~round:_ -> everyone)
+          (fun i ->
+            Some
+              (fun ~round:_ ~inbox:_ ->
+                List.iter
+                  (fun (src, dst, p) ->
+                    if src = i then Network.send net ~src ~dst ~tag:"m" (Bytes.of_string p))
+                  sends));
+        ( Network.virtual_time net,
+          Array.init n (fun d ->
+              List.map (fun (m : Repro_net.Wire.msg) -> Bytes.to_string m.payload)
+                (Network.inbox net d)) ))
+  in
+  match Network.async_stats net with
+  | Some s ->
+    let o_stats, o_log = stats_obs s in
+    { o_rounds = rounds; o_stats; o_log }
+  | None -> Alcotest.fail "async network carries no stats"
+
+let run_delivery_model c =
+  let n = c.d_n and cfg = c.d_cfg in
+  let cond = dcase_condition c in
+  let edges = Sched.edges_create ~seed:cfg.Sched.a_seed in
+  let stats = Sched.stats_create () in
+  (* pending events: (time, seq, send vt, dst, payload) *)
+  let pending = ref [] and vt = ref 0 and seq = ref 0 in
+  let rounds =
+    List.init (Array.length c.d_sends) (fun r ->
+        let now = !vt in
+        let barrier = ref (now + 1) in
+        List.iter
+          (fun (src, dst, p) ->
+            if not (cond.Sched.c_down ~now ~round:r src) then begin
+              let lat = Sched.draw_latency edges cfg ~src ~dst ~now in
+              let time =
+                match cond.Sched.c_route ~now ~round:r ~src ~dst ~lat with
+                | Sched.Deliver l ->
+                  barrier := max !barrier (now + max 1 l);
+                  now + max 1 l
+                | Sched.Defer v -> max (now + 1) v
+              in
+              incr seq;
+              pending := (time, !seq, now, dst, p) :: !pending
+            end)
+          (dcase_round c r);
+        let inboxes = Array.make n [] in
+        let rec drain () =
+          match List.sort compare !pending with
+          | (time, _, send_vt, dst, p) :: rest when time <= !barrier ->
+            pending := rest;
+            if cond.Sched.c_down ~now ~round:(r + 1) dst then begin
+              incr seq;
+              pending := (!barrier + 1, !seq, !barrier, dst, p) :: !pending
+            end
+            else begin
+              Sched.note_delivery stats cfg ~send_vt ~deliver_vt:time;
+              inboxes.(dst) <- inboxes.(dst) @ [ p ]
+            end;
+            drain ()
+          | _ -> ()
+        in
+        drain ();
+        vt := !barrier;
+        (!vt, inboxes))
+  in
+  let o_stats, o_log = stats_obs stats in
+  { o_rounds = rounds; o_stats; o_log }
+
+let dcase_gen =
+  let open QCheck.Gen in
+  let* n = int_range 2 10 in
+  let* rounds = int_range 1 8 in
+  let* a_seed = int_bound 100_000 in
+  let* zero = bool in
+  let* a_jitter = int_bound 4 and* a_delta = int_bound 3 and* loss = int_bound 3 in
+  let* a_gst = int_bound 30 in
+  let party = int_bound (n - 1) in
+  let* d_sends = array_repeat rounds (list_size (int_bound 14) (pair party party)) in
+  let* d_cseed = int_bound 100_000 and* d_defer = int_bound 30 and* d_extra = int_bound 30 in
+  let+ d_down =
+    list_size (int_bound 3)
+      (map (fun (p, r0, len) -> (p, r0, r0 + len)) (triple party (int_bound rounds) (int_range 1 4)))
+  in
+  let d_cfg =
+    if zero then { Sched.default_async with a_seed; a_gst }
+    else
+      { Sched.a_seed; a_jitter; a_delta; a_loss = 0.1 *. float_of_int loss; a_gst }
+  in
+  { d_n = n; d_cfg; d_sends; d_cseed; d_defer; d_extra; d_down }
+
+let dcase_print c =
+  let cfg = c.d_cfg in
+  Printf.sprintf
+    "n=%d seed=%d jitter=%d delta=%d loss=%.1f gst=%d cseed=%d defer=%d%% extra=%d%% down=[%s] sends=[%s]"
+    c.d_n cfg.Sched.a_seed cfg.Sched.a_jitter cfg.Sched.a_delta cfg.Sched.a_loss
+    cfg.Sched.a_gst c.d_cseed c.d_defer c.d_extra
+    (String.concat ";"
+       (List.map (fun (p, a, b) -> Printf.sprintf "%d:%d-%d" p a b) c.d_down))
+    (String.concat " | "
+       (Array.to_list
+          (Array.map
+             (fun l ->
+               String.concat "," (List.map (fun (s, d) -> Printf.sprintf "%d>%d" s d) l))
+             c.d_sends)))
+
+let qcheck_delivery_model =
+  QCheck.Test.make ~name:"async delivery equals the naive (time, seq) model"
+    ~count:300
+    (QCheck.make ~print:dcase_print dcase_gen)
+    (fun c -> run_delivery_executor c = run_delivery_model c)
+
 (* --- async executor determinism --- *)
 
 (* A sharp oracle for executor order. At n = 64 the chaos *send*
@@ -398,18 +575,48 @@ let test_executor_order_pinned () =
    [Runner.run_digest]'s line format, with its virtual time and delivery
    statistics. *)
 let test_attack_cell_pinned () =
+  let module Counters = Repro_obs.Counters in
+  let was = Counters.is_enabled () in
+  Counters.enable ();
+  Counters.reset ();
   let tap, digest = Runner.digest_sink () in
   let c =
     Runner.run_attack_cell ~sinks:[ tap ] ~protocol:Runner.This_work_owf
       ~strategy_name:"equivocate" ~condition_name:"delay" ~n:256 ~beta:0.1
       ~seed:3 ~expect_fail:false ()
   in
+  let counted =
+    List.filter (fun (_, v) -> v <> 0) (Counters.deterministic_snapshot ())
+  in
+  Counters.reset ();
+  if not was then Counters.disable ();
   Alcotest.(check string) "transcript digest"
     "7f768d11991fac88ea174ba5adec8f15eaf797897a9fa6fd88946a2025afa33a"
     (digest ());
   Alcotest.(check int) "vt" 484 c.Runner.ac_vt;
   Alcotest.(check int) "pre_gst_lost" 4700 c.Runner.ac_pre_gst_lost;
-  Alcotest.(check int) "post_gst_late" 0 c.Runner.ac_post_gst_late
+  Alcotest.(check int) "post_gst_late" 0 c.Runner.ac_post_gst_late;
+  (* Every counted operation still runs: the cell's nonzero deterministic
+     counters, as the executor and f_aggr-sig counted them before their
+     per-message fast paths. *)
+  Alcotest.(check (list (pair string int))) "deterministic counters"
+    [
+      ("adv.msgs.equivocate", 33033);
+      ("aecomm.enc_hit", 1714);
+      ("aecomm.enc_miss", 350);
+      ("attack.cells", 1);
+      ("encode.memo_hit", 61869);
+      ("encode.memo_miss", 230);
+      ("engine.msgs", 430512);
+      ("hashx.hash", 91034);
+      ("srds-owf.aggregate", 184);
+      ("srds-owf.keygen", 1032);
+      ("srds-owf.sign", 932);
+      ("srds-owf.verify", 1);
+      ("wots.sign", 38);
+      ("wots.verify", 33998);
+    ]
+    counted
 
 let async_digest ~n ~seed =
   let backend = Sched.Async (chaos ~seed) in
@@ -613,6 +820,7 @@ let suite =
       test_heap_releases_popped;
     QCheck_alcotest.to_alcotest qcheck_latency_bounds;
     QCheck_alcotest.to_alcotest qcheck_latency_reference;
+    QCheck_alcotest.to_alcotest qcheck_delivery_model;
     Alcotest.test_case "pure sync draws nothing from the streams" `Quick
       test_pure_sync_no_draws;
     Alcotest.test_case "edge streams seeded and deterministic" `Quick

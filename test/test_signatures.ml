@@ -49,6 +49,16 @@ let test_wots_memo_teeth () =
   let sg = Wots.sign sk d in
   Alcotest.(check bool) "valid" true (Wots.verify vk d sg);
   Alcotest.(check bool) "valid again (memo hit)" true (Wots.verify vk d sg);
+  (* a hit probes the caller's own buffers: nothing is built per call *)
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    ignore (Wots.verify vk d sg)
+  done;
+  let w1 = Gc.minor_words () in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words allocated by 1000 memo hits" (w1 -. w0))
+    true
+    (w1 -. w0 < 64.);
   let tweak f =
     let sg' = Array.map Bytes.copy sg in
     f sg';
@@ -80,7 +90,27 @@ let test_wots_memo_teeth () =
        (tweak (fun s ->
             s.(5) <- Bytes.cat s.(5) (Bytes.sub s.(6) 0 1);
             s.(6) <- Bytes.sub s.(6) 1 (Bytes.length s.(6) - 1))));
-  Alcotest.(check bool) "original still valid" true (Wots.verify vk d sg)
+  Alcotest.(check bool) "original still valid" true (Wots.verify vk d sg);
+  (* The memo holds its own copy of what it verified: mutating the very
+     buffers of a cached (vk, digest, signature) in place must not hit the
+     stale entry. Each buffer is restored afterwards, and must hit again. *)
+  let flip_in_place b i =
+    Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x80))
+  in
+  List.iter
+    (fun (what, b, i) ->
+      Alcotest.(check bool) ("hit before mutating " ^ what) true (Wots.verify vk d sg);
+      flip_in_place b i;
+      Alcotest.(check bool) (what ^ " mutated in place") false (Wots.verify vk d sg);
+      flip_in_place b i;
+      Alcotest.(check bool) (what ^ " restored") true (Wots.verify vk d sg))
+    [
+      ("first chain", sg.(0), 0);
+      ("middle chain", sg.(17), 9);
+      ("last chain", sg.(Wots.num_chains - 1), 15);
+      ("digest", d, 3);
+      ("vk", vk, Bytes.length vk - 1);
+    ]
 
 let test_wots_encode_roundtrip () =
   let vk, sk = Wots.keygen (Bytes.of_string "seed-5") in

@@ -22,6 +22,55 @@ let test_rng_split_independent () =
   let ys = List.init 16 (fun _ -> Rng.next64 b) in
   Alcotest.(check bool) "streams differ" true (xs <> ys)
 
+(* A copy is a second state buffer: drawing from either never moves the
+   other, and both walk the same stream. *)
+let test_rng_copy_independent () =
+  let a = Rng.create 5 in
+  ignore (Rng.bits a);
+  let b = Rng.copy a in
+  let from_b = List.init 8 (fun _ -> Rng.bits b) in
+  let from_a = List.init 13 (fun _ -> Rng.bits a) in
+  Alcotest.(check (list int)) "b's draws left a where the copy was taken"
+    from_b (List.filteri (fun i _ -> i < 8) from_a);
+  Alcotest.(check (list int)) "a's draws left b where it stopped"
+    (List.filteri (fun i _ -> i >= 8) from_a)
+    (List.init 5 (fun _ -> Rng.bits b));
+  let c = Rng.copy b in
+  ignore (Rng.of_label c "child");
+  ignore (Rng.split b);
+  Alcotest.(check bool) "split advanced b only" true (Rng.bits c <> Rng.bits b)
+
+(* Draws step the state buffer in place: no allocation per draw. *)
+let test_rng_draws_allocation_free () =
+  let r = Rng.create 3 in
+  let acc = ref 0 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    acc := !acc + Rng.int r 7 + (Rng.bits r land 1) + if Rng.bool r then 1 else 0
+  done;
+  let w1 = Gc.minor_words () in
+  Alcotest.(check bool) "drew something" true (!acc > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words allocated by 30k draws" (w1 -. w0))
+    true
+    (w1 -. w0 < 64.)
+
+(* Folding labels in place equals [of_label]; integer labels fold their
+   decimal digits without building the string. *)
+let test_rng_label_in_place () =
+  let g = Rng.create 11 in
+  List.iter
+    (fun i ->
+      let buf = Bytes.create 16 in
+      Rng.state_into g buf 8;
+      Rng.label_int_at buf 8 i;
+      Rng.label_at buf 8 "-x";
+      let want = Rng.of_label g (string_of_int i ^ "-x") in
+      Alcotest.(check int)
+        (Printf.sprintf "label %d" i)
+        (Rng.bits want) (Rng.bits_at buf 8))
+    [ 0; 1; 9; 10; 99; 100; 12345; (1 lsl 31) - 1; max_int ]
+
 let test_rng_label_stable () =
   let a = Rng.create 9 in
   let x = Rng.next64 (Rng.of_label a "alpha") in
@@ -242,6 +291,10 @@ let suite =
     Alcotest.test_case "rng int bounds" `Quick test_rng_int_bounds;
     Alcotest.test_case "rng split" `Quick test_rng_split_independent;
     Alcotest.test_case "rng label" `Quick test_rng_label_stable;
+    Alcotest.test_case "rng copy independent" `Quick test_rng_copy_independent;
+    Alcotest.test_case "rng draws allocation-free" `Quick
+      test_rng_draws_allocation_free;
+    Alcotest.test_case "rng label folded in place" `Quick test_rng_label_in_place;
     Alcotest.test_case "rng subset" `Quick test_rng_subset;
     Alcotest.test_case "encode roundtrip" `Quick test_encode_roundtrip;
     Alcotest.test_case "encode malformed" `Quick test_encode_malformed;

@@ -1,11 +1,10 @@
-(* Experiment orchestration: runs every protocol of Table 1 under identical
-   conditions on the metered network and renders the measured rows. The
-   benchmark harness (bench/main.ml) and the CLI (bin/ba_sim.ml) are thin
-   wrappers over this module; EXPERIMENTS.md records its outputs. *)
+(* Experiment cells: runs every protocol of Table 1 under identical
+   conditions on the metered network and returns the measured records and
+   their JSON objects. The experiments that sweep, render and gate these
+   cells live in Experiment; EXPERIMENTS.md records their outputs. *)
 
 module Rng = Repro_util.Rng
 module Mathx = Repro_util.Mathx
-module Tablefmt = Repro_util.Tablefmt
 module Parallel = Repro_util.Parallel
 module Json = Repro_util.Json
 module Metrics = Repro_net.Metrics
@@ -643,162 +642,26 @@ let attack_matrix_json (m : attack_matrix) =
         "condition_teeth", Bool m.am_condition_teeth;
       ])
 
-(* One table row per (strategy, beta): the per-protocol columns count ok
-   cells across seeds, so the rendering stays compact at any seed count.
-   Content-only cells only; the condition axis renders separately in
-   {!condition_table}. *)
-let attack_table (m : attack_matrix) =
-  let t =
-    Tablefmt.create
-      ~title:
-        (Printf.sprintf
-           "attack matrix: n=%d, %d seed(s) (ok cells / cells; x = broken)"
-           m.am_n (List.length m.am_seeds))
-      ~headers:
-        ([ "strategy"; "beta"; "expect" ]
-        @ m.am_protocols)
-      ~aligns:
-        ([ Tablefmt.Left; Right; Left ]
-        @ List.map (fun _ -> Tablefmt.Right) m.am_protocols)
-  in
-  let betas =
-    List.map (fun b -> (b, false)) m.am_betas
-    @ List.map (fun b -> (b, true)) m.am_sanity_betas
-  in
-  List.iter
-    (fun strategy ->
-      List.iter
-        (fun (beta, expect_fail) ->
-          let cell protocol =
-            let mine =
-              List.filter
-                (fun c ->
-                  c.ac_condition = "none"
-                  && c.ac_strategy = strategy && c.ac_beta = beta
-                  && c.ac_protocol = protocol
-                  && c.ac_expect_fail = expect_fail)
-                m.am_cells
-            in
-            let ok = List.length (List.filter (fun c -> c.ac_ok) mine) in
-            Printf.sprintf "%d/%d%s" ok (List.length mine)
-              (if ok < List.length mine then " x" else "")
-          in
-          Tablefmt.add_row t
-            ([
-               strategy;
-               Printf.sprintf "%.3f" beta;
-               (if expect_fail then "may-fail" else "pass");
-             ]
-            @ List.map cell m.am_protocols))
-        betas)
-    m.am_strategies;
-  t
-
-(* One row per (condition, strategy, beta, expect): the per-protocol
-   columns cover {!condition_protocols} — the dolev-strong column is the
-   ungated authenticated reference. Row order follows cell order, so the
-   planted teeth rows render last. *)
-let condition_table (m : attack_matrix) =
-  let cells = List.filter (fun c -> c.ac_condition <> "none") m.am_cells in
-  let protos = List.map protocol_name condition_protocols in
-  let keys =
-    List.rev
-      (List.fold_left
-         (fun acc c ->
-           let k = (c.ac_condition, c.ac_strategy, c.ac_beta, c.ac_expect_fail) in
-           if List.mem k acc then acc else k :: acc)
-         [] cells)
-  in
-  let t =
-    Tablefmt.create
-      ~title:
-        (Printf.sprintf
-           "condition matrix: n=%d, %d seed(s) (ok cells / cells; x = broken; \
-            dolev-strong ungated)"
-           m.am_n (List.length m.am_seeds))
-      ~headers:([ "condition"; "strategy"; "beta"; "expect" ] @ protos)
-      ~aligns:
-        ([ Tablefmt.Left; Left; Right; Left ]
-        @ List.map (fun _ -> Tablefmt.Right) protos)
-  in
-  List.iter
-    (fun (condition, strategy, beta, expect_fail) ->
-      let cell protocol =
-        let mine =
-          List.filter
-            (fun c ->
-              c.ac_condition = condition && c.ac_strategy = strategy
-              && c.ac_beta = beta && c.ac_protocol = protocol
-              && c.ac_expect_fail = expect_fail)
-            cells
-        in
-        if mine = [] then "-"
-        else
-          let ok = List.length (List.filter (fun c -> c.ac_ok) mine) in
-          Printf.sprintf "%d/%d%s" ok (List.length mine)
-            (if ok < List.length mine then " x" else "")
-      in
-      Tablefmt.add_row t
-        ([
-           condition;
-           strategy;
-           Printf.sprintf "%.3f" beta;
-           (if expect_fail then "may-fail" else "pass");
-         ]
-        @ List.map cell protos))
-    keys;
-  t
-
-(* --- Table 1 (measured): all protocols at a fixed n --- *)
-
-(* Every (n, protocol) cell is an independent simulation seeded only by its
-   own parameters, so cells run concurrently on the domain pool; rows come
-   back in input order, making the rendered table identical for any pool
-   size. [chunk:1]: cells are few and coarse. *)
-let table1_rows ?(ns = [ 64; 128; 256 ]) ?(beta = 0.1) ?(seed = 1) () =
-  let cells =
-    List.concat_map (fun n -> List.map (fun p -> (n, p)) all_protocols) ns
-  in
-  Parallel.map_list ~chunk:1
-    (fun (n, protocol) -> run ~protocol ~n ~beta ~seed ())
-    cells
-
-let table1_of_rows ?(beta = 0.1) rows =
-  let beta_v = beta in
-  let t =
-    Tablefmt.create
-      ~title:
-        (Printf.sprintf
-           "Table 1 (measured): almost-everywhere -> everywhere, beta=%.2f"
-           beta_v)
-      ~headers:
-        [ "protocol"; "n"; "rounds"; "max KiB/party"; "mean KiB"; "total MiB";
-          "locality"; "ok"; "note" ]
-      ~aligns:
-        [ Tablefmt.Left; Right; Right; Right; Right; Right; Right; Left; Left ]
-  in
-  List.iter
-    (fun r ->
-      Tablefmt.add_row t
-        [
-          r.r_protocol;
-          string_of_int r.r_n;
-          string_of_int r.r_rounds;
-          Tablefmt.fkib r.r_max_bytes;
-          Tablefmt.fkib (int_of_float r.r_mean_bytes);
-          Printf.sprintf "%.1f" (float_of_int r.r_total_bytes /. 1048576.);
-          string_of_int r.r_locality;
-          (if r.r_ok then "yes" else "NO");
-          r.r_note;
-        ])
-    rows;
-  t
-
-let table1 ?ns ?beta ?(seed = 1) () =
-  table1_of_rows ?beta (table1_rows ?ns ?beta ~seed ())
-
 (* --- scaling sweep: per-party communication vs n, with fitted growth
    exponents (the shape that distinguishes polylog / sqrt / linear) --- *)
+
+(* One pool task per (protocol, n) cell, regrouped per protocol in input
+   order. Flattened so no per-protocol barrier idles the pool (nested
+   fan-outs run sequentially) on the long tail of the largest n; every cell
+   is keyed only by its own parameters, so results are bit-identical for
+   any REPRO_DOMAINS pool size. *)
+let per_protocol ~ns_of protocols cell =
+  let cells = List.concat_map (fun p -> List.map (fun n -> (p, n)) (ns_of p)) protocols in
+  let results = Parallel.map_list ~chunk:1 (fun (p, n) -> cell p n) cells in
+  let rec regroup protocols results =
+    match protocols with
+    | [] -> []
+    | p :: rest ->
+      let k = List.length (ns_of p) in
+      (p, List.filteri (fun i _ -> i < k) results)
+      :: regroup rest (List.filteri (fun i _ -> i >= k) results)
+  in
+  regroup protocols results
 
 type sweep_result = {
   s_protocol : string;
@@ -808,70 +671,22 @@ type sweep_result = {
   s_slope_locality : float;
 }
 
-let sweep ~protocol ~ns ~beta ~seed =
-  let points =
-    Parallel.map_list ~chunk:1 (fun n -> (n, run ~protocol ~n ~beta ~seed ())) ns
-  in
-  let fit f =
-    Mathx.loglog_slope
-      (List.map (fun (n, r) -> (float_of_int n, f r)) points)
-  in
-  {
-    s_protocol = protocol_name protocol;
-    s_points = points;
-    s_slope_max = fit (fun r -> float_of_int r.r_max_bytes);
-    s_slope_mean = fit (fun r -> r.r_mean_bytes);
-    s_slope_locality = fit (fun r -> float_of_int r.r_locality);
-  }
-
-let sweep_table ?(ns = [ 64; 128; 256; 512 ]) ?(beta = 0.1) ?(seed = 1)
+let sweep_rows ?(ns = [ 64; 128; 256; 512 ]) ?(beta = 0.1) ?(seed = 1)
     ?(protocols = all_protocols) () =
-  let t =
-    Tablefmt.create
-      ~title:"Scaling sweep: max per-party communication vs n (fitted exponent)"
-      ~headers:
-        ("protocol"
-        :: List.map (fun n -> Printf.sprintf "n=%d" n) ns
-        @ [ "slope(max)"; "slope(mean)"; "slope(loc)" ])
-      ~aligns:
-        (Tablefmt.Left
-        :: List.map (fun _ -> Tablefmt.Right) ns
-        @ [ Tablefmt.Right; Tablefmt.Right; Tablefmt.Right ])
-  in
-  (* One pool task per (protocol, n) cell: the outer per-protocol map would
-     otherwise serialize the inner sweep (nested fan-outs run sequentially),
-     wasting the pool on the long tail of the largest n. *)
-  let cells =
-    List.concat_map (fun p -> List.map (fun n -> (p, n)) ns) protocols
-  in
-  let rows =
-    Parallel.map_list ~chunk:1
-      (fun (protocol, n) -> (n, run ~protocol ~n ~beta ~seed ()))
-      cells
-  in
-  let rec take_rows protocols rows =
-    match protocols with
-    | [] -> ()
-    | protocol :: rest ->
-      let points, remaining =
-        let k = List.length ns in
-        (List.filteri (fun i _ -> i < k) rows,
-         List.filteri (fun i _ -> i >= k) rows)
-      in
+  List.map
+    (fun (protocol, rows) ->
       let fit f =
-        Mathx.loglog_slope
-          (List.map (fun (n, r) -> (float_of_int n, f r)) points)
+        Mathx.loglog_slope (List.map (fun r -> (float_of_int r.r_n, f r)) rows)
       in
-      Tablefmt.add_row t
-        (protocol_name protocol
-        :: List.map (fun (_, r) -> Tablefmt.fkib r.r_max_bytes) points
-        @ [ fit (fun r -> float_of_int r.r_max_bytes) |> Tablefmt.f2;
-            fit (fun r -> r.r_mean_bytes) |> Tablefmt.f2;
-            fit (fun r -> float_of_int r.r_locality) |> Tablefmt.f2 ]);
-      take_rows rest remaining
-  in
-  take_rows protocols rows;
-  t
+      {
+        s_protocol = protocol_name protocol;
+        s_points = List.map (fun r -> (r.r_n, r)) rows;
+        s_slope_max = fit (fun r -> float_of_int r.r_max_bytes);
+        s_slope_mean = fit (fun r -> r.r_mean_bytes);
+        s_slope_locality = fit (fun r -> float_of_int r.r_locality);
+      })
+    (per_protocol ~ns_of:(fun _ -> ns) protocols (fun protocol n ->
+         run ~protocol ~n ~beta ~seed ()))
 
 (* --- E17: large-n scale sweep ---
 
@@ -951,42 +766,21 @@ let scale_rows ?(ns = scale_ns_default) ?(beta = 0.1) ?(seed = 1)
     | None -> ns
     | Some cap -> List.filter (fun n -> n <= cap) ns
   in
-  (* One pool task per (protocol, n) cell, flattened as in sweep_table so
-     the pool is never idled by a per-protocol barrier; every cell is keyed
-     only by its own parameters, so results are bit-identical for any
-     REPRO_DOMAINS pool size. *)
-  let cells =
-    List.concat_map (fun p -> List.map (fun n -> (p, n)) (kept p)) protocols
-  in
-  let points =
-    Parallel.map_list ~chunk:1
-      (fun (p, n) -> scale_point ~protocol:p ~n ~beta ~seed)
-      cells
-  in
   let max_requested = List.fold_left max 0 ns in
-  let rec take protocols points =
-    match protocols with
-    | [] -> []
-    | p :: rest ->
-      let k = List.length (kept p) in
-      let mine = List.filteri (fun i _ -> i < k) points in
-      let remaining = List.filteri (fun i _ -> i >= k) points in
+  List.map
+    (fun (p, points) ->
       let slope =
         Mathx.loglog_slope
-          (List.map
-             (fun sp -> (float_of_int sp.sp_row.r_n, sp.sp_p99_bits))
-             mine)
+          (List.map (fun sp -> (float_of_int sp.sp_row.r_n, sp.sp_p99_bits)) points)
       in
       let cap =
         match scale_cap p with
         | Some c when c < max_requested -> Some c
         | _ -> None
       in
-      { sc_protocol = protocol_name p; sc_cap = cap; sc_points = mine;
-        sc_slope_p99 = slope }
-      :: take rest remaining
-  in
-  take protocols points
+      { sc_protocol = protocol_name p; sc_cap = cap; sc_points = points;
+        sc_slope_p99 = slope })
+    (per_protocol ~ns_of:kept protocols (fun p n -> scale_point ~protocol:p ~n ~beta ~seed))
 
 (* A scale point is a Table-1 row plus the audit-vs-budget fields and the
    sweep's cap: flat, so readers treat it as a row with extras. *)
@@ -1016,62 +810,6 @@ let scale_json results =
   in
   Json.(
     Obj [ "schema", Str "repro-scale/2"; "protocols", List (List.map protocol results) ])
-
-let scale_table results =
-  let beta =
-    match results with
-    | { sc_points = sp :: _; _ } :: _ -> sp.sp_row.r_beta
-    | _ -> 0.1
-  in
-  let t =
-    Tablefmt.create
-      ~title:
-        (Printf.sprintf
-           "E17 scale sweep: honest p99 bits/party vs declared budget, \
-            beta=%.2f (capped baselines marked)"
-           beta)
-      ~headers:
-        [ "protocol"; "n"; "rounds"; "p99 KiB"; "budget KiB"; "used"; "within";
-          "viol"; "ok"; "slope(p99)" ]
-      ~aligns:
-        [ Tablefmt.Left; Right; Right; Right; Right; Right; Left; Right; Left;
-          Right ]
-  in
-  List.iter
-    (fun sc ->
-      let label =
-        match sc.sc_cap with
-        | None -> sc.sc_protocol
-        | Some c -> Printf.sprintf "%s (cap %d)" sc.sc_protocol c
-      in
-      List.iteri
-        (fun i sp ->
-          let r = sp.sp_row in
-          let budget, used =
-            match sp.sp_budget_bits with
-            | None -> ("-", "-")
-            | Some b ->
-              ( Printf.sprintf "%.1f" (b /. 8192.),
-                Printf.sprintf "%.0f%%" (100.0 *. sp.sp_p99_bits /. b) )
-          in
-          Tablefmt.add_row t
-            [
-              (if i = 0 then label else "");
-              string_of_int r.r_n;
-              string_of_int r.r_rounds;
-              Printf.sprintf "%.1f" (sp.sp_p99_bits /. 8192.);
-              budget;
-              used;
-              (if sp.sp_within then "yes" else "NO");
-              string_of_int sp.sp_violations;
-              (if r.r_ok then "yes" else "NO");
-              (if i = List.length sc.sc_points - 1 then
-                 Tablefmt.f2 sc.sc_slope_p99
-               else "");
-            ])
-        sc.sc_points)
-    results;
-  t
 
 (* --- self-profiling (ba_sim profile) ---
 
@@ -1598,10 +1336,6 @@ let async_cells ?(strategies = [ "silent"; "equivocate" ]) ?(beta = 0.1)
       run_async_cell ~protocol ~strategy_name ~n ~beta ~seed ~cfg ())
     jobs
 
-let async_gate_ok ~conform ~cells =
-  List.for_all (fun c -> c.cf_match && c.cf_rows_ok) conform
-  && List.for_all (fun a -> a.ay_ok) cells
-
 let conform_cell_json c =
   let digest (b, d) = Json.(Obj [ "backend", Str b; "digest", Str d ]) in
   Json.(
@@ -1629,67 +1363,3 @@ let async_cell_json a =
         "decided", fixed 3 a.ay_decided; "valid", Bool a.ay_valid;
         "digest", Str a.ay_digest; "ok", Bool a.ay_ok;
       ])
-
-(* schema repro-async/1; parses back with Repro_util.Json. *)
-let async_json ~conform ~cells =
-  Json.(
-    Obj
-      [
-        "schema", Str "repro-async/1";
-        "conform", List (List.map conform_cell_json conform);
-        "async", List (List.map async_cell_json cells);
-        "gate_ok", Bool (async_gate_ok ~conform ~cells);
-      ])
-
-let conformance_table conform =
-  let t =
-    Tablefmt.create ~title:"E18 conformance: one transcript digest per backend"
-      ~headers:[ "protocol"; "n"; "seed"; "digest (first 16)"; "rows"; "match" ]
-      ~aligns:[ Tablefmt.Left; Right; Right; Left; Left; Left ]
-  in
-  List.iter
-    (fun c ->
-      let d0 = match c.cf_digests with (_, d) :: _ -> String.sub d 0 16 | [] -> "-" in
-      Tablefmt.add_row t
-        [
-          c.cf_protocol;
-          string_of_int c.cf_n;
-          string_of_int c.cf_seed;
-          d0;
-          (if c.cf_rows_ok then "ok" else "FAIL");
-          (if c.cf_match then "yes" else "NO");
-        ])
-    conform;
-  t
-
-let async_table cells =
-  let t =
-    Tablefmt.create ~title:"E18 async chaos matrix (partial synchrony)"
-      ~headers:
-        [
-          "protocol"; "strategy"; "n"; "gst"; "vt"; "maxlat"; "lost"; "late";
-          "decided"; "ok";
-        ]
-      ~aligns:
-        [
-          Tablefmt.Left; Left; Right; Right; Right; Right; Right; Right; Right;
-          Left;
-        ]
-  in
-  List.iter
-    (fun a ->
-      Tablefmt.add_row t
-        [
-          a.ay_protocol;
-          a.ay_strategy;
-          string_of_int a.ay_n;
-          string_of_int a.ay_cfg.Sched.a_gst;
-          string_of_int a.ay_vt;
-          string_of_int a.ay_max_latency;
-          string_of_int a.ay_pre_gst_lost;
-          string_of_int a.ay_post_gst_late;
-          Printf.sprintf "%.3f" a.ay_decided;
-          (if a.ay_ok then "ok" else "FAIL");
-        ])
-    cells;
-  t

@@ -1,6 +1,7 @@
-(** Experiment orchestration: runs every protocol of Table 1 under identical
-    conditions on the metered network and renders the measured rows.
-    bench/main.ml and bin/ba_sim.ml are thin wrappers over this module. *)
+(** Experiment cells: runs every protocol of Table 1 under identical
+    conditions on the metered network and returns the measured records and
+    their JSON objects. {!Experiment} sweeps, renders and gates them; the
+    benchmark harness and the CLI call {!Experiment}, not this module. *)
 
 type protocol =
   | This_work_owf  (** Fig. 3 over the OWF/trusted-PKI SRDS *)
@@ -197,29 +198,6 @@ val attack_matrix_json : attack_matrix -> Repro_util.Json.t
     equal values, so its {!Repro_util.Json.pretty} bytes are identical
     across reruns. *)
 
-val attack_table : attack_matrix -> Repro_util.Tablefmt.t
-(** Compact rendering: one row per (strategy, beta), per-protocol ok
-    counts across seeds (content-only cells). *)
-
-val condition_table : attack_matrix -> Repro_util.Tablefmt.t
-(** The condition axis: one row per (condition, strategy, beta, expect),
-    per-protocol ok counts over {!condition_protocols}. *)
-
-val table1_rows :
-  ?ns:int list -> ?beta:float -> ?seed:int -> unit -> row list
-(** The raw (n, protocol) cells behind {!table1}, in deterministic input
-    order (all protocols at the first n, then the next n, ...). Cells run
-    concurrently on the domain pool; results are bit-identical for any pool
-    size. *)
-
-val table1_of_rows : ?beta:float -> row list -> Repro_util.Tablefmt.t
-(** Render already-computed rows (lets callers reuse one computation for
-    both the printed table and machine-readable output). *)
-
-val table1 :
-  ?ns:int list -> ?beta:float -> ?seed:int -> unit -> Repro_util.Tablefmt.t
-(** The measured Table 1: every protocol at each n. *)
-
 type sweep_result = {
   s_protocol : string;
   s_points : (int * row) list;
@@ -228,16 +206,17 @@ type sweep_result = {
   s_slope_locality : float;
 }
 
-val sweep :
-  protocol:protocol -> ns:int list -> beta:float -> seed:int -> sweep_result
-
-val sweep_table :
+val sweep_rows :
   ?ns:int list ->
   ?beta:float ->
   ?seed:int ->
   ?protocols:protocol list ->
   unit ->
-  Repro_util.Tablefmt.t
+  sweep_result list
+(** One {!run} cell per (protocol, n), fanned out on the domain pool and
+    regrouped per protocol in input order; results are bit-identical for
+    any [REPRO_DOMAINS] pool size. Defaults: n = 64 .. 512, beta 0.1, seed
+    1, {!all_protocols}. *)
 
 (** {1 E17: large-n scale sweep}
 
@@ -291,10 +270,6 @@ val scale_json : scale_result list -> Repro_util.Json.t
 (** Machine-readable report, schema [repro-scale/2]: one object per
     protocol with its [cap], [slope_p99] and {!scale_point_json} points.
     Equal inputs give equal values. *)
-
-val scale_table : scale_result list -> Repro_util.Tablefmt.t
-(** Render: one row per point (p99 vs budget, violation count), the fitted
-    p99 growth exponent on each protocol's last row. *)
 
 (** {1 Self-profiling ([ba_sim profile])} *)
 
@@ -517,16 +492,3 @@ val async_cells :
 (** Defaults: silent and equivocate against owf at n = 256 and snark at
     n = 64, beta 0.1, seed 1, {!default_chaos} knobs — the acceptance
     matrix. Fanned out on the domain pool, deterministic order. *)
-
-val async_gate_ok :
-  conform:conform_cell list -> cells:async_cell list -> bool
-(** The E18 gate: every conformance cell matches and passes, every async
-    cell holds agreement/validity/post-GST bound. *)
-
-val async_json :
-  conform:conform_cell list -> cells:async_cell list -> Repro_util.Json.t
-(** Machine-readable report, schema [repro-async/1]. Equal inputs give
-    equal values. *)
-
-val conformance_table : conform_cell list -> Repro_util.Tablefmt.t
-val async_table : async_cell list -> Repro_util.Tablefmt.t

@@ -110,28 +110,29 @@ let test_runner_protocol_names_roundtrip () =
 
 let test_sweep_slopes_sane () =
   (* cheap sanity on the fitted exponents using the light baselines *)
-  let s_naive =
-    Runner.sweep ~protocol:Runner.Naive_boost ~ns:[ 64; 128; 256; 512 ] ~beta:0.1 ~seed:2
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "naive ~linear (%.2f)" s_naive.Runner.s_slope_max)
-    true
-    (s_naive.Runner.s_slope_max > 0.8);
-  let s_sqrt =
-    Runner.sweep ~protocol:Runner.Sqrt_boost ~ns:[ 64; 128; 256; 512 ] ~beta:0.1 ~seed:2
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "sqrt ~0.5 (%.2f)" s_sqrt.Runner.s_slope_max)
-    true
-    (s_sqrt.Runner.s_slope_max > 0.3 && s_sqrt.Runner.s_slope_max < 0.75)
+  match
+    Runner.sweep_rows ~ns:[ 64; 128; 256; 512 ] ~beta:0.1 ~seed:2
+      ~protocols:[ Runner.Naive_boost; Runner.Sqrt_boost ] ()
+  with
+  | [ s_naive; s_sqrt ] ->
+    Alcotest.(check string) "per-protocol order" "naive-flood" s_naive.Runner.s_protocol;
+    Alcotest.(check (list int)) "one point per n" [ 64; 128; 256; 512 ]
+      (List.map fst s_sqrt.Runner.s_points);
+    Alcotest.(check bool)
+      (Printf.sprintf "naive ~linear (%.2f)" s_naive.Runner.s_slope_max)
+      true
+      (s_naive.Runner.s_slope_max > 0.8);
+    Alcotest.(check bool)
+      (Printf.sprintf "sqrt ~0.5 (%.2f)" s_sqrt.Runner.s_slope_max)
+      true
+      (s_sqrt.Runner.s_slope_max > 0.3 && s_sqrt.Runner.s_slope_max < 0.75)
+  | l -> Alcotest.failf "expected 2 sweeps, got %d" (List.length l)
 
 let test_parallel_determinism () =
   (* The rendered Table 1 must be byte-identical no matter how many domains
      the pool runs (the RNG is threaded per cell / per party, never shared). *)
   let module Parallel = Repro_util.Parallel in
-  let render () =
-    Repro_util.Tablefmt.render (Runner.table1 ~ns:[ 64 ] ~beta:0.1 ~seed:3 ())
-  in
+  let render () = (Experiment.table1 ~ns:[ 64 ] ~beta:0.1 ~seed:3 ()).Experiment.text in
   Parallel.set_domains 1;
   let sequential = render () in
   Parallel.set_domains 4;

@@ -16,6 +16,7 @@ let () =
       ("srds", Test_srds.suite);
       ("protocol", Test_protocol.suite);
       ("core-misc", Test_core_misc.suite);
+      ("experiment", Test_experiment.suite);
       ("attacks", Test_attacks.suite);
       ("adversary", Test_adversary.suite);
       ("forensics", Test_forensics.suite);

@@ -582,7 +582,11 @@ let test_audit_pool_independent () =
 (* Conservation: the per-tag breakdown in every Table-1 row partitions the
    network-wide sent bytes — nothing is dropped or double-counted. *)
 let test_breakdown_conserves_total () =
-  let rows = Runner.table1_rows ~ns:[ 32 ] () in
+  let rows =
+    List.concat_map
+      (fun s -> List.map snd s.Runner.s_points)
+      (Runner.sweep_rows ~ns:[ 32 ] ())
+  in
   Alcotest.(check int) "all protocols present"
     (List.length Runner.all_protocols)
     (List.length rows);

@@ -95,25 +95,24 @@ let tag_group tag =
       head ^ "/" ^ strip_digits rest
     else strip_digits head
 
-let note_send t (m : Wire.msg) =
-  let s = t.stats.(m.src) in
-  let sz = Wire.size m in
-  s.bytes_sent <- s.bytes_sent + sz;
+let note_send t ~src ~dst ~tag ~size =
+  let s = t.stats.(src) in
+  s.bytes_sent <- s.bytes_sent + size;
   s.msgs_sent <- s.msgs_sent + 1;
-  peer_add ~n:t.n s.peers_sent m.dst;
+  peer_add ~n:t.n s.peers_sent dst;
   (* One lookup per send: each tag maps straight to its group's byte cell,
      and engine sends reuse interned tags, so a run of sends with the
      physically same tag skips even that. A group is registered in
      [by_group] at the first send of its first tag, the insertion order
      [tag_breakdown]'s fold sees. *)
   let cell =
-    if m.tag == t.last_tag then t.last_cell
+    if tag == t.last_tag then t.last_cell
     else begin
       let cell =
-        match Hashtbl.find t.cell_of_tag m.tag with
+        match Hashtbl.find t.cell_of_tag tag with
         | c -> c
         | exception Not_found ->
-          let g = tag_group m.tag in
+          let g = tag_group tag in
           let c =
             match Hashtbl.find t.by_group g with
             | c -> c
@@ -122,22 +121,21 @@ let note_send t (m : Wire.msg) =
               Hashtbl.add t.by_group g c;
               c
           in
-          Hashtbl.add t.cell_of_tag m.tag c;
+          Hashtbl.add t.cell_of_tag tag c;
           c
       in
-      t.last_tag <- m.tag;
+      t.last_tag <- tag;
       t.last_cell <- cell;
       cell
     end
   in
-  cell := !cell + sz
+  cell := !cell + size
 
-let note_recv t (m : Wire.msg) =
-  let s = t.stats.(m.dst) in
-  let sz = Wire.size m in
-  s.bytes_recv <- s.bytes_recv + sz;
+let note_recv t ~src ~dst ~size =
+  let s = t.stats.(dst) in
+  s.bytes_recv <- s.bytes_recv + size;
   s.msgs_recv <- s.msgs_recv + 1;
-  peer_add ~n:t.n s.peers_recv m.src
+  peer_add ~n:t.n s.peers_recv src
 
 let note_round t = t.rounds <- t.rounds + 1
 

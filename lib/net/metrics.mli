@@ -4,8 +4,13 @@
 type t
 
 val create : int -> t
-val note_send : t -> Wire.msg -> unit
-val note_recv : t -> Wire.msg -> unit
+
+val note_send : t -> src:int -> dst:int -> tag:string -> size:int -> unit
+(** Charge one accepted send of [size] bytes ({!Wire.size}) to [src]. *)
+
+val note_recv : t -> src:int -> dst:int -> size:int -> unit
+(** Charge one delivery of [size] bytes to [dst]. *)
+
 val note_round : t -> unit
 val rounds : t -> int
 

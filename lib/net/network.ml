@@ -21,11 +21,24 @@
    in (virtual delivery time, send seq) order, with per-edge
    latency/jitter/loss and a GST knob (see sched.ml for the synchronizer
    argument: round semantics survive the chaos knobs, delivery order and
-   the virtual clock do not). A round's sends due by its barrier are
-   bucketed by delivery time in reused buffers; only parked deliveries
-   (deferred past the barrier, or held for a dark party) sit on the
-   {!Sched.Heap}. Both backends share this module's choke points, so its
-   observers are backend-agnostic.
+   the virtual clock do not). Both backends share this module's choke
+   points, so its observers are backend-agnostic.
+
+   No message is a heap record while it is in flight. A send is four
+   stores into the staging arrays (source, destination, tag, payload);
+   delivery counting-sorts the round's deliveries by destination into
+   the delivery arrays, where each party's inbox is one contiguous slice.
+   Both sets of arrays are reused across rounds and their pointer slots
+   are cleared once read, so a payload is reachable from the network only
+   until the round after its delivery. The [Wire.msg list] a handler gets
+   is built from its slice just before it runs and dies young; so do
+   {!inbox} and the adversary's view of the staged mail. Only parked
+   deliveries (deferred past the barrier, held for a dark party, or more
+   than [bucket_span] ticks out) become records, on the {!Sched.Heap}.
+   The reason is the GC: a record or cons cell that sits in a long-lived
+   structure across its round is promoted by every minor collection that
+   catches it in flight, and that promotion costs far more than the
+   allocation.
 
    Protocols are per-party step functions closing over their own state;
    corrupt parties have no handler and their behaviour lives entirely in
@@ -48,7 +61,6 @@ type async_state = {
   mutable a_vt : int; (* virtual clock; advances to the round barrier *)
   mutable a_seq : int; (* global send counter: heap tiebreak = send order *)
   (* [deliver_async]'s per-round scratch, reused across rounds: *)
-  mutable a_sends : Wire.msg array; (* the round's sends, in send order *)
   mutable a_offs : int array; (* per send: delivery time - a_vt; -1 = parked *)
   mutable a_order : int array; (* due sends' indices, by (offset, send) *)
   a_starts : int array; (* per offset: its first slot in [a_order] *)
@@ -61,9 +73,26 @@ type t = {
   async : async_state option; (* Some iff backend is Async *)
   metrics : Metrics.t;
   sinks : Event.sink list; (* observers, in subscription order *)
-  mutable staged : Wire.msg list; (* sent this round, reversed *)
-  inboxes : Wire.msg list array; (* deliveries for the current round *)
-  mutable dirty : int list; (* parties with a non-empty current inbox *)
+  (* Staging: this round's sends in send order, slots [0, st_n). On the
+     async backend, parked mail drained at the round's close is appended
+     past the round's own sends. *)
+  mutable st_src : int array;
+  mutable st_dst : int array;
+  mutable st_tag : string array;
+  mutable st_pay : bytes array;
+  mutable st_n : int;
+  mutable dl_order : int array; (* staging slots, in delivery order *)
+  (* Deliveries for the current round: party i's inbox is slots
+     [dl_start.(i), dl_start.(i) + dl_len.(i)) of the [dl_*] arrays, in
+     delivery order; [dl_n] slots are in use. *)
+  mutable dl_src : int array;
+  mutable dl_tag : string array;
+  mutable dl_pay : bytes array;
+  mutable dl_n : int;
+  dl_start : int array;
+  dl_len : int array;
+  dirty : int array; (* parties with a non-empty inbox, [0, ndirty) *)
+  mutable ndirty : int;
   in_active : Bytes.t; (* run_active's membership marks, all '\000' between rounds *)
   mutable round : int;
   mutable in_adv_step : bool; (* inside the adversary's turn of a round *)
@@ -90,9 +119,6 @@ let emit t ev = emit_to ev t.sinks
    latencies above it (a condition's choice) go through the heap. *)
 let bucket_span = 64
 
-(* Filler for [a_sends] slots not in use: never delivered. *)
-let no_msg = { Wire.src = -1; dst = -1; tag = ""; payload = Bytes.empty }
-
 let create ?(backend = Sched.Sparse) ?(sinks = []) ~n ~corrupt () =
   let c = Array.make n false in
   List.iter
@@ -111,7 +137,6 @@ let create ?(backend = Sched.Sparse) ?(sinks = []) ~n ~corrupt () =
           a_stats = Sched.stats_create ();
           a_vt = 0;
           a_seq = 0;
-          a_sends = [||];
           a_offs = [||];
           a_order = [||];
           a_starts = Array.make (bucket_span + 1) 0;
@@ -126,9 +151,20 @@ let create ?(backend = Sched.Sparse) ?(sinks = []) ~n ~corrupt () =
       async;
       metrics = Metrics.create n;
       sinks;
-      staged = [];
-      inboxes = Array.make n [];
-      dirty = [];
+      st_src = [||];
+      st_dst = [||];
+      st_tag = [||];
+      st_pay = [||];
+      st_n = 0;
+      dl_order = [||];
+      dl_src = [||];
+      dl_tag = [||];
+      dl_pay = [||];
+      dl_n = 0;
+      dl_start = Array.make n 0;
+      dl_len = Array.make n 0;
+      dirty = Array.make n 0;
+      ndirty = 0;
       in_active = Bytes.make n '\000';
       round = 0;
       in_adv_step = false;
@@ -207,6 +243,48 @@ let h_msg_bytes = Repro_obs.Counters.histogram "net.msg_bytes"
 let h_active = Repro_obs.Counters.histogram "net.active_set"
 let h_dirty = Repro_obs.Counters.histogram "net.dirty_depth"
 
+(* The buffers grow by doubling and never shrink. Unused pointer slots
+   hold [""] and [Bytes.empty], which are long-lived: a large
+   [Array.make] of them does not force a minor collection, and clearing a
+   slot to them keeps nothing alive. *)
+let grown_to a k fill =
+  let a' = Array.make (max 256 (max k (2 * Array.length a))) fill in
+  Array.blit a 0 a' 0 (Array.length a);
+  a'
+
+(* Append one message to the staging arrays; returns its slot. *)
+let stage t ~src ~dst ~tag payload =
+  let k = t.st_n in
+  if k = Array.length t.st_src then begin
+    t.st_src <- grown_to t.st_src (k + 1) 0;
+    t.st_dst <- grown_to t.st_dst (k + 1) 0;
+    t.st_tag <- grown_to t.st_tag (k + 1) "";
+    t.st_pay <- grown_to t.st_pay (k + 1) Bytes.empty
+  end;
+  t.st_src.(k) <- src;
+  t.st_dst.(k) <- dst;
+  t.st_tag.(k) <- tag;
+  t.st_pay.(k) <- payload;
+  t.st_n <- k + 1;
+  k
+
+let staged_msg t k =
+  { Wire.src = t.st_src.(k); dst = t.st_dst.(k); tag = t.st_tag.(k); payload = t.st_pay.(k) }
+
+let clear_staging t =
+  Array.fill t.st_tag 0 t.st_n "";
+  Array.fill t.st_pay 0 t.st_n Bytes.empty;
+  t.st_n <- 0
+
+let clear_inboxes t =
+  for j = 0 to t.ndirty - 1 do
+    t.dl_len.(t.dirty.(j)) <- 0
+  done;
+  t.ndirty <- 0;
+  Array.fill t.dl_tag 0 t.dl_n "";
+  Array.fill t.dl_pay 0 t.dl_n Bytes.empty;
+  t.dl_n <- 0
+
 let send t ~src:s ~dst ~tag payload =
   if s < 0 || s >= t.n || dst < 0 || dst >= t.n then
     invalid_arg "Network.send: party index out of range";
@@ -214,54 +292,105 @@ let send t ~src:s ~dst ~tag payload =
      for the corrupt set, never in an honest party's name. *)
   if t.in_adv_step && not t.corrupt.(s) then
     invalid_arg "Network.send: adversary send from honest src rejected";
-  let m = { Wire.src = s; dst; tag; payload } in
+  let size = Wire.size ~tag payload in
   if observed t then begin
     (* On the async backend every send additionally carries the virtual
        staging time, so replay can verify the timing schedule too. *)
     let vt = Option.map (fun a -> a.a_vt) t.async in
-    emit t
-      (Event.Send
-         { round = t.round; vt; src = s; dst; tag; payload; bits = 8 * Wire.size m })
+    emit t (Event.Send { round = t.round; vt; src = s; dst; tag; payload; bits = 8 * size })
   end;
-  Metrics.note_send t.metrics m;
+  Metrics.note_send t.metrics ~src:s ~dst ~tag ~size;
   Repro_obs.Counters.observe h_msg_bytes (Bytes.length payload);
-  t.staged <- m :: t.staged
+  ignore (stage t ~src:s ~dst ~tag payload : int)
 
 let send_many t ~src ~dsts ~tag payload =
   List.iter (fun dst -> send t ~src ~dst ~tag payload) dsts
 
-let inbox t i = t.inboxes.(i)
+(* Built on demand, back to front, so the list comes out in delivery
+   order. *)
+let inbox t i =
+  let first = t.dl_start.(i) in
+  let rec build k acc =
+    if k < first then acc
+    else
+      build (k - 1)
+        ({ Wire.src = t.dl_src.(k); dst = i; tag = t.dl_tag.(k); payload = t.dl_pay.(k) }
+        :: acc)
+  in
+  build (first + t.dl_len.(i) - 1) []
 
-(* Messages of the current round's staging area sourced at honest parties:
-   what a rushing adversary observes. *)
+(* Messages of the current round's staging area sourced at honest parties,
+   in send order: what a rushing adversary observes. *)
 let staged_honest t =
-  (* [staged] is newest first, so folding from its head yields send order *)
-  List.fold_left
-    (fun acc (m : Wire.msg) -> if is_honest t m.Wire.src then m :: acc else acc)
-    [] t.staged
+  let rec build k acc =
+    if k < 0 then acc
+    else build (k - 1) (if is_honest t t.st_src.(k) then staged_msg t k :: acc else acc)
+  in
+  build (t.st_n - 1) []
 
-(* Delivery costs O(messages), not O(n): the inbox array persists across
-   rounds and only the slots dirtied last round are reset, so rounds where
-   polylog(n) parties talk never touch the other n - polylog(n) slots.
-   [msgs_rev] is the round's deliveries in *reverse* delivery order;
-   consing onto each inbox restores delivery order. *)
-let deliver_msgs t msgs_rev =
-  List.iter (fun d -> t.inboxes.(d) <- []) t.dirty;
-  t.dirty <- [];
-  List.iter
-    (fun (m : Wire.msg) ->
-      Metrics.note_recv t.metrics m;
-      if observed t then
-        emit t
-          (Event.Deliver { src = m.Wire.src; dst = m.Wire.dst; bits = 8 * Wire.size m });
-      (match t.inboxes.(m.dst) with [] -> t.dirty <- m.dst :: t.dirty | _ -> ());
-      t.inboxes.(m.dst) <- m :: t.inboxes.(m.dst))
-    msgs_rev;
-  t.staged <- []
+(* Delivery costs O(messages), not O(n): only the inboxes dirtied last
+   round are reset, so rounds where polylog(n) parties talk never touch
+   the other n - polylog(n) parties. [dl_order.(0 .. nd - 1)] names the
+   round's deliveries (staging slots) in delivery order; a counting sort
+   by destination lays each party's inbox out as one slice, keeping that
+   order within it. Each delivery's size is computed once, for [Metrics]
+   and the [Deliver] event alike. *)
+let distribute t nd =
+  clear_inboxes t;
+  let order = t.dl_order and len = t.dl_len and dirty = t.dirty in
+  let st_dst = t.st_dst in
+  for k = 0 to nd - 1 do
+    let d = st_dst.(order.(k)) in
+    if len.(d) = 0 then begin
+      dirty.(t.ndirty) <- d;
+      t.ndirty <- t.ndirty + 1
+    end;
+    len.(d) <- len.(d) + 1
+  done;
+  (* Point each inbox's start just past its slice ... *)
+  let next = ref 0 in
+  for j = 0 to t.ndirty - 1 do
+    let d = dirty.(j) in
+    next := !next + len.(d);
+    t.dl_start.(d) <- !next
+  done;
+  if Array.length t.dl_src < nd then begin
+    t.dl_src <- grown_to t.dl_src nd 0;
+    t.dl_tag <- grown_to t.dl_tag nd "";
+    t.dl_pay <- grown_to t.dl_pay nd Bytes.empty
+  end;
+  (* ... and fill back to front, each delivery taking its inbox's last
+     free slot. Walking backwards also emits the [Deliver] events in
+     reverse delivery order, the order recorder logs and audit timelines
+     are pinned in. *)
+  let start = t.dl_start in
+  for k = nd - 1 downto 0 do
+    let i = order.(k) in
+    let src = t.st_src.(i) and dst = st_dst.(i) in
+    let tag = t.st_tag.(i) and payload = t.st_pay.(i) in
+    let size = Wire.size ~tag payload in
+    Metrics.note_recv t.metrics ~src ~dst ~size;
+    if observed t then emit t (Event.Deliver { src; dst; bits = 8 * size });
+    let p = start.(dst) - 1 in
+    start.(dst) <- p;
+    t.dl_src.(p) <- src;
+    t.dl_tag.(p) <- tag;
+    t.dl_pay.(p) <- payload
+  done;
+  t.dl_n <- nd;
+  clear_staging t
 
-(* Lock-step delivery: inbox order is send order ([staged] is already the
-   sends reversed). *)
-let deliver t = deliver_msgs t t.staged
+let ensure_order t n =
+  if Array.length t.dl_order < n then t.dl_order <- grown_to t.dl_order n 0
+
+(* Lock-step delivery: inbox order is send order. *)
+let deliver t =
+  let n = t.st_n in
+  ensure_order t n;
+  for k = 0 to n - 1 do
+    t.dl_order.(k) <- k
+  done;
+  distribute t n
 
 (* Async delivery: every message staged this round is due at [vt +
    latency], latency drawn on its (src, dst) edge stream in send order;
@@ -281,28 +410,19 @@ let deliver t = deliver_msgs t t.staged
    every bucket, so a heap event due at a bucketed time was sent in an
    earlier round and its seq is older. Each send still takes a seq, so
    the heap sees the seqs it would if every send were pushed. *)
-let grow_scratch a n =
-  if Array.length a.a_sends < n then begin
-    let cap = max n (2 * Array.length a.a_sends) in
-    (* [no_msg] is long-lived, so a large [Array.make] of it does not
-       force a minor collection *)
-    a.a_sends <- Array.make cap no_msg;
-    a.a_offs <- Array.make cap 0;
-    a.a_order <- Array.make cap 0
-  end
-
 let deliver_async t a =
-  let n = List.length t.staged in
-  grow_scratch a n;
-  let sends = a.a_sends and offs = a.a_offs and order = a.a_order in
-  List.iteri (fun k m -> sends.(n - 1 - k) <- m) t.staged;
+  let n = t.st_n in
+  if Array.length a.a_offs < n then begin
+    a.a_offs <- grown_to a.a_offs n 0;
+    a.a_order <- grown_to a.a_order n 0
+  end;
+  let offs = a.a_offs and order = a.a_order in
+  let st_src = t.st_src and st_dst = t.st_dst in
   let now = a.a_vt in
   let barrier = ref (now + 1) in
   for i = 0 to n - 1 do
-    let m = sends.(i) in
-    let lat =
-      Sched.draw_latency a.a_edges a.a_cfg ~src:m.Wire.src ~dst:m.Wire.dst ~now
-    in
+    let src = st_src.(i) and dst = st_dst.(i) in
+    let lat = Sched.draw_latency a.a_edges a.a_cfg ~src ~dst ~now in
     (* The condition sees the drawn latency and may reroute: [Deliver]
        stays inside the round (extends the barrier like any draw),
        [Defer] parks the event past the barrier so it crosses rounds.
@@ -313,7 +433,7 @@ let deliver_async t a =
         if now + lat > !barrier then barrier := now + lat;
         now + lat
       | Some c -> (
-        match c.Sched.c_route ~now ~round:t.round ~src:m.Wire.src ~dst:m.Wire.dst ~lat with
+        match c.Sched.c_route ~now ~round:t.round ~src ~dst ~lat with
         | Sched.Deliver lat ->
           let dv = now + max 1 lat in
           if dv > !barrier then barrier := dv;
@@ -333,7 +453,7 @@ let deliver_async t a =
   for i = 0 to n - 1 do
     let off = offs.(i) in
     if off > due then begin
-      Sched.Heap.push heap ~time:(now + off) ~seq:(seq0 + i + 1) (sends.(i), now);
+      Sched.Heap.push heap ~time:(now + off) ~seq:(seq0 + i + 1) (staged_msg t i, now);
       offs.(i) <- -1
     end
     else starts.(off) <- starts.(off) + 1
@@ -371,21 +491,25 @@ let deliver_async t a =
     | None -> false
     | Some c -> c.Sched.c_down ~now ~round:(t.round + 1) dst
   in
-  let delivered = ref [] in
-  let offer (m : Wire.msg) ~send_vt ~time =
-    if down m.Wire.dst then begin
-      a.a_seq <- a.a_seq + 1;
-      Sched.Heap.push heap ~time:(!barrier + 1) ~seq:a.a_seq (m, !barrier)
-    end
-    else begin
-      Sched.note_delivery a.a_stats a.a_cfg ~send_vt ~deliver_vt:time;
-      delivered := m :: !delivered
-    end
+  (* At most every bucketed send and every parked event is delivered;
+     a drained parked event is re-staged, so it gets a staging slot. *)
+  ensure_order t (n + Sched.Heap.size heap);
+  let nd = ref 0 in
+  let hold m =
+    a.a_seq <- a.a_seq + 1;
+    Sched.Heap.push heap ~time:(!barrier + 1) ~seq:a.a_seq (m, !barrier)
+  in
+  let accept slot ~send_vt ~time =
+    Sched.note_delivery a.a_stats a.a_cfg ~send_vt ~deliver_vt:time;
+    t.dl_order.(!nd) <- slot;
+    incr nd
   in
   let take_parked () =
     let time = Sched.Heap.min_time heap in
-    let m, send_vt = Sched.Heap.take heap in
-    offer m ~send_vt ~time
+    let ((m : Wire.msg), send_vt) = Sched.Heap.take heap in
+    if down m.dst then hold m
+    else
+      accept (stage t ~src:m.src ~dst:m.dst ~tag:m.tag m.payload) ~send_vt ~time
   in
   let k = ref 0 in
   while !k < !nb do
@@ -395,16 +519,13 @@ let deliver_async t a =
       take_parked ()
     else begin
       incr k;
-      offer sends.(i) ~send_vt:now ~time
+      if down t.st_dst.(i) then hold (staged_msg t i) else accept i ~send_vt:now ~time
     end
   done;
   while Sched.Heap.size heap > 0 && Sched.Heap.min_time heap <= !barrier do
     take_parked ()
   done;
-  Array.fill sends 0 n no_msg;
-  (* Consing leaves [delivered] in reverse delivery order — exactly what
-     [deliver_msgs] expects. *)
-  deliver_msgs t !delivered;
+  distribute t !nd;
   a.a_vt <- !barrier
 
 (* Adversary turn, delivery and round close. *)
@@ -412,8 +533,8 @@ let finish_round t adversary =
   (* Computed once: the adversary only adds corrupt-sourced sends, and only
      [c_observe] below can corrupt a party, so both see the same list. *)
   let honest_staged =
-    (* Nobody reads it without an adversary or a condition: skip the
-       filter-and-reverse of the whole staged list. *)
+    (* Nobody reads it without an adversary or a condition: skip building
+       it. *)
     if adversary == null_adversary && Option.is_none t.condition then []
     else staged_honest t
   in
@@ -462,18 +583,22 @@ let run_active t ?(adversary = null_adversary) ?stop ~rounds ~extra handler_of =
           actors_rev := i :: !actors_rev
         end)
       (extra ~round:t.round);
-    let others = List.filter (fun i -> Bytes.get t.in_active i = '\000') t.dirty in
+    let others = ref [] in
+    for j = t.ndirty - 1 downto 0 do
+      let d = t.dirty.(j) in
+      if Bytes.get t.in_active d = '\000' then others := d :: !others
+    done;
     unmark ();
     let actors =
       if !ascending then List.rev !actors_rev
       else List.sort Int.compare !actors_rev
     in
     let active =
-      match others with
+      match !others with
       | [] -> actors
-      | _ -> List.merge Int.compare actors (List.sort Int.compare others)
+      | others -> List.merge Int.compare actors (List.sort Int.compare others)
     in
-    Repro_obs.Counters.observe h_dirty (List.length t.dirty);
+    Repro_obs.Counters.observe h_dirty t.ndirty;
     Repro_obs.Counters.observe h_active (List.length active);
     let parties =
       List.filter_map
@@ -486,16 +611,17 @@ let run_active t ?(adversary = null_adversary) ?stop ~rounds ~extra handler_of =
       (fun (i, handler) ->
         if is_honest t i && party_up t i then begin
           incr scheduled;
-          handler ~round:t.round ~inbox:t.inboxes.(i)
+          handler ~round:t.round ~inbox:(inbox t i)
         end)
       parties;
     if observed t then emit t (Event.Scheduled !scheduled);
     finish_round t adversary
   done
 
-(* Drop undelivered messages and pending inboxes between protocol phases so
-   a new sub-protocol starts from a clean slate while metrics accumulate. *)
+(* Between protocol phases: drop the round's staged sends and the pending
+   inboxes, so a new sub-protocol starts from a clean slate while metrics
+   accumulate. Mail parked on the async heap is not in-flight in this
+   sense and survives (see the .mli). *)
 let flush t =
-  t.staged <- [];
-  List.iter (fun d -> t.inboxes.(d) <- []) t.dirty;
-  t.dirty <- []
+  clear_staging t;
+  clear_inboxes t

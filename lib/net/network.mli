@@ -103,7 +103,9 @@ val send : t -> src:int -> dst:int -> tag:string -> bytes -> unit
 val send_many : t -> src:int -> dsts:int list -> tag:string -> bytes -> unit
 
 val inbox : t -> int -> Wire.msg list
-(** Current-round inbox (used by the adversary to read corrupt mail). *)
+(** Party [i]'s current-round inbox, in delivery order: the list its
+    handler is given. Built fresh from the network's delivery buffer on
+    each call; tests use it to inspect delivered mail between rounds. *)
 
 val run_active :
   t ->
@@ -133,4 +135,9 @@ val run_active :
     [Invalid_argument] if [extra] names a party outside [0 .. n - 1]. *)
 
 val flush : t -> unit
-(** Drop all in-flight messages (between composed protocol phases). *)
+(** Between composed protocol phases: drop the current round's staged
+    sends and every pending inbox. Mail parked on the async executor's
+    heap is {e not} dropped — a condition's [Defer] past the round
+    barrier, or deliveries held for a dark party — and is delivered when
+    due, possibly in the next phase. Protocols tell phases apart by tag
+    ({!Engine} and [Ae_comm] drop foreign tags). *)

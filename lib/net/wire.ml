@@ -6,7 +6,10 @@
 
 type msg = { src : int; dst : int; tag : string; payload : bytes }
 
-let size m = String.length m.tag + Bytes.length m.payload + 4
+(* The accounting charge of one message with this tag and payload. It
+   takes the fields rather than a [msg] because the network keeps no
+   record for a message in flight. *)
+let size ~tag payload = String.length tag + Bytes.length payload + 4
 (* + 4: src/dst/len framing, a fixed modest header charge *)
 
 let pp ppf m =

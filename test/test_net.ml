@@ -5,6 +5,7 @@ module Network = Repro_net.Network
 module Metrics = Repro_net.Metrics
 module Engine = Repro_net.Engine
 module Wire = Repro_net.Wire
+module Sched = Repro_net.Sched
 
 let test_delivery_next_round () =
   let net = Network.create ~n:3 ~corrupt:[] () in
@@ -141,6 +142,214 @@ let test_flush_drops_in_flight () =
     ~extra:(fun ~round:_ -> Network.everyone net)
     (fun p -> Some (handler p));
   Alcotest.(check int) "nothing received" 0 !received
+
+(* Flush drops the round's staged sends and the pending inboxes, not mail
+   parked on the async heap: a condition's [Defer] survives into the next
+   phase and is read when due. *)
+let test_flush_keeps_parked_mail () =
+  let net = Network.create ~backend:(Sched.Async Sched.default_async) ~n:2 ~corrupt:[] () in
+  Network.set_condition net
+    {
+      Sched.pass_condition with
+      c_route =
+        (fun ~now ~round ~src:_ ~dst:_ ~lat ->
+          if round = 0 then Sched.Defer (now + 5) else Sched.Deliver lat);
+    };
+  Network.run_active net ~rounds:1
+    ~extra:(fun ~round:_ -> [ 0 ])
+    (fun p ->
+      Some (fun ~round:_ ~inbox:_ -> if p = 0 then Network.send net ~src:0 ~dst:1 ~tag:"phase-1" Bytes.empty));
+  Network.flush net;
+  let read = ref [] in
+  Network.run_active net ~rounds:8
+    ~extra:(fun ~round:_ -> [])
+    (fun _ ->
+      Some
+        (fun ~round ~inbox ->
+          List.iter (fun (m : Wire.msg) -> read := (round, m.tag) :: !read) inbox));
+  Alcotest.(check (list (pair int string))) "parked mail read after flush"
+    [ (5, "phase-1") ] !read
+
+(* --- In-flight buffers: no payload outlives its round --- *)
+
+(* Sends [k] fresh payloads from party 0 to parties 1..k, each watched
+   through [w]. A separate function, so no payload stays on the caller's
+   stack. *)
+let send_watched net w k =
+  for j = 0 to k - 1 do
+    let p = Bytes.make 24 (Char.chr (Char.code 'a' + j)) in
+    Weak.set w j (Some p);
+    Network.send net ~src:0 ~dst:(j + 1) ~tag:"t" p
+  done
+
+(* [net] is used after the collection, so it stays live across it: a
+   payload the network still references would survive. *)
+let check_collected what net w =
+  Gc.full_major ();
+  for j = 0 to Weak.length w - 1 do
+    Alcotest.(check bool) (Printf.sprintf "%s: payload %d collected" what j) false (Weak.check w j)
+  done;
+  ignore (Sys.opaque_identity net)
+
+let test_payloads_die backend () =
+  let k = 3 in
+  (* Round 0 sends three fresh payloads, round 1 reads them and sends one
+     static payload: fewer deliveries than the round before, so stale
+     delivery slots would keep the fresh ones alive. *)
+  let net = Network.create ~backend ~n:(k + 1) ~corrupt:[] () in
+  let w = Weak.create k in
+  let read = ref 0 in
+  Network.run_active net ~rounds:3
+    ~extra:(fun ~round:_ -> Network.everyone net)
+    (fun p ->
+      Some
+        (fun ~round ~inbox ->
+          read := !read + List.length inbox;
+          if round = 0 && p = 0 then send_watched net w k;
+          if round = 1 && p = 0 then Network.send net ~src:0 ~dst:1 ~tag:"u" Bytes.empty));
+  Alcotest.(check int) "all read" (k + 1) !read;
+  check_collected "a round after delivery" net w;
+  (* Flushed while staged, and flushed while delivered but unread. *)
+  let net = Network.create ~backend ~n:(k + 1) ~corrupt:[] () in
+  let w = Weak.create k in
+  send_watched net w k;
+  Network.flush net;
+  check_collected "flushed staged" net w;
+  let w = Weak.create k in
+  Network.run_active net ~rounds:1
+    ~extra:(fun ~round:_ -> [ 0 ])
+    (fun _ -> Some (fun ~round:_ ~inbox:_ -> send_watched net w k));
+  Alcotest.(check int) "delivered" 1 (List.length (Network.inbox net 1));
+  Network.flush net;
+  Alcotest.(check int) "flushed" 0 (List.length (Network.inbox net 1));
+  check_collected "flushed delivered" net w
+
+(* --- The GC property: in-flight mail is not promoted --- *)
+
+(* Every party of [n] sends [degree] messages each round it hears
+   something, for [rounds] rounds; returns promoted words per message.
+   A message that sits in a long-lived structure across its round is
+   promoted by every minor collection that catches it in flight, so a
+   heap record or cons cell per message put back in flight shows here. *)
+let promoted_per_msg ~n ~degree ~step ~rounds ~fresh =
+  let shared = Bytes.make 32 'm' in
+  let msgs = ref 0 in
+  let net = Network.create ~n ~corrupt:[] () in
+  let handler i ~round ~inbox =
+    if round = 0 || inbox <> [] then begin
+      let payload = if fresh then Bytes.make 32 'f' else shared in
+      for k = 1 to degree do
+        incr msgs;
+        Network.send net ~src:i ~dst:((i + (k * step)) mod n) ~tag:"fan" payload
+      done
+    end
+  in
+  Gc.full_major ();
+  let before = (Gc.quick_stat ()).Gc.promoted_words in
+  Network.run_active net ~rounds
+    ~extra:(fun ~round -> if round = 0 then List.init n Fun.id else [])
+    (fun i -> Some (handler i));
+  let promoted = (Gc.quick_stat ()).Gc.promoted_words -. before in
+  promoted /. float_of_int !msgs
+
+let test_in_flight_not_promoted () =
+  let check what v =
+    if v > 2. then Alcotest.failf "%s: %.2f promoted words per message (> 2)" what v
+  in
+  (* The ledger's fan-out shape (bench/ledger/units.ml) ... *)
+  check "fan-out n=1024 x 8"
+    (promoted_per_msg ~n:1024 ~degree:8 ~step:97 ~rounds:50 ~fresh:false);
+  (* ... and a committee-shaped all-to-many round with fresh payloads. *)
+  check "committee n=256 x 22"
+    (promoted_per_msg ~n:256 ~degree:22 ~step:1 ~rounds:50 ~fresh:true)
+
+(* --- The observation order, pinned directly --- *)
+
+(* Three honest senders with interleaved destinations and a corrupt party
+   that echoes once; a recording sink sees the whole stream. Pinned: Send
+   events in send order, Deliver events in reverse delivery order, every
+   inbox in delivery order, and what the rushing adversary sees. *)
+let test_observation_order backend () =
+  let log = ref [] in
+  let sink (ev : Repro_obs.Event.t) =
+    let line =
+      match ev with
+      | Send { round; vt; src; dst; payload; bits; _ } ->
+        Printf.sprintf "send r%d%s %d>%d %s %d" round
+          (match vt with Some v -> Printf.sprintf " vt%d" v | None -> "")
+          src dst (Bytes.to_string payload) bits
+      | Deliver { src; dst; bits } -> Printf.sprintf "deliver %d>%d %d" src dst bits
+      | Scheduled k -> Printf.sprintf "scheduled %d" k
+      | Round_end r -> Printf.sprintf "end r%d" r
+      | Corrupt p -> Printf.sprintf "corrupt %d" p
+      | _ -> "other"
+    in
+    log := line :: !log
+  in
+  let net = Network.create ~backend ~sinks:[ sink ] ~n:4 ~corrupt:[ 3 ] () in
+  let plan =
+    [| [ (2, "a0"); (1, "a1") ]; [ (2, "b0"); (0, "b1"); (2, "b2") ]; [ (1, "c0"); (2, "c1"); (0, "c2") ] |]
+  in
+  let seen = ref [] in
+  let adversary =
+    {
+      Network.adv_name = "echo";
+      adv_step =
+        (fun net ~round ~honest_staged ->
+          if round = 0 then begin
+            seen := List.map (fun (m : Wire.msg) -> (m.src, m.dst, Bytes.to_string m.payload)) honest_staged;
+            Network.send net ~src:3 ~dst:1 ~tag:"t" (Bytes.of_string "d0")
+          end);
+    }
+  in
+  let render inbox = List.map (fun (m : Wire.msg) -> (m.src, m.dst, Bytes.to_string m.payload)) inbox in
+  let inboxes = ref [] in
+  Network.run_active net ~adversary ~rounds:2
+    ~extra:(fun ~round -> if round = 0 then [ 0; 1; 2 ] else [ 2 ])
+    (fun p ->
+      if p = 3 then None
+      else
+        Some
+          (fun ~round ~inbox ->
+            if round = 1 then inboxes := (p, render inbox) :: !inboxes;
+            if round = 0 then
+              List.iter (fun (dst, s) -> Network.send net ~src:p ~dst ~tag:"t" (Bytes.of_string s)) plan.(p);
+            if round = 1 && p = 2 then Network.send net ~src:2 ~dst:0 ~tag:"t" (Bytes.of_string "e")));
+  let triples = Alcotest.(list (triple int int string)) in
+  Alcotest.(check triples) "rushing adversary saw the honest sends in send order"
+    [ (0, 2, "a0"); (0, 1, "a1"); (1, 2, "b0"); (1, 0, "b1"); (1, 2, "b2"); (2, 1, "c0"); (2, 2, "c1"); (2, 0, "c2") ]
+    !seen;
+  Alcotest.(check (list (pair int triples))) "round-1 inboxes"
+    [
+      (0, [ (1, 0, "b1"); (2, 0, "c2") ]);
+      (1, [ (0, 1, "a1"); (2, 1, "c0"); (3, 1, "d0") ]);
+      (2, [ (0, 2, "a0"); (1, 2, "b0"); (1, 2, "b2"); (2, 2, "c1") ]);
+    ]
+    (List.rev !inboxes);
+  (* After the last round: only round 1's single send is pending. *)
+  Alcotest.(check (list triples)) "pending inboxes"
+    [ [ (2, 0, "e") ]; []; []; [] ]
+    (List.map (fun p -> render (Network.inbox net p)) (Network.everyone net));
+  let vt r = match backend with Sched.Sparse -> "" | Sched.Async _ -> Printf.sprintf " vt%d" r in
+  let send r s d p = Printf.sprintf "send r%d%s %d>%d %s %d" r (vt r) s d p (8 * (String.length p + 5)) in
+  Alcotest.(check (list string)) "event stream"
+    [
+      "corrupt 3";
+      send 0 0 2 "a0"; send 0 0 1 "a1";
+      send 0 1 2 "b0"; send 0 1 0 "b1"; send 0 1 2 "b2";
+      send 0 2 1 "c0"; send 0 2 2 "c1"; send 0 2 0 "c2";
+      "scheduled 3";
+      send 0 3 1 "d0";
+      "deliver 3>1 56"; "deliver 2>0 56"; "deliver 2>2 56"; "deliver 2>1 56";
+      "deliver 1>2 56"; "deliver 1>0 56"; "deliver 1>2 56";
+      "deliver 0>1 56"; "deliver 0>2 56";
+      "end r0";
+      send 1 2 0 "e";
+      "scheduled 3";
+      "deliver 2>0 48";
+      "end r1";
+    ]
+    (List.rev !log)
 
 (* --- Engine: a 2-round ping/pong across two instances --- *)
 
@@ -502,6 +711,14 @@ let suite =
     Alcotest.test_case "adversary cannot impersonate" `Quick
       test_adversary_cannot_impersonate;
     Alcotest.test_case "flush" `Quick test_flush_drops_in_flight;
+    Alcotest.test_case "flush keeps parked mail" `Quick test_flush_keeps_parked_mail;
+    Alcotest.test_case "payloads die (sparse)" `Quick (test_payloads_die Sched.Sparse);
+    Alcotest.test_case "payloads die (async)" `Quick
+      (test_payloads_die (Sched.Async Sched.default_async));
+    Alcotest.test_case "in-flight mail not promoted" `Quick test_in_flight_not_promoted;
+    Alcotest.test_case "observation order (sparse)" `Quick (test_observation_order Sched.Sparse);
+    Alcotest.test_case "observation order (async)" `Quick
+      (test_observation_order (Sched.Async Sched.default_async));
     Alcotest.test_case "engine multiplexing" `Quick test_engine_multiplexing;
     Alcotest.test_case "engine isolation" `Quick test_engine_instance_isolation;
     Alcotest.test_case "engine rounds" `Quick test_engine_rounds_observed;

@@ -66,5 +66,3 @@ let check_goodness (tree : Tree.t) ~corrupt : violation list =
   List.rev !errs
 
 let check tree ~corrupt = check_structure tree @ check_goodness tree ~corrupt
-
-let is_valid tree ~corrupt = check tree ~corrupt = []

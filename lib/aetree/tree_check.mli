@@ -10,4 +10,3 @@ val check_goodness : Tree.t -> corrupt:(int -> bool) -> violation list
 (** Root good; all but 3/log n of leaves on good paths. *)
 
 val check : Tree.t -> corrupt:(int -> bool) -> violation list
-val is_valid : Tree.t -> corrupt:(int -> bool) -> bool

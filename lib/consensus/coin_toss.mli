@@ -14,7 +14,6 @@ type shared
 
 val shared : unit -> shared
 
-val k_elements : int
 val rounds : members:int list -> int
 
 val create :

@@ -139,5 +139,3 @@ let machine t =
     m_recv = (fun ~round msgs -> m_recv t ~round msgs) }
 
 let output t = to_bool t.decided
-
-let output_value t = t.decided

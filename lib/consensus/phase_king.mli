@@ -27,5 +27,3 @@ val m_recv : t -> round:int -> (int * bytes) list -> unit
 
 val output : t -> bool option
 (** Decision after [rounds] rounds; [None] before completion. *)
-
-val output_value : t -> value

@@ -43,7 +43,6 @@ type config = {
   corrupt : int list;
   inputs : bool array; (* per-party input bit *)
   seed : int;
-  boost_degree : int option; (* |F_s(i)|; default 2 * committee size *)
   adversary : Repro_net.Network.adversary option;
       (* active network adversary, invoked every round of every phase *)
 }
@@ -63,7 +62,7 @@ type result = {
 }
 
 let default_config ?adversary ~n ~corrupt ~inputs ~seed () =
-  { n; corrupt; inputs; seed; boost_degree = None; adversary }
+  { n; corrupt; inputs; seed; adversary }
 
 (* Each protocol phase is a [Repro_obs.Trace] span (category "ba"), so
    phase structure lands in the exported Chrome trace, and a network phase
@@ -89,7 +88,7 @@ module Make (S : Srds_intf.SCHEME) = struct
     vks : bytes array;
     sks : S.sk array;
     supreme : int list;
-    boost_degree : int;
+    boost_degree : int; (* |F_s(i)|: 2 * committee size, below n *)
     adversary : Network.adversary option;
   }
 
@@ -144,10 +143,7 @@ module Make (S : Srds_intf.SCHEME) = struct
       vks = Array.map fst keys;
       sks = Array.map snd keys;
       supreme = Array.to_list (Tree.supreme_committee tree);
-      boost_degree =
-        (match cfg.boost_degree with
-        | Some d -> d
-        | None -> min (n - 1) (2 * params.Params.committee_size));
+      boost_degree = min (n - 1) (2 * params.Params.committee_size);
       adversary = cfg.adversary;
     }
 
@@ -174,6 +170,18 @@ module Make (S : Srds_intf.SCHEME) = struct
     let timed name f = timed net name f in
     let params = ctx.params in
     let tree = ctx.tree in
+    (* One round in which [senders] (ascending) run [send], then one
+       delivery-driven round in which every honest party runs [recv]. *)
+    let exchange ~senders ~send ~recv =
+      let handlers = Array.make n None in
+      List.iter (fun p -> handlers.(p) <- Some (send p)) senders;
+      Network.run_active net ?adversary:ctx.adversary ~rounds:1
+        ~extra:(fun ~round:_ -> senders)
+        (Array.get handlers);
+      Network.run_active net ?adversary:ctx.adversary ~rounds:1
+        ~extra:(fun ~round:_ -> [])
+        (fun p -> if honest ctx p then Some (recv p) else None)
+    in
 
     (* --- coin toss (f_ct) among the supreme committee --- *)
     let coin_states = Hashtbl.create 16 in
@@ -286,15 +294,8 @@ module Make (S : Srds_intf.SCHEME) = struct
           && Tree.party_slots tree p <> [])
         (Network.everyone net)
     in
-    let sign_handlers = Array.make n None in
-    List.iter (fun p -> sign_handlers.(p) <- Some (sign_handler p)) signers;
     timed "E: sign+send" (fun () ->
-        Network.run_active net ?adversary:ctx.adversary ~rounds:1
-          ~extra:(fun ~round:_ -> signers)
-          (Array.get sign_handlers);
-        Network.run_active net ?adversary:ctx.adversary ~rounds:1
-          ~extra:(fun ~round:_ -> [])
-          (fun p -> if honest ctx p then Some (collect_handler p) else None);
+        exchange ~senders:signers ~send:sign_handler ~recv:collect_handler;
         Network.flush net);
 
     (* --- Phase F: aggregate up the tree (f_aggr-sig per node) --- *)
@@ -391,16 +392,7 @@ module Make (S : Srds_intf.SCHEME) = struct
           List.sort_uniq compare
             (Hashtbl.fold (fun (_, q) _ acc -> q :: acc) agree_states [])
         in
-        let forward_handlers = Array.make n None in
-        List.iter
-          (fun p -> forward_handlers.(p) <- Some (forward_handler p))
-          forwarders;
-        Network.run_active net ?adversary:ctx.adversary ~rounds:1
-          ~extra:(fun ~round:_ -> forwarders)
-          (Array.get forward_handlers);
-        Network.run_active net ?adversary:ctx.adversary ~rounds:1
-          ~extra:(fun ~round:_ -> [])
-          (fun p -> if honest ctx p then Some (collect_up p) else None);
+        exchange ~senders:forwarders ~send:forward_handler ~recv:collect_up;
         Network.flush net
       end
       else
@@ -539,15 +531,8 @@ module Make (S : Srds_intf.SCHEME) = struct
         (fun p -> honest ctx p && received_cert.(p) <> None)
         (Network.everyone net)
     in
-    let boost_handlers = Array.make n None in
-    List.iter (fun p -> boost_handlers.(p) <- Some (boost_send p)) boosters;
     timed "H: boost round" (fun () ->
-        Network.run_active net ?adversary:ctx.adversary ~rounds:1
-          ~extra:(fun ~round:_ -> boosters)
-          (Array.get boost_handlers);
-        Network.run_active net ?adversary:ctx.adversary ~rounds:1
-          ~extra:(fun ~round:_ -> [])
-          (fun p -> if honest ctx p then Some (boost_recv p) else None));
+        exchange ~senders:boosters ~send:boost_send ~recv:boost_recv);
     outputs
 
   (* --- the full Byzantine agreement protocol --- *)

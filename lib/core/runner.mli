@@ -50,6 +50,12 @@ val row_json : row -> Repro_util.Json.t
     fixed decimals ([beta] 3, byte statistics 1; see
     {!Repro_util.Json.fixed}); [tag_breakdown] is sorted by key. *)
 
+val cold_caches : unit -> unit
+(** Clear the calling domain's crypto caches ([Hashx] digests, [Wots]
+    verifications). Every cell starts from them: a warm cache skips work
+    that the deterministic [hashx.hash] counter counts, so a cell's
+    counters would depend on what its domain ran before. *)
+
 val run :
   ?backend:Repro_net.Sched.backend ->
   protocol:protocol -> n:int -> beta:float -> seed:int -> unit -> row

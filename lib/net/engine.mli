@@ -11,8 +11,6 @@ type machine = {
           called exactly once per round, possibly with []. *)
 }
 
-val instance_tag : string -> string -> string
-
 val run :
   Network.t ->
   ?adversary:Network.adversary ->

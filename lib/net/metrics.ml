@@ -234,11 +234,3 @@ let pp_breakdown ppf bd =
         (100. *. float_of_int b /. float_of_int (max 1 total)))
     bd;
   Format.fprintf ppf "  %-*s %12d@." width "total" total
-
-let pp_report ppf r =
-  Format.fprintf ppf
-    "max %.1f KiB/party, mean %.1f KiB, total %.1f KiB, locality max %d, %d rounds"
-    (float_of_int r.max_bytes /. 1024.)
-    (r.mean_bytes /. 1024.)
-    (float_of_int r.total_bytes /. 1024.)
-    r.max_locality r.rounds

@@ -18,7 +18,6 @@ val party_bytes : t -> int -> int
 (** Sent + received bytes of one party. *)
 
 val party_bytes_sent : t -> int -> int
-val party_msgs_sent : t -> int -> int
 
 val party_msgs_recv : t -> int -> int
 (** Messages delivered to one party. *)
@@ -59,4 +58,3 @@ val report : ?include_party:(int -> bool) -> t -> report
     (never NaN); [total_bytes] and [rounds] keep their network-wide
     values. *)
 
-val pp_report : Format.formatter -> report -> unit

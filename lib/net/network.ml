@@ -34,7 +34,8 @@
    is built from its slice just before it runs and dies young; so do
    {!inbox} and the adversary's view of the staged mail. Only parked
    deliveries (deferred past the barrier, held for a dark party, or more
-   than [bucket_span] ticks out) become records, on the {!Sched.Heap}.
+   than [bucket_span] ticks out) become records, on the {!Sched.Heap}
+   binary heap.
    The reason is the GC: a record or cons cell that sits in a long-lived
    structure across its round is promoted by every minor collection that
    catches it in flight, and that promotion costs far more than the
@@ -69,8 +70,7 @@ type async_state = {
 type t = {
   n : int;
   corrupt : bool array;
-  backend : Sched.backend;
-  async : async_state option; (* Some iff backend is Async *)
+  async : async_state option; (* Some iff the backend is Async *)
   metrics : Metrics.t;
   sinks : Event.sink list; (* observers, in subscription order *)
   (* Staging: this round's sends in send order, slots [0, st_n). On the
@@ -147,7 +147,6 @@ let create ?(backend = Sched.Sparse) ?(sinks = []) ~n ~corrupt () =
     {
       n;
       corrupt = c;
-      backend;
       async;
       metrics = Metrics.create n;
       sinks;
@@ -177,7 +176,6 @@ let create ?(backend = Sched.Sparse) ?(sinks = []) ~n ~corrupt () =
   t
 
 let n t = t.n
-let backend t = t.backend
 let metrics t = t.metrics
 
 let virtual_time t =
@@ -194,8 +192,6 @@ let set_condition t c =
     invalid_arg "Network.set_condition: conditions require the async backend"
   | Some _ -> ());
   t.condition <- Some c
-
-let condition t = t.condition
 
 (* A party is dark when the attached condition says so for the current
    (virtual time, round) — its handler is skipped and its deliveries are

@@ -20,8 +20,6 @@ type adversary = {
           on behalf of corrupt parties via {!send}. *)
 }
 
-val null_adversary : adversary
-
 val create :
   ?backend:Sched.backend -> ?sinks:Repro_obs.Event.sink list -> n:int ->
   corrupt:int list -> unit -> t
@@ -33,8 +31,6 @@ val create :
     phase mark, committee, decision and upgrade. Subscriptions are
     per-instance, so concurrent networks on the domain pool never observe
     each other; with no sink no event is built. *)
-
-val backend : t -> Sched.backend
 
 val virtual_time : t -> int
 (** The async executor's virtual clock (the round number on the lock-step
@@ -52,18 +48,6 @@ val set_condition : t -> Sched.condition -> unit
     delivery, may hold parties dark, and may upgrade the corrupt set after
     observing honest traffic. Raises [Invalid_argument] on the lock-step
     backend, which has no delivery heap to program. *)
-
-val condition : t -> Sched.condition option
-
-val party_up : t -> int -> bool
-(** Whether the attached condition keeps this party up for the current
-    round (always true without a condition). Dark parties' handlers are
-    skipped and their deliveries held until they resume. *)
-
-val mark_corrupt : t -> int -> unit
-(** Upgrade one party to the corrupt set mid-run (the adaptive adversary's
-    move): idempotent, emits [Corrupt], and stops the party's handlers
-    from the next honest check on. *)
 
 val n : t -> int
 val metrics : t -> Metrics.t
@@ -122,8 +106,9 @@ val run_active :
       ascending party order.
     + The last argument, [handler_of], is applied to every active party
       before any handler runs; [None] means the party does not act.
-    + Every active party with a handler that is honest and up (see
-      {!party_up}) runs it on its current inbox, in ascending order.
+    + Every active party with a handler that is honest, and not held dark
+      by the attached condition (see {!set_condition}), runs it on its
+      current inbox, in ascending order.
     + The adversary acts, having seen the honest sends of this round
       (rushing), then every staged message is delivered for the next
       round.

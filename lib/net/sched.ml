@@ -17,9 +17,9 @@
    counting-sorted by delivery time in buffers the network reuses (see
    [Network.deliver_async]); the event queue below holds only *parked*
    events — a condition's [Defer] past the barrier, mail held for a dark
-   party — grouped into per-time FIFOs under a small heap of those FIFOs
-   and drained through a non-allocating [min_time]/[take] pair. Either
-   way, delivery follows the queue's (time, seq) order.
+   party — in a plain binary heap drained through a non-allocating
+   [min_time]/[take] pair. Either way, delivery follows the queue's
+   (time, seq) order.
 
    Determinism is the load-bearing property: the async executor draws all
    timing from per-edge child streams of one seed, so identical
@@ -69,65 +69,29 @@ let pure_sync cfg = cfg.a_delta <= 0 && cfg.a_jitter <= 0 && cfg.a_loss <= 0.0
 
 (* --- event queue ---
 
-   Pops come out in (delivery time, send sequence) order, so the drain
-   order is a total deterministic function of the pushed set. The queue
-   exploits two facts about the executor's schedule: pending events share
-   few distinct delivery times (a round's sends land within the jitter
-   window, plus whatever a condition deferred), and the executor's send
-   counter only grows. So events are grouped into per-time FIFOs, and a
-   small binary min-heap orders the FIFOs, not the events: with [seq]
-   strictly increasing across pushes, push order within one FIFO *is*
-   seq order, and the (time, seq) comparison is made per FIFO rather than
-   per event. [push] enforces that contract rather than silently
-   misordering.
-
-   A FIFO takes pushes only until its first pop. A push finds the open
-   FIFO of its time through a small direct-mapped table; on a miss (a new
-   time, a slot taken by another time, or a FIFO already popped from) it
-   opens a fresh one. Two FIFOs of one time can therefore coexist; every
-   event of the older precedes every event of the newer in seq, so the
-   heap keys FIFOs by (time, seq of the first event) and order holds.
-
-   A FIFO is a pair of arrays with live window [\[head, tail)]. Slots
-   outside it must not keep popped values alive, and an ['a array] has no
-   neutral filler, so they hold the FIFO's *last* element, which leaves
-   last: growth fills with the value being pushed, the first pop fills
-   the unused suffix with the last element, every pop overwrites its own
-   slot with it, and the arrays are dropped when the FIFO empties. *)
+   A binary min-heap on (delivery time, send sequence), kept in parallel
+   arrays. Pops come out in that order, so the drain order is a total
+   deterministic function of the pushed set. Only parked events reach it
+   (see the header): none in most runs, at most a few thousand at once in
+   the E19 condition matrix, so it is the textbook heap. [push] requires
+   [seq] to strictly increase across pushes, the executor's send counter:
+   a repeated seq would make two events tie. A value slot is cleared once
+   its event leaves, so the queue keeps no popped value alive. *)
 
 module Heap = struct
-  type 'a fifo = {
-    mutable f_seqs : int array;
-    mutable f_vals : 'a array;
-    mutable f_head : int; (* next to pop; > 0 once popped from: sealed *)
-    mutable f_tail : int; (* next free slot *)
-  }
-
-  let open_slots = 64
-
   type 'a t = {
-    (* min-heap over [0, nfifos) of FIFOs keyed by (time, first seq) *)
     mutable times : int array;
-    mutable firsts : int array;
-    mutable fifos : 'a fifo array;
-    mutable nfifos : int;
-    open_times : int array; (* direct-mapped by [time land 63] ... *)
-    open_fifos : 'a fifo array; (* ... the FIFO open for pushes there *)
-    sealed : 'a fifo; (* filler for unused entries; takes no pushes *)
+    mutable seqs : int array;
+    mutable vals : 'a option array;
     mutable size : int;
     mutable last_seq : int;
   }
 
   let create () =
-    let sealed = { f_seqs = [||]; f_vals = [||]; f_head = 1; f_tail = 1 } in
     {
       times = Array.make 16 0;
-      firsts = Array.make 16 0;
-      fifos = Array.make 16 sealed;
-      nfifos = 0;
-      open_times = Array.make open_slots 0;
-      open_fifos = Array.make open_slots sealed;
-      sealed;
+      seqs = Array.make 16 0;
+      vals = Array.make 16 None;
       size = 0;
       last_seq = min_int;
     }
@@ -138,20 +102,22 @@ module Heap = struct
     if h.size = 0 then invalid_arg "Sched.Heap.min_time: empty queue";
     h.times.(0)
 
-  (* --- the heap of FIFOs, sifted by moving a hole --- *)
+  (* Whether slot [i] comes before the event (time, seq). *)
+  let before h i time seq =
+    h.times.(i) < time || (h.times.(i) = time && h.seqs.(i) < seq)
 
-  let lt h i time first =
-    h.times.(i) < time || (h.times.(i) = time && h.firsts.(i) < first)
-
-  let place h i time first f =
+  let set h i time seq v =
     h.times.(i) <- time;
-    h.firsts.(i) <- first;
-    h.fifos.(i) <- f
+    h.seqs.(i) <- seq;
+    h.vals.(i) <- v
 
-  let move h ~src ~dst = place h dst h.times.(src) h.firsts.(src) h.fifos.(src)
+  let move h ~src ~dst = set h dst h.times.(src) h.seqs.(src) h.vals.(src)
 
-  let add_fifo h time first f =
-    let n = h.nfifos in
+  let push h ~time ~seq v =
+    if seq <= h.last_seq then
+      invalid_arg "Sched.Heap.push: seq must strictly increase across pushes";
+    h.last_seq <- seq;
+    let n = h.size in
     if n = Array.length h.times then begin
       let grow a fill =
         let a' = Array.make (2 * n) fill in
@@ -159,25 +125,25 @@ module Heap = struct
         a'
       in
       h.times <- grow h.times 0;
-      h.firsts <- grow h.firsts 0;
-      h.fifos <- grow h.fifos h.sealed
+      h.seqs <- grow h.seqs 0;
+      h.vals <- grow h.vals None
     end;
     let i = ref n in
-    while !i > 0 && not (lt h ((!i - 1) / 2) time first) do
+    while !i > 0 && not (before h ((!i - 1) / 2) time seq) do
       move h ~src:((!i - 1) / 2) ~dst:!i;
       i := (!i - 1) / 2
     done;
-    place h !i time first f;
-    h.nfifos <- n + 1
+    set h !i time seq (Some v);
+    h.size <- n + 1
 
-  (* The front FIFO emptied: drop it and sift the last entry down from the
-     root. *)
-  let drop_front h =
-    h.fifos.(0).f_vals <- [||];
-    let n = h.nfifos - 1 in
-    h.nfifos <- n;
-    let time = h.times.(n) and first = h.firsts.(n) and f = h.fifos.(n) in
-    h.fifos.(n) <- h.sealed;
+  let take h =
+    if h.size = 0 then invalid_arg "Sched.Heap.take: empty queue";
+    let v = Option.get h.vals.(0) in
+    let n = h.size - 1 in
+    h.size <- n;
+    (* Move the last event out of its slot and sift it down from the root. *)
+    let time = h.times.(n) and seq = h.seqs.(n) and last = h.vals.(n) in
+    h.vals.(n) <- None;
     if n > 0 then begin
       let i = ref 0 and continue = ref true in
       while !continue do
@@ -185,80 +151,28 @@ module Heap = struct
         if l >= n then continue := false
         else begin
           let c =
-            if l + 1 < n && lt h (l + 1) h.times.(l) h.firsts.(l) then l + 1
+            if l + 1 < n && before h (l + 1) h.times.(l) h.seqs.(l) then l + 1
             else l
           in
-          if lt h c time first then begin
+          if before h c time seq then begin
             move h ~src:c ~dst:!i;
             i := c
           end
           else continue := false
         end
       done;
-      place h !i time first f
-    end
-    else h.fifos.(0) <- h.sealed
-
-  (* --- per-time FIFOs --- *)
-
-  let push h ~time ~seq v =
-    if seq <= h.last_seq then
-      invalid_arg "Sched.Heap.push: seq must strictly increase across pushes";
-    h.last_seq <- seq;
-    let k = time land (open_slots - 1) in
-    let f = h.open_fifos.(k) in
-    let f =
-      if h.open_times.(k) = time && f.f_head = 0 then f
-      else begin
-        let f = { f_seqs = [||]; f_vals = [||]; f_head = 0; f_tail = 0 } in
-        h.open_times.(k) <- time;
-        h.open_fifos.(k) <- f;
-        add_fifo h time seq f;
-        f
-      end
-    in
-    if f.f_tail = 0 then begin
-      f.f_seqs <- Array.make 2 0;
-      f.f_vals <- Array.make 2 v
-    end
-    else if f.f_tail = Array.length f.f_vals then begin
-      (* Double by appending the arrays to themselves. Growth happens only
-         before the first pop, so the copies are queued values and valid
-         fillers; and unlike [Array.make] with a young filler, a large
-         append never forces a minor collection. *)
-      f.f_seqs <- Array.append f.f_seqs f.f_seqs;
-      f.f_vals <- Array.append f.f_vals f.f_vals
+      set h !i time seq last
     end;
-    f.f_seqs.(f.f_tail) <- seq;
-    f.f_vals.(f.f_tail) <- v;
-    f.f_tail <- f.f_tail + 1;
-    h.size <- h.size + 1
-
-  let take h =
-    if h.size = 0 then invalid_arg "Sched.Heap.take: empty queue";
-    let f = h.fifos.(0) in
-    let vals = f.f_vals in
-    let last = vals.(f.f_tail - 1) in
-    if f.f_head = 0 then
-      Array.fill vals f.f_tail (Array.length vals - f.f_tail) last;
-    let v = vals.(f.f_head) in
-    vals.(f.f_head) <- last;
-    f.f_head <- f.f_head + 1;
-    h.size <- h.size - 1;
-    if f.f_head = f.f_tail then drop_front h;
     v
 
   let peek h =
     if h.size = 0 then None
-    else
-      let f = h.fifos.(0) in
-      Some (h.times.(0), f.f_seqs.(f.f_head), f.f_vals.(f.f_head))
+    else Some (h.times.(0), h.seqs.(0), Option.get h.vals.(0))
 
   let pop h =
     if h.size = 0 then None
     else
-      let time = h.times.(0) and f = h.fifos.(0) in
-      let seq = f.f_seqs.(f.f_head) in
+      let time = h.times.(0) and seq = h.seqs.(0) in
       Some (time, seq, take h)
 end
 

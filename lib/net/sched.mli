@@ -13,8 +13,8 @@
     The async executor's per-message path is O(1) and allocation-free:
     per-edge streams stored unboxed in one flat table ({!edges}), and a
     round's due sends counting-sorted by delivery time in the network's
-    reused buffers. The time-bucketed event queue ({!Heap}, drained
-    through {!Heap.min_time} and {!Heap.take}) holds only parked events:
+    reused buffers. The event queue ({!Heap}, drained through
+    {!Heap.min_time} and {!Heap.take}) holds only parked events:
     deferrals past the round barrier and mail held for a dark party. *)
 
 type async_cfg = {
@@ -39,19 +39,12 @@ val backend_name : backend -> string
 val backend_of_string : ?async:async_cfg -> string -> backend option
 (** ["sparse"] or ["async"] (with [async] as its config). *)
 
-val pure_sync : async_cfg -> bool
-(** Whether this config is exact synchrony — every latency is 1, no
-    stream is drawn, and the async transcript must be byte-identical to
-    the lock-step backend. *)
-
 (** Deterministic event queue keyed by (delivery time, send sequence):
     pops come out in delivery order, ties broken by send order.
 
     Contract: [seq] strictly increases across the pushes to one queue (the
-    executor's global send counter). Events of one time then pop in push
-    order, which is what lets the queue group events into per-time FIFOs
-    and compare (time, seq) per FIFO rather than per event. Popped values
-    are not kept reachable by the queue. *)
+    executor's global send counter), so no two events tie. A binary
+    min-heap; popped values are not kept reachable by the queue. *)
 module Heap : sig
   type 'a t
 

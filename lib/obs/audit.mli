@@ -131,9 +131,6 @@ val max_round_locality : t -> int
 val total_bits_max : t -> int
 (** Max over honest parties of whole-execution total bits. *)
 
-val total_locality_max : t -> int
-(** Max over honest parties of cumulative distinct peers. *)
-
 val rounds_seen : t -> int
 
 val party_total_bits : t -> int -> int

@@ -26,11 +26,6 @@ val register_probe :
     every reported value is a function of the logical work, independent of
     the domain-pool size. *)
 
-val read_probes :
-  deterministic:bool -> unit -> (string * (string * int) list) list
-(** Sample every probe on the requested side of the determinism split,
-    sorted by probe name, each value list sorted by key. *)
-
 (** {1 Profile tree} *)
 
 type row = {
@@ -51,12 +46,6 @@ val alloc_words : row -> float
 val rows : unit -> row list
 (** The recorded events aggregated by nesting path, sorted by path. Wall
     and Gc fields are inclusive of children, like the spans themselves. *)
-
-val path_string : string list -> string
-(** Path rendered with [">"] separators, e.g. ["ba.run>net.round"]. *)
-
-val hotspots_by_wall : ?top:int -> row list -> row list
-val hotspots_by_alloc : ?top:int -> row list -> row list
 
 val render_hotspots : ?top:int -> unit -> string
 (** Two ASCII tables over the current trace buffer: top-[top] paths by

@@ -5,9 +5,7 @@
    single-threadedly by its network, cheap enough to leave attached — a
    send event is one record allocation and a ring store.
 
-   The ring is a flat circular buffer. On overflow the whole buffer is
-   flushed to the spill JSONL (keeping amortized O(1) per event and the
-   file in strict event order) or, with no spill sink, the oldest event is
+   The ring is a flat circular buffer. On overflow the oldest event is
    dropped and counted — forensics then degrade to lower bounds rather
    than lying silently. *)
 
@@ -43,46 +41,34 @@ let digest_of_payload (b : bytes) =
 
 let hex_of_digest d = Printf.sprintf "%016Lx" d
 
+let capacity = 1 lsl 21
+
 type t = {
-  capacity : int;
   ring : event array;
   mutable head : int; (* index of the oldest live event *)
   mutable len : int;
   mutable total : int;
-  mutable n_spilled : int;
   mutable n_dropped : int;
-  spill_path : string option;
-  mutable spill_oc : out_channel option; (* opened lazily, on first flush *)
-  mutable closed : bool;
   kp : bool;
   corrupt : (int, unit) Hashtbl.t; (* folded from [Corrupt] events *)
 }
 
 let dummy = Phase { p_round = -1; p_name = "" }
 
-let create ?(capacity = 1 lsl 21) ?spill ?(keep_payloads = false) () =
-  if capacity < 1 then invalid_arg "Recorder.create: capacity < 1";
+let create ?(keep_payloads = false) () =
   {
-    capacity;
     ring = Array.make capacity dummy;
     head = 0;
     len = 0;
     total = 0;
-    n_spilled = 0;
     n_dropped = 0;
-    spill_path = spill;
-    spill_oc = None;
-    closed = false;
     kp = keep_payloads;
     corrupt = Hashtbl.create 16;
   }
 
 let is_corrupt t p = Hashtbl.mem t.corrupt p
 
-let keep_payloads t = t.kp
 let total_events t = t.total
-let in_memory t = t.len
-let spilled t = t.n_spilled
 let dropped t = t.n_dropped
 
 (* --- JSONL --- *)
@@ -131,13 +117,13 @@ let event_jsonl e = Json.compact (event_json e)
 
 let iter t f =
   for i = 0 to t.len - 1 do
-    f t.ring.((t.head + i) mod t.capacity)
+    f t.ring.((t.head + i) mod capacity)
   done
 
 let events t =
   let acc = ref [] in
   for i = t.len - 1 downto 0 do
-    acc := t.ring.((t.head + i) mod t.capacity) :: !acc
+    acc := t.ring.((t.head + i) mod capacity) :: !acc
   done;
   !acc
 
@@ -148,48 +134,17 @@ let to_jsonl t =
       Buffer.add_char buf '\n');
   Buffer.contents buf
 
-let spill_channel t =
-  match (t.spill_oc, t.spill_path) with
-  | Some oc, _ -> Some oc
-  | None, Some path ->
-    let oc = open_out path in
-    t.spill_oc <- Some oc;
-    Some oc
-  | None, None -> None
-
-let flush_ring_to oc t =
-  iter t (fun e ->
-      output_string oc (event_jsonl e);
-      output_char oc '\n');
-  t.n_spilled <- t.n_spilled + t.len;
-  t.head <- 0;
-  t.len <- 0
-
 let push t ev =
-  if t.len = t.capacity then begin
-    match spill_channel t with
-    | Some oc -> flush_ring_to oc t
-    | None ->
-      (* drop oldest: forensics stay bounded and honest about coverage *)
-      t.ring.(t.head) <- dummy;
-      t.head <- (t.head + 1) mod t.capacity;
-      t.len <- t.len - 1;
-      t.n_dropped <- t.n_dropped + 1
+  if t.len = capacity then begin
+    (* drop oldest: forensics stay bounded and honest about coverage *)
+    t.ring.(t.head) <- dummy;
+    t.head <- (t.head + 1) mod capacity;
+    t.len <- t.len - 1;
+    t.n_dropped <- t.n_dropped + 1
   end;
-  t.ring.((t.head + t.len) mod t.capacity) <- ev;
+  t.ring.((t.head + t.len) mod capacity) <- ev;
   t.len <- t.len + 1;
   t.total <- t.total + 1
-
-let close t =
-  if not t.closed then begin
-    t.closed <- true;
-    match (t.spill_path, spill_channel t) with
-    | Some _, Some oc ->
-      flush_ring_to oc t;
-      close_out oc;
-      t.spill_oc <- None
-    | _ -> ()
-  end
 
 (* --- feeding --- *)
 

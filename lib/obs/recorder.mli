@@ -49,18 +49,15 @@ val hex_of_digest : int64 -> string
 
 type t
 
-val create : ?capacity:int -> ?spill:string -> ?keep_payloads:bool -> unit -> t
-(** Memory is bounded: at most [capacity] (default 2^21) events are held.
-    When the ring fills, the oldest [capacity] events are appended to the
-    [spill] JSONL file if one was given, else dropped (counted). With
+val create : ?keep_payloads:bool -> unit -> t
+(** Memory is bounded: at most 2^21 events are held. When the ring is
+    full, each new event drops the oldest one, counted by {!dropped}. With
     [keep_payloads] the raw payload bytes ride along on send events —
     required for replay, off by default. *)
 
 val is_corrupt : t -> int -> bool
 (** Ground truth from the [Corrupt] events seen so far; used to separate
     accountable equivocation from honest per-recipient fan-out. *)
-
-val keep_payloads : t -> bool
 
 (** {2 Feeding it}
 
@@ -75,21 +72,16 @@ val observe : t -> Event.t -> unit
 (** {2 Log access} *)
 
 val total_events : t -> int
-(** Events recorded over the whole run (in memory + spilled + dropped). *)
+(** Events recorded over the whole run (held + dropped). *)
 
-val in_memory : t -> int
-val spilled : t -> int
 val dropped : t -> int
+(** Oldest events dropped from the full ring: when non-zero, everything
+    derived from the log (cones, evidence) covers only its tail. *)
 
 val events : t -> event list
-(** In-memory events, oldest first. The full log is the spill file (if any)
-    followed by these. *)
+(** Held events, oldest first. *)
 
 val iter : t -> (event -> unit) -> unit
-
-val close : t -> unit
-(** Flush the in-memory remainder to the spill file (if any) and close it,
-    making the file the complete log. Idempotent. *)
 
 (** {1 JSONL serialization}
 
@@ -106,7 +98,7 @@ val event_jsonl : event -> string
 (** One line, no trailing newline. *)
 
 val to_jsonl : t -> string
-(** All in-memory events, newline-terminated lines. *)
+(** All held events, newline-terminated lines. *)
 
 (** {1 Decisions and causal cones}
 
@@ -137,8 +129,8 @@ type cone = {
 
 val causal_cones : t -> (int * int * string) list -> cone list
 (** Cones for the listed [(party, round, value)] decisions, sharing one
-    pass of log indexing. Only in-memory events are consulted: if events
-    were spilled or dropped the cone is a lower bound. *)
+    pass of log indexing. Only held events are consulted: if events were
+    dropped the cone is a lower bound. *)
 
 val causal_cone : t -> party:int -> cone option
 (** Cone of [party]'s recorded decision, if it decided. *)

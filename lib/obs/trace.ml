@@ -55,7 +55,6 @@ let out_file = ref (Sys.getenv_opt "REPRO_TRACE_FILE")
 let enabled = Atomic.make (!out_file <> None)
 
 let set_enabled b = Atomic.set enabled b
-let is_enabled () = Atomic.get enabled
 
 let set_output o =
   out_file := o;
@@ -68,7 +67,6 @@ let output () = !out_file
    wall time. *)
 let gc_capture = Atomic.make false
 let set_gc_capture b = Atomic.set gc_capture b
-let gc_capture_enabled () = Atomic.get gc_capture
 
 (* Trace epoch: timestamps are microseconds since module load, keeping them
    small enough to render exactly as JSON numbers. *)

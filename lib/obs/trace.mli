@@ -38,8 +38,6 @@ type event = {
 val set_enabled : bool -> unit
 (** Turn collection on/off without touching the output file. *)
 
-val is_enabled : unit -> bool
-
 val set_output : string option -> unit
 (** Register (or clear) the trace file; [Some f] also enables collection.
     Initially taken from [REPRO_TRACE_FILE]. *)
@@ -51,8 +49,6 @@ val set_gc_capture : bool -> unit
     Opt-in on top of tracing: the two quickstat calls per span are cheap
     but not free, and most trace users only want wall time. *)
 
-val gc_capture_enabled : unit -> bool
-
 val span : ?cat:string -> ?args:(string * string) list -> string -> (unit -> 'a) -> 'a
 (** [span name f] runs [f ()], recording its interval when enabled. The
     event is recorded even when [f] raises (the exception propagates). *)
@@ -62,9 +58,6 @@ val mark : ?cat:string -> ?args:(string * string) list -> string -> unit
 
 val events : unit -> event list
 (** All recorded events across domains, ordered by start timestamp. *)
-
-val dropped : unit -> int
-(** Events discarded because a per-domain buffer hit its cap. *)
 
 val reset : unit -> unit
 (** Discard all recorded events (buffers stay registered). *)

@@ -53,10 +53,6 @@ let option b f = function
     u8 b 1;
     f b v
 
-let pair b f g (x, y) =
-  f b x;
-  g b y
-
 (* --- Decoding --- *)
 
 exception Malformed of string
@@ -119,11 +115,6 @@ let r_option src f =
   | 0 -> None
   | 1 -> Some (f src)
   | _ -> fail "option"
-
-let r_pair src f g =
-  let x = f src in
-  let y = g src in
-  (x, y)
 
 let expect_end src = if remaining src <> 0 then fail "trailing bytes"
 

@@ -21,13 +21,11 @@ val string : sink -> string -> unit
 val list : sink -> (sink -> 'a -> unit) -> 'a list -> unit
 val array : sink -> (sink -> 'a -> unit) -> 'a array -> unit
 val option : sink -> (sink -> 'a -> unit) -> 'a option -> unit
-val pair : sink -> (sink -> 'a -> unit) -> (sink -> 'b -> unit) -> 'a * 'b -> unit
 
 exception Malformed of string
 
 type source
 
-val reader : bytes -> source
 val remaining : source -> int
 val r_u8 : source -> int
 val r_varint : source -> int
@@ -38,8 +36,6 @@ val r_string : source -> string
 val r_list : source -> (source -> 'a) -> 'a list
 val r_array : source -> (source -> 'a) -> 'a array
 val r_option : source -> (source -> 'a) -> 'a option
-val r_pair : source -> (source -> 'a) -> (source -> 'b) -> 'a * 'b
-val expect_end : source -> unit
 
 val decode : bytes -> (source -> 'a) -> 'a option
 (** [decode data f] parses with [f], requiring all input consumed; [None] on

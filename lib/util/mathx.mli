@@ -5,7 +5,6 @@ val log2_ceil : int -> int
 val log2_floor : int -> int
 val pow_int : int -> int -> int
 val isqrt : int -> int
-val clamp : lo:int -> hi:int -> int -> int
 
 val mean : float list -> float
 val stddev : float list -> float

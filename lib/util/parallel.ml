@@ -249,8 +249,6 @@ let map ?chunk f arr =
     out
   end
 
-let iter ?chunk f arr = parallel_for ?chunk (Array.length arr) (fun i -> f arr.(i))
-
 let init ?chunk n f =
   if n <= 0 then [||]
   else if n = 1 || sequential () then seq_timed (fun () -> Array.init n f)

@@ -26,23 +26,15 @@ val set_domains : int -> unit
     benchmark drivers; not safe to call concurrently with running
     operations. *)
 
-val map : ?chunk:int -> ('a -> 'b) -> 'a array -> 'b array
-(** [map f arr] is [Array.map f arr] with chunks of indices evaluated on the
-    pool. [chunk] bounds the number of consecutive indices per task (default:
-    spread over ~8 tasks per domain). [f] is applied exactly once per
-    element; the first exception raised (if any) is re-raised after all
+val init : ?chunk:int -> int -> (int -> 'a) -> 'a array
+(** [init n f] is [Array.init n f] with chunks of indices evaluated on the
+    pool. [chunk] bounds the number of consecutive indices per task
+    (default: spread over ~8 tasks per domain). [f] is applied exactly once
+    per index; the first exception raised (if any) is re-raised after all
     chunks settle. *)
 
-val iter : ?chunk:int -> ('a -> unit) -> 'a array -> unit
-
-val init : ?chunk:int -> int -> (int -> 'a) -> 'a array
-(** [init n f] is [Array.init n f] evaluated on the pool. *)
-
 val map_list : ?chunk:int -> ('a -> 'b) -> 'a list -> 'b list
-
-val shutdown : unit -> unit
-(** Join all worker domains. Registered with [at_exit]; safe to call more
-    than once. The pool respawns lazily on next use. *)
+(** [map_list f l] is [List.map f l] evaluated on the pool, as {!init}. *)
 
 (** {1 Utilization}
 

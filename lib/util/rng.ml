@@ -121,11 +121,6 @@ let shuffle t arr =
     arr.(j) <- tmp
   done
 
-let choose t lst =
-  match lst with
-  | [] -> invalid_arg "Rng.choose: empty list"
-  | _ -> List.nth lst (int t (List.length lst))
-
 (* A uniform random subset of [0,n) of the given size, as a sorted list. *)
 let subset t ~n ~size =
   if size > n then invalid_arg "Rng.subset: size > n";

@@ -68,8 +68,5 @@ val of_label : t -> string -> t
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
 
-val choose : t -> 'a list -> 'a
-(** Uniform element of a non-empty list. *)
-
 val subset : t -> n:int -> size:int -> int list
 (** Uniform [size]-subset of [\[0, n)], sorted ascending. *)

@@ -69,8 +69,43 @@ let test_scale_needs_a_baseline () =
   Alcotest.(check int) "the only failure with dolev-strong" 1
     (List.length o.Experiment.failures)
 
+(* An experiment's deterministic counters are a function of its
+   parameters alone: run twice in one process, each of these reads the
+   same, however warm the previous run left the domain-local crypto
+   caches. Two domains, so the games trials land on a pool worker; the
+   pool is reset afterwards, so no worker outlives the test. *)
+let test_counters_independent_of_history () =
+  let module Counters = Repro_obs.Counters in
+  let module Parallel = Repro_util.Parallel in
+  let was = Counters.is_enabled () and domains = Parallel.domains () in
+  Counters.enable ();
+  Parallel.set_domains 2;
+  let snapshot run =
+    Counters.reset ();
+    ignore (run () : Experiment.outcome);
+    Counters.deterministic_snapshot ()
+  in
+  List.iter
+    (fun (name, run) ->
+      let first = snapshot run in
+      let hashes = Option.value ~default:0 (List.assoc_opt "hashx.hash" first) in
+      Alcotest.(check bool) (name ^ " hashes") true (hashes > 0);
+      Alcotest.(check (list (pair string int))) name first (snapshot run))
+    [
+      ("games", fun () -> Experiment.games ~n:64 ~trials:3 ());
+      ("boost", fun () -> Experiment.boost ~n:64 ());
+      ("thm14", Experiment.thm14);
+      ("vrf_grinding", Experiment.vrf_grinding);
+      ("succinctness", Experiment.succinctness);
+    ];
+  Counters.reset ();
+  if not was then Counters.disable ();
+  Parallel.set_domains domains
+
 let suite =
   [
+    Alcotest.test_case "counters independent of run history" `Quick
+      test_counters_independent_of_history;
     Alcotest.test_case "breakdown per protocol" `Quick test_breakdown_per_protocol;
     Alcotest.test_case "attack toothless" `Quick test_attack_toothless;
     Alcotest.test_case "scale needs a baseline" `Quick test_scale_needs_a_baseline;

@@ -36,9 +36,9 @@ let qcheck_heap_order =
 
 (* Random interleavings of push and pop against a sorted-list model. Times
    mix a near window (many events per time, as one round's sends land),
-   times 64 apart (which share a slot of the queue's open-FIFO table) and
-   far-future ones (a condition's [Defer]); seq is the push counter, as in
-   the executor, and pushes at a time already popped from occur. *)
+   times 64 apart (spread past the near window) and far-future ones (a
+   condition's [Defer]); seq is the push counter, as in the executor, and
+   pushes at a time already popped from occur. *)
 type heap_op = Push of int | Pop
 
 let heap_ops_gen =
@@ -110,8 +110,8 @@ let test_heap_seq_contract () =
          t))
 
 (* A popped value is not kept alive by the queue: not by its own slot, not
-   by the spare capacity of its time's FIFO, not by the FIFO's arrays after
-   a push into a partly drained time, nor once its time drained. *)
+   by the slot the heap's last event left when it moved, not after a push
+   into a partly drained time, nor once its time drained. *)
 let test_heap_releases_popped () =
   let h = Sched.Heap.create () in
   let w = Weak.create 11 in
@@ -141,8 +141,7 @@ let test_heap_releases_popped () =
   Alcotest.(check bool) "last of a drained time collected" false (Weak.check w 4);
   Alcotest.(check bool) "later time still queued" true (Weak.check w 3);
   Alcotest.(check int) "one event left" 1 (Sched.Heap.size h);
-  (* six events of one time grow its FIFO past its first capacities; all
-     but the newest popped *)
+  (* six events of one time, all but the newest popped *)
   for i = 5 to 10 do
     push i 12
   done;

@@ -354,7 +354,7 @@ let forensics_arg =
         ~doc:
           "Re-run every failing cell and every equivocate cell at beta > 0 \
            with the flight recorder attached and write the \
-           equivocation-evidence bundles (schema repro-forensics/1, kind \
+           equivocation-evidence bundles (schema repro-forensics/2, kind \
            attack). Non-zero exit if a planted equivocation yields no \
            verified evidence (the extractor must have teeth).")
 
@@ -451,7 +451,7 @@ let explain_cmd =
   experiment_cmd "explain"
     ~report:
       "Write the machine-readable forensics report (schema \
-       repro-forensics/1, kind explain: one cone per decider with \
+       repro-forensics/2, kind explain: one cone per decider with \
        per-round slice sizes vs the protocol's declared locality curve). \
        Byte-identical across reruns with the same arguments."
     ~doc:
@@ -459,7 +459,7 @@ let explain_cmd =
        cones with per-round slice sizes checked against the protocol's \
        declared locality curve (non-zero exit if a this-work cone \
        exceeds it), optional ASCII cone tree for one party, \
-       repro-forensics/1 report, raw JSONL log, and a transcript replay \
+       repro-forensics/2 report, raw JSONL log, and a transcript replay \
        self-check."
     Term.(
       const (fun protocol n beta seed party replay log_out ->
@@ -571,7 +571,10 @@ let validate_cmd =
     end
     else
       match Json.parse_at text with
-      | Ok _ -> Printf.printf "%s: valid JSON\n" file
+      | Ok doc -> (
+        match Runner.check_forensics_report doc with
+        | Ok () -> Printf.printf "%s: valid JSON\n" file
+        | Error msg -> fail 0 msg)
       | Error (offset, msg) -> fail offset msg
   in
   Cmd.v

@@ -20,7 +20,9 @@ let () =
   let inputs = Array.init n (fun i -> i mod 2 = 0) in
 
   let cfg = Balanced_ba.default_config ~n ~corrupt ~inputs ~seed:2024 () in
-  let result = BA.run cfg in
+  (* phase A: the SRDS keys, a function of (n, seed) alone *)
+  let setup = BA.setup ~n ~seed:2024 in
+  let result = BA.run ~setup cfg in
 
   Printf.printf "parties:            %d (%d corrupt)\n" n (List.length corrupt);
   Printf.printf "agreement reached:  %b\n" result.Balanced_ba.agreed;

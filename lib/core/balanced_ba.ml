@@ -12,9 +12,10 @@
 
    Phase map (Fig. 3 step numbers in parentheses):
 
-     A  setup (uncharged, per the model): SRDS pp and per-virtual-ID keys;
-        the slot assignment (the idmap) is fixed from public randomness;
-        the adversary corrupts *after* seeing all of it.
+     A  setup (uncharged, per the model): SRDS pp and per-virtual-ID keys
+        (the [setup] value, one per (n, seed)); the slot assignment (the
+        idmap) is fixed from public randomness; the adversary corrupts
+        *after* seeing all of it.
      B  f_ae-comm first call (1): the election protocol seeds the tree.
      C  supreme committee: f_ba on input bits (2) and f_ct (2).
      D  f_ae-comm: disseminate (y, s) (3).
@@ -76,8 +77,35 @@ module Make (S : Srds_intf.SCHEME) = struct
   module B = Srds_intf.Batch (S)
   module Agg = Aggr_sig.Make (S)
 
+  (* Phase A's key material: the per-slot SRDS key pairs over
+     [Params.default n] virtual slots, drawn from the run's "srds-setup"
+     stream. It depends on (n, seed) alone, never on the corrupt set,
+     adversary or network condition, so one value serves every run with
+     that (n, seed). Nothing in it is mutated after keygen: each context
+     copies the key arrays and re-runs [S.setup] for its own [pp] (a
+     scheme's pp may carry mutable caches). *)
+  type setup = {
+    s_n : int;
+    s_seed : int;
+    keys : (bytes * S.sk) array; (* (vk, sk) per virtual slot *)
+  }
+
+  let setup_stream seed = Rng.of_label (Rng.create seed) "srds-setup"
+
+  let setup ~n ~seed =
+    let num_slots = (Params.default n).Params.num_slots in
+    let setup_rng = setup_stream seed in
+    let pp, master = S.setup setup_rng ~n:num_slots in
+    let keys =
+      Repro_obs.Trace.span ~cat:"ba" "A: keygen" (fun () ->
+          (* Fanned out on the domain pool; per-slot rng children keep the
+             result independent of the pool size. *)
+          B.keygen_all pp master setup_rng ~count:num_slots)
+    in
+    { s_n = n; s_seed = seed; keys }
+
   (* Execution context shared by BA and broadcast: network, tree, SRDS
-     keys. Building it runs phases A and B. *)
+     keys. Building it finishes phase A and runs phase B. *)
   type ctx = {
     net : Network.t;
     rng : Rng.t;
@@ -92,22 +120,21 @@ module Make (S : Srds_intf.SCHEME) = struct
     adversary : Network.adversary option;
   }
 
-  let make_ctx ?sinks ?backend ?condition (cfg : config) : ctx =
+  let make_ctx ?sinks ?backend ?condition ~setup (cfg : config) : ctx =
+    if setup.s_n <> cfg.n || setup.s_seed <> cfg.seed then
+      invalid_arg
+        (Printf.sprintf
+           "Balanced_ba.make_ctx: setup for (n=%d, seed=%d) given a run with \
+            (n=%d, seed=%d)"
+           setup.s_n setup.s_seed cfg.n cfg.seed);
     Repro_crypto.Wots.clear_cache ();
     let n = cfg.n in
     let rng = Rng.create cfg.seed in
     let params = Params.default n in
-    let num_slots = params.Params.num_slots in
-    (* Phase A: uncharged setup. *)
+    (* Phase A: uncharged setup. The keys come from [setup]; the slot
+       assignment and this run's pp are re-derived from the same seed. *)
     let slot_party = Tree.assignment params (Rng.of_label rng "assignment") in
-    let setup_rng = Rng.of_label rng "srds-setup" in
-    let pp, master = S.setup setup_rng ~n:num_slots in
-    let keys =
-      Repro_obs.Trace.span ~cat:"ba" "A: keygen" (fun () ->
-          (* Fanned out on the domain pool; per-slot rng children keep the
-             result independent of the pool size. *)
-          B.keygen_all pp master setup_rng ~count:num_slots)
-    in
+    let pp, _master = S.setup (setup_stream cfg.seed) ~n:params.Params.num_slots in
     let net = Network.create ?backend ?sinks ~n ~corrupt:cfg.corrupt () in
     Option.iter (Network.set_condition net) condition;
     (* Phase B: election establishes the tree. *)
@@ -140,8 +167,8 @@ module Make (S : Srds_intf.SCHEME) = struct
       ae;
       tree;
       pp;
-      vks = Array.map fst keys;
-      sks = Array.map snd keys;
+      vks = Array.map fst setup.keys;
+      sks = Array.map snd setup.keys;
       supreme = Array.to_list (Tree.supreme_committee tree);
       boost_degree = min (n - 1) (2 * params.Params.committee_size);
       adversary = cfg.adversary;
@@ -537,8 +564,8 @@ module Make (S : Srds_intf.SCHEME) = struct
 
   (* --- the full Byzantine agreement protocol --- *)
 
-  let run ?sinks ?backend ?condition (cfg : config) : result =
-    let ctx = make_ctx ?sinks ?backend ?condition cfg in
+  let run ?sinks ?backend ?condition ~setup (cfg : config) : result =
+    let ctx = make_ctx ?sinks ?backend ?condition ~setup cfg in
     let timed name f = timed ctx.net name f in
     let n = cfg.n in
     let corrupt p = Network.is_corrupt ctx.net p in

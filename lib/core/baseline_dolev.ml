@@ -39,19 +39,38 @@ type result = {
 
 let enc b = Bytes.make 1 (if b then '\001' else '\000')
 
-let run ?sinks ?backend ?condition ?adversary (cfg : config) : result =
+(* PKI setup (uncharged, like the pipeline's phase A): one small Merkle
+   key per party — a Dolev–Strong relayer signs each value once, so a
+   handful of leaves suffices and keygen stays cheap at scale. Keys are a
+   function of (n, seed) alone, so one PKI serves every run with that
+   (n, seed); a run signs with unused copies, never with these keys. *)
+type pki = {
+  k_n : int;
+  k_seed : int;
+  keys : (Mss.verification_key * Mss.secret_key) array;
+}
+
+let pki ~n ~seed =
+  {
+    k_n = n;
+    k_seed = seed;
+    keys =
+      Repro_util.Parallel.init n (fun p ->
+          Mss.keygen ~height:3
+            (Bytes.of_string (Printf.sprintf "ds-key-%d-%d" seed p)));
+  }
+
+let run ?sinks ?backend ?condition ?adversary ~pki (cfg : config) : result =
   let n = cfg.n in
+  if pki.k_n <> n || pki.k_seed <> cfg.seed then
+    invalid_arg
+      (Printf.sprintf
+         "Baseline_dolev.run: PKI for (n=%d, seed=%d) given a run with \
+          (n=%d, seed=%d)"
+         pki.k_n pki.k_seed n cfg.seed);
   let net = Network.create ?backend ?sinks ~n ~corrupt:cfg.corrupt () in
   Option.iter (Network.set_condition net) condition;
-  (* PKI setup (uncharged, like the pipeline's phase A): one small Merkle
-     key per party — a Dolev–Strong relayer signs each value once, so a
-     handful of leaves suffices and keygen stays cheap at scale. *)
-  let keys =
-    Array.init n (fun p ->
-        Mss.keygen ~height:3
-          (Bytes.of_string (Printf.sprintf "ds-key-%d-%d" cfg.seed p)))
-  in
-  let vks = Array.map fst keys in
+  let vks = Array.map fst pki.keys in
   let members = List.init n (fun i -> i) in
   let sender = 0 in
   let value_bytes = enc cfg.value in
@@ -60,7 +79,7 @@ let run ?sinks ?backend ?condition ?adversary (cfg : config) : result =
         if Network.is_honest net p then
           Some
             (Dolev.create ~members ~me:p ~sender
-               ~pki:{ Dolev.vks; sk = snd keys.(p) }
+               ~pki:{ Dolev.vks; sk = Mss.unused_copy (snd pki.keys.(p)) }
                ~input:value_bytes)
         else None)
   in

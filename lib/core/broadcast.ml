@@ -197,7 +197,7 @@ module Make (S : Srds_intf.SCHEME) = struct
     BA.certify ctx ~label ~values:agreed
 
   let run (cfg : Balanced_ba.config) ~(messages : (int * bytes) list) : result =
-    let ctx = BA.make_ctx cfg in
+    let ctx = BA.make_ctx ~setup:(BA.setup ~n:cfg.n ~seed:cfg.seed) cfg in
     let net = ctx.BA.net in
     let n = Network.n net in
     let honest p = Network.is_honest net p in

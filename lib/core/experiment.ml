@@ -933,6 +933,14 @@ let forensics b (m : attack_matrix) file =
     (List.length bundles)
     (List.fold_left (fun a bu -> a + List.length bu.fb_evidence) 0 bundles)
     file;
+  List.iter
+    (fun bu ->
+      lines b
+        (List.map
+           (Printf.sprintf "  %s/%s/%s seed %d: %s" bu.fb_protocol bu.fb_strategy
+              bu.fb_condition bu.fb_seed)
+           (dropped_note ~what:"its evidence bundles" bu.fb_dropped)))
+    bundles;
   let planted =
     List.exists (fun c -> strategy_equivocates c.ac_strategy && c.ac_beta > 0.0) m.am_cells
   in
@@ -1105,6 +1113,7 @@ let explain ~protocol ~n ~beta ~seed ?party ?(replay = false) ?log_out () =
   Printf.bprintf b "%s n=%d beta=%.2f seed=%d: %d events recorded, %d decider(s), ok=%b\n"
     row.r_protocol n beta seed (Recorder.total_events rec_) (List.length ex.ex_cones)
     row.r_ok;
+  lines b (dropped_note ~what:"the cones" ex.ex_dropped);
   (match ex.ex_budget with
   | Some bu ->
     Printf.bprintf b

@@ -136,7 +136,7 @@ val explain :
 (** Flight-record one run and explain its decisions by causal cones
     checked against the declared locality curve; [party] renders one cone
     tree, [replay] round-trips the log through {!Repro_net.Replay},
-    [log_out] adds the JSONL log to [files]. Report [repro-forensics/1]. *)
+    [log_out] adds the JSONL log to [files]. Report [repro-forensics/2]. *)
 
 val profile :
   protocol:Runner.protocol -> n:int -> beta:float -> seed:int ->

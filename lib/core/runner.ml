@@ -198,7 +198,7 @@ let run_full_ba name run_fn ~n ~beta ~seed : row =
   let corrupt = corrupt_set rng ~n ~beta in
   let inputs = Array.init n (fun i -> (i + seed) mod 2 = 0) in
   let cfg = Balanced_ba.default_config ~n ~corrupt ~inputs ~seed () in
-  let (r : Balanced_ba.result) = run_fn cfg in
+  let (r : Balanced_ba.result) = run_fn ~n ~seed cfg in
   row_of_report ~protocol:name ~n ~beta ~report:r.Balanced_ba.report
     ~ok:(r.Balanced_ba.agreed && r.Balanced_ba.decided_fraction > 0.99)
     ~note:
@@ -224,15 +224,18 @@ let run_with ?sinks ?backend ~protocol ~n ~beta ~seed () : row =
   match protocol with
   | This_work_owf ->
     run_full_ba "this-work-owf"
-      (Ba_owf.run ?sinks ?backend)
+      (fun ~n ~seed cfg ->
+        Ba_owf.run ?sinks ?backend ~setup:(Ba_owf.setup ~n ~seed) cfg)
       ~n ~beta ~seed
   | This_work_snark ->
     run_full_ba "this-work-snark"
-      (Ba_snark.run ?sinks ?backend)
+      (fun ~n ~seed cfg ->
+        Ba_snark.run ?sinks ?backend ~setup:(Ba_snark.setup ~n ~seed) cfg)
       ~n ~beta ~seed
   | Multisig_boost ->
     run_full_ba "multisig-boost"
-      (Ba_multisig.run ?sinks ?backend)
+      (fun ~n ~seed cfg ->
+        Ba_multisig.run ?sinks ?backend ~setup:(Ba_multisig.setup ~n ~seed) cfg)
       ~n ~beta ~seed
   | Sqrt_boost ->
     let rng = Rng.create seed in
@@ -263,6 +266,7 @@ let run_with ?sinks ?backend ~protocol ~n ~beta ~seed () : row =
     let corrupt = corrupt_set rng ~n ~beta in
     let r =
       Baseline_dolev.run ?sinks ?backend
+        ~pki:(Baseline_dolev.pki ~n ~seed)
         { n; corrupt; value = true; seed }
     in
     (* Broadcast validity is vacuous under a corrupt designated sender:
@@ -324,7 +328,7 @@ let run_under_attack ~strategy ~n ~beta ~seed : row =
   let corrupt = corrupt_by_strategy ~strategy ~n ~beta ~seed in
   let inputs = Array.init n (fun i -> (i + seed) mod 2 = 0) in
   let cfg = Balanced_ba.default_config ~n ~corrupt ~inputs ~seed () in
-  let r = Ba_snark.run cfg in
+  let r = Ba_snark.run ~setup:(Ba_snark.setup ~n ~seed) cfg in
   row_of_report
     ~protocol:("this-work-snark/" ^ Attacks.strategy_name strategy)
     ~n ~beta ~report:r.Balanced_ba.report
@@ -398,7 +402,31 @@ let default_chaos ~seed : Sched.async_cfg =
 
 let c_attack_cells = Repro_obs.Counters.make "attack.cells"
 
-let run_attack_cell ?sinks ?backend ?condition_name ?(gated = true)
+(* A cell's one-time setup: the SRDS keys of a pipeline protocol or the
+   Dolev-Strong PKI. It is a function of (protocol, n, seed) only, so a
+   matrix builds one per distinct triple and hands it to every cell that
+   shares it; a cell run alone builds its own. *)
+type cell_setup =
+  | Owf_keys of Ba_owf.setup
+  | Snark_keys of Ba_snark.setup
+  | Ds_pki of Baseline_dolev.pki
+
+let cell_setup ~protocol ~n ~seed =
+  match protocol with
+  | This_work_owf -> Owf_keys (Ba_owf.setup ~n ~seed)
+  | This_work_snark -> Snark_keys (Ba_snark.setup ~n ~seed)
+  | Dolev_strong -> Ds_pki (Baseline_dolev.pki ~n ~seed)
+  | _ -> invalid_arg "cell_setup: owf/snark pipelines or dolev-strong only"
+
+(* One setup per distinct (protocol, n, seed) among [keys], as an
+   association list. Built on the calling domain before a matrix fans its
+   cells out; each keygen fans out on the pool itself. *)
+let cell_setups keys =
+  List.map
+    (fun ((protocol, n, seed) as k) -> (k, cell_setup ~protocol ~n ~seed))
+    (List.sort_uniq compare keys)
+
+let run_cell ~setup ?sinks ?backend ?condition_name ?(gated = true)
     ~protocol ~strategy_name ~n ~beta ~seed ~expect_fail () =
   cold_caches ();
   let strategy =
@@ -442,25 +470,24 @@ let run_attack_cell ?sinks ?backend ?condition_name ?(gated = true)
     | Some c -> Rng.subset rng ~n ~size:(Condition.static_size c ~n ~beta)
   in
   let inputs = Array.init n (fun i -> (i + seed) mod 2 = 0) in
+  let pipeline (r : Balanced_ba.result) =
+    ( r.Balanced_ba.agreed,
+      r.Balanced_ba.decided_fraction,
+      r.Balanced_ba.valid,
+      r.Balanced_ba.report.Metrics.rounds,
+      r.Balanced_ba.net )
+  in
+  let cfg = Balanced_ba.default_config ~adversary ~n ~corrupt ~inputs ~seed () in
   let agreed, decided, valid, rounds, net =
-    match protocol with
-    | This_work_owf | This_work_snark ->
-      let cfg =
-        Balanced_ba.default_config ~adversary ~n ~corrupt ~inputs ~seed ()
-      in
-      let run = if protocol = This_work_owf then Ba_owf.run else Ba_snark.run in
-      let (r : Balanced_ba.result) =
-        run ?sinks ?backend ?condition:cond_inst cfg
-      in
-      ( r.Balanced_ba.agreed,
-        r.Balanced_ba.decided_fraction,
-        r.Balanced_ba.valid,
-        r.Balanced_ba.report.Metrics.rounds,
-        r.Balanced_ba.net )
-    | Dolev_strong ->
+    match (protocol, setup) with
+    | This_work_owf, Owf_keys setup ->
+      pipeline (Ba_owf.run ?sinks ?backend ?condition:cond_inst ~setup cfg)
+    | This_work_snark, Snark_keys setup ->
+      pipeline (Ba_snark.run ?sinks ?backend ?condition:cond_inst ~setup cfg)
+    | Dolev_strong, Ds_pki pki ->
       let (r : Baseline_dolev.result) =
         Baseline_dolev.run ?sinks ?backend ?condition:cond_inst
-          ~adversary { n; corrupt; value = true; seed }
+          ~adversary ~pki { n; corrupt; value = true; seed }
       in
       (* broadcast validity is vacuous under a corrupt designated sender *)
       let valid =
@@ -471,8 +498,7 @@ let run_attack_cell ?sinks ?backend ?condition_name ?(gated = true)
         valid,
         r.Baseline_dolev.report.Metrics.rounds,
         r.Baseline_dolev.net )
-    | _ ->
-      invalid_arg "attack matrix: owf/snark pipelines or dolev-strong only"
+    | _ -> invalid_arg "attack matrix: cell setup built for another protocol"
   in
   let pre_gst_lost, post_gst_late =
     match Repro_net.Network.async_stats net with
@@ -505,6 +531,11 @@ let run_attack_cell ?sinks ?backend ?condition_name ?(gated = true)
     ac_pre_gst_lost = pre_gst_lost;
     ac_post_gst_late = post_gst_late;
   }
+
+let run_attack_cell ?sinks ?backend ?condition_name ?gated ~protocol
+    ~strategy_name ~n ~beta ~seed ~expect_fail () =
+  run_cell ~setup:(cell_setup ~protocol ~n ~seed) ?sinks ?backend
+    ?condition_name ?gated ~protocol ~strategy_name ~n ~beta ~seed ~expect_fail ()
 
 let attack_matrix ?(betas = [ 0.0; 0.0625; 0.125 ]) ?(sanity_betas = [ 0.45 ])
     ?(seeds = [ 1 ]) ?strategies ?(conditions = []) ~n () =
@@ -573,12 +604,16 @@ let attack_matrix ?(betas = [ 0.0; 0.0625; 0.125 ]) ?(sanity_betas = [ 0.45 ])
           Some "adaptive-unbounded", true );
       ]
   in
+  let specs = cells @ condition_cells @ teeth_cells in
+  let setups =
+    cell_setups (List.map (fun (protocol, _, _, seed, _, _, _) -> (protocol, n, seed)) specs)
+  in
   let results =
     Parallel.map_list ~chunk:1
       (fun (protocol, strategy_name, beta, seed, expect_fail, condition_name, gated) ->
-        run_attack_cell ?condition_name ~gated ~protocol ~strategy_name ~n
-          ~beta ~seed ~expect_fail ())
-      (cells @ condition_cells @ teeth_cells)
+        run_cell ~setup:(List.assoc (protocol, n, seed) setups) ?condition_name ~gated
+          ~protocol ~strategy_name ~n ~beta ~seed ~expect_fail ())
+      specs
   in
   let condition_teeth_cells =
     List.filter
@@ -995,6 +1030,7 @@ type explain_report = {
   ex_budget : float option; (* declared per-round locality curve at this n *)
   ex_cones : (Recorder.cone * int) list; (* cone, slices over budget *)
   ex_violations : int; (* total over-budget slices across all cones *)
+  ex_dropped : int; (* events the recorder's full ring dropped *)
 }
 
 let locality_budget ~protocol ~n =
@@ -1025,6 +1061,7 @@ let explain_cones ~protocol ~n ~beta ~seed (rec_ : Recorder.t) : explain_report 
     ex_budget = budget;
     ex_cones = checked;
     ex_violations = List.fold_left (fun a (_, v) -> a + v) 0 checked;
+    ex_dropped = Recorder.dropped rec_;
   }
 
 let cone_json ((c : Recorder.cone), over) =
@@ -1039,16 +1076,31 @@ let cone_json ((c : Recorder.cone), over) =
         "per_round", List (List.map per_round c.cone_per_round);
       ])
 
-(* schema repro-forensics/1, kind "explain". *)
+(* Forensics reports. /2 adds "dropped": the events the recorder's full
+   ring dropped before the log was read (top level for kind "explain", per
+   bundle for kind "attack"). Non-zero means the cones and evidence were
+   computed on the log's tail only. *)
+let forensics_schema = "repro-forensics/2"
+
+let dropped_note ~what dropped =
+  if dropped = 0 then []
+  else
+    [
+      Printf.sprintf
+        "recorder: ring overflowed, %d oldest event(s) dropped: %s cover only \
+         the log's tail (lower bound)"
+        dropped what;
+    ]
+
 let explain_json (ex : explain_report) =
   Json.(
     Obj
       [
-        "schema", Str "repro-forensics/1"; "kind", Str "explain";
+        "schema", Str forensics_schema; "kind", Str "explain";
         "protocol", Str ex.ex_protocol; "n", int ex.ex_n;
         "beta", fixed 4 ex.ex_beta; "seed", int ex.ex_seed;
         "locality_budget", option (fixed 1) ex.ex_budget;
-        "violations", int ex.ex_violations;
+        "violations", int ex.ex_violations; "dropped", int ex.ex_dropped;
         "cones", List (List.map cone_json ex.ex_cones);
       ])
 
@@ -1063,6 +1115,7 @@ type forensic_bundle = {
   fb_cell_ok : bool; (* the triggering cell's gate verdict *)
   fb_expect_fail : bool;
   fb_evidence : Recorder.evidence list; (* corrupt-only, verified *)
+  fb_dropped : int; (* events the re-run's recorder dropped *)
 }
 
 let strategy_equivocates name =
@@ -1071,6 +1124,11 @@ let strategy_equivocates name =
   let nl = String.length name and sl = String.length sub in
   let rec at i = i + sl <= nl && (String.sub name i sl = sub || at (i + 1)) in
   at 0
+
+let cell_protocol (c : attack_cell) =
+  match protocol_of_name c.ac_protocol with
+  | Some p -> p
+  | None -> invalid_arg ("cell_forensics: unknown protocol " ^ c.ac_protocol)
 
 (* Which matrix cells earn a forensic re-run: everything that failed its
    gate (broken non-sanity cells and sanity rows that actually broke), plus
@@ -1084,15 +1142,11 @@ let forensic_worthy (c : attack_cell) =
    accountable evidence. The re-run is bit-identical to the original cell
    (same parameters, deterministic simulation); recording changes no
    traffic, only observes it. *)
-let cell_forensics (c : attack_cell) : forensic_bundle =
-  let protocol =
-    match protocol_of_name c.ac_protocol with
-    | Some p -> p
-    | None -> invalid_arg ("cell_forensics: unknown protocol " ^ c.ac_protocol)
-  in
+let forensics_with ~setup (c : attack_cell) : forensic_bundle =
+  let protocol = cell_protocol c in
   let r = Recorder.create () in
   let (_ : attack_cell) =
-    run_attack_cell ~sinks:[ Recorder.observe r ]
+    run_cell ~setup ~sinks:[ Recorder.observe r ]
       ?condition_name:
         (if c.ac_condition = "none" then None else Some c.ac_condition)
       ~gated:c.ac_gated ~protocol ~strategy_name:c.ac_strategy ~n:c.ac_n
@@ -1116,11 +1170,23 @@ let cell_forensics (c : attack_cell) : forensic_bundle =
     fb_cell_ok = c.ac_ok;
     fb_expect_fail = c.ac_expect_fail;
     fb_evidence = evidence;
+    fb_dropped = Recorder.dropped r;
   }
 
+let setup_key c = (cell_protocol c, c.ac_n, c.ac_seed)
+
+let cell_forensics c =
+  let protocol, n, seed = setup_key c in
+  forensics_with ~setup:(cell_setup ~protocol ~n ~seed) c
+
+(* The re-run cells share one setup per (protocol, n, seed), like the
+   matrix that produced them. *)
 let attack_forensics (m : attack_matrix) : forensic_bundle list =
-  Parallel.map_list ~chunk:1 cell_forensics
-    (List.filter forensic_worthy m.am_cells)
+  let worthy = List.filter forensic_worthy m.am_cells in
+  let setups = cell_setups (List.map setup_key worthy) in
+  Parallel.map_list ~chunk:1
+    (fun c -> forensics_with ~setup:(List.assoc (setup_key c) setups) c)
+    worthy
 
 (* Teeth self-check: the equivocate strategy *always* equivocates at
    beta > 0, so every one of its bundles must carry evidence. An extractor
@@ -1155,18 +1221,42 @@ let forensic_bundle_json b =
         "condition", Str b.fb_condition; "beta", fixed 4 b.fb_beta;
         "seed", int b.fb_seed; "cell_ok", Bool b.fb_cell_ok;
         "expect", Str (if b.fb_expect_fail then "may-fail" else "pass");
+        "dropped", int b.fb_dropped;
         "evidence", List (List.map evidence_json b.fb_evidence);
       ])
 
-(* schema repro-forensics/1, kind "attack". *)
 let attack_forensics_json ~n bundles =
   Json.(
     Obj
       [
-        "schema", Str "repro-forensics/1"; "kind", Str "attack"; "n", int n;
+        "schema", Str forensics_schema; "kind", Str "attack"; "n", int n;
         "teeth", Bool (forensics_teeth bundles);
         "bundles", List (List.map forensic_bundle_json bundles);
       ])
+
+(* The schema rule [ba_sim validate] applies beyond parsing: a forensics
+   report must be the current schema and carry its drop counts. Other
+   documents pass unchecked. *)
+let check_forensics_report doc =
+  let dropped_ok o =
+    match Option.bind (Json.member "dropped" o) Json.to_int with
+    | Some d -> d >= 0
+    | None -> false
+  in
+  let field what = Option.bind (Json.member what doc) Json.to_string in
+  let missing where = Error (where ^ ": missing or negative \"dropped\" count") in
+  match field "schema" with
+  | Some sch when sch = forensics_schema -> (
+    match field "kind" with
+    | Some "explain" -> if dropped_ok doc then Ok () else missing sch
+    | Some "attack" ->
+      let bundles = Option.bind (Json.member "bundles" doc) Json.to_list in
+      if List.for_all dropped_ok (Option.value ~default:[] bundles) then Ok ()
+      else missing (sch ^ " bundle")
+    | _ -> Error (sch ^ ": unknown kind"))
+  | Some sch when String.starts_with ~prefix:"repro-forensics/" sch ->
+    Error (Printf.sprintf "%s: superseded by %s" sch forensics_schema)
+  | _ -> Ok ()
 
 (* --- E18: scheduler backends — cross-backend conformance + async partial
    synchrony ---
@@ -1270,7 +1360,8 @@ type async_cell = {
   ay_ok : bool;
 }
 
-let run_async_cell ~protocol ~strategy_name ~n ~beta ~seed ~cfg () : async_cell =
+let run_async_cell ~setup ~protocol ~strategy_name ~n ~beta ~seed ~cfg () :
+    async_cell =
   cold_caches ();
   let strategy =
     match Strategy.find ~n ~seed strategy_name with
@@ -1285,9 +1376,10 @@ let run_async_cell ~protocol ~strategy_name ~n ~beta ~seed ~cfg () : async_cell 
   let sink, digest = digest_sink () in
   let backend = Sched.Async cfg in
   let (r : Balanced_ba.result) =
-    match protocol with
-    | This_work_owf -> Ba_owf.run ~sinks:[ sink ] ~backend bcfg
-    | This_work_snark -> Ba_snark.run ~sinks:[ sink ] ~backend bcfg
+    match (protocol, setup) with
+    | This_work_owf, Owf_keys setup -> Ba_owf.run ~sinks:[ sink ] ~backend ~setup bcfg
+    | This_work_snark, Snark_keys setup ->
+      Ba_snark.run ~sinks:[ sink ] ~backend ~setup bcfg
     | _ -> invalid_arg "async matrix: pipeline protocols only (owf/snark)"
   in
   let net = r.Balanced_ba.net in
@@ -1331,9 +1423,11 @@ let async_cells ?(strategies = [ "silent"; "equivocate" ]) ?(beta = 0.1)
         List.map (fun strategy_name -> (protocol, n, strategy_name)) strategies)
       cells
   in
+  let setups = cell_setups (List.map (fun (protocol, n) -> (protocol, n, seed)) cells) in
   Parallel.map_list ~chunk:1
     (fun (protocol, n, strategy_name) ->
-      run_async_cell ~protocol ~strategy_name ~n ~beta ~seed ~cfg ())
+      run_async_cell ~setup:(List.assoc (protocol, n, seed) setups) ~protocol
+        ~strategy_name ~n ~beta ~seed ~cfg ())
     jobs
 
 let conform_cell_json c =

@@ -165,7 +165,8 @@ val run_attack_cell :
   expect_fail:bool ->
   unit ->
   attack_cell
-(** One cell: the full BA protocol against one instantiated strategy. Every
+(** One cell: the full BA protocol against one instantiated strategy,
+    after building the cell's own phase-A setup. Every
     gated non-sanity failure bumps the [attack.violations.<strategy>]
     counter. [?sinks] subscribe to the cell's network (a flight recorder on
     the forensic re-run path, a transcript tap); observing never alters
@@ -197,7 +198,14 @@ val attack_matrix :
     then the two planted expect-fail teeth rows (never-healing partition,
     unbounded adaptive) behind [am_condition_teeth]. Deterministic: same
     arguments give an identical matrix (and identical
-    {!attack_matrix_json} bytes) for any [REPRO_DOMAINS] pool size. *)
+    {!attack_matrix_json} bytes) for any [REPRO_DOMAINS] pool size.
+
+    Phase A is built once per distinct (protocol, n, seed) — the SRDS keys
+    ({!Balanced_ba.Make.setup}) or the Dolev–Strong PKI
+    ({!Baseline_dolev.pki}) — before the cells fan out, and shared by the
+    cells that use it; nothing mutable is shared (see DESIGN.md §5). Each
+    cell record therefore equals {!run_attack_cell} on the same spec,
+    which builds its own. *)
 
 val attack_matrix_json : attack_matrix -> Repro_util.Json.t
 (** Machine-readable report, schema [repro-attack/2]. Equal inputs give
@@ -310,7 +318,7 @@ val profile_compare :
     point: decision explanation ([ba_sim explain]), accountable
     equivocation-evidence extraction for attack-matrix cells, and transcript
     replay ({!Repro_net.Replay}). All reports use schema
-    [repro-forensics/1] and are byte-identical across reruns. *)
+    [repro-forensics/2] and are byte-identical across reruns. *)
 
 val run_recorded :
   ?keep_payloads:bool ->
@@ -338,6 +346,9 @@ type explain_report = {
   ex_cones : (Repro_obs.Recorder.cone * int) list;
       (** per decider: causal cone + its count of over-budget round slices *)
   ex_violations : int;  (** total over-budget slices across all cones *)
+  ex_dropped : int;
+      (** events the recorder's full ring dropped ({!Repro_obs.Recorder.dropped});
+          non-zero makes every cone a lower bound *)
 }
 
 val locality_budget : protocol:protocol -> n:int -> float option
@@ -351,8 +362,17 @@ val explain_cones :
     curve — the polylog pipelines must explain every decision within their
     locality budget; naive flooding's Theta(n) cone blows the same check. *)
 
+val forensics_schema : string
+(** ["repro-forensics/2"]: /1 plus the recorder's drop count ("dropped"),
+    top level for kind ["explain"], per bundle for kind ["attack"]. *)
+
+val dropped_note : what:string -> int -> string list
+(** The text line that flags a truncated log — [what] names the derived
+    objects (cones, evidence) that cover only its tail; [[]] for a count of
+    0. *)
+
 val explain_json : explain_report -> Repro_util.Json.t
-(** Machine-readable report, schema [repro-forensics/1] kind ["explain"];
+(** Machine-readable report, schema {!forensics_schema} kind ["explain"];
     parses back with {!Repro_util.Json}. *)
 
 type forensic_bundle = {
@@ -365,6 +385,7 @@ type forensic_bundle = {
   fb_expect_fail : bool;
   fb_evidence : Repro_obs.Recorder.evidence list;
       (** corrupt-only conflicts, each re-verified against the log *)
+  fb_dropped : int;  (** events the re-run's recorder dropped *)
 }
 
 val strategy_equivocates : string -> bool
@@ -382,7 +403,8 @@ val cell_forensics : attack_cell -> forensic_bundle
 
 val attack_forensics : attack_matrix -> forensic_bundle list
 (** {!cell_forensics} over every {!forensic_worthy} cell of the matrix,
-    fanned out on the domain pool in deterministic order. *)
+    fanned out on the domain pool in deterministic order; the re-runs share
+    one setup per (protocol, n, seed), as {!attack_matrix} does. *)
 
 val forensics_teeth : forensic_bundle list -> bool
 (** Extractor self-check: the equivocate strategy provably equivocates at
@@ -390,7 +412,13 @@ val forensics_teeth : forensic_bundle list -> bool
     least one planted-equivocation bundle exists and none came back empty. *)
 
 val attack_forensics_json : n:int -> forensic_bundle list -> Repro_util.Json.t
-(** Machine-readable report, schema [repro-forensics/1] kind ["attack"]. *)
+(** Machine-readable report, schema {!forensics_schema} kind ["attack"]. *)
+
+val check_forensics_report : Repro_util.Json.t -> (unit, string) result
+(** The schema rule [ba_sim validate] applies after parsing: a
+    [repro-forensics/*] document must be {!forensics_schema} with a
+    non-negative "dropped" count where the schema puts one. Any other
+    document is [Ok]. *)
 
 (** {1 E18: scheduler backends — conformance + async partial synchrony}
 
@@ -475,18 +503,6 @@ type async_cell = {
 val async_cell_json : async_cell -> Repro_util.Json.t
 (** One [async] row of [repro-async/1] and of BENCH_results.json. *)
 
-val run_async_cell :
-  protocol:protocol ->
-  strategy_name:string ->
-  n:int ->
-  beta:float ->
-  seed:int ->
-  cfg:Repro_net.Sched.async_cfg ->
-  unit ->
-  async_cell
-(** One async cell: the full BA protocol (owf/snark only) on the async
-    backend under [cfg], against one instantiated adversary strategy. *)
-
 val async_cells :
   ?strategies:string list ->
   ?beta:float ->
@@ -495,6 +511,10 @@ val async_cells :
   ?cells:(protocol * int) list ->
   unit ->
   async_cell list
-(** Defaults: silent and equivocate against owf at n = 256 and snark at
-    n = 64, beta 0.1, seed 1, {!default_chaos} knobs — the acceptance
-    matrix. Fanned out on the domain pool, deterministic order. *)
+(** One async cell per (protocol, n) of [cells] and strategy: the full BA
+    protocol (owf/snark only) on the async backend under [cfg], against
+    one instantiated adversary strategy. Defaults: silent and equivocate
+    against owf at n = 256 and snark at n = 64, beta 0.1, seed 1,
+    {!default_chaos} knobs — the acceptance matrix. The SRDS keys are built
+    once per (protocol, n, seed) and shared by its cells; the cells fan
+    out on the domain pool, deterministic order. *)

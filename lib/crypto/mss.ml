@@ -44,6 +44,8 @@ let keygen ?(height = default_height) seed =
 
 let signatures_remaining sk = (1 lsl sk.height) - sk.next_leaf
 
+let unused_copy sk = { sk with next_leaf = 0 }
+
 let sign sk msg_digest =
   if sk.next_leaf >= 1 lsl sk.height then failwith "Mss.sign: key exhausted";
   let i = sk.next_leaf in

@@ -19,6 +19,11 @@ val keygen : ?height:int -> bytes -> verification_key * secret_key
 
 val signatures_remaining : secret_key -> int
 
+val unused_copy : secret_key -> secret_key
+(** The key as {!keygen} returned it: the same leaves, none consumed. One
+    key pair can then back several independent runs, each signing with
+    its own copy. *)
+
 val sign : secret_key -> bytes -> signature
 (** Consumes the next WOTS leaf. Raises once the key is exhausted. *)
 

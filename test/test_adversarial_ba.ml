@@ -13,6 +13,9 @@ module Strategy = Repro_adversary.Strategy
 module Ba_owf = Balanced_ba.Make (Srds_owf)
 module Ba_snark = Balanced_ba.Make (Srds_snark)
 
+let owf ~n ~seed cfg = Ba_owf.run ~setup:(Ba_owf.setup ~n ~seed) cfg
+let snark ~n ~seed cfg = Ba_snark.run ~setup:(Ba_snark.setup ~n ~seed) cfg
+
 let run_with_strategy run_fn ~label ~strategy ~n ~t ~seed =
   let rng = Repro_util.Rng.create seed in
   let corrupt = Repro_util.Rng.subset rng ~n ~size:t in
@@ -23,7 +26,7 @@ let run_with_strategy run_fn ~label ~strategy ~n ~t ~seed =
       ~inputs:(Array.init n (fun i -> i mod 2 = 0))
       ~seed ()
   in
-  let (r : Balanced_ba.result) = run_fn cfg in
+  let (r : Balanced_ba.result) = run_fn ~n ~seed cfg in
   Alcotest.(check bool) (label ^ ": agreed") true r.Balanced_ba.agreed;
   Alcotest.(check bool)
     (Printf.sprintf "%s: decided %.2f" label r.Balanced_ba.decided_fraction)
@@ -32,25 +35,25 @@ let run_with_strategy run_fn ~label ~strategy ~n ~t ~seed =
   Alcotest.(check bool) (label ^ ": valid") true r.Balanced_ba.valid
 
 let test_owf_under_chaff () =
-  run_with_strategy Ba_owf.run ~label:"owf+chaff"
+  run_with_strategy owf ~label:"owf+chaff"
     ~strategy:(Strategy.replay_chaff ()) ~n:72 ~t:7 ~seed:21
 
 let test_snark_under_chaff () =
-  run_with_strategy Ba_snark.run ~label:"snark+chaff"
+  run_with_strategy snark ~label:"snark+chaff"
     ~strategy:(Strategy.replay_chaff ()) ~n:72 ~t:7 ~seed:22
 
 let test_snark_under_equivocation () =
-  run_with_strategy Ba_snark.run ~label:"snark+equiv"
+  run_with_strategy snark ~label:"snark+equiv"
     ~strategy:Strategy.equivocate ~n:72 ~t:7 ~seed:23
 
 let test_owf_under_equivocation () =
-  run_with_strategy Ba_owf.run ~label:"owf+equiv"
+  run_with_strategy owf ~label:"owf+equiv"
     ~strategy:Strategy.equivocate ~n:72 ~t:7 ~seed:24
 
 (* The aggregation-tree attack aims at exactly the phase the SRDS range
    checks defend; the certified output must be unaffected. *)
 let test_snark_under_bad_aggregate () =
-  run_with_strategy Ba_snark.run ~label:"snark+bad-aggregate"
+  run_with_strategy snark ~label:"snark+bad-aggregate"
     ~strategy:Strategy.bad_aggregate ~n:72 ~t:7 ~seed:25
 
 (* Tree-aware starvation of the kill-leaves victim set, plus a budgeted
@@ -63,7 +66,7 @@ let test_owf_under_withhold () =
         (Strategy.tree_victims ~n:72 ~seed:26
            ~strategy:Repro_aetree.Attacks.Kill_leaves ~budget:9)
   in
-  run_with_strategy Ba_owf.run ~label:"owf+withhold" ~strategy ~n:72 ~t:7
+  run_with_strategy owf ~label:"owf+withhold" ~strategy ~n:72 ~t:7
     ~seed:26
 
 let test_snark_under_budgeted_composite () =
@@ -72,7 +75,7 @@ let test_snark_under_budgeted_composite () =
       (Strategy.compose
          [ Strategy.equivocate; Strategy.replay_chaff (); Strategy.bad_aggregate ])
   in
-  run_with_strategy Ba_snark.run ~label:"snark+composite" ~strategy ~n:72 ~t:7
+  run_with_strategy snark ~label:"snark+composite" ~strategy ~n:72 ~t:7
     ~seed:27
 
 let suite =

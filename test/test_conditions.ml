@@ -298,7 +298,7 @@ let run_owf ?condition ~backend ~n ~seed () =
       ~inputs:(Array.init n (fun i -> i mod 2 = 0))
       ~seed ()
   in
-  let r = Ba_owf.run ~backend ?condition ~sinks:[ tap ] cfg in
+  let r = Ba_owf.run ~backend ?condition ~sinks:[ tap ] ~setup:(Ba_owf.setup ~n ~seed) cfg in
   (digest (), r)
 
 let test_pass_condition_byte_identical () =
@@ -376,6 +376,32 @@ let test_condition_teeth_planted_rows_fail () =
   Alcotest.(check bool) "matrix reports condition teeth" true
     m.Runner.am_condition_teeth
 
+(* Cells of one matrix share a setup per (protocol, n, seed); each cell
+   must still equal the same spec run alone, which builds its own. *)
+let test_matrix_cells_match_standalone () =
+  let m =
+    Runner.attack_matrix ~betas:[ 0.125 ] ~sanity_betas:[] ~seeds:[ 1 ]
+      ~strategies:[ "silent"; "equivocate" ] ~conditions:[ "delay" ] ~n:32 ()
+  in
+  Alcotest.(check (list string))
+    "protocols covered"
+    [ "dolev-strong"; "this-work-owf"; "this-work-snark" ]
+    (List.sort_uniq compare (List.map (fun c -> c.Runner.ac_protocol) m.Runner.am_cells));
+  List.iter
+    (fun (c : Runner.attack_cell) ->
+      let protocol = Option.get (Runner.protocol_of_name c.ac_protocol) in
+      let alone =
+        Runner.run_attack_cell
+          ?condition_name:(if c.ac_condition = "none" then None else Some c.ac_condition)
+          ~gated:c.ac_gated ~protocol ~strategy_name:c.ac_strategy ~n:c.ac_n
+          ~beta:c.ac_beta ~seed:c.ac_seed ~expect_fail:c.ac_expect_fail ()
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s/%s/%s equals its standalone run" c.ac_protocol
+           c.ac_strategy c.ac_condition)
+        true (alone = c))
+    m.Runner.am_cells
+
 (* --- composition --- *)
 
 let test_compose_semantics () =
@@ -437,6 +463,8 @@ let suite =
       `Quick test_delay_condition_envelope;
     Alcotest.test_case "lock-step backends reject conditions" `Quick
       test_lockstep_rejects_condition;
+    Alcotest.test_case "matrix cells equal standalone cells" `Quick
+      test_matrix_cells_match_standalone;
     Alcotest.test_case "planted teeth rows break their cells" `Quick
       test_condition_teeth_planted_rows_fail;
     Alcotest.test_case "compose: names, budgets, down union, Defer wins"

@@ -365,6 +365,64 @@ let test_log_rerun_identical () =
   Alcotest.(check bool) "log is non-trivial" true (String.length a > 1000);
   Alcotest.(check bool) "rerun log byte-identical" true (String.equal a b)
 
+(* ------------------------------------------------------------------ *)
+(* A truncated log is flagged in text and reports                      *)
+(* ------------------------------------------------------------------ *)
+
+let test_dropped_count_surfaced () =
+  let ex =
+    {
+      Runner.ex_protocol = "this-work-owf"; ex_n = 32; ex_beta = 0.1; ex_seed = 2;
+      ex_budget = Some 40.0; ex_cones = []; ex_violations = 0; ex_dropped = 7;
+    }
+  in
+  let bundle dropped =
+    {
+      Runner.fb_protocol = "this-work-owf"; fb_strategy = "equivocate";
+      fb_condition = "none"; fb_beta = 0.125; fb_seed = 1; fb_cell_ok = true;
+      fb_expect_fail = false; fb_evidence = []; fb_dropped = dropped;
+    }
+  in
+  let module Json = Repro_util.Json in
+  let int_member k j = Option.bind (Json.member k j) Json.to_int in
+  let explain = Json.parse_exn (Json.pretty (Runner.explain_json ex)) in
+  Alcotest.(check (option string))
+    "schema bumped" (Some Runner.forensics_schema)
+    (Option.bind (Json.member "schema" explain) Json.to_string);
+  Alcotest.(check (option int)) "explain: dropped" (Some 7) (int_member "dropped" explain);
+  let attack =
+    Json.parse_exn (Json.pretty (Runner.attack_forensics_json ~n:32 [ bundle 0; bundle 3 ]))
+  in
+  Alcotest.(check (list (option int)))
+    "attack: dropped per bundle" [ Some 0; Some 3 ]
+    (List.map (int_member "dropped")
+       (Option.get (Option.bind (Json.member "bundles" attack) Json.to_list)));
+  let ok = function Ok () -> true | Error _ -> false in
+  Alcotest.(check bool) "validate: explain" true (ok (Runner.check_forensics_report explain));
+  Alcotest.(check bool) "validate: attack" true (ok (Runner.check_forensics_report attack));
+  let without_dropped =
+    match explain with
+    | Json.Obj kvs -> Json.Obj (List.filter (fun (k, _) -> k <> "dropped") kvs)
+    | j -> j
+  in
+  Alcotest.(check bool) "validate: missing count rejected" false
+    (ok (Runner.check_forensics_report without_dropped));
+  Alcotest.(check bool) "validate: /1 rejected" false
+    (ok
+       (Runner.check_forensics_report
+          (Json.Obj [ ("schema", Json.Str "repro-forensics/1"); ("kind", Json.Str "explain") ])));
+  Alcotest.(check (list string)) "no note at 0" [] (Runner.dropped_note ~what:"the cones" 0);
+  match Runner.dropped_note ~what:"the cones" 7 with
+  | [ line ] ->
+    let has sub =
+      let ls = String.length line and lsub = String.length sub in
+      let rec go i = i + lsub <= ls && (String.sub line i lsub = sub || go (i + 1)) in
+      go 0
+    in
+    Alcotest.(check bool) ("note names the count: " ^ line) true (has "7 oldest");
+    Alcotest.(check bool) ("note says lower bound: " ^ line) true (has "lower bound")
+  | l -> Alcotest.failf "expected one note line, got %d" (List.length l)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_conservation_sparse;
@@ -384,4 +442,6 @@ let suite =
       test_naive_cone_blows_budget;
     Alcotest.test_case "determinism: rerun log byte-identical" `Quick
       test_log_rerun_identical;
+    Alcotest.test_case "dropped events flagged in text and reports" `Quick
+      test_dropped_count_surfaced;
   ]

@@ -10,6 +10,16 @@ module Ba_owf = Balanced_ba.Make (Srds_owf)
 module Ba_snark = Balanced_ba.Make (Srds_snark)
 module Ba_multisig = Balanced_ba.Make (Baseline_multisig)
 
+(* Each run builds its own phase-A setup, as a single-cell caller does. *)
+let run_owf (cfg : Balanced_ba.config) =
+  Ba_owf.run ~setup:(Ba_owf.setup ~n:cfg.n ~seed:cfg.seed) cfg
+
+let run_snark (cfg : Balanced_ba.config) =
+  Ba_snark.run ~setup:(Ba_snark.setup ~n:cfg.n ~seed:cfg.seed) cfg
+
+let run_multisig (cfg : Balanced_ba.config) =
+  Ba_multisig.run ~setup:(Ba_multisig.setup ~n:cfg.n ~seed:cfg.seed) cfg
+
 let corrupt_of rng ~n ~count = Rng.subset rng ~n ~size:count
 
 let check_ba run_fn ~label ~n ~t ~seed ~inputs =
@@ -27,29 +37,29 @@ let check_ba run_fn ~label ~n ~t ~seed ~inputs =
   r
 
 let test_ba_owf_mixed_inputs () =
-  ignore (check_ba Ba_owf.run ~label:"owf" ~n:72 ~t:7 ~seed:5 ~inputs:(fun i -> i mod 2 = 0))
+  ignore (check_ba run_owf ~label:"owf" ~n:72 ~t:7 ~seed:5 ~inputs:(fun i -> i mod 2 = 0))
 
 let test_ba_owf_unanimous () =
-  let r = check_ba Ba_owf.run ~label:"owf-unanimous" ~n:72 ~t:7 ~seed:6 ~inputs:(fun _ -> true) in
+  let r = check_ba run_owf ~label:"owf-unanimous" ~n:72 ~t:7 ~seed:6 ~inputs:(fun _ -> true) in
   Alcotest.(check (option bool)) "y = 1" (Some true) r.Balanced_ba.y
 
 let test_ba_snark_mixed_inputs () =
   ignore
-    (check_ba Ba_snark.run ~label:"snark" ~n:72 ~t:7 ~seed:7 ~inputs:(fun i -> i mod 3 = 0))
+    (check_ba run_snark ~label:"snark" ~n:72 ~t:7 ~seed:7 ~inputs:(fun i -> i mod 3 = 0))
 
 let test_ba_snark_unanimous_zero () =
   let r =
-    check_ba Ba_snark.run ~label:"snark-zero" ~n:72 ~t:7 ~seed:8 ~inputs:(fun _ -> false)
+    check_ba run_snark ~label:"snark-zero" ~n:72 ~t:7 ~seed:8 ~inputs:(fun _ -> false)
   in
   Alcotest.(check (option bool)) "y = 0" (Some false) r.Balanced_ba.y
 
 let test_ba_multisig_pipeline () =
   ignore
-    (check_ba Ba_multisig.run ~label:"multisig" ~n:72 ~t:7 ~seed:9
+    (check_ba run_multisig ~label:"multisig" ~n:72 ~t:7 ~seed:9
        ~inputs:(fun i -> i mod 2 = 1))
 
 let test_ba_no_corruption () =
-  ignore (check_ba Ba_owf.run ~label:"clean" ~n:64 ~t:0 ~seed:10 ~inputs:(fun i -> i < 32))
+  ignore (check_ba run_owf ~label:"clean" ~n:64 ~t:0 ~seed:10 ~inputs:(fun i -> i < 32))
 
 let test_ba_communication_balanced () =
   (* balance: max per-party within a small factor of the mean — no central
@@ -60,7 +70,7 @@ let test_ba_communication_balanced () =
   let cfg =
     Balanced_ba.default_config ~n ~corrupt ~inputs:(Array.init n (fun i -> i mod 2 = 0)) ~seed:11 ()
   in
-  let r = Ba_snark.run cfg in
+  let r = run_snark cfg in
   Alcotest.(check bool) "agreed" true r.Balanced_ba.agreed;
   let ratio =
     float_of_int r.Balanced_ba.report.Metrics.max_bytes /. r.Balanced_ba.report.Metrics.mean_bytes
@@ -80,7 +90,7 @@ let test_ba_snark_cheaper_than_owf () =
     let (r : Balanced_ba.result) = run_fn cfg in
     r.Balanced_ba.report.Metrics.max_bytes
   in
-  let owf = run Ba_owf.run 12 and snark = run Ba_snark.run 12 in
+  let owf = run run_owf 12 and snark = run run_snark 12 in
   Alcotest.(check bool)
     (Printf.sprintf "snark (%d) << owf (%d)" snark owf)
     true
@@ -222,6 +232,61 @@ let test_naive_baseline () =
   Alcotest.(check bool) "linear bytes" true
     (r.Baseline_naive.report.Metrics.max_bytes > 5 * n)
 
+(* --- phase A as a value: shared setups --- *)
+
+(* One Dolev-Strong PKI backs several runs: each signs with unused copies
+   of the keys, so sharing it changes no transcript, whether the runs
+   follow one another or overlap on two domains. A run that consumed the
+   shared keys' leaves would shift the next run's signatures. *)
+let test_dolev_shared_pki () =
+  let n = 16 and seed = 3 in
+  let cfgs =
+    [
+      { Baseline_dolev.n; corrupt = []; value = true; seed };
+      { Baseline_dolev.n; corrupt = [ 2; 7; 11 ]; value = false; seed };
+    ]
+  in
+  let run pki cfg =
+    let tap, digest = Runner.digest_sink () in
+    let r = Baseline_dolev.run ~sinks:[ tap ] ~pki cfg in
+    (digest (), r.Baseline_dolev.outputs, r.Baseline_dolev.report.Metrics.total_bytes)
+  in
+  let fresh = List.map (fun cfg -> run (Baseline_dolev.pki ~n ~seed) cfg) cfgs in
+  let pki = Baseline_dolev.pki ~n ~seed in
+  let check what got =
+    List.iter2
+      (fun (d0, o0, b0) (d, o, b) ->
+        Alcotest.(check string) (what ^ ": transcript") d0 d;
+        Alcotest.(check bool) (what ^ ": outputs") true (o0 = o);
+        Alcotest.(check int) (what ^ ": bytes") b0 b)
+      fresh got
+  in
+  check "back to back" (List.map (run pki) cfgs);
+  check "back to back, again" (List.map (run pki) cfgs);
+  let saved = Repro_util.Parallel.domains () in
+  Repro_util.Parallel.set_domains 2;
+  let concurrent = Repro_util.Parallel.map_list ~chunk:1 (run pki) cfgs in
+  Repro_util.Parallel.set_domains saved;
+  check "concurrent on 2 domains" concurrent
+
+let test_setup_rejects_other_run () =
+  let cfg ~n ~seed =
+    Balanced_ba.default_config ~n ~corrupt:[] ~inputs:(Array.make n true) ~seed ()
+  in
+  let setup = Ba_owf.setup ~n:32 ~seed:1 in
+  let rejects what f =
+    match f () with
+    | _ -> Alcotest.fail (what ^ ": accepted")
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "other seed" (fun () -> ignore (Ba_owf.make_ctx ~setup (cfg ~n:32 ~seed:2)));
+  rejects "other n" (fun () -> ignore (Ba_owf.make_ctx ~setup (cfg ~n:40 ~seed:1)));
+  rejects "dolev-strong, other seed" (fun () ->
+      ignore
+        (Baseline_dolev.run ~pki:(Baseline_dolev.pki ~n:8 ~seed:1)
+           { Baseline_dolev.n = 8; corrupt = []; value = true; seed = 2 }));
+  ignore (Ba_owf.make_ctx ~setup (cfg ~n:32 ~seed:1))
+
 (* --- runner rows --- *)
 
 let test_runner_rows_all_ok () =
@@ -258,6 +323,8 @@ let suite =
     Alcotest.test_case "boost thm1.3 attack" `Quick test_boost_unauthenticated_attackable;
     Alcotest.test_case "baseline sqrt" `Quick test_sqrt_baseline;
     Alcotest.test_case "baseline naive" `Quick test_naive_baseline;
+    Alcotest.test_case "dolev-strong shared pki" `Quick test_dolev_shared_pki;
+    Alcotest.test_case "setup rejects other (n, seed)" `Quick test_setup_rejects_other_run;
     Alcotest.test_case "runner all ok" `Slow test_runner_rows_all_ok;
     Alcotest.test_case "runner shapes" `Slow test_runner_sqrt_vs_naive_shape;
   ]

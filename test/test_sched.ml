@@ -290,7 +290,7 @@ let run_owf_async ~n ~seed cfg =
       ~inputs:(Array.init n (fun i -> i mod 2 = 0))
       ~seed ()
   in
-  Ba_owf.run ~backend:(Sched.Async cfg) bcfg
+  Ba_owf.run ~backend:(Sched.Async cfg) ~setup:(Ba_owf.setup ~n ~seed) bcfg
 
 let test_post_gst_on_network () =
   let cfg = chaos ~seed:5 in

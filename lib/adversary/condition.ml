@@ -71,7 +71,7 @@ let delay =
           (fun ~now ~round:_ ~src:_ ~dst:_ ~lat ->
             let extra = Rng.int rng (cap + 1) in
             if now >= cfg.Sched.a_gst then
-              Sched.Deliver (min (lat + extra) (1 + max 0 cfg.Sched.a_delta))
+              Sched.Deliver (Int.min (lat + extra) (1 + Int.max 0 cfg.Sched.a_delta))
             else Sched.Deliver (lat + extra));
         c_down = no_down;
         c_observe = no_observe;

@@ -41,6 +41,12 @@
    catches it in flight, and that promotion costs far more than the
    allocation.
 
+   On the async backend a due send costs one latency draw on its
+   source's edge table (see {!Sched.edges}: a source's fan-out sits in a
+   few cache lines), one route verdict when a condition is attached, one
+   counting-sort step and, for a network's first 65,536 deliveries, two
+   int stores into the delivery sample.
+
    Protocols are per-party step functions closing over their own state;
    corrupt parties have no handler and their behaviour lives entirely in
    the adversary. All sends are metered through {!Metrics}; everything
@@ -431,10 +437,10 @@ let deliver_async t a =
       | Some c -> (
         match c.Sched.c_route ~now ~round:t.round ~src ~dst ~lat with
         | Sched.Deliver lat ->
-          let dv = now + max 1 lat in
+          let dv = now + Int.max 1 lat in
           if dv > !barrier then barrier := dv;
           dv
-        | Sched.Defer vt -> max (now + 1) vt)
+        | Sched.Defer vt -> Int.max (now + 1) vt)
     in
     offs.(i) <- dv - now
   done;
@@ -443,7 +449,7 @@ let deliver_async t a =
   a.a_seq <- seq0 + n;
   (* Park what is not bucketed, in send (= seq) order; count the rest per
      offset, then lay their indices out by (offset, send). *)
-  let due = min bucket_span (!barrier - now) in
+  let due = Int.min bucket_span (!barrier - now) in
   let starts = a.a_starts in
   Array.fill starts 0 (bucket_span + 1) 0;
   for i = 0 to n - 1 do

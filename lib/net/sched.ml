@@ -12,8 +12,9 @@
      the virtual clock passes [a_gst]).
 
    The async executor's per-message path is O(1) and allocation-free. The
-   per-edge streams live unboxed in one open-addressing table keyed by the
-   packed (src, dst) pair (below). A round's sends due by its barrier are
+   per-edge streams live unboxed in one small open-addressing table per
+   source, keyed by the destination (below), so a source's fan-out is
+   drawn from a few cache lines. A round's sends due by its barrier are
    counting-sorted by delivery time in buffers the network reuses (see
    [Network.deliver_async]); the event queue below holds only *parked*
    events — a condition's [Defer] past the barrier, mail held for a dark
@@ -185,85 +186,130 @@ end
    executor walks the staged list in send order), which makes the whole
    timing schedule a deterministic function of (seed, transcript).
 
-   The streams live in one open-addressing table of 16-byte slots: the
-   edge packs into an int key (bytes [0, 8) of its slot, -1 = free) found
-   by linear probing, and its SplitMix state (bytes [8, 16)) is stepped in
-   place by {!Rng.bits_at}. A new edge's state is the master's state after
-   the label prefix "edge-", with the decimal digits of src, "-" and dst
-   folded in place ({!Rng.label_int_at}): no label string is built. A hit
-   is an int multiply, a few int compares and two in-place state steps:
-   no allocation, no polymorphic hash or compare, no write barrier. *)
+   The streams live in one small table per source, keyed by destination,
+   so a source's fan-out is drawn from a few cache lines: sends are
+   staged party by party, and the executor draws a source's whole fan-out
+   back to back. A directory keyed by source names each source's table,
+   and the last source looked up is remembered, so the directory is
+   consulted about once per source per round. Both are open-addressing
+   tables of 16-byte slots: a non-negative int key (bytes [0, 8), -1 =
+   free) found by linear probing and an 8-byte value (bytes [8, 16)),
+   starting at four slots and doubling at half load. Memory is therefore
+   proportional to the edges touched, whatever the party indices. In a
+   source's table the value is the edge's SplitMix state, stepped in
+   place by {!Rng.bits_at}; in the directory it is the source's index in
+   [e_rows]. A new edge's state is the master's state after the label
+   prefix "edge-", with the decimal digits of src, "-" and dst folded in
+   place ({!Rng.label_int_at}): no label string is built. A draw on a
+   known edge is an int multiply, a few int compares and two in-place
+   state steps: no allocation, no polymorphic hash or compare, no write
+   barrier. *)
+
+type table = {
+  mutable slots : Bytes.t; (* per slot: key (-1 = free), value *)
+  mutable fill : int; (* occupied slots; kept <= half the capacity *)
+}
 
 type edges = {
   e_prefix : Rng.t; (* the master stream with "edge-" folded in *)
-  mutable e_table : Bytes.t; (* per slot: packed (src, dst) key, state *)
-  mutable e_count : int; (* occupied slots; kept <= half the capacity *)
+  e_dir : table; (* source -> its index in [e_rows] *)
+  mutable e_rows : table array; (* per source, in first-use order: dst -> state *)
+  mutable e_last_src : int; (* the source looked up last, -1 = none *)
+  mutable e_last_row : int; (* ... and its index in [e_rows] *)
 }
 
-let edge_bits = 31
 let slot_bytes = 16
 
-let table_create cap = Bytes.make (slot_bytes * cap) '\255'
+let table_create () = { slots = Bytes.make (4 * slot_bytes) '\255'; fill = 0 }
 
 let edges_create ~seed =
   {
     e_prefix = Rng.of_label (Rng.create seed) "edge-";
-    e_table = table_create 1024;
-    e_count = 0;
+    e_dir = table_create ();
+    e_rows = [||];
+    e_last_src = -1;
+    e_last_row = 0;
   }
 
-let[@inline] slot_key table i =
-  Int64.to_int (Bytes.get_int64_le table (slot_bytes * i))
+let[@inline] slot_key slots i =
+  Int64.to_int (Bytes.get_int64_le slots (slot_bytes * i))
 
-(* Multiplicative hashing; the high product bits are folded down because
-   packed keys differ mostly in their low (dst) and middle (src) bits. *)
-let edge_home key mask =
+(* Multiplicative hashing; the high product bits are folded down so that
+   keys differing only in high bits still spread. *)
+let[@inline] home key mask =
   let h = key * 0x7FEB352D4C6B1E5 in
   (h lxor (h lsr 29)) land mask
 
-let rec edge_probe table key mask i =
-  let k = slot_key table i in
-  if k = key || k < 0 then i else edge_probe table key mask ((i + 1) land mask)
+(* The slot holding [key], or the free slot where it would go. *)
+let rec probe slots key mask i =
+  let k = slot_key slots i in
+  if k = key || k < 0 then i else probe slots key mask ((i + 1) land mask)
 
-let edges_grow e =
-  let table = e.e_table in
-  let cap = 2 * (Bytes.length table / slot_bytes) in
-  let table' = table_create cap in
-  for slot = 0 to (Bytes.length table / slot_bytes) - 1 do
-    let key = slot_key table slot in
-    if key >= 0 then begin
-      let i = edge_probe table' key (cap - 1) (edge_home key (cap - 1)) in
-      Bytes.blit table (slot_bytes * slot) table' (slot_bytes * i) slot_bytes
-    end
-  done;
-  e.e_table <- table'
+let[@inline] mask_of slots = (Bytes.length slots / slot_bytes) - 1
 
-(* Byte offset of the (src, dst) stream's state in [e_table], creating the
-   stream on first use. *)
-let edge_slot e ~src ~dst =
-  if src lor dst < 0 || (src lor dst) lsr edge_bits <> 0 then
-    invalid_arg "Sched.draw_latency: party index out of range";
-  let key = (src lsl edge_bits) lor dst in
-  let mask = (Bytes.length e.e_table / slot_bytes) - 1 in
-  let i = edge_probe e.e_table key mask (edge_home key mask) in
-  if slot_key e.e_table i = key then (slot_bytes * i) + 8
-  else begin
-    let i =
-      if 2 * (e.e_count + 1) > mask + 1 then begin
-        edges_grow e;
-        let mask = (Bytes.length e.e_table / slot_bytes) - 1 in
-        edge_probe e.e_table key mask (edge_home key mask)
+(* Byte offset of [key]'s value in [t.slots], or -1 if it is absent. *)
+let find t key =
+  let mask = mask_of t.slots in
+  let i = probe t.slots key mask (home key mask) in
+  if slot_key t.slots i = key then (slot_bytes * i) + 8 else -1
+
+(* Inserts the absent [key]; returns the byte offset of its value, which
+   the caller initializes. *)
+let add t key =
+  if 2 * (t.fill + 1) > mask_of t.slots + 1 then begin
+    let old = t.slots in
+    let slots = Bytes.make (2 * Bytes.length old) '\255' in
+    let mask = mask_of slots in
+    for s = 0 to mask_of old do
+      let k = slot_key old s in
+      if k >= 0 then
+        Bytes.blit old (slot_bytes * s) slots (slot_bytes * probe slots k mask (home k mask))
+          slot_bytes
+    done;
+    t.slots <- slots
+  end;
+  let mask = mask_of t.slots in
+  let off = slot_bytes * probe t.slots key mask (home key mask) in
+  Bytes.set_int64_le t.slots off (Int64.of_int key);
+  t.fill <- t.fill + 1;
+  off + 8
+
+(* Index in [e_rows] of [src]'s table, creating it on first use. *)
+let src_row e src =
+  if src <> e.e_last_src then begin
+    let off = find e.e_dir src in
+    let r =
+      if off >= 0 then Int64.to_int (Bytes.get_int64_le e.e_dir.slots off)
+      else begin
+        let r = e.e_dir.fill in
+        if r = Array.length e.e_rows then begin
+          let rows = Array.make (Int.max 16 (2 * r)) e.e_dir in
+          Array.blit e.e_rows 0 rows 0 r;
+          e.e_rows <- rows
+        end;
+        e.e_rows.(r) <- table_create ();
+        let off = add e.e_dir src in
+        Bytes.set_int64_le e.e_dir.slots off (Int64.of_int r);
+        r
       end
-      else i
     in
-    let table = e.e_table and off = slot_bytes * i in
-    Bytes.set_int64_le table off (Int64.of_int key);
-    e.e_count <- e.e_count + 1;
-    Rng.state_into e.e_prefix table (off + 8);
-    Rng.label_int_at table (off + 8) src;
-    Rng.label_at table (off + 8) "-";
-    Rng.label_int_at table (off + 8) dst;
-    off + 8
+    e.e_last_src <- src;
+    e.e_last_row <- r
+  end;
+  e.e_last_row
+
+(* Byte offset of the (src, dst) stream's state in [row.slots], creating
+   the stream on first use. *)
+let edge_slot e row ~src ~dst =
+  let off = find row dst in
+  if off >= 0 then off
+  else begin
+    let off = add row dst in
+    Rng.state_into e.e_prefix row.slots off;
+    Rng.label_int_at row.slots off src;
+    Rng.label_at row.slots off "-";
+    Rng.label_int_at row.slots off dst;
+    off
   end
 
 (* Latency of one message staged at virtual time [now].
@@ -284,27 +330,41 @@ let edge_slot e ~src ~dst =
 let draw_latency edges cfg ~src ~dst ~now =
   if pure_sync cfg then 1
   else begin
-    let off = edge_slot edges ~src ~dst in
-    let st = edges.e_table in
+    if src lor dst < 0 then
+      invalid_arg "Sched.draw_latency: negative party index";
+    let r = src_row edges src in
+    let row = edges.e_rows.(r) in
+    let off = edge_slot edges row ~src ~dst in
+    let st = row.slots in
     (* the draws [Rng.int] and [Rng.float] would make on this stream *)
     let j =
       if cfg.a_jitter > 0 then Rng.int_of_bits (Rng.bits_at st off) (cfg.a_jitter + 1)
       else 0
     in
     let lost = cfg.a_loss > 0.0 && Rng.float_lt (Rng.bits_at st off) cfg.a_loss in
-    if now >= cfg.a_gst then 1 + min j (max 0 cfg.a_delta)
-    else if lost then 1 + j + 1 + max 0 cfg.a_delta
+    if now >= cfg.a_gst then 1 + Int.min j (Int.max 0 cfg.a_delta)
+    else if lost then 1 + j + 1 + Int.max 0 cfg.a_delta
     else 1 + j
   end
 
 (* --- delivery statistics ---
 
    Online accounting the partial-synchrony checks run against: every
-   delivery bumps the counters; a bounded sample log keeps (send, deliver)
-   virtual-time pairs for property checks without unbounded growth. All of
-   it is a deterministic function of the schedule. *)
+   delivery bumps the counters; a bounded sample keeps the first
+   [log_cap] (send, deliver) virtual-time pairs for property checks
+   without unbounded growth. The sample is two int arrays grown by
+   doubling up to the cap, so recording a delivery allocates no record
+   or cons cell; {!deliveries} builds the list when asked. All of it is a
+   deterministic function of the schedule. *)
 
 type delivery = { dl_send_vt : int; dl_deliver_vt : int }
+
+type sample = {
+  mutable sm_send : int array;
+  mutable sm_deliver : int array;
+  mutable sm_len : int; (* pairs recorded, oldest at index 0 *)
+  sm_cap : int;
+}
 
 type stats = {
   mutable st_sends : int;
@@ -313,9 +373,7 @@ type stats = {
       (* pre-GST deliveries slower than 1 + jitter: most loss
          retransmits, and whatever a condition slowed past that *)
   mutable st_post_gst_late : int; (* post-GST sends beyond 1 + delta: must be 0 *)
-  mutable st_log : delivery list; (* newest first, bounded *)
-  mutable st_log_len : int;
-  st_log_cap : int;
+  st_sample : sample;
 }
 
 let stats_create ?(log_cap = 65536) () =
@@ -324,10 +382,19 @@ let stats_create ?(log_cap = 65536) () =
     st_max_latency = 0;
     st_pre_gst_lost = 0;
     st_post_gst_late = 0;
-    st_log = [];
-    st_log_len = 0;
-    st_log_cap = log_cap;
+    st_sample =
+      { sm_send = [||]; sm_deliver = [||]; sm_len = 0; sm_cap = Int.max 0 log_cap };
   }
+
+let sample_grow sm =
+  let cap = Int.min sm.sm_cap (Int.max 256 (2 * Array.length sm.sm_send)) in
+  let grow a =
+    let a' = Array.make cap 0 in
+    Array.blit a 0 a' 0 sm.sm_len;
+    a'
+  in
+  sm.sm_send <- grow sm.sm_send;
+  sm.sm_deliver <- grow sm.sm_deliver
 
 let note_delivery st cfg ~send_vt ~deliver_vt =
   let lat = deliver_vt - send_vt in
@@ -335,14 +402,21 @@ let note_delivery st cfg ~send_vt ~deliver_vt =
   if lat > st.st_max_latency then st.st_max_latency <- lat;
   if send_vt < cfg.a_gst && lat > 1 + cfg.a_jitter then
     st.st_pre_gst_lost <- st.st_pre_gst_lost + 1;
-  if send_vt >= cfg.a_gst && lat > 1 + max 0 cfg.a_delta then
+  if send_vt >= cfg.a_gst && lat > 1 + Int.max 0 cfg.a_delta then
     st.st_post_gst_late <- st.st_post_gst_late + 1;
-  if st.st_log_len < st.st_log_cap then begin
-    st.st_log <- { dl_send_vt = send_vt; dl_deliver_vt = deliver_vt } :: st.st_log;
-    st.st_log_len <- st.st_log_len + 1
+  let sm = st.st_sample in
+  let k = sm.sm_len in
+  if k < sm.sm_cap then begin
+    if k = Array.length sm.sm_send then sample_grow sm;
+    sm.sm_send.(k) <- send_vt;
+    sm.sm_deliver.(k) <- deliver_vt;
+    sm.sm_len <- k + 1
   end
 
-let deliveries st = List.rev st.st_log
+let deliveries st =
+  let sm = st.st_sample in
+  List.init sm.sm_len (fun k ->
+      { dl_send_vt = sm.sm_send.(k); dl_deliver_vt = sm.sm_deliver.(k) })
 
 (* The partial-synchrony contract as a pure predicate: every sampled
    message sent at or after GST was delivered within 1 + delta. The

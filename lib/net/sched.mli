@@ -11,9 +11,9 @@
     size.
 
     The async executor's per-message path is O(1) and allocation-free:
-    per-edge streams stored unboxed in one flat table ({!edges}), and a
-    round's due sends counting-sorted by delivery time in the network's
-    reused buffers. The event queue ({!Heap}, drained through
+    per-edge streams stored unboxed in one small table per source
+    ({!edges}), and a round's due sends counting-sorted by delivery time
+    in the network's reused buffers. The event queue ({!Heap}, drained through
     {!Heap.min_time} and {!Heap.take}) holds only parked events:
     deferrals past the round barrier and mail held for a dark party. *)
 
@@ -74,7 +74,13 @@ end
 type edges
 (** Per-directed-edge SplitMix latency streams, children of one master
     seed keyed by ["edge-<src>-<dst>"]; stream contents are independent of
-    edge creation order. Party indices must lie in [\[0, 2{^31})]. *)
+    edge creation order. Each source has its own open-addressing table of
+    16-byte (destination, stream state) slots, found through a directory
+    keyed by source that remembers the last source looked up, so a
+    source's fan-out is drawn from a few cache lines. Tables grow by
+    doubling from a few slots: memory is proportional to the edges
+    touched, not to the largest party index. Party indices may be any
+    non-negative [int]. *)
 
 val edges_create : seed:int -> edges
 
@@ -83,9 +89,13 @@ val draw_latency : edges -> async_cfg -> src:int -> dst:int -> now:int -> int
     (src, dst) edge stream. Exact synchrony short-circuits to 1 with no
     draws; otherwise jitter and the loss coin are consumed in fixed order
     for every message, and the result is [1 + min jitter delta] post-GST,
-    [1 + jitter (+ 1 + delta if lost)] pre-GST. *)
+    [1 + jitter (+ 1 + delta if lost)] pre-GST. Raises
+    [Invalid_argument] on a negative party index. *)
 
 type delivery = { dl_send_vt : int; dl_deliver_vt : int }
+
+type sample
+(** The first [log_cap] (send, deliver) pairs of a network, kept flat. *)
 
 type stats = {
   mutable st_sends : int;
@@ -99,16 +109,17 @@ type stats = {
           count of lost messages *)
   mutable st_post_gst_late : int;
       (** post-GST sends delivered beyond [1 + delta] — 0 by construction *)
-  mutable st_log : delivery list;  (** newest first, bounded *)
-  mutable st_log_len : int;
-  st_log_cap : int;
+  st_sample : sample;  (** read through {!deliveries} *)
 }
 
 val stats_create : ?log_cap:int -> unit -> stats
+(** [log_cap] (default 65,536) bounds the delivery sample. *)
+
 val note_delivery : stats -> async_cfg -> send_vt:int -> deliver_vt:int -> unit
 
 val deliveries : stats -> delivery list
-(** The sampled (send, deliver) pairs in delivery order (oldest first). *)
+(** The first [log_cap] deliveries noted, as (send, deliver) pairs in
+    delivery order (oldest first); built on each call. *)
 
 val post_gst_ok : gst:int -> delta:int -> delivery list -> bool
 (** The partial-synchrony contract as a pure predicate: every sampled

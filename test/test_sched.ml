@@ -265,6 +265,54 @@ let test_edge_streams_seeded () =
   Alcotest.(check (list int)) "same seed, same draws" (draws 3) (draws 3);
   Alcotest.(check bool) "different seed diverges" true (draws 3 <> draws 4)
 
+(* Edge-table memory follows the edges touched, not the party indices:
+   4,096 distinct edges between parties up to 2^20, most sources with one
+   or two destinations, must stay within a constant number of words per
+   edge. An n-wide row per source would hold 2^20 slots for each. *)
+let test_edge_memory_linear () =
+  let cfg = chaos ~seed:11 in
+  let edges = Sched.edges_create ~seed:11 in
+  let gen = Rng.create 11 and seen = Hashtbl.create 4096 in
+  while Hashtbl.length seen < 4096 do
+    let src = Rng.int gen ((1 lsl 20) + 1) and dst = Rng.int gen ((1 lsl 20) + 1) in
+    Hashtbl.replace seen (src, dst) ();
+    ignore (Sched.draw_latency edges cfg ~src ~dst ~now:0 : int);
+    (* a few sources fan out widely too *)
+    if Hashtbl.length seen mod 512 = 0 then
+      for k = 1 to 64 do
+        Hashtbl.replace seen (src, k * 16381) ();
+        ignore (Sched.draw_latency edges cfg ~src ~dst:(k * 16381) ~now:0 : int)
+      done
+  done;
+  let touched = Hashtbl.length seen in
+  let words = Obj.reachable_words (Obj.repr edges) in
+  if words > 1024 + (48 * touched) then
+    Alcotest.failf "%d edges reach %d words (%.1f per edge)" touched words
+      (float_of_int words /. float_of_int touched)
+
+(* --- delivery statistics --- *)
+
+(* The sample keeps the first [log_cap] deliveries, oldest first, while
+   the counters see every one; it grows past its first block intact. *)
+let test_delivery_sample_cap () =
+  let cfg = chaos ~seed:1 in
+  let pairs k = List.init k (fun i -> (i, i + 1 + (i mod 3))) in
+  let sample ~log_cap k =
+    let s = Sched.stats_create ~log_cap () in
+    List.iter
+      (fun (send_vt, deliver_vt) -> Sched.note_delivery s cfg ~send_vt ~deliver_vt)
+      (pairs k);
+    ( s.Sched.st_sends,
+      List.map (fun d -> (d.Sched.dl_send_vt, d.Sched.dl_deliver_vt)) (Sched.deliveries s) )
+  in
+  let check name ~log_cap k expected =
+    Alcotest.(check (pair int (list (pair int int)))) name (k, expected) (sample ~log_cap k)
+  in
+  check "cap 3 of 5: the first three" ~log_cap:3 5 [ (0, 1); (1, 3); (2, 5) ];
+  check "under the cap: all, in order" ~log_cap:8 5 (pairs 5);
+  check "cap 0 samples nothing" ~log_cap:0 5 [];
+  check "cap 600 of 1000: grown, the first 600" ~log_cap:600 1000 (pairs 600)
+
 (* --- the partial-synchrony predicate has teeth --- *)
 
 let test_post_gst_teeth () =
@@ -824,6 +872,10 @@ let suite =
       test_pure_sync_no_draws;
     Alcotest.test_case "edge streams seeded and deterministic" `Quick
       test_edge_streams_seeded;
+    Alcotest.test_case "edge table memory linear in edges touched" `Quick
+      test_edge_memory_linear;
+    Alcotest.test_case "delivery sample: first log_cap, oldest first" `Quick
+      test_delivery_sample_cap;
     Alcotest.test_case "post-GST predicate has teeth" `Quick
       test_post_gst_teeth;
     Alcotest.test_case "post-GST bound holds on a real async run" `Quick

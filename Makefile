@@ -62,8 +62,9 @@ trace: build
 	grep -q '"ph":"X"' trace.json && \
 	  echo "trace.json: valid Chrome trace ($$(grep -c '"ph":"X"' trace.json) events)"
 
-# E17 large-n scale sweep: the Fig. 3 pipeline up to n = 4096 on the sparse
-# engine, baselines capped where their simulation cost turns quadratic.
+# E17 large-n scale sweep: the Fig. 3 pipeline up to n = 4096 on the
+# active-set stepper at zero knobs (lock-step), baselines capped where their
+# simulation cost turns quadratic.
 # Exits non-zero if a this-work curve breaks its declared budget or no
 # baseline demonstrates the separation. Takes a few minutes.
 scale: build
@@ -104,17 +105,18 @@ forensics-smoke: build
 	  --forensics FORENSICS_attack.json
 	$(BA_SIM) validate FORENSICS_attack.json
 
-# <60s E18 smoke: cross-backend conformance (sparse and zero-knob async
-# must produce one transcript digest per cell) plus the async chaos
-# matrix — jitter and pre-GST loss against live adversaries, owf at n=256
-# included. Non-zero exit if any backend disagrees or a chaos cell breaks
-# agreement/validity or the post-GST bound. The repro-async/1 report is
-# validated as JSON and must be byte-identical across REPRO_DOMAINS=1 vs 4.
+# <60s E18 smoke: executor-path conformance (at zero knobs the lock-step
+# shortcut and the general (time, seq) path must produce one transcript
+# digest per cell) plus the async chaos matrix — jitter and pre-GST loss
+# against live adversaries, owf at n=256 included. Non-zero exit if the
+# paths disagree or a chaos cell breaks agreement/validity or the post-GST
+# bound. The repro-async/2 report is validated as JSON and must be
+# byte-identical across REPRO_DOMAINS=1 vs 4.
 async-smoke: build
 	$(call domains_identical,conform --ns 64 --report,ASYNC_report1.json,ASYNC_report4.json,conform report)
 
 # <30s E19 smoke: the network-condition attack matrix — partitions, churn,
-# delay and adaptive corruption over the async backend against owf, snark
+# delay and adaptive corruption under the chaos knobs against owf, snark
 # and the Dolev-Strong baseline, including the planted never-healing /
 # unbounded-adaptive teeth rows (which must fail). The repro-attack/2
 # report is validated as JSON and must be byte-identical across

@@ -46,7 +46,7 @@ let pick ~smoke:s ~standard ~full:f = if full then f else if smoke then s else s
    [--compare] gates regressions on, stable across pool sizes and
    machines — and (schema /5) a GC allocation profile: machine context like
    wall time, never gated. Schema /6 adds the E18 scheduler arrays:
-   `conform` (cross-backend transcript digests) and `async` (partial-
+   `conform` (executor-path transcript digests) and `async` (partial-
    synchrony chaos cells). Schema /7 adds the E19 `conditions` array: one
    object per network-condition attack cell (agreement/validity, rounds to
    decide, final virtual time, pre/post-GST loss counts). [--compare]

@@ -1,8 +1,7 @@
 (* Standalone network-substrate probe, a sibling of sha_speed.ml: ns per
-   message through the sparse lock-step stepper, the async executor at
-   zero knobs and the async executor under [Runner.default_chaos], on two
-   fan-out shapes, then ns per push+pop of the async event queue at two
-   depths. The shapes bracket the executor's per-edge state:
+   message through the executor at zero knobs (its lock-step shortcut) and
+   under [Runner.default_chaos], on two fan-out shapes, then ns per
+   push+pop of the event queue at two depths. The shapes bracket the executor's per-edge state:
 
    - n = 1024, degree 8: 8,192 directed edges, the ledger's
      [sched.ns_per_msg] cell;
@@ -68,7 +67,6 @@ let queue_ns ~depth =
 let () =
   let backends =
     [
-      ("sparse", Sched.Sparse);
       ("async zero-knob", Sched.Async Sched.default_async);
       ("async chaos", Sched.Async (Repro_core.Runner.default_chaos ~seed:1));
     ]

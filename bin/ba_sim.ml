@@ -14,7 +14,7 @@
      audit      every protocol vs its declared polylog budgets (E15)
      attack     the seeded adversary-strategy matrix (E16, E19)
      scale      large-n scale sweep vs the declared budgets (E17)
-     conform    cross-backend conformance + async partial synchrony (E18)
+     conform    executor-path conformance + async partial synchrony (E18)
      explain    flight-record one run: causal cones, locality gate, replay
      profile    self-profile one cell: hotspots, caches, pool utilization *)
 
@@ -50,24 +50,14 @@ let protocol_arg =
            sqrt-quorum | naive-flood | dolev-strong, or the short names owf \
            | snark | multisig | sqrt | naive | ds.")
 
-(* --- scheduler backend selection (run, conform) --- *)
-
-let backend_name_arg =
-  Arg.(
-    value & opt string "sparse"
-    & info [ "backend" ] ~docv:"B"
-        ~doc:
-          "Scheduler backend: sparse (lock-step delivery in send order, the \
-           default) or async (deterministic event-queue executor; its chaos \
-           knobs are --gst, --delta, --jitter, --loss). Both produce \
-           identical transcripts when the knobs are zero.")
+(* --- executor knobs (run, conform); all zero is lock-step --- *)
 
 let gst_arg ~default =
   Arg.(
     value & opt int default
     & info [ "gst" ] ~docv:"T"
         ~doc:
-          "Async backend: global stabilization time in virtual time units; \
+          "Executor knob: global stabilization time in virtual time units; \
            before it messages may be lost (retransmitted after a timeout), \
            after it every send is delivered within 1+delta.")
 
@@ -75,35 +65,19 @@ let delta_arg ~default =
   Arg.(
     value & opt int default
     & info [ "delta" ] ~docv:"D"
-        ~doc:"Async backend: post-GST extra-delay bound.")
+        ~doc:"Executor knob: post-GST extra-delay bound.")
 
 let jitter_arg ~default =
   Arg.(
     value & opt int default
     & info [ "jitter" ] ~docv:"J"
-        ~doc:"Async backend: max extra latency drawn per message.")
+        ~doc:"Executor knob: max extra latency drawn per message.")
 
 let loss_arg ~default =
   Arg.(
     value & opt float default
     & info [ "loss" ] ~docv:"P"
-        ~doc:"Async backend: pre-GST per-message loss rate in [0,1).")
-
-let backend_of ~name ~seed ~gst ~delta ~jitter ~loss =
-  let cfg =
-    {
-      Repro_net.Sched.a_seed = seed;
-      a_delta = delta;
-      a_jitter = jitter;
-      a_loss = loss;
-      a_gst = gst;
-    }
-  in
-  match Repro_net.Sched.backend_of_string ~async:cfg name with
-  | Some b -> b
-  | None ->
-    prerr_endline ("unknown backend: " ^ name ^ " (sparse | async)");
-    exit 2
+        ~doc:"Executor knob: pre-GST per-message loss rate in [0,1).")
 
 (* --- run --- *)
 
@@ -141,11 +115,15 @@ let audit_flag_arg =
            to setting REPRO_AUDIT.")
 
 let run_cmd =
-  let action protocol n beta seed trace_out counters breakdown audit
-      backend_name gst delta jitter loss =
+  let action protocol n beta seed trace_out counters breakdown audit gst delta
+      jitter loss =
     if trace_out <> None then Repro_obs.Trace.set_output trace_out;
     if counters then Repro_obs.Counters.enable ();
-    let backend = backend_of ~name:backend_name ~seed ~gst ~delta ~jitter ~loss in
+    let backend =
+      Repro_net.Sched.Async
+        { a_seed = seed; a_delta = delta; a_jitter = jitter; a_loss = loss;
+          a_gst = gst }
+    in
     let row, auditor =
       if audit || Repro_obs.Audit.global_enabled () then
         let row, a = Runner.run_audited ~backend ~protocol ~n ~beta ~seed () in
@@ -183,9 +161,8 @@ let run_cmd =
     (Cmd.info "run" ~doc:"Run one protocol execution.")
     Term.(
       const action $ protocol_arg $ n_arg $ beta_arg $ seed_arg $ trace_out_arg
-      $ counters_arg $ breakdown_arg $ audit_flag_arg $ backend_name_arg
-      $ gst_arg ~default:0 $ delta_arg ~default:0 $ jitter_arg ~default:0
-      $ loss_arg ~default:0.0)
+      $ counters_arg $ breakdown_arg $ audit_flag_arg $ gst_arg ~default:0
+      $ delta_arg ~default:0 $ jitter_arg ~default:0 $ loss_arg ~default:0.0)
 
 (* --- experiments: one Experiment call each, then one shared emit --- *)
 
@@ -338,7 +315,7 @@ let conditions_arg =
     & opt ~vopt:(Some [ "all" ]) (some (list string)) None
     & info [ "conditions" ] ~docv:"C1,C2,..."
         ~doc:
-          "Network conditions to sweep on the async backend (default: none; \
+          "Network conditions to sweep under the chaos knobs (default: none; \
            bare --conditions = the full catalogue: delay, partition, \
            partition-leaves, churn, adaptive). Appends one cell per (gate \
            beta, condition, strategy) for the pipeline protocols plus the \
@@ -378,7 +355,7 @@ let attack_cmd =
       "Sweep the composable adversary portfolio against the Fig. 3 \
        pipeline protocols (E16/E19); --conditions adds the \
        network-condition axis (partitions, churn, adaptive corruption) \
-       over the async backend plus the ungated dolev-strong reference \
+       under the chaos knobs plus the ungated dolev-strong reference \
        row; non-zero exit if any gated beta < 1/3 cell breaks \
        agreement/validity or a planted teeth row survives."
     Term.(
@@ -394,8 +371,8 @@ let conditions_cmd =
        byte-identical across reruns)."
     ~doc:
       "E19 at its fixture (the E19 slice of bench's async mode): silent \
-       and equivocate under every network condition over the async \
-       backend, n = 40, beta = 1/8, plus the ungated dolev-strong \
+       and equivocate under every network condition and the chaos \
+       knobs, n = 40, beta = 1/8, plus the ungated dolev-strong \
        reference row and the two planted teeth rows; non-zero exit if a \
        gated cell breaks or a planted row survives."
     Term.(const (fun () -> Experiment.conditions ()) $ const ())
@@ -513,7 +490,7 @@ let profile_cmd =
       const action $ protocol_arg $ n_arg $ beta_arg $ seed_arg
       $ profile_compare_arg $ profile_threshold_arg $ profile_top_arg)
 
-(* --- conform: E18 cross-backend conformance + async chaos gate --- *)
+(* --- conform: E18 executor-path conformance + async chaos gate --- *)
 
 let conform_cmd =
   let action ns beta seed a_gst a_delta a_jitter a_loss =
@@ -523,14 +500,15 @@ let conform_cmd =
   in
   experiment_cmd "conform"
     ~report:
-      "Write the machine-readable report (schema repro-async/1, \
+      "Write the machine-readable report (schema repro-async/2, \
        byte-identical across reruns with the same arguments)."
     ~doc:
-      "E18: run the cross-backend conformance suite (sparse and \
-       zero-knob async must produce identical transcripts) and the async \
-       chaos matrix (jitter/loss before GST against live adversaries); \
-       non-zero exit if any backend disagrees or an async cell breaks \
-       agreement/validity or the post-GST delivery bound."
+      "E18: run the conformance suite (at zero knobs the lock-step \
+       shortcut and the general (time, seq) path must produce identical \
+       transcripts) and the async chaos matrix (jitter/loss before GST \
+       against live adversaries); non-zero exit if the paths disagree or \
+       an async cell breaks agreement/validity or the post-GST delivery \
+       bound."
     Term.(
       const action $ fixture_ns $ beta_arg $ seed_arg $ gst_arg ~default:24
       $ delta_arg ~default:2 $ jitter_arg ~default:3 $ loss_arg ~default:0.1)

@@ -1,4 +1,4 @@
-(* Composable network conditions over the async scheduler backend.
+(* Composable network conditions over the network's executor.
 
    Where {!Strategy} composes Byzantine *content* (what corrupt parties
    say), a condition composes Byzantine *conditions* (what the network

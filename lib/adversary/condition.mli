@@ -1,4 +1,4 @@
-(** Composable network conditions over the async scheduler backend — the
+(** Composable network conditions over the network's executor — the
     Byzantine-*conditions* counterpart of {!Strategy}'s Byzantine content.
 
     A condition is a recipe: a name plus a [prepare] that, given the run's

@@ -24,9 +24,10 @@ type result = {
   breakdown : (string * int) list; (* sent bytes per tag group *)
 }
 
-let run ?sinks ?backend (cfg : config) : result =
+let run ?sinks ?backend ?condition (cfg : config) : result =
   let n = cfg.n in
   let net = Network.create ?backend ?sinks ~n ~corrupt:cfg.corrupt () in
+  Option.iter (Network.set_condition net) condition;
   let honest p = Network.is_honest net p in
   let enc b = Bytes.make 1 (if b then '\001' else '\000') in
   let outputs = Array.make n None in

@@ -20,8 +20,10 @@ type result = {
 val run :
   ?sinks:Repro_obs.Event.sink list ->
   ?backend:Repro_net.Sched.backend ->
+  ?condition:Repro_net.Sched.condition ->
   config ->
   result
 (** [?sinks] subscribe to the run's network (auditor, flight recorder,
-    transcript tap: see {!Repro_net.Network.create}); [?backend] selects
-    the scheduler backend (default sparse). *)
+    transcript tap: see {!Repro_net.Network.create}); [?backend]
+    configures its executor (default lock-step) and [?condition] is
+    attached to it (see {!Repro_net.Network.set_condition}). *)

@@ -33,7 +33,7 @@ type result = {
 
 let group_size n = max 1 (Repro_util.Mathx.isqrt n)
 
-let run ?sinks ?backend (cfg : config) : result =
+let run ?sinks ?backend ?condition (cfg : config) : result =
   let n = cfg.n in
   let g = group_size n in
   let num_groups = Repro_util.Mathx.ceil_div n g in
@@ -42,6 +42,7 @@ let run ?sinks ?backend (cfg : config) : result =
   let row_of p = p mod g in
   let row_members r = List.filter (fun p -> p < n) (List.init num_groups (fun k -> (k * g) + r)) in
   let net = Network.create ?backend ?sinks ~n ~corrupt:cfg.corrupt () in
+  Option.iter (Network.set_condition net) condition;
   let honest p = Network.is_honest net p in
   let enc b = Bytes.make 1 (if b then '\001' else '\000') in
   let dec payload =

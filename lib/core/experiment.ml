@@ -987,7 +987,7 @@ let conditions ?(strategies = [ "silent"; "equivocate" ])
   let failures = matrix_verdicts b m in
   finish b ~report:(attack_matrix_json m) ~rows:(condition_rows m) ~failures
 
-(* --- E18: scheduler backends — conformance + async partial synchrony --- *)
+(* --- E18: the executor's two paths — conformance + async partial synchrony --- *)
 
 (* The E18 gate: every conformance cell matches and passes, every async
    cell holds agreement, validity and the post-GST bound. *)
@@ -995,12 +995,12 @@ let async_gate_ok ~conform ~cells =
   List.for_all (fun c -> c.cf_match && c.cf_rows_ok) conform
   && List.for_all (fun a -> a.ay_ok) cells
 
-(* schema repro-async/1; parses back with Repro_util.Json. *)
+(* schema repro-async/2; parses back with Repro_util.Json. *)
 let async_json ~conform ~cells =
   Json.(
     Obj
       [
-        "schema", Str "repro-async/1";
+        "schema", Str "repro-async/2";
         "conform", List (List.map conform_cell_json conform);
         "async", List (List.map async_cell_json cells);
         "gate_ok", Bool (async_gate_ok ~conform ~cells);
@@ -1008,8 +1008,8 @@ let async_json ~conform ~cells =
 
 let conform ?(ns = [ 64; 256 ]) ?(beta = 0.1) ?(seed = 1) ?chaos ?cells () =
   let b = Buffer.create 4096 in
-  section b "E18: scheduler backends - conformance + async partial synchrony";
-  (* one transcript per (protocol, n, seed), whatever executes it *)
+  section b "E18: executor paths - conformance + async partial synchrony";
+  (* one transcript per (protocol, n, seed), on either path *)
   let conform = conformance_cells ~ns ~beta ~seed () in
   (* the chaos sweep: each knob setting's seed is its cells' seed *)
   let chaos = Option.value chaos ~default:[ default_chaos ~seed ] in
@@ -1017,7 +1017,7 @@ let conform ?(ns = [ 64; 256 ]) ?(beta = 0.1) ?(seed = 1) ?chaos ?cells () =
     List.concat_map (fun cfg -> async_cells ~beta ~seed:cfg.Sched.a_seed ~cfg ?cells ()) chaos
   in
   let ok_fail ok = if ok then "ok" else "FAIL" in
-  table b ~title:"E18 conformance: one transcript digest per backend"
+  table b ~title:"E18 conformance: one transcript digest on the shortcut and general paths"
     ~headers:[ "protocol"; "n"; "seed"; "digest (first 16)"; "rows"; "match" ]
     ~aligns:[ Tablefmt.Left; Right; Right; Left; Left; Left ]
     (List.map
@@ -1051,8 +1051,8 @@ let conform ?(ns = [ 64; 256 ]) ?(beta = 0.1) ?(seed = 1) ?chaos ?cells () =
   List.iter
     (fun c ->
       if not c.cf_match then begin
-        Printf.bprintf b "MISMATCH: %s n=%d backends disagree:\n" c.cf_protocol c.cf_n;
-        List.iter (fun (be, d) -> Printf.bprintf b "  %-6s %s\n" be d) c.cf_digests
+        Printf.bprintf b "MISMATCH: %s n=%d paths disagree:\n" c.cf_protocol c.cf_n;
+        List.iter (fun (path, d) -> Printf.bprintf b "  %-8s %s\n" path d) c.cf_digests
       end)
     conform;
   List.iter
@@ -1065,7 +1065,7 @@ let conform ?(ns = [ 64; 256 ]) ?(beta = 0.1) ?(seed = 1) ?chaos ?cells () =
     cells;
   let failures =
     check b (async_gate_ok ~conform ~cells)
-      ~pass:"gate: one transcript per (protocol, n, seed) across backends; async \
+      ~pass:"gate: one transcript per (protocol, n, seed) on both paths; async \
              chaos cells agreed within the post-GST bound"
       "gate: E18 conformance/async FAILED"
   in

@@ -122,10 +122,11 @@ val conform :
   ?cells:(Runner.protocol * int) list ->
   unit ->
   outcome
-(** E18: cross-backend conformance at [ns] (default 64, 256), then
+(** E18: conformance of the lock-step shortcut and the general (time,
+    seq) path at [ns] (default 64, 256), then
     {!Runner.async_cells} over [cells] once per [chaos] knob setting, each
     setting's [a_seed] being its cells' seed (default:
-    [Runner.default_chaos ~seed]); report [repro-async/1], rows [conform]
+    [Runner.default_chaos ~seed]); report [repro-async/2], rows [conform]
     and [async]. Fails on a digest mismatch or a broken async cell. *)
 
 (** {1 Tools over one cell} *)

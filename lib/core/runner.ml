@@ -215,34 +215,36 @@ let cold_caches () =
   Repro_crypto.Hashx.clear_cache ();
   Repro_crypto.Wots.clear_cache ()
 
-(* [sinks] subscribe to the protocol's own network and [backend] picks its
-   executor; callers that want the auditor's verdict use {!run_audited},
-   callers that want the flight-recorded log use {!run_recorded}, callers
-   pinning cross-backend conformance use {!run_digest}. *)
-let run_with ?sinks ?backend ~protocol ~n ~beta ~seed () : row =
+(* [sinks] subscribe to the protocol's own network, [backend] configures
+   its executor and [condition] is attached to it; callers that want the
+   auditor's verdict use {!run_audited}, callers that want the
+   flight-recorded log use {!run_recorded}, callers pinning transcripts
+   use {!run_digest}. *)
+let run_with ?sinks ?backend ?condition ~protocol ~n ~beta ~seed () : row =
   cold_caches ();
   match protocol with
   | This_work_owf ->
     run_full_ba "this-work-owf"
       (fun ~n ~seed cfg ->
-        Ba_owf.run ?sinks ?backend ~setup:(Ba_owf.setup ~n ~seed) cfg)
+        Ba_owf.run ?sinks ?backend ?condition ~setup:(Ba_owf.setup ~n ~seed) cfg)
       ~n ~beta ~seed
   | This_work_snark ->
     run_full_ba "this-work-snark"
       (fun ~n ~seed cfg ->
-        Ba_snark.run ?sinks ?backend ~setup:(Ba_snark.setup ~n ~seed) cfg)
+        Ba_snark.run ?sinks ?backend ?condition ~setup:(Ba_snark.setup ~n ~seed) cfg)
       ~n ~beta ~seed
   | Multisig_boost ->
     run_full_ba "multisig-boost"
       (fun ~n ~seed cfg ->
-        Ba_multisig.run ?sinks ?backend ~setup:(Ba_multisig.setup ~n ~seed) cfg)
+        Ba_multisig.run ?sinks ?backend ?condition
+          ~setup:(Ba_multisig.setup ~n ~seed) cfg)
       ~n ~beta ~seed
   | Sqrt_boost ->
     let rng = Rng.create seed in
     let corrupt = corrupt_set rng ~n ~beta in
     let holders = holders rng ~n ~corrupt in
     let r =
-      Baseline_sqrt.run ?sinks ?backend
+      Baseline_sqrt.run ?sinks ?backend ?condition
         { n; corrupt; holders; value = true; seed }
     in
     row_of_report ~protocol:"sqrt-quorum" ~n ~beta ~report:r.Baseline_sqrt.report
@@ -254,7 +256,7 @@ let run_with ?sinks ?backend ~protocol ~n ~beta ~seed () : row =
     let corrupt = corrupt_set rng ~n ~beta in
     let holders = holders rng ~n ~corrupt in
     let r =
-      Baseline_naive.run ?sinks ?backend
+      Baseline_naive.run ?sinks ?backend ?condition
         { n; corrupt; holders; value = true; seed }
     in
     row_of_report ~protocol:"naive-flood" ~n ~beta ~report:r.Baseline_naive.report
@@ -265,7 +267,7 @@ let run_with ?sinks ?backend ~protocol ~n ~beta ~seed () : row =
     let rng = Rng.create seed in
     let corrupt = corrupt_set rng ~n ~beta in
     let r =
-      Baseline_dolev.run ?sinks ?backend
+      Baseline_dolev.run ?sinks ?backend ?condition
         ~pki:(Baseline_dolev.pki ~n ~seed)
         { n; corrupt; value = true; seed }
     in
@@ -361,10 +363,10 @@ type attack_cell = {
   ac_valid : bool;
   ac_ok : bool; (* agreed, >95% of honest parties decided, validity held *)
   ac_expect_fail : bool; (* sanity row / planted condition: may fail *)
-  ac_condition : string; (* "none": content-only cell on the default backend *)
+  ac_condition : string; (* "none": content-only cell under [backend] *)
   ac_gated : bool; (* counts toward the matrix gate (reference rows do not) *)
   ac_rounds : int;
-  ac_vt : int; (* final virtual time (= rounds on the lock-step backend) *)
+  ac_vt : int; (* final virtual time (= rounds under lock-step) *)
   ac_pre_gst_lost : int; (* condition cells: pre-GST slow deliveries *)
   ac_post_gst_late : int; (* 0 by the partial-synchrony contract *)
 }
@@ -443,20 +445,16 @@ let run_cell ~setup ?sinks ?backend ?condition_name ?(gated = true)
       | Some c -> Some c
       | None -> invalid_arg ("attack matrix: unknown condition " ^ cn))
   in
-  (* Condition cells run on the async backend — the only executor with a
-     delivery heap to program; without a condition the backend stays
-     whatever the caller chose (default sparse), so the legacy matrix is
-     byte-identical to repro-attack/1. *)
+  (* A condition cell runs under the caller's executor configuration, or
+     {!default_chaos} if none is given; without a condition the executor
+     stays whatever the caller chose (default lock-step), so the legacy
+     matrix is byte-identical to repro-attack/1. *)
   let backend, cond_inst =
     match condition with
     | None -> (backend, None)
     | Some c ->
       let cfg =
-        match backend with
-        | Some (Sched.Async cfg) -> cfg
-        | Some _ ->
-          invalid_arg "attack matrix: conditions require the async backend"
-        | None -> default_chaos ~seed
+        match backend with Some b -> Sched.cfg_of b | None -> default_chaos ~seed
       in
       (Some (Sched.Async cfg), Some (Condition.prepare c ~n ~beta ~seed ~cfg))
   in
@@ -500,14 +498,10 @@ let run_cell ~setup ?sinks ?backend ?condition_name ?(gated = true)
         r.Baseline_dolev.net )
     | _ -> invalid_arg "attack matrix: cell setup built for another protocol"
   in
-  let pre_gst_lost, post_gst_late =
-    match Repro_net.Network.async_stats net with
-    | Some s -> (s.Sched.st_pre_gst_lost, s.Sched.st_post_gst_late)
-    | None -> (0, 0)
-  in
+  let stats = Repro_net.Network.async_stats net in
   let ok =
     agreed && decided > 0.95 && valid
-    && (Option.is_none condition || post_gst_late = 0)
+    && (Option.is_none condition || stats.Sched.st_post_gst_late = 0)
   in
   Repro_obs.Counters.bump c_attack_cells;
   if (not ok) && gated && not expect_fail then
@@ -528,8 +522,8 @@ let run_cell ~setup ?sinks ?backend ?condition_name ?(gated = true)
     ac_gated = gated;
     ac_rounds = rounds;
     ac_vt = Repro_net.Network.virtual_time net;
-    ac_pre_gst_lost = pre_gst_lost;
-    ac_post_gst_late = post_gst_late;
+    ac_pre_gst_lost = stats.Sched.st_pre_gst_lost;
+    ac_post_gst_late = stats.Sched.st_post_gst_late;
   }
 
 let run_attack_cell ?sinks ?backend ?condition_name ?gated ~protocol
@@ -1258,18 +1252,19 @@ let check_forensics_report doc =
     Error (Printf.sprintf "%s: superseded by %s" sch forensics_schema)
   | _ -> Ok ()
 
-(* --- E18: scheduler backends — cross-backend conformance + async partial
+(* --- E18: conformance of the executor's two paths + async partial
    synchrony ---
 
-   The conformance suite is the contract that makes backend choice safe:
-   the same (protocol, n, beta, seed) cell runs on the sparse and async
-   (all knobs zero) backends, and every send of every round is hashed
-   through the per-instance transcript tap. Both digests — and
-   the measured rows behind them — must be identical. The async matrix
-   then turns the chaos knobs on (latency jitter, pre-GST loss, a GST
-   horizon) against live adversary strategies and checks that agreement,
-   validity and the post-GST delivery bound all hold, deterministically on
-   any domain-pool size. *)
+   The conformance suite is the contract that makes the lock-step
+   shortcut safe: the same (protocol, n, beta, seed) cell runs at zero
+   knobs on the shortcut and on the general (time, seq) path, forced by
+   attaching {!Sched.pass_condition}, and every send of every round is
+   hashed through the per-instance transcript tap. Both digests — and the
+   measured rows behind them — must be identical. The async matrix then
+   turns the chaos knobs on (latency jitter, pre-GST loss, a GST horizon)
+   against live adversary strategies and checks that agreement, validity
+   and the post-GST delivery bound all hold, deterministically on any
+   domain-pool size. *)
 
 module Sha256 = Repro_crypto.Sha256
 
@@ -1286,9 +1281,9 @@ let digest_sink () =
   in
   (sink, fun () -> Sha256.hex (Sha256.finish ctx))
 
-let run_digest ?backend ~protocol ~n ~beta ~seed () : row * string =
+let run_digest ?backend ?condition ~protocol ~n ~beta ~seed () : row * string =
   let sink, digest = digest_sink () in
-  let row = run_with ?backend ~sinks:[ sink ] ~protocol ~n ~beta ~seed () in
+  let row = run_with ?backend ?condition ~sinks:[ sink ] ~protocol ~n ~beta ~seed () in
   (row, digest ())
 
 type conform_cell = {
@@ -1296,23 +1291,20 @@ type conform_cell = {
   cf_n : int;
   cf_beta : float;
   cf_seed : int;
-  cf_digests : (string * string) list; (* backend name -> transcript digest *)
-  cf_rows_ok : bool; (* every backend's row reached agreement/validity *)
-  cf_match : bool; (* digests and measured rows identical across backends *)
+  cf_digests : (string * string) list; (* path -> transcript digest *)
+  cf_rows_ok : bool; (* both paths' rows reached agreement/validity *)
+  cf_match : bool; (* digests and measured rows identical on both paths *)
 }
-
-let conform_backends ~seed =
-  [ Sched.Sparse; Sched.Async { Sched.default_async with a_seed = seed } ]
 
 let conformance_cell ~protocol ~n ~beta ~seed : conform_cell =
   let runs =
     List.map
-      (fun backend ->
-        let row, digest = run_digest ~backend ~protocol ~n ~beta ~seed () in
-        (Sched.backend_name backend, row, digest))
-      (conform_backends ~seed)
+      (fun (path, condition) ->
+        let row, digest = run_digest ?condition ~protocol ~n ~beta ~seed () in
+        (path, row, digest))
+      [ ("shortcut", None); ("general", Some Sched.pass_condition) ]
   in
-  let digests = List.map (fun (b, _, d) -> (b, d)) runs in
+  let digests = List.map (fun (path, _, d) -> (path, d)) runs in
   let all_equal eq = function
     | [] -> true
     | x0 :: rest -> List.for_all (eq x0) rest
@@ -1383,11 +1375,7 @@ let run_async_cell ~setup ~protocol ~strategy_name ~n ~beta ~seed ~cfg () :
     | _ -> invalid_arg "async matrix: pipeline protocols only (owf/snark)"
   in
   let net = r.Balanced_ba.net in
-  let stats =
-    match Repro_net.Network.async_stats net with
-    | Some s -> s
-    | None -> invalid_arg "async matrix: network has no async state"
-  in
+  let stats = Repro_net.Network.async_stats net in
   let ok =
     r.Balanced_ba.agreed
     && r.Balanced_ba.decided_fraction > 0.95
@@ -1431,7 +1419,7 @@ let async_cells ?(strategies = [ "silent"; "equivocate" ]) ?(beta = 0.1)
     jobs
 
 let conform_cell_json c =
-  let digest (b, d) = Json.(Obj [ "backend", Str b; "digest", Str d ]) in
+  let digest (p, d) = Json.(Obj [ "path", Str p; "digest", Str d ]) in
   Json.(
     Obj
       [

@@ -62,15 +62,17 @@ val run :
 (** When {!Repro_obs.Audit.global_enabled} (the [REPRO_AUDIT] environment
     variable, [--audit]), every run carries a fresh auditor with the
     protocol's declared budgets; violations reach the [audit.violations]
-    registry counter. [?backend] selects the scheduler backend (default
-    sparse; see {!Repro_net.Sched}). *)
+    registry counter. [?backend] configures the network's executor
+    (default lock-step; see {!Repro_net.Sched}). *)
 
 val run_with :
   ?sinks:Repro_obs.Event.sink list ->
   ?backend:Repro_net.Sched.backend ->
+  ?condition:Repro_net.Sched.condition ->
   protocol:protocol -> n:int -> beta:float -> seed:int -> unit -> row
 (** One run with [?sinks] subscribed to its network (see
-    {!Repro_net.Network.create}) and no global-audit auditor. *)
+    {!Repro_net.Network.create}), [?condition] attached to it (see
+    {!Repro_net.Network.set_condition}) and no global-audit auditor. *)
 
 val run_audited :
   ?backend:Repro_net.Sched.backend ->
@@ -112,7 +114,7 @@ type attack_cell = {
       (** counts toward [am_gate_ok] (the Dolev–Strong condition rows are
           ungated reference points) *)
   ac_rounds : int;
-  ac_vt : int;  (** final virtual time (= rounds on the lock-step backend) *)
+  ac_vt : int;  (** final virtual time (= rounds under lock-step) *)
   ac_pre_gst_lost : int;
       (** condition cells: pre-GST deliveries slower than [1 + jitter] —
           loss retransmits plus condition-delayed messages
@@ -170,11 +172,11 @@ val run_attack_cell :
     gated non-sanity failure bumps the [attack.violations.<strategy>]
     counter. [?sinks] subscribe to the cell's network (a flight recorder on
     the forensic re-run path, a transcript tap); observing never alters
-    traffic. [?backend] threads through to the cell's network.
-    [?condition_name] resolves a {!Repro_adversary.Condition} and runs the
-    cell on the async backend ({!default_chaos} unless an async [?backend]
-    is given — a lock-step [?backend] raises); the static corrupt set is
-    scaled by the condition's reserved adaptive budget. *)
+    traffic. [?backend] configures the cell's executor.
+    [?condition_name] resolves a {!Repro_adversary.Condition} and attaches
+    it, under [?backend] if given and {!default_chaos} otherwise; the
+    static corrupt set is scaled by the condition's reserved adaptive
+    budget. *)
 
 val attack_matrix :
   ?betas:float list ->
@@ -193,7 +195,7 @@ val attack_matrix :
     one beta >= 1/3 sanity row at 0.45, seed 1, the full
     {!Repro_adversary.Strategy.catalogue}, no conditions (the legacy
     content-only matrix). A non-empty [?conditions] appends, after the
-    legacy cells: one async-backend cell per
+    legacy cells: one {!default_chaos} cell per
     (seed x gate beta x condition x strategy x {!condition_protocols}),
     then the two planted expect-fail teeth rows (never-healing partition,
     unbounded adaptive) behind [am_condition_teeth]. Deterministic: same
@@ -420,12 +422,13 @@ val check_forensics_report : Repro_util.Json.t -> (unit, string) result
     non-negative "dropped" count where the schema puts one. Any other
     document is [Ok]. *)
 
-(** {1 E18: scheduler backends — conformance + async partial synchrony}
+(** {1 E18: the executor's two paths + async partial synchrony}
 
-    The cross-backend conformance suite is the contract that makes
-    {!Repro_net.Sched.backend} choice safe: the same (protocol, n, beta,
-    seed) cell must produce one transcript digest — and one measured row —
-    on the sparse and async (all knobs zero) backends. The async
+    The conformance suite is the contract that makes the network's
+    lock-step shortcut safe: the same (protocol, n, beta, seed) cell at
+    zero knobs must produce one transcript digest — and one measured
+    row — on the shortcut and on the general (time, seq) path, forced by
+    attaching {!Repro_net.Sched.pass_condition}. The async
     chaos matrix then runs the pipeline protocols under nonzero
     latency/jitter/loss with a GST horizon against live adversary
     strategies, checking agreement, validity and the post-GST delivery
@@ -433,6 +436,7 @@ val check_forensics_report : Repro_util.Json.t -> (unit, string) result
 
 val run_digest :
   ?backend:Repro_net.Sched.backend ->
+  ?condition:Repro_net.Sched.condition ->
   protocol:protocol -> n:int -> beta:float -> seed:int -> unit ->
   row * string
 (** Run one cell with a {!digest_sink} subscribed; returns the row and the
@@ -451,19 +455,13 @@ type conform_cell = {
   cf_beta : float;
   cf_seed : int;
   cf_digests : (string * string) list;
-      (** backend name -> transcript digest, in {!conform_backends} order *)
-  cf_rows_ok : bool;  (** every backend's row reached agreement/validity *)
-  cf_match : bool;
-      (** digests and measured rows identical across all backends *)
+      (** path (["shortcut"], then ["general"]) -> transcript digest *)
+  cf_rows_ok : bool;  (** both paths' rows reached agreement/validity *)
+  cf_match : bool;  (** digests and measured rows identical on both paths *)
 }
 
 val conform_cell_json : conform_cell -> Repro_util.Json.t
-(** One [conform] row of [repro-async/1] and of BENCH_results.json. *)
-
-val conform_backends : seed:int -> Repro_net.Sched.backend list
-(** [Sparse; Async {default_async with a_seed = seed}] — the async
-    member runs with all chaos knobs at zero, where its transcript must be
-    byte-identical to the lock-step backend. *)
+(** One [conform] row of [repro-async/2] and of BENCH_results.json. *)
 
 val conformance_cell :
   protocol:protocol -> n:int -> beta:float -> seed:int -> conform_cell
@@ -501,7 +499,7 @@ type async_cell = {
 }
 
 val async_cell_json : async_cell -> Repro_util.Json.t
-(** One [async] row of [repro-async/1] and of BENCH_results.json. *)
+(** One [async] row of [repro-async/2] and of BENCH_results.json. *)
 
 val async_cells :
   ?strategies:string list ->
@@ -512,7 +510,7 @@ val async_cells :
   unit ->
   async_cell list
 (** One async cell per (protocol, n) of [cells] and strategy: the full BA
-    protocol (owf/snark only) on the async backend under [cfg], against
+    protocol (owf/snark only) under [cfg], against
     one instantiated adversary strategy. Defaults: silent and equivocate
     against owf at n = 256 and snark at n = 64, beta 0.1, seed 1,
     {!default_chaos} knobs — the acceptance matrix. The SRDS keys are built

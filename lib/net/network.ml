@@ -1,5 +1,5 @@
 (* Point-to-point network with authenticated channels and a rushing,
-   static adversary, executed under a pluggable scheduler backend.
+   static adversary, executed by one deterministic executor.
 
    Model (paper Sec. 1): n parties, rounds; a message sent in round r is
    delivered at the start of round r+1; honest-to-honest messages cannot
@@ -16,13 +16,15 @@
    with n. Protocols in which every party acts every round name
    [everyone] as their actors.
 
-   The {!Sched.backend} chosen at {!create} decides how the round's sends
-   are delivered: [Sparse] delivers in send order; [Async cfg] delivers
-   in (virtual delivery time, send seq) order, with per-edge
-   latency/jitter/loss and a GST knob (see sched.ml for the synchronizer
-   argument: round semantics survive the chaos knobs, delivery order and
-   the virtual clock do not). Both backends share this module's choke
-   points, so its observers are backend-agnostic.
+   One executor delivers the round's sends: in (virtual delivery time,
+   send seq) order, with per-edge latency/jitter/loss and a GST knob from
+   the {!Sched.async_cfg} chosen at {!create} (see sched.ml for the
+   synchronizer argument: round semantics survive the chaos knobs,
+   delivery order and the virtual clock do not). Lock-step is its
+   zero-knob case. With zero knobs and no condition attached every
+   latency is 1 and nothing is ever parked, so [deliver] takes a
+   shortcut: send order is delivery order, and no latency is drawn, no
+   route asked and no bucket sorted.
 
    No message is a heap record while it is in flight. A send is four
    stores into the staging arrays (source, destination, tag, payload);
@@ -41,9 +43,9 @@
    catches it in flight, and that promotion costs far more than the
    allocation.
 
-   On the async backend a due send costs one latency draw on its
-   source's edge table (see {!Sched.edges}: a source's fan-out sits in a
-   few cache lines), one route verdict when a condition is attached, one
+   Off the shortcut a due send costs one latency draw on its source's
+   edge table (see {!Sched.edges}: a source's fan-out sits in a few cache
+   lines), one route verdict when a condition is attached, one
    counting-sort step and, for a network's first 65,536 deliveries, two
    int stores into the delivery sample.
 
@@ -55,33 +57,33 @@
 
 module Event = Repro_obs.Event
 
-(* Live state of the async executor; absent on the lock-step backend. *)
-type async_state = {
-  a_cfg : Sched.async_cfg;
-  a_edges : Sched.edges;
-  a_heap : (Wire.msg * int) Sched.Heap.t;
-      (* parked deliveries with their send virtual time: a condition's
-         [Defer] past the round barrier, deliveries held for a dark party,
-         and the rare send more than [bucket_span] ticks out. A round's
-         other sends never touch it (see [deliver_async]). *)
-  a_stats : Sched.stats;
-  mutable a_vt : int; (* virtual clock; advances to the round barrier *)
-  mutable a_seq : int; (* global send counter: heap tiebreak = send order *)
-  (* [deliver_async]'s per-round scratch, reused across rounds: *)
-  mutable a_offs : int array; (* per send: delivery time - a_vt; -1 = parked *)
-  mutable a_order : int array; (* due sends' indices, by (offset, send) *)
-  a_starts : int array; (* per offset: its first slot in [a_order] *)
-}
-
 type t = {
   n : int;
   corrupt : bool array;
-  async : async_state option; (* Some iff the backend is Async *)
   metrics : Metrics.t;
   sinks : Event.sink list; (* observers, in subscription order *)
-  (* Staging: this round's sends in send order, slots [0, st_n). On the
-     async backend, parked mail drained at the round's close is appended
-     past the round's own sends. *)
+  (* The executor: *)
+  cfg : Sched.async_cfg;
+  edges : Sched.edges;
+  heap : (Wire.msg * int) Sched.Heap.t;
+      (* parked deliveries with their send virtual time: a condition's
+         [Defer] past the round barrier, deliveries held for a dark party,
+         and the rare send more than [bucket_span] ticks out. A round's
+         other sends never touch it (see [deliver]). *)
+  stats : Sched.stats;
+  mutable vt : int; (* virtual clock; advances to the round barrier *)
+  mutable seq : int; (* global send counter: heap tiebreak = send order *)
+  mutable lockstep : bool;
+      (* zero knobs and no condition: every latency is 1, nothing is
+         parked and the clock equals the round (see [deliver]) *)
+  (* [deliver]'s per-round scratch off the lock-step shortcut, reused
+     across rounds: *)
+  mutable offs : int array; (* per send: delivery time - vt; -1 = parked *)
+  mutable order : int array; (* due sends' indices, by (offset, send) *)
+  starts : int array; (* per offset: its first slot in [order] *)
+  (* Staging: this round's sends in send order, slots [0, st_n). Parked
+     mail drained at the round's close is appended past the round's own
+     sends. *)
   mutable st_src : int array;
   mutable st_dst : int array;
   mutable st_tag : string array;
@@ -103,7 +105,7 @@ type t = {
   mutable round : int;
   mutable in_adv_step : bool; (* inside the adversary's turn of a round *)
   mutable condition : Sched.condition option;
-      (* network-condition hook; async backend only, None = ideal network *)
+      (* network-condition hook; None = ideal network *)
 }
 
 type handler = round:int -> inbox:Wire.msg list -> unit
@@ -125,37 +127,30 @@ let emit t ev = emit_to ev t.sinks
    latencies above it (a condition's choice) go through the heap. *)
 let bucket_span = 64
 
-let create ?(backend = Sched.Sparse) ?(sinks = []) ~n ~corrupt () =
+let create ?backend ?(sinks = []) ~n ~corrupt () =
   let c = Array.make n false in
   List.iter
     (fun i ->
       if i < 0 || i >= n then invalid_arg "Network.create: corrupt index";
       c.(i) <- true)
     corrupt;
-  let async =
-    match backend with
-    | Sched.Async cfg ->
-      Some
-        {
-          a_cfg = cfg;
-          a_edges = Sched.edges_create ~seed:cfg.Sched.a_seed;
-          a_heap = Sched.Heap.create ();
-          a_stats = Sched.stats_create ();
-          a_vt = 0;
-          a_seq = 0;
-          a_offs = [||];
-          a_order = [||];
-          a_starts = Array.make (bucket_span + 1) 0;
-        }
-    | Sched.Sparse -> None
-  in
+  let cfg = match backend with Some b -> Sched.cfg_of b | None -> Sched.default_async in
   let t =
     {
       n;
       corrupt = c;
-      async;
       metrics = Metrics.create n;
       sinks;
+      cfg;
+      edges = Sched.edges_create ~seed:cfg.Sched.a_seed;
+      heap = Sched.Heap.create ();
+      stats = Sched.stats_create ();
+      vt = 0;
+      seq = 0;
+      lockstep = Sched.pure_sync cfg;
+      offs = [||];
+      order = [||];
+      starts = Array.make (bucket_span + 1) 0;
       st_src = [||];
       st_dst = [||];
       st_tag = [||];
@@ -184,29 +179,23 @@ let create ?(backend = Sched.Sparse) ?(sinks = []) ~n ~corrupt () =
 let n t = t.n
 let metrics t = t.metrics
 
-let virtual_time t =
-  match t.async with Some a -> a.a_vt | None -> t.round
+let virtual_time t = t.vt
+let async_stats t = t.stats
 
-let async_stats t = Option.map (fun a -> a.a_stats) t.async
-
-(* Conditions program the async executor's delivery heap; the lock-step
-   backend has no heap to program, so attaching one there is a caller
-   bug, not a silent no-op. *)
+(* A condition routes every later delivery, so it ends the lock-step
+   shortcut for the rest of the run. *)
 let set_condition t c =
-  (match t.async with
-  | None ->
-    invalid_arg "Network.set_condition: conditions require the async backend"
-  | Some _ -> ());
-  t.condition <- Some c
+  t.condition <- Some c;
+  t.lockstep <- false
 
 (* A party is dark when the attached condition says so for the current
    (virtual time, round) — its handler is skipped and its deliveries are
    held on the heap until it resumes. Without a condition every party is
-   up, on every backend. *)
+   up. *)
 let party_up t i =
-  match (t.condition, t.async) with
-  | Some c, Some a -> not (c.Sched.c_down ~now:a.a_vt ~round:t.round i)
-  | _ -> true
+  match t.condition with
+  | Some c -> not (c.Sched.c_down ~now:t.vt ~round:t.round i)
+  | None -> true
 
 (* Mid-run corruption upgrade (the adaptive adversary's move). The mask
    here is the only one; observers hear of the upgrade as an event. The
@@ -296,9 +285,10 @@ let send t ~src:s ~dst ~tag payload =
     invalid_arg "Network.send: adversary send from honest src rejected";
   let size = Wire.size ~tag payload in
   if observed t then begin
-    (* On the async backend every send additionally carries the virtual
-       staging time, so replay can verify the timing schedule too. *)
-    let vt = Option.map (fun a -> a.a_vt) t.async in
+    (* Off the lock-step shortcut every send also carries the virtual
+       staging time, so replay can verify the timing schedule too; on it
+       the clock is the round. *)
+    let vt = if t.lockstep then None else Some t.vt in
     emit t (Event.Send { round = t.round; vt; src = s; dst; tag; payload; bits = 8 * size })
   end;
   Metrics.note_send t.metrics ~src:s ~dst ~tag ~size;
@@ -385,150 +375,159 @@ let distribute t nd =
 let ensure_order t n =
   if Array.length t.dl_order < n then t.dl_order <- grown_to t.dl_order n 0
 
-(* Lock-step delivery: inbox order is send order. *)
+(* Delivery: every message staged this round is due at [vt + latency],
+   latency drawn on its (src, dst) edge stream in send order; the round
+   barrier is the maximum delivery time, so the round's mail is delivered
+   completely before the next round activates (round semantics are
+   preserved — see sched.ml). What the knobs change: inboxes fill in
+   (delivery-time, send-seq) order rather than send order, and the virtual
+   clock jumps to the barrier.
+
+   With all knobs zero and no condition attached ([t.lockstep]) every
+   latency is 1 and the heap stays empty, so (time, seq) order is send
+   order and the barrier is [vt + 1]: the round is delivered in send
+   order with no draw, no route and no sort. Its sends still take their
+   seqs and are charged to the statistics in bulk; they add no delivery
+   sample, whose every pair would be (vt, vt + 1).
+
+   Otherwise the order is the event queue's (time, seq) order, but almost
+   every send is due within its own round, so those never enter the heap:
+   they are counting-sorted by offset into [t.order], send order kept
+   within an offset, and merged with the heap's parked events as they are
+   drained. At equal times the heap goes first: this round's heap events
+   lie past every bucket, so a heap event due at a bucketed time was sent
+   in an earlier round and its seq is older. Each send still takes a seq,
+   so the heap sees the seqs it would if every send were pushed. *)
 let deliver t =
   let n = t.st_n in
-  ensure_order t n;
-  for k = 0 to n - 1 do
-    t.dl_order.(k) <- k
-  done;
-  distribute t n
-
-(* Async delivery: every message staged this round is due at [vt +
-   latency], latency drawn on its (src, dst) edge stream in send order;
-   the round barrier is the maximum delivery time, so the round's mail is
-   delivered completely before the next round activates (round semantics
-   are preserved — see sched.ml). What the knobs change: inboxes fill in
-   (delivery-time, send-seq) order rather than send order, and the virtual
-   clock jumps to the barrier. With all knobs zero the latency is
-   uniformly 1, that order equals send order, and this path is
-   byte-identical to {!deliver}.
-
-   The order is the event queue's (time, seq) order, but almost every send
-   is due within its own round, so those never enter the heap: they are
-   counting-sorted by offset into [a_order], send order kept within an
-   offset, and merged with the heap's parked events as they are drained.
-   At equal times the heap goes first: this round's heap events lie past
-   every bucket, so a heap event due at a bucketed time was sent in an
-   earlier round and its seq is older. Each send still takes a seq, so
-   the heap sees the seqs it would if every send were pushed. *)
-let deliver_async t a =
-  let n = t.st_n in
-  if Array.length a.a_offs < n then begin
-    a.a_offs <- grown_to a.a_offs n 0;
-    a.a_order <- grown_to a.a_order n 0
-  end;
-  let offs = a.a_offs and order = a.a_order in
-  let st_src = t.st_src and st_dst = t.st_dst in
-  let now = a.a_vt in
-  let barrier = ref (now + 1) in
-  for i = 0 to n - 1 do
-    let src = st_src.(i) and dst = st_dst.(i) in
-    let lat = Sched.draw_latency a.a_edges a.a_cfg ~src ~dst ~now in
-    (* The condition sees the drawn latency and may reroute: [Deliver]
-       stays inside the round (extends the barrier like any draw),
-       [Defer] parks the event past the barrier so it crosses rounds.
-       No condition = [Deliver lat], the historical behaviour. *)
-    let dv =
+  let seq0 = t.seq in
+  t.seq <- seq0 + n;
+  if t.lockstep then begin
+    ensure_order t n;
+    for k = 0 to n - 1 do
+      t.dl_order.(k) <- k
+    done;
+    let st = t.stats in
+    st.Sched.st_sends <- st.Sched.st_sends + n;
+    if n > 0 then st.Sched.st_max_latency <- 1;
+    distribute t n;
+    t.vt <- t.vt + 1
+  end
+  else begin
+    if Array.length t.offs < n then begin
+      t.offs <- grown_to t.offs n 0;
+      t.order <- grown_to t.order n 0
+    end;
+    let offs = t.offs and order = t.order in
+    let st_src = t.st_src and st_dst = t.st_dst in
+    let now = t.vt in
+    let barrier = ref (now + 1) in
+    for i = 0 to n - 1 do
+      let src = st_src.(i) and dst = st_dst.(i) in
+      let lat = Sched.draw_latency t.edges t.cfg ~src ~dst ~now in
+      (* The condition sees the drawn latency and may reroute: [Deliver]
+         stays inside the round (extends the barrier like any draw),
+         [Defer] parks the event past the barrier so it crosses rounds.
+         No condition = [Deliver lat], the historical behaviour. *)
+      let dv =
+        match t.condition with
+        | None ->
+          if now + lat > !barrier then barrier := now + lat;
+          now + lat
+        | Some c -> (
+          match c.Sched.c_route ~now ~round:t.round ~src ~dst ~lat with
+          | Sched.Deliver lat ->
+            let dv = now + Int.max 1 lat in
+            if dv > !barrier then barrier := dv;
+            dv
+          | Sched.Defer vt -> Int.max (now + 1) vt)
+      in
+      offs.(i) <- dv - now
+    done;
+    let heap = t.heap in
+    (* Park what is not bucketed, in send (= seq) order; count the rest per
+       offset, then lay their indices out by (offset, send). *)
+    let due = Int.min bucket_span (!barrier - now) in
+    let starts = t.starts in
+    Array.fill starts 0 (bucket_span + 1) 0;
+    for i = 0 to n - 1 do
+      let off = offs.(i) in
+      if off > due then begin
+        Sched.Heap.push heap ~time:(now + off) ~seq:(seq0 + i + 1) (staged_msg t i, now);
+        offs.(i) <- -1
+      end
+      else starts.(off) <- starts.(off) + 1
+    done;
+    let nb = ref 0 in
+    for off = 1 to due do
+      let c = starts.(off) in
+      starts.(off) <- !nb;
+      nb := !nb + c
+    done;
+    for i = 0 to n - 1 do
+      let off = offs.(i) in
+      if off > 0 then begin
+        order.(starts.(off)) <- i;
+        starts.(off) <- starts.(off) + 1
+      end
+    done;
+    (* Drain everything due by the barrier; later events stay parked. A
+       delivery whose destination is dark this round is requeued just past
+       the barrier (fresh seq), so it retries every round until the party
+       resumes — and because [barrier + 1 > barrier] the drain always
+       terminates. The requeue re-stamps the send time to the hold point:
+       holding mail for a crashed receiver models a retransmit on resume,
+       so the partial-synchrony straggler accounting (which bounds the
+       *network's* latency, not a crashed party's outage) measures from the
+       re-offer. Delivery statistics are charged once, at the drain step
+       that actually delivers. *)
+    (* A delivery made at the close of round r is read by its handler in
+       round r + 1, so the hold test asks about the round the message would
+       be *read* in — the exact complement of the handler skip, which is
+       what makes churn lossless: a party dark for [r0, r1) reads nothing
+       in that window and everything held for it on resume. *)
+    let down dst =
       match t.condition with
-      | None ->
-        if now + lat > !barrier then barrier := now + lat;
-        now + lat
-      | Some c -> (
-        match c.Sched.c_route ~now ~round:t.round ~src ~dst ~lat with
-        | Sched.Deliver lat ->
-          let dv = now + Int.max 1 lat in
-          if dv > !barrier then barrier := dv;
-          dv
-        | Sched.Defer vt -> Int.max (now + 1) vt)
+      | None -> false
+      | Some c -> c.Sched.c_down ~now ~round:(t.round + 1) dst
     in
-    offs.(i) <- dv - now
-  done;
-  let heap = a.a_heap in
-  let seq0 = a.a_seq in
-  a.a_seq <- seq0 + n;
-  (* Park what is not bucketed, in send (= seq) order; count the rest per
-     offset, then lay their indices out by (offset, send). *)
-  let due = Int.min bucket_span (!barrier - now) in
-  let starts = a.a_starts in
-  Array.fill starts 0 (bucket_span + 1) 0;
-  for i = 0 to n - 1 do
-    let off = offs.(i) in
-    if off > due then begin
-      Sched.Heap.push heap ~time:(now + off) ~seq:(seq0 + i + 1) (staged_msg t i, now);
-      offs.(i) <- -1
-    end
-    else starts.(off) <- starts.(off) + 1
-  done;
-  let nb = ref 0 in
-  for off = 1 to due do
-    let c = starts.(off) in
-    starts.(off) <- !nb;
-    nb := !nb + c
-  done;
-  for i = 0 to n - 1 do
-    let off = offs.(i) in
-    if off > 0 then begin
-      order.(starts.(off)) <- i;
-      starts.(off) <- starts.(off) + 1
-    end
-  done;
-  (* Drain everything due by the barrier; later events stay parked. A
-     delivery whose destination is dark this round is requeued just past
-     the barrier (fresh seq), so it retries every round until the party
-     resumes — and because [barrier + 1 > barrier] the drain always
-     terminates. The requeue re-stamps the send time to the hold point:
-     holding mail for a crashed receiver models a retransmit on resume,
-     so the partial-synchrony straggler accounting (which bounds the
-     *network's* latency, not a crashed party's outage) measures from the
-     re-offer. Delivery statistics are charged once, at the drain step
-     that actually delivers. *)
-  (* A delivery made at the close of round r is read by its handler in
-     round r + 1, so the hold test asks about the round the message would
-     be *read* in — the exact complement of the handler skip, which is
-     what makes churn lossless: a party dark for [r0, r1) reads nothing
-     in that window and everything held for it on resume. *)
-  let down dst =
-    match t.condition with
-    | None -> false
-    | Some c -> c.Sched.c_down ~now ~round:(t.round + 1) dst
-  in
-  (* At most every bucketed send and every parked event is delivered;
-     a drained parked event is re-staged, so it gets a staging slot. *)
-  ensure_order t (n + Sched.Heap.size heap);
-  let nd = ref 0 in
-  let hold m =
-    a.a_seq <- a.a_seq + 1;
-    Sched.Heap.push heap ~time:(!barrier + 1) ~seq:a.a_seq (m, !barrier)
-  in
-  let accept slot ~send_vt ~time =
-    Sched.note_delivery a.a_stats a.a_cfg ~send_vt ~deliver_vt:time;
-    t.dl_order.(!nd) <- slot;
-    incr nd
-  in
-  let take_parked () =
-    let time = Sched.Heap.min_time heap in
-    let ((m : Wire.msg), send_vt) = Sched.Heap.take heap in
-    if down m.dst then hold m
-    else
-      accept (stage t ~src:m.src ~dst:m.dst ~tag:m.tag m.payload) ~send_vt ~time
-  in
-  let k = ref 0 in
-  while !k < !nb do
-    let i = order.(!k) in
-    let time = now + offs.(i) in
-    if Sched.Heap.size heap > 0 && Sched.Heap.min_time heap <= time then
+    (* At most every bucketed send and every parked event is delivered;
+       a drained parked event is re-staged, so it gets a staging slot. *)
+    ensure_order t (n + Sched.Heap.size heap);
+    let nd = ref 0 in
+    let hold m =
+      t.seq <- t.seq + 1;
+      Sched.Heap.push heap ~time:(!barrier + 1) ~seq:t.seq (m, !barrier)
+    in
+    let accept slot ~send_vt ~time =
+      Sched.note_delivery t.stats t.cfg ~send_vt ~deliver_vt:time;
+      t.dl_order.(!nd) <- slot;
+      incr nd
+    in
+    let take_parked () =
+      let time = Sched.Heap.min_time heap in
+      let ((m : Wire.msg), send_vt) = Sched.Heap.take heap in
+      if down m.dst then hold m
+      else
+        accept (stage t ~src:m.src ~dst:m.dst ~tag:m.tag m.payload) ~send_vt ~time
+    in
+    let k = ref 0 in
+    while !k < !nb do
+      let i = order.(!k) in
+      let time = now + offs.(i) in
+      if Sched.Heap.size heap > 0 && Sched.Heap.min_time heap <= time then
+        take_parked ()
+      else begin
+        incr k;
+        if down t.st_dst.(i) then hold (staged_msg t i) else accept i ~send_vt:now ~time
+      end
+    done;
+    while Sched.Heap.size heap > 0 && Sched.Heap.min_time heap <= !barrier do
       take_parked ()
-    else begin
-      incr k;
-      if down t.st_dst.(i) then hold (staged_msg t i) else accept i ~send_vt:now ~time
-    end
-  done;
-  while Sched.Heap.size heap > 0 && Sched.Heap.min_time heap <= !barrier do
-    take_parked ()
-  done;
-  distribute t !nd;
-  a.a_vt <- !barrier
+    done;
+    distribute t !nd;
+    t.vt <- !barrier
+  end
 
 (* Adversary turn, delivery and round close. *)
 let finish_round t adversary =
@@ -547,12 +546,12 @@ let finish_round t adversary =
   (* The adaptive hook observes the same honest traffic the rushing
      adversary just saw, and may upgrade its corrupt set before delivery —
      upgrades take effect from the next round's honest check. *)
-  (match (t.condition, t.async) with
-  | Some c, Some a ->
-    c.Sched.c_observe ~now:a.a_vt ~round:t.round ~msgs:honest_staged
+  (match t.condition with
+  | Some c ->
+    c.Sched.c_observe ~now:t.vt ~round:t.round ~msgs:honest_staged
       ~corrupt:(mark_corrupt t)
-  | _ -> ());
-  (match t.async with Some a -> deliver_async t a | None -> deliver t);
+  | None -> ());
+  deliver t;
   (* Receives of round r's sends are charged to round r, keeping per-round
      send/recv conservation; observers see the round close after delivery. *)
   if observed t then emit t (Event.Round_end t.round);
@@ -622,7 +621,7 @@ let run_active t ?(adversary = null_adversary) ?stop ~rounds ~extra handler_of =
 
 (* Between protocol phases: drop the round's staged sends and the pending
    inboxes, so a new sub-protocol starts from a clean slate while metrics
-   accumulate. Mail parked on the async heap is not in-flight in this
+   accumulate. Mail parked on the heap is not in-flight in this
    sense and survives (see the .mli). *)
 let flush t =
   clear_staging t;

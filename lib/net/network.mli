@@ -1,11 +1,12 @@
 (** Point-to-point network with authenticated channels and a rushing,
-    static adversary, advanced round by round by {!run_active} under a
-    pluggable {!Sched.backend}. Messages sent in round r arrive at the
-    start of round r+1; honest-to-honest traffic cannot be dropped. On the
-    async backend the within-round delivery *order* and the virtual clock
-    additionally follow the seeded per-edge latency model (see {!Sched});
-    with all chaos knobs at zero both backends produce a byte-identical
-    transcript. *)
+    static adversary, advanced round by round by {!run_active} on one
+    executor. Messages sent in round r arrive at the start of round r+1;
+    honest-to-honest traffic cannot be dropped. The within-round delivery
+    {e order} and the virtual clock follow the seeded per-edge latency
+    model of the {!Sched.async_cfg} given at {!create} (see {!Sched}).
+    With all knobs at zero and no condition attached that is lock-step
+    delivery in send order, and the executor takes a shortcut that draws,
+    routes and sorts nothing. *)
 
 type t
 
@@ -23,8 +24,8 @@ type adversary = {
 val create :
   ?backend:Sched.backend -> ?sinks:Repro_obs.Event.sink list -> n:int ->
   corrupt:int list -> unit -> t
-(** [backend] defaults to {!Sched.Sparse}: lock-step delivery in send
-    order. [sinks] (default none) subscribe to this network's observation
+(** [backend] (default {!Sched.default_async}: lock-step delivery in send
+    order) configures the executor. [sinks] (default none) subscribe to this network's observation
     stream, each called in list order with every event: a [Corrupt] per
     statically corrupt party right away, then per accepted send (in send
     order, with the staging round), per delivery, per round close, per
@@ -33,21 +34,24 @@ val create :
     each other; with no sink no event is built. *)
 
 val virtual_time : t -> int
-(** The async executor's virtual clock (the round number on the lock-step
-    backend, where the two coincide). [Send] events carry it; the
-    per-round delivery barrier advances it. *)
+(** The executor's virtual clock; the per-round delivery barrier advances
+    it. [Send] events carry it unless the network is on the lock-step
+    shortcut (zero knobs, no condition), where it equals the round. *)
 
-val async_stats : t -> Sched.stats option
-(** Delivery statistics of the async executor ([None] on the lock-step
-    backend): latency maxima, pre-GST retransmissions, and the sampled
-    (send, deliver) log the partial-synchrony checks run against. *)
+val async_stats : t -> Sched.stats
+(** Delivery statistics of the executor: latency maxima, pre-GST
+    retransmissions, and the sampled (send, deliver) log the
+    partial-synchrony checks run against. On the lock-step shortcut the
+    sends are counted and the maximum latency is 1, but no pair is
+    sampled: every one would be (t, t + 1). *)
 
 val set_condition : t -> Sched.condition -> unit
 (** Attach a network condition (partition / churn / delay / adaptive
     corruption — see {!Sched.condition}): it routes every subsequent
     delivery, may hold parties dark, and may upgrade the corrupt set after
-    observing honest traffic. Raises [Invalid_argument] on the lock-step
-    backend, which has no delivery heap to program. *)
+    observing honest traffic. It ends the lock-step shortcut: from the
+    current round on, every send is drawn and routed and carries its
+    virtual time. *)
 
 val n : t -> int
 val metrics : t -> Metrics.t
@@ -121,7 +125,7 @@ val run_active :
 
 val flush : t -> unit
 (** Between composed protocol phases: drop the current round's staged
-    sends and every pending inbox. Mail parked on the async executor's
+    sends and every pending inbox. Mail parked on the executor's
     heap is {e not} dropped — a condition's [Defer] past the round
     barrier, or deliveries held for a dark party — and is delivered when
     due, possibly in the next phase. Protocols tell phases apart by tag

@@ -111,8 +111,8 @@ let replay ?backend ~n ~corrupt events =
       (function Recorder.Send s -> Some s | _ -> None)
       events
   in
-  (* The fresh network must run the backend the log was recorded on: an
-     async log's virtual timestamps are a function of the seeded per-edge
+  (* The fresh network must run the configuration the log was recorded
+     under: virtual timestamps are a function of the seeded per-edge
      latency schedule, which only reproduces under the same config. *)
   let re = Recorder.create ~keep_payloads:true () in
   let net = Network.create ?backend ~sinks:[ Recorder.observe re ] ~n ~corrupt () in

@@ -5,8 +5,8 @@
     run: serialize the log to JSONL, parse it back, push every recorded
     send through a fresh network at its original round, and compare the
     re-captured event stream against the original — round, src, dst, tag,
-    payload digest, charged bits, raw payload bytes, and (on async-backend
-    logs) the virtual staging time must all match. *)
+    payload digest, charged bits, raw payload bytes, and (where the log
+    stamps it) the virtual staging time must all match. *)
 
 val events_of_jsonl : string -> (Repro_obs.Recorder.event list, string) result
 (** Parse a recorder JSONL document (see {!Repro_obs.Recorder.event_jsonl});
@@ -17,9 +17,9 @@ val replay :
   Repro_obs.Recorder.event list -> (Repro_obs.Recorder.t, string) result
 (** Re-drive the send events through a fresh [n]-party network, advancing
     rounds so each send is staged at its recorded round, with a
-    payload-keeping recorder subscribed. [backend] must be the backend the
-    log was recorded on (default sparse): async logs carry virtual
-    timestamps that only reproduce under the same latency config. Fails
+    payload-keeping recorder subscribed. [backend] must be the executor
+    configuration the log was recorded under (default: zero knobs): its
+    virtual timestamps only reproduce under the same latency config. Fails
     if a send lacks a captured payload ([keep_payloads] was off at record
     time) or rounds regress. *)
 

@@ -1,43 +1,38 @@
-(* Scheduler backends for the simulated network.
+(* The network's one executor: its configuration, event queue, per-edge
+   latency streams, delivery statistics and network conditions.
 
-   The network's one stepper ([Network.run_active]) delivers each
-   round's sends under one of two interchangeable disciplines:
+   The network's one stepper ([Network.run_active]) delivers each round's
+   sends in (virtual delivery time, send sequence) order, with per-edge
+   latency/jitter/loss drawn from seeded SplitMix streams and a GST knob
+   for partial synchrony (delivery within 1 + delta once the virtual
+   clock passes [a_gst]). Lock-step, where messages sent in round r are
+   delivered at the start of round r+1 in send order, is the zero-knob
+   case ([pure_sync]): every latency is 1 and no stream is drawn.
 
-   - [Sparse]: lock-step — messages sent in round r are delivered at the
-     start of round r+1 in send order.
-   - [Async cfg]: a deterministic asynchronous executor — every send is an
-     event on a queue keyed by (virtual delivery time, send sequence),
-     with per-edge latency/jitter/loss drawn from seeded SplitMix streams
-     and a GST knob for partial synchrony (delivery within 1 + delta once
-     the virtual clock passes [a_gst]).
+   The per-message path is O(1) and allocation-free. The per-edge streams
+   live unboxed in one small open-addressing table per source, keyed by
+   the destination (below), so a source's fan-out is drawn from a few
+   cache lines. A round's sends due by its barrier are counting-sorted by
+   delivery time in buffers the network reuses (see [Network.deliver]);
+   the event queue below holds only *parked* events — a condition's
+   [Defer] past the barrier, mail held for a dark party — in a plain
+   binary heap drained through a non-allocating [min_time]/[take] pair.
+   Either way, delivery follows the queue's (time, seq) order.
 
-   The async executor's per-message path is O(1) and allocation-free. The
-   per-edge streams live unboxed in one small open-addressing table per
-   source, keyed by the destination (below), so a source's fan-out is
-   drawn from a few cache lines. A round's sends due by its barrier are
-   counting-sorted by delivery time in buffers the network reuses (see
-   [Network.deliver_async]); the event queue below holds only *parked*
-   events — a condition's [Defer] past the barrier, mail held for a dark
-   party — in a plain binary heap drained through a non-allocating
-   [min_time]/[take] pair. Either way, delivery follows the queue's
-   (time, seq) order.
-
-   Determinism is the load-bearing property: the async executor draws all
+   Determinism is the load-bearing property: the executor draws all
    timing from per-edge child streams of one seed, so identical
    (protocol, n, seed, cfg) inputs produce identical transcripts on any
-   domain-pool size — which is what lets cross-backend conformance and
-   transcript replay stay byte-exact checks rather than statistical ones.
+   domain-pool size — which is what lets conformance and transcript
+   replay stay byte-exact checks rather than statistical ones.
 
-   The async executor is a *round synchronizer*: the per-round delivery
-   barrier is the maximum delivery time of that round's sends, so every
-   message staged in round r is delivered before round r+1 activates. Round-based protocols therefore keep their round semantics
-   under any latency/jitter/loss knobs; what the knobs change is the
-   delivery *order* within the round (inboxes are filled in
-   (delivery-time, send-seq) order), the virtual-clock trajectory, and the
-   latency statistics the partial-synchrony checks run against. With all
-   knobs zero the latency is exactly 1 with no stream draws, delivery
-   order degenerates to send order, and the transcript is byte-identical
-   to the lock-step backend — pinned by the golden conformance suite. *)
+   The executor is a *round synchronizer*: the per-round delivery barrier
+   is the maximum delivery time of that round's sends, so every message
+   staged in round r is delivered before round r+1 activates. Round-based
+   protocols therefore keep their round semantics under any
+   latency/jitter/loss knobs; what the knobs change is the delivery
+   *order* within the round (inboxes are filled in (delivery-time,
+   send-seq) order), the virtual-clock trajectory, and the latency
+   statistics the partial-synchrony checks run against. *)
 
 module Rng = Repro_util.Rng
 
@@ -52,20 +47,15 @@ type async_cfg = {
 let default_async =
   { a_seed = 0; a_delta = 0; a_jitter = 0; a_loss = 0.0; a_gst = 0 }
 
+(* [Sparse] names [Async default_async]. It stays because the ledger's
+   unit timings (bench/ledger/units.ml) still spell it. *)
 type backend = Sparse | Async of async_cfg
 
-let backend_name = function
-  | Sparse -> "sparse"
-  | Async _ -> "async"
+let cfg_of = function Sparse -> default_async | Async cfg -> cfg
 
-let backend_of_string ?(async = default_async) = function
-  | "sparse" -> Some Sparse
-  | "async" -> Some (Async async)
-  | _ -> None
-
-(* [pure_sync cfg] holds when the async executor is configured as exact
-   synchrony: every latency is 1 and no stream is ever drawn, so the
-   executor must reproduce the lock-step transcript byte-for-byte. *)
+(* [pure_sync cfg] holds when the executor is configured as exact
+   synchrony: every latency is 1 and no stream is ever drawn, so delivery
+   is lock-step. *)
 let pure_sync cfg = cfg.a_delta <= 0 && cfg.a_jitter <= 0 && cfg.a_loss <= 0.0
 
 (* --- event queue ---
@@ -435,9 +425,10 @@ let post_gst_ok ~gst ~delta log =
    down for a window (crash-recovery churn), and upgrade the corrupt set
    after observing honest traffic (the King–Saia adaptive adversary). The
    executor consults it per staged message *after* drawing the baseline
-   latency, so attaching a condition never perturbs the edge streams — and
-   a run with no condition attached draws and routes exactly as before,
-   keeping the zero-knob transcript byte-identical to lock-step.
+   latency, so attaching a condition never perturbs the edge streams.
+   Attaching one also ends the network's lock-step shortcut: from then on
+   every send is drawn and routed, so [pass_condition] forces the general
+   (time, seq) path without changing the transcript.
 
    [Deliver lat] keeps the message inside the current round (it extends the
    round barrier like any latency draw); [Defer vt] parks it on the heap

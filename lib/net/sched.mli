@@ -1,21 +1,19 @@
-(** Scheduler backends for the simulated network: lock-step delivery in
-    send order, plus a deterministic asynchronous executor
+(** The network's one executor: a deterministic asynchronous executor
     with per-edge latency/jitter/loss streams and a GST knob for partial
-    synchrony.
+    synchrony. Lock-step delivery in send order is its zero-knob case
+    ({!pure_sync}).
 
-    Backend choice changes {e how} a protocol executes, never {e what} it
-    may observe beyond the model: with all async knobs at zero the two
-    backends produce byte-identical transcripts (pinned by the golden
-    conformance suite), and with chaos knobs on the async executor stays a
-    deterministic function of (protocol, n, seed, cfg) on any domain-pool
-    size.
+    The knobs change {e how} a protocol executes, never {e what} it may
+    observe beyond the model: with all knobs at zero the executor is
+    lock-step, and with chaos knobs on it stays a deterministic function
+    of (protocol, n, seed, cfg) on any domain-pool size.
 
-    The async executor's per-message path is O(1) and allocation-free:
-    per-edge streams stored unboxed in one small table per source
-    ({!edges}), and a round's due sends counting-sorted by delivery time
-    in the network's reused buffers. The event queue ({!Heap}, drained through
-    {!Heap.min_time} and {!Heap.take}) holds only parked events:
-    deferrals past the round barrier and mail held for a dark party. *)
+    The per-message path is O(1) and allocation-free: per-edge streams
+    stored unboxed in one small table per source ({!edges}), and a round's
+    due sends counting-sorted by delivery time in the network's reused
+    buffers. The event queue ({!Heap}, drained through {!Heap.min_time}
+    and {!Heap.take}) holds only parked events: deferrals past the round
+    barrier and mail held for a dark party. *)
 
 type async_cfg = {
   a_seed : int;  (** master seed of the per-edge latency streams *)
@@ -33,11 +31,15 @@ type async_cfg = {
 val default_async : async_cfg
 (** All knobs zero: exact synchrony (latency 1, no stream draws). *)
 
-type backend = Sparse | Async of async_cfg
+val pure_sync : async_cfg -> bool
+(** Every latency is 1 and no stream is drawn: lock-step delivery. *)
 
-val backend_name : backend -> string
-val backend_of_string : ?async:async_cfg -> string -> backend option
-(** ["sparse"] or ["async"] (with [async] as its config). *)
+type backend = Sparse | Async of async_cfg
+(** An executor configuration. [Sparse] names [Async default_async]; it
+    stays because the ledger's unit timings (bench/ledger/units.ml) still
+    spell it. *)
+
+val cfg_of : backend -> async_cfg
 
 (** Deterministic event queue keyed by (delivery time, send sequence):
     pops come out in delivery order, ties broken by send order.
@@ -128,13 +130,13 @@ val post_gst_ok : gst:int -> delta:int -> delivery list -> bool
 
 (** {1 Network conditions}
 
-    A condition programs the async executor from outside the latency
+    A condition programs the executor from outside the latency
     model: reroute deliveries (partitions, extra delay), take parties dark
     for a window (churn), upgrade the corrupt set after observing traffic
     (the King–Saia adaptive adversary). Consulted per staged message
     {e after} the baseline latency draw, so attaching one never perturbs
     the edge streams; runs with no condition attached execute exactly as
-    before. *)
+    before. Attaching one ends the network's lock-step shortcut. *)
 
 type route =
   | Deliver of int

@@ -14,8 +14,9 @@ type t =
   | Send of {
       round : int;  (** staging round *)
       vt : int option;
-          (** virtual staging time on the async executor; [None] on the
-              lock-step backend, whose clock is the round number *)
+          (** virtual staging time; [None] while the network is on its
+              lock-step shortcut (zero knobs, no condition), where the
+              clock is the round number *)
       src : int;
       dst : int;
       tag : string;

@@ -16,7 +16,7 @@ type send_ev = {
   s_tag : string;
   s_digest : int64;
   s_bits : int;
-  s_vt : int option; (* virtual staging time; async-backend networks only *)
+  s_vt : int option; (* virtual staging time; absent on the lock-step shortcut *)
   s_payload : string option;
 }
 

@@ -25,8 +25,9 @@ type send_ev = {
   s_digest : int64;  (** FNV-1a 64 of the payload bytes *)
   s_bits : int;  (** 8 * wire size: the bits the meter/auditor charged *)
   s_vt : int option;
-      (** virtual staging time, stamped by async-backend networks; absent
-          on the lock-step backend (its clock is the round number) *)
+      (** virtual staging time; absent while the network is on its
+          lock-step shortcut (zero knobs, no condition), where the clock is
+          the round number *)
   s_payload : string option;  (** raw payload, kept only with [keep_payloads] *)
 }
 

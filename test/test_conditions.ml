@@ -1,6 +1,6 @@
 (* Network-condition adversary suite: the Condition combinators (delay /
-   partitions / churn / adaptive corruption) over the async scheduler
-   backend, and the condition axis of the attack matrix.
+   partitions / churn / adaptive corruption) over the network's executor,
+   and the condition axis of the attack matrix.
 
    The load-bearing properties: a partition healing at GST never creates a
    post-GST straggler; churned parties resume losslessly (their received
@@ -168,13 +168,11 @@ let qcheck_churn_lossless =
             (List.length received.(p))
             (List.length expected)
       done;
-      (match Network.async_stats net with
-      | None -> QCheck.Test.fail_report "async network carries no stats"
-      | Some s ->
-        if s.Sched.st_post_gst_late <> 0 then
-          QCheck.Test.fail_reportf
-            "seed %d: churn holds counted as %d post-GST stragglers" seed
-            s.Sched.st_post_gst_late);
+      let s = Network.async_stats net in
+      if s.Sched.st_post_gst_late <> 0 then
+        QCheck.Test.fail_reportf
+          "seed %d: churn holds counted as %d post-GST stragglers" seed
+          s.Sched.st_post_gst_late;
       true)
 
 (* --- adaptive corruption: the King-Saia budget --- *)
@@ -344,12 +342,6 @@ let test_delay_condition_envelope () =
     (vt slow <> vt base);
   Alcotest.(check bool) "delayed run still agrees" true slow.Balanced_ba.agreed
 
-let test_lockstep_rejects_condition () =
-  let net = Network.create ~n:8 ~corrupt:[] () in
-  match Network.set_condition net Sched.pass_condition with
-  | () -> Alcotest.fail "lock-step backend accepted a condition"
-  | exception Invalid_argument _ -> ()
-
 (* --- the matrix has teeth --- *)
 
 let test_condition_teeth_planted_rows_fail () =
@@ -461,8 +453,6 @@ let suite =
       test_pass_condition_byte_identical;
     Alcotest.test_case "delay condition: envelope clamp + schedule drift"
       `Quick test_delay_condition_envelope;
-    Alcotest.test_case "lock-step backends reject conditions" `Quick
-      test_lockstep_rejects_condition;
     Alcotest.test_case "matrix cells equal standalone cells" `Quick
       test_matrix_cells_match_standalone;
     Alcotest.test_case "planted teeth rows break their cells" `Quick

@@ -5,8 +5,8 @@
    design: the network's send choke point feeds the tap, the metrics, the
    auditor and the recorder from the same call site, so the recorder must
    observe every send in exact send order and its per-round bit totals must
-   equal the auditor's [tr_sent_bits] — on the lock-step backend and on
-   the async executor. *)
+   equal the auditor's [tr_sent_bits] — at zero knobs (the lock-step
+   shortcut) and under chaos knobs and conditions. *)
 
 open Repro_core
 module Rng = Repro_util.Rng
@@ -80,8 +80,8 @@ let expected_sends script =
   !out
 
 (* Drive the script through a fresh network with an auditor and a recorder
-   both subscribed, every party acting every round; [backend] picks the
-   executor and [condition] programs the async delivery heap — dark
+   both subscribed, every party acting every round; [backend] configures
+   the executor and [condition] programs its delivery heap — dark
    parties skip their scripted sends. *)
 let drive ?backend ?condition script =
   let audit =

@@ -6,11 +6,12 @@
    through the per-instance transcript tap ({!Repro_core.Runner.run_digest}).
    The n = 40 digests were recorded on an earlier stepper that visited
    every party's handler every round, and the n = 64/256 ones on that
-   stepper, the active-set one and the async executor alike; every
-   scheduler backend — lock-step delivery and the async executor at zero
-   chaos knobs — must reproduce them byte-for-byte. Any drift in
-   scheduling order, message content, RNG consumption, or round structure
-   changes the digest.
+   stepper, the active-set one and the async executor alike. Both of the
+   executor's zero-knob paths — the lock-step shortcut and the general
+   (time, seq) path, forced by attaching {!Repro_net.Sched.pass_condition}
+   — must reproduce them byte-for-byte. Any drift in scheduling order,
+   message content, RNG consumption, or round structure changes the
+   digest.
 
    If a deliberate protocol change invalidates a digest, re-record it by
    running the test and copying the printed actual value — and say so in the
@@ -23,13 +24,17 @@ let cell_n = 40
 let cell_beta = 0.1
 let cell_seed = 1
 
-(* Recorded on the every-party stepper; every backend must match. *)
+(* Recorded on the every-party stepper; both paths must match. *)
 let golden_owf = "03628b1b31b70ef318c4f2e35603afb09c5827bb1cbcf64753ee0a6d68267ce5"
 let golden_snark = "f8b5b2b4349d0844c7c8aa2b4f03542a09724d3018f658e8d92dc9db92f2b670"
 
-let transcript_digest ?backend ~protocol () =
+(* The executor's two zero-knob paths, by the condition that selects
+   them. *)
+let paths = [ ("shortcut", None); ("general", Some Sched.pass_condition) ]
+
+let transcript_digest ?condition ~protocol () =
   let row, digest =
-    Runner.run_digest ?backend ~protocol ~n:cell_n ~beta:cell_beta
+    Runner.run_digest ?condition ~protocol ~n:cell_n ~beta:cell_beta
       ~seed:cell_seed ()
   in
   Alcotest.(check bool)
@@ -39,19 +44,17 @@ let transcript_digest ?backend ~protocol () =
 
 let check_digest name protocol golden () =
   List.iter
-    (fun backend ->
-      let actual = transcript_digest ~backend ~protocol () in
+    (fun (path, condition) ->
+      let actual = transcript_digest ?condition ~protocol () in
       if actual <> golden then
         Alcotest.failf
-          "%s transcript digest on the %s backend drifted from the \
+          "%s transcript digest on the %s path drifted from the \
            pinned recording\n\
           \  pinned:  %s\n\
           \  actual:  %s\n\
            (message order, content, or RNG consumption changed)"
-          name
-          (Sched.backend_name backend)
-          golden actual)
-    (Runner.conform_backends ~seed:cell_seed)
+          name path golden actual)
+    paths
 
 (* The digest must also be insensitive to the domain-pool size: rerunning
    the same cell twice in-process (caches warm vs cold) must match too. *)
@@ -60,9 +63,9 @@ let test_rerun_stable () =
   let b = transcript_digest ~protocol:Runner.This_work_owf () in
   Alcotest.(check string) "same in-process rerun digest" a b
 
-(* Cross-backend conformance rows at larger n: the lock-step and
-   event-queue executors must agree on the digest and on the full measured
-   row behind it, and the digest must equal the pin. These values were
+(* Conformance rows at larger n: the lock-step shortcut and the general
+   path must agree on the digest and on the full measured row behind it,
+   and the digest must equal the pin. These values were
    identical on three executors when recorded (the every-party stepper,
    the active-set one and the async one at zero knobs), so the pins keep
    the every-party stepper's reference role now that only the active-set
@@ -84,13 +87,13 @@ let check_conform protocol n () =
     Runner.conformance_cell ~protocol ~n ~beta:cell_beta ~seed:cell_seed
   in
   Alcotest.(check bool)
-    (Printf.sprintf "%s n=%d rows ok on all backends" c.Runner.cf_protocol n)
+    (Printf.sprintf "%s n=%d rows ok on both paths" c.Runner.cf_protocol n)
     true c.Runner.cf_rows_ok;
   if not c.Runner.cf_match then
-    Alcotest.failf "%s n=%d backends disagree:\n%s" c.Runner.cf_protocol n
+    Alcotest.failf "%s n=%d paths disagree:\n%s" c.Runner.cf_protocol n
       (String.concat "\n"
          (List.map
-            (fun (b, d) -> Printf.sprintf "  %-6s %s" b d)
+            (fun (path, d) -> Printf.sprintf "  %-8s %s" path d)
             c.Runner.cf_digests));
   let golden = List.assoc (protocol, n) golden_conform in
   List.iter
@@ -107,20 +110,19 @@ let test_observers_neutral () =
   List.iter
     (fun (protocol, golden) ->
       List.iter
-        (fun backend ->
+        (fun (path, condition) ->
           let label =
-            Printf.sprintf "%s on %s" (Runner.protocol_name protocol)
-              (Sched.backend_name backend)
+            Printf.sprintf "%s on the %s path" (Runner.protocol_name protocol) path
           in
           let row, digest =
-            Runner.run_digest ~backend ~protocol ~n:cell_n ~beta:cell_beta
+            Runner.run_digest ?condition ~protocol ~n:cell_n ~beta:cell_beta
               ~seed:cell_seed ()
           in
           let tap, observed_digest = Runner.digest_sink () in
           let audit = Runner.make_auditor ~protocol ~n:cell_n in
           let recorder = Repro_obs.Recorder.create ~keep_payloads:true () in
           let observed_row =
-            Runner.run_with ~backend
+            Runner.run_with ?condition
               ~sinks:
                 [ tap; Repro_obs.Audit.observe audit; Repro_obs.Recorder.observe recorder ]
               ~protocol ~n:cell_n ~beta:cell_beta ~seed:cell_seed ()
@@ -133,7 +135,7 @@ let test_observers_neutral () =
             (label ^ ": the observers saw the run") true
             (Repro_obs.Audit.rounds_seen audit = row.Runner.r_rounds
             && Repro_obs.Recorder.total_events recorder > 0))
-        (Runner.conform_backends ~seed:cell_seed))
+        paths)
     [ (Runner.This_work_owf, golden_owf); (Runner.This_work_snark, golden_snark) ]
 
 let suite =

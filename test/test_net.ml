@@ -147,7 +147,7 @@ let test_flush_drops_in_flight () =
    parked on the async heap: a condition's [Defer] survives into the next
    phase and is read when due. *)
 let test_flush_keeps_parked_mail () =
-  let net = Network.create ~backend:(Sched.Async Sched.default_async) ~n:2 ~corrupt:[] () in
+  let net = Network.create ~n:2 ~corrupt:[] () in
   Network.set_condition net
     {
       Sched.pass_condition with
@@ -191,12 +191,19 @@ let check_collected what net w =
   done;
   ignore (Sys.opaque_identity net)
 
-let test_payloads_die backend () =
+(* A network on the lock-step shortcut, or on the general (time, seq)
+   path when [condition] is given. *)
+let create_on ?condition ?sinks ~n ~corrupt () =
+  let net = Network.create ?sinks ~n ~corrupt () in
+  Option.iter (Network.set_condition net) condition;
+  net
+
+let payloads_die ?condition () =
   let k = 3 in
   (* Round 0 sends three fresh payloads, round 1 reads them and sends one
      static payload: fewer deliveries than the round before, so stale
      delivery slots would keep the fresh ones alive. *)
-  let net = Network.create ~backend ~n:(k + 1) ~corrupt:[] () in
+  let net = create_on ?condition ~n:(k + 1) ~corrupt:[] () in
   let w = Weak.create k in
   let read = ref 0 in
   Network.run_active net ~rounds:3
@@ -210,7 +217,7 @@ let test_payloads_die backend () =
   Alcotest.(check int) "all read" (k + 1) !read;
   check_collected "a round after delivery" net w;
   (* Flushed while staged, and flushed while delivered but unread. *)
-  let net = Network.create ~backend ~n:(k + 1) ~corrupt:[] () in
+  let net = create_on ?condition ~n:(k + 1) ~corrupt:[] () in
   let w = Weak.create k in
   send_watched net w k;
   Network.flush net;
@@ -223,6 +230,11 @@ let test_payloads_die backend () =
   Network.flush net;
   Alcotest.(check int) "flushed" 0 (List.length (Network.inbox net 1));
   check_collected "flushed delivered" net w
+
+(* On both of the executor's zero-knob paths. *)
+let test_payloads_die () =
+  payloads_die ();
+  payloads_die ~condition:Sched.pass_condition ()
 
 (* --- The GC property: in-flight mail is not promoted --- *)
 
@@ -268,8 +280,9 @@ let test_in_flight_not_promoted () =
 (* Three honest senders with interleaved destinations and a corrupt party
    that echoes once; a recording sink sees the whole stream. Pinned: Send
    events in send order, Deliver events in reverse delivery order, every
-   inbox in delivery order, and what the rushing adversary sees. *)
-let test_observation_order backend () =
+   inbox in delivery order, and what the rushing adversary sees. Sends
+   carry their virtual time only off the lock-step shortcut. *)
+let observation_order ?condition () =
   let log = ref [] in
   let sink (ev : Repro_obs.Event.t) =
     let line =
@@ -286,7 +299,7 @@ let test_observation_order backend () =
     in
     log := line :: !log
   in
-  let net = Network.create ~backend ~sinks:[ sink ] ~n:4 ~corrupt:[ 3 ] () in
+  let net = create_on ?condition ~sinks:[ sink ] ~n:4 ~corrupt:[ 3 ] () in
   let plan =
     [| [ (2, "a0"); (1, "a1") ]; [ (2, "b0"); (0, "b1"); (2, "b2") ]; [ (1, "c0"); (2, "c1"); (0, "c2") ] |]
   in
@@ -330,7 +343,7 @@ let test_observation_order backend () =
   Alcotest.(check (list triples)) "pending inboxes"
     [ [ (2, 0, "e") ]; []; []; [] ]
     (List.map (fun p -> render (Network.inbox net p)) (Network.everyone net));
-  let vt r = match backend with Sched.Sparse -> "" | Sched.Async _ -> Printf.sprintf " vt%d" r in
+  let vt r = match condition with None -> "" | Some _ -> Printf.sprintf " vt%d" r in
   let send r s d p = Printf.sprintf "send r%d%s %d>%d %s %d" r (vt r) s d p (8 * (String.length p + 5)) in
   Alcotest.(check (list string)) "event stream"
     [
@@ -350,6 +363,10 @@ let test_observation_order backend () =
       "end r1";
     ]
     (List.rev !log)
+
+let test_observation_order () =
+  observation_order ();
+  observation_order ~condition:Sched.pass_condition ()
 
 (* --- Engine: a 2-round ping/pong across two instances --- *)
 
@@ -712,13 +729,9 @@ let suite =
       test_adversary_cannot_impersonate;
     Alcotest.test_case "flush" `Quick test_flush_drops_in_flight;
     Alcotest.test_case "flush keeps parked mail" `Quick test_flush_keeps_parked_mail;
-    Alcotest.test_case "payloads die (sparse)" `Quick (test_payloads_die Sched.Sparse);
-    Alcotest.test_case "payloads die (async)" `Quick
-      (test_payloads_die (Sched.Async Sched.default_async));
+    Alcotest.test_case "payloads die (async)" `Quick test_payloads_die;
     Alcotest.test_case "in-flight mail not promoted" `Quick test_in_flight_not_promoted;
-    Alcotest.test_case "observation order (sparse)" `Quick (test_observation_order Sched.Sparse);
-    Alcotest.test_case "observation order (async)" `Quick
-      (test_observation_order (Sched.Async Sched.default_async));
+    Alcotest.test_case "observation order (async)" `Quick test_observation_order;
     Alcotest.test_case "engine multiplexing" `Quick test_engine_multiplexing;
     Alcotest.test_case "engine isolation" `Quick test_engine_instance_isolation;
     Alcotest.test_case "engine rounds" `Quick test_engine_rounds_observed;

@@ -1,8 +1,8 @@
-(* Scheduler backend tests: the deterministic event queue behind the async
-   executor (heap order, per-edge latency streams, the GST contract), async
-   run determinism across reruns and domain-pool sizes, and transcript
-   replay of async-recorded logs. The cross-backend digest equalities live
-   in test_golden.ml; this file pins the async machinery itself. *)
+(* Executor tests: the deterministic event queue (heap order, per-edge
+   latency streams, the GST contract), async run determinism across reruns
+   and domain-pool sizes, transcript replay of recorded logs, and the
+   zero-knob lock-step shortcut. The shortcut-vs-general digest equalities
+   live in test_golden.ml; this file pins the executor itself. *)
 
 module Sched = Repro_net.Sched
 module Network = Repro_net.Network
@@ -344,11 +344,7 @@ let test_post_gst_on_network () =
   let cfg = chaos ~seed:5 in
   let r = run_owf_async ~n:64 ~seed:5 cfg in
   Alcotest.(check bool) "async run agreed" true r.Balanced_ba.agreed;
-  let stats =
-    match Network.async_stats r.Balanced_ba.net with
-    | Some s -> s
-    | None -> Alcotest.fail "async network carries no stats"
-  in
+  let stats = Network.async_stats r.Balanced_ba.net in
   let log = Sched.deliveries stats in
   Alcotest.(check bool) "network sampled deliveries" true (log <> []);
   Alcotest.(check bool) "post-GST bound held on the real run" true
@@ -439,11 +435,8 @@ let run_delivery_executor c =
               List.map (fun (m : Repro_net.Wire.msg) -> Bytes.to_string m.payload)
                 (Network.inbox net d)) ))
   in
-  match Network.async_stats net with
-  | Some s ->
-    let o_stats, o_log = stats_obs s in
-    { o_rounds = rounds; o_stats; o_log }
-  | None -> Alcotest.fail "async network carries no stats"
+  let o_stats, o_log = stats_obs (Network.async_stats net) in
+  { o_rounds = rounds; o_stats; o_log }
 
 let run_delivery_model c =
   let n = c.d_n and cfg = c.d_cfg in
@@ -597,12 +590,10 @@ let executor_order_digest ~seed =
         (Network.inbox net dst)
     done
   done;
-  (match Network.async_stats net with
-  | Some s ->
-    feed
-      (Printf.sprintf "sends=%d max=%d pre=%d post=%d\n" s.Sched.st_sends
-         s.Sched.st_max_latency s.Sched.st_pre_gst_lost s.Sched.st_post_gst_late)
-  | None -> Alcotest.fail "async network carries no stats");
+  let s = Network.async_stats net in
+  feed
+    (Printf.sprintf "sends=%d max=%d pre=%d post=%d\n" s.Sched.st_sends
+       s.Sched.st_max_latency s.Sched.st_pre_gst_lost s.Sched.st_post_gst_late);
   Repro_crypto.Sha256.hex (Repro_crypto.Sha256.finish ctx)
 
 let test_executor_order_pinned () =
@@ -857,6 +848,78 @@ let test_lockstep_log_has_no_vt () =
         Alcotest.fail "lock-step send stamped with a virtual timestamp"
     | _ -> ())
 
+(* --- the lock-step shortcut --- *)
+
+(* [rounds] rounds of a 16-party protocol whose payloads hash each party's
+   inbox, so any change of delivery order changes the transcript. The
+   condition, if given, is attached before round [attach_at]. Returns the
+   transcript digest, each send's (round, vt), the deliveries seen and the
+   network. *)
+let shortcut_run ?condition ~attach_at ~rounds () =
+  let n = 16 in
+  let tap, digest = Runner.digest_sink () in
+  let stamps = ref [] and delivered = ref 0 in
+  let watch : Repro_obs.Event.sink = function
+    | Send { round; vt; _ } -> stamps := (round, vt) :: !stamps
+    | Deliver _ -> incr delivered
+    | _ -> ()
+  in
+  let net = Network.create ~sinks:[ tap; watch ] ~n ~corrupt:[] () in
+  let handler i ~round ~inbox =
+    let seen =
+      String.concat ","
+        (List.map
+           (fun (m : Repro_net.Wire.msg) ->
+             Printf.sprintf "%d/%s" m.src (Bytes.to_string m.payload))
+           inbox)
+    in
+    let h = Digest.to_hex (Digest.string seen) in
+    for k = 1 to 3 do
+      Network.send net ~src:i ~dst:((i + (5 * k) + round) mod n) ~tag:"s"
+        (Bytes.of_string (Printf.sprintf "%d.%d.%s" round k (String.sub h 0 8)))
+    done
+  in
+  let step r =
+    Network.run_active net ~rounds:r
+      ~extra:(fun ~round:_ -> Network.everyone net)
+      (fun i -> Some (handler i))
+  in
+  step attach_at;
+  Option.iter (Network.set_condition net) condition;
+  step (rounds - attach_at);
+  (digest (), List.rev !stamps, !delivered, net)
+
+let test_lockstep_shortcut () =
+  let rounds = 6 in
+  let d, stamps, delivered, net = shortcut_run ~attach_at:rounds ~rounds () in
+  let s = Network.async_stats net in
+  Alcotest.(check int) "st_sends counts every delivery" delivered s.Sched.st_sends;
+  Alcotest.(check bool) "some mail was delivered" true (delivered > 0);
+  Alcotest.(check int) "max latency 1" 1 s.Sched.st_max_latency;
+  Alcotest.(check int) "no delivery sampled" 0 (List.length (Sched.deliveries s));
+  Alcotest.(check int) "clock = round" (Network.round net) (Network.virtual_time net);
+  Alcotest.(check bool) "no send carries vt" true
+    (List.for_all (fun (_, vt) -> vt = None) stamps);
+  (* Attaching the identity condition mid-run moves the rest of the run
+     onto the general path: the transcript stays, and sends are stamped
+     with their virtual time from that round on. *)
+  let attach_at = 3 in
+  let d', stamps', delivered', net' =
+    shortcut_run ~condition:Sched.pass_condition ~attach_at ~rounds ()
+  in
+  Alcotest.(check string) "pass condition mid-run: same transcript" d d';
+  Alcotest.(check int) "same deliveries" delivered delivered';
+  Alcotest.(check bool) "vt stamped from the attaching round on" true
+    (List.for_all
+       (fun (round, vt) -> vt = if round < attach_at then None else Some round)
+       stamps');
+  let s' = Network.async_stats net' in
+  Alcotest.(check int) "both paths count every delivery" s.Sched.st_sends
+    s'.Sched.st_sends;
+  Alcotest.(check int) "only the general path's deliveries are sampled"
+    (List.length (List.filter (fun (round, _) -> round >= attach_at) stamps'))
+    (List.length (Sched.deliveries s'))
+
 let suite =
   [
     QCheck_alcotest.to_alcotest qcheck_heap_order;
@@ -898,4 +961,6 @@ let suite =
       test_async_replay_roundtrip;
     Alcotest.test_case "lock-step logs carry no virtual timestamps" `Quick
       test_lockstep_log_has_no_vt;
+    Alcotest.test_case "zero-knob lock-step shortcut: bulk stats, no vt" `Quick
+      test_lockstep_shortcut;
   ]

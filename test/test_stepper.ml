@@ -8,7 +8,9 @@
    staged sends. QCheck generates protocols whose parties act only when
    armed (named in [extra]) or holding mail, so the two must agree exactly:
    on the full transcript, on every party's inbox in every round, and on
-   which parties acted with what inbox. *)
+   which parties acted with what inbox. The stepper is checked on both of
+   the executor's zero-knob paths: the lock-step shortcut, and the general
+   (time, seq) path that attaching {!Sched.pass_condition} forces. *)
 
 module Network = Repro_net.Network
 module Sched = Repro_net.Sched
@@ -129,7 +131,7 @@ let model c =
 
 (* The stepper under test. Handlers exist for every party, corrupt ones
    included: skipping those is the stepper's job. *)
-let stepper ~backend c =
+let stepper ?condition c =
   let corrupt = List.filter (fun p -> c.corrupt.(p)) (List.init c.n Fun.id) in
   let sends = ref [] and inboxes = ref [] and acted = ref [] in
   let ran = ref (-1) in
@@ -138,7 +140,8 @@ let stepper ~backend c =
       sends := (round, src, dst, tag, Bytes.to_string payload) :: !sends
     | _ -> ()
   in
-  let net = Network.create ~backend ~sinks:[ tap ] ~n:c.n ~corrupt () in
+  let net = Network.create ~sinks:[ tap ] ~n:c.n ~corrupt () in
+  Option.iter (Network.set_condition net) condition;
   let adversary =
     {
       Network.adv_name = "model-echo";
@@ -192,9 +195,8 @@ let prop_stepper_matches_model =
     (fun c ->
       let want = model c in
       List.iter
-        (fun backend ->
-          let got = stepper ~backend c in
-          let name = Sched.backend_name backend in
+        (fun (name, condition) ->
+          let got = stepper ?condition c in
           if got.sends <> want.sends then
             QCheck.Test.fail_reportf "%s: transcript differs (%d vs %d sends)" name
               (List.length got.sends) (List.length want.sends);
@@ -202,7 +204,7 @@ let prop_stepper_matches_model =
             QCheck.Test.fail_reportf "%s: a per-round inbox differs" name;
           if got.acted <> want.acted then
             QCheck.Test.fail_reportf "%s: visits differ" name)
-        [ Sched.Sparse; Sched.Async { Sched.default_async with a_seed = c.seed } ];
+        [ ("shortcut", None); ("general", Some Sched.pass_condition) ];
       true)
 
 let suite = [ QCheck_alcotest.to_alcotest prop_stepper_matches_model ]

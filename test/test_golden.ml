@@ -28,6 +28,22 @@ let cell_seed = 1
 let golden_owf = "03628b1b31b70ef318c4f2e35603afb09c5827bb1cbcf64753ee0a6d68267ce5"
 let golden_snark = "f8b5b2b4349d0844c7c8aa2b4f03542a09724d3018f658e8d92dc9db92f2b670"
 
+(* The other four rows of Table 1 at the same cell: the multisig pipeline
+   and the three baselines, each on its own network. Recorded before the
+   runner built every cell's network in one place, so they pin that the
+   protocols run the same on a network they are handed. *)
+let golden_rows =
+  [
+    (Runner.Multisig_boost,
+     "0ac0d6900a8a23238fdbe35895f42a86e48a2f55715f1ed93fe9dda1a066a0dc");
+    (Runner.Sqrt_boost,
+     "94be713b95fbda52e5fa07ff935ecb82780ae9ed8c1bf7b699909194d592ed69");
+    (Runner.Naive_boost,
+     "069c42aa3dbf866423f7b162588639152eb09c9a1f5402ca6f9ab69e8cd84730");
+    (Runner.Dolev_strong,
+     "2ebeca449b5cbf4153c63cbb99cc84eea8ad73094d3aea377ee41cf2518c6bb1");
+  ]
+
 (* The executor's two zero-knob paths, by the condition that selects
    them. *)
 let paths = [ ("shortcut", None); ("general", Some Sched.pass_condition) ]
@@ -144,6 +160,15 @@ let suite =
       (check_digest "this-work-owf" Runner.This_work_owf golden_owf);
     Alcotest.test_case "snark transcript digest pinned (all backends)" `Quick
       (check_digest "this-work-snark" Runner.This_work_snark golden_snark);
+  ]
+  @ List.map
+      (fun (protocol, golden) ->
+        let name = Runner.protocol_name protocol in
+        Alcotest.test_case
+          (name ^ " transcript digest pinned (all backends)")
+          `Quick (check_digest name protocol golden))
+      golden_rows
+  @ [
     Alcotest.test_case "owf transcript rerun-stable" `Quick test_rerun_stable;
     Alcotest.test_case "auditor and recorder leave transcripts and rows alone"
       `Quick test_observers_neutral;

@@ -127,8 +127,16 @@ conditions-smoke: build
 	$(call domains_identical,$(CONDITIONS_ARGS),CONDITIONS_report1.json,CONDITIONS_report4.json,conditions report)
 
 # <10s: the experiment subcommands no other target runs, at small n. Each
-# exits non-zero if its experiment's gate fails.
+# exits non-zero if its experiment's gate fails. Then `run`, the CLI's one
+# path through Runner.run/run_audited: every protocol at n = 32, once under
+# the executor knobs and once audited; `run` always exits 0, so each line
+# must print its row with ok=true.
 cli-smoke: build
+	for p in owf snark multisig sqrt naive ds; do \
+	  $(BA_SIM) run -p $$p -n 32 | grep ' ok=true ' || exit 1; \
+	done
+	$(BA_SIM) run -p owf -n 32 --jitter 2 --gst 8 | grep ' ok=true '
+	$(BA_SIM) run -p owf -n 32 --audit | grep ' ok=true '
 	$(BA_SIM) table1 --ns 32
 	$(BA_SIM) sweep --ns 32,64
 	$(BA_SIM) games -n 64

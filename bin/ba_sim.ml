@@ -119,16 +119,15 @@ let run_cmd =
       jitter loss =
     if trace_out <> None then Repro_obs.Trace.set_output trace_out;
     if counters then Repro_obs.Counters.enable ();
-    let backend =
-      Repro_net.Sched.Async
-        { a_seed = seed; a_delta = delta; a_jitter = jitter; a_loss = loss;
-          a_gst = gst }
+    let cfg =
+      { Repro_net.Sched.a_seed = seed; a_delta = delta; a_jitter = jitter;
+        a_loss = loss; a_gst = gst }
     in
     let row, auditor =
       if audit || Repro_obs.Audit.global_enabled () then
-        let row, a = Runner.run_audited ~backend ~protocol ~n ~beta ~seed () in
+        let row, a = Runner.run_audited ~cfg ~protocol ~n ~beta ~seed () in
         (row, Some a)
-      else (Runner.run ~backend ~protocol ~n ~beta ~seed (), None)
+      else (Runner.run ~cfg ~protocol ~n ~beta ~seed (), None)
     in
     Printf.printf
       "%s n=%d beta=%.2f: rounds=%d max=%.1fKiB/party mean=%.1fKiB total=%.1fMiB \

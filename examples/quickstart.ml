@@ -13,16 +13,18 @@ let () =
   let n = 128 in
   let rng = Repro_util.Rng.create 2024 in
 
-  (* a static adversary corrupts 10% of the parties *)
+  (* a static adversary corrupts 10% of the parties: the network's mask
+     is the run's corrupt set *)
   let corrupt = Repro_util.Rng.subset rng ~n ~size:(n / 10) in
+  let net = Repro_net.Network.create ~n ~corrupt () in
 
   (* parties disagree on the input bit: even parties say true *)
   let inputs = Array.init n (fun i -> i mod 2 = 0) in
 
-  let cfg = Balanced_ba.default_config ~n ~corrupt ~inputs ~seed:2024 () in
+  let cfg = Balanced_ba.default_config ~n ~inputs ~seed:2024 () in
   (* phase A: the SRDS keys, a function of (n, seed) alone *)
   let setup = BA.setup ~n ~seed:2024 in
-  let result = BA.run ~setup cfg in
+  let result = BA.run ~net ~setup cfg in
 
   Printf.printf "parties:            %d (%d corrupt)\n" n (List.length corrupt);
   Printf.printf "agreement reached:  %b\n" result.Balanced_ba.agreed;

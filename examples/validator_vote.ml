@@ -34,9 +34,9 @@ let () =
       honest_leaders
   in
   let cfg =
-    Balanced_ba.default_config ~n ~corrupt ~inputs:(Array.make n false) ~seed:99 ()
+    Balanced_ba.default_config ~n ~inputs:(Array.make n false) ~seed:99 ()
   in
-  let r = Bc.run cfg ~messages:blocks in
+  let r = Bc.run ~net:(Repro_net.Network.create ~n ~corrupt ()) cfg ~messages:blocks in
   List.iteri
     (fun height (e : Broadcast.exec_result) ->
       Printf.printf "block %d (leader %3d): finalized=%b consistent=%b (%.0f%% of honest)\n"

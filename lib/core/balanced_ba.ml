@@ -41,7 +41,6 @@ module Coin_toss = Repro_consensus.Coin_toss
 
 type config = {
   n : int;
-  corrupt : int list;
   inputs : bool array; (* per-party input bit *)
   seed : int;
   adversary : Repro_net.Network.adversary option;
@@ -57,13 +56,9 @@ type result = {
   report : Metrics.report;
   breakdown : (string * int) list; (* sent bytes per protocol phase *)
   tree_good : bool;
-  net : Repro_net.Network.t;
-      (* the run's network, for post-hoc scheduler introspection (async
-         delivery stats, virtual clock) *)
 }
 
-let default_config ?adversary ~n ~corrupt ~inputs ~seed () =
-  { n; corrupt; inputs; seed; adversary }
+let default_config ?adversary ~n ~inputs ~seed () = { n; inputs; seed; adversary }
 
 (* Each protocol phase is a [Repro_obs.Trace] span (category "ba"), so
    phase structure lands in the exported Chrome trace, and a network phase
@@ -105,7 +100,8 @@ module Make (S : Srds_intf.SCHEME) = struct
     { s_n = n; s_seed = seed; keys }
 
   (* Execution context shared by BA and broadcast: network, tree, SRDS
-     keys. Building it finishes phase A and runs phase B. *)
+     keys. Building it finishes phase A and runs phase B on the caller's
+     network, whose mask is the run's corrupt set. *)
   type ctx = {
     net : Network.t;
     rng : Rng.t;
@@ -120,13 +116,18 @@ module Make (S : Srds_intf.SCHEME) = struct
     adversary : Network.adversary option;
   }
 
-  let make_ctx ?sinks ?backend ?condition ~setup (cfg : config) : ctx =
+  let make_ctx ~net ~setup (cfg : config) : ctx =
     if setup.s_n <> cfg.n || setup.s_seed <> cfg.seed then
       invalid_arg
         (Printf.sprintf
            "Balanced_ba.make_ctx: setup for (n=%d, seed=%d) given a run with \
             (n=%d, seed=%d)"
            setup.s_n setup.s_seed cfg.n cfg.seed);
+    if Network.n net <> cfg.n then
+      invalid_arg
+        (Printf.sprintf
+           "Balanced_ba.make_ctx: network of n=%d given a run with n=%d"
+           (Network.n net) cfg.n);
     Repro_crypto.Wots.clear_cache ();
     let n = cfg.n in
     let rng = Rng.create cfg.seed in
@@ -135,8 +136,6 @@ module Make (S : Srds_intf.SCHEME) = struct
        assignment and this run's pp are re-derived from the same seed. *)
     let slot_party = Tree.assignment params (Rng.of_label rng "assignment") in
     let pp, _master = S.setup (setup_stream cfg.seed) ~n:params.Params.num_slots in
-    let net = Network.create ?backend ?sinks ~n ~corrupt:cfg.corrupt () in
-    Option.iter (Network.set_condition net) condition;
     (* Phase B: election establishes the tree. *)
     let ae =
       timed net "B: election" (fun () ->
@@ -564,8 +563,8 @@ module Make (S : Srds_intf.SCHEME) = struct
 
   (* --- the full Byzantine agreement protocol --- *)
 
-  let run ?sinks ?backend ?condition ~setup (cfg : config) : result =
-    let ctx = make_ctx ?sinks ?backend ?condition ~setup cfg in
+  let run ~net ~setup (cfg : config) : result =
+    let ctx = make_ctx ~net ~setup cfg in
     let timed name f = timed ctx.net name f in
     let n = cfg.n in
     let corrupt p = Network.is_corrupt ctx.net p in
@@ -631,6 +630,5 @@ module Make (S : Srds_intf.SCHEME) = struct
       report = Metrics.report ~include_party:(honest ctx) (Network.metrics ctx.net);
       breakdown = Metrics.tag_breakdown (Network.metrics ctx.net);
       tree_good;
-      net = ctx.net;
     }
 end

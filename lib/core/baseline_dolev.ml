@@ -22,13 +22,11 @@ module Mss = Repro_crypto.Mss
 
 type config = {
   n : int;
-  corrupt : int list;
   value : bool;
   seed : int;
 }
 
 type result = {
-  net : Network.t; (* the run's network: backend stats, corrupt set *)
   outputs : bool option array;
   agreed : bool;
   decided_fraction : float; (* honest parties that produced an output *)
@@ -60,7 +58,7 @@ let pki ~n ~seed =
             (Bytes.of_string (Printf.sprintf "ds-key-%d-%d" seed p)));
   }
 
-let run ?sinks ?backend ?condition ?adversary ~pki (cfg : config) : result =
+let run ?adversary ~net ~pki (cfg : config) : result =
   let n = cfg.n in
   if pki.k_n <> n || pki.k_seed <> cfg.seed then
     invalid_arg
@@ -68,8 +66,10 @@ let run ?sinks ?backend ?condition ?adversary ~pki (cfg : config) : result =
          "Baseline_dolev.run: PKI for (n=%d, seed=%d) given a run with \
           (n=%d, seed=%d)"
          pki.k_n pki.k_seed n cfg.seed);
-  let net = Network.create ?backend ?sinks ~n ~corrupt:cfg.corrupt () in
-  Option.iter (Network.set_condition net) condition;
+  if Network.n net <> n then
+    invalid_arg
+      (Printf.sprintf "Baseline_dolev.run: network of n=%d given a run with n=%d"
+         (Network.n net) n);
   let vks = Array.map fst pki.keys in
   let members = List.init n (fun i -> i) in
   let sender = 0 in
@@ -127,7 +127,6 @@ let run ?sinks ?backend ?condition ?adversary ~pki (cfg : config) : result =
       (List.filter (fun p -> outputs.(p) = Some cfg.value) honest_list)
   in
   {
-    net;
     outputs;
     agreed;
     decided_fraction =

@@ -10,7 +10,6 @@ module Wire = Repro_net.Wire
 
 type config = {
   n : int;
-  corrupt : int list;
   holders : int list;
   value : bool;
   seed : int;
@@ -19,15 +18,18 @@ type config = {
 type result = {
   outputs : bool option array;
   agreed : bool;
+  decided_fraction : float; (* honest parties that produced an output *)
   correct_fraction : float;
   report : Metrics.report;
   breakdown : (string * int) list; (* sent bytes per tag group *)
 }
 
-let run ?sinks ?backend ?condition (cfg : config) : result =
+let run ~net (cfg : config) : result =
   let n = cfg.n in
-  let net = Network.create ?backend ?sinks ~n ~corrupt:cfg.corrupt () in
-  Option.iter (Network.set_condition net) condition;
+  if Network.n net <> n then
+    invalid_arg
+      (Printf.sprintf "Baseline_naive.run: network of n=%d given a run with n=%d"
+         (Network.n net) n);
   let honest p = Network.is_honest net p in
   let enc b = Bytes.make 1 (if b then '\001' else '\000') in
   let outputs = Array.make n None in
@@ -78,6 +80,8 @@ let run ?sinks ?backend ?condition (cfg : config) : result =
   {
     outputs;
     agreed;
+    decided_fraction =
+      float_of_int (List.length decided) /. float_of_int (max 1 (List.length honest_list));
     correct_fraction = float_of_int correct /. float_of_int (max 1 (List.length honest_list));
     report = Metrics.report ~include_party:honest (Network.metrics net);
     breakdown = Metrics.tag_breakdown (Network.metrics net);

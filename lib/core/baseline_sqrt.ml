@@ -17,7 +17,6 @@ module Wire = Repro_net.Wire
 
 type config = {
   n : int;
-  corrupt : int list;
   holders : int list; (* honest parties that start with the value *)
   value : bool;
   seed : int;
@@ -26,6 +25,7 @@ type config = {
 type result = {
   outputs : bool option array;
   agreed : bool;
+  decided_fraction : float; (* honest parties that produced an output *)
   correct_fraction : float; (* honest parties outputting the value *)
   report : Metrics.report;
   breakdown : (string * int) list; (* sent bytes per tag group *)
@@ -33,16 +33,18 @@ type result = {
 
 let group_size n = max 1 (Repro_util.Mathx.isqrt n)
 
-let run ?sinks ?backend ?condition (cfg : config) : result =
+let run ~net (cfg : config) : result =
   let n = cfg.n in
+  if Network.n net <> n then
+    invalid_arg
+      (Printf.sprintf "Baseline_sqrt.run: network of n=%d given a run with n=%d"
+         (Network.n net) n);
   let g = group_size n in
   let num_groups = Repro_util.Mathx.ceil_div n g in
   let group_of p = p / g in
   let members_of_group k = List.filter (fun p -> p < n) (List.init g (fun j -> (k * g) + j)) in
   let row_of p = p mod g in
   let row_members r = List.filter (fun p -> p < n) (List.init num_groups (fun k -> (k * g) + r)) in
-  let net = Network.create ?backend ?sinks ~n ~corrupt:cfg.corrupt () in
-  Option.iter (Network.set_condition net) condition;
   let honest p = Network.is_honest net p in
   let enc b = Bytes.make 1 (if b then '\001' else '\000') in
   let dec payload =
@@ -112,6 +114,8 @@ let run ?sinks ?backend ?condition (cfg : config) : result =
   {
     outputs;
     agreed;
+    decided_fraction =
+      float_of_int (List.length decided) /. float_of_int (max 1 (List.length honest_list));
     correct_fraction = float_of_int correct /. float_of_int (max 1 (List.length honest_list));
     report = Metrics.report ~include_party:honest (Network.metrics net);
     breakdown = Metrics.tag_breakdown (Network.metrics net);

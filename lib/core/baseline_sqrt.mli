@@ -4,7 +4,6 @@
 
 type config = {
   n : int;
-  corrupt : int list;
   holders : int list;  (** honest parties that start with the value *)
   value : bool;
   seed : int;
@@ -13,6 +12,7 @@ type config = {
 type result = {
   outputs : bool option array;
   agreed : bool;
+  decided_fraction : float;  (** honest parties that produced an output *)
   correct_fraction : float;
   report : Repro_net.Metrics.report;
   breakdown : (string * int) list;  (** sent bytes per tag group *)
@@ -20,13 +20,8 @@ type result = {
 
 val group_size : int -> int
 
-val run :
-  ?sinks:Repro_obs.Event.sink list ->
-  ?backend:Repro_net.Sched.backend ->
-  ?condition:Repro_net.Sched.condition ->
-  config ->
-  result
-(** [?sinks] subscribe to the run's network (auditor, flight recorder,
-    transcript tap: see {!Repro_net.Network.create}); [?backend]
-    configures its executor (default lock-step) and [?condition] is
-    attached to it (see {!Repro_net.Network.set_condition}). *)
+val run : net:Repro_net.Network.t -> config -> result
+(** Runs on [net], the caller's network: its mask is the corrupt set, and
+    its sinks, executor knobs and condition are whatever the caller gave
+    it (see {!Runner.network}). Raises [Invalid_argument] when
+    [Network.n net] differs from the config's [n]. *)

@@ -196,9 +196,8 @@ module Make (S : Srds_intf.SCHEME) = struct
     (* certify + boost the agreed value *)
     BA.certify ctx ~label ~values:agreed
 
-  let run (cfg : Balanced_ba.config) ~(messages : (int * bytes) list) : result =
-    let ctx = BA.make_ctx ~setup:(BA.setup ~n:cfg.n ~seed:cfg.seed) cfg in
-    let net = ctx.BA.net in
+  let run ~net (cfg : Balanced_ba.config) ~(messages : (int * bytes) list) : result =
+    let ctx = BA.make_ctx ~net ~setup:(BA.setup ~n:cfg.n ~seed:cfg.seed) cfg in
     let n = Network.n net in
     let honest p = Network.is_honest net p in
     let execs =

@@ -55,7 +55,6 @@ let yes_no ok = if ok then "yes" else "NO"
 let f1 = Printf.sprintf "%.1f"
 let f3 = Printf.sprintf "%.3f"
 let mib bytes = float_of_int bytes /. 1048576.
-let corrupt_draw rng ~n ~beta = Rng.subset rng ~n ~size:(int_of_float (beta *. float_of_int n))
 
 let is_this_work name =
   match protocol_of_name name with
@@ -479,13 +478,13 @@ let broadcast ?(n = 96) ?(beta = 0.1) ?(seed = 5) () =
   let b = Buffer.create 1024 in
   section b "E9/Cor-1.2: broadcast amortization over l executions";
   let module Bc = Broadcast.Make (Srds_snark) in
-  let corrupt = corrupt_draw (Rng.create seed) ~n ~beta in
-  let cfg = Balanced_ba.default_config ~n ~corrupt ~inputs:(Array.make n false) ~seed () in
+  let corrupt = corrupt_set (Rng.create seed) ~n ~beta in
+  let cfg = Balanced_ba.default_config ~n ~inputs:(Array.make n false) ~seed () in
   let honest = List.filter (fun p -> not (List.mem p corrupt)) (List.init n Fun.id) in
   let row l =
     let senders = List.filteri (fun k _ -> k < l) honest in
     let r =
-      Bc.run cfg
+      Bc.run ~net:(network ~n ~corrupt ()) cfg
         ~messages:(List.map (fun p -> (p, Bytes.of_string (Printf.sprintf "m%d" p))) senders)
     in
     let all f = string_of_bool (List.for_all f r.Broadcast.execs) in
@@ -514,8 +513,8 @@ let tree_quality ?(trials = 3) () =
     for seed = 1 to trials do
       let rng = Rng.create (seed * 37) in
       let tree = Tree.random params rng in
-      let corrupt_set = corrupt_draw rng ~n ~beta in
-      let corrupt p = List.mem p corrupt_set in
+      let drawn = corrupt_set rng ~n ~beta in
+      let corrupt p = List.mem p drawn in
       glf := !glf +. Tree.good_leaf_fraction tree ~corrupt;
       conn := !conn +. Tree.connected_fraction tree ~corrupt;
       if Tree.is_good tree ~corrupt ~level:params.Params.height ~idx:0 then incr root_ok
@@ -546,7 +545,7 @@ let boost ?(n = 256) ?(beta = 0.1) ?(seed = 6) () =
   cold_caches ();
   let b = Buffer.create 1024 in
   section b "E11: one-shot boost - isolated-party recovery vs PRF degree";
-  let corrupt = corrupt_draw (Rng.create seed) ~n ~beta in
+  let corrupt = corrupt_set (Rng.create seed) ~n ~beta in
   let cfg degree = { Boost.n; corrupt; isolated_fraction = 0.15; degree; seed } in
   table b
     ~title:(Printf.sprintf "n=%d, beta=%.2f, isolated=15%%" n beta)

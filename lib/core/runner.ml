@@ -62,7 +62,7 @@ let protocol_of_name = function
    the honest curve is Theta~(log^3 n): 2*log^3 covers the measured maxima
    (457 @ 512, 860 @ 1024, 1844 @ 4096) with ~2x headroom. A log^2 curve —
    the per-membership cost — sits under the measured values from n = 512
-   on, which is what the audit caught when the sparse engine first made
+   on, which is what the audit caught when the active-set stepper first made
    those n reachable. *)
 let budgets_of = function
   | This_work_owf ->
@@ -180,6 +180,12 @@ let row_json r = Json.Obj (row_fields r)
 module Ba_owf = Balanced_ba.Make (Srds_owf)
 module Ba_snark = Balanced_ba.Make (Srds_snark)
 module Ba_multisig = Balanced_ba.Make (Baseline_multisig)
+module Network = Repro_net.Network
+module Attacks = Repro_aetree.Attacks
+module Aetree_params = Repro_aetree.Params
+module Aetree_tree = Repro_aetree.Tree
+module Strategy = Repro_adversary.Strategy
+module Condition = Repro_adversary.Condition
 
 let corrupt_set rng ~n ~beta =
   Rng.subset rng ~n ~size:(int_of_float (beta *. float_of_int n))
@@ -193,19 +199,6 @@ let holders rng ~n ~corrupt =
   let iso = max 1 (Array.length arr / 20) in
   Array.sub arr iso (Array.length arr - iso) |> Array.to_list
 
-let run_full_ba name run_fn ~n ~beta ~seed : row =
-  let rng = Rng.create seed in
-  let corrupt = corrupt_set rng ~n ~beta in
-  let inputs = Array.init n (fun i -> (i + seed) mod 2 = 0) in
-  let cfg = Balanced_ba.default_config ~n ~corrupt ~inputs ~seed () in
-  let (r : Balanced_ba.result) = run_fn ~n ~seed cfg in
-  row_of_report ~protocol:name ~n ~beta ~report:r.Balanced_ba.report
-    ~ok:(r.Balanced_ba.agreed && r.Balanced_ba.decided_fraction > 0.99)
-    ~note:
-      (Printf.sprintf "decided=%.2f%s" r.Balanced_ba.decided_fraction
-         (if r.Balanced_ba.tree_good then "" else " tree-degraded"))
-    ~breakdown:r.Balanced_ba.breakdown
-
 (* Every cell starts from cold per-domain crypto caches. A cell must not
    inherit what its domain verified before: a [Wots.verify] memo hit skips
    the chain steps and the vk hash that the deterministic [hashx.hash]
@@ -215,103 +208,11 @@ let cold_caches () =
   Repro_crypto.Hashx.clear_cache ();
   Repro_crypto.Wots.clear_cache ()
 
-(* [sinks] subscribe to the protocol's own network, [backend] configures
-   its executor and [condition] is attached to it; callers that want the
-   auditor's verdict use {!run_audited}, callers that want the
-   flight-recorded log use {!run_recorded}, callers pinning transcripts
-   use {!run_digest}. *)
-let run_with ?sinks ?backend ?condition ~protocol ~n ~beta ~seed () : row =
-  cold_caches ();
-  match protocol with
-  | This_work_owf ->
-    run_full_ba "this-work-owf"
-      (fun ~n ~seed cfg ->
-        Ba_owf.run ?sinks ?backend ?condition ~setup:(Ba_owf.setup ~n ~seed) cfg)
-      ~n ~beta ~seed
-  | This_work_snark ->
-    run_full_ba "this-work-snark"
-      (fun ~n ~seed cfg ->
-        Ba_snark.run ?sinks ?backend ?condition ~setup:(Ba_snark.setup ~n ~seed) cfg)
-      ~n ~beta ~seed
-  | Multisig_boost ->
-    run_full_ba "multisig-boost"
-      (fun ~n ~seed cfg ->
-        Ba_multisig.run ?sinks ?backend ?condition
-          ~setup:(Ba_multisig.setup ~n ~seed) cfg)
-      ~n ~beta ~seed
-  | Sqrt_boost ->
-    let rng = Rng.create seed in
-    let corrupt = corrupt_set rng ~n ~beta in
-    let holders = holders rng ~n ~corrupt in
-    let r =
-      Baseline_sqrt.run ?sinks ?backend ?condition
-        { n; corrupt; holders; value = true; seed }
-    in
-    row_of_report ~protocol:"sqrt-quorum" ~n ~beta ~report:r.Baseline_sqrt.report
-      ~ok:(r.Baseline_sqrt.agreed && r.Baseline_sqrt.correct_fraction > 0.99)
-      ~note:(Printf.sprintf "correct=%.2f" r.Baseline_sqrt.correct_fraction)
-      ~breakdown:r.Baseline_sqrt.breakdown
-  | Naive_boost ->
-    let rng = Rng.create seed in
-    let corrupt = corrupt_set rng ~n ~beta in
-    let holders = holders rng ~n ~corrupt in
-    let r =
-      Baseline_naive.run ?sinks ?backend ?condition
-        { n; corrupt; holders; value = true; seed }
-    in
-    row_of_report ~protocol:"naive-flood" ~n ~beta ~report:r.Baseline_naive.report
-      ~ok:(r.Baseline_naive.agreed && r.Baseline_naive.correct_fraction > 0.99)
-      ~note:(Printf.sprintf "correct=%.2f" r.Baseline_naive.correct_fraction)
-      ~breakdown:r.Baseline_naive.breakdown
-  | Dolev_strong ->
-    let rng = Rng.create seed in
-    let corrupt = corrupt_set rng ~n ~beta in
-    let r =
-      Baseline_dolev.run ?sinks ?backend ?condition
-        ~pki:(Baseline_dolev.pki ~n ~seed)
-        { n; corrupt; value = true; seed }
-    in
-    (* Broadcast validity is vacuous under a corrupt designated sender:
-       the corrupt set is a uniform draw, so the sender lands in it with
-       probability beta — agreement (on the default) must still hold. *)
-    let sender_corrupt = List.mem 0 corrupt in
-    row_of_report ~protocol:"dolev-strong" ~n ~beta
-      ~report:r.Baseline_dolev.report
-      ~ok:
-        (r.Baseline_dolev.agreed
-        && (sender_corrupt || r.Baseline_dolev.correct_fraction > 0.99))
-      ~note:
-        (Printf.sprintf "correct=%.2f%s" r.Baseline_dolev.correct_fraction
-           (if sender_corrupt then " sender-corrupt" else ""))
-      ~breakdown:r.Baseline_dolev.breakdown
-
-let run_audited ?backend ~protocol ~n ~beta ~seed () : row * Audit.t =
-  let a = make_auditor ~protocol ~n in
-  let row = run_with ?backend ~sinks:[ Audit.observe a ] ~protocol ~n ~beta ~seed () in
-  Audit.finalize a;
-  (row, a)
-
-(* In global audit mode every run carries an auditor; its violations reach
-   the [audit.violations] registry counter even though the instance itself
-   is dropped here. *)
-let run ?backend ~protocol ~n ~beta ~seed () : row =
-  if Audit.global_enabled () then
-    fst (run_audited ?backend ~protocol ~n ~beta ~seed ())
-  else run_with ?backend ~protocol ~n ~beta ~seed ()
-
-(* --- E14: the full protocol under setup-aware corruption ---
-
-   The adversary corrupts after seeing the public slot assignment (the
+(* E14's adversary corrupts after seeing the public slot assignment (the
    Fig. 3 idmap). We rebuild exactly the assignment the protocol will use
-   (same seed derivation as Balanced_ba.make_ctx), hand it to the chosen
-   Attacks strategy, and run the protocol against the resulting corrupt
-   set. Committees are elected after corruption, so leaf-killing is the
-   strongest in-model strategy. *)
-
-module Attacks = Repro_aetree.Attacks
-module Aetree_params = Repro_aetree.Params
-module Aetree_tree = Repro_aetree.Tree
-
+   (same seed derivation as Balanced_ba.make_ctx) and hand it to the chosen
+   Attacks strategy. Committees are elected after corruption, so
+   leaf-killing is the strongest in-model strategy. *)
 let corrupt_by_strategy ~strategy ~n ~beta ~seed =
   let rng = Rng.create seed in
   let params = Aetree_params.default n in
@@ -325,20 +226,161 @@ let corrupt_by_strategy ~strategy ~n ~beta ~seed =
     ~budget:(int_of_float (beta *. float_of_int n))
     ~rng:(Rng.of_label rng "attack")
 
-let run_under_attack ~strategy ~n ~beta ~seed : row =
+(* A cell's one-time setup: the SRDS keys of a pipeline protocol or the
+   Dolev-Strong PKI. It is a function of (protocol, n, seed) only, so a
+   matrix builds one per distinct triple and hands it to every cell that
+   shares it; a cell run alone builds its own. *)
+type cell_setup =
+  | Owf_keys of Ba_owf.setup
+  | Snark_keys of Ba_snark.setup
+  | Multisig_keys of Ba_multisig.setup
+  | Ds_pki of Baseline_dolev.pki
+  | No_setup (* sqrt-quorum and naive-flood have no phase A *)
+
+let cell_setup ~protocol ~n ~seed =
+  match protocol with
+  | This_work_owf -> Owf_keys (Ba_owf.setup ~n ~seed)
+  | This_work_snark -> Snark_keys (Ba_snark.setup ~n ~seed)
+  | Multisig_boost -> Multisig_keys (Ba_multisig.setup ~n ~seed)
+  | Dolev_strong -> Ds_pki (Baseline_dolev.pki ~n ~seed)
+  | Sqrt_boost | Naive_boost -> No_setup
+
+(* One setup per distinct (protocol, n, seed) among [keys], as an
+   association list. Built on the calling domain before a matrix fans its
+   cells out; each keygen fans out on the pool itself. *)
+let cell_setups keys =
+  List.map
+    (fun ((protocol, n, seed) as k) -> (k, cell_setup ~protocol ~n ~seed))
+    (List.sort_uniq compare keys)
+
+let network ?sinks ?cfg ?condition ~n ~corrupt () =
+  let backend = Option.map (fun cfg -> Sched.Async cfg) cfg in
+  let net = Network.create ?backend ?sinks ~n ~corrupt () in
+  Option.iter (Network.set_condition net) condition;
+  net
+
+(* How a cell picks its corrupt set: floor(beta * n) parties as the run's
+   first RNG draw; the static share of that budget a network condition
+   leaves (adaptive conditions reserve the rest for mid-run upgrades, so
+   static + upgrades never exceed floor(beta * n)), drawn the same way; or
+   the set an E14 strategy picks after seeing the slot assignment. *)
+type draw = Uniform | Static of Condition.t | Setup_aware of Attacks.strategy
+
+type outcome = {
+  o_row : row;
+  o_agreed : bool;
+  o_decided : float; (* honest parties that decided *)
+  o_valid : bool;
+  o_corrupt : int list;
+  o_net : Network.t;
+}
+
+(* The one cell runner: every experiment's cell comes from here, so every
+   protocol of Table 1 runs under identical conditions. It clears the
+   domain's caches, draws the corrupt set, builds the cell's one network
+   ([sinks] subscribe to it, [cfg] sets its executor knobs, [condition] is
+   attached to it), builds the setup unless the caller shares one, and
+   runs the protocol on that network. *)
+let run_cell ?setup ?sinks ?cfg ?condition ?adversary ?(draw = Uniform)
+    ~protocol ~n ~beta ~seed () : outcome =
   cold_caches ();
-  let corrupt = corrupt_by_strategy ~strategy ~n ~beta ~seed in
+  let rng = Rng.create seed in
+  let corrupt =
+    match draw with
+    | Uniform -> corrupt_set rng ~n ~beta
+    | Static c -> Rng.subset rng ~n ~size:(Condition.static_size c ~n ~beta)
+    | Setup_aware strategy -> corrupt_by_strategy ~strategy ~n ~beta ~seed
+  in
+  let setup =
+    match setup with Some s -> s | None -> cell_setup ~protocol ~n ~seed
+  in
+  let net = network ?sinks ?cfg ?condition ~n ~corrupt () in
+  let row = row_of_report ~protocol:(protocol_name protocol) ~n ~beta in
+  let pipeline (r : Balanced_ba.result) =
+    ( row ~report:r.report
+        ~ok:(r.agreed && r.decided_fraction > 0.99)
+        ~note:
+          (Printf.sprintf "decided=%.2f%s" r.decided_fraction
+             (if r.tree_good then "" else " tree-degraded"))
+        ~breakdown:r.breakdown,
+      r.agreed, r.decided_fraction, r.valid )
+  in
+  let boost ~report ~breakdown ~agreed ~decided ~correct =
+    let valid = correct > 0.99 in
+    ( row ~report ~ok:(agreed && valid)
+        ~note:(Printf.sprintf "correct=%.2f" correct) ~breakdown,
+      agreed, decided, valid )
+  in
   let inputs = Array.init n (fun i -> (i + seed) mod 2 = 0) in
-  let cfg = Balanced_ba.default_config ~n ~corrupt ~inputs ~seed () in
-  let r = Ba_snark.run ~setup:(Ba_snark.setup ~n ~seed) cfg in
-  row_of_report
-    ~protocol:("this-work-snark/" ^ Attacks.strategy_name strategy)
-    ~n ~beta ~report:r.Balanced_ba.report
-    ~ok:(r.Balanced_ba.agreed && r.Balanced_ba.decided_fraction > 0.99)
-    ~note:
-      (Printf.sprintf "decided=%.2f%s" r.Balanced_ba.decided_fraction
-         (if r.Balanced_ba.tree_good then "" else " tree-degraded"))
-    ~breakdown:r.Balanced_ba.breakdown
+  let ba_cfg = Balanced_ba.default_config ?adversary ~n ~inputs ~seed () in
+  let row, agreed, decided, valid =
+    match (protocol, setup) with
+    | This_work_owf, Owf_keys setup -> pipeline (Ba_owf.run ~net ~setup ba_cfg)
+    | This_work_snark, Snark_keys setup -> pipeline (Ba_snark.run ~net ~setup ba_cfg)
+    | Multisig_boost, Multisig_keys setup ->
+      pipeline (Ba_multisig.run ~net ~setup ba_cfg)
+    | (Sqrt_boost | Naive_boost), No_setup when Option.is_some adversary ->
+      invalid_arg "Runner.run_cell: the boost baselines take no adversary"
+    | Sqrt_boost, No_setup ->
+      let holders = holders rng ~n ~corrupt in
+      let (r : Baseline_sqrt.result) =
+        Baseline_sqrt.run ~net { n; holders; value = true; seed }
+      in
+      boost ~report:r.report ~breakdown:r.breakdown ~agreed:r.agreed
+        ~decided:r.decided_fraction ~correct:r.correct_fraction
+    | Naive_boost, No_setup ->
+      let holders = holders rng ~n ~corrupt in
+      let (r : Baseline_naive.result) =
+        Baseline_naive.run ~net { n; holders; value = true; seed }
+      in
+      boost ~report:r.report ~breakdown:r.breakdown ~agreed:r.agreed
+        ~decided:r.decided_fraction ~correct:r.correct_fraction
+    | Dolev_strong, Ds_pki pki ->
+      let (r : Baseline_dolev.result) =
+        Baseline_dolev.run ?adversary ~net ~pki { n; value = true; seed }
+      in
+      (* Broadcast validity is vacuous under a corrupt designated sender:
+         the corrupt set is a uniform draw, so the sender lands in it with
+         probability beta — agreement (on the default) must still hold. *)
+      let sender_corrupt = List.mem 0 corrupt in
+      let valid = sender_corrupt || r.correct_fraction > 0.99 in
+      ( row ~report:r.report ~ok:(r.agreed && valid)
+          ~note:
+            (Printf.sprintf "correct=%.2f%s" r.correct_fraction
+               (if sender_corrupt then " sender-corrupt" else ""))
+          ~breakdown:r.breakdown,
+        r.agreed, r.decided_fraction, valid )
+    | _ -> invalid_arg "Runner.run_cell: cell setup built for another protocol"
+  in
+  { o_row = row; o_agreed = agreed; o_decided = decided; o_valid = valid;
+    o_corrupt = corrupt; o_net = net }
+
+(* Callers that want the auditor's verdict use {!run_audited}, callers
+   that want the flight-recorded log use {!run_recorded}, callers pinning
+   transcripts use {!run_digest}. *)
+let run_with ?sinks ?cfg ?condition ~protocol ~n ~beta ~seed () : row =
+  (run_cell ?sinks ?cfg ?condition ~protocol ~n ~beta ~seed ()).o_row
+
+let run_audited ?cfg ~protocol ~n ~beta ~seed () : row * Audit.t =
+  let a = make_auditor ~protocol ~n in
+  let row = run_with ?cfg ~sinks:[ Audit.observe a ] ~protocol ~n ~beta ~seed () in
+  Audit.finalize a;
+  (row, a)
+
+(* In global audit mode every run carries an auditor; its violations reach
+   the [audit.violations] registry counter even though the instance itself
+   is dropped here. *)
+let run ?cfg ~protocol ~n ~beta ~seed () : row =
+  if Audit.global_enabled () then fst (run_audited ?cfg ~protocol ~n ~beta ~seed ())
+  else run_with ?cfg ~protocol ~n ~beta ~seed ()
+
+(* --- E14: the full protocol under setup-aware corruption --- *)
+
+let run_under_attack ~strategy ~n ~beta ~seed : row =
+  let o =
+    run_cell ~draw:(Setup_aware strategy) ~protocol:This_work_snark ~n ~beta ~seed ()
+  in
+  { o.o_row with r_protocol = "this-work-snark/" ^ Attacks.strategy_name strategy }
 
 (* --- E16: the seeded attack matrix ---
 
@@ -348,9 +390,6 @@ let run_under_attack ~strategy ~n ~beta ~seed : row =
    Cells at beta >= 1/3 are sanity rows annotated expected-fail: the
    protocol is outside its corruption model there, and at least one such
    cell breaking is the harness's proof that its checks have teeth. *)
-
-module Strategy = Repro_adversary.Strategy
-module Condition = Repro_adversary.Condition
 
 type attack_cell = {
   ac_protocol : string;
@@ -363,7 +402,7 @@ type attack_cell = {
   ac_valid : bool;
   ac_ok : bool; (* agreed, >95% of honest parties decided, validity held *)
   ac_expect_fail : bool; (* sanity row / planted condition: may fail *)
-  ac_condition : string; (* "none": content-only cell under [backend] *)
+  ac_condition : string; (* "none": content-only cell under the caller's [cfg] *)
   ac_gated : bool; (* counts toward the matrix gate (reference rows do not) *)
   ac_rounds : int;
   ac_vt : int; (* final virtual time (= rounds under lock-step) *)
@@ -404,103 +443,40 @@ let default_chaos ~seed : Sched.async_cfg =
 
 let c_attack_cells = Repro_obs.Counters.make "attack.cells"
 
-(* A cell's one-time setup: the SRDS keys of a pipeline protocol or the
-   Dolev-Strong PKI. It is a function of (protocol, n, seed) only, so a
-   matrix builds one per distinct triple and hands it to every cell that
-   shares it; a cell run alone builds its own. *)
-type cell_setup =
-  | Owf_keys of Ba_owf.setup
-  | Snark_keys of Ba_snark.setup
-  | Ds_pki of Baseline_dolev.pki
+let find_strategy ~n ~seed name =
+  match Strategy.find ~n ~seed name with
+  | Some s -> s
+  | None -> invalid_arg ("Runner: unknown strategy " ^ name)
 
-let cell_setup ~protocol ~n ~seed =
-  match protocol with
-  | This_work_owf -> Owf_keys (Ba_owf.setup ~n ~seed)
-  | This_work_snark -> Snark_keys (Ba_snark.setup ~n ~seed)
-  | Dolev_strong -> Ds_pki (Baseline_dolev.pki ~n ~seed)
-  | _ -> invalid_arg "cell_setup: owf/snark pipelines or dolev-strong only"
-
-(* One setup per distinct (protocol, n, seed) among [keys], as an
-   association list. Built on the calling domain before a matrix fans its
-   cells out; each keygen fans out on the pool itself. *)
-let cell_setups keys =
-  List.map
-    (fun ((protocol, n, seed) as k) -> (k, cell_setup ~protocol ~n ~seed))
-    (List.sort_uniq compare keys)
-
-let run_cell ~setup ?sinks ?backend ?condition_name ?(gated = true)
-    ~protocol ~strategy_name ~n ~beta ~seed ~expect_fail () =
-  cold_caches ();
-  let strategy =
-    match Strategy.find ~n ~seed strategy_name with
-    | Some s -> s
-    | None -> invalid_arg ("attack matrix: unknown strategy " ^ strategy_name)
-  in
-  let adversary = Strategy.instantiate strategy ~seed in
+let matrix_cell ~setup ?sinks ?cfg ?condition_name ?(gated = true) ~protocol
+    ~strategy_name ~n ~beta ~seed ~expect_fail () =
+  let adversary = Strategy.instantiate (find_strategy ~n ~seed strategy_name) ~seed in
   let condition =
-    match condition_name with
-    | None -> None
-    | Some cn -> (
-      match Condition.find cn with
-      | Some c -> Some c
-      | None -> invalid_arg ("attack matrix: unknown condition " ^ cn))
+    Option.map
+      (fun cn ->
+        match Condition.find cn with
+        | Some c -> c
+        | None -> invalid_arg ("attack matrix: unknown condition " ^ cn))
+      condition_name
   in
   (* A condition cell runs under the caller's executor configuration, or
      {!default_chaos} if none is given; without a condition the executor
      stays whatever the caller chose (default lock-step), so the legacy
      matrix is byte-identical to repro-attack/1. *)
-  let backend, cond_inst =
+  let cfg, hook, draw =
     match condition with
-    | None -> (backend, None)
+    | None -> (cfg, None, Uniform)
     | Some c ->
-      let cfg =
-        match backend with Some b -> Sched.cfg_of b | None -> default_chaos ~seed
-      in
-      (Some (Sched.Async cfg), Some (Condition.prepare c ~n ~beta ~seed ~cfg))
+      let cfg = Option.value cfg ~default:(default_chaos ~seed) in
+      (Some cfg, Some (Condition.prepare c ~n ~beta ~seed ~cfg), Static c)
   in
-  let rng = Rng.create seed in
-  (* The static corrupt set stays the run's first RNG draw; an adaptive
-     condition reserves part of the beta budget for mid-run upgrades, so
-     static + upgrades never exceed floor(beta * n). *)
-  let corrupt =
-    match condition with
-    | None -> corrupt_set rng ~n ~beta
-    | Some c -> Rng.subset rng ~n ~size:(Condition.static_size c ~n ~beta)
+  let o =
+    run_cell ~setup ?sinks ?cfg ?condition:hook ~adversary ~draw ~protocol ~n
+      ~beta ~seed ()
   in
-  let inputs = Array.init n (fun i -> (i + seed) mod 2 = 0) in
-  let pipeline (r : Balanced_ba.result) =
-    ( r.Balanced_ba.agreed,
-      r.Balanced_ba.decided_fraction,
-      r.Balanced_ba.valid,
-      r.Balanced_ba.report.Metrics.rounds,
-      r.Balanced_ba.net )
-  in
-  let cfg = Balanced_ba.default_config ~adversary ~n ~corrupt ~inputs ~seed () in
-  let agreed, decided, valid, rounds, net =
-    match (protocol, setup) with
-    | This_work_owf, Owf_keys setup ->
-      pipeline (Ba_owf.run ?sinks ?backend ?condition:cond_inst ~setup cfg)
-    | This_work_snark, Snark_keys setup ->
-      pipeline (Ba_snark.run ?sinks ?backend ?condition:cond_inst ~setup cfg)
-    | Dolev_strong, Ds_pki pki ->
-      let (r : Baseline_dolev.result) =
-        Baseline_dolev.run ?sinks ?backend ?condition:cond_inst
-          ~adversary ~pki { n; corrupt; value = true; seed }
-      in
-      (* broadcast validity is vacuous under a corrupt designated sender *)
-      let valid =
-        List.mem 0 corrupt || r.Baseline_dolev.correct_fraction > 0.99
-      in
-      ( r.Baseline_dolev.agreed,
-        r.Baseline_dolev.decided_fraction,
-        valid,
-        r.Baseline_dolev.report.Metrics.rounds,
-        r.Baseline_dolev.net )
-    | _ -> invalid_arg "attack matrix: cell setup built for another protocol"
-  in
-  let stats = Repro_net.Network.async_stats net in
+  let stats = Network.async_stats o.o_net in
   let ok =
-    agreed && decided > 0.95 && valid
+    o.o_agreed && o.o_decided > 0.95 && o.o_valid
     && (Option.is_none condition || stats.Sched.st_post_gst_late = 0)
   in
   Repro_obs.Counters.bump c_attack_cells;
@@ -513,22 +489,22 @@ let run_cell ~setup ?sinks ?backend ?condition_name ?(gated = true)
     ac_n = n;
     ac_beta = beta;
     ac_seed = seed;
-    ac_agreed = agreed;
-    ac_decided = decided;
-    ac_valid = valid;
+    ac_agreed = o.o_agreed;
+    ac_decided = o.o_decided;
+    ac_valid = o.o_valid;
     ac_ok = ok;
     ac_expect_fail = expect_fail;
-    ac_condition = (match condition_name with Some c -> c | None -> "none");
+    ac_condition = Option.value condition_name ~default:"none";
     ac_gated = gated;
-    ac_rounds = rounds;
-    ac_vt = Repro_net.Network.virtual_time net;
+    ac_rounds = o.o_row.r_rounds;
+    ac_vt = Network.virtual_time o.o_net;
     ac_pre_gst_lost = stats.Sched.st_pre_gst_lost;
     ac_post_gst_late = stats.Sched.st_post_gst_late;
   }
 
-let run_attack_cell ?sinks ?backend ?condition_name ?gated ~protocol
+let run_attack_cell ?sinks ?cfg ?condition_name ?gated ~protocol
     ~strategy_name ~n ~beta ~seed ~expect_fail () =
-  run_cell ~setup:(cell_setup ~protocol ~n ~seed) ?sinks ?backend
+  matrix_cell ~setup:(cell_setup ~protocol ~n ~seed) ?sinks ?cfg
     ?condition_name ?gated ~protocol ~strategy_name ~n ~beta ~seed ~expect_fail ()
 
 let attack_matrix ?(betas = [ 0.0; 0.0625; 0.125 ]) ?(sanity_betas = [ 0.45 ])
@@ -605,7 +581,7 @@ let attack_matrix ?(betas = [ 0.0; 0.0625; 0.125 ]) ?(sanity_betas = [ 0.45 ])
   let results =
     Parallel.map_list ~chunk:1
       (fun (protocol, strategy_name, beta, seed, expect_fail, condition_name, gated) ->
-        run_cell ~setup:(List.assoc (protocol, n, seed) setups) ?condition_name ~gated
+        matrix_cell ~setup:(List.assoc (protocol, n, seed) setups) ?condition_name ~gated
           ~protocol ~strategy_name ~n ~beta ~seed ~expect_fail ())
       specs
   in
@@ -719,7 +695,7 @@ let sweep_rows ?(ns = [ 64; 128; 256; 512 ]) ?(beta = 0.1) ?(seed = 1)
 
 (* --- E17: large-n scale sweep ---
 
-   The sparse execution engine (active-set rounds, shared decode) makes the
+   The active-set stepper (with shared decode) makes the
    Fig. 3 pipeline itself tractable at n = 4096 and beyond; what stops a
    uniform sweep is the *baselines*, whose simulation cost is quadratic in n
    (Theta(n) bytes per party times n parties). Each protocol therefore
@@ -1004,17 +980,13 @@ let profile_compare ~prev ~cur ~threshold =
 
 module Recorder = Repro_obs.Recorder
 
-let run_recorded ?(keep_payloads = false) ?backend ~protocol ~n ~beta ~seed () :
+(* Replay and evidence consumers get the cell's ground-truth corrupt set
+   alongside the log. *)
+let run_recorded ?(keep_payloads = false) ?cfg ~protocol ~n ~beta ~seed () :
     row * Recorder.t * int list =
   let r = Recorder.create ~keep_payloads () in
-  let row =
-    run_with ?backend ~sinks:[ Recorder.observe r ] ~protocol ~n ~beta ~seed ()
-  in
-  (* The corrupt set is every run's first RNG draw (see the run_with
-     branches), so it is recomputable here without touching protocol code;
-     replay and evidence consumers get the ground truth alongside the log. *)
-  let corrupt = corrupt_set (Rng.create seed) ~n ~beta in
-  (row, r, corrupt)
+  let o = run_cell ?cfg ~sinks:[ Recorder.observe r ] ~protocol ~n ~beta ~seed () in
+  (o.o_row, r, o.o_corrupt)
 
 type explain_report = {
   ex_protocol : string;
@@ -1140,7 +1112,7 @@ let forensics_with ~setup (c : attack_cell) : forensic_bundle =
   let protocol = cell_protocol c in
   let r = Recorder.create () in
   let (_ : attack_cell) =
-    run_cell ~setup ~sinks:[ Recorder.observe r ]
+    matrix_cell ~setup ~sinks:[ Recorder.observe r ]
       ?condition_name:
         (if c.ac_condition = "none" then None else Some c.ac_condition)
       ~gated:c.ac_gated ~protocol ~strategy_name:c.ac_strategy ~n:c.ac_n
@@ -1281,9 +1253,9 @@ let digest_sink () =
   in
   (sink, fun () -> Sha256.hex (Sha256.finish ctx))
 
-let run_digest ?backend ?condition ~protocol ~n ~beta ~seed () : row * string =
+let run_digest ?cfg ?condition ~protocol ~n ~beta ~seed () : row * string =
   let sink, digest = digest_sink () in
-  let row = run_with ?backend ?condition ~sinks:[ sink ] ~protocol ~n ~beta ~seed () in
+  let row = run_with ?cfg ?condition ~sinks:[ sink ] ~protocol ~n ~beta ~seed () in
   (row, digest ())
 
 type conform_cell = {
@@ -1354,34 +1326,12 @@ type async_cell = {
 
 let run_async_cell ~setup ~protocol ~strategy_name ~n ~beta ~seed ~cfg () :
     async_cell =
-  cold_caches ();
-  let strategy =
-    match Strategy.find ~n ~seed strategy_name with
-    | Some s -> s
-    | None -> invalid_arg ("async matrix: unknown strategy " ^ strategy_name)
-  in
-  let adversary = Strategy.instantiate strategy ~seed in
-  let rng = Rng.create seed in
-  let corrupt = corrupt_set rng ~n ~beta in
-  let inputs = Array.init n (fun i -> (i + seed) mod 2 = 0) in
-  let bcfg = Balanced_ba.default_config ~adversary ~n ~corrupt ~inputs ~seed () in
+  let adversary = Strategy.instantiate (find_strategy ~n ~seed strategy_name) ~seed in
   let sink, digest = digest_sink () in
-  let backend = Sched.Async cfg in
-  let (r : Balanced_ba.result) =
-    match (protocol, setup) with
-    | This_work_owf, Owf_keys setup -> Ba_owf.run ~sinks:[ sink ] ~backend ~setup bcfg
-    | This_work_snark, Snark_keys setup ->
-      Ba_snark.run ~sinks:[ sink ] ~backend ~setup bcfg
-    | _ -> invalid_arg "async matrix: pipeline protocols only (owf/snark)"
+  let o =
+    run_cell ~setup ~sinks:[ sink ] ~cfg ~adversary ~protocol ~n ~beta ~seed ()
   in
-  let net = r.Balanced_ba.net in
-  let stats = Repro_net.Network.async_stats net in
-  let ok =
-    r.Balanced_ba.agreed
-    && r.Balanced_ba.decided_fraction > 0.95
-    && r.Balanced_ba.valid
-    && stats.Sched.st_post_gst_late = 0
-  in
+  let stats = Network.async_stats o.o_net in
   {
     ay_protocol = protocol_name protocol;
     ay_strategy = strategy_name;
@@ -1389,16 +1339,18 @@ let run_async_cell ~setup ~protocol ~strategy_name ~n ~beta ~seed ~cfg () :
     ay_beta = beta;
     ay_seed = seed;
     ay_cfg = cfg;
-    ay_rounds = r.Balanced_ba.report.Metrics.rounds;
-    ay_vt = Repro_net.Network.virtual_time net;
+    ay_rounds = o.o_row.r_rounds;
+    ay_vt = Network.virtual_time o.o_net;
     ay_max_latency = stats.Sched.st_max_latency;
     ay_pre_gst_lost = stats.Sched.st_pre_gst_lost;
     ay_post_gst_late = stats.Sched.st_post_gst_late;
-    ay_agreed = r.Balanced_ba.agreed;
-    ay_decided = r.Balanced_ba.decided_fraction;
-    ay_valid = r.Balanced_ba.valid;
+    ay_agreed = o.o_agreed;
+    ay_decided = o.o_decided;
+    ay_valid = o.o_valid;
     ay_digest = digest ();
-    ay_ok = ok;
+    ay_ok =
+      o.o_agreed && o.o_decided > 0.95 && o.o_valid
+      && stats.Sched.st_post_gst_late = 0;
   }
 
 let async_cells ?(strategies = [ "silent"; "equivocate" ]) ?(beta = 0.1)

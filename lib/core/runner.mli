@@ -56,26 +56,44 @@ val cold_caches : unit -> unit
     that the deterministic [hashx.hash] counter counts, so a cell's
     counters would depend on what its domain ran before. *)
 
+val corrupt_set : Repro_util.Rng.t -> n:int -> beta:float -> int list
+(** The uniform corrupt-set draw of a cell: [floor (beta * n)] distinct
+    parties, the first draw of the cell's [Rng.create seed]. *)
+
+val network :
+  ?sinks:Repro_obs.Event.sink list ->
+  ?cfg:Repro_net.Sched.async_cfg ->
+  ?condition:Repro_net.Sched.condition ->
+  n:int -> corrupt:int list -> unit -> Repro_net.Network.t
+(** A cell's network: [corrupt] is its mask (the run's only corrupt set),
+    [?sinks] subscribe to it (see {!Repro_net.Network.create}), [?cfg] sets
+    its executor knobs (default {!Repro_net.Sched.default_async}:
+    lock-step) and [?condition] is attached to it (see
+    {!Repro_net.Network.set_condition}). Every cell below runs its
+    protocol on one network built here; the protocols take it as [~net]
+    and never build their own. *)
+
 val run :
-  ?backend:Repro_net.Sched.backend ->
+  ?cfg:Repro_net.Sched.async_cfg ->
   protocol:protocol -> n:int -> beta:float -> seed:int -> unit -> row
 (** When {!Repro_obs.Audit.global_enabled} (the [REPRO_AUDIT] environment
     variable, [--audit]), every run carries a fresh auditor with the
     protocol's declared budgets; violations reach the [audit.violations]
-    registry counter. [?backend] configures the network's executor
-    (default lock-step; see {!Repro_net.Sched}). *)
+    registry counter. [?cfg] sets the network's executor knobs (default
+    lock-step; see {!Repro_net.Sched}). *)
 
 val run_with :
   ?sinks:Repro_obs.Event.sink list ->
-  ?backend:Repro_net.Sched.backend ->
+  ?cfg:Repro_net.Sched.async_cfg ->
   ?condition:Repro_net.Sched.condition ->
   protocol:protocol -> n:int -> beta:float -> seed:int -> unit -> row
-(** One run with [?sinks] subscribed to its network (see
-    {!Repro_net.Network.create}), [?condition] attached to it (see
-    {!Repro_net.Network.set_condition}) and no global-audit auditor. *)
+(** One run on a {!network} built with [?sinks], [?cfg] and [?condition],
+    and no global-audit auditor. The cell clears the domain's crypto
+    caches, draws its corrupt set ({!corrupt_set}), then builds its own
+    phase-A setup. *)
 
 val run_audited :
-  ?backend:Repro_net.Sched.backend ->
+  ?cfg:Repro_net.Sched.async_cfg ->
   protocol:protocol -> n:int -> beta:float -> seed:int -> unit ->
   row * Repro_obs.Audit.t
 (** Like {!run} but always audited; returns the finalized auditor with its
@@ -156,7 +174,7 @@ val default_chaos : seed:int -> Repro_net.Sched.async_cfg
 
 val run_attack_cell :
   ?sinks:Repro_obs.Event.sink list ->
-  ?backend:Repro_net.Sched.backend ->
+  ?cfg:Repro_net.Sched.async_cfg ->
   ?condition_name:string ->
   ?gated:bool ->
   protocol:protocol ->
@@ -172,9 +190,9 @@ val run_attack_cell :
     gated non-sanity failure bumps the [attack.violations.<strategy>]
     counter. [?sinks] subscribe to the cell's network (a flight recorder on
     the forensic re-run path, a transcript tap); observing never alters
-    traffic. [?backend] configures the cell's executor.
+    traffic. [?cfg] sets the cell's executor knobs.
     [?condition_name] resolves a {!Repro_adversary.Condition} and attaches
-    it, under [?backend] if given and {!default_chaos} otherwise; the
+    it, under [?cfg] if given and {!default_chaos} otherwise; the
     static corrupt set is scaled by the condition's reserved adaptive
     budget. *)
 
@@ -236,7 +254,7 @@ val sweep_rows :
 
 (** {1 E17: large-n scale sweep}
 
-    The sparse execution engine makes the Fig. 3 pipeline tractable at
+    The active-set stepper makes the Fig. 3 pipeline tractable at
     n = 4096+; baselines whose simulation cost is quadratic in n carry an
     explicit per-protocol sweep ceiling ({!scale_cap}) so a capped curve is
     never mistaken for a complete one. Every point runs audited and records
@@ -324,7 +342,7 @@ val profile_compare :
 
 val run_recorded :
   ?keep_payloads:bool ->
-  ?backend:Repro_net.Sched.backend ->
+  ?cfg:Repro_net.Sched.async_cfg ->
   protocol:protocol ->
   n:int ->
   beta:float ->
@@ -332,8 +350,8 @@ val run_recorded :
   unit ->
   row * Repro_obs.Recorder.t * int list
 (** Run one cell with a flight recorder subscribed; returns the row, the
-    recorder holding the full event log, and the run's ground-truth corrupt
-    set (recomputed: it is every run's first RNG draw). [keep_payloads]
+    recorder holding the full event log, and the cell's ground-truth
+    corrupt set (its network's mask). [keep_payloads]
     (default false) stores raw payload bytes for replay; digests-only
     otherwise. Recording observes traffic without altering it: the
     transcript is bit-identical to the unrecorded run. *)
@@ -435,7 +453,7 @@ val check_forensics_report : Repro_util.Json.t -> (unit, string) result
     bound. Both are deterministic for any [REPRO_DOMAINS] pool size. *)
 
 val run_digest :
-  ?backend:Repro_net.Sched.backend ->
+  ?cfg:Repro_net.Sched.async_cfg ->
   ?condition:Repro_net.Sched.condition ->
   protocol:protocol -> n:int -> beta:float -> seed:int -> unit ->
   row * string
@@ -509,8 +527,9 @@ val async_cells :
   ?cells:(protocol * int) list ->
   unit ->
   async_cell list
-(** One async cell per (protocol, n) of [cells] and strategy: the full BA
-    protocol (owf/snark only) under [cfg], against
+(** One async cell per (protocol, n) of [cells] and strategy: the full
+    protocol (one that takes an adversary: a pipeline or Dolev–Strong)
+    under [cfg], against
     one instantiated adversary strategy. Defaults: silent and equivocate
     against owf at n = 256 and snark at n = 64, beta 0.1, seed 1,
     {!default_chaos} knobs — the acceptance matrix. The SRDS keys are built

@@ -13,8 +13,8 @@ module Strategy = Repro_adversary.Strategy
 module Ba_owf = Balanced_ba.Make (Srds_owf)
 module Ba_snark = Balanced_ba.Make (Srds_snark)
 
-let owf ~n ~seed cfg = Ba_owf.run ~setup:(Ba_owf.setup ~n ~seed) cfg
-let snark ~n ~seed cfg = Ba_snark.run ~setup:(Ba_snark.setup ~n ~seed) cfg
+let owf ~net ~n ~seed cfg = Ba_owf.run ~net ~setup:(Ba_owf.setup ~n ~seed) cfg
+let snark ~net ~n ~seed cfg = Ba_snark.run ~net ~setup:(Ba_snark.setup ~n ~seed) cfg
 
 let run_with_strategy run_fn ~label ~strategy ~n ~t ~seed =
   let rng = Repro_util.Rng.create seed in
@@ -22,11 +22,12 @@ let run_with_strategy run_fn ~label ~strategy ~n ~t ~seed =
   let cfg =
     Balanced_ba.default_config
       ~adversary:(Strategy.instantiate strategy ~seed)
-      ~n ~corrupt
+      ~n
       ~inputs:(Array.init n (fun i -> i mod 2 = 0))
       ~seed ()
   in
-  let (r : Balanced_ba.result) = run_fn ~n ~seed cfg in
+  let net = Repro_net.Network.create ~n ~corrupt () in
+  let (r : Balanced_ba.result) = run_fn ~net ~n ~seed cfg in
   Alcotest.(check bool) (label ^ ": agreed") true r.Balanced_ba.agreed;
   Alcotest.(check bool)
     (Printf.sprintf "%s: decided %.2f" label r.Balanced_ba.decided_fraction)

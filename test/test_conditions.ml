@@ -287,23 +287,25 @@ let test_condition_off_matches_goldens () =
   check Runner.This_work_owf Test_golden.golden_owf;
   check Runner.This_work_snark Test_golden.golden_snark
 
-let run_owf ?condition ~backend ~n ~seed () =
+(* The transcript digest, the result and the network of one owf run. *)
+let run_owf ?condition ~cfg ~n ~seed () =
   let tap, digest = Runner.digest_sink () in
   let rng = Rng.create seed in
   let corrupt = Rng.subset rng ~n ~size:(n / 10) in
-  let cfg =
-    Balanced_ba.default_config ~n ~corrupt
+  let net = Runner.network ~sinks:[ tap ] ~cfg ?condition ~n ~corrupt () in
+  let bcfg =
+    Balanced_ba.default_config ~n
       ~inputs:(Array.init n (fun i -> i mod 2 = 0))
       ~seed ()
   in
-  let r = Ba_owf.run ~backend ?condition ~sinks:[ tap ] ~setup:(Ba_owf.setup ~n ~seed) cfg in
-  (digest (), r)
+  let r = Ba_owf.run ~net ~setup:(Ba_owf.setup ~n ~seed) bcfg in
+  (digest (), r, net)
 
 let test_pass_condition_byte_identical () =
-  let backend = Sched.Async (chaos ~seed:4) in
-  let base, _ = run_owf ~backend ~n:40 ~seed:4 () in
-  let passed, _ =
-    run_owf ~condition:Sched.pass_condition ~backend ~n:40 ~seed:4 ()
+  let cfg = chaos ~seed:4 in
+  let base, _, _ = run_owf ~cfg ~n:40 ~seed:4 () in
+  let passed, _, _ =
+    run_owf ~condition:Sched.pass_condition ~cfg ~n:40 ~seed:4 ()
   in
   Alcotest.(check string)
     "pass condition leaves the async transcript byte-identical" base passed
@@ -334,12 +336,10 @@ let test_delay_condition_envelope () =
   done;
   Alcotest.(check bool) "some pre-GST delivery gained extra latency" true
     !stretched;
-  let backend = Sched.Async cfg in
-  let _, base = run_owf ~backend ~n:40 ~seed:4 () in
-  let _, slow = run_owf ~condition:delayed ~backend ~n:40 ~seed:4 () in
-  let vt r = Network.virtual_time r.Balanced_ba.net in
+  let _, _, base = run_owf ~cfg ~n:40 ~seed:4 () in
+  let _, slow, slow_net = run_owf ~condition:delayed ~cfg ~n:40 ~seed:4 () in
   Alcotest.(check bool) "delay perturbs the end-to-end schedule" true
-    (vt slow <> vt base);
+    (Network.virtual_time slow_net <> Network.virtual_time base);
   Alcotest.(check bool) "delayed run still agrees" true slow.Balanced_ba.agreed
 
 (* --- the matrix has teeth --- *)

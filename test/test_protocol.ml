@@ -10,23 +10,29 @@ module Ba_owf = Balanced_ba.Make (Srds_owf)
 module Ba_snark = Balanced_ba.Make (Srds_snark)
 module Ba_multisig = Balanced_ba.Make (Baseline_multisig)
 
-(* Each run builds its own phase-A setup, as a single-cell caller does. *)
-let run_owf (cfg : Balanced_ba.config) =
-  Ba_owf.run ~setup:(Ba_owf.setup ~n:cfg.n ~seed:cfg.seed) cfg
+(* Each run builds its own network, whose mask is the corrupt set, and its
+   own phase-A setup, as a single-cell caller does. *)
+let net_of ?sinks ~n corrupt = Repro_net.Network.create ?sinks ~n ~corrupt ()
 
-let run_snark (cfg : Balanced_ba.config) =
-  Ba_snark.run ~setup:(Ba_snark.setup ~n:cfg.n ~seed:cfg.seed) cfg
+let run_owf ~corrupt (cfg : Balanced_ba.config) =
+  Ba_owf.run ~net:(net_of ~n:cfg.n corrupt)
+    ~setup:(Ba_owf.setup ~n:cfg.n ~seed:cfg.seed) cfg
 
-let run_multisig (cfg : Balanced_ba.config) =
-  Ba_multisig.run ~setup:(Ba_multisig.setup ~n:cfg.n ~seed:cfg.seed) cfg
+let run_snark ~corrupt (cfg : Balanced_ba.config) =
+  Ba_snark.run ~net:(net_of ~n:cfg.n corrupt)
+    ~setup:(Ba_snark.setup ~n:cfg.n ~seed:cfg.seed) cfg
+
+let run_multisig ~corrupt (cfg : Balanced_ba.config) =
+  Ba_multisig.run ~net:(net_of ~n:cfg.n corrupt)
+    ~setup:(Ba_multisig.setup ~n:cfg.n ~seed:cfg.seed) cfg
 
 let corrupt_of rng ~n ~count = Rng.subset rng ~n ~size:count
 
 let check_ba run_fn ~label ~n ~t ~seed ~inputs =
   let rng = Rng.create seed in
   let corrupt = corrupt_of rng ~n ~count:t in
-  let cfg = Balanced_ba.default_config ~n ~corrupt ~inputs:(Array.init n inputs) ~seed () in
-  let (r : Balanced_ba.result) = run_fn cfg in
+  let cfg = Balanced_ba.default_config ~n ~inputs:(Array.init n inputs) ~seed () in
+  let (r : Balanced_ba.result) = run_fn ~corrupt cfg in
   Alcotest.(check bool) (label ^ ": tree good") true r.Balanced_ba.tree_good;
   Alcotest.(check bool) (label ^ ": agreed") true r.Balanced_ba.agreed;
   Alcotest.(check bool)
@@ -68,9 +74,9 @@ let test_ba_communication_balanced () =
   let n = 96 in
   let corrupt = corrupt_of rng ~n ~count:9 in
   let cfg =
-    Balanced_ba.default_config ~n ~corrupt ~inputs:(Array.init n (fun i -> i mod 2 = 0)) ~seed:11 ()
+    Balanced_ba.default_config ~n ~inputs:(Array.init n (fun i -> i mod 2 = 0)) ~seed:11 ()
   in
-  let r = run_snark cfg in
+  let r = run_snark ~corrupt cfg in
   Alcotest.(check bool) "agreed" true r.Balanced_ba.agreed;
   let ratio =
     float_of_int r.Balanced_ba.report.Metrics.max_bytes /. r.Balanced_ba.report.Metrics.mean_bytes
@@ -85,9 +91,9 @@ let test_ba_snark_cheaper_than_owf () =
     let n = 72 in
     let corrupt = corrupt_of rng ~n ~count:7 in
     let cfg =
-      Balanced_ba.default_config ~n ~corrupt ~inputs:(Array.init n (fun i -> i mod 2 = 0)) ~seed ()
+      Balanced_ba.default_config ~n ~inputs:(Array.init n (fun i -> i mod 2 = 0)) ~seed ()
     in
-    let (r : Balanced_ba.result) = run_fn cfg in
+    let (r : Balanced_ba.result) = run_fn ~corrupt cfg in
     r.Balanced_ba.report.Metrics.max_bytes
   in
   let owf = run run_owf 12 and snark = run run_snark 12 in
@@ -105,7 +111,7 @@ let test_broadcast_honest_senders () =
   let rng = Rng.create 13 in
   let corrupt = corrupt_of rng ~n ~count:7 in
   let cfg =
-    Balanced_ba.default_config ~n ~corrupt ~inputs:(Array.make n false) ~seed:13 ()
+    Balanced_ba.default_config ~n ~inputs:(Array.make n false) ~seed:13 ()
   in
   let honest_senders =
     List.filter (fun p -> not (List.mem p corrupt)) [ 0; 5; 11 ]
@@ -113,7 +119,7 @@ let test_broadcast_honest_senders () =
   let messages =
     List.map (fun p -> (p, Bytes.of_string (Printf.sprintf "block-%d" p))) honest_senders
   in
-  let r = Bc.run cfg ~messages in
+  let r = Bc.run ~net:(net_of ~n corrupt) cfg ~messages in
   List.iter
     (fun (e : Broadcast.exec_result) ->
       Alcotest.(check bool)
@@ -128,10 +134,10 @@ let test_broadcast_honest_senders () =
 let test_broadcast_amortization () =
   (* more executions must amortize: per-execution max cost decreases *)
   let n = 64 in
-  let cfg = Balanced_ba.default_config ~n ~corrupt:[] ~inputs:(Array.make n false) ~seed:14 () in
+  let cfg = Balanced_ba.default_config ~n ~inputs:(Array.make n false) ~seed:14 () in
   let run l =
     let messages = List.init l (fun k -> (k, Bytes.of_string (Printf.sprintf "m%d" k))) in
-    (Bc.run cfg ~messages).Broadcast.amortized_max_bytes
+    (Bc.run ~net:(net_of ~n []) cfg ~messages).Broadcast.amortized_max_bytes
   in
   let one = run 1 and four = run 4 in
   Alcotest.(check bool)
@@ -142,8 +148,10 @@ let test_broadcast_corrupt_sender_consistent () =
   (* a corrupt, silent sender must still leave honest parties consistent *)
   let n = 64 in
   let corrupt = [ 3 ] in
-  let cfg = Balanced_ba.default_config ~n ~corrupt ~inputs:(Array.make n false) ~seed:15 () in
-  let r = Bc.run cfg ~messages:[ (3, Bytes.of_string "never-sent") ] in
+  let cfg = Balanced_ba.default_config ~n ~inputs:(Array.make n false) ~seed:15 () in
+  let r =
+    Bc.run ~net:(net_of ~n corrupt) cfg ~messages:[ (3, Bytes.of_string "never-sent") ]
+  in
   match r.Broadcast.execs with
   | [ e ] -> Alcotest.(check bool) "consistent" true e.Broadcast.consistent
   | _ -> Alcotest.fail "one exec expected"
@@ -205,7 +213,7 @@ let test_sqrt_baseline () =
     List.filter (fun p -> not (List.mem p corrupt)) (List.init n (fun p -> p))
     |> List.filteri (fun i _ -> i mod 10 <> 0)
   in
-  let r = Baseline_sqrt.run { n; corrupt; holders; value = true; seed = 19 } in
+  let r = Baseline_sqrt.run ~net:(net_of ~n corrupt) { n; holders; value = true; seed = 19 } in
   Alcotest.(check bool) "agreed" true r.Baseline_sqrt.agreed;
   Alcotest.(check bool)
     (Printf.sprintf "correct %.2f" r.Baseline_sqrt.correct_fraction)
@@ -225,7 +233,9 @@ let test_naive_baseline () =
   let holders =
     List.filter (fun p -> not (List.mem p corrupt)) (List.init n (fun p -> p))
   in
-  let r = Baseline_naive.run { n; corrupt; holders; value = false; seed = 20 } in
+  let r =
+    Baseline_naive.run ~net:(net_of ~n corrupt) { n; holders; value = false; seed = 20 }
+  in
   Alcotest.(check bool) "agreed" true r.Baseline_naive.agreed;
   Alcotest.(check bool) "correct" true (r.Baseline_naive.correct_fraction > 0.99);
   (* per-party cost is Theta(n) *)
@@ -242,13 +252,13 @@ let test_dolev_shared_pki () =
   let n = 16 and seed = 3 in
   let cfgs =
     [
-      { Baseline_dolev.n; corrupt = []; value = true; seed };
-      { Baseline_dolev.n; corrupt = [ 2; 7; 11 ]; value = false; seed };
+      ([], { Baseline_dolev.n; value = true; seed });
+      ([ 2; 7; 11 ], { Baseline_dolev.n; value = false; seed });
     ]
   in
-  let run pki cfg =
+  let run pki (corrupt, cfg) =
     let tap, digest = Runner.digest_sink () in
-    let r = Baseline_dolev.run ~sinks:[ tap ] ~pki cfg in
+    let r = Baseline_dolev.run ~net:(net_of ~sinks:[ tap ] ~n corrupt) ~pki cfg in
     (digest (), r.Baseline_dolev.outputs, r.Baseline_dolev.report.Metrics.total_bytes)
   in
   let fresh = List.map (fun cfg -> run (Baseline_dolev.pki ~n ~seed) cfg) cfgs in
@@ -269,23 +279,40 @@ let test_dolev_shared_pki () =
   Repro_util.Parallel.set_domains saved;
   check "concurrent on 2 domains" concurrent
 
+(* A run refuses a setup, a PKI or a network built for another run. *)
 let test_setup_rejects_other_run () =
-  let cfg ~n ~seed =
-    Balanced_ba.default_config ~n ~corrupt:[] ~inputs:(Array.make n true) ~seed ()
-  in
+  let cfg ~n ~seed = Balanced_ba.default_config ~n ~inputs:(Array.make n true) ~seed () in
   let setup = Ba_owf.setup ~n:32 ~seed:1 in
+  let net32 = net_of ~n:32 [] and net40 = net_of ~n:40 [] in
   let rejects what f =
     match f () with
     | _ -> Alcotest.fail (what ^ ": accepted")
     | exception Invalid_argument _ -> ()
   in
-  rejects "other seed" (fun () -> ignore (Ba_owf.make_ctx ~setup (cfg ~n:32 ~seed:2)));
-  rejects "other n" (fun () -> ignore (Ba_owf.make_ctx ~setup (cfg ~n:40 ~seed:1)));
+  rejects "other seed" (fun () ->
+      ignore (Ba_owf.make_ctx ~net:net32 ~setup (cfg ~n:32 ~seed:2)));
+  rejects "other n" (fun () ->
+      ignore (Ba_owf.make_ctx ~net:net40 ~setup (cfg ~n:40 ~seed:1)));
+  rejects "network of another n" (fun () ->
+      ignore (Ba_owf.make_ctx ~net:net40 ~setup (cfg ~n:32 ~seed:1)));
+  let pki = Baseline_dolev.pki ~n:8 ~seed:1 in
   rejects "dolev-strong, other seed" (fun () ->
       ignore
-        (Baseline_dolev.run ~pki:(Baseline_dolev.pki ~n:8 ~seed:1)
-           { Baseline_dolev.n = 8; corrupt = []; value = true; seed = 2 }));
-  ignore (Ba_owf.make_ctx ~setup (cfg ~n:32 ~seed:1))
+        (Baseline_dolev.run ~net:(net_of ~n:8 []) ~pki
+           { Baseline_dolev.n = 8; value = true; seed = 2 }));
+  rejects "dolev-strong, network of another n" (fun () ->
+      ignore
+        (Baseline_dolev.run ~net:(net_of ~n:9 []) ~pki
+           { Baseline_dolev.n = 8; value = true; seed = 1 }));
+  rejects "sqrt-quorum, network of another n" (fun () ->
+      ignore
+        (Baseline_sqrt.run ~net:net40
+           { Baseline_sqrt.n = 32; holders = []; value = true; seed = 1 }));
+  rejects "naive-flood, network of another n" (fun () ->
+      ignore
+        (Baseline_naive.run ~net:net40
+           { Baseline_naive.n = 32; holders = []; value = true; seed = 1 }));
+  ignore (Ba_owf.make_ctx ~net:net32 ~setup (cfg ~n:32 ~seed:1))
 
 (* --- runner rows --- *)
 

@@ -333,18 +333,19 @@ module Ba_owf = Balanced_ba.Make (Srds_owf)
 let run_owf_async ~n ~seed cfg =
   let rng = Rng.create seed in
   let corrupt = Rng.subset rng ~n ~size:(n / 10) in
+  let net = Runner.network ~cfg ~n ~corrupt () in
   let bcfg =
-    Balanced_ba.default_config ~n ~corrupt
+    Balanced_ba.default_config ~n
       ~inputs:(Array.init n (fun i -> i mod 2 = 0))
       ~seed ()
   in
-  Ba_owf.run ~backend:(Sched.Async cfg) ~setup:(Ba_owf.setup ~n ~seed) bcfg
+  (Ba_owf.run ~net ~setup:(Ba_owf.setup ~n ~seed) bcfg, net)
 
 let test_post_gst_on_network () =
   let cfg = chaos ~seed:5 in
-  let r = run_owf_async ~n:64 ~seed:5 cfg in
+  let r, net = run_owf_async ~n:64 ~seed:5 cfg in
   Alcotest.(check bool) "async run agreed" true r.Balanced_ba.agreed;
-  let stats = Network.async_stats r.Balanced_ba.net in
+  let stats = Network.async_stats net in
   let log = Sched.deliveries stats in
   Alcotest.(check bool) "network sampled deliveries" true (log <> []);
   Alcotest.(check bool) "post-GST bound held on the real run" true
@@ -657,9 +658,8 @@ let test_attack_cell_pinned () =
     counted
 
 let async_digest ~n ~seed =
-  let backend = Sched.Async (chaos ~seed) in
   let _row, digest =
-    Runner.run_digest ~backend ~protocol:Runner.This_work_owf ~n ~beta:0.1
+    Runner.run_digest ~cfg:(chaos ~seed) ~protocol:Runner.This_work_owf ~n ~beta:0.1
       ~seed ()
   in
   digest
@@ -806,9 +806,8 @@ let test_condition_down_party_skip () =
 
 let test_async_replay_roundtrip () =
   let cfg = chaos ~seed:1 in
-  let backend = Sched.Async cfg in
   let _row, rec_, corrupt =
-    Runner.run_recorded ~keep_payloads:true ~backend
+    Runner.run_recorded ~keep_payloads:true ~cfg
       ~protocol:Runner.This_work_owf ~n:40 ~beta:0.1 ~seed:1 ()
   in
   (* async-recorded sends carry virtual timestamps *)
@@ -832,7 +831,7 @@ let test_async_replay_roundtrip () =
            events)
     in
     Alcotest.(check int) "virtual timestamps survive JSONL" !sends parsed_vts;
-    match Replay.self_check ~backend ~n:40 ~corrupt events with
+    match Replay.self_check ~backend:(Sched.Async cfg) ~n:40 ~corrupt events with
     | Ok k -> Alcotest.(check int) "all sends replayed identical" !sends k
     | Error e -> Alcotest.failf "async replay diverged: %s" e)
 

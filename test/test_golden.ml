@@ -154,6 +154,84 @@ let test_observers_neutral () =
         paths)
     [ (Runner.This_work_owf, golden_owf); (Runner.This_work_snark, golden_snark) ]
 
+(* Audit pins: the auditor's per-round timeline and its summary text,
+   hashed together, for every Table-1 protocol at the n = 40 cell against
+   its declared budgets, and for two condition cells — adaptive (mid-run
+   upgrades) and churn (dark parties whose mail is held) — so any change
+   to how bits, peers, corrupt parties or round boundaries are accounted
+   shows up here. Re-record only on purpose, as for the transcript
+   digests. *)
+let audit_digest audit =
+  let text =
+    Repro_obs.Audit.timeline_jsonl audit
+    ^ Format.asprintf "%a" Repro_obs.Audit.pp_summary audit
+  in
+  Repro_crypto.Sha256.(hex (digest_string text))
+
+let golden_audit_rows =
+  [
+    (Runner.This_work_owf,
+     "8f57208b8e9f5306026f072092fa1c8ad8d9e9f240fe688b0b1491c64de2a1c7");
+    (Runner.This_work_snark,
+     "e9f380c1d4941e462c90f8fe8a7fe7a37369bd7676ec596f0585b8fc694a1fdd");
+    (Runner.Multisig_boost,
+     "3071612bdcb95eb3cbbde97311ead30b7a533a5155e6f0eef91c169789b12eea");
+    (Runner.Sqrt_boost,
+     "ad6467e2f2f95012d3393aca4f749b228a95ed2f519396d721d98c4409665f21");
+    (Runner.Naive_boost,
+     "09c7299c83f6513756578fabb2858b26ad31d222be2c94fec9f721b810a17cba");
+    (Runner.Dolev_strong,
+     "3e986ca417ad944cab168ea0dbc59bd1ea1dc5bcbd7237d6127504090393430b");
+  ]
+
+let golden_audit_conditions =
+  [
+    ("adaptive", "b9241782fe032b5a3d962a41fe3f864e2f7afb925aa36255e64b3ccc9aab0f8b");
+    ("churn", "067a34c4a1bc93a9823f5b4156177ce2c73980175b7ff87bb49b0fbe21c0d0d2");
+  ]
+
+(* Every cell runs before the check fails, so one run names every drifted
+   pin with its actual value. *)
+let check_audit_pins cells =
+  let drifted =
+    List.filter_map
+      (fun (label, golden, run) ->
+        let actual = audit_digest (run ()) in
+        if actual = golden then None
+        else Some (Printf.sprintf "  %s\n    pinned:  %s\n    actual:  %s" label golden actual))
+      cells
+  in
+  if drifted <> [] then
+    Alcotest.failf "audit digests drifted from the pinned recording:\n%s"
+      (String.concat "\n" drifted)
+
+let test_audit_rows_pinned () =
+  check_audit_pins
+  @@ List.map
+    (fun (protocol, golden) ->
+      ( Runner.protocol_name protocol, golden,
+        fun () ->
+          snd (Runner.run_audited ~protocol ~n:cell_n ~beta:cell_beta ~seed:cell_seed ()) ))
+    golden_audit_rows
+
+let test_audit_conditions_pinned () =
+  check_audit_pins
+  @@ List.map
+    (fun (condition_name, golden) ->
+      ( "owf under " ^ condition_name, golden,
+        fun () ->
+          let protocol = Runner.This_work_owf in
+          let audit = Runner.make_auditor ~protocol ~n:cell_n in
+          let (_ : Runner.attack_cell) =
+            Runner.run_attack_cell
+              ~sinks:[ Repro_obs.Audit.observe audit ]
+              ~condition_name ~protocol ~strategy_name:"silent" ~n:cell_n
+              ~beta:0.2 ~seed:2 ~expect_fail:false ()
+          in
+          Repro_obs.Audit.finalize audit;
+          audit ))
+    golden_audit_conditions
+
 let suite =
   [
     Alcotest.test_case "owf transcript digest pinned (all backends)" `Quick
@@ -172,6 +250,10 @@ let suite =
     Alcotest.test_case "owf transcript rerun-stable" `Quick test_rerun_stable;
     Alcotest.test_case "auditor and recorder leave transcripts and rows alone"
       `Quick test_observers_neutral;
+    Alcotest.test_case "n=40 audit timelines and summaries pinned" `Quick
+      test_audit_rows_pinned;
+    Alcotest.test_case "adaptive and churn audit timelines pinned" `Quick
+      test_audit_conditions_pinned;
     Alcotest.test_case "owf n=64 cross-backend conformance" `Quick
       (check_conform Runner.This_work_owf 64);
     Alcotest.test_case "snark n=64 cross-backend conformance" `Quick

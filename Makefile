@@ -129,14 +129,20 @@ conditions-smoke: build
 # <10s: the experiment subcommands no other target runs, at small n. Each
 # exits non-zero if its experiment's gate fails. Then `run`, the CLI's one
 # path through Runner.run/run_audited: every protocol at n = 32, once under
-# the executor knobs and once audited; `run` always exits 0, so each line
-# must print its row with ok=true.
+# the executor knobs and once audited. `run` exits 1 when its row reads
+# ok=false, and each line must also print its row with ok=true. Dolev-Strong
+# runs again at seed 2, whose sender is honest, so its relay and signature
+# code runs and every honest party must output the sender's value. The last
+# line must fail: beta = 0.45 breaks the tree, and `run` must say so in its
+# exit status.
 cli-smoke: build
 	for p in owf snark multisig sqrt naive ds; do \
 	  $(BA_SIM) run -p $$p -n 32 | grep ' ok=true ' || exit 1; \
 	done
 	$(BA_SIM) run -p owf -n 32 --jitter 2 --gst 8 | grep ' ok=true '
 	$(BA_SIM) run -p owf -n 32 --audit | grep ' ok=true '
+	$(BA_SIM) run -p ds -n 32 --seed 2 | grep ' ok=true (correct=1.00)'
+	! $(BA_SIM) run -p owf -n 32 --beta 0.45
 	$(BA_SIM) table1 --ns 32
 	$(BA_SIM) sweep --ns 32,64
 	$(BA_SIM) games -n 64

@@ -149,15 +149,19 @@ let run_cmd =
       Format.printf "%a%!" Repro_obs.Counters.pp_table
         (Repro_obs.Counters.snapshot ())
     end;
-    match trace_out with
+    (match trace_out with
     | Some file ->
       Repro_obs.Trace.flush ();
       print_string (Repro_obs.Trace.summary ());
       Printf.printf "trace written to %s\n" file
-    | None -> ()
+    | None -> ());
+    if not row.Runner.r_ok then exit 1
   in
   Cmd.v
-    (Cmd.info "run" ~doc:"Run one protocol execution.")
+    (Cmd.info "run"
+       ~doc:
+         "Run one protocol execution; exit 1 if it broke agreement or \
+          validity (the row prints $(b,ok=false)).")
     Term.(
       const action $ protocol_arg $ n_arg $ beta_arg $ seed_arg $ trace_out_arg
       $ counters_arg $ breakdown_arg $ audit_flag_arg $ gst_arg ~default:0

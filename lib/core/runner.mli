@@ -22,7 +22,9 @@ val budgets_of : protocol -> Repro_obs.Audit.budgets
     paper's polylog shape [c * log^k(n) * kappa^j]. The this-work
     instantiations declare curves they meet; the baselines declare the
     polylog claim they provably exceed (naive flooding most visibly), so
-    the auditor demonstrably has teeth. *)
+    the auditor demonstrably has teeth. The curves are calibrated on
+    n = 64..4096; below that range they are not a claim (at n = 32 one
+    snark party exceeds its total-bits curve, see EXPERIMENTS.md). *)
 
 val make_auditor : protocol:protocol -> n:int -> Repro_obs.Audit.t
 (** A fresh auditor carrying [budgets_of protocol]. *)
@@ -97,7 +99,7 @@ val run_audited :
   protocol:protocol -> n:int -> beta:float -> seed:int -> unit ->
   row * Repro_obs.Audit.t
 (** Like {!run} but always audited; returns the finalized auditor with its
-    violations, timeline and per-phase breakdown. *)
+    violations and timeline. *)
 
 val corrupt_by_strategy :
   strategy:Repro_aetree.Attacks.strategy -> n:int -> beta:float -> seed:int ->

@@ -12,6 +12,7 @@
    cost at n in the thousands). Bitsets materialize lazily so silent
    parties cost nothing. *)
 module Bitset = Repro_util.Bitset
+module Event = Repro_obs.Event
 
 type peers = {
   mutable bits : Bitset.t option;
@@ -23,29 +24,35 @@ type party_stats = {
   mutable bytes_recv : int;
   mutable msgs_sent : int;
   mutable msgs_recv : int;
-  peers_sent : peers;
-  peers_recv : peers;
+  peers : peers; (* sent to or received from *)
+}
+
+(* The charges since the last round close, kept only for a network with
+   subscribers (its [Round_end] carries them). A party is touched at its
+   first charge of the round, when its round peer count is still 0. *)
+type round_state = {
+  r_bytes : int array;
+  r_peers : peers array;
+  r_touched : int array; (* [0, r_ntouched), in first-charge order *)
+  mutable r_ntouched : int;
+  mutable r_sent : int; (* bytes staged this round, all sources *)
 }
 
 type t = {
   n : int;
   stats : party_stats array;
   mutable rounds : int;
+  rnd : round_state option;
   by_group : (string, int ref) Hashtbl.t; (* sent bytes per tag group *)
   cell_of_tag : (string, int ref) Hashtbl.t; (* tag -> its group's cell *)
   mutable last_tag : string; (* the previous send's tag ... *)
   mutable last_cell : int ref; (* ... and its group's cell *)
 }
 
+let no_peers () = { bits = None; count = 0 }
+
 let fresh_party () =
-  {
-    bytes_sent = 0;
-    bytes_recv = 0;
-    msgs_sent = 0;
-    msgs_recv = 0;
-    peers_sent = { bits = None; count = 0 };
-    peers_recv = { bits = None; count = 0 };
-  }
+  { bytes_sent = 0; bytes_recv = 0; msgs_sent = 0; msgs_recv = 0; peers = no_peers () }
 
 let peer_add ~n ps peer =
   let b =
@@ -61,8 +68,24 @@ let peer_add ~n ps peer =
     ps.count <- ps.count + 1
   end
 
-let create n =
-  { n; stats = Array.init n (fun _ -> fresh_party ()); rounds = 0;
+let charge_round ~n r p peer size =
+  let ps = r.r_peers.(p) in
+  if ps.count = 0 then begin
+    r.r_touched.(r.r_ntouched) <- p;
+    r.r_ntouched <- r.r_ntouched + 1
+  end;
+  r.r_bytes.(p) <- r.r_bytes.(p) + size;
+  peer_add ~n ps peer
+
+let create ~per_round n =
+  let rnd =
+    if per_round then
+      Some
+        { r_bytes = Array.make n 0; r_peers = Array.init n (fun _ -> no_peers ());
+          r_touched = Array.make n 0; r_ntouched = 0; r_sent = 0 }
+    else None
+  in
+  { n; stats = Array.init n (fun _ -> fresh_party ()); rounds = 0; rnd;
     by_group = Hashtbl.create 32; cell_of_tag = Hashtbl.create 64;
     (* a fresh string: physically equal to no tag ever sent *)
     last_tag = String.make 1 '\000'; last_cell = ref 0 }
@@ -99,7 +122,12 @@ let note_send t ~src ~dst ~tag ~size =
   let s = t.stats.(src) in
   s.bytes_sent <- s.bytes_sent + size;
   s.msgs_sent <- s.msgs_sent + 1;
-  peer_add ~n:t.n s.peers_sent dst;
+  peer_add ~n:t.n s.peers dst;
+  (match t.rnd with
+  | None -> ()
+  | Some r ->
+    r.r_sent <- r.r_sent + size;
+    charge_round ~n:t.n r src dst size);
   (* One lookup per send: each tag maps straight to its group's byte cell,
      and engine sends reuse interned tags, so a run of sends with the
      physically same tag skips even that. A group is registered in
@@ -135,7 +163,8 @@ let note_recv t ~src ~dst ~size =
   let s = t.stats.(dst) in
   s.bytes_recv <- s.bytes_recv + size;
   s.msgs_recv <- s.msgs_recv + 1;
-  peer_add ~n:t.n s.peers_recv src
+  peer_add ~n:t.n s.peers src;
+  match t.rnd with None -> () | Some r -> charge_round ~n:t.n r dst src size
 
 let note_round t = t.rounds <- t.rounds + 1
 
@@ -146,13 +175,32 @@ let party_bytes_sent t i = t.stats.(i).bytes_sent
 let party_msgs_sent t i = t.stats.(i).msgs_sent
 let party_msgs_recv t i = t.stats.(i).msgs_recv
 
-let party_locality t i =
-  let s = t.stats.(i) in
-  match (s.peers_sent.bits, s.peers_recv.bits) with
-  | None, None -> 0
-  | Some _, None -> s.peers_sent.count
-  | None, Some _ -> s.peers_recv.count
-  | Some a, Some b -> Bitset.cardinal (Bitset.union a b)
+let party_locality t i = t.stats.(i).peers.count
+
+let close_round t ~round ~scheduled : Event.round_summary =
+  match t.rnd with
+  | None -> invalid_arg "Metrics.close_round: created without ~per_round"
+  | Some r ->
+    let touched = Array.sub r.r_touched 0 r.r_ntouched in
+    Array.sort Int.compare touched;
+    let charged =
+      Array.map
+        (fun p ->
+          let ps = r.r_peers.(p) in
+          let c =
+            { Event.party = p; round_bits = 8 * r.r_bytes.(p); round_peers = ps.count;
+              total_bits = 8 * party_bytes t p; total_peers = party_locality t p }
+          in
+          r.r_bytes.(p) <- 0;
+          ps.count <- 0;
+          Option.iter Bitset.reset ps.bits;
+          c)
+        touched
+    in
+    let summary = { Event.round; scheduled; sent_bits = 8 * r.r_sent; charged } in
+    r.r_ntouched <- 0;
+    r.r_sent <- 0;
+    summary
 
 (* A communication report over a subset of parties (normally the honest
    set). *)
@@ -170,32 +218,12 @@ type report = {
   rounds : int;
 }
 
+(* An empty selection (e.g. every party corrupt) yields zero per-party
+   aggregates: [Mathx]'s statistics are 0 on an empty list. *)
 let report ?(include_party = fun _ -> true) t =
-  let parties =
-    List.filter include_party (List.init t.n (fun i -> i))
-  in
-  if parties = [] then
-    (* Empty selection (e.g. every party corrupt): per-party aggregates are
-       all zero by definition; only the network-wide figures survive. *)
-    {
-      max_bytes = 0;
-      mean_bytes = 0.;
-      p50_bytes = 0.;
-      p95_bytes = 0.;
-      p99_bytes = 0.;
-      stddev_bytes = 0.;
-      total_bytes = Array.fold_left (fun acc s -> acc + s.bytes_sent) 0 t.stats;
-      max_msgs_sent = 0;
-      max_locality = 0;
-      mean_locality = 0.;
-      rounds = t.rounds;
-    }
-  else
+  let parties = List.filter include_party (List.init t.n Fun.id) in
   let bytes = List.map (party_bytes t) parties in
   let locs = List.map (party_locality t) parties in
-  let total =
-    Array.fold_left (fun acc s -> acc + s.bytes_sent) 0 t.stats
-  in
   let fbytes = List.map float_of_int bytes in
   {
     max_bytes = List.fold_left max 0 bytes;
@@ -204,7 +232,7 @@ let report ?(include_party = fun _ -> true) t =
     p95_bytes = Repro_util.Mathx.percentile 0.95 fbytes;
     p99_bytes = Repro_util.Mathx.percentile 0.99 fbytes;
     stddev_bytes = Repro_util.Mathx.stddev fbytes;
-    total_bytes = total;
+    total_bytes = Array.fold_left (fun acc s -> acc + s.bytes_sent) 0 t.stats;
     max_msgs_sent =
       List.fold_left (fun acc i -> max acc (party_msgs_sent t i)) 0 parties;
     max_locality = List.fold_left max 0 locs;

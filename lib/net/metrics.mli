@@ -1,9 +1,15 @@
 (** Per-party communication metering: the quantities the paper's theorems
-    bound (bits per party, locality, rounds). *)
+    bound (bits per party, locality, rounds). This is the one place a
+    message's bits are charged: reports, the per-round summaries observers
+    receive in [Round_end] (see {!Repro_obs.Event}) and through them the
+    auditor all read these counts. *)
 
 type t
 
-val create : int -> t
+val create : per_round:bool -> int -> t
+(** Metering for [n] parties. With [per_round] it also keeps the charges
+    since the last {!close_round}; a network asks for that only when it
+    has subscribers, so an unobserved run pays nothing per round. *)
 
 val note_send : t -> src:int -> dst:int -> tag:string -> size:int -> unit
 (** Charge one accepted send of [size] bytes ({!Wire.size}) to [src]. *)
@@ -14,6 +20,11 @@ val note_recv : t -> src:int -> dst:int -> size:int -> unit
 val note_round : t -> unit
 val rounds : t -> int
 
+val close_round : t -> round:int -> scheduled:int -> Repro_obs.Event.round_summary
+(** The charges since the previous call, summed per party (ascending),
+    with each party's cumulative bits and peers; resets them.
+    [Invalid_argument] unless created with [per_round]. *)
+
 val party_bytes : t -> int -> int
 (** Sent + received bytes of one party. *)
 
@@ -23,7 +34,7 @@ val party_msgs_recv : t -> int -> int
 (** Messages delivered to one party. *)
 
 val party_locality : t -> int -> int
-(** Number of distinct peers the party exchanged messages with. *)
+(** Number of distinct peers the party sent to or received from. *)
 
 val tag_group : string -> string
 (** Normalization used for the per-phase breakdown. *)

@@ -51,9 +51,10 @@
 
    Protocols are per-party step functions closing over their own state;
    corrupt parties have no handler and their behaviour lives entirely in
-   the adversary. All sends are metered through {!Metrics}; everything
-   else that watches a run (auditor, flight recorder, transcript taps)
-   subscribes to the {!Repro_obs.Event} stream emitted here. *)
+   the adversary. Every send and delivery is charged once, to {!Metrics};
+   everything else that watches a run (auditor, flight recorder,
+   transcript taps) subscribes to the {!Repro_obs.Event} stream emitted
+   here, whose [Round_end] carries the round's charges from {!Metrics}. *)
 
 module Event = Repro_obs.Event
 
@@ -139,7 +140,7 @@ let create ?backend ?(sinks = []) ~n ~corrupt () =
     {
       n;
       corrupt = c;
-      metrics = Metrics.create n;
+      metrics = Metrics.create ~per_round:(sinks <> []) n;
       sinks;
       cfg;
       edges = Sched.edges_create ~seed:cfg.Sched.a_seed;
@@ -325,8 +326,8 @@ let staged_honest t =
    the other n - polylog(n) parties. [dl_order.(0 .. nd - 1)] names the
    round's deliveries (staging slots) in delivery order; a counting sort
    by destination lays each party's inbox out as one slice, keeping that
-   order within it. Each delivery's size is computed once, for [Metrics]
-   and the [Deliver] event alike. *)
+   order within it. Each delivery is charged to [Metrics] as it is
+   placed. *)
 let distribute t nd =
   clear_inboxes t;
   let order = t.dl_order and len = t.dl_len and dirty = t.dirty in
@@ -352,17 +353,13 @@ let distribute t nd =
     t.dl_pay <- grown_to t.dl_pay nd Bytes.empty
   end;
   (* ... and fill back to front, each delivery taking its inbox's last
-     free slot. Walking backwards also emits the [Deliver] events in
-     reverse delivery order, the order recorder logs and audit timelines
-     are pinned in. *)
+     free slot. *)
   let start = t.dl_start in
   for k = nd - 1 downto 0 do
     let i = order.(k) in
     let src = t.st_src.(i) and dst = st_dst.(i) in
     let tag = t.st_tag.(i) and payload = t.st_pay.(i) in
-    let size = Wire.size ~tag payload in
-    Metrics.note_recv t.metrics ~src ~dst ~size;
-    if observed t then emit t (Event.Deliver { src; dst; bits = 8 * size });
+    Metrics.note_recv t.metrics ~src ~dst ~size:(Wire.size ~tag payload);
     let p = start.(dst) - 1 in
     start.(dst) <- p;
     t.dl_src.(p) <- src;
@@ -530,7 +527,7 @@ let deliver t =
   end
 
 (* Adversary turn, delivery and round close. *)
-let finish_round t adversary =
+let finish_round t adversary ~scheduled =
   (* Computed once: the adversary only adds corrupt-sourced sends, and only
      [c_observe] below can corrupt a party, so both see the same list. *)
   let honest_staged =
@@ -553,8 +550,10 @@ let finish_round t adversary =
   | None -> ());
   deliver t;
   (* Receives of round r's sends are charged to round r, keeping per-round
-     send/recv conservation; observers see the round close after delivery. *)
-  if observed t then emit t (Event.Round_end t.round);
+     send/recv conservation; observers see the round close after delivery,
+     with everything charged since the previous close. *)
+  if observed t then
+    emit t (Event.Round_end (Metrics.close_round t.metrics ~round:t.round ~scheduled));
   t.round <- t.round + 1
 
 let run_active t ?(adversary = null_adversary) ?stop ~rounds ~extra handler_of =
@@ -615,8 +614,7 @@ let run_active t ?(adversary = null_adversary) ?stop ~rounds ~extra handler_of =
           handler ~round:t.round ~inbox:(inbox t i)
         end)
       parties;
-    if observed t then emit t (Event.Scheduled !scheduled);
-    finish_round t adversary
+    finish_round t adversary ~scheduled:!scheduled
   done
 
 (* Between protocol phases: drop the round's staged sends and the pending

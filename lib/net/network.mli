@@ -28,8 +28,10 @@ val create :
     order) configures the executor. [sinks] (default none) subscribe to this network's observation
     stream, each called in list order with every event: a [Corrupt] per
     statically corrupt party right away, then per accepted send (in send
-    order, with the staging round), per delivery, per round close, per
-    phase mark, committee, decision and upgrade. Subscriptions are
+    order, with the staging round), per round close (with the round's
+    per-party charges from {!metrics}), per phase mark, committee,
+    decision and upgrade. A network with sinks also keeps its metrics'
+    per-round state; one without pays nothing for it. Subscriptions are
     per-instance, so concurrent networks on the domain pool never observe
     each other; with no sink no event is built. *)
 

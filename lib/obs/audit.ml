@@ -4,8 +4,10 @@
    library sits at the bottom of the dependency DAG), and cheap enough to
    leave attached to every metered network. An instance is owned by one
    protocol execution and mutated single-threadedly by that execution's
-   network; the per-round arrays are O(n) ints and the reset between rounds
-   is a plain Array.fill, so the auditor adds a few ns per message. *)
+   network. It charges nothing itself: the network's metrics count every
+   message once, and each [Round_end] hands the auditor the round's
+   charges per party, so it does O(charged parties) work per round and
+   none per message. *)
 
 type curve = { c : float; log_exp : int; kappa_exp : int }
 
@@ -80,24 +82,14 @@ type t = {
   a_budgets : budgets;
   corrupt : bool array; (* folded from [Corrupt] events *)
   mutable honest_n : int; (* cached honest count, tracks [corrupt] *)
-  (* per-round state, reset by end_round. Only parties actually charged
-     this round are visited at the round boundary: [touched] lists them,
-     [touched_mark] dedups, so a polylog-active round costs O(active). *)
-  round_bits : int array;
-  round_peers : (int, unit) Hashtbl.t array;
-  touched_mark : bool array;
-  mutable touched : int list;
-  (* whole-execution accumulators *)
+  (* whole-execution figures, as of each party's last charged round *)
   totals : int array;
-  total_peers : (int, unit) Hashtbl.t array;
+  total_peers : int array;
   viol_of_party : int array;
-  phase_bits : (string, int array) Hashtbl.t;
   mutable phases : string list; (* stack of joined paths, innermost first *)
   mutable violations_rev : violation list;
   mutable violation_count : int;
   mutable timeline_rev : round_rec list;
-  mutable round_sched : int; (* parties the scheduler invoked this round *)
-  mutable round_sent : int; (* bits staged by sends this round, all parties *)
   mutable rounds_seen : int;
   mutable max_round_bits : int;
   mutable max_round_locality : int;
@@ -116,20 +108,13 @@ let create ?(label = "audit") ?(kappa = kappa_default) ~n ~budgets () =
     a_budgets = budgets;
     corrupt = Array.make n false;
     honest_n = n;
-    round_bits = Array.make n 0;
-    round_peers = Array.init n (fun _ -> Hashtbl.create 8);
-    touched_mark = Array.make n false;
-    touched = [];
     totals = Array.make n 0;
-    total_peers = Array.init n (fun _ -> Hashtbl.create 16);
+    total_peers = Array.make n 0;
     viol_of_party = Array.make n 0;
-    phase_bits = Hashtbl.create 16;
     phases = [];
     violations_rev = [];
     violation_count = 0;
     timeline_rev = [];
-    round_sched = 0;
-    round_sent = 0;
     rounds_seen = 0;
     max_round_bits = 0;
     max_round_locality = 0;
@@ -165,44 +150,6 @@ let push_phase t name =
 let pop_phase t =
   match t.phases with [] -> () | _ :: rest -> t.phases <- rest
 
-(* --- accounting --- *)
-
-let phase_cell t =
-  let key = current_phase t in
-  match Hashtbl.find_opt t.phase_bits key with
-  | Some arr -> arr
-  | None ->
-    let arr = Array.make t.a_n 0 in
-    Hashtbl.add t.phase_bits key arr;
-    arr
-
-let charge t p other bits =
-  if not t.touched_mark.(p) then begin
-    t.touched_mark.(p) <- true;
-    t.touched <- p :: t.touched
-  end;
-  t.round_bits.(p) <- t.round_bits.(p) + bits;
-  t.totals.(p) <- t.totals.(p) + bits;
-  if not (Hashtbl.mem t.round_peers.(p) other) then
-    Hashtbl.add t.round_peers.(p) other ();
-  if not (Hashtbl.mem t.total_peers.(p) other) then
-    Hashtbl.add t.total_peers.(p) other ();
-  let ph = phase_cell t in
-  ph.(p) <- ph.(p) + bits
-
-(* [round_sent] sums over *all* sources (corrupt included): it mirrors what
-   the transcript tap / flight recorder observes — one charge per staged
-   send — so the two accountings are comparable per round. *)
-let note_send t ~src ~dst ~bits =
-  t.round_sent <- t.round_sent + bits;
-  charge t src dst bits
-let note_recv t ~src ~dst ~bits = charge t dst src bits
-
-(* Scheduler occupancy, reported once per round by the network stepper:
-   how many handlers it invoked (the armed set), as opposed to [tr_active],
-   which counts parties that actually moved bits. *)
-let note_scheduled t k = t.round_sched <- k
-
 let record t v =
   t.violations_rev <- v :: t.violations_rev;
   t.violation_count <- t.violation_count + 1;
@@ -228,25 +175,27 @@ let check t ~party ~round ~kind ~observed = function
     end
     else false
 
-let end_round t ~round =
+(* Parties the round did not charge have zero bits and locality: they
+   cannot violate a (positive) budget nor move max, sum or active, so only
+   the charged ones are visited — in ascending order, the order violation
+   records are pinned in. *)
+let end_round t (s : Event.round_summary) =
+  let round = s.round in
   t.last_round <- round;
   t.rounds_seen <- t.rounds_seen + 1;
   let max_bits = ref 0 and sum_bits = ref 0 and active = ref 0 in
   let max_loc = ref 0 and viols = ref 0 in
-  (* Untouched parties have zero bits and locality this round: they cannot
-     violate a (positive) budget, don't contribute to max/sum/active, so
-     only touched parties need visiting. Ascending order keeps violation
-     records in the same order the dense scan produced. *)
-  let touched = List.sort compare t.touched in
-  List.iter
-    (fun p ->
+  Array.iter
+    (fun (c : Event.charge) ->
+      let p = c.party in
+      t.totals.(p) <- c.total_bits;
+      t.total_peers.(p) <- c.total_peers;
       if honest t p then begin
-        let bits = t.round_bits.(p) in
-        let loc = Hashtbl.length t.round_peers.(p) in
+        let bits = c.round_bits and loc = c.round_peers in
         if bits > !max_bits then max_bits := bits;
         sum_bits := !sum_bits + bits;
         if loc > !max_loc then max_loc := loc;
-        if bits > 0 || loc > 0 then incr active;
+        incr active;
         if
           check t ~party:p ~round ~kind:Round_bits ~observed:(float_of_int bits)
             t.a_budgets.round_bits
@@ -256,7 +205,7 @@ let end_round t ~round =
             ~observed:(float_of_int loc) t.a_budgets.round_locality
         then incr viols
       end)
-    touched;
+    s.charged;
   if !max_bits > t.max_round_bits then t.max_round_bits <- !max_bits;
   if !max_loc > t.max_round_locality then t.max_round_locality <- !max_loc;
   t.timeline_rev <-
@@ -266,31 +215,19 @@ let end_round t ~round =
       tr_max_bits = !max_bits;
       tr_mean_bits = float_of_int !sum_bits /. float_of_int (max 1 t.honest_n);
       tr_active = !active;
-      tr_scheduled = t.round_sched;
-      tr_sent_bits = t.round_sent;
+      tr_scheduled = s.scheduled;
+      tr_sent_bits = s.sent_bits;
       tr_max_locality = !max_loc;
       tr_violations = !viols;
     }
-    :: t.timeline_rev;
-  t.round_sched <- 0;
-  t.round_sent <- 0;
-  List.iter
-    (fun p ->
-      t.round_bits.(p) <- 0;
-      Hashtbl.reset t.round_peers.(p);
-      t.touched_mark.(p) <- false)
-    touched;
-  t.touched <- []
+    :: t.timeline_rev
 
 let observe t : Event.t -> unit = function
-  | Send { src; dst; bits; _ } -> note_send t ~src ~dst ~bits
-  | Deliver { src; dst; bits } -> note_recv t ~src ~dst ~bits
-  | Scheduled k -> note_scheduled t k
-  | Round_end round -> end_round t ~round
+  | Round_end s -> end_round t s
   | Phase_enter { name; _ } -> push_phase t name
   | Phase_exit -> pop_phase t
   | Corrupt p -> mark_corrupt t p
-  | Committee _ | Decide _ -> ()
+  | Send _ | Committee _ | Decide _ -> ()
 
 let finalize t =
   if not t.finalized then begin
@@ -312,7 +249,6 @@ let timeline t = List.rev t.timeline_rev
 let max_round_bits t = t.max_round_bits
 let max_round_locality t = t.max_round_locality
 let rounds_seen t = t.rounds_seen
-let party_total_bits t p = t.totals.(p)
 
 let total_bits_max t =
   let m = ref 0 in
@@ -324,18 +260,9 @@ let total_bits_max t =
 let total_locality_max t =
   let m = ref 0 in
   for p = 0 to t.a_n - 1 do
-    if honest t p then m := max !m (Hashtbl.length t.total_peers.(p))
+    if honest t p then m := max !m t.total_peers.(p)
   done;
   !m
-
-let phase_breakdown t =
-  Hashtbl.fold
-    (fun phase arr acc ->
-      let s = ref 0 in
-      Array.iteri (fun p b -> if honest t p then s := !s + b) arr;
-      if !s > 0 then (phase, !s) :: acc else acc)
-    t.phase_bits []
-  |> List.sort (fun (_, a) (_, b) -> compare b a)
 
 let worst_offenders ?(top = 5) t =
   let parties = ref [] in

@@ -4,10 +4,11 @@
     only [polylog(n) * poly(kappa)] bits; Table 1 compares boosting
     protocols by exactly this per-party figure, and the KSSV locality
     tradition bounds how many distinct neighbours a party touches. This
-    module turns those statements into *online protocol invariants*: an
-    accountant, subscribed to the metered network's event stream, tracks
+    module turns those statements into *online protocol invariants*: a
+    budget check, subscribed to the metered network's event stream, reads
     every party's sent and received bits and distinct-neighbour locality
-    per round and per phase tag, checks them against declared budget curves of the form
+    from each round's [Round_end] summary (charged once, by the network's
+    metrics), checks them against declared budget curves of the form
     [c * log2(n)^k * kappa^j], records a structured per-round timeline, and
     raises violations naming the offending party, round, phase and
     observed-vs-budget values.
@@ -73,21 +74,22 @@ val budgets : t -> budgets
 (** {2 Feeding it}
 
     An auditor is a subscriber: pass [observe a] in the [sinks] of the
-    network it belongs to, and every send, delivery, round boundary, phase
-    mark and corruption of that network reaches it. *)
+    network it belongs to, and every round close, phase mark and
+    corruption of that network reaches it. *)
 
 val observe : t -> Event.t -> unit
-(** Fold one event: sends and deliveries charge both endpoints; [Scheduled]
-    records the round's armed set (as opposed to {!round_rec.tr_active},
-    which counts parties that actually moved bits); [Round_end] runs the
-    per-round budget checks for every honest party, appends the timeline
-    record and resets the per-round state; phase marks push and pop the
-    phase stack (nested phases join into a [>]-separated path, innermost
-    last); [Corrupt p] removes [p] from every later check, since the
-    adversary can always inflate its own parties' numbers. *)
+(** Fold one event: [Round_end] runs the per-round budget checks for every
+    honest party it charged, records each charged party's cumulative
+    figures and appends the timeline record, in O(charged parties); phase
+    marks push and pop the phase stack (nested phases join into a
+    [>]-separated path, innermost last); [Corrupt p] removes [p] from every
+    later check, since the adversary can always inflate its own parties'
+    numbers. Sends are not charged here: the round's summary already
+    counts them. *)
 
 val finalize : t -> unit
-(** Run the whole-execution checks (total bits). Idempotent. *)
+(** Run the whole-execution checks (total bits, as of each party's last
+    charged round). Idempotent. *)
 
 val current_phase : t -> string
 (** The open phase path ([""] outside every phase). *)
@@ -105,7 +107,9 @@ type round_rec = {
   tr_max_bits : int;  (** max over honest parties, sent+received this round *)
   tr_mean_bits : float;
   tr_active : int;  (** honest parties that sent or received this round *)
-  tr_scheduled : int;  (** handlers the scheduler invoked ([Scheduled]) *)
+  tr_scheduled : int;
+      (** handlers the stepper invoked (the armed set, as opposed to
+          [tr_active], which counts parties that moved bits) *)
   tr_sent_bits : int;
       (** bits staged by sends this round, summed over all sources (corrupt
           included) — exactly one charge per send the transcript tap sees,
@@ -132,12 +136,6 @@ val total_bits_max : t -> int
 (** Max over honest parties of whole-execution total bits. *)
 
 val rounds_seen : t -> int
-
-val party_total_bits : t -> int -> int
-
-val phase_breakdown : t -> (string * int) list
-(** Sent+received bits per phase-tag path, summed over honest parties,
-    largest first. *)
 
 val worst_offenders : ?top:int -> t -> (int * int * int) list
 (** Honest parties ranked by violation count (then by total bits):

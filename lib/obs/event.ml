@@ -6,9 +6,30 @@
    calls kept in step.
 
    Events are built only when at least one subscriber listens, so an
-   unobserved network pays nothing for them. The always-on accounting
-   (per-party metrics, the message-size histogram) stays a direct call in
-   the network and never goes through here. *)
+   unobserved network pays nothing for them. Bits are charged in one
+   place, the network's per-party metrics: deliveries are not events, and
+   a round's charges reach subscribers summed per party in its
+   [Round_end]. *)
+
+(** One party's charge in a round: bits are 8 * wire size, sent plus
+    received; peers are distinct, sent to or received from. *)
+type charge = {
+  party : int;
+  round_bits : int;
+  round_peers : int;
+  total_bits : int;  (** cumulative, this round included *)
+  total_peers : int;  (** cumulative distinct peers *)
+}
+
+type round_summary = {
+  round : int;
+  scheduled : int;  (** handlers the stepper invoked this round *)
+  sent_bits : int;
+      (** bits of every send staged this round, corrupt sources included:
+          one charge per [Send] event *)
+  charged : charge array;
+      (** every party charged since the previous round close, ascending *)
+}
 
 type t =
   | Send of {
@@ -21,13 +42,10 @@ type t =
       dst : int;
       tag : string;
       payload : bytes;
-      bits : int;  (** 8 * wire size: the charge every consumer uses *)
+      bits : int;  (** 8 * wire size: what the metrics charge *)
     }  (** one accepted send, in send order *)
-  | Deliver of { src : int; dst : int; bits : int }
-      (** a delivery made at the close of the current round *)
-  | Scheduled of int
-      (** handlers the stepper invoked in the round about to close *)
-  | Round_end of int  (** the round closed, after its deliveries *)
+  | Round_end of round_summary
+      (** the round closed, after its deliveries: what it charged *)
   | Phase_enter of { round : int; name : string }
   | Phase_exit  (** closes the innermost open phase *)
   | Committee of { round : int; level : int; idx : int; members : int list }

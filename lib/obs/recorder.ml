@@ -148,8 +148,9 @@ let push t ev =
 
 (* --- feeding --- *)
 
-(* Only what the log keeps is folded in: deliveries, round boundaries and
-   phase exits are implied by the send rounds and phase entries. *)
+(* Only what the log keeps is folded in: round boundaries (and the
+   charges they carry) and phase exits are implied by the send rounds and
+   phase entries. *)
 let observe t : Event.t -> unit = function
   | Send { round; vt; src; dst; tag; payload; bits } ->
     push t
@@ -170,7 +171,7 @@ let observe t : Event.t -> unit = function
   | Decide { round; party; value } ->
     push t (Decide { d_round = round; d_party = party; d_value = value })
   | Corrupt p -> Hashtbl.replace t.corrupt p ()
-  | Deliver _ | Scheduled _ | Round_end _ | Phase_exit -> ()
+  | Round_end _ | Phase_exit -> ()
 
 (* --- decisions --- *)
 

@@ -27,6 +27,8 @@ let clear t i =
   let w = i / bits_per_word and b = i mod bits_per_word in
   t.words.(w) <- t.words.(w) land lnot (1 lsl b)
 
+let reset t = Array.fill t.words 0 (Array.length t.words) 0
+
 let mem t i =
   check t i;
   let w = i / bits_per_word and b = i mod bits_per_word in

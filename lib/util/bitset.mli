@@ -8,6 +8,9 @@ val create : int -> t
 val length : t -> int
 val set : t -> int -> unit
 val clear : t -> int -> unit
+val reset : t -> unit
+(** Clear every bit, in O(length / 62) word stores. *)
+
 val mem : t -> int -> bool
 val cardinal : t -> int
 val union : t -> t -> t

@@ -241,14 +241,15 @@ let test_adaptive_upgrades_reach_observers () =
       ()
   in
   let recorder = Repro_obs.Recorder.create () in
-  (* Corrupt events before the first scheduled round are the static set;
-     later ones are upgrades, stamped with the round they happen in. *)
+  (* The network announces the static set before any other event; later
+     Corrupt events are upgrades, stamped with the round they happen in. *)
   let started = ref false and round = ref 0 and upgrades = ref [] in
   let log : Repro_obs.Event.sink = function
-    | Scheduled _ -> started := true
-    | Round_end r -> round := r + 1
-    | Corrupt p when !started -> upgrades := (p, !round) :: !upgrades
-    | _ -> ()
+    | Corrupt p -> if !started then upgrades := (p, !round) :: !upgrades
+    | Round_end { round = r; _ } ->
+      started := true;
+      round := r + 1
+    | _ -> started := true
   in
   let (_ : Runner.attack_cell) =
     Runner.run_attack_cell

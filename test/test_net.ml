@@ -279,7 +279,8 @@ let test_in_flight_not_promoted () =
 
 (* Three honest senders with interleaved destinations and a corrupt party
    that echoes once; a recording sink sees the whole stream. Pinned: Send
-   events in send order, Deliver events in reverse delivery order, every
+   events in send order, each round's close with its scheduled count, sent
+   bits and per-party charges (round bits/peers, then cumulative), every
    inbox in delivery order, and what the rushing adversary sees. Sends
    carry their virtual time only off the lock-step shortcut. *)
 let observation_order ?condition () =
@@ -291,9 +292,15 @@ let observation_order ?condition () =
         Printf.sprintf "send r%d%s %d>%d %s %d" round
           (match vt with Some v -> Printf.sprintf " vt%d" v | None -> "")
           src dst (Bytes.to_string payload) bits
-      | Deliver { src; dst; bits } -> Printf.sprintf "deliver %d>%d %d" src dst bits
-      | Scheduled k -> Printf.sprintf "scheduled %d" k
-      | Round_end r -> Printf.sprintf "end r%d" r
+      | Round_end { round; scheduled; sent_bits; charged } ->
+        Printf.sprintf "end r%d sched %d sent %d:%s" round scheduled sent_bits
+          (String.concat ""
+             (Array.to_list
+                (Array.map
+                   (fun (c : Repro_obs.Event.charge) ->
+                     Printf.sprintf " %d=%d/%d (%d/%d)" c.party c.round_bits
+                       c.round_peers c.total_bits c.total_peers)
+                   charged)))
       | Corrupt p -> Printf.sprintf "corrupt %d" p
       | _ -> "other"
     in
@@ -351,16 +358,10 @@ let observation_order ?condition () =
       send 0 0 2 "a0"; send 0 0 1 "a1";
       send 0 1 2 "b0"; send 0 1 0 "b1"; send 0 1 2 "b2";
       send 0 2 1 "c0"; send 0 2 2 "c1"; send 0 2 0 "c2";
-      "scheduled 3";
       send 0 3 1 "d0";
-      "deliver 3>1 56"; "deliver 2>0 56"; "deliver 2>2 56"; "deliver 2>1 56";
-      "deliver 1>2 56"; "deliver 1>0 56"; "deliver 1>2 56";
-      "deliver 0>1 56"; "deliver 0>2 56";
-      "end r0";
+      "end r0 sched 3 sent 504: 0=224/2 (224/2) 1=336/3 (336/3) 2=392/3 (392/3) 3=56/1 (56/1)";
       send 1 2 0 "e";
-      "scheduled 3";
-      "deliver 2>0 48";
-      "end r1";
+      "end r1 sched 3 sent 48: 0=48/1 (272/2) 2=48/1 (440/3)";
     ]
     (List.rev !log)
 

@@ -427,14 +427,15 @@ let test_audit_curve_eval () =
   Alcotest.(check (float 1e-9)) "kappa exponent" 16384.0
     (Audit.eval (Audit.curve ~c:1.0 ~log_exp:0 ~kappa_exp:2) ~n:64 ~kappa:128)
 
-(* The three hand-fed events of both unit tests: party 0 sends 8 bits to
-   each of 1 and 2, party 1 receives one, and round 0 closes. *)
+(* The hand-fed round of both unit tests: party 0 sends 8 bits to each of
+   1 and 2, party 1 receives one, and round 0 closes with that summary. *)
 let feed_unit_round a =
-  let send dst : Event.t =
-    Send { round = 0; vt = None; src = 0; dst; tag = "t"; payload = Bytes.empty; bits = 8 }
+  let charge party bits peers : Event.charge =
+    { party; round_bits = bits; round_peers = peers; total_bits = bits; total_peers = peers }
   in
-  List.iter (Audit.observe a)
-    [ send 1; send 2; Deliver { src = 0; dst = 1; bits = 8 }; Round_end 0 ]
+  Audit.observe a
+    (Round_end
+       { round = 0; scheduled = 1; sent_bits = 16; charged = [| charge 0 16 2; charge 1 8 1 |] })
 
 let test_audit_accounting () =
   let a = Audit.create ~label:"unit" ~n:4 ~budgets:tight_budgets () in
@@ -473,10 +474,7 @@ let test_audit_accounting () =
   Alcotest.(check int) "max round bits" 16 (Audit.max_round_bits a);
   Alcotest.(check int) "max round locality" 2 (Audit.max_round_locality a);
   Alcotest.(check int) "total bits max" 16 (Audit.total_bits_max a);
-  Alcotest.(check int) "party 1 total" 8 (Audit.party_total_bits a 1);
   Alcotest.(check int) "rounds seen" 1 (Audit.rounds_seen a);
-  Alcotest.(check (list (pair string int))) "phase breakdown" [ ("ph", 24) ]
-    (Audit.phase_breakdown a);
   (match Audit.worst_offenders ~top:1 a with
   | [ (p, v, b) ] ->
     Alcotest.(check (list int)) "worst offender is party 0" [ 0; 3; 16 ]
@@ -491,6 +489,8 @@ let test_audit_accounting () =
       r.Audit.tr_mean_bits;
     Alcotest.(check int) "tr_active" 2 r.Audit.tr_active;
     Alcotest.(check int) "tr_max_locality" 2 r.Audit.tr_max_locality;
+    Alcotest.(check int) "tr_scheduled" 1 r.Audit.tr_scheduled;
+    Alcotest.(check int) "tr_sent_bits" 16 r.Audit.tr_sent_bits;
     Alcotest.(check int) "tr_violations (round checks only)" 3
       r.Audit.tr_violations
   | _ -> Alcotest.fail "timeline shape"
@@ -506,6 +506,211 @@ let test_audit_corrupt_masked () =
   List.iter
     (fun v -> Alcotest.(check int) "honest offender" 1 v.Audit.v_party)
     (Audit.violations a)
+
+(* --- the auditor against a per-message reference tally ---------------------
+
+   The auditor charges nothing itself: it reads each round's per-party
+   summary from the network's metrics. This property keeps the naive
+   per-message accounting as an independent reference. Scripted traffic
+   (honest handlers, a corrupt party's adversary, sends between rounds,
+   [Network.flush] between nested phases and, on the general path, a
+   condition that defers mail, darkens a party and upgrades another) is
+   stepped one round at a time; after each step the reference charges
+   every [Send] event since the previous step to its sender and every
+   message of every party's [Network.inbox] to its receiver, at
+   8 * [Wire.size]. Its timeline, violations under tight flat budgets and
+   totals must equal the auditor's. *)
+
+module Network = Repro_net.Network
+module Sched = Repro_net.Sched
+module Wire = Repro_net.Wire
+
+let ref_budget_bits = 320
+let ref_budget_peers = 2
+let ref_budget_total = 1600
+
+let ref_budgets =
+  {
+    Audit.round_bits = Some (flat (float_of_int ref_budget_bits));
+    round_locality = Some (flat (float_of_int ref_budget_peers));
+    total_bits = Some (flat (float_of_int ref_budget_total));
+  }
+
+(* Everything the script does is a function of the case's seed. *)
+let audit_reference_case ~general (n, rounds, seed) =
+  let h parts = Hashtbl.hash (seed :: parts) in
+  let sends = ref [] and corrupt = Array.make n false in
+  let sink : Event.sink = function
+    | Send { src; dst; bits; _ } -> sends := (src, dst, bits) :: !sends
+    | Corrupt p -> corrupt.(p) <- true
+    | _ -> ()
+  in
+  let audit = Audit.create ~label:"reference" ~n ~budgets:ref_budgets () in
+  let static = List.filter (fun p -> h [ 0; p ] mod 4 = 0) (List.init n Fun.id) in
+  let net =
+    Network.create ~sinks:[ sink; Audit.observe audit ] ~n ~corrupt:static ()
+  in
+  let dark = h [ 1 ] mod n and upgraded = h [ 2 ] mod n in
+  if general then
+    Network.set_condition net
+      {
+        Sched.c_name = "reference";
+        c_route =
+          (fun ~now ~round ~src ~dst ~lat ->
+            if h [ 3; round; src; dst ] mod 5 = 0 then Sched.Defer (now + 2 + (h [ 4; src ] mod 3))
+            else Sched.Deliver lat);
+        c_down = (fun ~now:_ ~round p -> p = dark && round >= 1 && round < 3);
+        c_observe =
+          (fun ~now:_ ~round ~msgs:_ ~corrupt -> if round = 2 then corrupt upgraded);
+      };
+  let send ~src k r =
+    let len = h [ 5; r; src; k ] mod 12 in
+    Network.send net ~src ~dst:(h [ 6; r; src; k ] mod n) ~tag:"t" (Bytes.make len 'x')
+  in
+  let invoked = ref 0 in
+  let handler i ~round ~inbox:_ =
+    incr invoked;
+    for k = 0 to h [ 7; round; i ] mod 3 do send ~src:i k round done
+  in
+  let adversary =
+    {
+      Network.adv_name = "reference";
+      adv_step =
+        (fun net ~round ~honest_staged:_ ->
+          List.iter
+            (fun p -> if h [ 8; round; p ] mod 2 = 0 then send ~src:p 9 round)
+            (Network.corrupt_parties net));
+    }
+  in
+  (* The reference: per-party totals and peer sets, the expected timeline
+     and violations, in detection order. *)
+  let totals = Array.make n 0 and total_peers = Array.make n [] in
+  let expected_timeline = ref [] and expected_violations = ref [] in
+  let phase = ref "" and last_round = ref (-1) in
+  let violation party round kind observed budget =
+    if observed > budget then
+      expected_violations :=
+        (party, round, !phase, kind, observed) :: !expected_violations;
+    observed > budget
+  in
+  let step () =
+    let round = Network.round net in
+    invoked := 0;
+    Network.run_active net ~adversary ~rounds:1
+      ~extra:(fun ~round -> List.filter (fun p -> h [ 9; round; p ] mod 2 = 0) (Network.everyone net))
+      (fun i -> Some (handler i));
+    let bits = Array.make n 0 and peers = Array.make n [] in
+    let charge p other b =
+      bits.(p) <- bits.(p) + b;
+      totals.(p) <- totals.(p) + b;
+      if not (List.mem other peers.(p)) then peers.(p) <- other :: peers.(p);
+      if not (List.mem other total_peers.(p)) then total_peers.(p) <- other :: total_peers.(p)
+    in
+    let sent = ref 0 and charged = Array.make n false in
+    List.iter
+      (fun (src, dst, b) ->
+        sent := !sent + b;
+        charged.(src) <- true;
+        charge src dst b)
+      (List.rev !sends);
+    sends := [];
+    for p = 0 to n - 1 do
+      List.iter
+        (fun (m : Wire.msg) ->
+          charged.(p) <- true;
+          charge p m.src (8 * Wire.size ~tag:m.tag m.payload))
+        (Network.inbox net p)
+    done;
+    let max_bits = ref 0 and sum = ref 0 and active = ref 0 and max_loc = ref 0 in
+    let viols = ref 0 in
+    for p = 0 to n - 1 do
+      if charged.(p) && not corrupt.(p) then begin
+        let b = bits.(p) and loc = List.length peers.(p) in
+        max_bits := max !max_bits b;
+        sum := !sum + b;
+        incr active;
+        max_loc := max !max_loc loc;
+        if violation p round Audit.Round_bits b ref_budget_bits then incr viols;
+        if violation p round Audit.Round_locality loc ref_budget_peers then incr viols
+      end
+    done;
+    let honest = Array.fold_left (fun k c -> if c then k else k + 1) 0 corrupt in
+    last_round := round;
+    expected_timeline :=
+      {
+        Audit.tr_round = round;
+        tr_phase = !phase;
+        tr_max_bits = !max_bits;
+        tr_mean_bits = float_of_int !sum /. float_of_int (max 1 honest);
+        tr_active = !active;
+        tr_scheduled = !invoked;
+        tr_sent_bits = !sent;
+        tr_max_locality = !max_loc;
+        tr_violations = !viols;
+      }
+      :: !expected_timeline
+  in
+  (* Between steps an honest party may send outside any round (charged to
+     the round that closes next), and the network may be flushed. The run
+     ends with a step: a send after the last round close reaches no
+     summary. *)
+  let between r =
+    (match List.filter (fun p -> not corrupt.(p)) (Network.everyone net) with
+    | p :: _ when h [ 10; r ] mod 3 = 0 -> send ~src:p 11 r
+    | _ -> ());
+    if h [ 12; r ] mod 3 = 0 then Network.flush net
+  in
+  let steps k =
+    for _ = 1 to k do
+      let r = Network.round net in
+      if r > 0 then between r;
+      step ()
+    done
+  in
+  let in_phase name path f =
+    Network.phase net name (fun () ->
+        let outer = !phase in
+        phase := path;
+        f ();
+        phase := outer)
+  in
+  let third = max 1 (rounds / 3) in
+  steps third;
+  in_phase "outer" "outer" (fun () ->
+      steps third;
+      in_phase "inner" "outer>inner" (fun () -> steps third);
+      Network.flush net;
+      steps third);
+  Audit.finalize audit;
+  for p = 0 to n - 1 do
+    if not corrupt.(p) then
+      ignore (violation p !last_round Audit.Total_bits totals.(p) ref_budget_total : bool)
+  done;
+  let metrics = Network.metrics net in
+  let observed_violations =
+    List.map
+      (fun v ->
+        (v.Audit.v_party, v.Audit.v_round, v.Audit.v_phase, v.Audit.v_kind,
+         int_of_float v.Audit.v_observed))
+      (Audit.violations audit)
+  in
+  let parties = List.init n Fun.id in
+  let honest_totals = List.filter_map (fun p -> if corrupt.(p) then None else Some totals.(p)) parties in
+  Audit.timeline audit = List.rev !expected_timeline
+  && observed_violations = List.rev !expected_violations
+  && Audit.total_bits_max audit = List.fold_left max 0 honest_totals
+  && List.for_all
+       (fun p ->
+         totals.(p) = 8 * Repro_net.Metrics.party_bytes metrics p
+         && List.length total_peers.(p) = Repro_net.Metrics.party_locality metrics p)
+       parties
+
+let prop_audit_matches_reference =
+  QCheck.Test.make ~name:"audit equals a per-message reference tally" ~count:60
+    QCheck.(triple (int_range 3 9) (int_range 3 10) small_nat)
+    (fun case ->
+      audit_reference_case ~general:false case
+      && audit_reference_case ~general:true case)
 
 let test_audit_budget_pass () =
   List.iter
@@ -880,6 +1085,7 @@ let suite =
     Alcotest.test_case "audit curve eval" `Quick test_audit_curve_eval;
     Alcotest.test_case "audit accounting" `Quick test_audit_accounting;
     Alcotest.test_case "audit corrupt masked" `Quick test_audit_corrupt_masked;
+    QCheck_alcotest.to_alcotest prop_audit_matches_reference;
     Alcotest.test_case "audit budget pass" `Quick test_audit_budget_pass;
     Alcotest.test_case "audit budget fail" `Quick test_audit_budget_fail;
     Alcotest.test_case "audit timeline jsonl" `Quick test_audit_timeline_jsonl;

@@ -857,10 +857,9 @@ let test_lockstep_log_has_no_vt () =
 let shortcut_run ?condition ~attach_at ~rounds () =
   let n = 16 in
   let tap, digest = Runner.digest_sink () in
-  let stamps = ref [] and delivered = ref 0 in
+  let stamps = ref [] in
   let watch : Repro_obs.Event.sink = function
     | Send { round; vt; _ } -> stamps := (round, vt) :: !stamps
-    | Deliver _ -> incr delivered
     | _ -> ()
   in
   let net = Network.create ~sinks:[ tap; watch ] ~n ~corrupt:[] () in
@@ -886,7 +885,12 @@ let shortcut_run ?condition ~attach_at ~rounds () =
   step attach_at;
   Option.iter (Network.set_condition net) condition;
   step (rounds - attach_at);
-  (digest (), List.rev !stamps, !delivered, net)
+  let delivered =
+    List.fold_left
+      (fun acc i -> acc + Repro_net.Metrics.party_msgs_recv (Network.metrics net) i)
+      0 (Network.everyone net)
+  in
+  (digest (), List.rev !stamps, delivered, net)
 
 let test_lockstep_shortcut () =
   let rounds = 6 in

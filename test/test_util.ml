@@ -180,7 +180,9 @@ let test_bitset () =
   Alcotest.(check bool) "not mem" false (Bitset.mem b 50);
   Bitset.clear b 63;
   Alcotest.(check int) "after clear" 2 (Bitset.cardinal b);
-  Alcotest.(check (list int)) "to_list" [ 0; 99 ] (Bitset.to_list b)
+  Alcotest.(check (list int)) "to_list" [ 0; 99 ] (Bitset.to_list b);
+  Bitset.reset b;
+  Alcotest.(check int) "after reset" 0 (Bitset.cardinal b)
 
 let test_bitset_encode () =
   let b = Bitset.of_list 100 [ 1; 17; 63; 64; 99 ] in

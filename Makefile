@@ -47,11 +47,11 @@ audit: build
 
 # <30s attack-matrix smoke (E16): every catalogue strategy against both
 # pipeline protocols. Exits non-zero if any beta < 1/3 cell breaks
-# agreement/validity or the beta >= 1/3 sanity row fails to fail, then
-# checks the repro-attack/2 report parses.
+# agreement/validity or the beta >= 1/3 sanity row fails to fail. The
+# repro-attack/2 report is validated as JSON and must be byte-identical
+# across REPRO_DOMAINS=1 vs 4.
 attack: build
-	$(BA_SIM) attack -n 40 --report ATTACK_report.json
-	$(BA_SIM) validate ATTACK_report.json
+	$(call domains_identical,attack -n 40 --report,ATTACK_report.json,ATTACK_report4.json,attack report)
 
 # Record a Chrome trace of one small BA run and check it is well-formed
 # JSON with at least one complete ("X") event. Open trace.json in
@@ -172,7 +172,7 @@ clean:
 	dune clean
 	rm -f BENCH_results.json BENCH_prev.json trace.json \
 	  audit_timeline.jsonl audit_timeline4.jsonl \
-	  ATTACK_report.json SCALE_report.json PROFILE_report.json \
+	  ATTACK_report.json ATTACK_report4.json SCALE_report.json PROFILE_report.json \
 	  FORENSICS_report.json FORENSICS_attack.json \
 	  FORENSICS_log1.jsonl FORENSICS_log4.jsonl \
 	  ASYNC_report1.json ASYNC_report4.json \

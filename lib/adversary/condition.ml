@@ -39,17 +39,13 @@ let prepare t ~n ~beta ~seed ~cfg = t.prepare ~n ~beta ~seed ~cfg
 let static_size t ~n ~beta =
   int_of_float (beta *. t.static_fraction *. float_of_int n)
 
-(* Same seed mixing as Strategy.seed_of: composed siblings with the same
-   numeric seed still draw independent streams. *)
-let seed_of ~seed name = (seed * 1_000_003) lxor Hashtbl.hash name
-
 let make ~name ?(static_fraction = 1.0) prepare =
   {
     name;
     static_fraction;
     prepare =
       (fun ~n ~beta ~seed ~cfg ->
-        prepare ~n ~beta ~rng:(Rng.create (seed_of ~seed name)) ~cfg);
+        prepare ~n ~beta ~rng:(Rng.create (Strategy.seed_of ~seed name)) ~cfg);
   }
 
 let no_down ~now:_ ~round:_ _ = false
@@ -166,12 +162,8 @@ let churn =
 
 let tag_prefixes = [ "supreme"; "coin-"; "sig-"; "aggr-"; "up-" ]
 
-let has_prefix ~prefix s =
-  String.length s >= String.length prefix
-  && String.sub s 0 (String.length prefix) = prefix
-
 let committee_tag tag =
-  List.exists (fun prefix -> has_prefix ~prefix tag) tag_prefixes
+  List.exists (fun prefix -> String.starts_with ~prefix tag) tag_prefixes
 
 (* The adaptive adversary of the King-Saia line: it watches who carries
    the committee/election traffic (the tags above identify the supreme

@@ -43,6 +43,12 @@ val make : name:string -> (Rng.t -> step) -> t
     {!instantiate} with the instance's private generator and returns the
     per-round step (which may close over mutable state). *)
 
+val seed_of : seed:int -> string -> int
+(** [seed_of ~seed name] is the generator seed of the recipe [name] in a
+    cell seeded [seed]: the name is mixed in, so composed siblings with
+    the same numeric seed draw independent streams. Strategies and
+    {!Condition}s both derive their instance streams with it. *)
+
 val instantiate : t -> seed:int -> Network.adversary
 (** A fresh adversary instance whose randomness is derived only from
     [seed] and the strategy's name — byte-identical traffic on reruns.

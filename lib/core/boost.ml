@@ -39,6 +39,11 @@ type result = {
 module Make (S : Srds_intf.SCHEME) = struct
   module W = Srds_intf.Wire (S)
 
+  (* Batched aggregation as the tree would do it, 16 children per node. *)
+  let aggregate pp ~vks ~msg sigs =
+    let merge chunk = S.aggregate2 pp ~msg (S.aggregate1 pp ~vks ~msg chunk) in
+    fst (Srds_intf.aggregate_tree ~merge ~batch:16 sigs)
+
   (* Build a genuine certificate centrally (the challenger plays the
      pipeline's role). *)
   let build_certificate rng ~n_virtual ~y =
@@ -57,26 +62,7 @@ module Make (S : Srds_intf.SCHEME) = struct
         (fun i -> S.sign pp (snd keys.(i)) ~index:i ~msg)
         (List.init n_virtual (fun i -> i))
     in
-    (* batched aggregation as the tree would do it *)
-    let rec aggregate sigs =
-      match sigs with
-      | [] -> None
-      | [ sg ] -> Some sg
-      | _ ->
-        let rec chunks acc cur k = function
-          | [] -> List.rev (if cur = [] then acc else List.rev cur :: acc)
-          | x :: rest ->
-            if k = 16 then chunks (List.rev cur :: acc) [ x ] 1 rest
-            else chunks acc (x :: cur) (k + 1) rest
-        in
-        let next =
-          List.filter_map
-            (fun chunk -> S.aggregate2 pp ~msg (S.aggregate1 pp ~vks ~msg chunk))
-            (chunks [] [] 0 sigs)
-        in
-        if List.length next >= List.length sigs then None else aggregate next
-    in
-    match aggregate sigs with
+    match aggregate pp ~vks ~msg sigs with
     | Some sigma when S.verify pp ~vks ~msg sigma -> (pp, vks, keys, msg, s, sigma)
     | _ -> failwith "Boost.build_certificate: could not build a verifying aggregate"
 
@@ -91,7 +77,7 @@ module Make (S : Srds_intf.SCHEME) = struct
      recover signing keys from the published verification keys) would
      compute. This is the Thm. 1.4 attack: in the PKI model, if OWFs do not
      exist, the single-round boost fails even with verification on. *)
-  let forge_with_inverted_keys rng ~pp ~vks ~keys ~s ~y' =
+  let forge_with_inverted_keys ~pp ~vks ~keys ~s ~y' =
     let payload = Bytes.make 1 (if y' then '\001' else '\000') in
     let msg' =
       Encode.to_bytes (fun b ->
@@ -103,26 +89,7 @@ module Make (S : Srds_intf.SCHEME) = struct
         (fun i -> S.sign pp (snd keys.(i)) ~index:i ~msg:msg')
         (List.init (Array.length keys) (fun i -> i))
     in
-    ignore rng;
-    let rec aggregate sigs =
-      match sigs with
-      | [] -> None
-      | [ sg ] -> Some sg
-      | _ ->
-        let rec chunks acc cur k = function
-          | [] -> List.rev (if cur = [] then acc else List.rev cur :: acc)
-          | x :: rest ->
-            if k = 16 then chunks (List.rev cur :: acc) [ x ] 1 rest
-            else chunks acc (x :: cur) (k + 1) rest
-        in
-        let next =
-          List.filter_map
-            (fun chunk -> S.aggregate2 pp ~msg:msg' (S.aggregate1 pp ~vks ~msg:msg' chunk))
-            (chunks [] [] 0 sigs)
-        in
-        if List.length next >= List.length sigs then None else aggregate next
-    in
-    match aggregate sigs with
+    match aggregate pp ~vks ~msg:msg' sigs with
     | Some sigma ->
       Some
         (Encode.to_bytes (fun b ->
@@ -141,7 +108,7 @@ module Make (S : Srds_intf.SCHEME) = struct
           Encode.bytes b (W.to_bytes sigma))
     in
     let forged_cert =
-      if leak_keys then forge_with_inverted_keys rng ~pp ~vks ~keys ~s ~y':false
+      if leak_keys then forge_with_inverted_keys ~pp ~vks ~keys ~s ~y':false
       else None
     in
     let net = Network.create ~n ~corrupt:cfg.corrupt () in

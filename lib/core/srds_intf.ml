@@ -75,6 +75,32 @@ module Wire (S : SCHEME) = struct
   let size sg = Bytes.length (to_bytes sg)
 end
 
+(* One aggregation tree over [sigs], as the protocol's tree aggregates:
+   each level splits the current signatures into consecutive batches of
+   [batch] and [merge]s each batch (in order), until one signature is
+   left. Returns that final aggregate (None if a level fails to shrink the
+   list) and the tree depth. *)
+let aggregate_tree ~merge ~batch sigs =
+  let rec batches = function
+    | [] -> []
+    | l ->
+      let rec take k acc = function
+        | x :: rest when k > 0 -> take (k - 1) (x :: acc) rest
+        | rest -> (List.rev acc, rest)
+      in
+      let head, rest = take batch [] l in
+      head :: batches rest
+  in
+  let rec go depth = function
+    | [] -> (None, depth)
+    | [ sg ] -> (Some sg, depth)
+    | sigs ->
+      let next = List.filter_map merge (batches sigs) in
+      if List.length next >= List.length sigs then (None, depth + 1)
+      else go (depth + 1) next
+  in
+  go 0 sigs
+
 (* Per-party fan-outs, run on the domain pool.
 
    Determinism: party [i]'s key is always derived from the child stream

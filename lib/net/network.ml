@@ -556,10 +556,9 @@ let finish_round t adversary ~scheduled =
     emit t (Event.Round_end (Metrics.close_round t.metrics ~round:t.round ~scheduled));
   t.round <- t.round + 1
 
-let run_active t ?(adversary = null_adversary) ?stop ~rounds ~extra handler_of =
-  let stop = Option.value stop ~default:(fun ~round:_ -> false) in
+let run_active t ?(adversary = null_adversary) ~rounds ~extra handler_of =
   let target = t.round + rounds in
-  while t.round < target && not (stop ~round:t.round) do
+  while t.round < target do
     Repro_obs.Trace.span ~cat:"net" "net.round" @@ fun () ->
     (* Active set: the protocol's spontaneous actors for this round plus
        the parties with pending deliveries, once each, ascending. Actor

@@ -100,13 +100,11 @@ val inbox : t -> int -> Wire.msg list
 val run_active :
   t ->
   ?adversary:adversary ->
-  ?stop:(round:int -> bool) ->
   rounds:int ->
   extra:(round:int -> int list) ->
   (int -> handler option) ->
   unit
-(** Run up to [rounds] further rounds, checking [stop ~round] before each
-    one and returning when it holds. A round goes as follows.
+(** Run [rounds] further rounds. A round goes as follows.
     + The active set is the parties holding a delivery plus
       [extra ~round] (the protocol's spontaneous actors), each once, in
       ascending party order.

@@ -380,11 +380,18 @@ let test_matrix_cells_match_standalone () =
     "protocols covered"
     [ "dolev-strong"; "this-work-owf"; "this-work-snark" ]
     (List.sort_uniq compare (List.map (fun c -> c.Runner.ac_protocol) m.Runner.am_cells));
+  (* one E18 chaos cell: no condition, under the chaos knobs *)
+  let chaos = Runner.default_chaos ~seed:1 in
+  let e18 =
+    List.map
+      (fun (c, _digest) -> (Some chaos, c))
+      (Runner.async_cells ~strategies:[ "equivocate" ] ~cells:[ (Runner.This_work_owf, 32) ] ())
+  in
   List.iter
-    (fun (c : Runner.attack_cell) ->
+    (fun (cfg, (c : Runner.attack_cell)) ->
       let protocol = Option.get (Runner.protocol_of_name c.ac_protocol) in
       let alone =
-        Runner.run_attack_cell
+        Runner.run_attack_cell ?cfg
           ?condition_name:(if c.ac_condition = "none" then None else Some c.ac_condition)
           ~gated:c.ac_gated ~protocol ~strategy_name:c.ac_strategy ~n:c.ac_n
           ~beta:c.ac_beta ~seed:c.ac_seed ~expect_fail:c.ac_expect_fail ()
@@ -393,7 +400,7 @@ let test_matrix_cells_match_standalone () =
         (Printf.sprintf "%s/%s/%s equals its standalone run" c.ac_protocol
            c.ac_strategy c.ac_condition)
         true (alone = c))
-    m.Runner.am_cells
+    (List.map (fun c -> (None, c)) m.Runner.am_cells @ e18)
 
 (* --- composition --- *)
 

@@ -21,35 +21,10 @@ module Exercise (S : Srds_intf.SCHEME) = struct
     |> List.mapi (fun i sk -> S.sign pp sk ~index:i ~msg)
     |> List.filter_map (fun s -> s)
 
+  (* aggregate in polylog-size batches, recursively (Def. 2.2 shape) *)
   let aggregate_tree pp vks ~msg ~batch sigs =
-    (* aggregate in polylog-size batches, recursively (Def. 2.2 shape) *)
-    let rec go sigs =
-      match sigs with
-      | [] -> None
-      | [ sg ] -> Some sg
-      | _ ->
-        let rec chunks = function
-          | [] -> []
-          | l ->
-            let take = min batch (List.length l) in
-            let rec split k acc = function
-              | rest when k = 0 -> (List.rev acc, rest)
-              | x :: rest -> split (k - 1) (x :: acc) rest
-              | [] -> (List.rev acc, [])
-            in
-            let head, rest = split take [] l in
-            head :: chunks rest
-        in
-        let next =
-          List.filter_map
-            (fun chunk ->
-              S.aggregate2 pp ~msg (S.aggregate1 pp ~vks ~msg chunk))
-            (chunks sigs)
-        in
-        if List.length next >= List.length sigs then None (* no progress *)
-        else go next
-    in
-    go sigs
+    let merge chunk = S.aggregate2 pp ~msg (S.aggregate1 pp ~vks ~msg chunk) in
+    fst (Srds_intf.aggregate_tree ~merge ~batch sigs)
 
   let test_sign_aggregate_verify () =
     let n = 120 in

@@ -82,10 +82,14 @@ profile: build
 	$(BA_SIM) profile -p owf -n 256 --report PROFILE_report.json
 	$(BA_SIM) validate PROFILE_report.json
 
-# <30s variant for CI and `make check`: a small profiled run, then a second
-# run compared against the fresh report — deterministic sections are exact,
+# <30s variant for CI and `make check`. PROFILE_report.json is committed:
+# a small profiled run is first compared against it, so a change that moves
+# a deterministic counter or histogram fails here until the regenerated
+# report is committed with it. Then the report is regenerated and a second
+# run is compared against the fresh one — deterministic sections are exact,
 # so the self-compare must exit 0.
 profile-smoke: build
+	$(BA_SIM) profile -p owf -n 64 --compare PROFILE_report.json
 	$(BA_SIM) profile -p owf -n 64 --report PROFILE_report.json
 	$(BA_SIM) validate PROFILE_report.json
 	$(BA_SIM) profile -p owf -n 64 --compare PROFILE_report.json
@@ -172,7 +176,7 @@ clean:
 	dune clean
 	rm -f BENCH_results.json BENCH_prev.json trace.json \
 	  audit_timeline.jsonl audit_timeline4.jsonl \
-	  ATTACK_report.json ATTACK_report4.json SCALE_report.json PROFILE_report.json \
+	  ATTACK_report.json ATTACK_report4.json SCALE_report.json \
 	  FORENSICS_report.json FORENSICS_attack.json \
 	  FORENSICS_log1.jsonl FORENSICS_log4.jsonl \
 	  ASYNC_report1.json ASYNC_report4.json \

@@ -24,10 +24,13 @@
    member's inputs, so one {!shared} table per tree level computes each
    candidate once per distinct member input and each verdict once per
    distinct payload. A committee of m members with one input costs one
-   aggregation, not m. When a node's members hold several distinct inputs
-   (corrupt children equivocating), its candidates share the decoding of
-   each distinct received signature. The protocol, its messages and its
-   outputs are unchanged. *)
+   aggregation, not m. Inside a node, Aggregate1's per-input half
+   ([S.admit]: partial verification and, for the SNARK scheme, the PCD
+   promotion of a base signature) runs once per distinct (received
+   signature, message): a node's candidates share each admission, and so
+   do the k identical copies of a child aggregate that its k forwarders
+   send. A candidate then costs only [S.select] and [S.aggregate2]. The
+   protocol, its messages and its outputs are unchanged. *)
 
 module Committee = Repro_consensus.Committee
 module Params = Repro_aetree.Params
@@ -73,6 +76,15 @@ module Make (S : Srds_intf.SCHEME) = struct
     let hash = Repro_util.Encode.fingerprint
   end)
 
+  (* One distinct received signature of the current node: [sg] is its
+     decode when that succeeded and passed the step-5c range check, and
+     [by_msg] its admission under each message a member asked for (members'
+     messages differ where the pair was equivocated). *)
+  type admission = {
+    sg : S.signature option;
+    mutable by_msg : (bytes * S.signature option) list;
+  }
+
   type shared = {
     pp : S.pp;
     vks : bytes array;
@@ -80,9 +92,8 @@ module Make (S : Srds_intf.SCHEME) = struct
     level : int;
     candidates : (int * bytes * bytes list, bytes) Hashtbl.t;
     verdicts : (int * bytes * bytes, bool) Hashtbl.t;
-    mutable node : int; (* the node whose candidate was computed last *)
-    mutable decoded : S.signature option Raw.t option;
-        (* its raw signatures decoded, from its second candidate on *)
+    mutable node : int; (* the node whose candidates are being computed *)
+    admissions : admission Raw.t; (* its received signatures, by raw bytes *)
   }
 
   let shared ~pp ~vks ~tree ~level =
@@ -94,38 +105,8 @@ module Make (S : Srds_intf.SCHEME) = struct
       candidates = Hashtbl.create 64;
       verdicts = Hashtbl.create 64;
       node = -1;
-      decoded = None;
+      admissions = Raw.create 16;
     }
-
-  (* The decoder for a candidate of node [idx]. Members' inputs to one node
-     differ only where corrupt children equivocated, so a node's second and
-     later candidates look each distinct raw signature up in one table.
-     Nothing is retained for a node's first candidate (in a run without
-     equivocation every node has exactly one), and a node's table is
-     dropped when the next node's candidates begin. *)
-  let decoder sh ~idx =
-    if sh.node <> idx then begin
-      sh.node <- idx;
-      sh.decoded <- None;
-      W.of_bytes
-    end
-    else begin
-      let tbl =
-        match sh.decoded with
-        | Some tbl -> tbl
-        | None ->
-          let tbl = Raw.create 16 in
-          sh.decoded <- Some tbl;
-          tbl
-      in
-      fun raw ->
-        match Raw.find tbl raw with
-        | sg -> sg
-        | exception Not_found ->
-          let sg = W.of_bytes raw in
-          Raw.add tbl raw sg;
-          sg
-    end
 
   let memo tbl key f =
     match Hashtbl.find_opt tbl key with
@@ -135,16 +116,44 @@ module Make (S : Srds_intf.SCHEME) = struct
       Hashtbl.add tbl key v;
       v
 
+  (* [raw] as Aggregate1's per-input half sees it for node [idx]: decoded,
+     range-checked and admitted under [msg], each at most once per node.
+     The node's table is dropped when the next node's candidates begin. *)
+  let admitted sh ~idx ~msg raw =
+    if sh.node <> idx then begin
+      sh.node <- idx;
+      Raw.reset sh.admissions
+    end;
+    let a =
+      match Raw.find sh.admissions raw with
+      | a -> a
+      | exception Not_found ->
+        let sg =
+          match W.of_bytes raw with
+          | Some sg when range_ok sh.tree ~level:sh.level ~idx sg -> Some sg
+          | _ -> None
+        in
+        let a = { sg; by_msg = [] } in
+        Raw.add sh.admissions raw a;
+        a
+    in
+    match a.sg with
+    | None -> None
+    | Some sg -> (
+      match List.find_opt (fun (m, _) -> m == msg || Bytes.equal m msg) a.by_msg with
+      | Some (_, admitted) -> admitted
+      | None ->
+        let admitted = S.admit sh.pp ~vks:sh.vks ~msg sg in
+        a.by_msg <- (msg, admitted) :: a.by_msg;
+        admitted)
+
   (* Step 1: the member's candidate aggregate from the signature bytes
      [raw] it received for node [idx], in received order. *)
   let candidate sh ~idx ~msg ~raw =
-    let { pp; vks; tree; level; _ } = sh in
     memo sh.candidates (idx, msg, raw) @@ fun () ->
     Repro_obs.Trace.span ~cat:"srds" "srds.aggregate" @@ fun () ->
-    let sigs = List.filter_map (decoder sh ~idx) raw in
-    let checked = List.filter (range_ok tree ~level ~idx) sigs in
-    let filtered = S.aggregate1 pp ~vks ~msg checked in
-    match S.aggregate2 pp ~msg filtered with
+    let admitted = List.filter_map (admitted sh ~idx ~msg) raw in
+    match S.aggregate2 sh.pp ~msg (S.select sh.pp admitted) with
     | Some sg -> W.to_bytes sg
     | None -> Bytes.empty
 

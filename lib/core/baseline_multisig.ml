@@ -103,14 +103,15 @@ let min_index sg = match Bitset.to_list sg.who with [] -> 0 | i :: _ -> i
 let max_index sg =
   match List.rev (Bitset.to_list sg.who) with [] -> 0 | i :: _ -> i
 
-(* Filter invalid inputs, then keep a maximal prefix of signer-disjoint
-   signatures (the committee receives many copies of each child aggregate;
-   XOR-combination needs disjoint signer sets). *)
-let aggregate1 pp ~vks ~msg sigs =
+let admit pp ~vks ~msg sg = if verify_partial pp ~vks ~msg sg then Some sg else None
+
+(* Keep a maximal prefix of signer-disjoint admitted signatures (the
+   committee receives many copies of each child aggregate; XOR-combination
+   needs disjoint signer sets). *)
+let select _pp sigs =
   Repro_obs.Counters.bump c_aggregate;
-  let valid = List.filter (verify_partial pp ~vks ~msg) sigs in
   let sorted =
-    List.sort (fun a b -> compare (min_index a, max_index a) (min_index b, max_index b)) valid
+    List.sort (fun a b -> compare (min_index a, max_index a) (min_index b, max_index b)) sigs
   in
   let rec keep last = function
     | [] -> []
@@ -118,6 +119,8 @@ let aggregate1 pp ~vks ~msg sigs =
       if min_index sg > last then sg :: keep (max_index sg) rest else keep last rest
   in
   keep (-1) sorted
+
+let aggregate1 pp ~vks ~msg sigs = select pp (List.filter_map (admit pp ~vks ~msg) sigs)
 
 let aggregate2 _pp ~msg:_ sigs =
   match sigs with

@@ -39,10 +39,24 @@ module type SCHEME = sig
   (** [None] when this party cannot sign (e.g. it holds an oblivious key in
       the sortition construction). *)
 
+  val admit : pp -> vks:bytes array -> msg:bytes -> signature -> signature option
+  (** The per-input half of [aggregate1]: [None] unless the input
+      [verify_partial]s on [msg], else the form [select] works on (the
+      SNARK scheme promotes a base signature to a count-1 aggregate with a
+      PCD source step here). A pure function of its arguments, so a caller
+      may compute it once per distinct (msg, input) and reuse it. *)
+
+  val select : pp -> signature list -> signature list
+  (** The keyless half of [aggregate1]: sort the admitted inputs
+      deterministically (a stable sort, so ties keep input order), then
+      drop duplicate signers (or keep a maximal range-disjoint prefix).
+      Bumps the scheme's [aggregate] counter. *)
+
   val aggregate1 :
     pp -> vks:bytes array -> msg:bytes -> signature list -> signature list
   (** Deterministic filter: drop invalid/duplicate inputs using the
-      verification keys (Def. 2.2 decomposability, first half). *)
+      verification keys (Def. 2.2 decomposability, first half). Always
+      [select pp (List.filter_map (admit pp ~vks ~msg) sigs)]. *)
 
   val aggregate2 : pp -> msg:bytes -> signature list -> signature option
   (** Combine filtered signatures without touching the n verification keys
@@ -53,7 +67,7 @@ module type SCHEME = sig
 
   val verify_partial : pp -> vks:bytes array -> msg:bytes -> signature -> bool
   (** Validity of an intermediate (not necessarily majority) signature —
-      what [aggregate1] enforces on each input. *)
+      what [admit] enforces on each input. *)
 
   val min_index : signature -> int
   val max_index : signature -> int

@@ -85,11 +85,11 @@ let sign pp sk ~index ~msg =
     let sg = Wots.sign wsk (msg_digest pp msg) in
     Some { entries = [ { e_index = index; e_sig = sg } ]; lo = index; hi = index }
 
-let entry_valid pp ~vks ~msg e =
+let entry_valid pp ~vks ~digest e =
   e.e_index >= 0
   && e.e_index < pp.n
   && e.e_index < Array.length vks
-  && Wots.verify vks.(e.e_index) (msg_digest pp msg) e.e_sig
+  && Wots.verify vks.(e.e_index) digest e.e_sig
 
 (* Structural sanity of a (partial) signature. *)
 let well_formed pp sg =
@@ -105,15 +105,19 @@ let well_formed pp sg =
   sorted sg.entries
 
 let verify_partial pp ~vks ~msg sg =
-  well_formed pp sg && List.for_all (entry_valid pp ~vks ~msg) sg.entries
+  well_formed pp sg
+  &&
+  let digest = msg_digest pp msg in
+  List.for_all (entry_valid pp ~vks ~digest) sg.entries
 
-(* Deterministic filter: drop malformed/invalid signatures, then drop entry
-   duplicates across signatures (first occurrence wins after sorting
-   inputs by their lo index, which is deterministic). *)
-let aggregate1 pp ~vks ~msg sigs =
+let admit pp ~vks ~msg sg = if verify_partial pp ~vks ~msg sg then Some sg else None
+
+(* Deterministic filter over admitted signatures: drop entry duplicates
+   across signatures (first occurrence wins after sorting inputs by their
+   lo index, which is deterministic). *)
+let select _pp sigs =
   Repro_obs.Counters.bump c_aggregate;
-  let valid = List.filter (verify_partial pp ~vks ~msg) sigs in
-  let sorted = List.sort (fun a b -> compare (a.lo, a.hi) (b.lo, b.hi)) valid in
+  let sorted = List.sort (fun a b -> compare (a.lo, a.hi) (b.lo, b.hi)) sigs in
   let seen = Hashtbl.create 64 in
   List.filter_map
     (fun sg ->
@@ -125,6 +129,8 @@ let aggregate1 pp ~vks ~msg sigs =
         Some { entries; lo = (List.hd entries).e_index;
                hi = (List.nth entries (List.length entries - 1)).e_index })
     sorted
+
+let aggregate1 pp ~vks ~msg sigs = select pp (List.filter_map (admit pp ~vks ~msg) sigs)
 
 (* Merge by concatenation; keys are not consulted (Def. 2.2). *)
 let aggregate2 _pp ~msg:_ sigs =

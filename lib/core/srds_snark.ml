@@ -252,8 +252,8 @@ let max_index sg = snd (range sg)
 let count = function Base _ -> 1 | Agg a -> a.a_count
 
 (* Promote a base signature to a count-1 aggregate (a PCD source step).
-   Runs inside Aggregate1 because it needs the verification keys; the
-   promotion is deterministic, so decomposability is preserved (see
+   Runs inside Aggregate1 ([admit]) because it needs the verification keys;
+   the promotion is deterministic, so decomposability is preserved (see
    DESIGN.md deviations). *)
 let promote pp ~vks ~msg (b_index, b_sig) =
   let entries = [ (b_index, b_sig) ] in
@@ -281,22 +281,21 @@ let promote pp ~vks ~msg (b_index, b_sig) =
          })
   | None -> None
 
-(* Deterministic filter: drop invalid signatures, promote bases, then keep a
-   maximal prefix of range-disjoint aggregates (sorted by lo; overlapping
-   ranges would make the PCD step non-compliant, and overlap is exactly the
-   duplicate-replay attack being filtered out). *)
-let aggregate1 pp ~vks ~msg sigs =
+(* Drop an invalid signature, promote a valid base. *)
+let admit pp ~vks ~msg sg =
+  if not (verify_partial pp ~vks ~msg sg) then None
+  else
+    match sg with
+    | Base b -> promote pp ~vks ~msg (b.b_index, b.b_sig)
+    | Agg _ -> Some sg
+
+(* Keep a maximal prefix of range-disjoint admitted aggregates (sorted by
+   lo; overlapping ranges would make the PCD step non-compliant, and
+   overlap is exactly the duplicate-replay attack being filtered out). *)
+let select pp sigs =
   Repro_obs.Counters.bump c_aggregate;
-  let valid = List.filter (verify_partial pp ~vks ~msg) sigs in
-  let promoted =
-    List.filter_map
-      (function
-        | Base b -> promote pp ~vks ~msg (b.b_index, b.b_sig)
-        | Agg a -> Some (Agg a))
-      valid
-  in
   let sorted =
-    List.sort (fun a b -> compare (min_index a, max_index a) (min_index b, max_index b)) promoted
+    List.sort (fun a b -> compare (min_index a, max_index a) (min_index b, max_index b)) sigs
   in
   if not pp.strict_ranges then sorted
   else begin
@@ -308,6 +307,8 @@ let aggregate1 pp ~vks ~msg sigs =
     in
     keep (-1) sorted
   end
+
+let aggregate1 pp ~vks ~msg sigs = select pp (List.filter_map (admit pp ~vks ~msg) sigs)
 
 (* Combine disjoint aggregates into one. No verification keys are consulted
    (Def. 2.2): the vks digest each aggregate binds is carried in the

@@ -120,7 +120,7 @@ let sign pp sk ~index ~msg =
         hi = index;
       }
 
-let entry_valid pp ~vks ~msg e =
+let entry_valid pp ~vks ~digest e =
   e.e_index >= 0
   && e.e_index < pp.n
   && e.e_index < Array.length vks
@@ -130,7 +130,7 @@ let entry_valid pp ~vks ~msg e =
   | Some (wots_vk, vrf_vk) ->
     Vrf.verify vrf_vk pp.crs e.e_vrf_out e.e_vrf_proof
     && sortition_wins pp e.e_vrf_out
-    && Wots.verify wots_vk (msg_digest pp msg) e.e_sig
+    && Wots.verify wots_vk (Lazy.force digest) e.e_sig
 
 let well_formed pp sg =
   sg.lo >= 0 && sg.hi < pp.n && sg.lo <= sg.hi
@@ -143,13 +143,19 @@ let well_formed pp sg =
   in
   sorted sg.entries
 
+(* At most one message digest per call, computed when the first entry
+   passes its VRF checks and shared by the rest. *)
 let verify_partial pp ~vks ~msg sg =
-  well_formed pp sg && List.for_all (entry_valid pp ~vks ~msg) sg.entries
+  well_formed pp sg
+  &&
+  let digest = lazy (msg_digest pp msg) in
+  List.for_all (entry_valid pp ~vks ~digest) sg.entries
 
-let aggregate1 pp ~vks ~msg sigs =
+let admit pp ~vks ~msg sg = if verify_partial pp ~vks ~msg sg then Some sg else None
+
+let select _pp sigs =
   Repro_obs.Counters.bump c_aggregate;
-  let valid = List.filter (verify_partial pp ~vks ~msg) sigs in
-  let sorted = List.sort (fun a b -> compare (a.lo, a.hi) (b.lo, b.hi)) valid in
+  let sorted = List.sort (fun a b -> compare (a.lo, a.hi) (b.lo, b.hi)) sigs in
   let seen = Hashtbl.create 64 in
   List.filter_map
     (fun sg ->
@@ -162,6 +168,8 @@ let aggregate1 pp ~vks ~msg sigs =
           { entries; lo = (List.hd entries).e_index;
             hi = (List.nth entries (List.length entries - 1)).e_index })
     sorted
+
+let aggregate1 pp ~vks ~msg sigs = select pp (List.filter_map (admit pp ~vks ~msg) sigs)
 
 let aggregate2 _pp ~msg:_ sigs =
   match sigs with

@@ -123,8 +123,6 @@ let chain ~chain:c ~from_depth ~steps v =
 
 let equal = Bytes.equal
 
-let to_hex = Sha256.hex
-
 (* Interpret the first 8 digest bytes as a non-negative int; used to derive
    pseudorandom indices from digests. *)
 let to_int d =

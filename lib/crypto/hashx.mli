@@ -25,7 +25,6 @@ val chain : chain:int -> from_depth:int -> steps:int -> bytes -> bytes
     modified. *)
 
 val equal : bytes -> bytes -> bool
-val to_hex : bytes -> string
 
 val to_int : bytes -> int
 (** First 8 digest bytes as a non-negative integer. *)

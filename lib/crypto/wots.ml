@@ -257,7 +257,6 @@ let verify vk msg_digest (sg : signature) =
   end
 
 let signature_size = num_chains * Hashx.kappa_bytes
-let vk_size = Hashx.kappa_bytes
 
 let encode_signature b (sg : signature) =
   Repro_util.Encode.array b Repro_util.Encode.bytes sg

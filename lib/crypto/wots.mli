@@ -30,7 +30,6 @@ val clear_cache : unit -> unit
 (** Drop the verification memo table (between independent runs). *)
 
 val signature_size : int
-val vk_size : int
 
 val encode_signature : Repro_util.Encode.sink -> signature -> unit
 val decode_signature : Repro_util.Encode.source -> signature

@@ -970,18 +970,18 @@ let pinned_cells =
     ( Runner.This_work_owf,
       [ ("aecomm.enc_hit", 320); ("aecomm.enc_miss", 90);
         ("encode.memo_hit", 9837); ("encode.memo_miss", 104);
-        ("engine.msgs", 54187); ("hashx.hash", 38812);
+        ("engine.msgs", 54187); ("hashx.hash", 37799);
         ("srds-owf.aggregate", 14); ("srds-owf.keygen", 198);
         ("srds-owf.sign", 180); ("srds-owf.verify", 1); ("wots.sign", 30);
-        ("wots.verify", 1067) ],
+        ("wots.verify", 210) ],
       pinned_sync_histograms
         [ 74604; 124880893; 48640; 0; 289; 0; 12238; 972; 0; 0; 0; 1466; 2127;
           1968; 525; 560; 5819 ] );
     ( Runner.This_work_snark,
       [ ("aecomm.enc_hit", 320); ("aecomm.enc_miss", 90);
         ("encode.memo_hit", 12399); ("encode.memo_miss", 256);
-        ("engine.msgs", 54187); ("hashx.hash", 206137); ("pcd.prove", 194);
-        ("pcd.verify", 403); ("snark.prove", 194); ("snark.verify", 403);
+        ("engine.msgs", 54187); ("hashx.hash", 205955); ("pcd.prove", 194);
+        ("pcd.verify", 221); ("snark.prove", 194); ("snark.verify", 221);
         ("srds-snark.aggregate", 14); ("srds-snark.keygen", 198);
         ("srds-snark.sign", 180); ("srds-snark.verify", 1);
         ("wots.sign", 180); ("wots.verify", 360) ],

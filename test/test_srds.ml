@@ -135,15 +135,33 @@ module Ex_snark = Exercise (Srds_snark)
 module Ex_vrf = Exercise (Srds_vrf)
 module Ex_ms = Exercise (Baseline_multisig)
 
-(* --- f_aggr-sig shared candidates ---
+(* --- f_aggr-sig shared candidates and admissions ---
 
-   Phase F computes each candidate once per distinct member input and each
-   validity verdict once per distinct payload. Members here: two with the
-   same (raw, msg), one with the same raw under another msg, one with raw
-   reordered — three distinct keys. Every shared result must equal the
-   unshared computation (a fresh per-member table), and the scheme's
-   aggregate counter moves once per distinct key. *)
-module Shared (S : Srds_intf.SCHEME) = struct
+   Phase F computes each candidate once per distinct member input, each
+   validity verdict once per distinct payload, and each admission
+   (Aggregate1's per-input half) once per distinct (msg, received
+   signature) at a node. Members here: two with the same (raw, msg), one
+   with the same raw under another msg, one with raw reordered, and one
+   whose raw holds its first signature three times (what a level-2 node
+   gets from a child's forwarders, and the duplicate-replay input) — four
+   distinct candidate keys. Every candidate must equal the scheme's own
+   computation with no table (decode, step-5c range check, aggregate1,
+   aggregate2), every shared verdict the unshared one; the aggregate counter
+   moves once per distinct key and [K.admission] as [K.admissions] says for
+   the distinct (msg, signature) pairs. *)
+module Shared
+    (S : Srds_intf.SCHEME)
+    (K : sig
+      val aggregate : string (* the counter [S.select] bumps *)
+
+      val admission : string (* bumped once by one admission *)
+
+      val admissions : valid:int -> invalid:int -> merges:int -> int
+      (* its moves over the candidates: [valid]/[invalid] distinct pairs
+         that do/do not verify, [merges] distinct candidates combining two
+         or more admitted inputs *)
+    end) =
+struct
   module W = Srds_intf.Wire (S)
   module Agg = Aggr_sig.Make (S)
   module Params = Repro_aetree.Params
@@ -168,23 +186,39 @@ module Shared (S : Srds_intf.SCHEME) = struct
         (List.init (hi - lo + 1) (fun k -> lo + k))
     in
     Alcotest.(check bool) "at least two signatures to reorder" true (List.length raw >= 2);
+    let reference ~msg ~raw =
+      let sigs =
+        List.filter_map W.of_bytes raw |> List.filter (Agg.range_ok tree ~level:1 ~idx)
+      in
+      match S.aggregate2 pp ~msg (S.aggregate1 pp ~vks ~msg sigs) with
+      | Some sg -> W.to_bytes sg
+      | None -> Bytes.empty
+    in
     let msg' = Bytes.of_string "another-message" in
-    let inputs = [ (msg, raw); (msg, raw); (msg', raw); (msg, List.rev raw) ] in
-    let counter = C.make (S.name ^ ".aggregate") in
+    let first = List.hd raw in
+    let tripled = Bytes.copy first :: Bytes.copy first :: raw in
+    let inputs =
+      [ (msg, raw); (msg, raw); (msg', raw); (msg, List.rev raw); (msg, tripled) ]
+    in
+    let aggregate = C.make K.aggregate and admission = C.make K.admission in
     let was = C.is_enabled () in
     C.enable ();
     let shared = fresh_table () in
-    let before = C.value counter in
+    let before = (C.value aggregate, C.value admission) in
     let cands = List.map (fun (msg, raw) -> Agg.candidate shared ~idx ~msg ~raw) inputs in
-    let bumps = C.value counter - before in
+    let bumps = C.value aggregate - fst before and admitted = C.value admission - snd before in
     if not was then C.disable ();
-    Alcotest.(check int) (S.name ^ ".aggregate once per distinct key") 3 bumps;
+    Alcotest.(check int) (K.aggregate ^ " once per distinct key") 4 bumps;
+    let signed = List.length raw in
+    Alcotest.(check int)
+      (K.admission ^ " once per distinct (msg, signature)")
+      (K.admissions ~valid:signed ~invalid:signed ~merges:3)
+      admitted;
     Alcotest.(check bool) "the signed candidate is non-empty" true
       (Bytes.length (List.hd cands) > 0);
     List.iter2
       (fun (msg, raw) cand ->
-        Alcotest.(check bytes) "shared candidate = unshared" (Agg.candidate (fresh_table ()) ~idx ~msg ~raw)
-          cand;
+        Alcotest.(check bytes) "shared candidate = unshared" (reference ~msg ~raw) cand;
         List.iter
           (fun payload ->
             Alcotest.(check bool) "shared verdict = unshared"
@@ -196,8 +230,28 @@ module Shared (S : Srds_intf.SCHEME) = struct
       (Agg.valid shared ~idx ~msg (List.hd cands))
 end
 
-module Shared_owf = Shared (Srds_owf)
-module Shared_snark = Shared (Srds_snark)
+(* owf: one WOTS verification per admitted base signature. *)
+module Shared_owf =
+  Shared
+    (Srds_owf)
+    (struct
+      let aggregate = "srds-owf.aggregate"
+      let admission = "wots.verify"
+      let admissions ~valid ~invalid ~merges:_ = valid + invalid
+    end)
+
+(* SNARK: one PCD source step per valid base signature, plus one internal
+   step per merging candidate. The ablated variant keeps duplicates, so
+   matching its tripled candidate against the table-free computation checks
+   that the table does not collapse copies. *)
+module Snark_counts = struct
+  let aggregate = "srds-snark.aggregate"
+  let admission = "pcd.prove"
+  let admissions ~valid ~invalid:_ ~merges = valid + merges
+end
+
+module Shared_snark = Shared (Srds_snark) (Snark_counts)
+module Shared_ablated = Shared (Srds_snark_ablated) (Snark_counts)
 
 (* --- scheme-operation counter shape (REPRO_COUNTERS contract) ---
 
@@ -426,6 +480,7 @@ let suite =
       Alcotest.test_case "scheme counter shape" `Quick test_scheme_counter_shape;
       Alcotest.test_case "owf shared candidates" `Quick Shared_owf.test;
       Alcotest.test_case "snark shared candidates" `Quick Shared_snark.test;
+      Alcotest.test_case "snark-ablated shared candidates" `Quick Shared_ablated.test;
     ]
   @ [
       Alcotest.test_case "fig1 robustness vrf" `Quick test_robustness_vrf;

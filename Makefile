@@ -77,22 +77,26 @@ scale-smoke: build
 	$(BA_SIM) validate SCALE_report.json
 
 # Self-profiled BA run: per-span GC/alloc hotspot tables, cache and pool
-# introspection, and a validated repro-profile/1 report.
+# introspection, and a validated repro-profile/1 report (under _build/, so
+# the committed owf n = 64 report below is left alone).
 profile: build
-	$(BA_SIM) profile -p owf -n 256 --report PROFILE_report.json
-	$(BA_SIM) validate PROFILE_report.json
+	$(BA_SIM) profile -p owf -n 256 --report _build/PROFILE_report_256.json
+	$(BA_SIM) validate _build/PROFILE_report_256.json
 
 # <30s variant for CI and `make check`. PROFILE_report.json is committed:
 # a small profiled run is first compared against it, so a change that moves
-# a deterministic counter or histogram fails here until the regenerated
-# report is committed with it. Then the report is regenerated and a second
-# run is compared against the fresh one — deterministic sections are exact,
-# so the self-compare must exit 0.
+# a deterministic counter or histogram fails here until the report
+# regenerated with `ba_sim profile -p owf -n 64 --report PROFILE_report.json`
+# is committed with it. Then a fresh report is written under _build/ (never
+# over the committed one, whose wall fields would change), validated, and a
+# second run is compared against it — deterministic sections are exact, so
+# the self-compare must exit 0.
+PROFILE_FRESH = _build/PROFILE_report_fresh.json
 profile-smoke: build
 	$(BA_SIM) profile -p owf -n 64 --compare PROFILE_report.json
-	$(BA_SIM) profile -p owf -n 64 --report PROFILE_report.json
-	$(BA_SIM) validate PROFILE_report.json
-	$(BA_SIM) profile -p owf -n 64 --compare PROFILE_report.json
+	$(BA_SIM) profile -p owf -n 64 --report $(PROFILE_FRESH)
+	$(BA_SIM) validate $(PROFILE_FRESH)
+	$(BA_SIM) profile -p owf -n 64 --compare $(PROFILE_FRESH)
 
 # <60s forensics smoke: a small-n explain with the transcript-replay
 # round-trip (non-zero exit if any cone blows the locality budget or the
@@ -160,11 +164,18 @@ cli-smoke: build
 # async/conformance smoke, conditions smoke, CLI smoke — everything a PR
 # must keep green, with a wall-clock guard so a performance regression in
 # any harness fails the target rather than silently eating CI minutes.
+# The gates write only ignored files: in a git checkout, `git status` must
+# read the same after them as before.
 CHECK_BUDGET_S ?= 420
 check: build
 	@t0=$$(date +%s); \
+	status0=$$(git status --porcelain 2>/dev/null); \
 	$(MAKE) test bench-smoke audit attack scale-smoke profile-smoke \
 	  forensics-smoke async-smoke conditions-smoke cli-smoke || exit 1; \
+	if [ "$$(git status --porcelain 2>/dev/null)" != "$$status0" ]; then \
+	  echo "check: the gates changed the working tree:"; git status --short; \
+	  exit 1; \
+	fi; \
 	t1=$$(date +%s); elapsed=$$((t1 - t0)); \
 	echo "check: all gates green in $${elapsed}s (budget $(CHECK_BUDGET_S)s)"; \
 	if [ $$elapsed -gt $(CHECK_BUDGET_S) ]; then \

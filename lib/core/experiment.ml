@@ -997,14 +997,7 @@ let conform ?(ns = [ 64; 256 ]) ?(beta = 0.1) ?(seed = 1) ?chaos ?cells () =
   let conform = conformance_cells ~ns ~beta ~seed () in
   (* the chaos sweep: each knob setting's seed is its cells' seed *)
   let chaos = Option.value chaos ~default:[ default_chaos ~seed ] in
-  let cells =
-    List.concat_map
-      (fun cfg ->
-        List.map
-          (fun (c, digest) -> (cfg, c, digest))
-          (async_cells ~beta ~seed:cfg.Sched.a_seed ~cfg ?cells ()))
-      chaos
-  in
+  let cells = async_cells ~beta ~chaos ?cells () in
   let ok_fail ok = if ok then "ok" else "FAIL" in
   table b ~title:"E18 conformance: one transcript digest on the shortcut and general paths"
     ~headers:[ "protocol"; "n"; "seed"; "digest (first 16)"; "rows"; "match" ]

@@ -124,8 +124,8 @@ val conform :
   outcome
 (** E18: conformance of the lock-step shortcut and the general (time,
     seq) path at [ns] (default 64, 256), then
-    {!Runner.async_cells} over [cells] once per [chaos] knob setting, each
-    setting's [a_seed] being its cells' seed (default:
+    {!Runner.async_cells} over [cells] and every [chaos] knob setting in
+    one fan-out, each setting's [a_seed] being its cells' seed (default:
     [Runner.default_chaos ~seed]); report [repro-async/2], rows [conform]
     and [async]. Fails on a digest mismatch or a broken async cell. *)
 

@@ -1311,23 +1311,28 @@ let conformance_cells ?(protocols = [ This_work_owf; This_work_snark ])
 
 (* E18's chaos cells are attack cells with no condition under the chaos
    knobs, each with its transcript digest. They call {!attack_cell}
-   directly: the attack-matrix counters count no E18 cell. *)
+   directly: the attack-matrix counters count no E18 cell. All knob
+   settings go through one fan-out, so settings that share a seed share
+   its setups. *)
 let async_cells ?(strategies = [ "silent"; "equivocate" ]) ?(beta = 0.1)
-    ?(seed = 1) ?cfg ?(cells = [ (This_work_owf, 256); (This_work_snark, 64) ])
-    () : (attack_cell * string) list =
-  let cfg = match cfg with Some c -> c | None -> default_chaos ~seed in
+    ?(chaos = [ default_chaos ~seed:1 ])
+    ?(cells = [ (This_work_owf, 256); (This_work_snark, 64) ]) () :
+    (Sched.async_cfg * attack_cell * string) list =
   fan_out
-    ~key:(fun (protocol, n, _) -> (protocol, n, seed))
-    (fun ~setup (protocol, n, strategy_name) ->
+    ~key:(fun ((cfg : Sched.async_cfg), protocol, n, _) -> (protocol, n, cfg.a_seed))
+    (fun ~setup ((cfg : Sched.async_cfg), protocol, n, strategy_name) ->
       let sink, digest = digest_sink () in
       let c =
         attack_cell ~setup ~sinks:[ sink ] ~cfg ~protocol ~strategy_name ~n ~beta
-          ~seed ~expect_fail:false ()
+          ~seed:cfg.a_seed ~expect_fail:false ()
       in
-      (c, digest ()))
+      (cfg, c, digest ()))
     (List.concat_map
-       (fun (protocol, n) -> List.map (fun s -> (protocol, n, s)) strategies)
-       cells)
+       (fun cfg ->
+         List.concat_map
+           (fun (protocol, n) -> List.map (fun s -> (cfg, protocol, n, s)) strategies)
+           cells)
+       chaos)
 
 let conform_cell_json c =
   let digest (p, d) = Json.(Obj [ "path", Str p; "digest", Str d ]) in

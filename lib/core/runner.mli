@@ -514,19 +514,19 @@ val async_cell_json :
 val async_cells :
   ?strategies:string list ->
   ?beta:float ->
-  ?seed:int ->
-  ?cfg:Repro_net.Sched.async_cfg ->
+  ?chaos:Repro_net.Sched.async_cfg list ->
   ?cells:(protocol * int) list ->
   unit ->
-  (attack_cell * string) list
-(** One chaos cell per (protocol, n) of [cells] and strategy: an attack
-    cell with no condition — the full protocol (one that takes an
-    adversary: a pipeline or Dolev–Strong) under [cfg], against one
-    instantiated adversary strategy — with its transcript digest
-    ({!digest_sink}), the rerun-determinism witness. Defaults: silent and
-    equivocate against owf at n = 256 and snark at n = 64, beta 0.1, seed
-    1, {!default_chaos} knobs — the acceptance matrix. Each cell equals
-    {!run_attack_cell} [~cfg] on the same spec, except that no
-    [attack.*] counter counts it. The setup is shared per (protocol, n,
-    seed), and the cells fan out on the domain pool in deterministic
-    order, as in {!attack_matrix}. *)
+  (Repro_net.Sched.async_cfg * attack_cell * string) list
+(** One chaos cell per knob setting of [chaos], (protocol, n) of [cells]
+    and strategy, in that order: an attack cell with no condition — the
+    full protocol (one that takes an adversary: a pipeline or
+    Dolev–Strong) under the setting, against one instantiated adversary
+    strategy, at the setting's [a_seed] — with the setting and its
+    transcript digest ({!digest_sink}), the rerun-determinism witness.
+    Defaults: silent and equivocate against owf at n = 256 and snark at
+    n = 64, beta 0.1, [[default_chaos ~seed:1]] — the acceptance matrix.
+    Each cell equals {!run_attack_cell} [~cfg] on the same spec, except
+    that no [attack.*] counter counts it. All settings share one fan-out:
+    one setup per (protocol, n, seed), and the cells on the domain pool in
+    deterministic order, as in {!attack_matrix}. *)

@@ -31,10 +31,26 @@ module Pcd = Repro_snark.Pcd
 let name = "srds-snark"
 let pki = `Bare
 
-let c_keygen = Repro_obs.Counters.make (name ^ ".keygen")
-let c_sign = Repro_obs.Counters.make (name ^ ".sign")
-let c_verify = Repro_obs.Counters.make (name ^ ".verify")
-let c_aggregate = Repro_obs.Counters.make (name ^ ".aggregate")
+(* The <name>.{keygen,sign,aggregate,verify} counters of one
+   instantiation, looked up by name: this scheme's exist from load time, and
+   a variant's (the ablation) from its first setup. *)
+type ops = {
+  c_keygen : Repro_obs.Counters.t;
+  c_sign : Repro_obs.Counters.t;
+  c_verify : Repro_obs.Counters.t;
+  c_aggregate : Repro_obs.Counters.t;
+}
+
+let ops_named name =
+  let c op = Repro_obs.Counters.make (name ^ "." ^ op) in
+  {
+    c_keygen = c "keygen";
+    c_sign = c "sign";
+    c_verify = c "verify";
+    c_aggregate = c "aggregate";
+  }
+
+let () = ignore (ops_named name)
 
 type pp = {
   n : int;
@@ -43,6 +59,7 @@ type pp = {
   strict_ranges : bool;
       (* the CRH/disjoint-range duplicate defense; disabled only by the
          ablated variant used to demonstrate the duplicate-replay attack *)
+  ops : ops; (* the counters of the instantiation that set this up *)
   mutable vks_digest_cache : (bytes array * bytes) option;
   mutable pcd_cache : (bytes array * Pcd.t) option;
 }
@@ -63,21 +80,22 @@ type signature =
   | Base of { b_index : int; b_sig : Wots.signature }
   | Agg of agg
 
-let setup_with ~strict_ranges rng ~n =
+let setup_with ~name ~strict_ranges rng ~n =
   ( {
       n;
       crs = Snark.setup rng;
       pp_id = Rng.bytes rng Hashx.kappa_bytes;
       strict_ranges;
+      ops = ops_named name;
       vks_digest_cache = None;
       pcd_cache = None;
     },
     () )
 
-let setup rng ~n = setup_with ~strict_ranges:true rng ~n
+let setup rng ~n = setup_with ~name ~strict_ranges:true rng ~n
 
 let keygen pp _master rng ~index:_ =
-  Repro_obs.Counters.bump c_keygen;
+  Repro_obs.Counters.bump pp.ops.c_keygen;
   let seed = Hashx.hash ~tag:"srds-snark-seed" [ pp.pp_id; Rng.bytes rng 32 ] in
   Wots.keygen seed
 
@@ -218,7 +236,7 @@ let pcd pp ~vks =
 (* --- scheme operations --- *)
 
 let sign pp sk ~index ~msg =
-  Repro_obs.Counters.bump c_sign;
+  Repro_obs.Counters.bump pp.ops.c_sign;
   ignore index;
   Some (Base { b_index = index; b_sig = Wots.sign sk (msg_digest pp msg) })
 
@@ -293,7 +311,7 @@ let admit pp ~vks ~msg sg =
    lo; overlapping ranges would make the PCD step non-compliant, and
    overlap is exactly the duplicate-replay attack being filtered out). *)
 let select pp sigs =
-  Repro_obs.Counters.bump c_aggregate;
+  Repro_obs.Counters.bump pp.ops.c_aggregate;
   let sorted =
     List.sort (fun a b -> compare (min_index a, max_index a) (min_index b, max_index b)) sigs
   in
@@ -367,7 +385,7 @@ let aggregate2 pp ~msg sigs =
 let threshold pp = (pp.n / 2) + 1
 
 let verify pp ~vks ~msg sg =
-  Repro_obs.Counters.bump c_verify;
+  Repro_obs.Counters.bump pp.ops.c_verify;
   verify_partial pp ~vks ~msg sg && count sg >= threshold pp
 
 let encode_sig b = function

@@ -9,4 +9,5 @@ include Srds_snark
 
 let name = "srds-snark-ablated"
 
-let setup rng ~n = Srds_snark.setup_with ~strict_ranges:false rng ~n
+(* [pp] carries this variant's own srds-snark-ablated counters. *)
+let setup rng ~n = Srds_snark.setup_with ~name ~strict_ranges:false rng ~n

@@ -22,7 +22,7 @@ let hash_uncached ~tag parts =
    kappa-sized hashes many times per experiment (every committee member
    re-derives the same leaf and node digests), so memoizing pays for itself.
    WOTS chain steps do not go through here: they almost never repeat, and
-   [chain] below hashes them directly. Only inputs up to [small_limit]
+   [walk_chains] below hashes them directly. Only inputs up to [small_limit]
    bytes are cached, which keeps both key-building cost and memory bounded.
    The table is domain-local, so parallel experiment cells never contend;
    keys encode the full (tag, parts) content unambiguously, so a hit is
@@ -84,42 +84,26 @@ let hash_string ~tag s = hash ~tag [ Bytes.of_string s ]
 
 (* The one-way function of the WOTS chains. Step d of chain c is
    [hash ~tag:"wots-f" [label; v]] with label "c.d", byte for byte: the
-   message len(tag) ‖ tag ‖ label ‖ v is at most 28 bytes, so a step is one
-   compression through [Sha256.digest_short_into], written straight back
-   into [v]. The message prefixes for the 35 chains × 15 depths of WOTS
-   (w = 16, kappa = 128) are built once. Steps skip the small-input cache,
-   which served almost none of them, but each still counts as one
-   [hashx.hash]. *)
+   message len(tag) ‖ tag ‖ label ‖ v is at most 28 bytes, one block. The
+   35 chains × 15 depths of WOTS (w = 16, kappa = 128) get one padded
+   template block each, built once, and a walk of all 35 chains is one
+   [Sha256.walk_chains] call. Steps skip the small-input cache, which served
+   almost none of them, but each still counts as one [hashx.hash]. *)
 let chain_tag = "wots-f"
 let chains = 35
 let chain_len = 15
 
-let chain_prefixes =
-  Array.init chains (fun c ->
-      Array.init chain_len (fun d ->
-          Bytes.of_string
-            (String.make 1 (Char.chr (String.length chain_tag))
-            ^ chain_tag ^ Printf.sprintf "%d.%d" c d)))
+let chain_templates =
+  assert (kappa_bytes = Sha256.slot);
+  Sha256.chain_templates
+    (Array.init chains (fun c ->
+         Array.init chain_len (fun d ->
+             Bytes.of_string
+               (String.make 1 (Char.chr (String.length chain_tag))
+               ^ chain_tag ^ Printf.sprintf "%d.%d" c d))))
 
-let chain_scratch = Domain.DLS.new_key (fun () -> Bytes.create Sha256.max_short)
-
-let chain ~chain:c ~from_depth ~steps v =
-  if c < 0 || c >= chains || from_depth < 0 || steps < 0
-     || from_depth + steps > chain_len
-     || Bytes.length v <> kappa_bytes
-  then invalid_arg "Hashx.chain";
-  let prefixes = chain_prefixes.(c) in
-  let buf = Domain.DLS.get chain_scratch in
-  let v = Bytes.copy v in
-  for d = from_depth to from_depth + steps - 1 do
-    Repro_obs.Counters.bump c_hash;
-    let p = prefixes.(d) in
-    let plen = Bytes.length p in
-    Bytes.blit p 0 buf 0 plen;
-    Bytes.blit v 0 buf plen kappa_bytes;
-    Sha256.digest_short_into buf 0 (plen + kappa_bytes) v 0 kappa_bytes
-  done;
-  v
+let walk_chains ~from ~upto vals =
+  Repro_obs.Counters.add c_hash (Sha256.walk_chains chain_templates ~from ~upto vals)
 
 let equal = Bytes.equal
 

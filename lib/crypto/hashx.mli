@@ -14,15 +14,17 @@ val clear_cache : unit -> unit
 
 val hash_string : tag:string -> string -> bytes
 
-val chain : chain:int -> from_depth:int -> steps:int -> bytes -> bytes
-(** The WOTS hash chain: [steps] applications of the one-way function to a
-    kappa-byte value, step [d] being
-    [hash ~tag:"wots-f" [Bytes.of_string (Printf.sprintf "%d.%d" chain d); v]]
-    for [d] from [from_depth]; the result equals that loop byte for byte,
-    without its cache, in one compression per step, each counted as one
-    [hash] call. Requires [0 <= chain < 35], [from_depth + steps <= 15]
-    (WOTS w = 16 at kappa = 128) and a kappa-byte value, which is not
-    modified. *)
+val walk_chains : from:bytes -> upto:bytes -> bytes -> unit
+(** The WOTS hash chains, all 35 in one call (WOTS w = 16 at kappa = 128).
+    [vals] holds chain [c]'s kappa-byte value at [kappa_bytes * c], and the
+    call advances it in place from depth [from.[c]] to depth [upto.[c]]
+    (bytes read as integers, [from.[c] <= upto.[c] <= 15]); the step at
+    depth [d] is
+    [v <- hash ~tag:"wots-f" [Bytes.of_string (Printf.sprintf "%d.%d" c d); v]],
+    byte for byte, without its cache. Each step is one compression from a
+    padded template block built once per (chain, depth), inside one C call
+    ({!Sha256.walk_chains}), and counts as one [hash] call. Raises
+    [Invalid_argument] on other sizes or depths. *)
 
 val equal : bytes -> bytes -> bool
 

@@ -28,6 +28,9 @@ let prepare key =
 let mac_prepared p parts =
   Sha256.digest_list_from p.outer [ Sha256.digest_list_from p.inner parts ]
 
+let mac_tails_into p tails dst =
+  Sha256.nested_into ~inner:p.inner ~outer:p.outer tails dst
+
 let mac_parts ~key parts = mac_prepared (prepare key) parts
 
 let mac ~key data = mac_parts ~key [ data ]

@@ -7,11 +7,13 @@
 
    The compression function is one C stub (sha256_stubs.c). It runs the x86
    SHA extensions when the CPU reports them and a portable C kernel
-   otherwise, chosen once at library initialisation. This file keeps the
-   streaming glue, the padding, every bounds check and the compression
-   counter. The chaining state is an 8-word [int array] (each word < 2^32)
-   inside the [ctx], so contexts are independent and hashing is safe to run
-   from multiple domains concurrently. *)
+   otherwise, chosen once at library initialisation. Two more stubs loop
+   that compression over blocks padded here once: the WOTS chain walk and
+   the HMAC chain starts. This file keeps the streaming glue, the padding,
+   every bounds check and the compression counter. The chaining state is an
+   8-word [int array] (each word < 2^32) inside the [ctx], so contexts are
+   independent and hashing is safe to run from multiple domains
+   concurrently. *)
 
 external select_kernel : unit -> bool = "repro_sha256_select" [@@noalloc]
 
@@ -25,10 +27,15 @@ external compress_block : int array -> bytes -> (int[@untagged]) -> unit
   = "repro_sha256_compress_byte" "repro_sha256_compress"
 [@@noalloc]
 
-external short_into :
-  bytes -> (int[@untagged]) -> (int[@untagged]) -> bytes -> (int[@untagged]) ->
-  (int[@untagged]) -> unit
-  = "repro_sha256_short_into_byte" "repro_sha256_short_into"
+external walk_chains_stub :
+  bytes -> (int[@untagged]) -> bytes -> bytes -> bytes -> (int[@untagged]) ->
+  unit
+  = "repro_sha256_walk_chains_byte" "repro_sha256_walk_chains"
+[@@noalloc]
+
+external nested_stub :
+  int array -> int array -> bytes -> bytes -> (int[@untagged]) -> unit
+  = "repro_sha256_nested_byte" "repro_sha256_nested"
 [@@noalloc]
 
 external compress_portable : int array -> bytes -> (int[@untagged]) -> unit
@@ -153,30 +160,115 @@ let midstate_of_block b =
   compress ctx b 0;
   { m_h = Array.copy ctx.h; m_len = 64 }
 
-(* The one-block fast path for the hash chains: the message and its padding
-   fit one block, which the C stub builds on its own stack and compresses
-   once from the IV, with no streaming state and no digest allocation. *)
-let max_short = 55
+(* --- Batched one-block kernels (the WOTS chains and chain starts) ---
 
-let digest_short_into src off len dst dst_off out_len =
-  if len < 0 || len > max_short || off < 0 || off + len > Bytes.length src
-  then invalid_arg "Sha256.digest_short_into: input";
-  if out_len < 0 || out_len > 32 || dst_off < 0
-     || dst_off + out_len > Bytes.length dst
-  then invalid_arg "Sha256.digest_short_into: output";
-  Repro_obs.Counters.bump c_compress;
-  short_into src off len dst dst_off out_len
+   Each call is one C loop over padded blocks built here once. The checks
+   and the counter stay on this side: a call bumps [sha256.compress] once
+   per compression it runs. *)
+
+let max_short = 55
+let slot = 16
+
+(* [msg] (at most [max_short] bytes) padded into one block, for a message
+   of [bytes_before + |msg|] bytes. *)
+let padded_block ~bytes_before msg =
+  let len = Bytes.length msg in
+  let b = Bytes.make 64 '\000' in
+  Bytes.blit msg 0 b 0 len;
+  Bytes.set b len '\x80';
+  Bytes.set_uint16_be b 62 ((bytes_before + len) * 8);
+  b
+
+type chain_templates = { blocks : bytes; chains : int; depth : int }
+
+let chain_templates prefixes =
+  let chains = Array.length prefixes in
+  let depth = if chains = 0 then 0 else Array.length prefixes.(0) in
+  let block c d =
+    let p = prefixes.(c).(d) in
+    if Bytes.length p > slot then invalid_arg "Sha256.chain_templates: prefix";
+    padded_block ~bytes_before:0 (Bytes.cat p (Bytes.make slot '\000'))
+  in
+  Array.iter
+    (fun row ->
+      if Array.length row <> depth then invalid_arg "Sha256.chain_templates: depth")
+    prefixes;
+  {
+    blocks =
+      Bytes.concat Bytes.empty
+        (List.init (chains * depth) (fun k -> block (k / depth) (k mod depth)));
+    chains;
+    depth;
+  }
+
+(* The number of steps, after the checks. *)
+let walk_chains_with ~sha_ni t ~from ~upto vals =
+  if Bytes.length from <> t.chains || Bytes.length upto <> t.chains
+     || Bytes.length vals <> slot * t.chains
+  then invalid_arg "Sha256.walk_chains: sizes";
+  let steps = ref 0 in
+  for i = 0 to t.chains - 1 do
+    let lo = Bytes.get_uint8 from i and hi = Bytes.get_uint8 upto i in
+    if lo > hi || hi > t.depth then invalid_arg "Sha256.walk_chains: depths";
+    steps := !steps + hi - lo
+  done;
+  walk_chains_stub t.blocks t.depth vals from upto (Bool.to_int sha_ni);
+  !steps
+
+let walk_chains t ~from ~upto vals =
+  let steps = walk_chains_with ~sha_ni:has_sha_ni t ~from ~upto vals in
+  Repro_obs.Counters.add c_compress steps;
+  steps
+
+type tails = bytes (* 64 bytes per message *)
+
+let tails msgs =
+  Bytes.concat Bytes.empty
+    (Array.to_list
+       (Array.map
+          (fun m ->
+            if Bytes.length m > max_short then invalid_arg "Sha256.tails: message";
+            padded_block ~bytes_before:64 m)
+          msgs))
+
+(* The number of messages, after the checks. *)
+let nested_with ~sha_ni ~inner ~outer tails dst =
+  let n = Bytes.length tails / 64 in
+  if inner.m_len <> 64 || outer.m_len <> 64 then
+    invalid_arg "Sha256.nested_into: midstates";
+  if Bytes.length dst <> slot * n then invalid_arg "Sha256.nested_into: output";
+  nested_stub inner.m_h outer.m_h tails dst (Bool.to_int sha_ni);
+  n
+
+let nested_into ~inner ~outer tails dst =
+  Repro_obs.Counters.add c_compress
+    (2 * nested_with ~sha_ni:has_sha_ni ~inner ~outer tails dst)
 
 module Kernel = struct
   let name = if has_sha_ni then "sha-ni" else "portable"
+
+  type t = {
+    compress : int array -> bytes -> int -> unit;
+    walk_chains : chain_templates -> from:bytes -> upto:bytes -> bytes -> unit;
+    nested_into : inner:midstate -> outer:midstate -> tails -> bytes -> unit;
+  }
 
   let checked f h b off =
     if Array.length h <> 8 || off < 0 || off > Bytes.length b - 64 then
       invalid_arg "Sha256.Kernel: state or block out of range";
     f h b off
 
-  let portable = checked compress_portable
-  let sha_ni = if has_sha_ni then Some (checked compress_sha_ni) else None
+  let make ~sha_ni compress =
+    {
+      compress = checked compress;
+      walk_chains =
+        (fun t ~from ~upto vals -> ignore (walk_chains_with ~sha_ni t ~from ~upto vals));
+      nested_into =
+        (fun ~inner ~outer tails dst -> ignore (nested_with ~sha_ni ~inner ~outer tails dst));
+    }
+
+  let portable = make ~sha_ni:false compress_portable
+  let sha_ni = if has_sha_ni then Some (make ~sha_ni:true compress_sha_ni) else None
 end
 
 let hex_chars = "0123456789abcdef"

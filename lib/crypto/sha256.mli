@@ -32,28 +32,75 @@ val digest_list_from : midstate -> bytes list -> bytes
 (** [digest_list_from (midstate_of_block b) parts] = [digest_list (b :: parts)],
     without compressing [b] again. *)
 
-val max_short : int
-(** 55: the longest input whose padding still fits one block. *)
+(** {2 Batched one-block kernels}
 
-val digest_short_into : bytes -> int -> int -> bytes -> int -> int -> unit
-(** [digest_short_into src off len dst dst_off out_len] writes the first
-    [out_len] (<= 32) bytes of [digest (Bytes.sub src off len)] into [dst] at
-    [dst_off]. One compression, no allocation; [len <= max_short]. [src]
-    and [dst] may overlap. *)
+    Two C loops of one-block compressions over padded blocks built once, for
+    the WOTS hash chains and their HMAC chain starts. Each bumps
+    [sha256.compress] once per compression it runs. *)
+
+val max_short : int
+(** 55: the longest message whose padding still fits one block. *)
+
+val slot : int
+(** 16: the width of a chain value and of each truncated output below. *)
+
+type chain_templates
+(** Padded one-block messages [prefix ‖ value] for a grid of chains and
+    depths, the [slot]-byte value left blank. *)
+
+val chain_templates : bytes array array -> chain_templates
+(** [chain_templates prefixes]: chain [c] at depth [d] hashes
+    [prefixes.(c).(d) ‖ v]. Every row has the same length (the depth); each
+    prefix is at most [slot] bytes. Raises [Invalid_argument] otherwise. *)
+
+val walk_chains : chain_templates -> from:bytes -> upto:bytes -> bytes -> int
+(** [walk_chains t ~from ~upto vals] advances every chain [i] of [t] in
+    place: its value, bytes [slot * i] to [slot * (i + 1)] of [vals], goes
+    from depth [from.[i]] to depth [upto.[i]] (bytes read as integers), and
+    the step at depth [d] replaces [v] with the first [slot] bytes of
+    [digest (prefixes.(i).(d) ‖ v)]. One C call, one compression per step;
+    returns the number of steps. Raises [Invalid_argument] unless [from],
+    [upto] have one byte and [vals] [slot] bytes per chain and
+    [from.[i] <= upto.[i] <= depth]. *)
+
+type tails
+(** Padded last blocks of short messages that each follow one 64-byte
+    block. *)
+
+val tails : bytes array -> tails
+(** One tail per message, each at most [max_short] bytes. *)
+
+val nested_into : inner:midstate -> outer:midstate -> tails -> bytes -> unit
+(** [nested_into ~inner ~outer (tails msgs) dst] writes, for each [k], the
+    first [slot] bytes of
+    [digest_list_from outer [ digest_list_from inner [ msgs.(k) ] ]] at
+    [slot * k] of [dst] — HMAC from prepared pads, see {!Hmac}. One C call,
+    two compressions per message. Both midstates must follow exactly one
+    block and [dst] must be [slot] bytes per message. *)
 
 val hex : bytes -> string
 
-(** The raw compression kernels, for tests and probes. Hashing code never
-    needs this: every function above already runs the selected kernel. *)
+(** The raw kernels, for tests and probes. Hashing code never needs this:
+    every function above already runs the selected kernel. *)
 module Kernel : sig
   val name : string
   (** ["sha-ni"] or ["portable"]: the kernel this process runs. *)
 
-  val portable : int array -> bytes -> int -> unit
-  (** [portable h b off] compresses the 64 bytes of [b] at [off] into the
-      8-word state [h] (each word < 2^32) with the portable C kernel. Counts
-      nothing. Raises [Invalid_argument] on a bad state length or range. *)
+  type t = {
+    compress : int array -> bytes -> int -> unit;
+        (** [compress h b off] compresses the 64 bytes of [b] at [off] into
+            the 8-word state [h] (each word < 2^32). Raises
+            [Invalid_argument] on a bad state length or range. *)
+    walk_chains : chain_templates -> from:bytes -> upto:bytes -> bytes -> unit;
+        (** {!walk_chains}, with its checks. *)
+    nested_into : inner:midstate -> outer:midstate -> tails -> bytes -> unit;
+        (** {!nested_into}, with its checks. *)
+  }
+  (** One kernel's entry points. They count nothing. *)
 
-  val sha_ni : (int array -> bytes -> int -> unit) option
-  (** The same with the SHA extensions; [None] when the CPU lacks them. *)
+  val portable : t
+  (** The portable C kernel. *)
+
+  val sha_ni : t option
+  (** The SHA extensions; [None] when the CPU lacks them. *)
 end

@@ -1,9 +1,11 @@
 /* SHA-256 compression (FIPS 180-4) for Sha256.
 
-   Two kernels behind one entry point: the x86 SHA extensions
+   Two kernels behind each entry point: the x86 SHA extensions
    (sha256rnds2 / sha256msg1 / sha256msg2) where the CPU reports them, and a
    portable C loop everywhere else. Both compute the same function; the test
-   suite checks them against each other and against the NIST vectors.
+   suite checks them against each other and against the NIST vectors. The
+   entry points are one compression, and two batched loops of one-block
+   compressions for the WOTS hash chains and their HMAC chain starts.
 
    The kernel is chosen once, by [repro_sha256_select] at library
    initialisation (before any domain can be spawned), and stored in a static
@@ -109,24 +111,39 @@ static void compress_portable(uint32_t st[8], const unsigned char *p)
                     _mm_alignr_epi8((w3), (w2), 4)),                       \
       (w3))
 
-__attribute__((target("sha,sse4.1")))
-static void compress_sha_ni(uint32_t st[8], const unsigned char *p)
+#define SHA_NI __attribute__((target("sha,sse4.1")))
+#define SHA_NI_INLINE static inline __attribute__((always_inline)) SHA_NI
+
+/* Big-endian 32-bit words from bytes, within each 16-byte lane. */
+#define BSWAP32 _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL)
+
+/* The state as the rounds instruction wants it: ABEF / CDGH. */
+SHA_NI_INLINE void ni_load(const uint32_t st[8], __m128i *abef, __m128i *cdgh)
 {
-  const __m128i bswap =
-      _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
-  /* The rounds instruction wants the state as ABEF / CDGH. */
   __m128i t = _mm_loadu_si128((const __m128i *)&st[0]);   /* DCBA */
   __m128i s1 = _mm_loadu_si128((const __m128i *)&st[4]);  /* HGFE */
   t = _mm_shuffle_epi32(t, 0xB1);                          /* CDAB */
   s1 = _mm_shuffle_epi32(s1, 0x1B);                        /* EFGH */
-  __m128i s0 = _mm_alignr_epi8(t, s1, 8);                  /* ABEF */
-  s1 = _mm_blend_epi16(s1, t, 0xF0);                       /* CDGH */
-  const __m128i abef = s0, cdgh = s1;
+  *abef = _mm_alignr_epi8(t, s1, 8);                       /* ABEF */
+  *cdgh = _mm_blend_epi16(s1, t, 0xF0);                    /* CDGH */
+}
 
-  __m128i w0 = _mm_shuffle_epi8(_mm_loadu_si128((const __m128i *)(p + 0)), bswap);
-  __m128i w1 = _mm_shuffle_epi8(_mm_loadu_si128((const __m128i *)(p + 16)), bswap);
-  __m128i w2 = _mm_shuffle_epi8(_mm_loadu_si128((const __m128i *)(p + 32)), bswap);
-  __m128i w3 = _mm_shuffle_epi8(_mm_loadu_si128((const __m128i *)(p + 48)), bswap);
+/* Back to word order: lane 0 of [dcba] is A, lane 0 of [hgfe] is E. */
+SHA_NI_INLINE void ni_words(__m128i abef, __m128i cdgh, __m128i *dcba,
+                            __m128i *hgfe)
+{
+  __m128i t = _mm_shuffle_epi32(abef, 0x1B);               /* FEBA */
+  __m128i s = _mm_shuffle_epi32(cdgh, 0xB1);               /* DCHG */
+  *dcba = _mm_blend_epi16(t, s, 0xF0);
+  *hgfe = _mm_alignr_epi8(s, t, 8);
+}
+
+/* The 64 rounds over the message words W[0..15] (lane j of [wk] is
+   W[4k + j]), added into the ABEF / CDGH state. */
+SHA_NI_INLINE void ni_rounds(__m128i *abef, __m128i *cdgh, __m128i w0,
+                             __m128i w1, __m128i w2, __m128i w3)
+{
+  __m128i s0 = *abef, s1 = *cdgh;
   QROUND(w0, 0);
   QROUND(w1, 1);
   QROUND(w2, 2);
@@ -141,15 +158,22 @@ static void compress_sha_ni(uint32_t st[8], const unsigned char *p)
     SCHED(w3, w0, w1, w2);
     QROUND(w3, i + 3);
   }
-  s0 = _mm_add_epi32(s0, abef);
-  s1 = _mm_add_epi32(s1, cdgh);
+  *abef = _mm_add_epi32(s0, *abef);
+  *cdgh = _mm_add_epi32(s1, *cdgh);
+}
 
-  t = _mm_shuffle_epi32(s0, 0x1B);                         /* FEBA */
-  s1 = _mm_shuffle_epi32(s1, 0xB1);                        /* DCHG */
-  s0 = _mm_blend_epi16(t, s1, 0xF0);                       /* DCBA */
-  s1 = _mm_alignr_epi8(s1, t, 8);                          /* HGFE */
-  _mm_storeu_si128((__m128i *)&st[0], s0);
-  _mm_storeu_si128((__m128i *)&st[4], s1);
+#define LOAD_BE(p) \
+  _mm_shuffle_epi8(_mm_loadu_si128((const __m128i *)(p)), BSWAP32)
+
+SHA_NI static void compress_sha_ni(uint32_t st[8], const unsigned char *p)
+{
+  __m128i abef, cdgh, dcba, hgfe;
+  ni_load(st, &abef, &cdgh);
+  ni_rounds(&abef, &cdgh, LOAD_BE(p), LOAD_BE(p + 16), LOAD_BE(p + 32),
+            LOAD_BE(p + 48));
+  ni_words(abef, cdgh, &dcba, &hgfe);
+  _mm_storeu_si128((__m128i *)&st[0], dcba);
+  _mm_storeu_si128((__m128i *)&st[4], hgfe);
 }
 
 /* CPUID: leaf 7 EBX bit 29 (SHA), leaf 1 ECX bits 9 (SSSE3), 19 (SSE4.1). */
@@ -224,33 +248,187 @@ DEFINE_COMPRESS(repro_sha256_compress_sha_ni, compress_sha_ni)
 DEFINE_COMPRESS(repro_sha256_compress_sha_ni, compress_portable)
 #endif
 
-/* One-block digest: [len] <= 55 message bytes, 0x80, zeros and a bit length
-   that fits the last two bytes, compressed once from the IV; the first
-   [out_len] big-endian digest bytes go to [dst]. The block is copied to the
-   stack before [dst] is written, so [src] and [dst] may overlap. */
-CAMLprim value repro_sha256_short_into(value src, intnat off, intnat len,
-                                       value dst, intnat dst_off,
-                                       intnat out_len)
+/* --- Batched one-block kernels (WOTS) ---
+
+   Two calls, each a loop of one-block compressions whose blocks are never
+   assembled byte by byte: they start from padded 64-byte blocks the OCaml
+   side built once, so no load of a block waits on a run of narrow stores.
+
+   A chain template is one padded block whose message is a prefix of at most
+   16 bytes and then a zeroed 16-byte slot; its bit length, in bytes 62..63,
+   tells where the slot starts. A chain step writes the chain value into the
+   slot, compresses from the IV and takes the first 16 digest bytes as the
+   next value. A tail is the padded last block of a message that follows one
+   64-byte block (an HMAC key pad). */
+
+static inline long slot_offset(const unsigned char *t)
+{
+  return (long)((((unsigned)t[62] << 8) | t[63]) >> 3) - 16;
+}
+
+static inline void store_be32(unsigned char *p, uint32_t x)
+{
+  p[0] = (unsigned char)(x >> 24);
+  p[1] = (unsigned char)(x >> 16);
+  p[2] = (unsigned char)(x >> 8);
+  p[3] = (unsigned char)x;
+}
+
+/* Chain [i]'s 16-byte value [vals + 16 i] goes from depth [from[i]] to
+   [upto[i]]: step [d] compresses template [i * depth + d]. */
+static void walk_portable(const unsigned char *tmpl, long depth,
+                          unsigned char *vals, const unsigned char *from,
+                          const unsigned char *upto, long n)
 {
   unsigned char block[64];
   uint32_t st[8];
-  memcpy(block, Bytes_val(src) + off, len);
-  block[len] = 0x80;
-  memset(block + len + 1, 0, 62 - (len + 1));
-  block[62] = (unsigned char)((len * 8) >> 8);
-  block[63] = (unsigned char)((len * 8) & 0xFF);
-  memcpy(st, IV, sizeof st);
-  compress(st, block);
-  unsigned char *out = Bytes_val(dst) + dst_off;
-  for (intnat i = 0; i < out_len; i++)
-    out[i] = (unsigned char)(st[i >> 2] >> (24 - 8 * (i & 3)));
+  for (long i = 0; i < n; i++) {
+    unsigned char *v = vals + 16 * i;
+    for (long d = from[i]; d < upto[i]; d++) {
+      const unsigned char *t = tmpl + 64 * (i * depth + d);
+      memcpy(block, t, 64);
+      memcpy(block + slot_offset(t), v, 16);
+      memcpy(st, IV, sizeof st);
+      compress_portable(st, block);
+      for (int j = 0; j < 4; j++) store_be32(v + 4 * j, st[j]);
+    }
+  }
+}
+
+/* For each tail [k]: the first 16 bytes of the digest from the [outer]
+   midstate of the 32-byte digest from the [inner] midstate of the tail's
+   message, into [dst + 16 k]. */
+static void nested_portable(const uint32_t inner[8], const uint32_t outer[8],
+                            const unsigned char *tails, long n,
+                            unsigned char *dst)
+{
+  unsigned char block[64] = { 0 };
+  uint32_t st[8];
+  block[32] = 0x80;
+  block[62] = (unsigned char)((96 * 8) >> 8); /* 64 + 32 bytes */
+  for (long k = 0; k < n; k++) {
+    memcpy(st, inner, sizeof st);
+    compress_portable(st, tails + 64 * k);
+    for (int j = 0; j < 8; j++) store_be32(block + 4 * j, st[j]);
+    memcpy(st, outer, sizeof st);
+    compress_portable(st, block);
+    for (int j = 0; j < 4; j++) store_be32(dst + 16 * k + 4 * j, st[j]);
+  }
+}
+
+#ifdef HAVE_SHA_NI_KERNEL
+/* The same two loops with every block built in registers: the value enters
+   the template's lanes through two byte shuffles, whose masks are 16-byte
+   windows of [slide] (0x80 zeroes a byte). */
+static const unsigned char slide[48] = {
+  0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80,
+  0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80,
+  0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15,
+  0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80,
+  0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80
+};
+
+SHA_NI static void walk_sha_ni(const unsigned char *tmpl, long depth,
+                               unsigned char *vals, const unsigned char *from,
+                               const unsigned char *upto, long n)
+{
+  __m128i iv_abef, iv_cdgh, dcba, hgfe;
+  ni_load(IV, &iv_abef, &iv_cdgh);
+  for (long i = 0; i < n; i++) {
+    __m128i v = _mm_loadu_si128((const __m128i *)(vals + 16 * i));
+    for (long d = from[i]; d < upto[i]; d++) {
+      const unsigned char *t = tmpl + 64 * (i * depth + d);
+      const unsigned char *m = slide + 16 - slot_offset(t);
+      __m128i b0 = _mm_or_si128(
+          _mm_loadu_si128((const __m128i *)t),
+          _mm_shuffle_epi8(v, _mm_loadu_si128((const __m128i *)m)));
+      __m128i b1 = _mm_or_si128(
+          _mm_loadu_si128((const __m128i *)(t + 16)),
+          _mm_shuffle_epi8(v, _mm_loadu_si128((const __m128i *)(m + 16))));
+      __m128i abef = iv_abef, cdgh = iv_cdgh;
+      ni_rounds(&abef, &cdgh, _mm_shuffle_epi8(b0, BSWAP32),
+                _mm_shuffle_epi8(b1, BSWAP32), LOAD_BE(t + 32),
+                LOAD_BE(t + 48));
+      ni_words(abef, cdgh, &dcba, &hgfe);
+      v = _mm_shuffle_epi8(dcba, BSWAP32);
+    }
+    _mm_storeu_si128((__m128i *)(vals + 16 * i), v);
+  }
+}
+
+SHA_NI static void nested_sha_ni(const uint32_t inner[8],
+                                 const uint32_t outer[8],
+                                 const unsigned char *tails, long n,
+                                 unsigned char *dst)
+{
+  /* W[8] = 0x80000000 and W[15] = the bit length of 64 + 32 bytes. */
+  const __m128i pad_lo = _mm_set_epi32(0, 0, 0, (int)0x80000000u);
+  const __m128i pad_hi = _mm_set_epi32(96 * 8, 0, 0, 0);
+  __m128i in_abef, in_cdgh, out_abef, out_cdgh, dcba, hgfe;
+  ni_load(inner, &in_abef, &in_cdgh);
+  ni_load(outer, &out_abef, &out_cdgh);
+  for (long k = 0; k < n; k++) {
+    const unsigned char *t = tails + 64 * k;
+    __m128i abef = in_abef, cdgh = in_cdgh;
+    ni_rounds(&abef, &cdgh, LOAD_BE(t), LOAD_BE(t + 16), LOAD_BE(t + 32),
+              LOAD_BE(t + 48));
+    ni_words(abef, cdgh, &dcba, &hgfe);
+    abef = out_abef;
+    cdgh = out_cdgh;
+    ni_rounds(&abef, &cdgh, dcba, hgfe, pad_lo, pad_hi);
+    ni_words(abef, cdgh, &dcba, &hgfe);
+    _mm_storeu_si128((__m128i *)(dst + 16 * k), _mm_shuffle_epi8(dcba, BSWAP32));
+  }
+}
+#endif
+
+/* [sha_ni] asks for the SHA extensions, which run only if the CPU has them.
+   The chain count is [from]'s length. */
+CAMLprim value repro_sha256_walk_chains(value tmpl, intnat depth, value vals,
+                                        value from, value upto, intnat sha_ni)
+{
+  long n = (long)caml_string_length(from);
+#ifdef HAVE_SHA_NI_KERNEL
+  if (sha_ni && use_sha_ni) {
+    walk_sha_ni(Bytes_val(tmpl), depth, Bytes_val(vals), Bytes_val(from),
+                Bytes_val(upto), n);
+    return Val_unit;
+  }
+#endif
+  (void)sha_ni;
+  walk_portable(Bytes_val(tmpl), depth, Bytes_val(vals), Bytes_val(from),
+                Bytes_val(upto), n);
   return Val_unit;
 }
 
-CAMLprim value repro_sha256_short_into_byte(value *argv, int argn)
+CAMLprim value repro_sha256_walk_chains_byte(value *argv, int argn)
 {
   (void)argn;
-  return repro_sha256_short_into(argv[0], Long_val(argv[1]),
-                                 Long_val(argv[2]), argv[3],
-                                 Long_val(argv[4]), Long_val(argv[5]));
+  return repro_sha256_walk_chains(argv[0], Long_val(argv[1]), argv[2],
+                                  argv[3], argv[4], Long_val(argv[5]));
+}
+
+/* The tail count is [tails]' length / 64. */
+CAMLprim value repro_sha256_nested(value inner, value outer, value tails,
+                                   value dst, intnat sha_ni)
+{
+  uint32_t in[8], out[8];
+  long n = (long)(caml_string_length(tails) / 64);
+  load_state(inner, in);
+  load_state(outer, out);
+#ifdef HAVE_SHA_NI_KERNEL
+  if (sha_ni && use_sha_ni) {
+    nested_sha_ni(in, out, Bytes_val(tails), n, Bytes_val(dst));
+    return Val_unit;
+  }
+#endif
+  (void)sha_ni;
+  nested_portable(in, out, Bytes_val(tails), n, Bytes_val(dst));
+  return Val_unit;
+}
+
+CAMLprim value repro_sha256_nested_byte(value inner, value outer, value tails,
+                                        value dst, value sha_ni)
+{
+  return repro_sha256_nested(inner, outer, tails, dst, Long_val(sha_ni));
 }

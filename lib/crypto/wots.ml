@@ -14,7 +14,13 @@
    Layout: the 128-bit message digest is split into 32 nibbles; a 3-nibble
    checksum (max 480 < 16^3) prevents forgeries by chain advancement. Each of
    the 35 chains is 15 applications of the one-way function deep; the
-   verification key is the hash of all chain ends. *)
+   verification key is the hash of all chain ends.
+
+   Keygen, sign and verify each do their hashing in at most two C calls:
+   the 35 HMAC chain starts ([Hmac.mac_tails_into]) and one walk of all 35
+   chains ([Hashx.walk_chains]), each step a compression of a padded
+   template block built once per (chain, depth). The vk is then one more
+   hash. *)
 
 let w = 16
 let chunk_bits = 4
@@ -27,40 +33,51 @@ type secret_key = { seed : bytes }
 type verification_key = bytes (* kappa bytes *)
 type signature = bytes array (* num_chains values of kappa bytes *)
 
-(* Chain i starts at PRF_seed("wots-chain", i) (the HMAC of [Prf.eval_parts]),
-   with the seed prepared once per keygen or sign rather than per chain. The
-   label bytes are shared and only ever read. *)
-let chain_label = Bytes.of_string "wots-chain"
-let chain_indices = Array.init num_chains (fun i -> Bytes.of_string (string_of_int i))
+let kappa = Hashx.kappa_bytes
 
-let chain_start prf i =
-  Bytes.sub
-    (Hmac.mac_prepared prf [ chain_label; chain_indices.(i) ])
-    0 Hashx.kappa_bytes
+(* Chain i starts at PRF_seed("wots-chain" ‖ i) (the HMAC of
+   [Prf.eval_parts]), truncated to kappa; the 35 messages are padded once,
+   and the seed is prepared once per keygen or sign. The chain values live
+   in one flat buffer, chain i at [kappa * i], which [Hashx.walk_chains]
+   advances in place: one C call for the starts, one for the walk. Each
+   step is domain-tagged with the chain index and depth, so chains cannot
+   be spliced together. *)
+let start_tails =
+  Sha256.tails
+    (Array.init num_chains (fun i -> Bytes.of_string ("wots-chain" ^ string_of_int i)))
 
-(* Apply the one-way function [steps] times; each step is domain-tagged with
-   the chain index and depth so chains cannot be spliced together. *)
-let advance ~chain ~from_depth ~steps v = Hashx.chain ~chain ~from_depth ~steps v
+let chain_starts seed =
+  let vals = Bytes.create (kappa * num_chains) in
+  Hmac.mac_tails_into (Hmac.prepare seed) start_tails vals;
+  vals
 
+let bottoms = Bytes.make num_chains '\000'
+let tops = Bytes.make num_chains (Char.chr chain_depth)
+
+(* The depth each chain is signed at: the digest's 32 nibbles, then the
+   3-nibble checksum of their distances to the top. *)
 let chunks_of_digest digest =
-  let msg =
-    List.init msg_chunks (fun i ->
-        let byte = Char.code (Bytes.get digest (i / 2)) in
-        if i mod 2 = 0 then byte lsr 4 else byte land 0xF)
-  in
-  let sum = List.fold_left (fun acc c -> acc + (chain_depth - c)) 0 msg in
-  let checksum =
-    List.init checksum_chunks (fun i -> (sum lsr (chunk_bits * i)) land 0xF)
-  in
-  Array.of_list (msg @ checksum)
+  let chunks = Bytes.create num_chains in
+  let sum = ref 0 in
+  for i = 0 to msg_chunks - 1 do
+    let byte = Bytes.get_uint8 digest (i / 2) in
+    let c = if i land 1 = 0 then byte lsr 4 else byte land 0xF in
+    Bytes.set_uint8 chunks i c;
+    sum := !sum + chain_depth - c
+  done;
+  for i = 0 to checksum_chunks - 1 do
+    Bytes.set_uint8 chunks (msg_chunks + i) ((!sum lsr (chunk_bits * i)) land 0xF)
+  done;
+  chunks
+
+(* The verification key hashes the 35 chain ends as one part: the same
+   bytes as one part per chain. *)
+let vk_of_ends ends = Hashx.hash ~tag:"wots-vk" [ ends ]
 
 let keygen seed =
-  let prf = Hmac.prepare seed in
-  let ends =
-    List.init num_chains (fun i ->
-        advance ~chain:i ~from_depth:0 ~steps:chain_depth (chain_start prf i))
-  in
-  (Hashx.hash ~tag:"wots-vk" ends, { seed })
+  let vals = chain_starts seed in
+  Hashx.walk_chains ~from:bottoms ~upto:tops vals;
+  (vk_of_ends vals, { seed })
 
 (* Oblivious key generation: a uniform digest-sized string. Distribution of
    real vks is a hash output, so this is indistinguishable; no signing key
@@ -77,10 +94,9 @@ let sign sk msg_digest : signature =
   Repro_obs.Counters.bump c_sign;
   if Bytes.length msg_digest <> Hashx.kappa_bytes then
     invalid_arg "Wots.sign: digest size";
-  let prf = Hmac.prepare sk.seed in
-  let chunks = chunks_of_digest msg_digest in
-  Array.init num_chains (fun i ->
-      advance ~chain:i ~from_depth:0 ~steps:chunks.(i) (chain_start prf i))
+  let vals = chain_starts sk.seed in
+  Hashx.walk_chains ~from:bottoms ~upto:(chunks_of_digest msg_digest) vals;
+  Array.init num_chains (fun i -> Bytes.sub vals (kappa * i) kappa)
 
 (* A loop of its own: [Array.for_all] would allocate a closure per call. *)
 let rec chains_sized (sg : signature) i =
@@ -94,14 +110,10 @@ let well_formed msg_digest (sg : signature) =
 let verify_uncached vk msg_digest (sg : signature) =
   well_formed msg_digest sg
   &&
-  let chunks = chunks_of_digest msg_digest in
-  let ends =
-    List.init num_chains (fun i ->
-        advance ~chain:i ~from_depth:chunks.(i)
-          ~steps:(chain_depth - chunks.(i))
-          sg.(i))
-  in
-  Hashx.equal vk (Hashx.hash ~tag:"wots-vk" ends)
+  let vals = Bytes.create (kappa * num_chains) in
+  Array.iteri (fun i v -> Bytes.blit v 0 vals (kappa * i) kappa) sg;
+  Hashx.walk_chains ~from:(chunks_of_digest msg_digest) ~upto:tops vals;
+  Hashx.equal vk (vk_of_ends vals)
 
 (* Verification memoization: in the network simulation the same signature is
    re-verified by every committee member that handles it; verify is a pure
@@ -147,7 +159,6 @@ let reset_memo m =
 
 let clear_cache () = reset_memo (Domain.DLS.get cache)
 
-let kappa = Hashx.kappa_bytes
 let tail_bytes = kappa * (1 + num_chains) (* digest and chains, after the vk *)
 
 let[@inline] word b off = Int64.to_int (Bytes.get_int64_le b off)

@@ -381,10 +381,9 @@ let test_matrix_cells_match_standalone () =
     [ "dolev-strong"; "this-work-owf"; "this-work-snark" ]
     (List.sort_uniq compare (List.map (fun c -> c.Runner.ac_protocol) m.Runner.am_cells));
   (* one E18 chaos cell: no condition, under the chaos knobs *)
-  let chaos = Runner.default_chaos ~seed:1 in
   let e18 =
     List.map
-      (fun (c, _digest) -> (Some chaos, c))
+      (fun (chaos, c, _digest) -> (Some chaos, c))
       (Runner.async_cells ~strategies:[ "equivocate" ] ~cells:[ (Runner.This_work_owf, 32) ] ())
   in
   List.iter

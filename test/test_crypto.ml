@@ -113,39 +113,7 @@ let prop_hmac_parts_eq_mac =
       Bytes.equal expected (Hmac.mac_parts ~key parts)
       && Bytes.equal expected (Hmac.mac_prepared (Hmac.prepare key) parts))
 
-(* --- One-block SHA-256 and the WOTS chain kernel --- *)
-
-(* Every (len, out_len) pair at non-zero offsets, with the bytes around the
-   digest untouched, and with [dst == src] over ranges that overlap the
-   input: the stub must read the whole message before it writes a byte of
-   the digest. *)
-let test_sha_short_into () =
-  let ok = ref true in
-  let fill n = Bytes.init n (fun i -> Char.chr (((i * 131) + 17) land 0xFF)) in
-  for len = 0 to Sha256.max_short do
-    let src = fill (len + 7) in
-    let full = Sha256.digest (Bytes.sub src 5 len) in
-    for out_len = 0 to 32 do
-      let expected = Bytes.sub full 0 out_len in
-      let dst = Bytes.make (out_len + 13) '\xee' in
-      Sha256.digest_short_into src 5 len dst 9 out_len;
-      if not (Bytes.equal expected (Bytes.sub dst 9 out_len)) then ok := false;
-      if Bytes.exists (( <> ) '\xee') (Bytes.sub dst 0 9)
-         || Bytes.exists (( <> ) '\xee') (Bytes.sub dst (9 + out_len) 4)
-      then ok := false;
-      List.iter
-        (fun dst_off ->
-          let buf = fill (len + 40) in
-          Sha256.digest_short_into buf 5 len buf dst_off out_len;
-          if not (Bytes.equal expected (Bytes.sub buf dst_off out_len)) then
-            ok := false)
-        [ 5; 6; 5 + (len / 2); 2; 0 ]
-    done
-  done;
-  Alcotest.(check bool) "every len 0-55 x out_len 0-32, overlapping too" true !ok;
-  Alcotest.check_raises "56 bytes do not fit one block"
-    (Invalid_argument "Sha256.digest_short_into: input") (fun () ->
-      Sha256.digest_short_into (Bytes.create 56) 0 56 (Bytes.create 32) 0 32)
+(* --- The SHA-256 kernels and the batched WOTS calls --- *)
 
 (* The padded one-block message for [s] (at most 55 bytes). *)
 let one_block s =
@@ -168,7 +136,7 @@ let test_kernel_portable_vectors () =
   List.iter
     (fun (s, expected) ->
       let h = iv () in
-      Sha256.Kernel.portable h (one_block s) 0;
+      Sha256.Kernel.portable.compress h (one_block s) 0;
       Alcotest.(check string) s expected (state_hex h))
     [
       ("", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
@@ -176,10 +144,10 @@ let test_kernel_portable_vectors () =
     ];
   Alcotest.check_raises "short state"
     (Invalid_argument "Sha256.Kernel: state or block out of range") (fun () ->
-      Sha256.Kernel.portable (Array.make 7 0) (Bytes.create 64) 0);
+      Sha256.Kernel.portable.compress (Array.make 7 0) (Bytes.create 64) 0);
   Alcotest.check_raises "block past the end"
     (Invalid_argument "Sha256.Kernel: state or block out of range") (fun () ->
-      Sha256.Kernel.portable (iv ()) (Bytes.create 64) 1)
+      Sha256.Kernel.portable.compress (iv ()) (Bytes.create 64) 1)
 
 (* Hardware and portable kernels agree on random states and blocks. *)
 let prop_kernels_agree hw =
@@ -194,7 +162,7 @@ let prop_kernels_agree hw =
       Bytes.blit_string block 0 b off 64;
       let h_hw = Array.copy h and h_port = Array.copy h in
       hw h_hw b off;
-      Sha256.Kernel.portable h_port b off;
+      Sha256.Kernel.portable.compress h_port b off;
       h_hw = h_port)
 
 let test_kernels_agree () =
@@ -206,7 +174,32 @@ let test_kernels_agree () =
     Alcotest.skip ()
   | Some hw ->
     Printf.printf "Kernel in use: %s\n" Sha256.Kernel.name;
-    QCheck.Test.check_exn (prop_kernels_agree hw)
+    QCheck.Test.check_exn (prop_kernels_agree hw.compress)
+
+(* The WOTS one-way function as documented: step [d] of chain [c] is the
+   generic cached hash of [label "c.d"; v]. *)
+let generic_step ~chain d v =
+  Hashx.hash ~tag:"wots-f" [ Bytes.of_string (Printf.sprintf "%d.%d" chain d); v ]
+
+(* Chain templates built here from that definition, for the raw kernels. *)
+let wots_templates =
+  Sha256.chain_templates
+    (Array.init Wots.num_chains (fun c ->
+         Array.init Wots.chain_depth (fun d ->
+             Bytes.of_string (Printf.sprintf "\006wots-f%d.%d" c d))))
+
+(* The HMAC pads of [key], as midstates. *)
+let hmac_pads key =
+  let key = if Bytes.length key > 64 then Sha256.digest key else key in
+  let pad byte =
+    Sha256.midstate_of_block
+      (Bytes.init 64 (fun i ->
+           let k = if i < Bytes.length key then Char.code (Bytes.get key i) else 0 in
+           Char.chr (k lxor byte)))
+  in
+  (pad 0x36, pad 0x5C)
+
+let random_bytes rng n = Bytes.init n (fun _ -> Char.chr (Random.State.int rng 256))
 
 (* [sha256.compress] is what the ledger's crypto.sha256_compress and busy
    shares read: each physical compression must count exactly once, whether
@@ -220,11 +213,21 @@ let test_compress_counter () =
     f ();
     Repro_obs.Counters.value c - v0
   in
-  let dst = Bytes.create 32 in
+  let n = Wots.num_chains in
+  let vals = Bytes.make (16 * n) 'v' in
+  let upto = Bytes.init n (fun i -> Char.chr (i mod 3)) in
+  let inner, outer = hmac_pads (Bytes.of_string "k") in
   let cases =
     [
-      ("digest_short_into", 1,
-       fun () -> Sha256.digest_short_into (Bytes.make 40 'x') 0 40 dst 0 16);
+      ("walk_chains, 34 steps", 34,
+       fun () ->
+         ignore
+           (Sha256.walk_chains wots_templates ~from:(Bytes.make n '\000') ~upto vals));
+      ("nested_into, 3 tails", 6,
+       fun () ->
+         Sha256.nested_into ~inner ~outer
+           (Sha256.tails [| Bytes.empty; Bytes.make 55 't'; Bytes.of_string "x" |])
+           (Bytes.create 48));
       ("digest 64 B", 2, fun () -> ignore (Sha256.digest (Bytes.make 64 'x')));
       ("digest 4 KiB", 65, fun () -> ignore (Sha256.digest (Bytes.make 4096 'x')));
       ("midstate_of_block", 1,
@@ -237,35 +240,50 @@ let test_compress_counter () =
     (List.map (fun (name, n, _) -> (name, n)) cases)
     got
 
-(* Four domains hash the same inputs at once, one-block and streaming; the
-   stubs must share no mutable state, and the kernel choice must hold. *)
+(* Four domains hash the same inputs at once, streaming, through the chain
+   walk and through the HMAC tails; the stubs must share no mutable state,
+   and the kernel choice must hold. *)
 let test_domains_agree () =
   let rng = Random.State.make [| 15 |] in
+  let n = Wots.num_chains in
   let inputs =
-    Array.init 1000 (fun i ->
-        let len =
-          if i land 1 = 0 then Random.State.int rng (Sha256.max_short + 1)
-          else Random.State.int rng 700
+    Array.init 1000 (fun _ -> random_bytes rng (Random.State.int rng 700))
+  in
+  let walks =
+    Array.init 200 (fun _ ->
+        let from = Bytes.init n (fun _ -> Char.chr (Random.State.int rng 8)) in
+        let upto =
+          Bytes.map (fun c -> Char.chr (Char.code c + Random.State.int rng 8)) from
         in
-        Bytes.init len (fun _ -> Char.chr (Random.State.int rng 256)))
+        (from, upto, random_bytes rng (16 * n)))
+  in
+  let inner, outer = hmac_pads (random_bytes rng 32) in
+  let tails =
+    Sha256.tails (Array.init 300 (fun i -> random_bytes rng (i mod (Sha256.max_short + 1))))
   in
   let hash_all () =
-    Array.map
-      (fun b ->
-        let len = Bytes.length b in
-        if len <= Sha256.max_short then begin
-          let d = Bytes.create 32 in
-          Sha256.digest_short_into b 0 len d 0 32;
-          d
-        end
-        else begin
+    let streamed =
+      Array.map
+        (fun b ->
+          let len = Bytes.length b in
           let ctx = Sha256.init () in
-          let half = len / 3 in
-          Sha256.feed ctx b 0 half;
-          Sha256.feed ctx b half (len - half);
-          Bytes.cat (Sha256.finish ctx) (Sha256.digest b)
-        end)
-      inputs
+          let third = len / 3 in
+          Sha256.feed ctx b 0 third;
+          Sha256.feed ctx b third (len - third);
+          Bytes.cat (Sha256.finish ctx) (Sha256.digest b))
+        inputs
+    in
+    let walked =
+      Array.map
+        (fun (from, upto, vals) ->
+          let vals = Bytes.copy vals in
+          ignore (Sha256.walk_chains wots_templates ~from ~upto vals);
+          vals)
+        walks
+    in
+    let macs = Bytes.create (16 * 300) in
+    Sha256.nested_into ~inner ~outer tails macs;
+    (streamed, walked, macs)
   in
   let sequential = hash_all () in
   let results =
@@ -277,43 +295,153 @@ let test_domains_agree () =
         (r = sequential))
     results
 
-(* The definition [Hashx.chain] must reproduce: the generic cached hash,
-   one step at a time. *)
-let generic_step ~chain d v =
-  Hashx.hash ~tag:"wots-f" [ Bytes.of_string (Printf.sprintf "%d.%d" chain d); v ]
+(* Every kernel there is, under its name; [Hashx.walk_chains] runs the
+   production templates on the selected one. *)
+let kernels =
+  ("portable", Sha256.Kernel.portable)
+  :: (match Sha256.Kernel.sha_ni with Some k -> [ ("sha-ni", k) ] | None -> [])
 
-let prop_chain_equals_generic =
-  QCheck.Test.make ~name:"Hashx.chain = generic wots-f loop, every chain and span"
-    ~count:10
-    QCheck.(string_of_size (Gen.return Hashx.kappa_bytes))
-    (fun s ->
-      let v = Bytes.of_string s in
-      let ok = ref true in
-      for chain = 0 to Wots.num_chains - 1 do
-        for from_depth = 0 to Wots.chain_depth do
-          (* [expected] walks the generic loop one step ahead of [steps] *)
-          let expected = ref v in
-          for steps = 0 to Wots.chain_depth - from_depth do
-            if not (Bytes.equal !expected (Hashx.chain ~chain ~from_depth ~steps v))
-            then ok := false;
-            if steps < Wots.chain_depth - from_depth then
-              expected := generic_step ~chain (from_depth + steps) !expected
-          done
+let walkers =
+  ("Hashx.walk_chains", fun ~from ~upto vals -> Hashx.walk_chains ~from ~upto vals)
+  :: List.map
+       (fun (name, (k : Sha256.Kernel.t)) -> (name, k.walk_chains wots_templates))
+       kernels
+
+(* Every (from, steps) span with from + steps <= 15, 136 of them, at every
+   chain: call [k] gives chain [c] span [(c + k) mod 136], so each call
+   mixes depths and step counts across chains. *)
+let spans =
+  Array.of_list
+    (List.concat_map
+       (fun from -> List.init (Wots.chain_depth - from + 1) (fun steps -> (from, steps)))
+       (List.init (Wots.chain_depth + 1) Fun.id))
+
+let test_chain_walk_equals_generic () =
+  let n = Wots.num_chains in
+  let rng = Random.State.make [| 35 |] in
+  List.iter
+    (fun (name, walk) ->
+      let bad = ref 0 in
+      for k = 0 to Array.length spans - 1 do
+        let span c = spans.((c + k) mod Array.length spans) in
+        let from = Bytes.init n (fun c -> Char.chr (fst (span c))) in
+        let upto = Bytes.init n (fun c -> Char.chr (fst (span c) + snd (span c))) in
+        let start = random_bytes rng (16 * n) in
+        let vals = Bytes.copy start in
+        walk ~from ~upto vals;
+        for c = 0 to n - 1 do
+          let from, steps = span c in
+          let v = ref (Bytes.sub start (16 * c) 16) in
+          for d = from to from + steps - 1 do
+            v := generic_step ~chain:c d !v
+          done;
+          if not (Bytes.equal !v (Bytes.sub vals (16 * c) 16)) then incr bad
         done
       done;
-      !ok && Bytes.equal v (Bytes.of_string s))
+      Alcotest.(check int) (name ^ ": chains off the definition") 0 !bad)
+    walkers
 
-let test_chain_rejects_out_of_range () =
-  let v = Bytes.make Hashx.kappa_bytes 'v' in
+let test_chain_walk_rejects () =
+  let n = Wots.num_chains in
+  let vals = Bytes.make (16 * n) 'v' in
+  let zeros = Bytes.make n '\000' and tops = Bytes.make n '\015' in
+  let with_byte b i c =
+    let b = Bytes.copy b in
+    Bytes.set b i c;
+    b
+  in
+  let sizes = Invalid_argument "Sha256.walk_chains: sizes"
+  and depths = Invalid_argument "Sha256.walk_chains: depths" in
   List.iter
-    (fun (chain, from_depth, steps, v) ->
-      Alcotest.check_raises
-        (Printf.sprintf "chain %d from %d steps %d len %d" chain from_depth steps
-           (Bytes.length v))
-        (Invalid_argument "Hashx.chain") (fun () ->
-          ignore (Hashx.chain ~chain ~from_depth ~steps v)))
-    [ (Wots.num_chains, 0, 1, v); (-1, 0, 1, v); (0, 10, 6, v); (0, -1, 1, v);
-      (0, 0, 1, Bytes.make 17 'v') ]
+    (fun (what, exn, from, upto, vals) ->
+      Alcotest.check_raises what exn (fun () ->
+          Hashx.walk_chains ~from ~upto vals);
+      Alcotest.(check string) (what ^ ": vals untouched")
+        (String.make (Bytes.length vals) 'v') (Bytes.to_string vals))
+    [
+      ("short vals", sizes, zeros, tops, Bytes.make (16 * n - 1) 'v');
+      ("long from", sizes, Bytes.make (n + 1) '\000', tops, Bytes.copy vals);
+      ("short upto", sizes, zeros, Bytes.make (n - 1) '\015', Bytes.copy vals);
+      ("past the top", depths, zeros, with_byte tops 34 '\016', Bytes.copy vals);
+      ("from above upto", depths, with_byte zeros 3 '\002',
+       with_byte zeros 3 '\001', Bytes.copy vals);
+    ];
+  Alcotest.check_raises "prefix longer than the slot"
+    (Invalid_argument "Sha256.chain_templates: prefix") (fun () ->
+      ignore (Sha256.chain_templates [| [| Bytes.make 17 'p' |] |]));
+  Alcotest.check_raises "ragged rows"
+    (Invalid_argument "Sha256.chain_templates: depth") (fun () ->
+      ignore (Sha256.chain_templates [| [| Bytes.empty |]; [||] |]));
+  Alcotest.check_raises "tail longer than one block"
+    (Invalid_argument "Sha256.tails: message") (fun () ->
+      ignore (Sha256.tails [| Bytes.make 56 't' |]));
+  let inner, outer = hmac_pads Bytes.empty in
+  Alcotest.check_raises "output of the wrong size"
+    (Invalid_argument "Sha256.nested_into: output") (fun () ->
+      Sha256.nested_into ~inner ~outer (Sha256.tails [| Bytes.empty |])
+        (Bytes.create 17))
+
+(* The batched HMAC equals [Hmac.mac_prepared] truncated to 16 bytes, on
+   every kernel, for keys of every size class and messages of 0-55 bytes;
+   the WOTS chain-start messages are among them. *)
+let test_hmac_tails () =
+  let rng = Random.State.make [| 55 |] in
+  List.iter
+    (fun key_len ->
+      let key = random_bytes rng key_len in
+      let msgs =
+        Array.append
+          (Array.init (Sha256.max_short + 1) (fun len -> random_bytes rng len))
+          (Array.init Wots.num_chains (fun i ->
+               Bytes.of_string ("wots-chain" ^ string_of_int i)))
+      in
+      let tails = Sha256.tails msgs in
+      let expected =
+        Bytes.concat Bytes.empty
+          (Array.to_list
+             (Array.map
+                (fun m -> Bytes.sub (Hmac.mac_prepared (Hmac.prepare key) [ m ]) 0 16)
+                msgs))
+      in
+      let inner, outer = hmac_pads key in
+      let run name f =
+        let dst = Bytes.create (16 * Array.length msgs) in
+        f dst;
+        Alcotest.(check string)
+          (Printf.sprintf "%s, %d-byte key" name key_len)
+          (Sha256.hex expected) (Sha256.hex dst)
+      in
+      run "Hmac.mac_tails_into" (Hmac.mac_tails_into (Hmac.prepare key) tails);
+      List.iter
+        (fun (name, (k : Sha256.Kernel.t)) -> run name (k.nested_into ~inner ~outer tails))
+        kernels)
+    [ 0; 1; 32; 64; 65; 131 ]
+
+(* One keygen, sign and uncached verify each cost exactly the hashes and
+   compressions they did before their chain work became batched C calls,
+   and derive the same key (all recorded with the per-step implementation). *)
+let test_wots_counts () =
+  let module C = Repro_obs.Counters in
+  let hashes = C.make "hashx.hash"
+  and compressions = C.make ~deterministic:false "sha256.compress" in
+  let was_on = C.is_enabled () in
+  C.enable ();
+  let delta f =
+    let h0 = C.value hashes and c0 = C.value compressions in
+    let r = f () in
+    (r, (C.value hashes - h0, C.value compressions - c0))
+  in
+  let digest = Hashx.hash_string ~tag:"probe" "message" in
+  let (vk, sk), keygen = delta (fun () -> Wots.keygen (Bytes.of_string "probe-seed")) in
+  let sg, sign = delta (fun () -> Wots.sign sk digest) in
+  let ok, verify = delta (fun () -> Wots.verify_uncached vk digest sg) in
+  if not was_on then C.disable ();
+  Alcotest.(check string) "vk" "daadf9a2c01dbbc023fdba9c49b82c1d" (Sha256.hex vk);
+  Alcotest.(check bool) "verifies" true ok;
+  Alcotest.(check (list (pair string (pair int int))))
+    "(hashx.hash, sha256.compress) per operation"
+    [ ("keygen", (526, 607)); ("sign", (225, 297)); ("verify", (301, 310)) ]
+    [ ("keygen", keygen); ("sign", sign); ("verify", verify) ]
 
 (* --- Hashx --- *)
 
@@ -509,8 +637,6 @@ let suite =
     Alcotest.test_case "hmac prepared rfc4231 split parts" `Quick
       test_hmac_prepared_rfc4231;
     QCheck_alcotest.to_alcotest prop_hmac_parts_eq_mac;
-    Alcotest.test_case "sha256 one-block = digest, len 0-55" `Quick
-      test_sha_short_into;
     Alcotest.test_case "sha256 portable kernel vectors" `Quick
       test_kernel_portable_vectors;
     Alcotest.test_case "sha256 sha-ni kernel = portable kernel" `Quick
@@ -519,9 +645,14 @@ let suite =
       test_compress_counter;
     Alcotest.test_case "sha256 four domains = sequential" `Quick
       test_domains_agree;
-    QCheck_alcotest.to_alcotest prop_chain_equals_generic;
-    Alcotest.test_case "hashx chain range checks" `Quick
-      test_chain_rejects_out_of_range;
+    Alcotest.test_case "wots chain walk = generic wots-f loop, every chain and span, every kernel" `Quick
+      test_chain_walk_equals_generic;
+    Alcotest.test_case "wots chain walk range checks" `Quick
+      test_chain_walk_rejects;
+    Alcotest.test_case "hmac tails = mac_prepared truncated, every kernel" `Quick
+      test_hmac_tails;
+    Alcotest.test_case "wots keygen/sign/verify hash and compression counts" `Quick
+      test_wots_counts;
     Alcotest.test_case "hashx domains" `Quick test_hashx_domain_separation;
     Alcotest.test_case "hashx to_int" `Quick test_hashx_to_int_nonneg;
     Alcotest.test_case "prf expand" `Quick test_prf_expand_deterministic;

@@ -684,27 +684,27 @@ let test_async_pool_independent () =
    including owf at n=256, all reaching agreement + validity within the
    post-GST bound. Their repro-async/2 rows are pinned byte for byte. *)
 let test_async_acceptance_cells () =
-  let cfg = Runner.default_chaos ~seed:1 in
   let cells = Runner.async_cells () in
   Alcotest.(check int) "acceptance matrix size" 4 (List.length cells);
   let rows =
     String.concat "\n"
       (List.map
-         (fun (c, digest) -> Repro_util.Json.compact (Runner.async_cell_json ~cfg ~digest c))
+         (fun (cfg, c, digest) ->
+           Repro_util.Json.compact (Runner.async_cell_json ~cfg ~digest c))
          cells)
   in
   Alcotest.(check string) "async rows digest"
     "68d5d12e64335c609d9114706f0e35136ba9220cd0edb138a53d1ce839151064"
     (Repro_crypto.Sha256.hex (Repro_crypto.Sha256.digest_string rows));
   List.iter
-    (fun ((c : Runner.attack_cell), _) ->
+    (fun (_, (c : Runner.attack_cell), _) ->
       Alcotest.(check bool)
         (Printf.sprintf "%s vs %s n=%d ok" c.ac_protocol c.ac_strategy c.ac_n)
         true c.ac_ok)
     cells;
   Alcotest.(check bool) "owf n=256 cells present" true
     (List.exists
-       (fun ((c : Runner.attack_cell), _) ->
+       (fun (_, (c : Runner.attack_cell), _) ->
          c.ac_protocol = "this-work-owf" && c.ac_n = 256)
        cells)
 

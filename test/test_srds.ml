@@ -251,7 +251,15 @@ module Snark_counts = struct
 end
 
 module Shared_snark = Shared (Srds_snark) (Snark_counts)
-module Shared_ablated = Shared (Srds_snark_ablated) (Snark_counts)
+
+module Shared_ablated =
+  Shared
+    (Srds_snark_ablated)
+    (struct
+      include Snark_counts
+
+      let aggregate = "srds-snark-ablated.aggregate"
+    end)
 
 (* --- scheme-operation counter shape (REPRO_COUNTERS contract) ---
 
@@ -261,13 +269,14 @@ module Shared_ablated = Shared (Srds_snark_ablated) (Snark_counts)
    one aggregate per aggregate1 call, one verify per verify call. The
    bench regression gate diffs these, so their shape is part of the
    interface — pinned here for the two schemes the protocol suite doesn't
-   otherwise meter. *)
+   otherwise meter, and for the ablated SNARK scheme, which shares its
+   code with srds-snark but none of its counters. *)
 let test_scheme_counter_shape () =
   let module C = Repro_obs.Counters in
   let was = C.is_enabled () in
   C.enable ();
   C.reset ();
-  let check_scheme (type p m k s) scheme_name
+  let check_scheme (type p m k s) ?(silent = []) scheme_name
       (module S : Srds_intf.SCHEME
         with type pp = p and type master = m and type sk = k
          and type signature = s) ~n ~seed =
@@ -296,10 +305,20 @@ let test_scheme_counter_shape () =
       (v (scheme_name ^ ".sign"));
     Alcotest.(check int) (scheme_name ^ ".aggregate") 1 (v (scheme_name ^ ".aggregate"));
     Alcotest.(check int) (scheme_name ^ ".verify") 1 (v (scheme_name ^ ".verify"));
+    List.iter
+      (fun other ->
+        List.iter
+          (fun op ->
+            let key = other ^ "." ^ op in
+            Alcotest.(check int) (key ^ " untouched by " ^ scheme_name) 0 (v key))
+          [ "keygen"; "sign"; "aggregate"; "verify" ])
+      silent;
     C.reset ()
   in
   check_scheme "baseline-multisig" (module Baseline_multisig) ~n:60 ~seed:21;
   check_scheme "srds-vrf" (module Srds_vrf) ~n:120 ~seed:22;
+  check_scheme ~silent:[ "srds-snark" ] "srds-snark-ablated" (module Srds_snark_ablated)
+    ~n:16 ~seed:23;
   if not was then C.disable ()
 
 (* --- scheme-specific --- *)

@@ -1244,15 +1244,33 @@ let check_forensics_report doc =
 
 module Sha256 = Repro_crypto.Sha256
 
+(* Each send feeds [round|src|dst|tag|], its payload and a newline. The
+   header is built in one buffer reused across sends: formatting it with
+   [Printf] cost more than hashing a small payload. *)
 let digest_sink () =
   let ctx = Sha256.init () in
-  let feed_bytes b = Sha256.feed ctx b 0 (Bytes.length b) in
-  let feed_str s = feed_bytes (Bytes.unsafe_of_string s) in
+  let feed b = Sha256.feed ctx b 0 (Bytes.length b) in
+  let hdr = Buffer.create 64 in
+  let rec add_digits v =
+    if v >= 10 then add_digits (v / 10);
+    Buffer.add_char hdr (Char.chr (Char.code '0' + (v mod 10)))
+  in
+  let add_field v =
+    if v < 0 then Buffer.add_string hdr (string_of_int v) else add_digits v;
+    Buffer.add_char hdr '|'
+  in
+  let newline = Bytes.of_string "\n" in
   let sink : Repro_obs.Event.sink = function
     | Send { round; src; dst; tag; payload; _ } ->
-      feed_str (Printf.sprintf "%d|%d|%d|%s|" round src dst tag);
-      feed_bytes payload;
-      feed_str "\n"
+      Buffer.clear hdr;
+      add_field round;
+      add_field src;
+      add_field dst;
+      Buffer.add_string hdr tag;
+      Buffer.add_char hdr '|';
+      feed (Buffer.to_bytes hdr);
+      feed payload;
+      feed newline
     | _ -> ()
   in
   (sink, fun () -> Sha256.hex (Sha256.finish ctx))

@@ -271,14 +271,4 @@ module Kernel = struct
   let sha_ni = if has_sha_ni then Some (make ~sha_ni:true compress_sha_ni) else None
 end
 
-let hex_chars = "0123456789abcdef"
-
-let hex d =
-  let n = Bytes.length d in
-  let out = Bytes.create (2 * n) in
-  for i = 0 to n - 1 do
-    let c = Char.code (Bytes.get d i) in
-    Bytes.set out (2 * i) hex_chars.[c lsr 4];
-    Bytes.set out ((2 * i) + 1) hex_chars.[c land 0xF]
-  done;
-  Bytes.unsafe_to_string out
+let hex = Repro_obs.Hex.encode_bytes

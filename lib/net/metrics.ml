@@ -6,33 +6,22 @@
    count. Reports are normally restricted to honest parties: the adversary
    can always inflate its own parties' numbers. *)
 
-(* Peer sets are mutable bitsets with a maintained cardinality: adding a
-   peer is O(1) with no allocation on the per-message hot path (a persistent
-   set would allocate a rebalanced spine per insert — measurably the top
-   cost at n in the thousands). Bitsets materialize lazily so silent
-   parties cost nothing. *)
-module Bitset = Repro_util.Bitset
+(* The per-message hot path is flat: per-party counters are int arrays,
+   and a party's peer set is one row of ceil(n/8) bytes, one bit per
+   peer, with its cardinality kept in an int array. Adding a peer is one
+   byte test and set, with no allocation (a persistent set would
+   allocate a rebalanced spine per insert — measurably the top cost at n
+   in the thousands). A row is allocated at its party's first charge, so
+   silent parties cost nothing. *)
 module Event = Repro_obs.Event
-
-type peers = {
-  mutable bits : Bitset.t option;
-  mutable count : int; (* = cardinal of bits *)
-}
-
-type party_stats = {
-  mutable bytes_sent : int;
-  mutable bytes_recv : int;
-  mutable msgs_sent : int;
-  mutable msgs_recv : int;
-  peers : peers; (* sent to or received from *)
-}
 
 (* The charges since the last round close, kept only for a network with
    subscribers (its [Round_end] carries them). A party is touched at its
    first charge of the round, when its round peer count is still 0. *)
 type round_state = {
   r_bytes : int array;
-  r_peers : peers array;
+  r_rows : Bytes.t array; (* this round's peers, per party *)
+  r_peers : int array; (* their counts *)
   r_touched : int array; (* [0, r_ntouched), in first-charge order *)
   mutable r_ntouched : int;
   mutable r_sent : int; (* bytes staged this round, all sources *)
@@ -40,7 +29,13 @@ type round_state = {
 
 type t = {
   n : int;
-  stats : party_stats array;
+  row_len : int; (* bytes per peer row: ceil(n/8) *)
+  bytes_sent : int array;
+  bytes_recv : int array;
+  msgs_sent : int array;
+  msgs_recv : int array;
+  rows : Bytes.t array; (* peers sent to or received from, per party *)
+  peers : int array; (* their counts *)
   mutable rounds : int;
   rnd : round_state option;
   by_group : (string, int ref) Hashtbl.t; (* sent bytes per tag group *)
@@ -49,43 +44,45 @@ type t = {
   mutable last_cell : int ref; (* ... and its group's cell *)
 }
 
-let no_peers () = { bits = None; count = 0 }
-
-let fresh_party () =
-  { bytes_sent = 0; bytes_recv = 0; msgs_sent = 0; msgs_recv = 0; peers = no_peers () }
-
-let peer_add ~n ps peer =
-  let b =
-    match ps.bits with
-    | Some b -> b
-    | None ->
-      let b = Bitset.create n in
-      ps.bits <- Some b;
-      b
+(* Add [peer] to party [p]'s row in [rows] (allocated here at [p]'s
+   first charge; [Bytes.empty] before), counting it in [counts] if new. *)
+let add_peer ~row_len rows counts p peer =
+  let row =
+    let r = rows.(p) in
+    if Bytes.length r > 0 then r
+    else begin
+      let r = Bytes.make row_len '\000' in
+      rows.(p) <- r;
+      r
+    end
   in
-  if not (Bitset.mem b peer) then begin
-    Bitset.set b peer;
-    ps.count <- ps.count + 1
+  let i = peer lsr 3 and bit = 1 lsl (peer land 7) in
+  let byte = Char.code (Bytes.get row i) in
+  if byte land bit = 0 then begin
+    Bytes.set row i (Char.unsafe_chr (byte lor bit));
+    counts.(p) <- counts.(p) + 1
   end
 
-let charge_round ~n r p peer size =
-  let ps = r.r_peers.(p) in
-  if ps.count = 0 then begin
+let charge_round ~row_len r p peer size =
+  if r.r_peers.(p) = 0 then begin
     r.r_touched.(r.r_ntouched) <- p;
     r.r_ntouched <- r.r_ntouched + 1
   end;
   r.r_bytes.(p) <- r.r_bytes.(p) + size;
-  peer_add ~n ps peer
+  add_peer ~row_len r.r_rows r.r_peers p peer
 
 let create ~per_round n =
   let rnd =
     if per_round then
       Some
-        { r_bytes = Array.make n 0; r_peers = Array.init n (fun _ -> no_peers ());
-          r_touched = Array.make n 0; r_ntouched = 0; r_sent = 0 }
+        { r_bytes = Array.make n 0; r_rows = Array.make n Bytes.empty;
+          r_peers = Array.make n 0; r_touched = Array.make n 0; r_ntouched = 0;
+          r_sent = 0 }
     else None
   in
-  { n; stats = Array.init n (fun _ -> fresh_party ()); rounds = 0; rnd;
+  { n; row_len = (n + 7) / 8; bytes_sent = Array.make n 0; bytes_recv = Array.make n 0;
+    msgs_sent = Array.make n 0; msgs_recv = Array.make n 0;
+    rows = Array.make n Bytes.empty; peers = Array.make n 0; rounds = 0; rnd;
     by_group = Hashtbl.create 32; cell_of_tag = Hashtbl.create 64;
     (* a fresh string: physically equal to no tag ever sent *)
     last_tag = String.make 1 '\000'; last_cell = ref 0 }
@@ -119,15 +116,14 @@ let tag_group tag =
     else strip_digits head
 
 let note_send t ~src ~dst ~tag ~size =
-  let s = t.stats.(src) in
-  s.bytes_sent <- s.bytes_sent + size;
-  s.msgs_sent <- s.msgs_sent + 1;
-  peer_add ~n:t.n s.peers dst;
+  t.bytes_sent.(src) <- t.bytes_sent.(src) + size;
+  t.msgs_sent.(src) <- t.msgs_sent.(src) + 1;
+  add_peer ~row_len:t.row_len t.rows t.peers src dst;
   (match t.rnd with
   | None -> ()
   | Some r ->
     r.r_sent <- r.r_sent + size;
-    charge_round ~n:t.n r src dst size);
+    charge_round ~row_len:t.row_len r src dst size);
   (* One lookup per send: each tag maps straight to its group's byte cell,
      and engine sends reuse interned tags, so a run of sends with the
      physically same tag skips even that. A group is registered in
@@ -160,22 +156,21 @@ let note_send t ~src ~dst ~tag ~size =
   cell := !cell + size
 
 let note_recv t ~src ~dst ~size =
-  let s = t.stats.(dst) in
-  s.bytes_recv <- s.bytes_recv + size;
-  s.msgs_recv <- s.msgs_recv + 1;
-  peer_add ~n:t.n s.peers src;
-  match t.rnd with None -> () | Some r -> charge_round ~n:t.n r dst src size
+  t.bytes_recv.(dst) <- t.bytes_recv.(dst) + size;
+  t.msgs_recv.(dst) <- t.msgs_recv.(dst) + 1;
+  add_peer ~row_len:t.row_len t.rows t.peers dst src;
+  match t.rnd with None -> () | Some r -> charge_round ~row_len:t.row_len r dst src size
 
 let note_round t = t.rounds <- t.rounds + 1
 
 let rounds t = t.rounds
 
-let party_bytes t i = t.stats.(i).bytes_sent + t.stats.(i).bytes_recv
-let party_bytes_sent t i = t.stats.(i).bytes_sent
-let party_msgs_sent t i = t.stats.(i).msgs_sent
-let party_msgs_recv t i = t.stats.(i).msgs_recv
+let party_bytes t i = t.bytes_sent.(i) + t.bytes_recv.(i)
+let party_bytes_sent t i = t.bytes_sent.(i)
+let party_msgs_sent t i = t.msgs_sent.(i)
+let party_msgs_recv t i = t.msgs_recv.(i)
 
-let party_locality t i = t.stats.(i).peers.count
+let party_locality t i = t.peers.(i)
 
 let close_round t ~round ~scheduled : Event.round_summary =
   match t.rnd with
@@ -186,14 +181,13 @@ let close_round t ~round ~scheduled : Event.round_summary =
     let charged =
       Array.map
         (fun p ->
-          let ps = r.r_peers.(p) in
           let c =
-            { Event.party = p; round_bits = 8 * r.r_bytes.(p); round_peers = ps.count;
+            { Event.party = p; round_bits = 8 * r.r_bytes.(p); round_peers = r.r_peers.(p);
               total_bits = 8 * party_bytes t p; total_peers = party_locality t p }
           in
           r.r_bytes.(p) <- 0;
-          ps.count <- 0;
-          Option.iter Bitset.reset ps.bits;
+          r.r_peers.(p) <- 0;
+          Bytes.fill r.r_rows.(p) 0 t.row_len '\000';
           c)
         touched
     in
@@ -232,7 +226,7 @@ let report ?(include_party = fun _ -> true) t =
     p95_bytes = Repro_util.Mathx.percentile 0.95 fbytes;
     p99_bytes = Repro_util.Mathx.percentile 0.99 fbytes;
     stddev_bytes = Repro_util.Mathx.stddev fbytes;
-    total_bytes = Array.fold_left (fun acc s -> acc + s.bytes_sent) 0 t.stats;
+    total_bytes = Array.fold_left ( + ) 0 t.bytes_sent;
     max_msgs_sent =
       List.fold_left (fun acc i -> max acc (party_msgs_sent t i)) 0 parties;
     max_locality = List.fold_left max 0 locs;

@@ -26,22 +26,30 @@
    shortcut: send order is delivery order, and no latency is drawn, no
    route asked and no bucket sorted.
 
-   No message is a heap record while it is in flight. A send is four
-   stores into the staging arrays (source, destination, tag, payload);
-   delivery counting-sorts the round's deliveries by destination into
-   the delivery arrays, where each party's inbox is one contiguous slice.
-   Both sets of arrays are reused across rounds and their pointer slots
-   are cleared once read, so a payload is reachable from the network only
-   until the round after its delivery. The [Wire.msg list] a handler gets
-   is built from its slice just before it runs and dies young; so do
+   No message is a heap record while it is in flight, and no per-message
+   slot holds a pointer. A round's distinct bodies (tag, payload and
+   {!Wire.size}) sit in a body table; a send whose tag and payload are
+   physically the round's last body reuses that body, so a [send_many]
+   fan-out stores one body for all its destinations. A send is then three
+   int stores into the staging arrays (source, destination, body);
+   delivery counting-sorts the round's deliveries by destination into the
+   delivery arrays (source, body), where each party's inbox is one
+   contiguous slice. Two body tables alternate: one backs the current
+   inboxes, the other takes this round's sends, and delivery clears the
+   older one, body by body, before swapping them. All arrays are reused
+   across rounds, so a payload is reachable from the network only until
+   the round after its delivery. The [Wire.msg list] a handler gets is
+   built from its slice just before it runs and dies young; so do
    {!inbox} and the adversary's view of the staged mail. Only parked
    deliveries (deferred past the barrier, held for a dark party, or more
    than [bucket_span] ticks out) become records, on the {!Sched.Heap}
-   binary heap.
+   binary heap, and are staged again when drained.
    The reason is the GC: a record or cons cell that sits in a long-lived
    structure across its round is promoted by every minor collection that
    catches it in flight, and that promotion costs far more than the
-   allocation.
+   allocation; and every pointer stored into a long-lived array, or
+   cleared from one, goes through the write barrier, while an int store
+   does not.
 
    Off the shortcut a due send costs one latency draw on its source's
    edge table (see {!Sched.edges}: a source's fan-out sits in a few cache
@@ -57,6 +65,17 @@
    here, whose [Round_end] carries the round's charges from {!Metrics}. *)
 
 module Event = Repro_obs.Event
+
+(* A round's distinct message bodies, slots [0, b_n). Unused pointer
+   slots hold [""] and [Bytes.empty]. *)
+type bodies = {
+  mutable b_tag : string array;
+  mutable b_pay : bytes array;
+  mutable b_size : int array; (* [Wire.size] of the body *)
+  mutable b_n : int;
+}
+
+let no_bodies () = { b_tag = [||]; b_pay = [||]; b_size = [||]; b_n = 0 }
 
 type t = {
   n : int;
@@ -82,22 +101,23 @@ type t = {
   mutable offs : int array; (* per send: delivery time - vt; -1 = parked *)
   mutable order : int array; (* due sends' indices, by (offset, send) *)
   starts : int array; (* per offset: its first slot in [order] *)
-  (* Staging: this round's sends in send order, slots [0, st_n). Parked
-     mail drained at the round's close is appended past the round's own
-     sends. *)
+  (* Staging: this round's sends in send order, slots [0, st_n), each
+     naming its body in [st_bodies]. Parked mail drained at the round's
+     close is appended past the round's own sends. *)
   mutable st_src : int array;
   mutable st_dst : int array;
-  mutable st_tag : string array;
-  mutable st_pay : bytes array;
+  mutable st_body : int array;
   mutable st_n : int;
+  mutable st_bodies : bodies;
   mutable dl_order : int array; (* staging slots, in delivery order *)
   (* Deliveries for the current round: party i's inbox is slots
      [dl_start.(i), dl_start.(i) + dl_len.(i)) of the [dl_*] arrays, in
-     delivery order; [dl_n] slots are in use. *)
+     delivery order, each naming its body in [dl_bodies]; [dl_n] slots
+     are in use. *)
   mutable dl_src : int array;
-  mutable dl_tag : string array;
-  mutable dl_pay : bytes array;
+  mutable dl_body : int array;
   mutable dl_n : int;
+  mutable dl_bodies : bodies;
   dl_start : int array;
   dl_len : int array;
   dirty : int array; (* parties with a non-empty inbox, [0, ndirty) *)
@@ -154,14 +174,14 @@ let create ?backend ?(sinks = []) ~n ~corrupt () =
       starts = Array.make (bucket_span + 1) 0;
       st_src = [||];
       st_dst = [||];
-      st_tag = [||];
-      st_pay = [||];
+      st_body = [||];
       st_n = 0;
+      st_bodies = no_bodies ();
       dl_order = [||];
       dl_src = [||];
-      dl_tag = [||];
-      dl_pay = [||];
+      dl_body = [||];
       dl_n = 0;
+      dl_bodies = no_bodies ();
       dl_start = Array.make n 0;
       dl_len = Array.make n 0;
       dirty = Array.make n 0;
@@ -244,28 +264,49 @@ let grown_to a k fill =
   Array.blit a 0 a' 0 (Array.length a);
   a'
 
+(* The slot of a body in [b]: the last one when [tag] and [payload] are
+   physically its own (a fan-out), else a new one. *)
+let body_of b ~tag payload ~size =
+  let k = b.b_n in
+  if k > 0 && b.b_pay.(k - 1) == payload && b.b_tag.(k - 1) == tag then k - 1
+  else begin
+    if k = Array.length b.b_tag then begin
+      b.b_tag <- grown_to b.b_tag (k + 1) "";
+      b.b_pay <- grown_to b.b_pay (k + 1) Bytes.empty;
+      b.b_size <- grown_to b.b_size (k + 1) 0
+    end;
+    b.b_tag.(k) <- tag;
+    b.b_pay.(k) <- payload;
+    b.b_size.(k) <- size;
+    b.b_n <- k + 1;
+    k
+  end
+
+let clear_bodies b =
+  Array.fill b.b_tag 0 b.b_n "";
+  Array.fill b.b_pay 0 b.b_n Bytes.empty;
+  b.b_n <- 0
+
 (* Append one message to the staging arrays; returns its slot. *)
-let stage t ~src ~dst ~tag payload =
+let stage t ~src ~dst ~tag payload ~size =
   let k = t.st_n in
   if k = Array.length t.st_src then begin
     t.st_src <- grown_to t.st_src (k + 1) 0;
     t.st_dst <- grown_to t.st_dst (k + 1) 0;
-    t.st_tag <- grown_to t.st_tag (k + 1) "";
-    t.st_pay <- grown_to t.st_pay (k + 1) Bytes.empty
+    t.st_body <- grown_to t.st_body (k + 1) 0
   end;
   t.st_src.(k) <- src;
   t.st_dst.(k) <- dst;
-  t.st_tag.(k) <- tag;
-  t.st_pay.(k) <- payload;
+  t.st_body.(k) <- body_of t.st_bodies ~tag payload ~size;
   t.st_n <- k + 1;
   k
 
 let staged_msg t k =
-  { Wire.src = t.st_src.(k); dst = t.st_dst.(k); tag = t.st_tag.(k); payload = t.st_pay.(k) }
+  let b = t.st_bodies and body = t.st_body.(k) in
+  { Wire.src = t.st_src.(k); dst = t.st_dst.(k); tag = b.b_tag.(body); payload = b.b_pay.(body) }
 
 let clear_staging t =
-  Array.fill t.st_tag 0 t.st_n "";
-  Array.fill t.st_pay 0 t.st_n Bytes.empty;
+  clear_bodies t.st_bodies;
   t.st_n <- 0
 
 let clear_inboxes t =
@@ -273,8 +314,7 @@ let clear_inboxes t =
     t.dl_len.(t.dirty.(j)) <- 0
   done;
   t.ndirty <- 0;
-  Array.fill t.dl_tag 0 t.dl_n "";
-  Array.fill t.dl_pay 0 t.dl_n Bytes.empty;
+  clear_bodies t.dl_bodies;
   t.dl_n <- 0
 
 let send t ~src:s ~dst ~tag payload =
@@ -294,7 +334,7 @@ let send t ~src:s ~dst ~tag payload =
   end;
   Metrics.note_send t.metrics ~src:s ~dst ~tag ~size;
   Repro_obs.Counters.observe h_msg_bytes (Bytes.length payload);
-  ignore (stage t ~src:s ~dst ~tag payload : int)
+  ignore (stage t ~src:s ~dst ~tag payload ~size : int)
 
 let send_many t ~src ~dsts ~tag payload =
   List.iter (fun dst -> send t ~src ~dst ~tag payload) dsts
@@ -302,12 +342,13 @@ let send_many t ~src ~dsts ~tag payload =
 (* Built on demand, back to front, so the list comes out in delivery
    order. *)
 let inbox t i =
-  let first = t.dl_start.(i) in
+  let first = t.dl_start.(i) and b = t.dl_bodies in
   let rec build k acc =
     if k < first then acc
     else
+      let body = t.dl_body.(k) in
       build (k - 1)
-        ({ Wire.src = t.dl_src.(k); dst = i; tag = t.dl_tag.(k); payload = t.dl_pay.(k) }
+        ({ Wire.src = t.dl_src.(k); dst = i; tag = b.b_tag.(body); payload = b.b_pay.(body) }
         :: acc)
   in
   build (first + t.dl_len.(i) - 1) []
@@ -327,7 +368,8 @@ let staged_honest t =
    round's deliveries (staging slots) in delivery order; a counting sort
    by destination lays each party's inbox out as one slice, keeping that
    order within it. Each delivery is charged to [Metrics] as it is
-   placed. *)
+   placed. The staged bodies then back the inboxes, and the previous
+   inboxes' table, cleared, takes the next round's sends. *)
 let distribute t nd =
   clear_inboxes t;
   let order = t.dl_order and len = t.dl_len and dirty = t.dirty in
@@ -349,25 +391,27 @@ let distribute t nd =
   done;
   if Array.length t.dl_src < nd then begin
     t.dl_src <- grown_to t.dl_src nd 0;
-    t.dl_tag <- grown_to t.dl_tag nd "";
-    t.dl_pay <- grown_to t.dl_pay nd Bytes.empty
+    t.dl_body <- grown_to t.dl_body nd 0
   end;
   (* ... and fill back to front, each delivery taking its inbox's last
      free slot. *)
-  let start = t.dl_start in
+  let start = t.dl_start and st_src = t.st_src and st_body = t.st_body in
+  let dl_src = t.dl_src and dl_body = t.dl_body in
+  let size = t.st_bodies.b_size in
   for k = nd - 1 downto 0 do
     let i = order.(k) in
-    let src = t.st_src.(i) and dst = st_dst.(i) in
-    let tag = t.st_tag.(i) and payload = t.st_pay.(i) in
-    Metrics.note_recv t.metrics ~src ~dst ~size:(Wire.size ~tag payload);
+    let src = st_src.(i) and dst = st_dst.(i) and body = st_body.(i) in
+    Metrics.note_recv t.metrics ~src ~dst ~size:size.(body);
     let p = start.(dst) - 1 in
     start.(dst) <- p;
-    t.dl_src.(p) <- src;
-    t.dl_tag.(p) <- tag;
-    t.dl_pay.(p) <- payload
+    dl_src.(p) <- src;
+    dl_body.(p) <- body
   done;
   t.dl_n <- nd;
-  clear_staging t
+  let cleared = t.dl_bodies in
+  t.dl_bodies <- t.st_bodies;
+  t.st_bodies <- cleared;
+  t.st_n <- 0
 
 let ensure_order t n =
   if Array.length t.dl_order < n then t.dl_order <- grown_to t.dl_order n 0
@@ -506,7 +550,8 @@ let deliver t =
       let ((m : Wire.msg), send_vt) = Sched.Heap.take heap in
       if down m.dst then hold m
       else
-        accept (stage t ~src:m.src ~dst:m.dst ~tag:m.tag m.payload) ~send_vt ~time
+        let size = Wire.size ~tag:m.tag m.payload in
+        accept (stage t ~src:m.src ~dst:m.dst ~tag:m.tag m.payload ~size) ~send_vt ~time
     in
     let k = ref 0 in
     while !k < !nb do

@@ -8,19 +8,6 @@
 module Recorder = Repro_obs.Recorder
 module Json = Repro_util.Json
 
-let hex_val c =
-  match c with
-  | '0' .. '9' -> Char.code c - Char.code '0'
-  | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
-  | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
-  | _ -> invalid_arg "hex"
-
-let string_of_hex s =
-  let l = String.length s in
-  if l mod 2 <> 0 then invalid_arg "hex";
-  String.init (l / 2) (fun i ->
-      Char.chr ((hex_val s.[2 * i] * 16) + hex_val s.[(2 * i) + 1]))
-
 (* Accessor helpers over one parsed line; [ctx] names the line on error. *)
 let get_int ctx j key =
   match Option.bind (Json.member key j) Json.to_int with
@@ -48,7 +35,7 @@ let event_of_line ctx line =
         match Option.bind (Json.member "payload" j) Json.to_string with
         | None -> None
         | Some h -> (
-          try Some (string_of_hex h)
+          try Some (Repro_obs.Hex.decode h)
           with _ -> failwith (Printf.sprintf "%s: bad payload hex" ctx))
       in
       Recorder.Send

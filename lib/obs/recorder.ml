@@ -39,7 +39,10 @@ let digest_of_payload (b : bytes) =
   done;
   !h
 
-let hex_of_digest d = Printf.sprintf "%016Lx" d
+let hex_of_digest d =
+  let b = Bytes.create 8 in
+  Bytes.set_int64_be b 0 d;
+  Hex.encode_bytes b
 
 let capacity = 1 lsl 21
 
@@ -73,18 +76,13 @@ let dropped t = t.n_dropped
 
 (* --- JSONL --- *)
 
-let hex_of_string s =
-  let b = Buffer.create (2 * String.length s) in
-  String.iter (fun c -> Buffer.add_string b (Printf.sprintf "%02x" (Char.code c))) s;
-  Buffer.contents b
-
 let event_json = function
   | Send s ->
     let vt = match s.s_vt with None -> [] | Some v -> [ ("vt", Json.int v) ] in
     let payload =
       match s.s_payload with
       | None -> []
-      | Some p -> [ ("payload", Json.Str (hex_of_string p)) ]
+      | Some p -> [ ("payload", Json.Str (Hex.encode p)) ]
     in
     Json.(
       Obj

@@ -142,11 +142,14 @@ let decode data f =
 
    Lookup is content-addressed but cheap: buffers hash by (length, first 8
    bytes, last 8 bytes) — every copy of one certificate shares its length
-   and tail, so the head keeps different messages of one size apart;
-   within a bucket, physical identity short-circuits before the full byte
-   comparison. The cache is unbounded by design — create the
-   closure per protocol phase so its lifetime (and the retained decoded
-   values, one per distinct content) is bounded by the phase. *)
+   and tail, so the head keeps different messages of one size apart.
+   Within a bucket, physical identity is tried first, against every
+   buffer already seen; only a buffer never seen is compared byte by byte,
+   once per distinct content of the bucket, and on a match it becomes an
+   alias of that content, so its later deliveries hit by pointer too. The
+   cache is unbounded by design — create the closure per protocol phase so
+   its lifetime (and what it retains: one decoded value per distinct
+   content and one entry per distinct buffer) is bounded by the phase. *)
 (* Hit/miss totals are per-closure caches driven by the delivery schedule,
    which is part of the logical run — pool-size independent, so the
    counters register deterministic. *)
@@ -170,22 +173,34 @@ let fingerprint b =
     let h = (len * 0x2545F491) lxor (head * 0x9E3779B1) lxor (tail * 0x85EBCA77) in
     h lxor (h lsr 29)
 
-(* The value memoized for [data]'s content in its bucket. *)
-let rec memo_find data = function
+(* One distinct content of a bucket: its decoded value, the first
+   buffer seen with it and every later buffer found equal to it. *)
+type 'a entry = { first : bytes; value : 'a option; mutable aliases : bytes list }
+
+let rec seen data = function
   | [] -> raise Not_found
-  | (k, v) :: rest -> if k == data || Bytes.equal k data then v else memo_find data rest
+  | e :: rest -> if e.first == data || List.memq data e.aliases then e.value else seen data rest
+
+let rec same_content data = function
+  | [] -> raise Not_found
+  | e :: rest ->
+    if Bytes.equal e.first data then begin
+      e.aliases <- data :: e.aliases;
+      e.value
+    end
+    else same_content data rest
 
 let memo_decode f =
-  let cache : (bytes * 'a option) list Fingerprints.t = Fingerprints.create 64 in
+  let cache : 'a entry list Fingerprints.t = Fingerprints.create 64 in
   fun data ->
     let key = fingerprint data in
     let bucket = try Fingerprints.find cache key with Not_found -> [] in
-    match memo_find data bucket with
+    match try seen data bucket with Not_found -> same_content data bucket with
     | v ->
         Repro_obs.Counters.bump c_memo_hit;
         v
     | exception Not_found ->
         Repro_obs.Counters.bump c_memo_miss;
         let v = decode data f in
-        Fingerprints.replace cache key ((data, v) :: bucket);
+        Fingerprints.replace cache key ({ first = data; value = v; aliases = [] } :: bucket);
         v

@@ -51,7 +51,13 @@ val memo_decode : (source -> 'a) -> bytes -> 'a option
     distinct senders often encode identical content, so receive loops share
     a single decoded value per distinct content instead of copying per
     delivery. Decoding is deterministic, so sharing never affects results,
-    only allocation. The cache is unbounded — create the closure per
-    protocol phase (not globally) so its lifetime bounds retention.
-    Lookups bump the deterministic [encode.memo_hit] / [encode.memo_miss]
-    counters when the [Repro_obs.Counters] registry is enabled. *)
+    only allocation. A buffer is looked up by physical identity first; a
+    buffer not seen before is compared by content, and on a match is kept
+    as an alias of that content, so its later lookups hit by pointer. A
+    buffer must therefore not be mutated once it has been looked up. The
+    cache is unbounded: it keeps one
+    decoded value per distinct content and one entry per distinct physical
+    buffer, so create the closure per protocol phase (not globally) and
+    its lifetime bounds retention. Lookups bump the deterministic
+    [encode.memo_hit] / [encode.memo_miss] counters when the
+    [Repro_obs.Counters] registry is enabled. *)

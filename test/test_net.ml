@@ -369,6 +369,108 @@ let test_observation_order () =
   observation_order ();
   observation_order ~condition:Sched.pass_condition ()
 
+(* --- Message bodies: inboxes equal a naive list model --- *)
+
+(* A round's sends share a body only while tag and payload stay
+   physically the same, so the script mixes every way a run of bodies
+   can break or continue: one payload under two tags, one tag with two
+   payloads, an A/B/A interleave, a [send_many] fan-out continued by a
+   single send, and an equal but distinct payload. A flush between two
+   [run_active] calls drops the inboxes it finds. With [defer], a
+   condition parks some sends on the heap, to be staged again when
+   drained; only the general path takes a condition, so the shortcut runs
+   the script without it. *)
+type action = To of int * string * bytes | Many of int list * string * bytes
+
+let bodies_match_model ?(defer = fun ~round:_ ~src:_ ~dst:_ -> None) ~general () =
+  let a = Bytes.of_string "A" and b = Bytes.of_string "B" and c = Bytes.of_string "C" in
+  let d = Bytes.of_string "D" and e = Bytes.of_string "E" in
+  let plan = function
+    | 0, 0 -> [ To (1, "x", a); To (2, "y", a) ]
+    | 0, 1 -> [ To (0, "x", a); To (2, "x", b); To (3, "x", a) ]
+    | 0, 2 -> [ Many ([ 0; 1; 3 ], "z", c); To (0, "late", d) ]
+    | 0, 3 -> [ To (3, "x", a) ]
+    | 1, 0 -> [ Many ([ 1; 2; 3 ], "z", a); To (1, "z", a) ]
+    | 1, 3 -> [ To (0, "late", e) ]
+    | 2, 1 -> [ To (2, "x", b) ]
+    | 2, 2 -> [ To (1, "y", b); To (1, "y", Bytes.copy b) ]
+    | 3, 0 -> [ To (1, "x", a); To (1, "x", a) ]
+    | _ -> []
+  in
+  let n = 4 and rounds = 6 and flushed = 2 (* the round whose inboxes are flushed *) in
+  let condition =
+    if not general then None
+    else
+      Some
+        {
+          Sched.pass_condition with
+          c_route =
+            (fun ~now ~round ~src ~dst ~lat ->
+              match defer ~round ~src ~dst with
+              | Some k -> Sched.Defer (now + k)
+              | None -> Sched.Deliver lat);
+        }
+  in
+  (* The model: every send in send order, read in round [sent + delay]; a
+     round's parked mail comes before the previous round's sends. *)
+  let sends =
+    List.concat_map
+      (fun r ->
+        List.concat_map
+          (fun p ->
+            List.concat_map
+              (function
+                | To (dst, tag, pay) -> [ (r, p, dst, tag, pay) ]
+                | Many (dsts, tag, pay) -> List.map (fun dst -> (r, p, dst, tag, pay)) dsts)
+              (plan (r, p)))
+          (List.init n Fun.id))
+      (List.init rounds Fun.id)
+  in
+  let read_in (r, src, dst, _, _) =
+    r + if general then Option.value ~default:1 (defer ~round:r ~src ~dst) else 1
+  in
+  let expected r dst =
+    if r = flushed then []
+    else
+      let arriving = List.filter (fun ((_, _, d, _, _) as m) -> d = dst && read_in m = r) sends in
+      let parked, direct = List.partition (fun (r', _, _, _, _) -> r' < r - 1) arriving in
+      List.map (fun (_, src, _, tag, pay) -> (src, tag, Bytes.to_string pay)) (parked @ direct)
+  in
+  let net = create_on ?condition ~n ~corrupt:[] () in
+  let render inbox = List.map (fun (m : Wire.msg) -> (m.src, m.tag, Bytes.to_string m.payload)) inbox in
+  let got = Hashtbl.create 32 in
+  let handler p ~round ~inbox =
+    Hashtbl.replace got (round, p) (render inbox);
+    List.iter
+      (function
+        | To (dst, tag, pay) -> Network.send net ~src:p ~dst ~tag pay
+        | Many (dsts, tag, pay) -> Network.send_many net ~src:p ~dsts ~tag pay)
+      (plan (round, p))
+  in
+  let run k =
+    Network.run_active net ~rounds:k ~extra:(fun ~round:_ -> Network.everyone net) (fun p -> Some (handler p))
+  in
+  run flushed;
+  Network.flush net;
+  run (rounds - flushed);
+  for r = 0 to rounds do
+    for p = 0 to n - 1 do
+      let inbox = if r = rounds then render (Network.inbox net p) else Hashtbl.find got (r, p) in
+      Alcotest.(check (list (triple int string string)))
+        (Printf.sprintf "round %d, party %d" r p) (expected r p) inbox
+    done
+  done
+
+let test_bodies_match_model () =
+  bodies_match_model ~general:false ();
+  bodies_match_model ~general:true ();
+  (* Round 0's fan-out copy and message to party 0 come back from the heap
+     in round 3, with round 1's message to it. *)
+  let defer ~round ~src ~dst =
+    match (round, src, dst) with 0, 2, 0 -> Some 3 | 1, 3, 0 -> Some 2 | _ -> None
+  in
+  bodies_match_model ~defer ~general:true ()
+
 (* --- Engine: a 2-round ping/pong across two instances --- *)
 
 let test_engine_multiplexing () =
@@ -748,4 +850,5 @@ let suite =
     Alcotest.test_case "wire encode stable" `Quick test_wire_encode_stable;
     QCheck_alcotest.to_alcotest prop_wire_roundtrip;
     QCheck_alcotest.to_alcotest prop_wire_decode_total;
+    Alcotest.test_case "bodies = list model (async)" `Quick test_bodies_match_model;
   ]

@@ -1066,6 +1066,27 @@ let test_profile_compare () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "wrong schema must be Error, not a verdict"
 
+(* The one hex codec: every byte value round-trips, lowercase out, either
+   case in, and malformed input is rejected rather than misread. *)
+let test_hex_codec () =
+  let module Hex = Repro_obs.Hex in
+  let all = String.init 256 Char.chr in
+  let h = Hex.encode all in
+  Alcotest.(check string) "first bytes" "000102" (String.sub h 0 6);
+  Alcotest.(check string) "last byte" "ff" (String.sub h 510 2);
+  Alcotest.(check string) "round trip" all (Hex.decode h);
+  Alcotest.(check string) "upper case" all (Hex.decode (String.uppercase_ascii h));
+  Alcotest.(check string) "digest form" "0123456789abcdef"
+    (Repro_obs.Recorder.hex_of_digest 0x0123456789abcdefL);
+  Alcotest.(check string) "negative digest" "ffffffffffffffff"
+    (Repro_obs.Recorder.hex_of_digest (-1L));
+  List.iter
+    (fun bad ->
+      match Hex.decode bad with
+      | _ -> Alcotest.failf "accepted %S" bad
+      | exception Invalid_argument _ -> ())
+    [ "0"; "0g"; "g0"; "12 4"; "\xff0" ]
+
 let suite =
   [
     Alcotest.test_case "json checker sanity" `Quick test_json_checker_sanity;
@@ -1102,4 +1123,5 @@ let suite =
     Alcotest.test_case "profile counters pinned (owf, snark n=64)" `Quick
       test_profile_counters_pinned;
     Alcotest.test_case "profile compare gate" `Quick test_profile_compare;
+    Alcotest.test_case "hex codec" `Quick test_hex_codec;
   ]

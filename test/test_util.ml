@@ -279,11 +279,29 @@ let test_ascii_plot_empty () =
    included. *)
 let test_memo_decode_same_fingerprint () =
   let mk mid = Bytes.of_string ("headhead" ^ mid ^ "tailtail") in
-  let dec = Encode.memo_decode (fun src -> Encode.r_bytes_raw src (Encode.remaining src)) in
+  let decoded = ref 0 in
+  let dec =
+    Encode.memo_decode (fun src ->
+        incr decoded;
+        Encode.r_bytes_raw src (Encode.remaining src))
+  in
   let a = mk "aaaa" and b = mk "bbbb" and c = mk "cccc" in
   List.iter
     (fun buf -> Alcotest.(check (option bytes)) "own value" (Some buf) (dec buf))
-    [ a; b; c; Bytes.copy b; a; Bytes.copy c ]
+    [ a; b; c; Bytes.copy b; a; Bytes.copy c ];
+  (* Interleaved copies of the three contents, each copy looked up more
+     than once: first as a new buffer, then as an alias of its content. *)
+  let copies = List.concat_map (fun x -> [ (x, Bytes.copy x); (x, Bytes.copy x) ]) [ a; b; c ] in
+  let interleaved =
+    List.filteri (fun i _ -> i mod 2 = 0) copies @ List.filteri (fun i _ -> i mod 2 = 1) copies
+  in
+  List.iter
+    (fun (content, buf) ->
+      let v = dec buf in
+      Alcotest.(check (option bytes)) "own value" (Some content) v;
+      Alcotest.(check bool) "copies share one value" true (v == dec content))
+    (interleaved @ List.rev interleaved @ interleaved);
+  Alcotest.(check int) "decoded once per distinct content" 3 !decoded
 
 let suite =
   [

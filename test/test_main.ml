@@ -23,4 +23,5 @@ let () =
       ("adversarial-ba", Test_adversarial_ba.suite);
       ("properties", Test_properties.suite);
       ("fuzz", Test_fuzz.suite);
+      ("verdicts", Test_verdicts.suite);
     ]

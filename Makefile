@@ -1,6 +1,6 @@
 .PHONY: build test bench bench-smoke bench-compare audit attack trace \
   scale scale-smoke profile profile-smoke forensics-smoke async-smoke \
-  conditions-smoke cli-smoke check clean
+  conditions-smoke cli-smoke examples-smoke check clean
 
 BA_SIM = ./_build/default/bin/ba_sim.exe
 
@@ -159,11 +159,21 @@ cli-smoke: build
 	$(BA_SIM) attacks -n 64
 	$(BA_SIM) conditions
 
+# Run the five examples: each prints to stdout and writes no file;
+# quickstart exits non-zero when its run fails agreement or validity.
+EXAMPLES = quickstart srds_tour validator_vote ae_to_full tree_explorer
+examples-smoke: build
+	for e in $(EXAMPLES); do \
+	  ./_build/default/examples/$$e.exe > /dev/null || { echo "example $$e failed"; exit 1; }; \
+	done
+	@echo "examples-smoke: $(words $(EXAMPLES)) examples ran"
+
 # Umbrella gate: build, unit tests, bench JSON smoke, complexity audit,
 # attack matrix, scale sweep smoke, profile smoke, forensics smoke,
-# async/conformance smoke, conditions smoke, CLI smoke — everything a PR
-# must keep green, with a wall-clock guard so a performance regression in
-# any harness fails the target rather than silently eating CI minutes.
+# async/conformance smoke, conditions smoke, CLI smoke, the examples —
+# everything a PR must keep green, with a wall-clock guard so a performance
+# regression in any harness fails the target rather than silently eating
+# CI minutes.
 # The gates write only ignored files: in a git checkout, `git status` must
 # read the same after them as before.
 CHECK_BUDGET_S ?= 420
@@ -171,7 +181,8 @@ check: build
 	@t0=$$(date +%s); \
 	status0=$$(git status --porcelain 2>/dev/null); \
 	$(MAKE) test bench-smoke audit attack scale-smoke profile-smoke \
-	  forensics-smoke async-smoke conditions-smoke cli-smoke || exit 1; \
+	  forensics-smoke async-smoke conditions-smoke cli-smoke examples-smoke \
+	  || exit 1; \
 	if [ "$$(git status --porcelain 2>/dev/null)" != "$$status0" ]; then \
 	  echo "check: the gates changed the working tree:"; git status --short; \
 	  exit 1; \

@@ -152,7 +152,7 @@ let run_cmd =
     (match trace_out with
     | Some file ->
       Repro_obs.Trace.flush ();
-      print_string (Repro_obs.Trace.summary ());
+      print_string (Repro_obs.Profile.flame_summary ());
       Printf.printf "trace written to %s\n" file
     | None -> ());
     if not row.Runner.r_ok then exit 1

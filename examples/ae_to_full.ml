@@ -21,13 +21,15 @@ let () =
   let n = 300 in
   let rng = Repro_util.Rng.create 5 in
   let corrupt = Repro_util.Rng.subset rng ~n ~size:30 in
+  (* each run gets a fresh network whose mask is the corrupt set *)
+  let net () = Repro_net.Network.create ~n ~corrupt () in
   Printf.printf "n=%d, corrupt=%d, isolated=15%% of honest parties\n\n" n
     (List.length corrupt);
 
   print_endline "boost degree sweep (authenticated, SRDS-certified):";
   List.iter
     (fun degree ->
-      let r = B.run { Boost.n; corrupt; isolated_fraction = 0.15; degree; seed = 5 } in
+      let r = B.run ~net:(net ()) { Boost.isolated_fraction = 0.15; degree; seed = 5 } in
       Printf.printf
         "  |F_s(i)| = %-3d -> %5.1f%% of isolated parties recovered, %4.1f%% fooled\n"
         degree
@@ -38,8 +40,8 @@ let () =
   print_newline ();
   print_endline "same round, same flooding adversary, NO certificate verification:";
   let r =
-    B.run_unauthenticated
-      { Boost.n; corrupt; isolated_fraction = 0.15; degree = 16; seed = 5 }
+    B.run_unauthenticated ~net:(net ())
+      { Boost.isolated_fraction = 0.15; degree = 16; seed = 5 }
   in
   Printf.printf "  %5.1f%% recovered, %5.1f%% FOOLED into the wrong value\n"
     (100. *. r.Boost.recovered_fraction)

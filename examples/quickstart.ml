@@ -21,27 +21,32 @@ let () =
   (* parties disagree on the input bit: even parties say true *)
   let inputs = Array.init n (fun i -> i mod 2 = 0) in
 
-  let cfg = Balanced_ba.default_config ~n ~inputs ~seed:2024 () in
+  let cfg = Balanced_ba.default_config ~inputs ~seed:2024 () in
   (* phase A: the SRDS keys, a function of (n, seed) alone *)
   let setup = BA.setup ~n ~seed:2024 in
   let result = BA.run ~net ~setup cfg in
+  (* the verdict: agreement, validity and the honest parties' costs *)
+  let o = Balanced_ba.outcome net cfg result in
+  let report = o.Outcome.report in
 
   Printf.printf "parties:            %d (%d corrupt)\n" n (List.length corrupt);
-  Printf.printf "agreement reached:  %b\n" result.Balanced_ba.agreed;
+  Printf.printf "agreement reached:  %b\n" o.Outcome.agreed;
   Printf.printf "decided fraction:   %.2f of honest parties\n"
-    result.Balanced_ba.decided_fraction;
+    o.Outcome.decided_fraction;
   Printf.printf "agreed bit:         %s\n"
     (match result.Balanced_ba.y with
     | Some b -> string_of_bool b
     | None -> "(none)");
-  Printf.printf "rounds:             %d\n"
-    result.Balanced_ba.report.Repro_net.Metrics.rounds;
+  Printf.printf "rounds:             %d\n" report.Repro_net.Metrics.rounds;
   Printf.printf "max communication:  %.1f KiB per party\n"
-    (float_of_int result.Balanced_ba.report.Repro_net.Metrics.max_bytes /. 1024.);
+    (float_of_int report.Repro_net.Metrics.max_bytes /. 1024.);
   Printf.printf "mean communication: %.1f KiB per party\n"
-    (result.Balanced_ba.report.Repro_net.Metrics.mean_bytes /. 1024.);
+    (report.Repro_net.Metrics.mean_bytes /. 1024.);
   Printf.printf "max locality:       %d distinct peers\n"
-    result.Balanced_ba.report.Repro_net.Metrics.max_locality;
-  if result.Balanced_ba.agreed && result.Balanced_ba.valid then
+    report.Repro_net.Metrics.max_locality;
+  if o.Outcome.agreed && o.Outcome.valid then
     print_endline "OK: balanced Byzantine agreement succeeded."
-  else print_endline "FAILURE: inspect the configuration."
+  else begin
+    print_endline "FAILURE: inspect the configuration.";
+    exit 1
+  end

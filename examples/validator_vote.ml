@@ -33,21 +33,23 @@ let () =
         (leader, block))
       honest_leaders
   in
-  let cfg =
-    Balanced_ba.default_config ~n ~inputs:(Array.make n false) ~seed:99 ()
-  in
-  let r = Bc.run ~net:(Repro_net.Network.create ~n ~corrupt ()) cfg ~messages:blocks in
+  let cfg = Balanced_ba.default_config ~inputs:(Array.make n false) ~seed:99 () in
+  let net = Repro_net.Network.create ~n ~corrupt () in
+  let execs = Bc.run ~net cfg ~messages:blocks in
   List.iteri
-    (fun height (e : Broadcast.exec_result) ->
+    (fun height (e : Broadcast.exec) ->
+      (* consistent: the honest validators agree; finalized: on the
+         leader's block *)
+      let o = Outcome.of_outputs net ~outputs:e.outputs ~expected:(Some e.value) in
       Printf.printf "block %d (leader %3d): finalized=%b consistent=%b (%.0f%% of honest)\n"
-        height e.Broadcast.sender e.Broadcast.delivered e.Broadcast.consistent
-        (100. *. e.Broadcast.decided_fraction))
-    r.Broadcast.execs;
+        height e.sender (Broadcast.delivered net e o) o.agreed
+        (100. *. o.decided_fraction))
+    execs;
+  let report = Outcome.report net in
   Printf.printf "\nper-validator communication over %d blocks:\n" (List.length blocks);
   Printf.printf "  max:   %.1f KiB total, %.1f KiB per block\n"
-    (float_of_int r.Broadcast.report.Metrics.max_bytes /. 1024.)
-    (r.Broadcast.amortized_max_bytes /. 1024.);
-  Printf.printf "  mean:  %.1f KiB total\n" (r.Broadcast.report.Metrics.mean_bytes /. 1024.);
+    (float_of_int report.Metrics.max_bytes /. 1024.)
+    (float_of_int report.Metrics.max_bytes /. float_of_int (List.length blocks) /. 1024.);
+  Printf.printf "  mean:  %.1f KiB total\n" (report.Metrics.mean_bytes /. 1024.);
   Printf.printf "  max/mean balance ratio: %.1f (no central parties)\n"
-    (float_of_int r.Broadcast.report.Metrics.max_bytes
-    /. r.Broadcast.report.Metrics.mean_bytes)
+    (float_of_int report.Metrics.max_bytes /. report.Metrics.mean_bytes)

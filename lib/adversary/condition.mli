@@ -42,11 +42,6 @@ val partition : t
     majority experiences the victims as crashed, the victims keep hearing
     the majority, and every parked message is delivered at the heal. *)
 
-val partition_leaves : t
-(** Like {!partition}, but the victim side is chosen committee-aware via
-    {!Strategy.tree_victims} (Kill_leaves): the split that tries to
-    isolate whole leaf committees of the aggregation tree. *)
-
 val partition_forever : t
 (** Teeth: a bidirectional half-split that never heals — planted to break
     agreement/liveness; the matrix must observe it failing. *)

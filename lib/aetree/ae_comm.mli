@@ -42,3 +42,8 @@ val disseminate :
   bytes option array
 (** Push a value from the supreme committee to (almost) all parties; entry p
     of the result is what party p adopted. *)
+
+val plurality : bytes list -> bytes option
+(** The most frequent value ([None] for no values). Values are grouped by
+    physical identity first and by content otherwise; a tie goes to the
+    value whose group formed last (the latest first-seen value). *)

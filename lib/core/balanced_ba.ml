@@ -32,7 +32,6 @@ module Encode = Repro_util.Encode
 module Network = Repro_net.Network
 module Engine = Repro_net.Engine
 module Wire = Repro_net.Wire
-module Metrics = Repro_net.Metrics
 module Params = Repro_aetree.Params
 module Tree = Repro_aetree.Tree
 module Ae_comm = Repro_aetree.Ae_comm
@@ -40,8 +39,7 @@ module Phase_king = Repro_consensus.Phase_king
 module Coin_toss = Repro_consensus.Coin_toss
 
 type config = {
-  n : int;
-  inputs : bool array; (* per-party input bit *)
+  inputs : bool array; (* per-party input bit, one per party of the network *)
   seed : int;
   adversary : Repro_net.Network.adversary option;
       (* active network adversary, invoked every round of every phase *)
@@ -50,15 +48,16 @@ type config = {
 type result = {
   outputs : bool option array;
   y : bool option; (* supreme committee's agreed bit *)
-  agreed : bool; (* all deciding honest parties output the same bit *)
-  decided_fraction : float; (* honest parties that decided *)
-  valid : bool; (* if all honest inputs equal b, deciders output b *)
-  report : Metrics.report;
-  breakdown : (string * int) list; (* sent bytes per protocol phase *)
   tree_good : bool;
 }
 
-let default_config ?adversary ~n ~inputs ~seed () = { n; inputs; seed; adversary }
+let default_config ?adversary ~inputs ~seed () = { inputs; seed; adversary }
+
+(* Validity (Thm 1.1): if the honest inputs are unanimously b, the honest
+   parties decide, and on b. *)
+let outcome net (cfg : config) (r : result) =
+  Outcome.of_outputs net ~outputs:r.outputs
+    ~expected:(Outcome.unanimous net cfg.inputs)
 
 (* Each protocol phase is a [Repro_obs.Trace] span (category "ba"), so
    phase structure lands in the exported Chrome trace, and a network phase
@@ -117,19 +116,19 @@ module Make (S : Srds_intf.SCHEME) = struct
   }
 
   let make_ctx ~net ~setup (cfg : config) : ctx =
-    if setup.s_n <> cfg.n || setup.s_seed <> cfg.seed then
+    let n = Network.n net in
+    if setup.s_n <> n || setup.s_seed <> cfg.seed then
       invalid_arg
         (Printf.sprintf
            "Balanced_ba.make_ctx: setup for (n=%d, seed=%d) given a run with \
             (n=%d, seed=%d)"
-           setup.s_n setup.s_seed cfg.n cfg.seed);
-    if Network.n net <> cfg.n then
+           setup.s_n setup.s_seed n cfg.seed);
+    if Array.length cfg.inputs <> n then
       invalid_arg
         (Printf.sprintf
-           "Balanced_ba.make_ctx: network of n=%d given a run with n=%d"
-           (Network.n net) cfg.n);
+           "Balanced_ba.make_ctx: %d inputs given a network of n=%d"
+           (Array.length cfg.inputs) n);
     Repro_crypto.Wots.clear_cache ();
-    let n = cfg.n in
     let rng = Rng.create cfg.seed in
     let params = Params.default n in
     (* Phase A: uncharged setup. The keys come from [setup]; the slot
@@ -566,7 +565,6 @@ module Make (S : Srds_intf.SCHEME) = struct
   let run ~net ~setup (cfg : config) : result =
     let ctx = make_ctx ~net ~setup cfg in
     let timed name f = timed ctx.net name f in
-    let n = cfg.n in
     let corrupt p = Network.is_corrupt ctx.net p in
     let tree_good = Repro_aetree.Tree_check.check_goodness ctx.tree ~corrupt = [] in
 
@@ -602,33 +600,5 @@ module Make (S : Srds_intf.SCHEME) = struct
         certified
     in
 
-    (* --- results --- *)
-    let honest_list = List.filter (honest ctx) (List.init n (fun p -> p)) in
-    let decided = List.filter_map (fun p -> outputs.(p)) honest_list in
-    let agreed =
-      match decided with
-      | [] -> false
-      | d :: rest -> List.for_all (fun x -> x = d) rest
-    in
-    let decided_fraction =
-      float_of_int (List.length decided) /. float_of_int (max 1 (List.length honest_list))
-    in
-    let valid =
-      let honest_inputs = List.map (fun p -> cfg.inputs.(p)) honest_list in
-      match honest_inputs with
-      | [] -> true
-      | b :: rest when List.for_all (fun x -> x = b) rest ->
-        List.for_all (fun d -> d = b) decided && decided <> []
-      | _ -> true
-    in
-    {
-      outputs;
-      y;
-      agreed;
-      decided_fraction;
-      valid;
-      report = Metrics.report ~include_party:(honest ctx) (Network.metrics ctx.net);
-      breakdown = Metrics.tag_breakdown (Network.metrics ctx.net);
-      tree_good;
-    }
+    { outputs; y; tree_good }
 end

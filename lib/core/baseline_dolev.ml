@@ -15,24 +15,13 @@
    points. *)
 
 module Network = Repro_net.Network
-module Metrics = Repro_net.Metrics
 module Engine = Repro_net.Engine
 module Dolev = Repro_consensus.Dolev_strong
 module Mss = Repro_crypto.Mss
 
 type config = {
-  n : int;
   value : bool;
-  seed : int;
-}
-
-type result = {
-  outputs : bool option array;
-  agreed : bool;
-  decided_fraction : float; (* honest parties that produced an output *)
-  correct_fraction : float;
-  report : Metrics.report;
-  breakdown : (string * int) list; (* sent bytes per tag group *)
+  seed : int; (* the PKI's: a run refuses a PKI of another (n, seed) *)
 }
 
 let enc b = Bytes.make 1 (if b then '\001' else '\000')
@@ -58,18 +47,14 @@ let pki ~n ~seed =
             (Bytes.of_string (Printf.sprintf "ds-key-%d-%d" seed p)));
   }
 
-let run ?adversary ~net ~pki (cfg : config) : result =
-  let n = cfg.n in
+let run ?adversary ~net ~pki (cfg : config) =
+  let n = Network.n net in
   if pki.k_n <> n || pki.k_seed <> cfg.seed then
     invalid_arg
       (Printf.sprintf
          "Baseline_dolev.run: PKI for (n=%d, seed=%d) given a run with \
           (n=%d, seed=%d)"
          pki.k_n pki.k_seed n cfg.seed);
-  if Network.n net <> n then
-    invalid_arg
-      (Printf.sprintf "Baseline_dolev.run: network of n=%d given a run with n=%d"
-         (Network.n net) n);
   let vks = Array.map fst pki.keys in
   let members = List.init n (fun i -> i) in
   let sender = 0 in
@@ -91,49 +76,18 @@ let run ?adversary ~net ~pki (cfg : config) : result =
           | Some st -> [ ("bcast", Dolev.machine st) ]
           | None -> [])
         ());
-  let outputs = Array.make n None in
-  let honest p = Network.is_honest net p in
-  Array.iteri
+  let round = Network.round net in
+  Array.mapi
     (fun p st ->
       match st with
-      | Some st when honest p ->
+      | Some st when Network.is_honest net p ->
         (* corrupt-sender ambiguity resolves to the default: still
            agreement, validity is vacuous *)
-        (match Dolev.output ~default:(enc false) st with
-        | Some v -> outputs.(p) <- Some (Bytes.length v = 1 && Bytes.get v 0 = '\001')
-        | None -> ())
-      | _ -> ())
-    sts;
-  if Network.observed net then begin
-    let round = Network.round net in
-    Array.iteri
-      (fun p o ->
-        match o with
-        | Some v when honest p ->
-          Network.emit net
-            (Repro_obs.Event.Decide { round; party = p; value = (if v then "1" else "0") })
-        | _ -> ())
-      outputs
-  end;
-  let honest_list = List.filter honest (List.init n (fun p -> p)) in
-  let decided = List.filter_map (fun p -> outputs.(p)) honest_list in
-  let agreed =
-    match decided with
-    | [] -> false
-    | d :: rest -> List.for_all (fun x -> x = d) rest
-  in
-  let correct =
-    List.length
-      (List.filter (fun p -> outputs.(p) = Some cfg.value) honest_list)
-  in
-  {
-    outputs;
-    agreed;
-    decided_fraction =
-      float_of_int (List.length decided)
-      /. float_of_int (max 1 (List.length honest_list));
-    correct_fraction =
-      float_of_int correct /. float_of_int (max 1 (List.length honest_list));
-    report = Metrics.report ~include_party:honest (Network.metrics net);
-    breakdown = Metrics.tag_breakdown (Network.metrics net);
-  }
+        Option.map
+          (fun v ->
+            let b = Bytes.length v = 1 && Bytes.get v 0 = '\001' in
+            Outcome.decide_bit net ~round p b;
+            b)
+          (Dolev.output ~default:(enc false) st)
+      | _ -> None)
+    sts

@@ -5,39 +5,18 @@
    Table 1). *)
 
 module Network = Repro_net.Network
-module Metrics = Repro_net.Metrics
 module Wire = Repro_net.Wire
 
 type config = {
-  n : int;
   holders : int list;
   value : bool;
-  seed : int;
 }
 
-type result = {
-  outputs : bool option array;
-  agreed : bool;
-  decided_fraction : float; (* honest parties that produced an output *)
-  correct_fraction : float;
-  report : Metrics.report;
-  breakdown : (string * int) list; (* sent bytes per tag group *)
-}
-
-let run ~net (cfg : config) : result =
-  let n = cfg.n in
-  if Network.n net <> n then
-    invalid_arg
-      (Printf.sprintf "Baseline_naive.run: network of n=%d given a run with n=%d"
-         (Network.n net) n);
+let run ~net (cfg : config) =
+  let n = Network.n net in
   let honest p = Network.is_honest net p in
   let enc b = Bytes.make 1 (if b then '\001' else '\000') in
   let outputs = Array.make n None in
-  let note_decide ~round p v =
-    if Network.observed net then
-      Network.emit net
-        (Repro_obs.Event.Decide { round; party = p; value = (if v then "1" else "0") })
-  in
   let handler p ~round ~inbox =
     if round = 0 then begin
       if List.mem p cfg.holders then
@@ -59,7 +38,7 @@ let run ~net (cfg : config) : result =
       let f = List.length (own @ votes) - t in
       if t + f > 0 then begin
         outputs.(p) <- Some (t > f);
-        note_decide ~round p (t > f)
+        Outcome.decide_bit net ~round p (t > f)
       end
     end
   in
@@ -69,20 +48,4 @@ let run ~net (cfg : config) : result =
         ~extra:(fun ~round:_ -> everyone)
         (Array.get
            (Array.init n (fun p -> if honest p then Some (handler p) else None))));
-  let honest_list = List.filter honest (List.init n (fun p -> p)) in
-  let decided = List.filter_map (fun p -> outputs.(p)) honest_list in
-  let agreed =
-    match decided with [] -> false | d :: rest -> List.for_all (fun x -> x = d) rest
-  in
-  let correct =
-    List.length (List.filter (fun p -> outputs.(p) = Some cfg.value) honest_list)
-  in
-  {
-    outputs;
-    agreed;
-    decided_fraction =
-      float_of_int (List.length decided) /. float_of_int (max 1 (List.length honest_list));
-    correct_fraction = float_of_int correct /. float_of_int (max 1 (List.length honest_list));
-    report = Metrics.report ~include_party:honest (Network.metrics net);
-    breakdown = Metrics.tag_breakdown (Network.metrics net);
-  }
+  outputs

@@ -12,33 +12,17 @@
    row of Table 1 the paper's SRDS construction beats. *)
 
 module Network = Repro_net.Network
-module Metrics = Repro_net.Metrics
 module Wire = Repro_net.Wire
 
 type config = {
-  n : int;
   holders : int list; (* honest parties that start with the value *)
   value : bool;
-  seed : int;
-}
-
-type result = {
-  outputs : bool option array;
-  agreed : bool;
-  decided_fraction : float; (* honest parties that produced an output *)
-  correct_fraction : float; (* honest parties outputting the value *)
-  report : Metrics.report;
-  breakdown : (string * int) list; (* sent bytes per tag group *)
 }
 
 let group_size n = max 1 (Repro_util.Mathx.isqrt n)
 
-let run ~net (cfg : config) : result =
-  let n = cfg.n in
-  if Network.n net <> n then
-    invalid_arg
-      (Printf.sprintf "Baseline_sqrt.run: network of n=%d given a run with n=%d"
-         (Network.n net) n);
+let run ~net (cfg : config) =
+  let n = Network.n net in
   let g = group_size n in
   let num_groups = Repro_util.Mathx.ceil_div n g in
   let group_of p = p / g in
@@ -90,11 +74,7 @@ let run ~net (cfg : config) : result =
       in
       let own = match group_value.(p) with Some v -> [ v ] | None -> [] in
       outputs.(p) <- majority (own @ votes);
-      match outputs.(p) with
-      | Some v when Network.observed net ->
-        Network.emit net
-          (Repro_obs.Event.Decide { round; party = p; value = (if v then "1" else "0") })
-      | _ -> ()
+      Option.iter (Outcome.decide_bit net ~round p) outputs.(p)
     end
   in
   Network.phase net "quorum" (fun () ->
@@ -103,20 +83,4 @@ let run ~net (cfg : config) : result =
         ~extra:(fun ~round:_ -> everyone)
         (Array.get
            (Array.init n (fun p -> if honest p then Some (handler p) else None))));
-  let honest_list = List.filter honest (List.init n (fun p -> p)) in
-  let decided = List.filter_map (fun p -> outputs.(p)) honest_list in
-  let agreed =
-    match decided with [] -> false | d :: rest -> List.for_all (fun x -> x = d) rest
-  in
-  let correct =
-    List.length (List.filter (fun p -> outputs.(p) = Some cfg.value) honest_list)
-  in
-  {
-    outputs;
-    agreed;
-    decided_fraction =
-      float_of_int (List.length decided) /. float_of_int (max 1 (List.length honest_list));
-    correct_fraction = float_of_int correct /. float_of_int (max 1 (List.length honest_list));
-    report = Metrics.report ~include_party:honest (Network.metrics net);
-    breakdown = Metrics.tag_breakdown (Network.metrics net);
-  }
+  outputs

@@ -19,12 +19,9 @@
 module Rng = Repro_util.Rng
 module Encode = Repro_util.Encode
 module Network = Repro_net.Network
-module Metrics = Repro_net.Metrics
 module Wire = Repro_net.Wire
 
 type config = {
-  n : int;
-  corrupt : int list;
   isolated_fraction : float; (* of honest parties *)
   degree : int; (* |F_s(i)| *)
   seed : int;
@@ -33,7 +30,6 @@ type config = {
 type result = {
   recovered_fraction : float; (* isolated honest parties that decided y *)
   fooled_fraction : float; (* isolated honest parties deciding NOT y *)
-  report : Metrics.report;
 }
 
 module Make (S : Srds_intf.SCHEME) = struct
@@ -97,8 +93,10 @@ module Make (S : Srds_intf.SCHEME) = struct
              Encode.bytes b (W.to_bytes sigma)))
     | None -> None
 
-  let run_generic ?(leak_keys = false) ~authenticated (cfg : config) : result =
-    let n = cfg.n in
+  (* Runs on [net], the caller's network: its size is n and its mask the
+     corrupt set; [Outcome.report net] reads the honest parties' costs. *)
+  let run_generic ?(leak_keys = false) ~authenticated ~net (cfg : config) : result =
+    let n = Network.n net in
     let rng = Rng.create cfg.seed in
     let y = true in
     let pp, vks, keys, msg, s, sigma = build_certificate rng ~n_virtual:n ~y in
@@ -111,7 +109,6 @@ module Make (S : Srds_intf.SCHEME) = struct
       if leak_keys then forge_with_inverted_keys ~pp ~vks ~keys ~s ~y':false
       else None
     in
-    let net = Network.create ~n ~corrupt:cfg.corrupt () in
     let honest p = Network.is_honest net p in
     let honest_list = List.filter honest (List.init n (fun p -> p)) in
     let iso_count =
@@ -228,18 +225,18 @@ module Make (S : Srds_intf.SCHEME) = struct
         float_of_int (List.length recovered) /. float_of_int (max 1 iso_count);
       fooled_fraction =
         float_of_int (List.length fooled) /. float_of_int (max 1 iso_count);
-      report = Metrics.report ~include_party:honest (Network.metrics net);
     }
 
-  let run cfg = run_generic ~authenticated:true cfg
+  let run ~net cfg = run_generic ~authenticated:true ~net cfg
 
   (* Thm. 1.3 illustration: without verifiable certificates the one-round
      boost is attackable. *)
-  let run_unauthenticated cfg = run_generic ~authenticated:false cfg
+  let run_unauthenticated ~net cfg = run_generic ~authenticated:false ~net cfg
 
   (* Thm. 1.4 illustration: in the PKI model with a broken one-way function
      (the adversary recovers signing keys from verification keys), the
      boost fails even with full verification: the adversary's conflicting
      certificate is genuinely valid. *)
-  let run_with_inverted_owf cfg = run_generic ~leak_keys:true ~authenticated:true cfg
+  let run_with_inverted_owf ~net cfg =
+    run_generic ~leak_keys:true ~authenticated:true ~net cfg
 end

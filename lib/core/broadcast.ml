@@ -23,25 +23,22 @@ module Encode = Repro_util.Encode
 module Network = Repro_net.Network
 module Engine = Repro_net.Engine
 module Wire = Repro_net.Wire
-module Metrics = Repro_net.Metrics
 module Params = Repro_aetree.Params
 module Tree = Repro_aetree.Tree
+module Ae_comm = Repro_aetree.Ae_comm
 module Committee = Repro_consensus.Committee
 
-type exec_result = {
+type exec = {
   sender : int;
   value : bytes;
-  outputs : bytes option array;
-  consistent : bool; (* all deciding honest parties output the same value *)
-  delivered : bool; (* honest sender's value is what they output *)
-  decided_fraction : float;
+  outputs : bytes option array; (* per party: the value it delivered *)
 }
 
-type result = {
-  execs : exec_result list;
-  report : Metrics.report; (* cumulative: setup + all executions *)
-  amortized_max_bytes : float; (* max per-party bytes / number of executions *)
-}
+(* Judged with [Outcome.of_outputs ~expected:(Some value)], an execution
+   is consistent when its outcome is [agreed] (for every sender), and it
+   delivered when, in addition, its sender is honest and the outcome is
+   [valid]: every honest decider output the sender's value. *)
+let delivered net e (o : Outcome.t) = Network.is_honest net e.sender && o.Outcome.valid
 
 module Make (S : Srds_intf.SCHEME) = struct
   module BA = Balanced_ba.Make (S)
@@ -57,24 +54,6 @@ module Make (S : Srds_intf.SCHEME) = struct
     let tag = "bcast-" ^ label in
     let received : (int * int, bytes list) Hashtbl.t array =
       Array.init n (fun _ -> Hashtbl.create 4)
-    in
-    let plurality values =
-      match values with
-      | [] -> None
-      | _ ->
-        let groups : (bytes * int ref) list ref = ref [] in
-        List.iter
-          (fun v ->
-            match List.find_opt (fun (r, _) -> r == v || Bytes.equal r v) !groups with
-            | Some (_, c) -> incr c
-            | None -> groups := (v, ref 1) :: !groups)
-          values;
-        let best, _ =
-          List.fold_left
-            (fun ((_, bc) as acc) ((_, c) as g) -> if !c > !bc then g else acc)
-            (List.hd !groups) (List.tl !groups)
-        in
-        Some best
     in
     let enc ~level ~idx v =
       Encode.to_bytes (fun b ->
@@ -126,11 +105,11 @@ module Make (S : Srds_intf.SCHEME) = struct
           else
             List.filter_map
               (fun (l, idx) -> if l = level then Some idx else None)
-              (Repro_aetree.Ae_comm.memberships ctx.BA.ae p)
+              (Ae_comm.memberships ctx.BA.ae p)
         in
         List.iter
           (fun idx ->
-            match plurality (try Hashtbl.find received.(p) (level, idx) with Not_found -> []) with
+            match Ae_comm.plurality (try Hashtbl.find received.(p) (level, idx) with Not_found -> []) with
             | Some v when level < height ->
               let parent = idx / params.Params.branching in
               Network.send_many net ~src:p
@@ -154,12 +133,11 @@ module Make (S : Srds_intf.SCHEME) = struct
     List.filter_map
       (fun p ->
         if Network.is_honest net p then
-          match plurality (try Hashtbl.find received.(p) root_key with Not_found -> []) with
+          match Ae_comm.plurality (try Hashtbl.find received.(p) root_key with Not_found -> []) with
           | Some v -> Some (p, v)
           | None -> if height = 1 && p = sender then Some (p, value) else None
         else None)
       ctx.BA.supreme
-    |> fun candidates -> candidates
 
   (* One broadcast execution over an established context. *)
   let execute ctx ~label ~sender ~value : bytes option array =
@@ -196,46 +174,13 @@ module Make (S : Srds_intf.SCHEME) = struct
     (* certify + boost the agreed value *)
     BA.certify ctx ~label ~values:agreed
 
-  let run ~net (cfg : Balanced_ba.config) ~(messages : (int * bytes) list) : result =
-    let ctx = BA.make_ctx ~net ~setup:(BA.setup ~n:cfg.n ~seed:cfg.seed) cfg in
-    let n = Network.n net in
-    let honest p = Network.is_honest net p in
-    let execs =
-      List.mapi
-        (fun k (sender, value) ->
-          let outputs = execute ctx ~label:(Printf.sprintf "x%d" k) ~sender ~value in
-          let honest_outputs =
-            List.filter_map
-              (fun p -> if honest p then outputs.(p) else None)
-              (List.init n (fun p -> p))
-          in
-          let consistent =
-            match honest_outputs with
-            | [] -> false
-            | v :: rest -> List.for_all (Bytes.equal v) rest
-          in
-          let delivered =
-            honest sender
-            && honest_outputs <> []
-            && List.for_all (Bytes.equal value) honest_outputs
-          in
-          {
-            sender;
-            value;
-            outputs;
-            consistent;
-            delivered;
-            decided_fraction =
-              float_of_int (List.length honest_outputs)
-              /. float_of_int (List.length (List.filter honest (List.init n (fun p -> p))));
-          })
-        messages
-    in
-    let report = Metrics.report ~include_party:honest (Network.metrics net) in
-    {
-      execs;
-      report;
-      amortized_max_bytes =
-        float_of_int report.Metrics.max_bytes /. float_of_int (max 1 (List.length messages));
-    }
+  (* One context (tree and keys) on [net], then one execution per
+     (sender, value) of [messages], in order: the setup amortizes. *)
+  let run ~net (cfg : Balanced_ba.config) ~(messages : (int * bytes) list) =
+    let setup = BA.setup ~n:(Network.n net) ~seed:cfg.seed in
+    let ctx = BA.make_ctx ~net ~setup cfg in
+    List.mapi
+      (fun k (sender, value) ->
+        { sender; value; outputs = execute ctx ~label:(Printf.sprintf "x%d" k) ~sender ~value })
+      messages
 end

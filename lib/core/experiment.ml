@@ -462,18 +462,30 @@ let broadcast ?(n = 96) ?(beta = 0.1) ?(seed = 5) () =
   section b "E9/Cor-1.2: broadcast amortization over l executions";
   let module Bc = Broadcast.Make (Srds_snark) in
   let corrupt = corrupt_set (Rng.create seed) ~n ~beta in
-  let cfg = Balanced_ba.default_config ~n ~inputs:(Array.make n false) ~seed () in
+  let cfg = Balanced_ba.default_config ~inputs:(Array.make n false) ~seed () in
   let honest = List.filter (fun p -> not (List.mem p corrupt)) (List.init n Fun.id) in
   let row l =
     let senders = List.filteri (fun k _ -> k < l) honest in
-    let r =
-      Bc.run ~net:(network ~n ~corrupt ()) cfg
+    let net = network ~n ~corrupt () in
+    let execs =
+      Bc.run ~net cfg
         ~messages:(List.map (fun p -> (p, Bytes.of_string (Printf.sprintf "m%d" p))) senders)
     in
-    let all f = string_of_bool (List.for_all f r.Broadcast.execs) in
+    let judged =
+      List.map
+        (fun (e : Broadcast.exec) ->
+          (e, Outcome.of_outputs net ~outputs:e.outputs ~expected:(Some e.value)))
+        execs
+    in
+    let all f = string_of_bool (List.for_all f judged) in
+    (* max per-party bytes (setup and all executions) per execution *)
+    let amortized =
+      float_of_int (Outcome.report net).max_bytes
+      /. float_of_int (max 1 (List.length execs))
+    in
     [
-      string_of_int l; f1 (r.Broadcast.amortized_max_bytes /. 1024.);
-      all (fun e -> e.Broadcast.consistent); all (fun e -> e.Broadcast.delivered);
+      string_of_int l; f1 (amortized /. 1024.);
+      all (fun (_, o) -> o.Outcome.agreed); all (fun (e, o) -> Broadcast.delivered net e o);
     ]
   in
   table b ~title:(Printf.sprintf "n=%d, beta=%.2f" n beta)
@@ -529,20 +541,21 @@ let boost ?(n = 256) ?(beta = 0.1) ?(seed = 6) () =
   let b = Buffer.create 1024 in
   section b "E11: one-shot boost - isolated-party recovery vs PRF degree";
   let corrupt = corrupt_set (Rng.create seed) ~n ~beta in
-  let cfg degree = { Boost.n; corrupt; isolated_fraction = 0.15; degree; seed } in
+  let cfg degree = { Boost.isolated_fraction = 0.15; degree; seed } in
   table b
     ~title:(Printf.sprintf "n=%d, beta=%.2f, isolated=15%%" n beta)
     ~headers:[ "degree"; "recovered"; "fooled"; "max KiB/party" ]
     ~aligns:[ Tablefmt.Right; Right; Right; Right ]
     (List.map
        (fun degree ->
-         let r = Boost_owf.run (cfg degree) in
+         let net = network ~n ~corrupt () in
+         let r = Boost_owf.run ~net (cfg degree) in
          [
            string_of_int degree; f3 r.Boost.recovered_fraction; f3 r.Boost.fooled_fraction;
-           Tablefmt.fkib r.Boost.report.Repro_net.Metrics.max_bytes;
+           Tablefmt.fkib (Outcome.report net).max_bytes;
          ])
        [ 2; 4; 8; 16; 32; 64 ]);
-  let r = Boost_owf.run_unauthenticated (cfg 16) in
+  let r = Boost_owf.run_unauthenticated ~net:(network ~n ~corrupt ()) (cfg 16) in
   Printf.bprintf b "  unauthenticated (Thm 1.3 attack): recovered=%.3f FOOLED=%.3f\n"
     r.Boost.recovered_fraction r.Boost.fooled_fraction;
   finish b
@@ -552,11 +565,10 @@ let thm14 () =
   let b = Buffer.create 512 in
   section b "E11b: Thm 1.4 - one-shot boost when the adversary inverts the OWF";
   let n = 200 in
-  let cfg =
-    { Boost.n; corrupt = List.init (n / 10) Fun.id; isolated_fraction = 0.15; degree = 16; seed = 7 }
-  in
-  let sound = Boost_owf.run cfg in
-  let broken = Boost_owf.run_with_inverted_owf cfg in
+  let cfg = { Boost.isolated_fraction = 0.15; degree = 16; seed = 7 } in
+  let net () = network ~n ~corrupt:(List.init (n / 10) Fun.id) () in
+  let sound = Boost_owf.run ~net:(net ()) cfg in
+  let broken = Boost_owf.run_with_inverted_owf ~net:(net ()) cfg in
   Printf.bprintf b "  OWF intact:   recovered=%.3f fooled=%.3f\n"
     sound.Boost.recovered_fraction sound.Boost.fooled_fraction;
   Printf.bprintf b "  OWF inverted: recovered=%.3f FOOLED=%.3f\n"

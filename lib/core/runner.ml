@@ -249,9 +249,8 @@ type draw = Uniform | Static of Condition.t | Setup_aware of Attacks.strategy
 
 type outcome = {
   o_row : row;
-  o_agreed : bool;
-  o_decided : float; (* honest parties that decided *)
-  o_valid : bool;
+  o_verdict : Outcome.t;
+  o_valid : bool; (* the protocol's validity rule over [o_verdict] *)
   o_corrupt : int list;
   o_net : Network.t;
 }
@@ -276,25 +275,36 @@ let run_cell ?setup ?sinks ?cfg ?condition ?adversary ?(draw = Uniform)
     match setup with Some s -> s | None -> cell_setup ~protocol ~n ~seed
   in
   let net = network ?sinks ?cfg ?condition ~n ~corrupt () in
-  let row = row_of_report ~protocol:(protocol_name protocol) ~n ~beta in
-  let pipeline (r : Balanced_ba.result) =
-    ( row ~report:r.report
-        ~ok:(r.agreed && r.decided_fraction > 0.99)
-        ~note:
-          (Printf.sprintf "decided=%.2f%s" r.decided_fraction
-             (if r.tree_good then "" else " tree-degraded"))
-        ~breakdown:r.breakdown,
-      r.agreed, r.decided_fraction, r.valid )
-  in
-  let boost ~report ~breakdown ~agreed ~decided ~correct =
-    let valid = correct > 0.99 in
-    ( row ~report ~ok:(agreed && valid)
-        ~note:(Printf.sprintf "correct=%.2f" correct) ~breakdown,
-      agreed, decided, valid )
-  in
   let inputs = Array.init n (fun i -> (i + seed) mod 2 = 0) in
-  let ba_cfg = Balanced_ba.default_config ?adversary ~n ~inputs ~seed () in
-  let row, agreed, decided, valid =
+  let ba_cfg = Balanced_ba.default_config ?adversary ~inputs ~seed () in
+  (* Each protocol's policy over its one judged outcome: what ok asks for,
+     which validity counts, and the note. *)
+  let judged (o : Outcome.t) ~ok ~valid ~note =
+    ( row_of_report ~protocol:(protocol_name protocol) ~n ~beta ~report:o.report
+        ~ok ~note ~breakdown:o.breakdown,
+      o, valid )
+  in
+  let pipeline (r : Balanced_ba.result) =
+    let o = Balanced_ba.outcome net ba_cfg r in
+    judged o ~ok:(o.agreed && o.decided_fraction > 0.99) ~valid:o.valid
+      ~note:
+        (Printf.sprintf "decided=%.2f%s" o.decided_fraction
+           (if r.tree_good then "" else " tree-degraded"))
+  in
+  (* The boost baselines and Dolev-Strong deliver the value [true]; an
+     output of it is correct. Broadcast validity is vacuous under a
+     corrupt designated sender (party 0 of Dolev-Strong, in the drawn
+     corrupt set with probability beta): agreement, on the default, must
+     still hold. *)
+  let delivery ?(sender_corrupt = false) outputs =
+    let o = Outcome.of_outputs net ~outputs ~expected:(Some true) in
+    let valid = sender_corrupt || o.correct_fraction > 0.99 in
+    judged o ~ok:(o.agreed && valid) ~valid
+      ~note:
+        (Printf.sprintf "correct=%.2f%s" o.correct_fraction
+           (if sender_corrupt then " sender-corrupt" else ""))
+  in
+  let row, verdict, valid =
     match (protocol, setup) with
     | This_work_owf, Owf_keys setup -> pipeline (Ba_owf.run ~net ~setup ba_cfg)
     | This_work_snark, Snark_keys setup -> pipeline (Ba_snark.run ~net ~setup ba_cfg)
@@ -303,38 +313,16 @@ let run_cell ?setup ?sinks ?cfg ?condition ?adversary ?(draw = Uniform)
     | (Sqrt_boost | Naive_boost), No_setup when Option.is_some adversary ->
       invalid_arg "Runner.run_cell: the boost baselines take no adversary"
     | Sqrt_boost, No_setup ->
-      let holders = holders rng ~n ~corrupt in
-      let (r : Baseline_sqrt.result) =
-        Baseline_sqrt.run ~net { n; holders; value = true; seed }
-      in
-      boost ~report:r.report ~breakdown:r.breakdown ~agreed:r.agreed
-        ~decided:r.decided_fraction ~correct:r.correct_fraction
+      delivery (Baseline_sqrt.run ~net { holders = holders rng ~n ~corrupt; value = true })
     | Naive_boost, No_setup ->
-      let holders = holders rng ~n ~corrupt in
-      let (r : Baseline_naive.result) =
-        Baseline_naive.run ~net { n; holders; value = true; seed }
-      in
-      boost ~report:r.report ~breakdown:r.breakdown ~agreed:r.agreed
-        ~decided:r.decided_fraction ~correct:r.correct_fraction
+      delivery (Baseline_naive.run ~net { holders = holders rng ~n ~corrupt; value = true })
     | Dolev_strong, Ds_pki pki ->
-      let (r : Baseline_dolev.result) =
-        Baseline_dolev.run ?adversary ~net ~pki { n; value = true; seed }
-      in
-      (* Broadcast validity is vacuous under a corrupt designated sender:
-         the corrupt set is a uniform draw, so the sender lands in it with
-         probability beta — agreement (on the default) must still hold. *)
-      let sender_corrupt = List.mem 0 corrupt in
-      let valid = sender_corrupt || r.correct_fraction > 0.99 in
-      ( row ~report:r.report ~ok:(r.agreed && valid)
-          ~note:
-            (Printf.sprintf "correct=%.2f%s" r.correct_fraction
-               (if sender_corrupt then " sender-corrupt" else ""))
-          ~breakdown:r.breakdown,
-        r.agreed, r.decided_fraction, valid )
+      delivery ~sender_corrupt:(List.mem 0 corrupt)
+        (Baseline_dolev.run ?adversary ~net ~pki { value = true; seed })
     | _ -> invalid_arg "Runner.run_cell: cell setup built for another protocol"
   in
-  { o_row = row; o_agreed = agreed; o_decided = decided; o_valid = valid;
-    o_corrupt = corrupt; o_net = net }
+  { o_row = row; o_verdict = verdict; o_valid = valid; o_corrupt = corrupt;
+    o_net = net }
 
 (* Callers that want the auditor's verdict use {!run_audited}, callers
    that want the flight-recorded log use {!run_recorded}, callers pinning
@@ -467,13 +455,13 @@ let attack_cell ~setup ?sinks ?cfg ?condition_name ?(gated = true) ~protocol
     ac_n = n;
     ac_beta = beta;
     ac_seed = seed;
-    ac_agreed = o.o_agreed;
-    ac_decided = o.o_decided;
+    ac_agreed = o.o_verdict.agreed;
+    ac_decided = o.o_verdict.decided_fraction;
     ac_valid = o.o_valid;
     (* Without a condition no delivery is late: lock-step records none,
        and the executor's knobs keep every post-GST one within 1 + delta. *)
     ac_ok =
-      o.o_agreed && o.o_decided > 0.95 && o.o_valid
+      o.o_verdict.agreed && o.o_verdict.decided_fraction > 0.95 && o.o_valid
       && stats.Sched.st_post_gst_late = 0;
     ac_expect_fail = expect_fail;
     ac_condition = Option.value condition_name ~default:"none";
@@ -1102,7 +1090,7 @@ let strategy_equivocates name =
 let cell_protocol (c : attack_cell) =
   match protocol_of_name c.ac_protocol with
   | Some p -> p
-  | None -> invalid_arg ("cell_forensics: unknown protocol " ^ c.ac_protocol)
+  | None -> invalid_arg ("Runner: unknown protocol " ^ c.ac_protocol)
 
 (* Which matrix cells earn a forensic re-run: everything that failed its
    gate (broken non-sanity cells and sanity rows that actually broke), plus
@@ -1148,10 +1136,6 @@ let forensics_with ~setup (c : attack_cell) : forensic_bundle =
   }
 
 let setup_key c = (cell_protocol c, c.ac_n, c.ac_seed)
-
-let cell_forensics c =
-  let protocol, n, seed = setup_key c in
-  forensics_with ~setup:(cell_setup ~protocol ~n ~seed) c
 
 (* The re-run cells share one setup per (protocol, n, seed), like the
    matrix that produced them. *)

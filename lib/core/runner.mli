@@ -17,17 +17,15 @@ val all_protocols : protocol list
 val protocol_name : protocol -> string
 val protocol_of_name : string -> protocol option
 
-val budgets_of : protocol -> Repro_obs.Audit.budgets
-(** The complexity budgets each protocol is audited against, all of the
-    paper's polylog shape [c * log^k(n) * kappa^j]. The this-work
-    instantiations declare curves they meet; the baselines declare the
-    polylog claim they provably exceed (naive flooding most visibly), so
-    the auditor demonstrably has teeth. The curves are calibrated on
-    n = 64..4096; below that range they are not a claim (at n = 32 one
-    snark party exceeds its total-bits curve, see EXPERIMENTS.md). *)
-
 val make_auditor : protocol:protocol -> n:int -> Repro_obs.Audit.t
-(** A fresh auditor carrying [budgets_of protocol]. *)
+(** A fresh auditor carrying the complexity budgets [protocol] is audited
+    against, all of the paper's polylog shape [c * log^k(n) * kappa^j].
+    The this-work instantiations declare curves they meet; the baselines
+    declare the polylog claim they provably exceed (naive flooding most
+    visibly), so the auditor demonstrably has teeth. The curves are
+    calibrated on n = 64..4096; below that range they are not a claim (at
+    n = 32 one snark party exceeds its total-bits curve, see
+    EXPERIMENTS.md). *)
 
 type row = {
   r_protocol : string;
@@ -167,10 +165,6 @@ type attack_matrix = {
           exist and both actually failed *)
 }
 
-val attack_protocols : protocol list
-(** The pipeline protocols the content-only matrix covers (owf and snark
-    Fig. 3). *)
-
 val condition_protocols : protocol list
 (** The protocols the condition sweep covers: the two pipelines plus the
     ungated {!Dolev_strong} authenticated reference row. *)
@@ -212,7 +206,8 @@ val attack_matrix :
   n:int ->
   unit ->
   attack_matrix
-(** Sweep {!attack_protocols} x strategies x (betas @ sanity_betas) x seeds
+(** Sweep the pipeline protocols the content-only matrix covers (owf and
+    snark Fig. 3) x strategies x (betas @ sanity_betas) x seeds
     on the domain pool. Defaults: betas [0; 1/16; 1/8] (the highest rate the
     scaled-down committees survive across seeds: by 3/16–1/4 the corrupt-set
     draw alone sinks some seeds even against a silent adversary — see
@@ -263,7 +258,7 @@ val sweep_rows :
 
     The active-set stepper makes the Fig. 3 pipeline tractable at
     n = 4096+; baselines whose simulation cost is quadratic in n carry an
-    explicit per-protocol sweep ceiling ({!scale_cap}) so a capped curve is
+    explicit per-protocol sweep ceiling (its [sc_cap]) so a capped curve is
     never mistaken for a complete one. Every point runs audited and records
     the honest per-party p99 bits against the protocol's declared
     total-bits budget curve — the paper's headline separation as a
@@ -280,7 +275,11 @@ type scale_point = {
 
 type scale_result = {
   sc_protocol : string;
-  sc_cap : int option;  (** sweep ceiling; [None] = swept every requested n *)
+  sc_cap : int option;
+      (** sweep ceiling: the largest n the sweep runs this protocol at
+          ([None] = swept every requested n). Caps bound {e simulation}
+          cost, not protocol cost: the Theta(n) baselines cost
+          Theta(n^2) bytes to simulate. *)
   sc_points : scale_point list;
   sc_slope_p99 : float;  (** fitted d log(p99 bits) / d log n *)
 }
@@ -291,11 +290,6 @@ val scale_point_json : cap:int option -> scale_point -> Repro_util.Json.t
 
 val scale_ns_default : int list
 (** [256; 512; 1024; 2048; 4096]. *)
-
-val scale_cap : protocol -> int option
-(** Largest n the default sweep runs this protocol at ([None] = uncapped).
-    Caps bound {e simulation} cost, not protocol cost: the Theta(n)
-    baselines cost Theta(n^2) bytes to simulate. *)
 
 val scale_rows :
   ?ns:int list ->
@@ -378,9 +372,6 @@ type explain_report = {
           non-zero makes every cone a lower bound *)
 }
 
-val locality_budget : protocol:protocol -> n:int -> float option
-(** The declared per-round locality budget curve evaluated at [n]. *)
-
 val explain_cones :
   protocol:protocol -> n:int -> beta:float -> seed:int ->
   Repro_obs.Recorder.t -> explain_report
@@ -420,18 +411,13 @@ val strategy_equivocates : string -> bool
     component — such cells at beta > 0 carry a planted, provably
     extractable equivocation. *)
 
-val forensic_worthy : attack_cell -> bool
-(** Cells that earn a forensic re-run: gate failures, plus every
-    equivocate-strategy cell at beta > 0 (where evidence must exist). *)
-
-val cell_forensics : attack_cell -> forensic_bundle
-(** Re-run one cell bit-identically with a recorder attached and extract
-    verified accountable equivocation evidence. *)
-
 val attack_forensics : attack_matrix -> forensic_bundle list
-(** {!cell_forensics} over every {!forensic_worthy} cell of the matrix,
-    fanned out on the domain pool in deterministic order; the re-runs share
-    one setup per (protocol, n, seed), as {!attack_matrix} does. *)
+(** Re-run every cell of the matrix that earns it — gate failures, plus
+    every equivocate-strategy cell at beta > 0 (where evidence must
+    exist) — bit-identically with a recorder attached, and extract
+    verified accountable equivocation evidence. Fanned out on the domain
+    pool in deterministic order; the re-runs share one setup per
+    (protocol, n, seed), as {!attack_matrix} does. *)
 
 val forensics_teeth : forensic_bundle list -> bool
 (** Extractor self-check: the equivocate strategy provably equivocates at

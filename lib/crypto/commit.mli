@@ -4,7 +4,6 @@ type commitment = bytes
 type opening = { nonce : bytes; value : bytes }
 
 val commit : Repro_util.Rng.t -> bytes -> commitment * opening
-val commit_with : nonce:bytes -> bytes -> commitment
 val verify : commitment -> opening -> bool
 val encode_opening : Repro_util.Encode.sink -> opening -> unit
 val decode_opening : Repro_util.Encode.source -> opening

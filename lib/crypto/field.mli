@@ -12,7 +12,6 @@ val add : t -> t -> t
 val sub : t -> t -> t
 val neg : t -> t
 val mul : t -> t -> t
-val pow : t -> int -> t
 val inv : t -> t
 val div : t -> t -> t
 val equal : t -> t -> bool

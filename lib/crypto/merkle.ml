@@ -69,9 +69,5 @@ let verify_path ~root:r ~index ~leaf_data path =
   in
   go (hash_leaf leaf_data) index path
 
-let path_size_bytes ~num_leaves:n =
-  let depth = if n <= 1 then 0 else Repro_util.Mathx.log2_ceil n in
-  depth * Hashx.kappa_bytes
-
 let encode_path b p = Repro_util.Encode.list b Repro_util.Encode.bytes p
 let decode_path src = Repro_util.Encode.r_list src Repro_util.Encode.r_bytes

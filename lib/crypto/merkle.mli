@@ -13,7 +13,5 @@ val path : tree -> int -> bytes list
 
 val verify_path : root:bytes -> index:int -> leaf_data:bytes -> bytes list -> bool
 
-val path_size_bytes : num_leaves:int -> int
-
 val encode_path : Repro_util.Encode.sink -> bytes list -> unit
 val decode_path : Repro_util.Encode.source -> bytes list

@@ -12,8 +12,6 @@ type signature = {
   auth_path : bytes list;
 }
 
-val default_height : int
-
 val keygen : ?height:int -> bytes -> verification_key * secret_key
 (** Deterministic from a seed. *)
 

@@ -94,6 +94,53 @@ let rows () =
 
 let path_string path = String.concat ">" path
 
+(* Siblings sort heaviest subtree first, and children stay grouped under
+   their parent: the weight of a path prefix is the wall time of every
+   path under it. *)
+let flame_summary () =
+  let rs = rows () in
+  let weight : (string list, float) Hashtbl.t = Hashtbl.create 64 in
+  List.iter
+    (fun r ->
+      let rec prefixes acc = function
+        | [] -> ()
+        | x :: rest ->
+          let p = acc @ [ x ] in
+          Hashtbl.replace weight p
+            (r.p_wall_us +. Option.value (Hashtbl.find_opt weight p) ~default:0.);
+          prefixes p rest
+      in
+      prefixes [] r.p_path)
+    rs;
+  let w p = Option.value (Hashtbl.find_opt weight p) ~default:0. in
+  let rec cmp acc a b =
+    match (a, b) with
+    | [], [] -> 0
+    | [], _ -> -1 (* parent row before its children *)
+    | _, [] -> 1
+    | x :: xs, y :: ys ->
+      if x = y then cmp (acc @ [ x ]) xs ys
+      else
+        let c = compare (w (acc @ [ y ])) (w (acc @ [ x ])) in
+        if c <> 0 then c else compare x y
+  in
+  let buf = Buffer.create 1024 in
+  Buffer.add_string buf "span summary (count, total wall time):\n";
+  List.iter
+    (fun r ->
+      let depth = List.length r.p_path - 1 in
+      Buffer.add_string buf
+        (Printf.sprintf "%s%-*s %6dx %10.3f ms\n"
+           (String.make (2 * depth) ' ')
+           (max 1 (40 - (2 * depth)))
+           (List.nth r.p_path depth) r.p_count (r.p_wall_us /. 1e3)))
+    (List.sort (fun a b -> cmp [] a.p_path b.p_path) rs);
+  if Trace.dropped () > 0 then
+    Buffer.add_string buf
+      (Printf.sprintf "(%d events dropped: per-domain buffer cap hit)\n"
+         (Trace.dropped ()));
+  Buffer.contents buf
+
 let top_by ~top key rs =
   List.sort (fun a b -> compare (key b) (key a)) rs |> fun sorted ->
   List.filteri (fun i _ -> i < top) sorted

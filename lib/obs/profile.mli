@@ -47,6 +47,11 @@ val rows : unit -> row list
 (** The recorded events aggregated by nesting path, sorted by path. Wall
     and Gc fields are inclusive of children, like the spans themselves. *)
 
+val flame_summary : unit -> string
+(** ASCII flame summary of {!rows}: one line per nesting path with its
+    call count and total wall time, indented by depth; siblings are
+    ordered heaviest subtree first, children grouped under their parent. *)
+
 val render_hotspots : ?top:int -> unit -> string
 (** Two ASCII tables over the current trace buffer: top-[top] paths by
     wall time and by allocated words. *)

@@ -204,64 +204,3 @@ let flush () =
     end
 
 let () = at_exit flush
-
-(* ASCII flame summary: aggregate events by nesting path, render as an
-   indented tree sorted by total time within each level. *)
-let summary () =
-  let tbl : (string list, int * float) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun ev ->
-      let count, total =
-        Option.value (Hashtbl.find_opt tbl ev.e_path) ~default:(0, 0.)
-      in
-      Hashtbl.replace tbl ev.e_path (count + 1, total +. ev.e_dur))
-    (events ());
-  (* Subtree weight of every path prefix, so siblings sort heaviest-first
-     and children stay grouped under their parent. *)
-  let weight : (string list, float) Hashtbl.t = Hashtbl.create 64 in
-  Hashtbl.iter
-    (fun path (_, total) ->
-      let rec prefixes acc = function
-        | [] -> ()
-        | x :: rest ->
-          let p = acc @ [ x ] in
-          Hashtbl.replace weight p
-            (total +. Option.value (Hashtbl.find_opt weight p) ~default:0.);
-          prefixes p rest
-      in
-      prefixes [] path)
-    tbl;
-  let w p = Option.value (Hashtbl.find_opt weight p) ~default:0. in
-  let rows =
-    Hashtbl.fold (fun path v acc -> (path, v) :: acc) tbl []
-    |> List.sort (fun (pa, _) (pb, _) ->
-           let rec cmp acc a b =
-             match (a, b) with
-             | [], [] -> 0
-             | [], _ -> -1 (* parent row before its children *)
-             | _, [] -> 1
-             | x :: xs, y :: ys ->
-               if x = y then cmp (acc @ [ x ]) xs ys
-               else
-                 let c = compare (w (acc @ [ y ])) (w (acc @ [ x ])) in
-                 if c <> 0 then c else compare x y
-           in
-           cmp [] pa pb)
-  in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "span summary (count, total wall time):\n";
-  List.iter
-    (fun (path, (count, total_us)) ->
-      let depth = List.length path - 1 in
-      let name = List.nth path depth in
-      Buffer.add_string buf
-        (Printf.sprintf "%s%-*s %6dx %10.3f ms\n"
-           (String.make (2 * depth) ' ')
-           (max 1 (40 - (2 * depth)))
-           name count (total_us /. 1e3)))
-    rows;
-  if dropped () > 0 then
-    Buffer.add_string buf
-      (Printf.sprintf "(%d events dropped: per-domain buffer cap hit)\n"
-         (dropped ()));
-  Buffer.contents buf

@@ -71,6 +71,6 @@ val flush : unit -> unit
     at least one event was recorded. Also runs automatically at exit, so
     [REPRO_TRACE_FILE=... ./prog] needs no code change. *)
 
-val summary : unit -> string
-(** Self-contained ASCII flame summary: the span tree aggregated by nesting
-    path, with call counts and total wall time, indented by depth. *)
+val dropped : unit -> int
+(** Events dropped since the last {!reset} because a per-domain buffer was
+    full. *)

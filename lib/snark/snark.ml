@@ -20,7 +20,9 @@
    and prover running time of a real SNARK (covered by the timing
    microbenches only as the oracle's cost). *)
 
-(* The key is prepared once at setup: every prove and verify tags with it. *)
+(* The key is prepared once at setup: every prove and verify tags with it.
+   Nothing reads [crs_id], but setup draws it from the caller's RNG, and
+   every later draw of that RNG (keys, digests) depends on the draw. *)
 type crs = { mac_key : Repro_crypto.Hmac.prepared; crs_id : bytes }
 
 type proof = bytes (* kappa-byte tag; adversaries see/forward it freely *)
@@ -35,8 +37,6 @@ let setup rng =
     mac_key = Repro_crypto.Hmac.prepare (Repro_util.Rng.bytes rng 32);
     crs_id = Repro_util.Rng.bytes rng Repro_crypto.Hashx.kappa_bytes;
   }
-
-let crs_id crs = crs.crs_id
 
 let proof_size = Repro_crypto.Hashx.kappa_bytes
 

@@ -12,7 +12,6 @@ type 'w relation = {
 }
 
 val setup : Repro_util.Rng.t -> crs
-val crs_id : crs -> bytes
 val proof_size : int
 
 val prove : crs -> 'w relation -> statement:bytes -> witness:'w -> proof option

@@ -22,18 +22,17 @@ let run_with_strategy run_fn ~label ~strategy ~n ~t ~seed =
   let cfg =
     Balanced_ba.default_config
       ~adversary:(Strategy.instantiate strategy ~seed)
-      ~n
       ~inputs:(Array.init n (fun i -> i mod 2 = 0))
       ~seed ()
   in
   let net = Repro_net.Network.create ~n ~corrupt () in
-  let (r : Balanced_ba.result) = run_fn ~net ~n ~seed cfg in
-  Alcotest.(check bool) (label ^ ": agreed") true r.Balanced_ba.agreed;
+  let o = Balanced_ba.outcome net cfg (run_fn ~net ~n ~seed cfg) in
+  Alcotest.(check bool) (label ^ ": agreed") true o.Outcome.agreed;
   Alcotest.(check bool)
-    (Printf.sprintf "%s: decided %.2f" label r.Balanced_ba.decided_fraction)
+    (Printf.sprintf "%s: decided %.2f" label o.Outcome.decided_fraction)
     true
-    (r.Balanced_ba.decided_fraction > 0.95);
-  Alcotest.(check bool) (label ^ ": valid") true r.Balanced_ba.valid
+    (o.Outcome.decided_fraction > 0.95);
+  Alcotest.(check bool) (label ^ ": valid") true o.Outcome.valid
 
 let test_owf_under_chaff () =
   run_with_strategy owf ~label:"owf+chaff"

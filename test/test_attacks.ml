@@ -149,21 +149,16 @@ let test_vrf_grinding_breaks_bare_pki_ordering () =
 module Boost_owf = Boost.Make (Srds_owf)
 
 let test_boost_inverted_owf_breaks_verification () =
-  let cfg =
-    {
-      Boost.n = 150;
-      corrupt = List.init 15 (fun i -> i);
-      isolated_fraction = 0.15;
-      degree = 16;
-      seed = 6;
-    }
+  let cfg = { Boost.isolated_fraction = 0.15; degree = 16; seed = 6 } in
+  let net () =
+    Repro_net.Network.create ~n:150 ~corrupt:(List.init 15 (fun i -> i)) ()
   in
   (* with intact OWF: verification protects everyone *)
-  let sound = Boost_owf.run cfg in
+  let sound = Boost_owf.run ~net:(net ()) cfg in
   Alcotest.(check (float 0.0001)) "sound: none fooled" 0.0 sound.Boost.fooled_fraction;
   (* with the adversary holding inverted keys: its conflicting certificate
      is VALID, so verification no longer helps *)
-  let broken = Boost_owf.run_with_inverted_owf cfg in
+  let broken = Boost_owf.run_with_inverted_owf ~net:(net ()) cfg in
   Alcotest.(check bool)
     (Printf.sprintf "inverted OWF: %.2f fooled" broken.Boost.fooled_fraction)
     true

@@ -288,19 +288,17 @@ let test_condition_off_matches_goldens () =
   check Runner.This_work_owf Test_golden.golden_owf;
   check Runner.This_work_snark Test_golden.golden_snark
 
-(* The transcript digest, the result and the network of one owf run. *)
+(* The transcript digest, the outcome and the network of one owf run. *)
 let run_owf ?condition ~cfg ~n ~seed () =
   let tap, digest = Runner.digest_sink () in
   let rng = Rng.create seed in
   let corrupt = Rng.subset rng ~n ~size:(n / 10) in
   let net = Runner.network ~sinks:[ tap ] ~cfg ?condition ~n ~corrupt () in
   let bcfg =
-    Balanced_ba.default_config ~n
-      ~inputs:(Array.init n (fun i -> i mod 2 = 0))
-      ~seed ()
+    Balanced_ba.default_config ~inputs:(Array.init n (fun i -> i mod 2 = 0)) ~seed ()
   in
   let r = Ba_owf.run ~net ~setup:(Ba_owf.setup ~n ~seed) bcfg in
-  (digest (), r, net)
+  (digest (), Balanced_ba.outcome net bcfg r, net)
 
 let test_pass_condition_byte_identical () =
   let cfg = chaos ~seed:4 in
@@ -341,7 +339,7 @@ let test_delay_condition_envelope () =
   let _, slow, slow_net = run_owf ~condition:delayed ~cfg ~n:40 ~seed:4 () in
   Alcotest.(check bool) "delay perturbs the end-to-end schedule" true
     (Network.virtual_time slow_net <> Network.virtual_time base);
-  Alcotest.(check bool) "delayed run still agrees" true slow.Balanced_ba.agreed
+  Alcotest.(check bool) "delayed run still agrees" true slow.Outcome.agreed
 
 (* --- the matrix has teeth --- *)
 

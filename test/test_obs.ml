@@ -325,6 +325,50 @@ let test_span_nesting () =
   Alcotest.(check int) "disabled records nothing" 0
     (List.length (Trace.events ()))
 
+(* The flame summary lists each nesting path once, with its exact call
+   count, children indented under their parent. *)
+let test_flame_summary_counts () =
+  Trace.set_enabled true;
+  Trace.reset ();
+  for _ = 1 to 2 do
+    Trace.span "root" (fun () ->
+        for _ = 1 to 3 do
+          Trace.span "leaf" (fun () -> ())
+        done;
+        Trace.span "mid" (fun () -> Trace.span "leaf" (fun () -> ())))
+  done;
+  Trace.span "solo" (fun () -> ());
+  let lines =
+    Repro_obs.Profile.flame_summary ()
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+    |> List.tl
+    |> List.map (fun l ->
+           Scanf.sscanf l "%[ ]%s %dx" (fun indent name count ->
+               (String.length indent / 2, name, count)))
+  in
+  Trace.reset ();
+  Trace.set_enabled false;
+  let sorted = List.sort compare lines in
+  Alcotest.(check (list (triple int string int)))
+    "(depth, name, count) once per path"
+    [ (0, "root", 2); (0, "solo", 1); (1, "leaf", 6); (1, "mid", 2); (2, "leaf", 2) ]
+    sorted;
+  (* Children are grouped under their parent; sibling order depends on
+     wall time, so only the grouping is checked. *)
+  let solo = (0, "solo", 1) in
+  Alcotest.(check bool) "a root sibling is not inside another subtree" true
+    (List.hd lines = solo || List.nth lines (List.length lines - 1) = solo);
+  let rest = List.filter (( <> ) solo) lines in
+  Alcotest.(check bool) "a parent precedes its subtree" true
+    (List.hd rest = (0, "root", 2));
+  let rec leaf_under_mid = function
+    | (1, "mid", _) :: (2, "leaf", _) :: _ -> true
+    | _ :: more -> leaf_under_mid more
+    | [] -> false
+  in
+  Alcotest.(check bool) "a child follows its parent" true (leaf_under_mid rest)
+
 let test_chrome_json () =
   Trace.set_enabled true;
   Trace.reset ();
@@ -1124,4 +1168,5 @@ let suite =
       test_profile_counters_pinned;
     Alcotest.test_case "profile compare gate" `Quick test_profile_compare;
     Alcotest.test_case "hex codec" `Quick test_hex_codec;
+    Alcotest.test_case "flame summary counts" `Quick test_flame_summary_counts;
   ]

@@ -11,35 +11,34 @@ module Ba_snark = Balanced_ba.Make (Srds_snark)
 module Ba_multisig = Balanced_ba.Make (Baseline_multisig)
 
 (* Each run builds its own network, whose mask is the corrupt set, and its
-   own phase-A setup, as a single-cell caller does. *)
+   own phase-A setup, as a single-cell caller does, and returns the
+   protocol's result with its judged outcome. *)
 let net_of ?sinks ~n corrupt = Repro_net.Network.create ?sinks ~n ~corrupt ()
 
-let run_owf ~corrupt (cfg : Balanced_ba.config) =
-  Ba_owf.run ~net:(net_of ~n:cfg.n corrupt)
-    ~setup:(Ba_owf.setup ~n:cfg.n ~seed:cfg.seed) cfg
+let judged run setup ~corrupt (cfg : Balanced_ba.config) =
+  let n = Array.length cfg.inputs in
+  let net = net_of ~n corrupt in
+  let r = run ~net ~setup:(setup ~n ~seed:cfg.seed) cfg in
+  (r, Balanced_ba.outcome net cfg r)
 
-let run_snark ~corrupt (cfg : Balanced_ba.config) =
-  Ba_snark.run ~net:(net_of ~n:cfg.n corrupt)
-    ~setup:(Ba_snark.setup ~n:cfg.n ~seed:cfg.seed) cfg
-
-let run_multisig ~corrupt (cfg : Balanced_ba.config) =
-  Ba_multisig.run ~net:(net_of ~n:cfg.n corrupt)
-    ~setup:(Ba_multisig.setup ~n:cfg.n ~seed:cfg.seed) cfg
+let run_owf = judged Ba_owf.run Ba_owf.setup
+let run_snark = judged Ba_snark.run Ba_snark.setup
+let run_multisig = judged Ba_multisig.run Ba_multisig.setup
 
 let corrupt_of rng ~n ~count = Rng.subset rng ~n ~size:count
 
 let check_ba run_fn ~label ~n ~t ~seed ~inputs =
   let rng = Rng.create seed in
   let corrupt = corrupt_of rng ~n ~count:t in
-  let cfg = Balanced_ba.default_config ~n ~inputs:(Array.init n inputs) ~seed () in
-  let (r : Balanced_ba.result) = run_fn ~corrupt cfg in
+  let cfg = Balanced_ba.default_config ~inputs:(Array.init n inputs) ~seed () in
+  let (r : Balanced_ba.result), (o : Outcome.t) = run_fn ~corrupt cfg in
   Alcotest.(check bool) (label ^ ": tree good") true r.Balanced_ba.tree_good;
-  Alcotest.(check bool) (label ^ ": agreed") true r.Balanced_ba.agreed;
+  Alcotest.(check bool) (label ^ ": agreed") true o.agreed;
   Alcotest.(check bool)
-    (Printf.sprintf "%s: all decided (%.2f)" label r.Balanced_ba.decided_fraction)
+    (Printf.sprintf "%s: all decided (%.2f)" label o.decided_fraction)
     true
-    (r.Balanced_ba.decided_fraction > 0.99);
-  Alcotest.(check bool) (label ^ ": valid") true r.Balanced_ba.valid;
+    (o.decided_fraction > 0.99);
+  Alcotest.(check bool) (label ^ ": valid") true o.valid;
   r
 
 let test_ba_owf_mixed_inputs () =
@@ -74,12 +73,12 @@ let test_ba_communication_balanced () =
   let n = 96 in
   let corrupt = corrupt_of rng ~n ~count:9 in
   let cfg =
-    Balanced_ba.default_config ~n ~inputs:(Array.init n (fun i -> i mod 2 = 0)) ~seed:11 ()
+    Balanced_ba.default_config ~inputs:(Array.init n (fun i -> i mod 2 = 0)) ~seed:11 ()
   in
-  let r = run_snark ~corrupt cfg in
-  Alcotest.(check bool) "agreed" true r.Balanced_ba.agreed;
+  let _, o = run_snark ~corrupt cfg in
+  Alcotest.(check bool) "agreed" true o.Outcome.agreed;
   let ratio =
-    float_of_int r.Balanced_ba.report.Metrics.max_bytes /. r.Balanced_ba.report.Metrics.mean_bytes
+    float_of_int o.Outcome.report.Metrics.max_bytes /. o.Outcome.report.Metrics.mean_bytes
   in
   Alcotest.(check bool) (Printf.sprintf "balanced (max/mean = %.1f)" ratio) true (ratio < 12.0)
 
@@ -91,10 +90,10 @@ let test_ba_snark_cheaper_than_owf () =
     let n = 72 in
     let corrupt = corrupt_of rng ~n ~count:7 in
     let cfg =
-      Balanced_ba.default_config ~n ~inputs:(Array.init n (fun i -> i mod 2 = 0)) ~seed ()
+      Balanced_ba.default_config ~inputs:(Array.init n (fun i -> i mod 2 = 0)) ~seed ()
     in
-    let (r : Balanced_ba.result) = run_fn ~corrupt cfg in
-    r.Balanced_ba.report.Metrics.max_bytes
+    let _, (o : Outcome.t) = run_fn ~corrupt cfg in
+    o.report.Metrics.max_bytes
   in
   let owf = run run_owf 12 and snark = run run_snark 12 in
   Alcotest.(check bool)
@@ -110,34 +109,35 @@ let test_broadcast_honest_senders () =
   let n = 72 in
   let rng = Rng.create 13 in
   let corrupt = corrupt_of rng ~n ~count:7 in
-  let cfg =
-    Balanced_ba.default_config ~n ~inputs:(Array.make n false) ~seed:13 ()
-  in
+  let cfg = Balanced_ba.default_config ~inputs:(Array.make n false) ~seed:13 () in
   let honest_senders =
     List.filter (fun p -> not (List.mem p corrupt)) [ 0; 5; 11 ]
   in
   let messages =
     List.map (fun p -> (p, Bytes.of_string (Printf.sprintf "block-%d" p))) honest_senders
   in
-  let r = Bc.run ~net:(net_of ~n corrupt) cfg ~messages in
+  let net = net_of ~n corrupt in
   List.iter
-    (fun (e : Broadcast.exec_result) ->
+    (fun (e : Broadcast.exec) ->
+      let o = Outcome.of_outputs net ~outputs:e.outputs ~expected:(Some e.value) in
       Alcotest.(check bool)
-        (Printf.sprintf "sender %d consistent" e.Broadcast.sender)
-        true e.Broadcast.consistent;
+        (Printf.sprintf "sender %d consistent" e.sender)
+        true o.agreed;
       Alcotest.(check bool)
-        (Printf.sprintf "sender %d delivered (%.2f decided)" e.Broadcast.sender
-           e.Broadcast.decided_fraction)
-        true e.Broadcast.delivered)
-    r.Broadcast.execs
+        (Printf.sprintf "sender %d delivered (%.2f decided)" e.sender
+           o.decided_fraction)
+        true (Broadcast.delivered net e o))
+    (Bc.run ~net cfg ~messages)
 
 let test_broadcast_amortization () =
   (* more executions must amortize: per-execution max cost decreases *)
   let n = 64 in
-  let cfg = Balanced_ba.default_config ~n ~inputs:(Array.make n false) ~seed:14 () in
+  let cfg = Balanced_ba.default_config ~inputs:(Array.make n false) ~seed:14 () in
   let run l =
     let messages = List.init l (fun k -> (k, Bytes.of_string (Printf.sprintf "m%d" k))) in
-    (Bc.run ~net:(net_of ~n []) cfg ~messages).Broadcast.amortized_max_bytes
+    let net = net_of ~n [] in
+    ignore (Bc.run ~net cfg ~messages);
+    float_of_int (Outcome.report net).max_bytes /. float_of_int l
   in
   let one = run 1 and four = run 4 in
   Alcotest.(check bool)
@@ -148,12 +148,12 @@ let test_broadcast_corrupt_sender_consistent () =
   (* a corrupt, silent sender must still leave honest parties consistent *)
   let n = 64 in
   let corrupt = [ 3 ] in
-  let cfg = Balanced_ba.default_config ~n ~inputs:(Array.make n false) ~seed:15 () in
-  let r =
-    Bc.run ~net:(net_of ~n corrupt) cfg ~messages:[ (3, Bytes.of_string "never-sent") ]
-  in
-  match r.Broadcast.execs with
-  | [ e ] -> Alcotest.(check bool) "consistent" true e.Broadcast.consistent
+  let cfg = Balanced_ba.default_config ~inputs:(Array.make n false) ~seed:15 () in
+  let net = net_of ~n corrupt in
+  match Bc.run ~net cfg ~messages:[ (3, Bytes.of_string "never-sent") ] with
+  | [ e ] ->
+    let o = Outcome.of_outputs net ~outputs:e.outputs ~expected:(Some e.value) in
+    Alcotest.(check bool) "consistent" true o.agreed
   | _ -> Alcotest.fail "one exec expected"
 
 (* --- boost experiment (E11) and the Thm 1.3 illustration --- *)
@@ -161,10 +161,8 @@ let test_broadcast_corrupt_sender_consistent () =
 module Boost_owf = Boost.Make (Srds_owf)
 
 let test_boost_recovers_isolated () =
-  let cfg =
-    { Boost.n = 120; corrupt = [ 1; 2; 3 ]; isolated_fraction = 0.1; degree = 16; seed = 16 }
-  in
-  let r = Boost_owf.run cfg in
+  let cfg = { Boost.isolated_fraction = 0.1; degree = 16; seed = 16 } in
+  let r = Boost_owf.run ~net:(net_of ~n:120 [ 1; 2; 3 ]) cfg in
   Alcotest.(check bool)
     (Printf.sprintf "recovered %.2f" r.Boost.recovered_fraction)
     true
@@ -172,10 +170,8 @@ let test_boost_recovers_isolated () =
   Alcotest.(check (float 0.0001)) "none fooled" 0.0 r.Boost.fooled_fraction
 
 let test_boost_degree_zero_fails () =
-  let cfg =
-    { Boost.n = 120; corrupt = []; isolated_fraction = 0.2; degree = 1; seed = 17 }
-  in
-  let r = Boost_owf.run cfg in
+  let cfg = { Boost.isolated_fraction = 0.2; degree = 1; seed = 17 } in
+  let r = Boost_owf.run ~net:(net_of ~n:120 []) cfg in
   (* degree 1 cannot cover everyone *)
   Alcotest.(check bool)
     (Printf.sprintf "partial recovery %.2f" r.Boost.recovered_fraction)
@@ -185,22 +181,15 @@ let test_boost_degree_zero_fails () =
 let test_boost_unauthenticated_attackable () =
   (* without SRDS verification the conflict-flooding adversary fools
      isolated parties — the Thm 1.3 attack surface *)
-  let cfg =
-    {
-      Boost.n = 120;
-      corrupt = [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ];
-      isolated_fraction = 0.15;
-      degree = 16;
-      seed = 18;
-    }
-  in
-  let r = Boost_owf.run_unauthenticated cfg in
+  let cfg = { Boost.isolated_fraction = 0.15; degree = 16; seed = 18 } in
+  let net () = net_of ~n:120 [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ] in
+  let r = Boost_owf.run_unauthenticated ~net:(net ()) cfg in
   Alcotest.(check bool)
     (Printf.sprintf "some isolated fooled (%.2f)" r.Boost.fooled_fraction)
     true
     (r.Boost.fooled_fraction > 0.0);
   (* and the authenticated version shrugs the same adversary off *)
-  let r' = Boost_owf.run cfg in
+  let r' = Boost_owf.run ~net:(net ()) cfg in
   Alcotest.(check (float 0.0001)) "authenticated unfooled" 0.0 r'.Boost.fooled_fraction
 
 (* --- baselines --- *)
@@ -213,14 +202,16 @@ let test_sqrt_baseline () =
     List.filter (fun p -> not (List.mem p corrupt)) (List.init n (fun p -> p))
     |> List.filteri (fun i _ -> i mod 10 <> 0)
   in
-  let r = Baseline_sqrt.run ~net:(net_of ~n corrupt) { n; holders; value = true; seed = 19 } in
-  Alcotest.(check bool) "agreed" true r.Baseline_sqrt.agreed;
+  let net = net_of ~n corrupt in
+  let outputs = Baseline_sqrt.run ~net { holders; value = true } in
+  let o = Outcome.of_outputs net ~outputs ~expected:(Some true) in
+  Alcotest.(check bool) "agreed" true o.agreed;
   Alcotest.(check bool)
-    (Printf.sprintf "correct %.2f" r.Baseline_sqrt.correct_fraction)
+    (Printf.sprintf "correct %.2f" o.correct_fraction)
     true
-    (r.Baseline_sqrt.correct_fraction > 0.99);
+    (o.correct_fraction > 0.99);
   (* per-party communication ~ sqrt(n) messages of ~6 bytes *)
-  let max_b = r.Baseline_sqrt.report.Metrics.max_bytes in
+  let max_b = o.report.Metrics.max_bytes in
   Alcotest.(check bool)
     (Printf.sprintf "sqrt-scale bytes (%d)" max_b)
     true
@@ -233,14 +224,13 @@ let test_naive_baseline () =
   let holders =
     List.filter (fun p -> not (List.mem p corrupt)) (List.init n (fun p -> p))
   in
-  let r =
-    Baseline_naive.run ~net:(net_of ~n corrupt) { n; holders; value = false; seed = 20 }
-  in
-  Alcotest.(check bool) "agreed" true r.Baseline_naive.agreed;
-  Alcotest.(check bool) "correct" true (r.Baseline_naive.correct_fraction > 0.99);
+  let net = net_of ~n corrupt in
+  let outputs = Baseline_naive.run ~net { holders; value = false } in
+  let o = Outcome.of_outputs net ~outputs ~expected:(Some false) in
+  Alcotest.(check bool) "agreed" true o.agreed;
+  Alcotest.(check bool) "correct" true (o.correct_fraction > 0.99);
   (* per-party cost is Theta(n) *)
-  Alcotest.(check bool) "linear bytes" true
-    (r.Baseline_naive.report.Metrics.max_bytes > 5 * n)
+  Alcotest.(check bool) "linear bytes" true (o.report.Metrics.max_bytes > 5 * n)
 
 (* --- phase A as a value: shared setups --- *)
 
@@ -252,14 +242,15 @@ let test_dolev_shared_pki () =
   let n = 16 and seed = 3 in
   let cfgs =
     [
-      ([], { Baseline_dolev.n; value = true; seed });
-      ([ 2; 7; 11 ], { Baseline_dolev.n; value = false; seed });
+      ([], { Baseline_dolev.value = true; seed });
+      ([ 2; 7; 11 ], { Baseline_dolev.value = false; seed });
     ]
   in
   let run pki (corrupt, cfg) =
     let tap, digest = Runner.digest_sink () in
-    let r = Baseline_dolev.run ~net:(net_of ~sinks:[ tap ] ~n corrupt) ~pki cfg in
-    (digest (), r.Baseline_dolev.outputs, r.Baseline_dolev.report.Metrics.total_bytes)
+    let net = net_of ~sinks:[ tap ] ~n corrupt in
+    let outputs = Baseline_dolev.run ~net ~pki cfg in
+    (digest (), outputs, (Outcome.report net).Metrics.total_bytes)
   in
   let fresh = List.map (fun cfg -> run (Baseline_dolev.pki ~n ~seed) cfg) cfgs in
   let pki = Baseline_dolev.pki ~n ~seed in
@@ -279,9 +270,10 @@ let test_dolev_shared_pki () =
   Repro_util.Parallel.set_domains saved;
   check "concurrent on 2 domains" concurrent
 
-(* A run refuses a setup, a PKI or a network built for another run. *)
+(* A run refuses a setup or a PKI built for another run, and inputs for a
+   network of another n. *)
 let test_setup_rejects_other_run () =
-  let cfg ~n ~seed = Balanced_ba.default_config ~n ~inputs:(Array.make n true) ~seed () in
+  let cfg ~n ~seed = Balanced_ba.default_config ~inputs:(Array.make n true) ~seed () in
   let setup = Ba_owf.setup ~n:32 ~seed:1 in
   let net32 = net_of ~n:32 [] and net40 = net_of ~n:40 [] in
   let rejects what f =
@@ -293,25 +285,17 @@ let test_setup_rejects_other_run () =
       ignore (Ba_owf.make_ctx ~net:net32 ~setup (cfg ~n:32 ~seed:2)));
   rejects "other n" (fun () ->
       ignore (Ba_owf.make_ctx ~net:net40 ~setup (cfg ~n:40 ~seed:1)));
-  rejects "network of another n" (fun () ->
-      ignore (Ba_owf.make_ctx ~net:net40 ~setup (cfg ~n:32 ~seed:1)));
+  rejects "inputs of another n" (fun () ->
+      ignore (Ba_owf.make_ctx ~net:net32 ~setup (cfg ~n:40 ~seed:1)));
   let pki = Baseline_dolev.pki ~n:8 ~seed:1 in
   rejects "dolev-strong, other seed" (fun () ->
       ignore
         (Baseline_dolev.run ~net:(net_of ~n:8 []) ~pki
-           { Baseline_dolev.n = 8; value = true; seed = 2 }));
-  rejects "dolev-strong, network of another n" (fun () ->
+           { Baseline_dolev.value = true; seed = 2 }));
+  rejects "dolev-strong, PKI of another n" (fun () ->
       ignore
         (Baseline_dolev.run ~net:(net_of ~n:9 []) ~pki
-           { Baseline_dolev.n = 8; value = true; seed = 1 }));
-  rejects "sqrt-quorum, network of another n" (fun () ->
-      ignore
-        (Baseline_sqrt.run ~net:net40
-           { Baseline_sqrt.n = 32; holders = []; value = true; seed = 1 }));
-  rejects "naive-flood, network of another n" (fun () ->
-      ignore
-        (Baseline_naive.run ~net:net40
-           { Baseline_naive.n = 32; holders = []; value = true; seed = 1 }));
+           { Baseline_dolev.value = true; seed = 1 }));
   ignore (Ba_owf.make_ctx ~net:net32 ~setup (cfg ~n:32 ~seed:1))
 
 (* --- runner rows --- *)

@@ -335,16 +335,15 @@ let run_owf_async ~n ~seed cfg =
   let corrupt = Rng.subset rng ~n ~size:(n / 10) in
   let net = Runner.network ~cfg ~n ~corrupt () in
   let bcfg =
-    Balanced_ba.default_config ~n
-      ~inputs:(Array.init n (fun i -> i mod 2 = 0))
-      ~seed ()
+    Balanced_ba.default_config ~inputs:(Array.init n (fun i -> i mod 2 = 0)) ~seed ()
   in
-  (Ba_owf.run ~net ~setup:(Ba_owf.setup ~n ~seed) bcfg, net)
+  let r = Ba_owf.run ~net ~setup:(Ba_owf.setup ~n ~seed) bcfg in
+  (Balanced_ba.outcome net bcfg r, net)
 
 let test_post_gst_on_network () =
   let cfg = chaos ~seed:5 in
-  let r, net = run_owf_async ~n:64 ~seed:5 cfg in
-  Alcotest.(check bool) "async run agreed" true r.Balanced_ba.agreed;
+  let o, net = run_owf_async ~n:64 ~seed:5 cfg in
+  Alcotest.(check bool) "async run agreed" true o.Outcome.agreed;
   let stats = Network.async_stats net in
   let log = Sched.deliveries stats in
   Alcotest.(check bool) "network sampled deliveries" true (log <> []);

@@ -193,28 +193,35 @@ let disseminate ?adversary net t ~label ~values =
         let v = Repro_util.Encode.r_bytes src in
         (level, idx, v))
   in
+  (* A node's parties ascending, each once: the destinations of every
+     forward to it (a leaf's are its slot owners), sorted once per
+     dissemination, at the first forward to the node. *)
+  let dsts_of =
+    Array.init (height + 1) (fun level ->
+        if level = 0 then [||] else Array.make (Tree.nodes_at_level tr ~level) [||])
+  in
+  let dsts ~level ~idx =
+    match dsts_of.(level).(idx) with
+    | [||] ->
+      let d =
+        Array.of_list (List.sort_uniq Int.compare (Array.to_list (Tree.assigned tr ~level ~idx)))
+      in
+      dsts_of.(level).(idx) <- d;
+      d
+    | d -> d
+  in
   (* Member p of node (level, idx) forwards value v toward the leaves. *)
   let forward p ~level ~idx v =
     if level >= 2 then
       List.iter
         (fun child ->
-          let dsts =
-            if level - 1 >= 2 then
-              Array.to_list (Tree.assigned tr ~level:(level - 1) ~idx:child)
-            else
-              (* child is a leaf: deliver to its slot owners *)
-              Array.to_list (Tree.assigned tr ~level:1 ~idx:child)
-          in
-          Network.send_many net ~src:p ~dsts:(List.sort_uniq compare dsts) ~tag
+          Network.send_many net ~src:p ~dsts:(dsts ~level:(level - 1) ~idx:child) ~tag
             (enc ~level:(level - 1) ~idx:child v))
         (Tree.children tr ~level ~idx)
     else
       (* Degenerate height-1 tree: the root is the single leaf; committee
          members hand the value straight to its slot owners. *)
-      Network.send_many net ~src:p
-        ~dsts:(List.sort_uniq compare (Array.to_list (Tree.assigned tr ~level:1 ~idx)))
-        ~tag
-        (enc ~level:1 ~idx v)
+      Network.send_many net ~src:p ~dsts:(dsts ~level:1 ~idx) ~tag (enc ~level:1 ~idx v)
   in
   let start = Network.round net in
   (* Parties that ingested an internal-node value must keep acting in later

@@ -201,13 +201,13 @@ let run ?adversary net params ~rng =
     if round = 0 then begin
       let c, o = Repro_crypto.Commit.commit party_rng.(p) my_value.(p) in
       my_opening.(p) <- Some o;
-      Network.send_many net ~src:p ~dsts:members ~tag:"elect/commit" c
+      Network.send_many net ~src:p ~dsts:(Array.of_list members) ~tag:"elect/commit" c
     end
     else if round = 1 then begin
       match my_opening.(p) with
       | Some o ->
         let payload = Repro_util.Encode.to_bytes (fun b -> Repro_crypto.Commit.encode_opening b o) in
-        Network.send_many net ~src:p ~dsts:members ~tag:"elect/open" payload
+        Network.send_many net ~src:p ~dsts:(Array.of_list members) ~tag:"elect/open" payload
       | None -> ()
     end
     else if round = 2 then begin
@@ -232,7 +232,7 @@ let run ?adversary net params ~rng =
       if List.mem p (relay params n ~level:1 ~idx:g) && depth >= 2 then begin
         let parent = g / params.Params.branching in
         Network.send_many net ~src:p
-          ~dsts:(relay params n ~level:2 ~idx:parent)
+          ~dsts:(Array.of_list (relay params n ~level:2 ~idx:parent))
           ~tag:"elect/up/2" (enc_up ~child:g coin)
       end
       else if depth = 1 then my_seed.(p) <- Some coin
@@ -246,7 +246,7 @@ let run ?adversary net params ~rng =
           let combined = combined_for p ~level ~idx in
           let parent = idx / params.Params.branching in
           Network.send_many net ~src:p
-            ~dsts:(relay params n ~level:(level + 1) ~idx:parent)
+            ~dsts:(Array.of_list (relay params n ~level:(level + 1) ~idx:parent))
             ~tag:(Printf.sprintf "elect/up/%d" (level + 1))
             (enc_up ~child:idx combined)
         end
@@ -260,7 +260,7 @@ let run ?adversary net params ~rng =
         List.iter
           (fun child ->
             Network.send_many net ~src:p
-              ~dsts:(relay params n ~level:(depth - 1) ~idx:child)
+              ~dsts:(Array.of_list (relay params n ~level:(depth - 1) ~idx:child))
               ~tag:"elect/down" seed)
           (if depth >= 2 then
              let below = nodes_at params n ~level:(depth - 1) in
@@ -288,7 +288,7 @@ let run ?adversary net params ~rng =
               List.iter
                 (fun child ->
                   Network.send_many net ~src:p
-                    ~dsts:(relay params n ~level:(level - 1) ~idx:child)
+                    ~dsts:(Array.of_list (relay params n ~level:(level - 1) ~idx:child))
                     ~tag:"elect/down" seed)
                 (List.init (max 0 (hi - lo)) (fun k -> lo + k))
             | _ -> ()
@@ -304,7 +304,7 @@ let run ?adversary net params ~rng =
         | Some seed -> my_seed.(p) <- Some seed
         | None -> ());
         match my_seed.(p) with
-        | Some seed -> Network.send_many net ~src:p ~dsts:members ~tag:"elect/final" seed
+        | Some seed -> Network.send_many net ~src:p ~dsts:(Array.of_list members) ~tag:"elect/final" seed
         | None -> ()
       end
     end

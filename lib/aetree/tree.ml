@@ -19,6 +19,7 @@ type t = {
   party_slots : int list array; (* real party -> its virtual IDs, ascending *)
   committees : int array array array;
   (* committees.(l-2).(i) = committee of node i at level l, for l >= 2 *)
+  leaves : int array array; (* leaves.(i) = slot owners of leaf i *)
 }
 
 let params t = t.params
@@ -40,23 +41,9 @@ let parent t ~level ~idx =
   if level >= t.params.height then None
   else Some (idx / t.params.branching)
 
-(* Parties assigned to a node. Leaf: owners of its slots (deduplicated,
-   preserving slot order). Internal: its committee. *)
+(* Parties assigned to a node: the arrays [finish] built, shared. *)
 let assigned t ~level ~idx =
-  if level = 1 then begin
-    let lo, hi = Params.leaf_slot_range t.params idx in
-    let seen = Hashtbl.create 16 in
-    let acc = ref [] in
-    for s = lo to hi do
-      let p = t.slot_party.(s) in
-      if not (Hashtbl.mem seen p) then begin
-        Hashtbl.add seen p ();
-        acc := p :: !acc
-      end
-    done;
-    Array.of_list (List.rev !acc)
-  end
-  else t.committees.(level - 2).(idx)
+  if level = 1 then t.leaves.(idx) else t.committees.(level - 2).(idx)
 
 let supreme_committee t = assigned t ~level:t.params.height ~idx:0
 
@@ -99,13 +86,29 @@ let committees_of_rng params rng =
             (Repro_util.Rng.subset rng ~n:params.n
                ~size:(min params.n params.committee_size))))
 
+(* A leaf's parties: the owners of its slots, deduplicated, in slot
+   order. *)
+let leaf_owners params slot_party idx =
+  let lo, hi = Params.leaf_slot_range params idx in
+  let seen = Hashtbl.create 16 in
+  let acc = ref [] in
+  for s = lo to hi do
+    let p = slot_party.(s) in
+    if not (Hashtbl.mem seen p) then begin
+      Hashtbl.add seen p ();
+      acc := p :: !acc
+    end
+  done;
+  Array.of_list (List.rev !acc)
+
 let finish params slot_party committees =
   let party_slots = Array.make params.Params.n [] in
   Array.iteri
     (fun s p -> party_slots.(p) <- s :: party_slots.(p))
     slot_party;
   Array.iteri (fun p ss -> party_slots.(p) <- List.rev ss) party_slots;
-  { params; slot_party; party_slots; committees }
+  let leaves = Array.init params.Params.num_leaves (leaf_owners params slot_party) in
+  { params; slot_party; party_slots; committees; leaves }
 
 let random params rng =
   finish params (assignment_of_rng params rng) (committees_of_rng params rng)

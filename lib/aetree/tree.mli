@@ -21,10 +21,13 @@ val children : t -> level:int -> idx:int -> int list
 val parent : t -> level:int -> idx:int -> int option
 
 val assigned : t -> level:int -> idx:int -> int array
-(** Parties assigned to a node: slot owners for leaves, the committee for
-    internal nodes. *)
+(** Parties assigned to a node: for a leaf its slot owners, each once, in
+    slot order; for an internal node its committee. Every node's array is
+    built once, with the tree, and returned shared: callers must not
+    mutate it. *)
 
 val supreme_committee : t -> int array
+(** [assigned] of the root: shared likewise, not to be mutated. *)
 
 val range : t -> level:int -> idx:int -> int * int
 (** Inclusive virtual-ID range covered by the node's subtree (Fig. 3's

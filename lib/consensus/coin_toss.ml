@@ -31,6 +31,7 @@ module Field = Repro_crypto.Field
 module Shamir = Repro_crypto.Shamir
 module Hashx = Repro_crypto.Hashx
 module Encode = Repro_util.Encode
+module Inbox = Repro_net.Inbox
 
 let k_elements = 5 (* 5 * 31 bits > kappa = 128 bits of entropy *)
 
@@ -115,6 +116,7 @@ let interpolate sh (shares : Shamir.share list) =
 type t = {
   shared : shared;
   members : Members.t;
+  peers : int array; (* members minus [me], shared with the agreement *)
   me : int;
   my_pos : int;
   m : int;
@@ -143,6 +145,7 @@ let create ~shared ~members ~me ~rng =
   {
     shared;
     members;
+    peers = Members.peers members ~me;
     me;
     my_pos;
     m;
@@ -169,7 +172,7 @@ let deal_ok t (mine : (Shamir.share * bytes) array) commits =
 
 (* --- sending --- *)
 
-let m_send t ~round =
+let m_send t ~round (out : Repro_net.Engine.out) =
   if round = 0 then begin
     (* Deal: k independent Shamir sharings of fresh random elements. *)
     let sharings =
@@ -187,15 +190,11 @@ let m_send t ~round =
     t.my_deal_private <- per_member;
     t.my_deal_commits <- commits;
     let commits = enc_commits commits in
-    let rec sends j acc =
-      if j < 0 then acc
-      else
-        let q = t.members.(j) in
-        sends (j - 1)
-          (if q = t.me then acc
-           else (q, Encode.to_bytes (fun b -> enc_deal b ~mine:per_member.(j) ~commits)) :: acc)
-    in
-    sends (t.m - 1) []
+    Array.iteri
+      (fun j q ->
+        if q <> t.me then
+          out.send q (Encode.to_bytes (fun b -> enc_deal b ~mine:per_member.(j) ~commits)))
+      t.members
   end
   else if round = 1 then begin
     (* Complaints: bit per dealer position. *)
@@ -204,8 +203,7 @@ let m_send t ~round =
       (fun j dealer ->
         if dealer <> t.me && t.deals.(j) = None then Repro_util.Bitset.set bits j)
       t.members;
-    Members.to_peers t.members ~me:t.me
-      (Encode.to_bytes (fun b -> Repro_util.Bitset.encode b bits))
+    out.send_many t.peers (Encode.to_bytes (fun b -> Repro_util.Bitset.encode b bits))
   end
   else if round = 2 then begin
     (* Reveal shares of locally qualified dealers (my own deal is in
@@ -217,7 +215,7 @@ let m_send t ~round =
         entries := (t.members.(j), d.d_shares) :: !entries
       | _ -> ()
     done;
-    Members.to_peers t.members ~me:t.me
+    out.send_many t.peers
       (Encode.to_bytes (fun b ->
            Encode.list b
              (fun b (dealer, pairs) ->
@@ -227,25 +225,24 @@ let m_send t ~round =
   end
   else
     match t.agree with
-    | Some a -> Committee.m_send a ~round:(round - 3)
-    | None -> []
+    | Some a -> Committee.m_send a ~round:(round - 3) out
+    | None -> ()
 
 (* --- receiving --- *)
 
-let m_recv t ~round msgs =
+let m_recv t ~round inbox =
   if round = 0 then begin
-    List.iter
-      (fun (src, payload) ->
-        let j = Members.pos t.members src in
-        if j >= 0 then
-          match Encode.decode payload dec_deal with
-          | Some (mine, rest) -> (
-            match t.shared.commits rest with
-            | Some commits when deal_ok t mine commits ->
-              t.deals.(j) <- Some { d_shares = mine; d_commits = commits }
-            | _ -> ())
-          | None -> ())
-      msgs;
+    for k = 0 to Inbox.length inbox - 1 do
+      let j = Members.pos t.members (Inbox.src inbox k) in
+      if j >= 0 then
+        match Encode.decode (Inbox.payload inbox k) dec_deal with
+        | Some (mine, rest) -> (
+          match t.shared.commits rest with
+          | Some commits when deal_ok t mine commits ->
+            t.deals.(j) <- Some { d_shares = mine; d_commits = commits }
+          | _ -> ())
+        | None -> ()
+    done;
     (* My own deal to myself. *)
     t.deals.(t.my_pos) <-
       Some { d_shares = t.my_deal_private.(t.my_pos); d_commits = t.my_deal_commits }
@@ -257,16 +254,15 @@ let m_recv t ~round msgs =
         if dealer <> t.me && t.deals.(j) = None then
           t.complaints.(j) <- t.complaints.(j) + 1)
       t.members;
-    List.iter
-      (fun (src, payload) ->
-        if Members.pos t.members src >= 0 then
-          match Encode.decode payload Repro_util.Bitset.decode with
-          | Some bits when Repro_util.Bitset.length bits = t.m ->
-            for j = 0 to t.m - 1 do
-              if Repro_util.Bitset.mem bits j then t.complaints.(j) <- t.complaints.(j) + 1
-            done
-          | _ -> ())
-      msgs
+    for k = 0 to Inbox.length inbox - 1 do
+      if Members.pos t.members (Inbox.src inbox k) >= 0 then
+        match Encode.decode (Inbox.payload inbox k) Repro_util.Bitset.decode with
+        | Some bits when Repro_util.Bitset.length bits = t.m ->
+          for j = 0 to t.m - 1 do
+            if Repro_util.Bitset.mem bits j then t.complaints.(j) <- t.complaints.(j) + 1
+          done
+        | _ -> ()
+    done
   end
   else if round = 2 then begin
     (* Gather reveals. My own shares were checked against their
@@ -285,14 +281,13 @@ let m_recv t ~round msgs =
             (t.members.(j), { pairs = d.d_shares; digests = d.d_commits.(t.my_pos) })
         | None -> ())
       t.deals;
-    List.iter
-      (fun (src, payload) ->
-        let pos = Members.pos t.members src in
-        if pos >= 0 then
-          match t.shared.reveals payload with
-          | Some entries -> List.iter (add_reveal pos) entries
-          | None -> ())
-      msgs;
+    for k = 0 to Inbox.length inbox - 1 do
+      let pos = Members.pos t.members (Inbox.src inbox k) in
+      if pos >= 0 then
+        match t.shared.reveals (Inbox.payload inbox k) with
+        | Some entries -> List.iter (add_reveal pos) entries
+        | None -> ()
+    done;
     (* Reconstruct qualified dealers' secrets and form the candidate coin.
        Per element, interpolate the first t + 1 commitment-verified shares
        in x order. A share from revealer [pos] verifies only at x = pos + 1
@@ -335,16 +330,16 @@ let m_recv t ~round msgs =
     t.candidate <- Some candidate;
     t.agree <-
       Some
-        (Committee.create ~members:(Array.to_list t.members) ~me:t.me ~candidate ())
+        (Committee.of_members ~members:t.members ~me:t.me ~candidate ())
   end
   else
     match t.agree with
-    | Some a -> Committee.m_recv a ~round:(round - 3) msgs
+    | Some a -> Committee.m_recv a ~round:(round - 3) inbox
     | None -> ()
 
 let machine t =
-  { Repro_net.Engine.m_send = (fun ~round -> m_send t ~round);
-    m_recv = (fun ~round msgs -> m_recv t ~round msgs) }
+  { Repro_net.Engine.m_send = (fun ~round out -> m_send t ~round out);
+    m_recv = (fun ~round inbox -> m_recv t ~round inbox) }
 
 (* Final coin: the agreed candidate. *)
 let output t =

@@ -19,8 +19,8 @@ val rounds : members:int list -> int
 val create :
   shared:shared -> members:int list -> me:int -> rng:Repro_util.Rng.t -> t
 val machine : t -> Repro_net.Engine.machine
-val m_send : t -> round:int -> (int * bytes) list
-val m_recv : t -> round:int -> (int * bytes) list -> unit
+val m_send : t -> round:int -> Repro_net.Engine.out -> unit
+val m_recv : t -> round:int -> Repro_net.Inbox.t -> unit
 
 val output : t -> bytes option
 (** The agreed kappa-byte coin, once the machine has run [rounds] rounds. *)

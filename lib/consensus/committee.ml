@@ -20,15 +20,19 @@
    broadcast. An optional [valid] predicate lets callers reject adopted
    payloads that fail protocol-specific checks (external validity).
 
-   Simulation cost: the committee's sorted member array is built once and
-   shared with the inner Multi_ba and Phase_king instances. Each send
-   round builds its message list straight from it with one shared payload,
-   and each tally finds a source by binary search and marks it in a flag
+   Simulation cost: the committee's sorted member array and the member's
+   peers array (the members minus itself) are built once and shared with
+   the inner Multi_ba and Phase_king instances. Each send round is one
+   multicast of one payload to the peers array, and each tally walks the
+   inbox view, finds a source by binary search and marks it in a flag
    string, so per-message work is a lookup and a decode — no per-message
-   tables and no per-instance peer lists. *)
+   tables and no per-round peer lists. *)
+
+module Inbox = Repro_net.Inbox
 
 type t = {
   members : Members.t;
+  peers : int array;
   me : int;
   candidate : bytes;
   own : bytes; (* digest of [candidate], the BA input *)
@@ -44,23 +48,27 @@ let pre_rounds = 1
 
 let rounds ~members = pre_rounds + Multi_ba.rounds ~members
 
-let create ~members ~me ~candidate ?(valid = fun _ -> true) () =
-  let members = Members.of_list members in
+let of_members ~members ~me ~candidate ?(valid = fun _ -> true) () =
+  let peers = Members.peers members ~me in
   let own = digest candidate in
   {
     members;
+    peers;
     me;
     candidate;
     own;
     valid;
     received = [];
-    ba = Multi_ba.of_members ~members ~me ~input:own;
+    ba = Multi_ba.of_members ~members ~me ~peers ~input:own;
     output = None;
   }
 
-let m_send t ~round =
-  if round = 0 then Members.to_peers t.members ~me:t.me t.candidate
-  else Multi_ba.m_send t.ba ~round:(round - pre_rounds)
+let create ~members ~me ~candidate ?valid () =
+  of_members ~members:(Members.of_list members) ~me ~candidate ?valid ()
+
+let m_send t ~round (out : Repro_net.Engine.out) =
+  if round = 0 then out.send_many t.peers t.candidate
+  else Multi_ba.m_send t.ba ~round:(round - pre_rounds) out
 
 (* The payload whose digest is [d]: the own candidate when it won, else the
    first received payload that hashes to [d]. *)
@@ -68,17 +76,19 @@ let adopt t d =
   if Bytes.equal d t.own then Some t.candidate
   else List.find_opt (fun payload -> Bytes.equal (digest payload) d) t.received
 
-let m_recv t ~round msgs =
-  if round = 0 then
-    t.received <-
-      List.filter_map
-        (fun (src, payload) ->
-          if Members.pos t.members src >= 0 then Some payload else None)
-        msgs
+let m_recv t ~round inbox =
+  if round = 0 then begin
+    let received = ref [] in
+    for k = Inbox.length inbox - 1 downto 0 do
+      if Members.pos t.members (Inbox.src inbox k) >= 0 then
+        received := Inbox.payload inbox k :: !received
+    done;
+    t.received <- !received
+  end
   else if t.output = None then begin
     (* Rounds past the decision (a smaller committee sharing an engine run
        with a larger one) neither re-hash nor re-validate. *)
-    Multi_ba.m_recv t.ba ~round:(round - pre_rounds) msgs;
+    Multi_ba.m_recv t.ba ~round:(round - pre_rounds) inbox;
     match Multi_ba.output t.ba with
     | None -> ()
     | Some None -> t.output <- Some None
@@ -89,7 +99,7 @@ let m_recv t ~round msgs =
   end
 
 let machine t =
-  { Repro_net.Engine.m_send = (fun ~round -> m_send t ~round);
-    m_recv = (fun ~round msgs -> m_recv t ~round msgs) }
+  { Repro_net.Engine.m_send = (fun ~round out -> m_send t ~round out);
+    m_recv = (fun ~round inbox -> m_recv t ~round inbox) }
 
 let output t = t.output

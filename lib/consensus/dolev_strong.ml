@@ -13,6 +13,7 @@
 
 module Mss = Repro_crypto.Mss
 module Hashx = Repro_crypto.Hashx
+module Inbox = Repro_net.Inbox
 
 type pki = {
   vks : Mss.verification_key array; (* indexed by party id *)
@@ -21,6 +22,7 @@ type pki = {
 
 type t = {
   members : int array;
+  peers : int array; (* members minus [me] *)
   me : int;
   sender : int;
   t_corrupt : int;
@@ -40,6 +42,7 @@ let create ~members ~me ~sender ~pki ~input =
   let members = Array.of_list (List.sort_uniq compare members) in
   {
     members;
+    peers = Array.of_list (List.filter (fun p -> p <> me) (Array.to_list members));
     me;
     sender;
     t_corrupt = Phase_king.max_corrupt (Array.length members);
@@ -85,56 +88,47 @@ let chain_valid t ~depth (v, chain) =
          && Mss.verify t.pki.vks.(signer) d sg)
        chain
 
-let peers t =
-  Array.to_list (Array.of_seq (Seq.filter (fun p -> p <> t.me) (Array.to_seq t.members)))
-
-let m_send t ~round =
+let m_send t ~round (out : Repro_net.Engine.out) =
   if round = 0 then
     match t.input with
     | Some v ->
       Hashtbl.replace t.accepted (Bytes.to_string v) ();
       let sg = Mss.sign t.pki.sk (value_digest v) in
-      let payload = Repro_util.Encode.to_bytes (fun b -> enc_msg b (v, [ (t.me, sg) ])) in
-      List.map (fun p -> (p, payload)) (peers t)
-    | None -> []
+      out.send_many t.peers
+        (Repro_util.Encode.to_bytes (fun b -> enc_msg b (v, [ (t.me, sg) ])))
+    | None -> ()
   else begin
-    let out =
-      List.concat_map
-        (fun (v, chain) ->
-          let sg = Mss.sign t.pki.sk (value_digest v) in
-          let payload =
-            Repro_util.Encode.to_bytes (fun b -> enc_msg b (v, chain @ [ (t.me, sg) ]))
-          in
-          List.map (fun p -> (p, payload)) (peers t))
-        t.to_relay
-    in
-    t.to_relay <- [];
-    out
+    List.iter
+      (fun (v, chain) ->
+        let sg = Mss.sign t.pki.sk (value_digest v) in
+        out.send_many t.peers
+          (Repro_util.Encode.to_bytes (fun b -> enc_msg b (v, chain @ [ (t.me, sg) ]))))
+      t.to_relay;
+    t.to_relay <- []
   end
 
-let m_recv t ~round msgs =
+let m_recv t ~round inbox =
   let depth = round in
-  List.iter
-    (fun (_src, payload) ->
-      match Repro_util.Encode.decode payload dec_msg with
-      | Some (v, chain) when chain_valid t ~depth (v, chain) ->
-        let key = Bytes.to_string v in
-        if not (Hashtbl.mem t.accepted key) then begin
-          Hashtbl.replace t.accepted key ();
-          (* Relay only while further rounds remain and I haven't signed. *)
-          if
-            depth + 1 < rounds ~members:(Array.to_list t.members)
-            && not (List.exists (fun (s, _) -> s = t.me) chain)
-            && Mss.signatures_remaining t.pki.sk > 0
-          then t.to_relay <- (v, chain) :: t.to_relay
-        end
-      | _ -> ())
-    msgs;
+  for k = 0 to Inbox.length inbox - 1 do
+    match Repro_util.Encode.decode (Inbox.payload inbox k) dec_msg with
+    | Some (v, chain) when chain_valid t ~depth (v, chain) ->
+      let key = Bytes.to_string v in
+      if not (Hashtbl.mem t.accepted key) then begin
+        Hashtbl.replace t.accepted key ();
+        (* Relay only while further rounds remain and I haven't signed. *)
+        if
+          depth + 1 < rounds ~members:(Array.to_list t.members)
+          && not (List.exists (fun (s, _) -> s = t.me) chain)
+          && Mss.signatures_remaining t.pki.sk > 0
+        then t.to_relay <- (v, chain) :: t.to_relay
+      end
+    | _ -> ()
+  done;
   if depth = rounds ~members:(Array.to_list t.members) - 1 then t.done_ <- true
 
 let machine t =
-  { Repro_net.Engine.m_send = (fun ~round -> m_send t ~round);
-    m_recv = (fun ~round msgs -> m_recv t ~round msgs) }
+  { Repro_net.Engine.m_send = (fun ~round out -> m_send t ~round out);
+    m_recv = (fun ~round inbox -> m_recv t ~round inbox) }
 
 let output ?(default = Bytes.empty) t =
   if not t.done_ then None

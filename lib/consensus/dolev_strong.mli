@@ -17,8 +17,8 @@ val create :
 (** [input] is used only when [me = sender]. *)
 
 val machine : t -> Repro_net.Engine.machine
-val m_send : t -> round:int -> (int * bytes) list
-val m_recv : t -> round:int -> (int * bytes) list -> unit
+val m_send : t -> round:int -> Repro_net.Engine.out -> unit
+val m_recv : t -> round:int -> Repro_net.Inbox.t -> unit
 
 val output : ?default:bytes -> t -> bytes option
 (** [Some v] after the final round: the unique accepted value, or [default]

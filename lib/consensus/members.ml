@@ -1,40 +1,37 @@
 (* Sorted member arrays: the committee machines look sources up by binary
-   search and build their sends straight from the array, so a round
-   allocates its messages and nothing else per peer. *)
+   search and multicast to one shared peers array, so a round allocates its
+   payloads and nothing else per peer. *)
+
+module Inbox = Repro_net.Inbox
 
 type t = int array
 
 let of_list l = Array.of_list (List.sort_uniq compare l)
 
-let pos (t : t) p =
-  let rec go lo hi =
-    if lo >= hi then -1
-    else
-      let mid = (lo + hi) lsr 1 in
-      let q = Array.unsafe_get t mid in
-      if q = p then mid else if q < p then go (mid + 1) hi else go lo mid
-  in
-  go 0 (Array.length t)
+(* Top-level, so a lookup allocates no closure: it runs once per
+   delivered committee message. *)
+let rec search (t : t) p lo hi =
+  if lo >= hi then -1
+  else
+    let mid = (lo + hi) lsr 1 in
+    let q = Array.unsafe_get t mid in
+    if q = p then mid else if q < p then search t p (mid + 1) hi else search t p lo mid
 
-let to_peers (t : t) ~me payload =
-  let rec go i acc =
-    if i < 0 then acc
-    else
-      let q = Array.unsafe_get t i in
-      go (i - 1) (if q = me then acc else (q, payload) :: acc)
-  in
-  go (Array.length t - 1) []
+let pos (t : t) p = search t p 0 (Array.length t)
+
+let peers (t : t) ~me =
+  if pos t me < 0 then t else Array.of_list (List.filter (fun q -> q <> me) (Array.to_list t))
 
 (* One flag byte per member marks the sources already counted. *)
-let iter_first (t : t) ~me msgs f =
+let iter_first (t : t) ~me inbox f =
   let seen = Bytes.make (Array.length t) '\000' in
-  List.iter
-    (fun (src, payload) ->
-      if src <> me then begin
-        let i = pos t src in
-        if i >= 0 && Bytes.unsafe_get seen i = '\000' then begin
-          Bytes.unsafe_set seen i '\001';
-          f payload
-        end
-      end)
-    msgs
+  for k = 0 to Inbox.length inbox - 1 do
+    let src = Inbox.src inbox k in
+    if src <> me then begin
+      let i = pos t src in
+      if i >= 0 && Bytes.unsafe_get seen i = '\000' then begin
+        Bytes.unsafe_set seen i '\001';
+        f (Inbox.payload inbox k)
+      end
+    end
+  done

@@ -11,12 +11,13 @@ val pos : t -> int -> int
 (** [pos t p] is [p]'s index in [t] by binary search, or [-1] when [p] is
     not a member. *)
 
-val to_peers : t -> me:int -> 'a -> (int * 'a) list
-(** [(q, payload)] for every member [q <> me], ascending, all sharing the
-    one [payload]. *)
+val peers : t -> me:int -> int array
+(** Every member other than [me], ascending: the destination array of a
+    member's committee-wide multicasts. A machine stack builds it once and
+    shares it; it is never mutated. *)
 
-val iter_first : t -> me:int -> (int * 'a) list -> ('a -> unit) -> unit
-(** [iter_first t ~me msgs f] applies [f] to the payload of the first
+val iter_first : t -> me:int -> Repro_net.Inbox.t -> (bytes -> unit) -> unit
+(** [iter_first t ~me inbox f] applies [f] to the payload of the first
     message of each member other than [me], in arrival order; later messages
     from a counted source, messages from [me] and from non-members are
     skipped. *)

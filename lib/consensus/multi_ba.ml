@@ -17,6 +17,7 @@
 
 type t = {
   members : Members.t;
+  peers : int array; (* members minus [me], shared with the inner phase king *)
   me : int;
   m : int;
   t_corrupt : int;
@@ -33,10 +34,11 @@ let pre_rounds = 2
 
 let rounds ~members = pre_rounds + Phase_king.rounds ~members
 
-let of_members ~members ~me ~input =
+let of_members ~members ~me ~peers ~input =
   let m = Array.length members in
   {
     members;
+    peers;
     me;
     m;
     t_corrupt = Phase_king.max_corrupt m;
@@ -49,7 +51,9 @@ let of_members ~members ~me ~input =
     output = None;
   }
 
-let create ~members ~me ~input = of_members ~members:(Members.of_list members) ~me ~input
+let create ~members ~me ~input =
+  let members = Members.of_list members in
+  of_members ~members ~me ~peers:(Members.peers members ~me) ~input
 
 let enc_opt v =
   Repro_util.Encode.to_bytes (fun b ->
@@ -78,9 +82,9 @@ let rec bump counts v c =
    count) pairs. Payloads are grouped by their raw bytes first, so each
    distinct payload is decoded once; equal payloads decode to equal values,
    so merging the groups by value gives the per-value counts. *)
-let tally t own msgs =
+let tally t own inbox =
   let raw = ref [] in
-  Members.iter_first t.members ~me:t.me msgs (fun payload -> raw := bump !raw payload 1);
+  Members.iter_first t.members ~me:t.me inbox (fun payload -> raw := bump !raw payload 1);
   let counts = match own with Some v -> [ (v, ref 1) ] | None -> [] in
   List.fold_left
     (fun counts (payload, c) ->
@@ -97,36 +101,39 @@ let best counts =
       | _ -> Some (k, !c))
     None counts
 
-let m_send t ~round =
-  if t.decided then [] (* instance finished; co-scheduled larger instances may still run *)
-  else if round = 0 then Members.to_peers t.members ~me:t.me (enc_opt (Some t.input))
-  else if round = 1 then Members.to_peers t.members ~me:t.me (enc_opt t.x)
+let m_send t ~round (out : Repro_net.Engine.out) =
+  if t.decided then () (* instance finished; co-scheduled larger instances may still run *)
+  else if round = 0 then out.send_many t.peers (enc_opt (Some t.input))
+  else if round = 1 then out.send_many t.peers (enc_opt t.x)
   else
     match t.pk with
-    | Some pk -> Phase_king.m_send pk ~round:(round - pre_rounds)
-    | None -> []
+    | Some pk -> Phase_king.m_send pk ~round:(round - pre_rounds) out
+    | None -> ()
 
-let m_recv t ~round msgs =
+let m_recv t ~round inbox =
   if round = 0 then
     (* at most one value reaches m - t > m/2 distinct members *)
     t.x <-
       List.fold_left
         (fun acc (k, c) -> if !c >= t.m - t.t_corrupt then Some k else acc)
-        None (tally t (Some t.input) msgs)
+        None (tally t (Some t.input) inbox)
   else if round = 1 then begin
     let confident =
-      match best (tally t t.x msgs) with
+      match best (tally t t.x inbox) with
       | Some (k, c) ->
         if c >= t.t_corrupt + 1 then t.alternative <- Some k;
         c >= t.m - t.t_corrupt
       | None -> false
     in
     (* binary BA input: true = "not confident / fall back to None" *)
-    t.pk <- Some (Phase_king.of_members ~members:t.members ~me:t.me ~input:(not confident))
+    t.pk <-
+      Some
+        (Phase_king.of_members ~members:t.members ~me:t.me ~peers:t.peers
+           ~input:(not confident))
   end
   else if not t.decided then begin
     (match t.pk with
-    | Some pk -> Phase_king.m_recv pk ~round:(round - pre_rounds) msgs
+    | Some pk -> Phase_king.m_recv pk ~round:(round - pre_rounds) inbox
     | None -> ());
     if round = t.rounds - 1 then begin
       t.decided <- true;
@@ -138,7 +145,7 @@ let m_recv t ~round msgs =
   end
 
 let machine t =
-  { Repro_net.Engine.m_send = (fun ~round -> m_send t ~round);
-    m_recv = (fun ~round msgs -> m_recv t ~round msgs) }
+  { Repro_net.Engine.m_send = (fun ~round out -> m_send t ~round out);
+    m_recv = (fun ~round inbox -> m_recv t ~round inbox) }
 
 let output t = if t.decided then Some t.output else None

@@ -8,14 +8,16 @@ type t
 val rounds : members:int list -> int
 val create : members:int list -> me:int -> input:bytes -> t
 
-val of_members : members:Members.t -> me:int -> input:bytes -> t
-(** {!create} over an already sorted membership, shared with the inner
-    phase-king instance. *)
+val of_members :
+  members:Members.t -> me:int -> peers:int array -> input:bytes -> t
+(** {!create} over an already sorted membership and its [peers] array
+    ([Members.peers members ~me]), both shared with the inner phase-king
+    instance. *)
 
 val machine : t -> Repro_net.Engine.machine
 
-val m_send : t -> round:int -> (int * bytes) list
-val m_recv : t -> round:int -> (int * bytes) list -> unit
+val m_send : t -> round:int -> Repro_net.Engine.out -> unit
+val m_recv : t -> round:int -> Repro_net.Inbox.t -> unit
 
 val output : t -> bytes option option
 (** [None] before completion; [Some None] = agreed fallback;

@@ -28,8 +28,11 @@ let value_of_bool b = if b then One else Zero
 
 let to_bool = function One -> Some true | Zero -> Some false | Bot -> None
 
+module Inbox = Repro_net.Inbox
+
 type t = {
   members : Members.t; (* fixed for the instance *)
+  peers : int array; (* members minus [me], shared with the whole stack *)
   me : int;
   m : int;
   t_corrupt : int;
@@ -48,11 +51,12 @@ let phases ~members = phases_of (List.length members)
 
 let rounds ~members = 3 * phases ~members
 
-let of_members ~members ~me ~input =
+let of_members ~members ~me ~peers ~input =
   let m = Array.length members in
   if m = 0 then invalid_arg "Phase_king.create: no members";
   {
     members;
+    peers;
     me;
     m;
     t_corrupt = max_corrupt m;
@@ -63,7 +67,9 @@ let of_members ~members ~me ~input =
     decided = Bot;
   }
 
-let create ~members ~me ~input = of_members ~members:(Members.of_list members) ~me ~input
+let create ~members ~me ~input =
+  let members = Members.of_list members in
+  of_members ~members ~me ~peers:(Members.peers members ~me) ~input
 
 let king t ~phase = t.members.(phase mod t.m)
 
@@ -75,43 +81,44 @@ let decode payload =
 
 (* Count each member's vote at most once (first message per source wins);
    adds the member's own value. Counts are indexed by [value_to_byte]. *)
-let tally t own msgs =
+let tally t own inbox =
   let counts = Array.make 3 0 in
   let bump v =
     let i = value_to_byte v in
     counts.(i) <- counts.(i) + 1
   in
   bump own;
-  Members.iter_first t.members ~me:t.me msgs (fun payload ->
+  Members.iter_first t.members ~me:t.me inbox (fun payload ->
       match decode payload with Some v -> bump v | None -> ());
   counts
 
 (* The first decodable message from [king]. *)
-let rec king_vote king = function
-  | [] -> None
-  | (src, payload) :: rest ->
-    match if src = king then decode payload else None with
-    | Some _ as v -> v
-    | None -> king_vote king rest
+let king_vote king inbox =
+  let rec go k =
+    if k >= Inbox.length inbox then None
+    else
+      match if Inbox.src inbox k = king then decode (Inbox.payload inbox k) else None with
+      | Some _ as v -> v
+      | None -> go (k + 1)
+  in
+  go 0
 
-let m_send t ~round =
+let m_send t ~round (out : Repro_net.Engine.out) =
   let phase = round / 3 and step = round mod 3 in
   match step with
-  | 0 | 1 -> Members.to_peers t.members ~me:t.me (encode t.v)
-  | _ ->
-    if king t ~phase = t.me then Members.to_peers t.members ~me:t.me (encode t.w_star)
-    else []
+  | 0 | 1 -> out.send_many t.peers (encode t.v)
+  | _ -> if king t ~phase = t.me then out.send_many t.peers (encode t.w_star)
 
-let m_recv t ~round msgs =
+let m_recv t ~round inbox =
   let phase = round / 3 and step = round mod 3 in
   match step with
   | 0 ->
-    let counts = tally t t.v msgs in
+    let counts = tally t t.v inbox in
     t.v <- (if counts.(0) >= t.m - t.t_corrupt then Zero
             else if counts.(1) >= t.m - t.t_corrupt then One
             else Bot)
   | 1 ->
-    let counts = tally t t.v msgs in
+    let counts = tally t t.v inbox in
     let zero = counts.(0) and one = counts.(1) in
     if zero >= one then begin
       t.w_star <- Zero;
@@ -123,7 +130,7 @@ let m_recv t ~round msgs =
     end
   | _ ->
     let king = king t ~phase in
-    let king_value = if king = t.me then Some t.w_star else king_vote king msgs in
+    let king_value = if king = t.me then Some t.w_star else king_vote king inbox in
     let adopted =
       if t.d >= t.m - t.t_corrupt then t.w_star
       else
@@ -135,7 +142,7 @@ let m_recv t ~round msgs =
     if phase = t.phases - 1 then t.decided <- t.v
 
 let machine t =
-  { Repro_net.Engine.m_send = (fun ~round -> m_send t ~round);
-    m_recv = (fun ~round msgs -> m_recv t ~round msgs) }
+  { Repro_net.Engine.m_send = (fun ~round out -> m_send t ~round out);
+    m_recv = (fun ~round inbox -> m_recv t ~round inbox) }
 
 let output t = to_bool t.decided

@@ -13,17 +13,19 @@ val rounds : members:int list -> int
 
 val create : members:int list -> me:int -> input:bool -> t
 
-val of_members : members:Members.t -> me:int -> input:bool -> t
-(** {!create} over an already sorted membership, which the instance shares
-    rather than copies. *)
+val of_members :
+  members:Members.t -> me:int -> peers:int array -> input:bool -> t
+(** {!create} over an already sorted membership and its [peers]
+    ([Members.peers members ~me]), the destination array of its
+    multicasts; the instance shares both rather than copies them. *)
 
 val machine : t -> Repro_net.Engine.machine
 
-val m_send : t -> round:int -> (int * bytes) list
+val m_send : t -> round:int -> Repro_net.Engine.out -> unit
 (** Raw step functions, exposed so reductions (e.g. {!Multi_ba}) can embed a
     phase-king run at a round offset. *)
 
-val m_recv : t -> round:int -> (int * bytes) list -> unit
+val m_recv : t -> round:int -> Repro_net.Inbox.t -> unit
 
 val output : t -> bool option
 (** Decision after [rounds] rounds; [None] before completion. *)

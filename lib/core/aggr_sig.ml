@@ -172,10 +172,10 @@ module Make (S : Srds_intf.SCHEME) = struct
      payload is the node signature (possibly [Bytes.empty] when nothing
      aggregated). *)
   let instance sh ~idx ~members ~me ~msg ~raw =
-    Committee.create ~members ~me ~candidate:(candidate sh ~idx ~msg ~raw)
+    Committee.of_members ~members ~me ~candidate:(candidate sh ~idx ~msg ~raw)
       ~valid:(valid sh ~idx ~msg) ()
 
-  let rounds ~members = Committee.rounds ~members
+  let rounds ~members = Committee.rounds ~members:(Array.to_list members)
 
   let output st =
     match Committee.output st with

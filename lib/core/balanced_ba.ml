@@ -37,6 +37,7 @@ module Tree = Repro_aetree.Tree
 module Ae_comm = Repro_aetree.Ae_comm
 module Phase_king = Repro_consensus.Phase_king
 module Coin_toss = Repro_consensus.Coin_toss
+module Members = Repro_consensus.Members
 
 type config = {
   inputs : bool array; (* per-party input bit, one per party of the network *)
@@ -262,10 +263,6 @@ module Make (S : Srds_intf.SCHEME) = struct
       | None -> []
       | Some h -> ( try Hashtbl.find h key with Not_found -> [])
     in
-    let leaf_members = Hashtbl.create 64 in
-    for k = 0 to params.Params.num_leaves - 1 do
-      Hashtbl.replace leaf_members k (Array.to_list (Tree.assigned tree ~level:1 ~idx:k))
-    done;
     let sig_tag = "sig-" ^ label in
     let sign_handler p ~round ~inbox =
       ignore round;
@@ -283,7 +280,7 @@ module Make (S : Srds_intf.SCHEME) = struct
                     S.encode_sig b sg)
               in
               Network.send_many net ~src:p
-                ~dsts:(Hashtbl.find leaf_members leaf)
+                ~dsts:(Tree.assigned tree ~level:1 ~idx:leaf)
                 ~tag:sig_tag payload
             | None -> ())
           (Tree.party_slots tree p)
@@ -330,10 +327,14 @@ module Make (S : Srds_intf.SCHEME) = struct
       let agree_states : (int * int, Repro_consensus.Committee.t) Hashtbl.t =
         Hashtbl.create 64
       in
-      let members_of idx = Array.to_list (Tree.assigned tree ~level ~idx) in
       let shared = Agg.shared ~pp:ctx.pp ~vks:ctx.vks ~tree ~level in
+      (* One sorted membership per node, shared by its members' instances. *)
+      let members =
+        Array.init node_count (fun idx ->
+            Members.of_list (Array.to_list (Tree.assigned tree ~level ~idx)))
+      in
       for idx = 0 to node_count - 1 do
-        List.iter
+        Array.iter
           (fun p ->
             if honest ctx p then begin
               match received_pair.(p) with
@@ -341,19 +342,14 @@ module Make (S : Srds_intf.SCHEME) = struct
               | Some msg ->
                 let raw = incoming_find p (level, idx) in
                 Hashtbl.replace agree_states (idx, p)
-                  (Agg.instance shared ~idx ~members:(members_of idx) ~me:p ~msg
-                     ~raw)
+                  (Agg.instance shared ~idx ~members:members.(idx) ~me:p ~msg ~raw)
             end)
-          (members_of idx)
+          (Tree.assigned tree ~level ~idx)
       done;
       (* committees differ in size (distinct slot owners per leaf), so run
          enough rounds for the largest instance at this level *)
       let agree_rounds =
-        let r = ref 0 in
-        for idx = 0 to node_count - 1 do
-          r := max !r (Agg.rounds ~members:(members_of idx))
-        done;
-        !r
+        Array.fold_left (fun r ms -> max r (Agg.rounds ~members:ms)) 0 members
       in
       (* Each party's instances, in the reverse of the table's iteration
          order: what filtering one fold over the table per party gives. *)
@@ -386,7 +382,7 @@ module Make (S : Srds_intf.SCHEME) = struct
                       Encode.bytes_raw b payload)
                 in
                 Network.send_many net ~src:p
-                  ~dsts:(Array.to_list (Tree.assigned tree ~level:(level + 1) ~idx:parent))
+                  ~dsts:(Tree.assigned tree ~level:(level + 1) ~idx:parent)
                   ~tag:up_tag payload'
               | None -> ())
             (List.rev by_party.(p))
@@ -526,7 +522,7 @@ module Make (S : Srds_intf.SCHEME) = struct
                 ~key:(Repro_crypto.Prf.of_seed s)
                 ~index:p ~n ~size:ctx.boost_degree
             in
-            Network.send_many net ~src:p ~dsts:targets ~tag:boost_tag cert
+            Network.send_many net ~src:p ~dsts:(Array.of_list targets) ~tag:boost_tag cert
           | None -> ())
         | None -> ())
       | None -> ()

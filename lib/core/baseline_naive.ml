@@ -21,7 +21,7 @@ let run ~net (cfg : config) =
     if round = 0 then begin
       if List.mem p cfg.holders then
         Network.send_many net ~src:p
-          ~dsts:(List.filter (fun q -> q <> p) (List.init n (fun q -> q)))
+          ~dsts:(Array.of_list (List.filter (fun q -> q <> p) (List.init n (fun q -> q))))
           ~tag:"flood" (enc cfg.value)
     end
     else begin

@@ -51,7 +51,7 @@ let run ~net (cfg : config) =
       (* holders flood their group *)
       if List.mem p cfg.holders then
         Network.send_many net ~src:p
-          ~dsts:(List.filter (fun q -> q <> p) (members_of_group (group_of p)))
+          ~dsts:(Array.of_list (List.filter (fun q -> q <> p) (members_of_group (group_of p))))
           ~tag:"grp" (enc cfg.value)
     end
     else if round = 1 then begin
@@ -64,7 +64,7 @@ let run ~net (cfg : config) =
       match group_value.(p) with
       | Some v ->
         Network.send_many net ~src:p
-          ~dsts:(List.filter (fun q -> q <> p) (row_members (row_of p)))
+          ~dsts:(Array.of_list (List.filter (fun q -> q <> p) (row_members (row_of p))))
           ~tag:"row" (enc v)
       | None -> ()
     end

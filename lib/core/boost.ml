@@ -132,7 +132,7 @@ module Make (S : Srds_intf.SCHEME) = struct
       if not (is_isolated p) then begin
         outputs.(p) <- Some y;
         let targets = Repro_crypto.Prf.subset ~key:prf_key ~index:p ~n ~size:cfg.degree in
-        Network.send_many net ~src:p ~dsts:targets ~tag:"boost" cert
+        Network.send_many net ~src:p ~dsts:(Array.of_list targets) ~tag:"boost" cert
       end
     in
     (* A rushing adversary flooding the conflicting value. Against the

@@ -89,7 +89,7 @@ module Make (S : Srds_intf.SCHEME) = struct
           List.iter
             (fun leaf ->
               Network.send_many net ~src:p
-                ~dsts:(Array.to_list (Tree.assigned tree ~level:1 ~idx:leaf))
+                ~dsts:(Tree.assigned tree ~level:1 ~idx:leaf)
                 ~tag
                 (enc ~level:1 ~idx:leaf value))
             leaves
@@ -113,7 +113,7 @@ module Make (S : Srds_intf.SCHEME) = struct
             | Some v when level < height ->
               let parent = idx / params.Params.branching in
               Network.send_many net ~src:p
-                ~dsts:(Array.to_list (Tree.assigned tree ~level:(level + 1) ~idx:parent))
+                ~dsts:(Tree.assigned tree ~level:(level + 1) ~idx:parent)
                 ~tag
                 (enc ~level:(level + 1) ~idx:parent v)
             | _ -> ())

@@ -3,13 +3,30 @@
     state machines; a party participating in several committee instances
     registers one machine per instance. *)
 
-type machine = {
-  m_send : round:int -> (int * bytes) list;
-      (** Messages (dst, payload) emitted in the given local round. *)
-  m_recv : round:int -> (int * bytes) list -> unit;
-      (** Messages (src, payload) delivered for the given local round;
-          called exactly once per round, possibly with []. *)
+type out = {
+  send : int -> bytes -> unit;  (** [send dst payload]: one message. *)
+  send_many : int array -> bytes -> unit;
+      (** [send_many dsts payload]: one payload to every party of [dsts],
+          in array order, as one {!Network.send_many}. *)
 }
+(** A machine's emitter: sends from its party under its instance tag. The
+    engine builds one per (party, instance) and hands it to every
+    [m_send] of the run. *)
+
+type machine = {
+  m_send : round:int -> out -> unit;
+      (** Emit the messages of the given local round through [out], in the
+          order they are to be sent. *)
+  m_recv : round:int -> Inbox.t -> unit;
+      (** The messages delivered to this instance for the given local
+          round, in delivery order; called exactly once per round, possibly
+          with an empty view. The view is valid only during the call. *)
+}
+
+val collect : (out -> unit) -> (int * bytes) list
+(** [collect (m_send ~round)]: the [(dst, payload)] messages a step emits,
+    in send order (a [send_many] listed destination by destination) — the
+    list model for tests and drivers that run machines by hand. *)
 
 val run :
   Network.t ->
@@ -21,4 +38,10 @@ val run :
   unit
 (** Run [rounds] local rounds ([rounds + 1] network rounds, the last one
     delivery-only). [machines p] lists party p's instances; corrupt parties'
-    lists are ignored. *)
+    lists are ignored.
+
+    Each round a party's instances receive, then send, in one fixed order:
+    the iteration order of a [Hashtbl] keyed by instance id. A delivery
+    belongs to the instance whose full tag ("tag/instance") it carries and
+    is dropped otherwise; each instance sees its deliveries in the party's
+    delivery order. *)

@@ -8,13 +8,16 @@
    it observes every message the honest parties sent in the current round
    before choosing the corrupt parties' messages.
 
-   One stepper, [run_active], advances rounds. Each round it visits the
+   One stepper, [step], advances rounds. Each round it visits the
    active set in ascending party order: the parties holding a delivery
    plus the protocol's spontaneous actors for that round ([extra]). A
    party outside that set has an empty inbox and was not named as an
    actor, so the per-round cost scales with the parties that talk, not
    with n. Protocols in which every party acts every round name
-   [everyone] as their actors.
+   [everyone] as their actors. It has two entry points: under
+   [run_slices] a handler reads its inbox as an {!Inbox.t} view of its
+   slice of the delivery arrays (below); under [run_active] it gets a
+   [Wire.msg list] built from that slice just before it runs.
 
    One executor delivers the round's sends: in (virtual delivery time,
    send seq) order, with per-edge latency/jitter/loss and a GST knob from
@@ -29,18 +32,21 @@
    No message is a heap record while it is in flight, and no per-message
    slot holds a pointer. A round's distinct bodies (tag, payload and
    {!Wire.size}) sit in a body table; a send whose tag and payload are
-   physically the round's last body reuses that body, so a [send_many]
-   fan-out stores one body for all its destinations. A send is then three
-   int stores into the staging arrays (source, destination, body);
+   physically the round's last body reuses that body, so a fan-out stores
+   one body for all its destinations; [send_many] looks that body up once
+   for the whole destination array. A send is then three int stores into
+   the staging arrays (source, destination, body);
    delivery counting-sorts the round's deliveries by destination into the
    delivery arrays (source, body), where each party's inbox is one
    contiguous slice. Two body tables alternate: one backs the current
    inboxes, the other takes this round's sends, and delivery clears the
    older one, body by body, before swapping them. All arrays are reused
    across rounds, so a payload is reachable from the network only until
-   the round after its delivery. The [Wire.msg list] a handler gets is
-   built from its slice just before it runs and dies young; so do
-   {!inbox} and the adversary's view of the staged mail. Only parked
+   the round after its delivery. A slice handler's view points into
+   these arrays and is repointed for the next party; the [Wire.msg list]
+   a list handler gets is built from its slice just before it runs and
+   dies young, and so do {!inbox} and the adversary's view of the staged
+   mail. Only parked
    deliveries (deferred past the barrier, held for a dark party, or more
    than [bucket_span] ticks out) become records, on the {!Sched.Heap}
    binary heap, and are staged again when drained.
@@ -123,6 +129,7 @@ type t = {
   dirty : int array; (* parties with a non-empty inbox, [0, ndirty) *)
   mutable ndirty : int;
   in_active : Bytes.t; (* run_active's membership marks, all '\000' between rounds *)
+  view : Inbox.t; (* the running handler's inbox slice (see [run_slices]) *)
   mutable round : int;
   mutable in_adv_step : bool; (* inside the adversary's turn of a round *)
   mutable condition : Sched.condition option;
@@ -130,6 +137,7 @@ type t = {
 }
 
 type handler = round:int -> inbox:Wire.msg list -> unit
+type slice_handler = round:int -> Inbox.t -> unit
 
 type adversary = {
   adv_name : string;
@@ -187,6 +195,7 @@ let create ?backend ?(sinks = []) ~n ~corrupt () =
       dirty = Array.make n 0;
       ndirty = 0;
       in_active = Bytes.make n '\000';
+      view = Inbox.create ();
       round = 0;
       in_adv_step = false;
       condition = None;
@@ -336,8 +345,42 @@ let send t ~src:s ~dst ~tag payload =
   Repro_obs.Counters.observe h_msg_bytes (Bytes.length payload);
   ignore (stage t ~src:s ~dst ~tag payload ~size : int)
 
-let send_many t ~src ~dsts ~tag payload =
-  List.iter (fun dst -> send t ~src ~dst ~tag payload) dsts
+(* One body for the whole fan-out, and the checks and size once; each
+   destination then costs what one [send] adds per message: its event,
+   its charge and three int stores. *)
+let send_many t ~src:s ~dsts ~tag payload =
+  let nd = Array.length dsts in
+  if nd > 0 then begin
+    if s < 0 || s >= t.n then invalid_arg "Network.send: party index out of range";
+    for j = 0 to nd - 1 do
+      let dst = Array.unsafe_get dsts j in
+      if dst < 0 || dst >= t.n then invalid_arg "Network.send: party index out of range"
+    done;
+    if t.in_adv_step && not t.corrupt.(s) then
+      invalid_arg "Network.send: adversary send from honest src rejected";
+    let size = Wire.size ~tag payload in
+    let body = body_of t.st_bodies ~tag payload ~size in
+    let k0 = t.st_n in
+    if k0 + nd > Array.length t.st_src then begin
+      t.st_src <- grown_to t.st_src (k0 + nd) 0;
+      t.st_dst <- grown_to t.st_dst (k0 + nd) 0;
+      t.st_body <- grown_to t.st_body (k0 + nd) 0
+    end;
+    let vt = if observed t && not t.lockstep then Some t.vt else None in
+    let len = Bytes.length payload in
+    let st_src = t.st_src and st_dst = t.st_dst and st_body = t.st_body in
+    for j = 0 to nd - 1 do
+      let dst = Array.unsafe_get dsts j in
+      if observed t then
+        emit t (Event.Send { round = t.round; vt; src = s; dst; tag; payload; bits = 8 * size });
+      Metrics.note_send t.metrics ~src:s ~dst ~tag ~size;
+      Repro_obs.Counters.observe h_msg_bytes len;
+      st_src.(k0 + j) <- s;
+      st_dst.(k0 + j) <- dst;
+      st_body.(k0 + j) <- body
+    done;
+    t.st_n <- k0 + nd
+  end
 
 (* Built on demand, back to front, so the list comes out in delivery
    order. *)
@@ -601,7 +644,9 @@ let finish_round t adversary ~scheduled =
     emit t (Event.Round_end (Metrics.close_round t.metrics ~round:t.round ~scheduled));
   t.round <- t.round + 1
 
-let run_active t ?(adversary = null_adversary) ~rounds ~extra handler_of =
+(* The one stepper, over any kind of handler: [call h ~round i] runs
+   party [i]'s handler [h] on its inbox. *)
+let step t ~adversary ~rounds ~extra handler_of call =
   let target = t.round + rounds in
   while t.round < target do
     Repro_obs.Trace.span ~cat:"net" "net.round" @@ fun () ->
@@ -655,11 +700,27 @@ let run_active t ?(adversary = null_adversary) ~rounds ~extra handler_of =
       (fun (i, handler) ->
         if is_honest t i && party_up t i then begin
           incr scheduled;
-          handler ~round:t.round ~inbox:(inbox t i)
+          call handler ~round:t.round i
         end)
       parties;
     finish_round t adversary ~scheduled:!scheduled
   done
+
+(* A slice handler reads its inbox through [t.view], pointed at its
+   delivery slice just before the call: no message is copied or consed
+   to hand it over. *)
+let run_slices t ?(adversary = null_adversary) ~rounds ~extra handler_of =
+  step t ~adversary ~rounds ~extra handler_of (fun (h : slice_handler) ~round i ->
+      let b = t.dl_bodies in
+      Inbox.set t.view ~srcs:t.dl_src ~bodies:t.dl_body ~tags:b.b_tag ~pays:b.b_pay
+        ~off:t.dl_start.(i) ~len:t.dl_len.(i);
+      h ~round t.view)
+
+(* A list handler's list is built from the party's slice, in delivery
+   order, just before its handler runs. *)
+let run_active t ?(adversary = null_adversary) ~rounds ~extra handler_of =
+  step t ~adversary ~rounds ~extra handler_of (fun (h : handler) ~round i ->
+      h ~round ~inbox:(inbox t i))
 
 (* Between protocol phases: drop the round's staged sends and the pending
    inboxes, so a new sub-protocol starts from a clean slate while metrics

@@ -11,7 +11,12 @@
 type t
 
 type handler = round:int -> inbox:Wire.msg list -> unit
-(** One party's step function for one round; it sends by calling {!send}. *)
+(** One party's step function for one round, given its inbox as a list;
+    it sends by calling {!send}. *)
+
+type slice_handler = round:int -> Inbox.t -> unit
+(** The same, given its inbox as a view of the network's delivery slice
+    for the party (valid only during the call; see {!Inbox}). *)
 
 type adversary = {
   adv_name : string;
@@ -90,21 +95,27 @@ val send : t -> src:int -> dst:int -> tag:string -> bytes -> unit
     call happens during the adversary's turn of a round with an honest
     [src]: the adversary can never impersonate an honest party. *)
 
-val send_many : t -> src:int -> dsts:int list -> tag:string -> bytes -> unit
+val send_many : t -> src:int -> dsts:int array -> tag:string -> bytes -> unit
+(** [send_many t ~src ~dsts ~tag payload] sends [payload] to every party
+    of [dsts], in array order: the same events, charges and deliveries as
+    one {!send} per destination, but with the checks, the size and the
+    message body done once. Raises like {!send}, before staging anything,
+    if any index is out of range. *)
 
 val inbox : t -> int -> Wire.msg list
 (** Party [i]'s current-round inbox, in delivery order: the list its
     handler is given. Built fresh from the network's delivery buffer on
     each call; tests use it to inspect delivered mail between rounds. *)
 
-val run_active :
+val run_slices :
   t ->
   ?adversary:adversary ->
   rounds:int ->
   extra:(round:int -> int list) ->
-  (int -> handler option) ->
+  (int -> slice_handler option) ->
   unit
-(** Run [rounds] further rounds. A round goes as follows.
+(** The slice stepper: run [rounds] further rounds. A round goes as
+    follows.
     + The active set is the parties holding a delivery plus
       [extra ~round] (the protocol's spontaneous actors), each once, in
       ascending party order.
@@ -121,7 +132,22 @@ val run_active :
     that round, so a round costs O(active parties), not O(n). A protocol
     in which every party acts every round passes [everyone]; one whose
     parties act only on input passes just the parties it wakes. Raises
-    [Invalid_argument] if [extra] names a party outside [0 .. n - 1]. *)
+    [Invalid_argument] if [extra] names a party outside [0 .. n - 1].
+
+    A handler reads its inbox through one view the network repoints at
+    each party's slice of the delivery arrays: handing it over copies and
+    allocates nothing. *)
+
+val run_active :
+  t ->
+  ?adversary:adversary ->
+  rounds:int ->
+  extra:(round:int -> int list) ->
+  (int -> handler option) ->
+  unit
+(** {!run_slices} for list handlers: each running party's inbox is built
+    as a [Wire.msg list], in delivery order, just before its handler runs.
+    The rounds, the active set and every event are the same. *)
 
 val flush : t -> unit
 (** Between composed protocol phases: drop the current round's staged

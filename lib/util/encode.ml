@@ -6,10 +6,44 @@
 
 type sink = Buffer.t
 
+(* [to_bytes] encodes into a scratch buffer taken from a small per-domain
+   free-list and copies the result out once, so an encode costs its
+   output and not a chain of doubling buffers. A nested [to_bytes] inside
+   [f] takes another buffer from the list (or a fresh one); an exception
+   in [f] still returns the buffer. A buffer that grew past
+   [scratch_cap] is dropped rather than kept, so one huge message does
+   not pin its memory for the rest of the run. *)
+let scratch_cap = 1 lsl 20
+let scratch_keep = 4
+
+let scratch : Buffer.t list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
+
+let scratch_free () = List.length !(Domain.DLS.get scratch)
+
+let release free b =
+  if Buffer.length b <= scratch_cap && List.compare_length_with !free scratch_keep < 0 then begin
+    Buffer.clear b;
+    free := b :: !free
+  end
+
 let to_bytes f =
-  let b = Buffer.create 64 in
-  f b;
-  Buffer.to_bytes b
+  let free = Domain.DLS.get scratch in
+  let b =
+    match !free with
+    | b :: rest ->
+      free := rest;
+      b
+    | [] -> Buffer.create 256
+  in
+  match f b with
+  | () ->
+    let out = Buffer.to_bytes b in
+    release free b;
+    out
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    release free b;
+    Printexc.raise_with_backtrace e bt
 
 let u8 b v =
   if v < 0 || v > 0xFF then invalid_arg "Encode.u8";

@@ -8,6 +8,16 @@
 type sink = Buffer.t
 
 val to_bytes : (sink -> unit) -> bytes
+(** [to_bytes f]: the bytes [f] writes. [f] writes into a scratch buffer
+    reused across calls (per domain; a [to_bytes] nested inside [f] gets
+    its own), so [f] must not keep the sink past its return. *)
+
+val scratch_cap : int
+(** A scratch buffer that grew past this many bytes is dropped after its
+    encode instead of being kept for reuse. *)
+
+val scratch_free : unit -> int
+(** Scratch buffers the calling domain holds for reuse (at most a few). *)
 
 val u8 : sink -> int -> unit
 val varint : sink -> int -> unit

@@ -410,7 +410,7 @@ let test_coin_tampered_reveal_rejected () =
           forged)
   in
   for round = 0 to 3 do
-    let sends = Array.map (fun st -> Coin_toss.m_send st ~round) states in
+    let sends = Array.map (fun st -> Engine.collect (Coin_toss.m_send st ~round)) states in
     if round < 3 then
       (* the victim goes last: every honest copy is memoized by then *)
       for p = 0 to m - 1 do
@@ -434,7 +434,7 @@ let test_coin_tampered_reveal_rejected () =
                      else Some (src, payload))
                    sends.(src)))
         in
-        Coin_toss.m_recv states.(p) ~round inbox
+        Coin_toss.m_recv states.(p) ~round (Repro_net.Inbox.of_list inbox)
       done
     else
       (* round 3 opens the agreement on the candidates: compare them *)
@@ -481,9 +481,9 @@ let test_multi_tally_decoded () =
   let x_after inbox =
     let members = members_of 4 in
     let st = Multi_ba.create ~members ~me:0 ~input:v0 in
-    ignore (Multi_ba.m_send st ~round:0);
-    Multi_ba.m_recv st ~round:0 inbox;
-    match Multi_ba.m_send st ~round:1 with
+    ignore (Engine.collect (Multi_ba.m_send st ~round:0));
+    Multi_ba.m_recv st ~round:0 (Repro_net.Inbox.of_list inbox);
+    match Engine.collect (Multi_ba.m_send st ~round:1) with
     | (_, payload) :: _ -> payload
     | [] -> Alcotest.fail "no round-1 sends"
   in
@@ -512,7 +512,9 @@ let inbox_robust ~rng ~m ~rounds ~send ~recv ~output =
   in
   let same = ref true in
   for round = 0 to rounds - 1 do
-    let sends = Array.init 2 (fun copy -> Array.init m (fun p -> send copy p ~round)) in
+    let sends =
+      Array.init 2 (fun copy -> Array.init m (fun p -> Engine.collect (send copy p ~round)))
+    in
     if sends.(0) <> sends.(1) then same := false;
     for p = 0 to m - 1 do
       let inbox =
@@ -542,8 +544,8 @@ let inbox_robust ~rng ~m ~rounds ~send ~recv ~output =
           inbox
         @ [ stray () ]
       in
-      recv 0 p ~round inbox;
-      recv 1 p ~round noisy
+      recv 0 p ~round (Repro_net.Inbox.of_list inbox);
+      recv 1 p ~round (Repro_net.Inbox.of_list noisy)
     done
   done;
   !same && List.for_all (fun p -> output 0 p = output 1 p) (members_of m)

@@ -6,6 +6,10 @@ module Metrics = Repro_net.Metrics
 module Engine = Repro_net.Engine
 module Wire = Repro_net.Wire
 module Sched = Repro_net.Sched
+module Inbox = Repro_net.Inbox
+
+(* An inbox view's messages as (src, payload) pairs, in delivery order. *)
+let msgs_of v = List.init (Inbox.length v) (fun i -> (Inbox.src v i, Inbox.payload v i))
 
 let test_delivery_next_round () =
   let net = Network.create ~n:3 ~corrupt:[] () in
@@ -444,7 +448,7 @@ let bodies_match_model ?(defer = fun ~round:_ ~src:_ ~dst:_ -> None) ~general ()
     List.iter
       (function
         | To (dst, tag, pay) -> Network.send net ~src:p ~dst ~tag pay
-        | Many (dsts, tag, pay) -> Network.send_many net ~src:p ~dsts ~tag pay)
+        | Many (dsts, tag, pay) -> Network.send_many net ~src:p ~dsts:(Array.of_list dsts) ~tag pay)
       (plan (round, p))
   in
   let run k =
@@ -480,15 +484,13 @@ let test_engine_multiplexing () =
   let mk_machine me peer inst =
     {
       Engine.m_send =
-        (fun ~round ->
-          if round = 0 then [ (peer, Bytes.of_string (Printf.sprintf "%s-ping-%d" inst me)) ]
-          else []);
+        (fun ~round out ->
+          if round = 0 then out.send peer (Bytes.of_string (Printf.sprintf "%s-ping-%d" inst me)));
       m_recv =
-        (fun ~round msgs ->
-          List.iter
-            (fun (src, payload) ->
-              log := (inst, me, round, src, Bytes.to_string payload) :: !log)
-            msgs);
+        (fun ~round v ->
+          for i = 0 to Inbox.length v - 1 do
+            log := (inst, me, round, Inbox.src v i, Bytes.to_string (Inbox.payload v i)) :: !log
+          done);
     }
   in
   let machines p =
@@ -525,18 +527,18 @@ let test_engine_instance_isolation () =
       [
         ( "a",
           {
-            Engine.m_send = (fun ~round -> if round = 0 then [ (1, Bytes.of_string "x") ] else []);
+            Engine.m_send = (fun ~round out -> if round = 0 then out.send 1 (Bytes.of_string "x"));
             m_recv = (fun ~round:_ _ -> ());
           } );
       ]
     | 1 ->
       [
         ( "a",
-          { Engine.m_send = (fun ~round:_ -> []); m_recv = (fun ~round:_ _ -> ()) } );
+          { Engine.m_send = (fun ~round:_ _ -> ()); m_recv = (fun ~round:_ _ -> ()) } );
         ( "b",
           {
-            Engine.m_send = (fun ~round:_ -> []);
-            m_recv = (fun ~round:_ msgs -> b_got := !b_got + List.length msgs);
+            Engine.m_send = (fun ~round:_ _ -> ());
+            m_recv = (fun ~round:_ v -> b_got := !b_got + Inbox.length v);
           } );
       ]
     | _ -> []
@@ -552,17 +554,16 @@ let test_engine_delivery_order () =
   let machine p inst =
     {
       Engine.m_send =
-        (fun ~round ->
+        (fun ~round out ->
           if round = 0 && p < 3 then
-            List.map
-              (fun k -> (3, Bytes.of_string (Printf.sprintf "%s:%d.%d" inst p k)))
-              [ 0; 1; 2 ]
-          else []);
+            List.iter
+              (fun k -> out.send 3 (Bytes.of_string (Printf.sprintf "%s:%d.%d" inst p k)))
+              [ 0; 1; 2 ]);
       m_recv =
-        (fun ~round msgs ->
+        (fun ~round v ->
           if p = 3 && round = 0 then
             Hashtbl.replace got inst
-              (List.map (fun (src, b) -> (src, Bytes.to_string b)) msgs));
+              (List.map (fun (src, b) -> (src, Bytes.to_string b)) (msgs_of v)));
     }
   in
   let machines p = [ ("x", machine p "x"); ("y", machine p "y") ] in
@@ -586,11 +587,11 @@ let test_engine_drops_foreign_tags () =
   let got = Hashtbl.create 2 in
   let machine inst =
     {
-      Engine.m_send = (fun ~round:_ -> []);
+      Engine.m_send = (fun ~round:_ _ -> ());
       m_recv =
-        (fun ~round:_ msgs ->
+        (fun ~round:_ v ->
           Hashtbl.replace got inst
-            (List.map (fun (_, b) -> Bytes.to_string b) msgs
+            (List.map (fun (_, b) -> Bytes.to_string b) (msgs_of v)
             @ Option.value ~default:[] (Hashtbl.find_opt got inst)));
     }
   in
@@ -618,8 +619,10 @@ let test_engine_fresh_tag_dispatch () =
   in
   let machine inst sends =
     {
-      Engine.m_send = (fun ~round -> if round = 0 then sends else []);
-      m_recv = (fun ~round:_ msgs -> record inst msgs);
+      Engine.m_send =
+        (fun ~round out ->
+          if round = 0 then List.iter (fun (dst, payload) -> out.send dst payload) sends);
+      m_recv = (fun ~round:_ v -> record inst (msgs_of v));
     }
   in
   let machines p =
@@ -648,7 +651,7 @@ let test_engine_send_order_pinned () =
   let net = Network.create ~sinks:[ tap ] ~n:2 ~corrupt:[] () in
   let machine =
     {
-      Engine.m_send = (fun ~round -> if round = 0 then [ (1, Bytes.empty) ] else []);
+      Engine.m_send = (fun ~round out -> if round = 0 then out.send 1 Bytes.empty);
       m_recv = (fun ~round:_ _ -> ());
     }
   in
@@ -667,13 +670,295 @@ let test_engine_rounds_observed () =
     [
       ( "solo",
         {
-          Engine.m_send = (fun ~round:_ -> []);
-          m_recv = (fun ~round msgs -> if msgs = [] then rounds_seen := round :: !rounds_seen);
+          Engine.m_send = (fun ~round:_ _ -> ());
+          m_recv = (fun ~round v -> if Inbox.length v = 0 then rounds_seen := round :: !rounds_seen);
         } );
     ]
   in
   Engine.run net ~tag:"r" ~rounds:3 ~machines ();
   Alcotest.(check (list int)) "all rounds ticked" [ 0; 1; 2 ] (List.sort compare !rounds_seen)
+
+(* --- Engine: the inbox view against the list demultiplexer --- *)
+
+(* The engine as it was written over lists, kept as the model: each round
+   a party's inbox list is split per instance by comparing full tags with
+   [String.equal], in delivery order; every instance's [recv] gets its
+   list, empty or not, in slot order (a Hashtbl's iteration order, as in
+   the engine); then each instance's sends go out one [Network.send] at a
+   time. *)
+let list_engine net ?adversary ~tag ~rounds ~machines () =
+  let start = Network.round net in
+  let slots p =
+    let tbl = Hashtbl.create 8 in
+    List.iter (fun (inst, m) -> Hashtbl.add tbl inst m) (machines p);
+    let acc = ref [] in
+    Hashtbl.iter (fun inst m -> acc := (tag ^ "/" ^ inst, m) :: !acc) tbl;
+    Array.of_list (List.rev !acc)
+  in
+  let participants =
+    List.filter (fun p -> Network.is_honest net p && machines p <> []) (Network.everyone net)
+  in
+  let handler p =
+    let slots = slots p in
+    fun ~round ~inbox ->
+      let local = round - start in
+      if local > 0 then
+        Array.iter
+          (fun (ft, (_, recv)) ->
+            recv ~round:(local - 1)
+              (List.filter_map
+                 (fun (m : Wire.msg) -> if String.equal m.tag ft then Some (m.src, m.payload) else None)
+                 inbox))
+          slots;
+      if local < rounds then
+        Array.iter
+          (fun (ft, (send, _)) ->
+            List.iter (fun (dst, pay) -> Network.send net ~src:p ~dst ~tag:ft pay) (send ~round:local))
+          slots
+  in
+  let handlers = Array.make (Network.n net) None in
+  List.iter (fun p -> handlers.(p) <- Some (handler p)) participants;
+  Network.run_active net ?adversary ~rounds:(rounds + 1)
+    ~extra:(fun ~round:_ -> participants)
+    (Array.get handlers)
+
+(* Five parties, party 4 corrupt; parties 0-3 host one to three instances
+   each, so every inbox mixes several slots and mail for instances the
+   party does not host. Local round 2 sends nothing. The adversary adds,
+   every round, a fresh byte-equal copy of a genuine tag (not the engine's
+   interned pointer) and lookalike, bare and foreign tags; leftovers of an
+   earlier phase sit in the first inboxes. On the general path a
+   condition defers some sends past the barrier. Each machine must see,
+   round by round, the (src, payload) list the list demultiplexer gives. *)
+let engine_view_matches_model ~general () =
+  let n = 5 and rounds = 5 in
+  let hosted = function
+    | 0 -> [ "a"; "b"; "c" ]
+    | 1 -> [ "a"; "b" ]
+    | 2 -> [ "c"; "a" ]
+    | 3 -> [ "b" ]
+    | _ -> []
+  in
+  let pay p inst r k = Bytes.of_string (Printf.sprintf "%d%s%d.%d" p inst r k) in
+  let others p = List.filter (fun q -> q <> p) [ 0; 1; 2; 3; 4 ] in
+  (* Sends as (destinations, payload) fan-outs; a singleton is one send. *)
+  let plan p inst r =
+    if r = 2 then []
+    else
+      match inst with
+      | "b" when r mod 2 = 1 -> []
+      | "b" -> [ ([ (p + 1) mod 4 ], pay p inst r 0); ([ 3; (p + 2) mod 4 ], pay p inst r 1) ]
+      | _ ->
+        [ ([ (p + 1 + r) mod 4 ], pay p inst r 0); (others p, pay p inst r 1);
+          ([ (p + 3) mod 4; (p + 3) mod 4 ], pay p inst r 2) ]
+  in
+  let adversary =
+    {
+      Network.adv_name = "tags";
+      adv_step =
+        (fun net ~round ~honest_staged:_ ->
+          List.iteri
+            (fun k tag ->
+              List.iter
+                (fun dst ->
+                  Network.send net ~src:4 ~dst ~tag (Bytes.of_string (Printf.sprintf "adv%d.%d" round k)))
+                [ 0; 1; 2; 3 ])
+            [ String.concat "/" [ "eng"; "a" ]; "eng/z"; "engx/a"; "eng"; "eng/a/";
+              String.concat "/" [ "eng"; "c" ] ]);
+    }
+  in
+  let condition =
+    if not general then None
+    else
+      Some
+        {
+          Sched.pass_condition with
+          c_route =
+            (fun ~now ~round ~src ~dst ~lat ->
+              if (src + (2 * dst) + round) mod 7 = 0 then Sched.Defer (now + 2)
+              else Sched.Deliver lat);
+        }
+  in
+  let run engine =
+    let seen = Hashtbl.create 64 in
+    let net = create_on ?condition ~n ~corrupt:[ 4 ] () in
+    List.iter
+      (fun (dst, tag) -> Network.send net ~src:4 ~dst ~tag (Bytes.of_string ("old-" ^ tag)))
+      [ (0, "eng/a"); (1, "old/b"); (0, "eng/c") ];
+    let record p inst ~round msgs =
+      Hashtbl.replace seen (p, inst, round)
+        (List.map (fun (src, b) -> (src, Bytes.to_string b)) msgs)
+    in
+    engine net ~adversary ~record ~plan ~hosted ~rounds;
+    List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) seen [])
+  in
+  let via_view net ~adversary ~record ~plan ~hosted ~rounds =
+    Engine.run net ~adversary ~tag:"eng" ~rounds
+      ~machines:(fun p ->
+        List.map
+          (fun inst ->
+            ( inst,
+              {
+                Engine.m_send =
+                  (fun ~round out ->
+                    List.iter
+                      (function
+                        | [ dst ], payload -> out.send dst payload
+                        | dsts, payload -> out.send_many (Array.of_list dsts) payload)
+                      (plan p inst round));
+                m_recv = (fun ~round v -> record p inst ~round (msgs_of v));
+              } ))
+          (hosted p))
+      ()
+  in
+  let via_lists net ~adversary ~record ~plan ~hosted ~rounds =
+    list_engine net ~adversary ~tag:"eng" ~rounds
+      ~machines:(fun p ->
+        List.map
+          (fun inst ->
+            ( inst,
+              ( (fun ~round ->
+                  List.concat_map
+                    (fun (dsts, payload) -> List.map (fun d -> (d, payload)) dsts)
+                    (plan p inst round)),
+                fun ~round msgs -> record p inst ~round msgs ) ))
+          (hosted p))
+      ()
+  in
+  let expected = run via_lists and got = run via_view in
+  let entry = Alcotest.(pair (triple int string int) (list (pair int string))) in
+  Alcotest.(check (list entry)) "per instance, per round" expected got;
+  let count pred =
+    List.length (List.filter (fun (_, msgs) -> List.exists (fun (_, b) -> pred b) msgs) expected)
+  in
+  Alcotest.(check int) "every instance, every round" (8 * rounds) (List.length expected);
+  Alcotest.(check bool) "fresh-tag copies delivered" true
+    (count (fun b -> String.length b > 3 && String.sub b 0 3 = "adv") > 0);
+  Alcotest.(check bool) "empty rounds" true
+    (List.exists (fun (_, msgs) -> msgs = []) expected);
+  expected
+
+let test_engine_view_matches_model () =
+  let shortcut = engine_view_matches_model ~general:false () in
+  let general = engine_view_matches_model ~general:true () in
+  Alcotest.(check bool) "the deferrals moved mail" true (shortcut <> general)
+
+(* --- send_many against the equivalent send loop --- *)
+
+(* The same script with each fan-out as one [send_many] or as a loop of
+   [send]s, under a recording sink: repeated and corrupt destinations, an
+   empty fan-out, a fan-out continued by a single send of its body, equal
+   but distinct payloads and the adversary's own fan-out. The events, the
+   metrics report and tag breakdown and every inbox must be equal. *)
+let send_many_matches_loop ?condition () =
+  let run many =
+    let log = ref [] in
+    let sink (ev : Repro_obs.Event.t) =
+      let line =
+        match ev with
+        | Send { round; vt; src; dst; tag; payload; bits } ->
+          Printf.sprintf "send r%d%s %d>%d %s %s %d" round
+            (match vt with Some v -> Printf.sprintf " vt%d" v | None -> "")
+            src dst tag (Bytes.to_string payload) bits
+        | Round_end { round; scheduled; sent_bits; charged } ->
+          Printf.sprintf "end r%d sched %d sent %d:%s" round scheduled sent_bits
+            (String.concat ""
+               (Array.to_list
+                  (Array.map
+                     (fun (c : Repro_obs.Event.charge) ->
+                       Printf.sprintf " %d=%d/%d (%d/%d)" c.party c.round_bits c.round_peers
+                         c.total_bits c.total_peers)
+                     charged)))
+        | Corrupt p -> Printf.sprintf "corrupt %d" p
+        | _ -> "other"
+      in
+      log := line :: !log
+    in
+    let net = create_on ?condition ~sinks:[ sink ] ~n:5 ~corrupt:[ 4 ] () in
+    let a = Bytes.of_string "A" and b = Bytes.of_string "BB" in
+    let fan p dsts tag pay =
+      if many then Network.send_many net ~src:p ~dsts:(Array.of_list dsts) ~tag pay
+      else List.iter (fun dst -> Network.send net ~src:p ~dst ~tag pay) dsts
+    in
+    let handler p ~round ~inbox:_ =
+      match (round, p) with
+      | 0, 0 ->
+        fan 0 [ 1; 2; 3 ] "t" a;
+        Network.send net ~src:0 ~dst:4 ~tag:"t" a;
+        fan 0 [ 3; 3; 1 ] "u" a;
+        fan 0 [] "t" b;
+        fan 0 [ 2 ] "t" b
+      | 0, 1 ->
+        fan 1 [ 0; 2 ] "t" b;
+        fan 1 [ 0; 2 ] "t" (Bytes.copy b)
+      | 1, 2 -> fan 2 [ 0; 1; 3; 4 ] "v" b
+      | _ -> ()
+    in
+    let adversary =
+      {
+        Network.adv_name = "fan";
+        adv_step =
+          (fun _ ~round ~honest_staged:_ -> if round = 0 then fan 4 [ 0; 1; 3 ] "adv" a);
+      }
+    in
+    let inboxes = ref [] in
+    for _ = 1 to 2 do
+      Network.run_active net ~adversary ~rounds:1
+        ~extra:(fun ~round:_ -> [ 0; 1; 2; 3 ])
+        (fun p -> Some (handler p));
+      inboxes :=
+        List.map
+          (fun p ->
+            List.map (fun (m : Wire.msg) -> (m.src, m.tag, Bytes.to_string m.payload)) (Network.inbox net p))
+          (Network.everyone net)
+        :: !inboxes
+    done;
+    let m = Network.metrics net in
+    (List.rev !log, Metrics.report m, Metrics.tag_breakdown m, !inboxes)
+  in
+  let ev_many, report_many, tags_many, in_many = run true in
+  let ev_loop, report_loop, tags_loop, in_loop = run false in
+  Alcotest.(check (list string)) "events" ev_loop ev_many;
+  Alcotest.(check bool) "metrics report" true (report_loop = report_many);
+  Alcotest.(check (list (pair string int))) "tag breakdown" tags_loop tags_many;
+  Alcotest.(check (list (list (list (triple int string string))))) "inboxes" in_loop in_many;
+  Alcotest.(check bool) "the script sends" true (List.length ev_many > 20)
+
+let test_send_many_matches_loop () =
+  send_many_matches_loop ();
+  send_many_matches_loop ~condition:Sched.pass_condition ()
+
+(* --- Minor words per message through the engine --- *)
+
+(* Phase-king committees as phase F runs them: 43 committees of 22
+   members drawn from 256 parties, all in one engine run. Every message
+   crosses the emitter, the network and the dispatch, and a round of a
+   machine allocates only its payload and its tally, shared by its ~21
+   messages. Measured at 1.5 words per message here (the engine over
+   inbox lists took 32). *)
+let test_engine_minor_words () =
+  let n = 256 and committees = 43 and size = 22 in
+  let rng = Repro_util.Rng.create 5 in
+  let members = Array.init committees (fun _ -> Repro_util.Rng.subset rng ~n ~size) in
+  let hosted = Array.make n [] in
+  Array.iteri
+    (fun c ms ->
+      List.iter
+        (fun me ->
+          let st = Repro_consensus.Phase_king.create ~members:ms ~me ~input:((me + c) mod 3 = 0) in
+          hosted.(me) <- (string_of_int c, Repro_consensus.Phase_king.machine st) :: hosted.(me))
+        ms)
+    members;
+  let rounds = Repro_consensus.Phase_king.rounds ~members:members.(0) in
+  let net = Network.create ~n ~corrupt:[] () in
+  let w0 = Gc.minor_words () in
+  Engine.run net ~tag:"pk" ~rounds ~machines:(Array.get hosted) ();
+  let words = Gc.minor_words () -. w0 in
+  let m = Network.metrics net in
+  let msgs = List.fold_left (fun acc p -> acc + Metrics.party_msgs_recv m p) 0 (Network.everyone net) in
+  Alcotest.(check bool) "messages flowed" true (msgs > 100_000);
+  let per_msg = words /. float_of_int msgs in
+  if per_msg > 3. then Alcotest.failf "%.2f minor words per message (> 3)" per_msg
 
 let test_tag_grouping () =
   List.iter
@@ -842,6 +1127,9 @@ let suite =
     Alcotest.test_case "engine drops foreign tags" `Quick test_engine_drops_foreign_tags;
     Alcotest.test_case "engine fresh tag dispatch" `Quick test_engine_fresh_tag_dispatch;
     Alcotest.test_case "engine send order pinned" `Quick test_engine_send_order_pinned;
+    Alcotest.test_case "engine inbox view = list model" `Quick test_engine_view_matches_model;
+    Alcotest.test_case "send_many = send loop" `Quick test_send_many_matches_loop;
+    Alcotest.test_case "engine minor words per message" `Quick test_engine_minor_words;
     Alcotest.test_case "tag grouping" `Quick test_tag_grouping;
     Alcotest.test_case "tag breakdown" `Quick test_tag_breakdown_accumulates;
     Alcotest.test_case "report empty selection" `Quick test_report_empty_selection;

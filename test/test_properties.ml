@@ -29,7 +29,7 @@ let drive ~rng ~m ~corrupt ~rounds ~send ~recv =
         List.iter
           (fun (dst, payload) ->
             if dst >= 0 && dst < m then mailbox.(dst) <- (p, payload) :: mailbox.(dst))
-          (send p ~round)
+          (Repro_net.Engine.collect (send p ~round))
     done;
     (* Byzantine injection: each corrupt member sends to every honest member
        with probability 3/4 a random payload (1-24 bytes), fully equivocating *)
@@ -41,7 +41,7 @@ let drive ~rng ~m ~corrupt ~rounds ~send ~recv =
         done)
       corrupt;
     for p = 0 to m - 1 do
-      if not (is_corrupt p) then recv p ~round (List.rev mailbox.(p))
+      if not (is_corrupt p) then recv p ~round (Repro_net.Inbox.of_list (List.rev mailbox.(p)))
     done
   done
 

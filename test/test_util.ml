@@ -117,6 +117,86 @@ let test_encode_roundtrip () =
   | Some (0, 127, 128, 300000, true, "hello", [ 1; 2; 3 ], None, Some "x") -> ()
   | _ -> Alcotest.fail "roundtrip mismatch"
 
+(* [Encode.to_bytes] writes into reused scratch buffers; each case
+   compares against the same encoder run on a fresh [Buffer]. *)
+let fresh_encode f =
+  let b = Buffer.create 16 in
+  f b;
+  Buffer.to_bytes b
+
+let test_encode_scratch_nested () =
+  let inner b =
+    Encode.string b "inner";
+    Encode.varint b 300
+  in
+  let outer enc b =
+    Encode.varint b 1;
+    Encode.bytes b (enc inner);
+    Encode.string b "mid";
+    Encode.bytes b (enc (fun b -> Encode.bytes b (enc inner)));
+    Encode.u8 b 7
+  in
+  Alcotest.(check bytes) "nested encodes" (fresh_encode (outer fresh_encode))
+    (Encode.to_bytes (outer Encode.to_bytes))
+
+let test_encode_scratch_exception () =
+  ignore (Encode.to_bytes (fun b -> Encode.u8 b 1));
+  let free = Encode.scratch_free () in
+  (match Encode.to_bytes (fun b -> Encode.string b "partial"; failwith "boom") with
+  | _ -> Alcotest.fail "no exception"
+  | exception Failure _ -> ());
+  Alcotest.(check int) "buffer returned" free (Encode.scratch_free ());
+  let f b = Encode.string b "next" in
+  Alcotest.(check bytes) "next encode is clean" (fresh_encode f) (Encode.to_bytes f)
+
+let test_encode_scratch_cap () =
+  ignore (Encode.to_bytes (fun b -> Encode.u8 b 1));
+  let free = Encode.scratch_free () in
+  Alcotest.(check bool) "a buffer is kept" true (free >= 1);
+  let big = Bytes.make (Encode.scratch_cap + 1) 'x' in
+  let f b = Encode.bytes b big in
+  Alcotest.(check bytes) "big encode" (fresh_encode f) (Encode.to_bytes f);
+  Alcotest.(check int) "grown buffer dropped" (free - 1) (Encode.scratch_free ());
+  ignore (Encode.to_bytes (fun b -> Encode.u8 b 1));
+  Alcotest.(check int) "a small encode returns its buffer" (free - 1) (Encode.scratch_free ())
+
+(* Random encoder programs, from empty to past the scratch cap, each
+   encoded right after the previous one so every scratch buffer is
+   reused with whatever it held. *)
+let test_encode_scratch_equal () =
+  let rng = Rng.create 11 in
+  let op () =
+    match Rng.int rng 6 with
+    | 0 ->
+      let v = Rng.int rng 1_000_000 in
+      fun b -> Encode.varint b v
+    | 1 ->
+      let s = Bytes.to_string (Rng.bytes rng (Rng.int rng 40)) in
+      fun b -> Encode.string b s
+    | 2 ->
+      let len = if Rng.int rng 20 = 0 then 70_000 + Rng.int rng 70_000 else Rng.int rng 600 in
+      let p = Rng.bytes rng len in
+      fun b -> Encode.bytes b p
+    | 3 ->
+      let l = List.init (Rng.int rng 5) (fun _ -> Rng.int rng 1000) in
+      fun b -> Encode.list b Encode.varint l
+    | 4 ->
+      let v = if Rng.bool rng then Some (Rng.bytes rng 9) else None in
+      fun b -> Encode.option b Encode.bytes v
+    | _ ->
+      let s = Bytes.to_string (Rng.bytes rng 5) in
+      fun b -> Encode.bytes b (Encode.to_bytes (fun b -> Encode.string b s))
+  in
+  for k = 0 to 199 do
+    let ops = List.init (Rng.int rng 12) (fun _ -> op ()) in
+    let ops =
+      if k = 100 then (fun b -> Encode.bytes_raw b (Bytes.make (Encode.scratch_cap + 5) 'y')) :: ops
+      else ops
+    in
+    let f b = List.iter (fun o -> o b) ops in
+    Alcotest.(check bytes) (Printf.sprintf "program %d" k) (fresh_encode f) (Encode.to_bytes f)
+  done
+
 let test_encode_malformed () =
   (* truncated input must yield None, not raise *)
   let data = Encode.to_bytes (fun b -> Encode.string b "hello") in
@@ -318,6 +398,10 @@ let suite =
     Alcotest.test_case "rng subset" `Quick test_rng_subset;
     Alcotest.test_case "encode roundtrip" `Quick test_encode_roundtrip;
     Alcotest.test_case "encode malformed" `Quick test_encode_malformed;
+    Alcotest.test_case "encode scratch nested" `Quick test_encode_scratch_nested;
+    Alcotest.test_case "encode scratch exception" `Quick test_encode_scratch_exception;
+    Alcotest.test_case "encode scratch cap" `Quick test_encode_scratch_cap;
+    Alcotest.test_case "encode scratch = fresh buffer" `Quick test_encode_scratch_equal;
     Alcotest.test_case "encode implausible list" `Quick test_encode_implausible_list;
     Alcotest.test_case "mathx" `Quick test_mathx;
     Alcotest.test_case "loglog slope" `Quick test_loglog_slope;

@@ -1,6 +1,6 @@
 .PHONY: build test bench bench-smoke bench-compare audit attack trace \
   scale scale-smoke profile profile-smoke forensics-smoke async-smoke \
-  conditions-smoke cli-smoke examples-smoke check clean
+  conditions-smoke cli-smoke examples-smoke list-world check clean
 
 BA_SIM = ./_build/default/bin/ba_sim.exe
 
@@ -168,9 +168,24 @@ examples-smoke: build
 	done
 	@echo "examples-smoke: $(words $(EXAMPLES)) examples ran"
 
+# Handlers, the rushing adversary and conditions read Inbox views; the
+# list world must not regrow in lib/. Only the network itself may name
+# run_active (the ledger's list adapter), and no interface but the
+# network's (whose run_active signature takes one) may mention a
+# Wire.msg list.
+list-world:
+	@if grep -rl 'run_active' lib | grep -v '^lib/net/network\.mli\?$$'; then \
+	  echo "list-world: run_active named outside lib/net/network.ml(i)"; exit 1; \
+	fi
+	@if grep -rl --include='*.mli' 'Wire\.msg list' lib | grep -v '^lib/net/network\.mli$$'; then \
+	  echo "list-world: an interface under lib/ mentions Wire.msg list"; exit 1; \
+	fi
+	@echo "list-world: no list handlers in lib/"
+
 # Umbrella gate: build, unit tests, bench JSON smoke, complexity audit,
 # attack matrix, scale sweep smoke, profile smoke, forensics smoke,
-# async/conformance smoke, conditions smoke, CLI smoke, the examples —
+# async/conformance smoke, conditions smoke, CLI smoke, the examples, the
+# list-world check —
 # everything a PR must keep green, with a wall-clock guard so a performance
 # regression in any harness fails the target rather than silently eating
 # CI minutes.
@@ -182,7 +197,7 @@ check: build
 	status0=$$(git status --porcelain 2>/dev/null); \
 	$(MAKE) test bench-smoke audit attack scale-smoke profile-smoke \
 	  forensics-smoke async-smoke conditions-smoke cli-smoke examples-smoke \
-	  || exit 1; \
+	  list-world || exit 1; \
 	if [ "$$(git status --porcelain 2>/dev/null)" != "$$status0" ]; then \
 	  echo "check: the gates changed the working tree:"; git status --short; \
 	  exit 1; \

@@ -32,14 +32,14 @@ let fanout_ns_per_msg backend ~n ~degree ~rounds =
   let msgs = ref 0 in
   let run () =
     let net = Network.create ~backend ~n ~corrupt:[] () in
-    let handler i ~round ~inbox =
-      if round = 0 || inbox <> [] then
+    let handler i ~round inbox =
+      if round = 0 || Repro_net.Inbox.length inbox > 0 then
         for k = 1 to degree do
           incr msgs;
           Network.send net ~src:i ~dst:((i + (k * 97)) mod n) ~tag:"fan" payload
         done
     in
-    Network.run_active net ~rounds
+    Network.run_slices net ~rounds
       ~extra:(fun ~round -> if round = 0 then List.init n Fun.id else [])
       (fun i -> Some (handler i))
   in

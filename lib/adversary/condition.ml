@@ -15,7 +15,7 @@
 
 module Rng = Repro_util.Rng
 module Sched = Repro_net.Sched
-module Wire = Repro_net.Wire
+module Inbox = Repro_net.Inbox
 module Attacks = Repro_aetree.Attacks
 
 type t = {
@@ -188,11 +188,12 @@ let adaptive_with ~name ~static_fraction ~per_round ~bounded =
         c_down = no_down;
         c_observe =
           (fun ~now:_ ~round ~msgs ~corrupt ->
-            List.iter
-              (fun (m : Wire.msg) ->
-                if committee_tag m.Wire.tag then
-                  counts.(m.Wire.src) <- counts.(m.Wire.src) + 1)
-              msgs;
+            for k = 0 to Inbox.length msgs - 1 do
+              if committee_tag (Inbox.tag msgs k) then begin
+                let src = Inbox.src msgs k in
+                counts.(src) <- counts.(src) + 1
+              end
+            done;
             if round >= 3 then
               for _ = 1 to per_round do
                 if !upgraded < budget then begin

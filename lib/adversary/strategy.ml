@@ -11,7 +11,7 @@
 module Rng = Repro_util.Rng
 module Counters = Repro_obs.Counters
 module Network = Repro_net.Network
-module Wire = Repro_net.Wire
+module Inbox = Repro_net.Inbox
 module Attacks = Repro_aetree.Attacks
 module Params = Repro_aetree.Params
 module Tree = Repro_aetree.Tree
@@ -19,7 +19,7 @@ module Tree = Repro_aetree.Tree
 type env = {
   net : Network.t;
   round : int;
-  honest_staged : Wire.msg list;
+  honest_staged : Inbox.t;
   emit : src:int -> dst:int -> tag:string -> bytes -> unit;
 }
 
@@ -69,14 +69,10 @@ let corrupt_src env k =
   | [] -> None
   | cs -> Some (List.nth cs (k mod List.length cs))
 
-(* The distinct tags among the first [limit] honest sends, sorted; the
-   rest of the staged list is never walked. *)
+(* The distinct tags among the first [limit] honest sends, sorted. *)
 let observed_tags ?(limit = 4) env =
-  let rec first k acc = function
-    | (m : Wire.msg) :: rest when k < limit -> first (k + 1) (m.Wire.tag :: acc) rest
-    | _ -> acc
-  in
-  List.sort_uniq compare (first 0 [] env.honest_staged)
+  let v = env.honest_staged in
+  List.sort_uniq compare (List.init (min limit (Inbox.length v)) (Inbox.tag v))
 
 let equivocate =
   make ~name:"equivocate" (fun rng env ->
@@ -97,19 +93,16 @@ let equivocate =
 
 let replay_chaff ?(per_round = 40) () =
   make ~name:"replay-chaff" (fun rng env ->
-      let n = Network.n env.net in
-      List.iteri
-        (fun k (m : Wire.msg) ->
-          if k < per_round then
-            match corrupt_src env k with
-            | None -> ()
-            | Some src ->
-              (* replay the honest payload at a random destination... *)
-              env.emit ~src ~dst:(Rng.int rng n) ~tag:m.Wire.tag m.Wire.payload;
-              (* ...and undecodable junk under the same tag *)
-              env.emit ~src ~dst:(Rng.int rng n) ~tag:m.Wire.tag
-                (Rng.bytes rng 24))
-        env.honest_staged)
+      let n = Network.n env.net and v = env.honest_staged in
+      for k = 0 to min per_round (Inbox.length v) - 1 do
+        match corrupt_src env k with
+        | None -> ()
+        | Some src ->
+          (* replay the honest payload at a random destination... *)
+          env.emit ~src ~dst:(Rng.int rng n) ~tag:(Inbox.tag v k) (Inbox.payload v k);
+          (* ...and undecodable junk under the same tag *)
+          env.emit ~src ~dst:(Rng.int rng n) ~tag:(Inbox.tag v k) (Rng.bytes rng 24)
+      done)
 
 let withhold ~victims =
   let is_victim = Hashtbl.create 16 in
@@ -126,46 +119,43 @@ let withhold ~victims =
         (* chatty toward non-victims, total silence toward the victim set:
            the corrupt parties split the network's view along the victim
            boundary *)
-        List.iteri
-          (fun k (m : Wire.msg) ->
-            if k < 40 then
-              match corrupt_src env k with
-              | None -> ()
-              | Some src ->
-                let dst = List.nth fed (Rng.int rng (List.length fed)) in
-                env.emit ~src ~dst ~tag:m.Wire.tag m.Wire.payload)
-          env.honest_staged)
+        let v = env.honest_staged in
+        for k = 0 to min 40 (Inbox.length v) - 1 do
+          match corrupt_src env k with
+          | None -> ()
+          | Some src ->
+            let dst = List.nth fed (Rng.int rng (List.length fed)) in
+            env.emit ~src ~dst ~tag:(Inbox.tag v k) (Inbox.payload v k)
+        done)
 
 let bad_aggregate =
   make ~name:"bad-aggregate" (fun rng env ->
-      let interesting (m : Wire.msg) =
-        String.starts_with ~prefix:"sig-" m.Wire.tag
-        || String.starts_with ~prefix:"up-" m.Wire.tag
+      let interesting tag =
+        String.starts_with ~prefix:"sig-" tag || String.starts_with ~prefix:"up-" tag
       in
-      let budget = ref 30 in
-      List.iteri
-        (fun k (m : Wire.msg) ->
-          if !budget > 0 && interesting m then
-            match corrupt_src env k with
-            | None -> ()
-            | Some src ->
-              decr budget;
-              (* duplicate-signature injection: the same encoded signature
-                 arrives twice at the aggregating committee member *)
-              env.emit ~src ~dst:m.Wire.dst ~tag:m.Wire.tag m.Wire.payload;
-              (* malformed aggregate: one flipped byte *)
-              let len = Bytes.length m.Wire.payload in
-              if len > 0 then begin
-                let bad = Bytes.copy m.Wire.payload in
-                let pos = Rng.int rng len in
-                Bytes.set bad pos
-                  (Char.chr (Char.code (Bytes.get bad pos) lxor 0x41));
-                env.emit ~src ~dst:m.Wire.dst ~tag:m.Wire.tag bad
-              end;
-              (* oversized/duplicated encoding: the payload glued to itself *)
-              env.emit ~src ~dst:m.Wire.dst ~tag:m.Wire.tag
-                (Bytes.cat m.Wire.payload m.Wire.payload))
-        env.honest_staged)
+      let budget = ref 30 and v = env.honest_staged in
+      for k = 0 to Inbox.length v - 1 do
+        let tag = Inbox.tag v k in
+        if !budget > 0 && interesting tag then
+          match corrupt_src env k with
+          | None -> ()
+          | Some src ->
+            decr budget;
+            let dst = Inbox.dst v k and payload = Inbox.payload v k in
+            (* duplicate-signature injection: the same encoded signature
+               arrives twice at the aggregating committee member *)
+            env.emit ~src ~dst ~tag payload;
+            (* malformed aggregate: one flipped byte *)
+            let len = Bytes.length payload in
+            if len > 0 then begin
+              let bad = Bytes.copy payload in
+              let pos = Rng.int rng len in
+              Bytes.set bad pos (Char.chr (Char.code (Bytes.get bad pos) lxor 0x41));
+              env.emit ~src ~dst ~tag bad
+            end;
+            (* oversized/duplicated encoding: the payload glued to itself *)
+            env.emit ~src ~dst ~tag (Bytes.cat payload payload)
+      done)
 
 (* --- combinators --- *)
 

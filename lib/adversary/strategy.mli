@@ -17,12 +17,14 @@
 
 module Rng = Repro_util.Rng
 module Network = Repro_net.Network
-module Wire = Repro_net.Wire
+module Inbox = Repro_net.Inbox
 
 type env = {
   net : Network.t;
   round : int;  (** global network round *)
-  honest_staged : Wire.msg list;  (** what honest parties just sent *)
+  honest_staged : Inbox.t;
+      (** what honest parties just sent, in send order (the network's
+          rushing view; valid only during the step) *)
   emit : src:int -> dst:int -> tag:string -> bytes -> unit;
       (** Checked send: drops messages whose [src] is not a corrupt party
           of [net] or whose [dst] is out of range. Combinators may wrap it

@@ -15,7 +15,7 @@
    O(branching * committee_size) messages per level — polylog. *)
 
 module Network = Repro_net.Network
-module Wire = Repro_net.Wire
+module Inbox = Repro_net.Inbox
 
 (* Per-node encode-cache effectiveness during dissemination. The cache is
    per-execution state driven by the committee schedule — pool-size
@@ -230,23 +230,22 @@ let disseminate ?adversary net t ~label ~values =
      it at round (height - L). Keeping them in the active set does that;
      the set only ever holds committee members. *)
   let armed : (int, unit) Hashtbl.t = Hashtbl.create 16 in
-  let handler p ~round ~inbox =
+  let handler p ~round inbox =
     (* ingest *)
-    List.iter
-      (fun (m : Wire.msg) ->
-        if m.tag = tag then
-          match dec m.payload with
-          | Some (level, idx, v) ->
-            if level >= 2 then begin
-              let key = (level, idx) in
-              Hashtbl.replace armed p ();
-              Hashtbl.replace (tbl received p) key (v :: lookup received p key)
-            end
-            else
-              Hashtbl.replace (tbl leaf_values p) idx
-                (v :: lookup leaf_values p idx)
-          | None -> ())
-      inbox;
+    for i = 0 to Inbox.length inbox - 1 do
+      if Inbox.tag inbox i = tag then
+        match dec (Inbox.payload inbox i) with
+        | Some (level, idx, v) ->
+          if level >= 2 then begin
+            let key = (level, idx) in
+            Hashtbl.replace armed p ();
+            Hashtbl.replace (tbl received p) key (v :: lookup received p key)
+          end
+          else
+            Hashtbl.replace (tbl leaf_values p) idx
+              (v :: lookup leaf_values p idx)
+        | None -> ()
+    done;
     let round0 = round - start in
     if round0 = 0 then begin
       (* Supreme committee injects. *)
@@ -285,7 +284,7 @@ let disseminate ?adversary net t ~label ~values =
     let base = Hashtbl.fold (fun p () acc -> p :: acc) armed [] in
     if round - start = 0 then List.rev_append supreme base else base
   in
-  Network.run_active net ?adversary ~rounds:(max 2 height) ~extra (fun p ->
+  Network.run_slices net ?adversary ~rounds:(max 2 height) ~extra (fun p ->
       if Network.is_honest net p then Some (handler p) else None);
   (* Each party combines: per leaf slot, take majority of copies received for
      that leaf (sent by the level-2 committee); across its slots, plurality. *)

@@ -23,7 +23,7 @@
    on, and the robustness experiment exercises exactly that interface. *)
 
 module Network = Repro_net.Network
-module Wire = Repro_net.Wire
+module Inbox = Repro_net.Inbox
 
 type result = {
   seed : bytes; (* reference seed: the one the lowest honest root relay holds *)
@@ -146,57 +146,57 @@ let run ?adversary net params ~rng =
   let up_rounds = max 0 (depth - 1) in
   let total_rounds = 2 + 1 + up_rounds + up_rounds + 1 in
   let start_round = Network.round net in
-  let handler p ~round ~inbox =
+  let handler p ~round inbox =
     let round = round - start_round in
     let g = group_of params p in
     let members = group_members params n g in
     (* ingest *)
-    List.iter
-      (fun (m : Wire.msg) ->
-        match String.split_on_char '/' m.tag with
-        | [ "elect"; "commit" ] -> push commits_seen p (m.src, m.payload)
-        | [ "elect"; "open" ] -> (
-          match Repro_util.Encode.decode m.payload Repro_crypto.Commit.decode_opening with
-          | Some o -> push opens_seen p (m.src, o)
-          | None -> ())
-        | [ "elect"; "up"; lvl ] -> (
-          match (int_of_string_opt lvl, dec_up m.payload) with
-          | Some level, Some (child, coin)
-            when level >= 2
-                 && child >= 0
-                 && child < nodes_at params n ~level:(level - 1)
-                 (* Byzantine filter: only the child's relay members may
-                    speak for it *)
-                 && List.mem m.src (relay params n ~level:(level - 1) ~idx:child) ->
-            push relay_up (p, level, child) coin
-          | _ -> ())
-        | [ "elect"; "down" ] ->
-          (* accept only from the relay of a parent of a node p relays *)
-          let acceptable =
-            let rec check level idx =
-              level < depth
-              && (List.mem m.src
-                    (relay params n ~level:(level + 1) ~idx:(idx / params.Params.branching))
-                 || check (level + 1) (idx / params.Params.branching))
-            in
-            (* p relays for the lowest-group chain containing its group *)
-            List.exists
-              (fun level ->
-                let count = nodes_at params n ~level in
-                let rec scan idx =
-                  idx < count
-                  && ((List.mem p (relay params n ~level ~idx) && check level idx)
-                     || scan (idx + 1))
-                in
-                scan 0)
-              (List.init depth (fun k -> k + 1))
-          in
-          if acceptable then push down_candidates p m.payload
-        | [ "elect"; "final" ] ->
-          if List.mem m.src (relay params n ~level:1 ~idx:g) then
-            push down_candidates p m.payload
+    for i = 0 to Inbox.length inbox - 1 do
+      let src = Inbox.src inbox i and payload = Inbox.payload inbox i in
+      match String.split_on_char '/' (Inbox.tag inbox i) with
+      | [ "elect"; "commit" ] -> push commits_seen p (src, payload)
+      | [ "elect"; "open" ] -> (
+        match Repro_util.Encode.decode payload Repro_crypto.Commit.decode_opening with
+        | Some o -> push opens_seen p (src, o)
+        | None -> ())
+      | [ "elect"; "up"; lvl ] -> (
+        match (int_of_string_opt lvl, dec_up payload) with
+        | Some level, Some (child, coin)
+          when level >= 2
+               && child >= 0
+               && child < nodes_at params n ~level:(level - 1)
+               (* Byzantine filter: only the child's relay members may
+                  speak for it *)
+               && List.mem src (relay params n ~level:(level - 1) ~idx:child) ->
+          push relay_up (p, level, child) coin
         | _ -> ())
-      inbox;
+      | [ "elect"; "down" ] ->
+        (* accept only from the relay of a parent of a node p relays *)
+        let acceptable =
+          let rec check level idx =
+            level < depth
+            && (List.mem src
+                  (relay params n ~level:(level + 1) ~idx:(idx / params.Params.branching))
+               || check (level + 1) (idx / params.Params.branching))
+          in
+          (* p relays for the lowest-group chain containing its group *)
+          List.exists
+            (fun level ->
+              let count = nodes_at params n ~level in
+              let rec scan idx =
+                idx < count
+                && ((List.mem p (relay params n ~level ~idx) && check level idx)
+                   || scan (idx + 1))
+              in
+              scan 0)
+            (List.init depth (fun k -> k + 1))
+        in
+        if acceptable then push down_candidates p payload
+      | [ "elect"; "final" ] ->
+        if List.mem src (relay params n ~level:1 ~idx:g) then
+          push down_candidates p payload
+      | _ -> ()
+    done;
     (* act *)
     if round = 0 then begin
       let c, o = Repro_crypto.Commit.commit party_rng.(p) my_value.(p) in
@@ -313,7 +313,7 @@ let run ?adversary net params ~rng =
     Array.init n (fun p -> if Network.is_honest net p then Some (handler p) else None)
   in
   let everyone = Network.everyone net in
-  Network.run_active net ?adversary ~rounds:(total_rounds + 1)
+  Network.run_slices net ?adversary ~rounds:(total_rounds + 1)
     ~extra:(fun ~round:_ -> everyone)
     (Array.get handlers);
   (* non-relay parties adopt the majority of the 'final' candidates *)

@@ -31,7 +31,7 @@ module Rng = Repro_util.Rng
 module Encode = Repro_util.Encode
 module Network = Repro_net.Network
 module Engine = Repro_net.Engine
-module Wire = Repro_net.Wire
+module Inbox = Repro_net.Inbox
 module Params = Repro_aetree.Params
 module Tree = Repro_aetree.Tree
 module Ae_comm = Repro_aetree.Ae_comm
@@ -200,11 +200,11 @@ module Make (S : Srds_intf.SCHEME) = struct
        delivery-driven round in which every honest party runs [recv]. *)
     let exchange ~senders ~send ~recv =
       let handlers = Array.make n None in
-      List.iter (fun p -> handlers.(p) <- Some (send p)) senders;
-      Network.run_active net ?adversary:ctx.adversary ~rounds:1
+      List.iter (fun p -> handlers.(p) <- Some (fun ~round:_ _ -> send p)) senders;
+      Network.run_slices net ?adversary:ctx.adversary ~rounds:1
         ~extra:(fun ~round:_ -> senders)
         (Array.get handlers);
-      Network.run_active net ?adversary:ctx.adversary ~rounds:1
+      Network.run_slices net ?adversary:ctx.adversary ~rounds:1
         ~extra:(fun ~round:_ -> [])
         (fun p -> if honest ctx p then Some (recv p) else None)
     in
@@ -264,9 +264,7 @@ module Make (S : Srds_intf.SCHEME) = struct
       | Some h -> ( try Hashtbl.find h key with Not_found -> [])
     in
     let sig_tag = "sig-" ^ label in
-    let sign_handler p ~round ~inbox =
-      ignore round;
-      ignore inbox;
+    let sign_handler p =
       match received_pair.(p) with
       | Some pair_bytes ->
         List.iter
@@ -294,18 +292,16 @@ module Make (S : Srds_intf.SCHEME) = struct
           let rest = Encode.r_bytes_raw src (Encode.remaining src) in
           (leaf, rest))
     in
-    let collect_handler p ~round ~inbox =
-      ignore round;
-      List.iter
-        (fun (m : Wire.msg) ->
-          if m.Wire.tag = sig_tag then
-            match dec_sig m.Wire.payload with
-            | Some (leaf, sig_bytes) when leaf >= 0 && leaf < params.Params.num_leaves ->
-              let key = (1, leaf) in
-              Hashtbl.replace (incoming_tbl p) key
-                (sig_bytes :: incoming_find p key)
-            | _ -> ())
-        inbox
+    let collect_handler p ~round:_ inbox =
+      for i = 0 to Inbox.length inbox - 1 do
+        if Inbox.tag inbox i = sig_tag then
+          match dec_sig (Inbox.payload inbox i) with
+          | Some (leaf, sig_bytes) when leaf >= 0 && leaf < params.Params.num_leaves ->
+            let key = (1, leaf) in
+            Hashtbl.replace (incoming_tbl p) key
+              (sig_bytes :: incoming_find p key)
+          | _ -> ()
+      done
     in
     (* Only slot owners holding the pair sign, and collection is
        delivery-driven. *)
@@ -368,9 +364,7 @@ module Make (S : Srds_intf.SCHEME) = struct
       if level < params.Params.height then begin
         (* forward agreed node signatures to the parent committees *)
         let up_tag = "up-" ^ label in
-        let forward_handler p ~round ~inbox =
-          ignore round;
-          ignore inbox;
+        let forward_handler p =
           List.iter
             (fun (idx, st) ->
               match Agg.output st with
@@ -393,19 +387,17 @@ module Make (S : Srds_intf.SCHEME) = struct
               let rest = Encode.r_bytes_raw src (Encode.remaining src) in
               (idx, rest))
         in
-        let collect_up p ~round ~inbox =
-          ignore round;
-          List.iter
-            (fun (m : Wire.msg) ->
-              if m.Wire.tag = up_tag then
-                match dec_up m.Wire.payload with
-                | Some (child_idx, sig_bytes) ->
-                  let parent = child_idx / params.Params.branching in
-                  let key = (level + 1, parent) in
-                  Hashtbl.replace (incoming_tbl p) key
-                    (sig_bytes :: incoming_find p key)
-                | None -> ())
-            inbox
+        let collect_up p ~round:_ inbox =
+          for i = 0 to Inbox.length inbox - 1 do
+            if Inbox.tag inbox i = up_tag then
+              match dec_up (Inbox.payload inbox i) with
+              | Some (child_idx, sig_bytes) ->
+                let parent = child_idx / params.Params.branching in
+                let key = (level + 1, parent) in
+                Hashtbl.replace (incoming_tbl p) key
+                  (sig_bytes :: incoming_find p key)
+              | None -> ()
+          done
         in
         (* Only this level's committee members can have an instance to
            forward; everyone else is a no-op. Collection is delivery-driven. *)
@@ -508,15 +500,14 @@ module Make (S : Srds_intf.SCHEME) = struct
       | _ -> false
     in
     let boost_tag = "boost-" ^ label in
-    let boost_send p ~round ~inbox =
-      ignore inbox;
+    let boost_send p =
       match received_cert.(p) with
       | Some cert -> (
         match decode_cert cert with
         | Some (pair_bytes, sig_bytes) -> (
           match pair_of_msg pair_bytes with
           | Some (_payload, s) ->
-            ignore (accept p ~round pair_bytes sig_bytes);
+            ignore (accept p ~round:(Network.round net) pair_bytes sig_bytes);
             let targets =
               Repro_crypto.Prf.subset
                 ~key:(Repro_crypto.Prf.of_seed s)
@@ -527,24 +518,23 @@ module Make (S : Srds_intf.SCHEME) = struct
         | None -> ())
       | None -> ()
     in
-    let boost_recv p ~round ~inbox =
-      List.iter
-        (fun (m : Wire.msg) ->
-          if m.Wire.tag = boost_tag && outputs.(p) = None then
-            match decode_cert m.Wire.payload with
-            | Some (pair_bytes, sig_bytes) -> (
-              match pair_of_msg pair_bytes with
-              | Some (_payload, s) ->
-                (* dynamic filtering (Fig. 3 step 8): process only when this
-                   party belongs to the sender's PRF subset *)
-                if
-                  Repro_crypto.Prf.subset_mem
-                    ~key:(Repro_crypto.Prf.of_seed s)
-                    ~index:m.Wire.src ~n ~size:ctx.boost_degree p
-                then ignore (accept p ~round pair_bytes sig_bytes)
-              | None -> ())
+    let boost_recv p ~round inbox =
+      for i = 0 to Inbox.length inbox - 1 do
+        if Inbox.tag inbox i = boost_tag && outputs.(p) = None then
+          match decode_cert (Inbox.payload inbox i) with
+          | Some (pair_bytes, sig_bytes) -> (
+            match pair_of_msg pair_bytes with
+            | Some (_payload, s) ->
+              (* dynamic filtering (Fig. 3 step 8): process only when this
+                 party belongs to the sender's PRF subset *)
+              if
+                Repro_crypto.Prf.subset_mem
+                  ~key:(Repro_crypto.Prf.of_seed s)
+                  ~index:(Inbox.src inbox i) ~n ~size:ctx.boost_degree p
+              then ignore (accept p ~round pair_bytes sig_bytes)
             | None -> ())
-        inbox
+          | None -> ()
+      done
     in
     (* Senders are exactly the cert holders; receivers are delivery-driven. *)
     let boosters =

@@ -5,7 +5,7 @@
    Table 1). *)
 
 module Network = Repro_net.Network
-module Wire = Repro_net.Wire
+module Inbox = Repro_net.Inbox
 
 type config = {
   holders : int list;
@@ -17,7 +17,7 @@ let run ~net (cfg : config) =
   let honest p = Network.is_honest net p in
   let enc b = Bytes.make 1 (if b then '\001' else '\000') in
   let outputs = Array.make n None in
-  let handler p ~round ~inbox =
+  let handler p ~round inbox =
     if round = 0 then begin
       if List.mem p cfg.holders then
         Network.send_many net ~src:p
@@ -25,26 +25,23 @@ let run ~net (cfg : config) =
           ~tag:"flood" (enc cfg.value)
     end
     else begin
-      let votes =
-        List.filter_map
-          (fun (m : Wire.msg) ->
-            if m.Wire.tag = "flood" && Bytes.length m.Wire.payload = 1 then
-              Some (Bytes.get m.Wire.payload 0 = '\001')
-            else None)
-          inbox
-      in
-      let own = if List.mem p cfg.holders then [ cfg.value ] else [] in
-      let t = List.length (List.filter (fun b -> b) (own @ votes)) in
-      let f = List.length (own @ votes) - t in
-      if t + f > 0 then begin
-        outputs.(p) <- Some (t > f);
-        Outcome.decide_bit net ~round p (t > f)
+      let t = ref 0 and f = ref 0 in
+      let count b = if b then incr t else incr f in
+      if List.mem p cfg.holders then count cfg.value;
+      for i = 0 to Inbox.length inbox - 1 do
+        let payload = Inbox.payload inbox i in
+        if Inbox.tag inbox i = "flood" && Bytes.length payload = 1 then
+          count (Bytes.get payload 0 = '\001')
+      done;
+      if !t + !f > 0 then begin
+        outputs.(p) <- Some (!t > !f);
+        Outcome.decide_bit net ~round p (!t > !f)
       end
     end
   in
   Network.phase net "flood" (fun () ->
       let everyone = Network.everyone net in
-      Network.run_active net ~rounds:2
+      Network.run_slices net ~rounds:2
         ~extra:(fun ~round:_ -> everyone)
         (Array.get
            (Array.init n (fun p -> if honest p then Some (handler p) else None))));

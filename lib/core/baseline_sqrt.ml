@@ -12,7 +12,7 @@
    row of Table 1 the paper's SRDS construction beats. *)
 
 module Network = Repro_net.Network
-module Wire = Repro_net.Wire
+module Inbox = Repro_net.Inbox
 
 type config = {
   holders : int list; (* honest parties that start with the value *)
@@ -41,12 +41,17 @@ let run ~net (cfg : config) =
   in
   let group_value = Array.make n None in
   let outputs = Array.make n None in
-  let majority votes =
-    let t = List.length (List.filter (fun b -> b) votes) in
-    let f = List.length votes - t in
-    if t = 0 && f = 0 then None else Some (t > f)
+  (* The majority of [own] and the inbox's decodable [tag] votes. *)
+  let majority ~own ~tag inbox =
+    let t = ref 0 and f = ref 0 in
+    let count b = if b then incr t else incr f in
+    List.iter count own;
+    for i = 0 to Inbox.length inbox - 1 do
+      if Inbox.tag inbox i = tag then Option.iter count (dec (Inbox.payload inbox i))
+    done;
+    if !t = 0 && !f = 0 then None else Some (!t > !f)
   in
-  let handler p ~round ~inbox =
+  let handler p ~round inbox =
     if round = 0 then begin
       (* holders flood their group *)
       if List.mem p cfg.holders then
@@ -56,11 +61,8 @@ let run ~net (cfg : config) =
     end
     else if round = 1 then begin
       (* adopt group majority (own knowledge included), send along the row *)
-      let votes =
-        List.filter_map (fun (m : Wire.msg) -> if m.Wire.tag = "grp" then dec m.Wire.payload else None) inbox
-      in
       let own = if List.mem p cfg.holders then [ cfg.value ] else [] in
-      group_value.(p) <- majority (own @ votes);
+      group_value.(p) <- majority ~own ~tag:"grp" inbox;
       match group_value.(p) with
       | Some v ->
         Network.send_many net ~src:p
@@ -69,17 +71,14 @@ let run ~net (cfg : config) =
       | None -> ()
     end
     else begin
-      let votes =
-        List.filter_map (fun (m : Wire.msg) -> if m.Wire.tag = "row" then dec m.Wire.payload else None) inbox
-      in
       let own = match group_value.(p) with Some v -> [ v ] | None -> [] in
-      outputs.(p) <- majority (own @ votes);
+      outputs.(p) <- majority ~own ~tag:"row" inbox;
       Option.iter (Outcome.decide_bit net ~round p) outputs.(p)
     end
   in
   Network.phase net "quorum" (fun () ->
       let everyone = Network.everyone net in
-      Network.run_active net ~rounds:3
+      Network.run_slices net ~rounds:3
         ~extra:(fun ~round:_ -> everyone)
         (Array.get
            (Array.init n (fun p -> if honest p then Some (handler p) else None))));

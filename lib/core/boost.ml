@@ -19,7 +19,7 @@
 module Rng = Repro_util.Rng
 module Encode = Repro_util.Encode
 module Network = Repro_net.Network
-module Wire = Repro_net.Wire
+module Inbox = Repro_net.Inbox
 
 type config = {
   isolated_fraction : float; (* of honest parties *)
@@ -126,9 +126,7 @@ module Make (S : Srds_intf.SCHEME) = struct
         Some (Bytes.get payload 0 = '\001')
       | _ -> None
     in
-    let sender p ~round ~inbox =
-      ignore round;
-      ignore inbox;
+    let sender p =
       if not (is_isolated p) then begin
         outputs.(p) <- Some y;
         let targets = Repro_crypto.Prf.subset ~key:prf_key ~index:p ~n ~size:cfg.degree in
@@ -167,54 +165,55 @@ module Make (S : Srds_intf.SCHEME) = struct
                 (Network.corrupt_parties net));
       }
     in
-    let receiver p ~round ~inbox =
-      ignore round;
-      (* the rushing adversary schedules in-round delivery: its messages
-         arrive first (this is what makes the unauthenticated variant
-         attackable; the authenticated one rejects them regardless) *)
-      let inbox =
-        let adv, hon = List.partition (fun (m : Wire.msg) -> not (honest m.Wire.src)) inbox in
-        adv @ hon
-      in
-      List.iter
-        (fun (m : Wire.msg) ->
-          if m.Wire.tag = "boost" && outputs.(p) = None then
-            match
-              Encode.decode m.Wire.payload (fun src ->
-                  let msg' = Encode.r_bytes src in
-                  let sig_bytes = Encode.r_bytes src in
-                  (msg', sig_bytes))
-            with
-            | Some (msg', sig_bytes) -> (
-              match split_msg msg' with
-              | Some (_, s') ->
-                let member =
-                  Repro_crypto.Prf.subset_mem
-                    ~key:(Repro_crypto.Prf.of_seed s')
-                    ~index:m.Wire.src ~n ~size:cfg.degree p
-                in
-                let valid =
-                  if not authenticated then true
-                  else
-                    match W.of_bytes sig_bytes with
-                    | Some sg -> S.verify pp ~vks ~msg:msg' sg
-                    | None -> false
-                in
-                if member && valid then begin
-                  match accept msg' with
-                  | Some b -> outputs.(p) <- Some b
-                  | None -> ()
-                end
-              | None -> ())
-            | None -> ())
-        inbox
+    let receive p inbox i =
+      if Inbox.tag inbox i = "boost" && outputs.(p) = None then
+        match
+          Encode.decode (Inbox.payload inbox i) (fun src ->
+              let msg' = Encode.r_bytes src in
+              let sig_bytes = Encode.r_bytes src in
+              (msg', sig_bytes))
+        with
+        | Some (msg', sig_bytes) -> (
+          match split_msg msg' with
+          | Some (_, s') ->
+            let member =
+              Repro_crypto.Prf.subset_mem
+                ~key:(Repro_crypto.Prf.of_seed s')
+                ~index:(Inbox.src inbox i) ~n ~size:cfg.degree p
+            in
+            let valid =
+              if not authenticated then true
+              else
+                match W.of_bytes sig_bytes with
+                | Some sg -> S.verify pp ~vks ~msg:msg' sg
+                | None -> false
+            in
+            if member && valid then begin
+              match accept msg' with
+              | Some b -> outputs.(p) <- Some b
+              | None -> ()
+            end
+          | None -> ())
+        | None -> ()
+    in
+    (* the rushing adversary schedules in-round delivery: its messages
+       arrive first (this is what makes the unauthenticated variant
+       attackable; the authenticated one rejects them regardless), so the
+       receiver reads the corrupt sources, then the honest, each in
+       delivery order *)
+    let receiver p ~round:_ inbox =
+      for pass = 0 to 1 do
+        for i = 0 to Inbox.length inbox - 1 do
+          if honest (Inbox.src inbox i) = (pass = 1) then receive p inbox i
+        done
+      done
     in
     let everyone = Network.everyone net in
-    Network.run_active net ~adversary ~rounds:1
+    Network.run_slices net ~adversary ~rounds:1
       ~extra:(fun ~round:_ -> everyone)
       (Array.get
-         (Array.init n (fun p -> if honest p then Some (sender p) else None)));
-    Network.run_active net ~rounds:1
+         (Array.init n (fun p -> if honest p then Some (fun ~round:_ _ -> sender p) else None)));
+    Network.run_slices net ~rounds:1
       ~extra:(fun ~round:_ -> everyone)
       (Array.get
          (Array.init n (fun p -> if honest p then Some (receiver p) else None)));

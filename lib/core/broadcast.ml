@@ -22,7 +22,7 @@ module Rng = Repro_util.Rng
 module Encode = Repro_util.Encode
 module Network = Repro_net.Network
 module Engine = Repro_net.Engine
-module Wire = Repro_net.Wire
+module Inbox = Repro_net.Inbox
 module Params = Repro_aetree.Params
 module Tree = Repro_aetree.Tree
 module Ae_comm = Repro_aetree.Ae_comm
@@ -62,23 +62,22 @@ module Make (S : Srds_intf.SCHEME) = struct
           Encode.bytes b v)
     in
     let start = Network.round net in
-    let handler p ~round ~inbox =
+    let handler p ~round inbox =
       let round = round - start in
-      List.iter
-        (fun (m : Wire.msg) ->
-          if m.Wire.tag = tag then
-            match
-              Encode.decode m.Wire.payload (fun src ->
-                  let level = Encode.r_varint src in
-                  let idx = Encode.r_varint src in
-                  let v = Encode.r_bytes src in
-                  (level, idx, v))
-            with
-            | Some (level, idx, v) ->
-              Hashtbl.replace received.(p) (level, idx)
-                (v :: (try Hashtbl.find received.(p) (level, idx) with Not_found -> []))
-            | None -> ())
-        inbox;
+      for i = 0 to Inbox.length inbox - 1 do
+        if Inbox.tag inbox i = tag then
+          match
+            Encode.decode (Inbox.payload inbox i) (fun src ->
+                let level = Encode.r_varint src in
+                let idx = Encode.r_varint src in
+                let v = Encode.r_bytes src in
+                (level, idx, v))
+          with
+          | Some (level, idx, v) ->
+            Hashtbl.replace received.(p) (level, idx)
+              (v :: (try Hashtbl.find received.(p) (level, idx) with Not_found -> []))
+          | None -> ()
+      done;
       if round = 0 then begin
         if p = sender then begin
           (* step 1: to the committees of the sender's leaves *)
@@ -125,7 +124,7 @@ module Make (S : Srds_intf.SCHEME) = struct
     in
     (* height relay hops plus one final ingestion round *)
     let everyone = Network.everyone net in
-    Network.run_active net ~rounds:(height + 1)
+    Network.run_slices net ~rounds:(height + 1)
       ~extra:(fun ~round:_ -> everyone)
       (Array.get handlers);
     (* supreme members' candidates *)

@@ -6,7 +6,6 @@ val build : bytes array -> tree
 (** Build over raw leaf data (leaves are hashed internally). *)
 
 val root : tree -> bytes
-val num_leaves : tree -> int
 
 val path : tree -> int -> bytes list
 (** Sibling digests bottom-up for the given leaf index. *)

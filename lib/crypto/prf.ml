@@ -27,9 +27,6 @@ let expand ~key ~label len =
   done;
   Bytes.sub (Buffer.to_bytes buf) 0 len
 
-(* Derive a sub-key; labels give domain separation. *)
-let derive ~key ~label = eval_parts ~key [ Bytes.of_string "derive"; Bytes.of_string label ]
-
 let to_int ~key data bound =
   if bound <= 0 then invalid_arg "Prf.to_int: bound";
   Hashx.to_int (eval ~key data) mod bound

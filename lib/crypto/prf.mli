@@ -1,16 +1,14 @@
-(** PRF family from HMAC: seed expansion, sub-key derivation, and the
+(** PRF family from HMAC: seed expansion, keyed hashing, and the
     F_s(i) pseudorandom party subsets of the BA protocol's final round. *)
 
 type key = bytes
 
 val of_seed : bytes -> key
-val eval : key:key -> bytes -> bytes
 val eval_parts : key:key -> bytes list -> bytes
 
 val expand : key:key -> label:string -> int -> bytes
 (** Counter-mode expansion into a pseudorandom byte string. *)
 
-val derive : key:key -> label:string -> key
 val to_int : key:key -> bytes -> int -> int
 
 val subset : key:key -> index:int -> n:int -> size:int -> int list

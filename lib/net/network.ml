@@ -8,16 +8,16 @@
    it observes every message the honest parties sent in the current round
    before choosing the corrupt parties' messages.
 
-   One stepper, [step], advances rounds. Each round it visits the
+   One stepper, [run_slices], advances rounds. Each round it visits the
    active set in ascending party order: the parties holding a delivery
    plus the protocol's spontaneous actors for that round ([extra]). A
    party outside that set has an empty inbox and was not named as an
    actor, so the per-round cost scales with the parties that talk, not
    with n. Protocols in which every party acts every round name
-   [everyone] as their actors. It has two entry points: under
-   [run_slices] a handler reads its inbox as an {!Inbox.t} view of its
-   slice of the delivery arrays (below); under [run_active] it gets a
-   [Wire.msg list] built from that slice just before it runs.
+   [everyone] as their actors. A handler reads its inbox as an
+   {!Inbox.t} view of its slice of the delivery arrays (below), and the
+   adversary and the attached condition read the round's honest sends
+   through a view of the same kind.
 
    One executor delivers the round's sends: in (virtual delivery time,
    send seq) order, with per-edge latency/jitter/loss and a GST knob from
@@ -42,11 +42,10 @@
    inboxes, the other takes this round's sends, and delivery clears the
    older one, body by body, before swapping them. All arrays are reused
    across rounds, so a payload is reachable from the network only until
-   the round after its delivery. A slice handler's view points into
-   these arrays and is repointed for the next party; the [Wire.msg list]
-   a list handler gets is built from its slice just before it runs and
-   dies young, and so do {!inbox} and the adversary's view of the staged
-   mail. Only parked
+   the round after its delivery. A handler's view points into these
+   arrays and is repointed for the next party. The rushing view copies
+   the round's honest sends (source, destination, body) into three more
+   reused int arrays once, before the adversary moves. Only parked
    deliveries (deferred past the barrier, held for a dark party, or more
    than [bucket_span] ticks out) become records, on the {!Sched.Heap}
    binary heap, and are staged again when drained.
@@ -128,20 +127,25 @@ type t = {
   dl_len : int array;
   dirty : int array; (* parties with a non-empty inbox, [0, ndirty) *)
   mutable ndirty : int;
-  in_active : Bytes.t; (* run_active's membership marks, all '\000' between rounds *)
+  in_active : Bytes.t; (* the stepper's membership marks, all '\000' between rounds *)
   view : Inbox.t; (* the running handler's inbox slice (see [run_slices]) *)
+  (* The rushing view: this round's honest sends, in send order, copied
+     out of staging before the adversary's turn. *)
+  sent : Inbox.t;
+  mutable hs_src : int array;
+  mutable hs_dst : int array;
+  mutable hs_body : int array;
   mutable round : int;
   mutable in_adv_step : bool; (* inside the adversary's turn of a round *)
   mutable condition : Sched.condition option;
       (* network-condition hook; None = ideal network *)
 }
 
-type handler = round:int -> inbox:Wire.msg list -> unit
 type slice_handler = round:int -> Inbox.t -> unit
 
 type adversary = {
   adv_name : string;
-  adv_step : t -> round:int -> honest_staged:Wire.msg list -> unit;
+  adv_step : t -> round:int -> honest_staged:Inbox.t -> unit;
       (* called after honest parties act; rushing: sees their sends *)
 }
 
@@ -196,6 +200,10 @@ let create ?backend ?(sinks = []) ~n ~corrupt () =
       ndirty = 0;
       in_active = Bytes.make n '\000';
       view = Inbox.create ();
+      sent = Inbox.create ();
+      hs_src = [||];
+      hs_dst = [||];
+      hs_body = [||];
       round = 0;
       in_adv_step = false;
       condition = None;
@@ -382,28 +390,38 @@ let send_many t ~src:s ~dsts ~tag payload =
     t.st_n <- k0 + nd
   end
 
-(* Built on demand, back to front, so the list comes out in delivery
-   order. *)
-let inbox t i =
-  let first = t.dl_start.(i) and b = t.dl_bodies in
-  let rec build k acc =
-    if k < first then acc
-    else
-      let body = t.dl_body.(k) in
-      build (k - 1)
-        ({ Wire.src = t.dl_src.(k); dst = i; tag = b.b_tag.(body); payload = b.b_pay.(body) }
-        :: acc)
-  in
-  build (first + t.dl_len.(i) - 1) []
+let point_inbox t v i =
+  let b = t.dl_bodies in
+  Inbox.set v ~self:i ~srcs:t.dl_src ~bodies:t.dl_body ~tags:b.b_tag ~pays:b.b_pay
+    ~off:t.dl_start.(i) ~len:t.dl_len.(i)
 
-(* Messages of the current round's staging area sourced at honest parties,
-   in send order: what a rushing adversary observes. *)
-let staged_honest t =
-  let rec build k acc =
-    if k < 0 then acc
-    else build (k - 1) (if is_honest t t.st_src.(k) then staged_msg t k :: acc else acc)
-  in
-  build (t.st_n - 1) []
+let delivered t i =
+  let v = Inbox.create () in
+  point_inbox t v i;
+  v
+
+(* Point [t.sent] at the current round's staged sends sourced at honest
+   parties, in send order: what a rushing adversary observes. *)
+let point_sent t =
+  let n = t.st_n in
+  if Array.length t.hs_src < n then begin
+    t.hs_src <- grown_to t.hs_src n 0;
+    t.hs_dst <- grown_to t.hs_dst n 0;
+    t.hs_body <- grown_to t.hs_body n 0
+  end;
+  let m = ref 0 in
+  for k = 0 to n - 1 do
+    let src = t.st_src.(k) in
+    if not t.corrupt.(src) then begin
+      t.hs_src.(!m) <- src;
+      t.hs_dst.(!m) <- t.st_dst.(k);
+      t.hs_body.(!m) <- t.st_body.(k);
+      incr m
+    end
+  done;
+  let b = t.st_bodies in
+  Inbox.set_sends t.sent ~srcs:t.hs_src ~dsts:t.hs_dst ~bodies:t.hs_body ~tags:b.b_tag
+    ~pays:b.b_pay ~len:!m
 
 (* Delivery costs O(messages), not O(n): only the inboxes dirtied last
    round are reset, so rounds where polylog(n) parties talk never touch
@@ -616,25 +634,20 @@ let deliver t =
 
 (* Adversary turn, delivery and round close. *)
 let finish_round t adversary ~scheduled =
-  (* Computed once: the adversary only adds corrupt-sourced sends, and only
-     [c_observe] below can corrupt a party, so both see the same list. *)
-  let honest_staged =
-    (* Nobody reads it without an adversary or a condition: skip building
-       it. *)
-    if adversary == null_adversary && Option.is_none t.condition then []
-    else staged_honest t
-  in
+  (* Copied once: the adversary only adds corrupt-sourced sends, and only
+     [c_observe] below can corrupt a party, so both see the same view.
+     Nobody reads it without an adversary or a condition: skip the copy. *)
+  if adversary != null_adversary || Option.is_some t.condition then point_sent t;
   t.in_adv_step <- true;
   Fun.protect
     ~finally:(fun () -> t.in_adv_step <- false)
-    (fun () -> adversary.adv_step t ~round:t.round ~honest_staged);
+    (fun () -> adversary.adv_step t ~round:t.round ~honest_staged:t.sent);
   (* The adaptive hook observes the same honest traffic the rushing
      adversary just saw, and may upgrade its corrupt set before delivery —
      upgrades take effect from the next round's honest check. *)
   (match t.condition with
   | Some c ->
-    c.Sched.c_observe ~now:t.vt ~round:t.round ~msgs:honest_staged
-      ~corrupt:(mark_corrupt t)
+    c.Sched.c_observe ~now:t.vt ~round:t.round ~msgs:t.sent ~corrupt:(mark_corrupt t)
   | None -> ());
   deliver t;
   (* Receives of round r's sends are charged to round r, keeping per-round
@@ -644,9 +657,10 @@ let finish_round t adversary ~scheduled =
     emit t (Event.Round_end (Metrics.close_round t.metrics ~round:t.round ~scheduled));
   t.round <- t.round + 1
 
-(* The one stepper, over any kind of handler: [call h ~round i] runs
-   party [i]'s handler [h] on its inbox. *)
-let step t ~adversary ~rounds ~extra handler_of call =
+(* The one stepper. A handler reads its inbox through [t.view], pointed
+   at its delivery slice just before the call: no message is copied or
+   consed to hand it over. *)
+let run_slices t ?(adversary = null_adversary) ~rounds ~extra handler_of =
   let target = t.round + rounds in
   while t.round < target do
     Repro_obs.Trace.span ~cat:"net" "net.round" @@ fun () ->
@@ -664,7 +678,7 @@ let step t ~adversary ~rounds ~extra handler_of call =
       (fun i ->
         if i < 0 || i >= t.n then begin
           unmark ();
-          invalid_arg "Network.run_active: party index"
+          invalid_arg "Network.run_slices: party index"
         end;
         if Bytes.get t.in_active i = '\000' then begin
           Bytes.set t.in_active i '\001';
@@ -697,30 +711,25 @@ let step t ~adversary ~rounds ~extra handler_of call =
     Metrics.note_round t.metrics;
     let scheduled = ref 0 in
     List.iter
-      (fun (i, handler) ->
+      (fun (i, (handler : slice_handler)) ->
         if is_honest t i && party_up t i then begin
           incr scheduled;
-          call handler ~round:t.round i
+          point_inbox t t.view i;
+          handler ~round:t.round t.view
         end)
       parties;
     finish_round t adversary ~scheduled:!scheduled
   done
 
-(* A slice handler reads its inbox through [t.view], pointed at its
-   delivery slice just before the call: no message is copied or consed
-   to hand it over. *)
-let run_slices t ?(adversary = null_adversary) ~rounds ~extra handler_of =
-  step t ~adversary ~rounds ~extra handler_of (fun (h : slice_handler) ~round i ->
-      let b = t.dl_bodies in
-      Inbox.set t.view ~srcs:t.dl_src ~bodies:t.dl_body ~tags:b.b_tag ~pays:b.b_pay
-        ~off:t.dl_start.(i) ~len:t.dl_len.(i);
-      h ~round t.view)
-
-(* A list handler's list is built from the party's slice, in delivery
-   order, just before its handler runs. *)
-let run_active t ?(adversary = null_adversary) ~rounds ~extra handler_of =
-  step t ~adversary ~rounds ~extra handler_of (fun (h : handler) ~round i ->
-      h ~round ~inbox:(inbox t i))
+(* The bench's list adapter (see the .mli). *)
+let run_active t ~rounds ~extra handler_of =
+  let listed v =
+    List.init (Inbox.length v) (fun k ->
+        let tag = Inbox.tag v k and payload = Inbox.payload v k in
+        { Wire.src = Inbox.src v k; dst = Inbox.dst v k; tag; payload })
+  in
+  run_slices t ~rounds ~extra (fun i ->
+      Option.map (fun h ~round v -> h ~round ~inbox:(listed v)) (handler_of i))
 
 (* Between protocol phases: drop the round's staged sends and the pending
    inboxes, so a new sub-protocol starts from a clean slate while metrics

@@ -1,5 +1,5 @@
 (** Point-to-point network with authenticated channels and a rushing,
-    static adversary, advanced round by round by {!run_active} on one
+    static adversary, advanced round by round by {!run_slices} on one
     executor. Messages sent in round r arrive at the start of round r+1;
     honest-to-honest traffic cannot be dropped. The within-round delivery
     {e order} and the virtual clock follow the seeded per-edge latency
@@ -10,20 +10,19 @@
 
 type t
 
-type handler = round:int -> inbox:Wire.msg list -> unit
-(** One party's step function for one round, given its inbox as a list;
-    it sends by calling {!send}. *)
-
 type slice_handler = round:int -> Inbox.t -> unit
-(** The same, given its inbox as a view of the network's delivery slice
-    for the party (valid only during the call; see {!Inbox}). *)
+(** One party's step function for one round, given its inbox as a view of
+    the network's delivery slice for the party (valid only during the
+    call; see {!Inbox}); it sends by calling {!send} or {!send_many}. *)
 
 type adversary = {
   adv_name : string;
-  adv_step : t -> round:int -> honest_staged:Wire.msg list -> unit;
+  adv_step : t -> round:int -> honest_staged:Inbox.t -> unit;
       (** Invoked after the honest parties of a round have acted. Rushing:
-          [honest_staged] is everything they just sent. The adversary sends
-          on behalf of corrupt parties via {!send}. *)
+          [honest_staged] is everything honest parties staged this round,
+          in send order, with {!Inbox.dst} naming each recipient (a view
+          valid only during the call). The adversary sends on behalf of
+          corrupt parties via {!send}. *)
 }
 
 val create :
@@ -102,10 +101,10 @@ val send_many : t -> src:int -> dsts:int array -> tag:string -> bytes -> unit
     message body done once. Raises like {!send}, before staging anything,
     if any index is out of range. *)
 
-val inbox : t -> int -> Wire.msg list
-(** Party [i]'s current-round inbox, in delivery order: the list its
-    handler is given. Built fresh from the network's delivery buffer on
-    each call; tests use it to inspect delivered mail between rounds. *)
+val delivered : t -> int -> Inbox.t
+(** A fresh view of party [i]'s current-round inbox, in delivery order:
+    what its handler reads. Valid until the round advances or {!flush};
+    tests use it to inspect delivered mail between rounds. *)
 
 val run_slices :
   t ->
@@ -135,19 +134,20 @@ val run_slices :
     [Invalid_argument] if [extra] names a party outside [0 .. n - 1].
 
     A handler reads its inbox through one view the network repoints at
-    each party's slice of the delivery arrays: handing it over copies and
-    allocates nothing. *)
+    each party's slice of the delivery arrays, and the adversary and the
+    condition read the round's honest sends through another: handing a
+    view over allocates nothing per message. *)
 
 val run_active :
   t ->
-  ?adversary:adversary ->
   rounds:int ->
   extra:(round:int -> int list) ->
-  (int -> handler option) ->
+  (int -> (round:int -> inbox:Wire.msg list -> unit) option) ->
   unit
-(** {!run_slices} for list handlers: each running party's inbox is built
-    as a [Wire.msg list], in delivery order, just before its handler runs.
-    The rounds, the active set and every event are the same. *)
+(** {!run_slices} for list handlers, kept for the ledger's substrate
+    probe ([bench/ledger/units.ml]); nothing in the libraries calls it.
+    Each running party's inbox is built as a list, in delivery order,
+    just before its handler runs. *)
 
 val flush : t -> unit
 (** Between composed protocol phases: drop the current round's staged

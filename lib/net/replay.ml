@@ -113,8 +113,7 @@ let replay ?backend ~n ~corrupt events =
         (* Advance empty rounds until the network sits at the recorded
            staging round; nobody acts, so nothing extra is staged. *)
         while Network.round net < s.s_round do
-          Network.run_active net ~rounds:1 ~extra:(fun ~round:_ -> []) (fun _ ->
-              None)
+          Network.run_slices net ~rounds:1 ~extra:(fun ~round:_ -> []) (fun _ -> None)
         done;
         match s.s_payload with
         | None ->

@@ -1,7 +1,7 @@
 (* The network's one executor: its configuration, event queue, per-edge
    latency streams, delivery statistics and network conditions.
 
-   The network's one stepper ([Network.run_active]) delivers each round's
+   The network's one stepper ([Network.run_slices]) delivers each round's
    sends in (virtual delivery time, send sequence) order, with per-edge
    latency/jitter/loss drawn from seeded SplitMix streams and a GST knob
    for partial synchrony (delivery within 1 + delta once the virtual
@@ -449,7 +449,7 @@ type condition = {
   c_down : now:int -> round:int -> int -> bool;
       (* party is dark this round: handler skipped, deliveries held *)
   c_observe :
-    now:int -> round:int -> msgs:Wire.msg list -> corrupt:(int -> unit) -> unit;
+    now:int -> round:int -> msgs:Inbox.t -> corrupt:(int -> unit) -> unit;
       (* adaptive hook: sees the round's honest sends, may upgrade parties *)
 }
 

@@ -154,9 +154,10 @@ type condition = {
       (** party is dark this round: handler skipped, deliveries held until
           it resumes *)
   c_observe :
-    now:int -> round:int -> msgs:Wire.msg list -> corrupt:(int -> unit) -> unit;
+    now:int -> round:int -> msgs:Inbox.t -> corrupt:(int -> unit) -> unit;
       (** adaptive hook: sees the round's honest sends after the adversary's
-          turn, may upgrade parties via [corrupt] *)
+          turn (the adversary's view, valid only during the call), may
+          upgrade parties via [corrupt] *)
 }
 
 val pass_condition : condition

@@ -12,9 +12,6 @@ type msg = { src : int; dst : int; tag : string; payload : bytes }
 let size ~tag payload = String.length tag + Bytes.length payload + 4
 (* + 4: src/dst/len framing, a fixed modest header charge *)
 
-let pp ppf m =
-  Format.fprintf ppf "%d->%d [%s] %dB" m.src m.dst m.tag (Bytes.length m.payload)
-
 (* Canonical framed byte form: varint src, varint dst, length-prefixed tag,
    length-prefixed payload. [size] above stays the honest accounting charge
    (flat 4-byte header); this form is for transcripts, replay and any

@@ -40,10 +40,6 @@ let popcount_word w =
 
 let cardinal t = Array.fold_left (fun acc w -> acc + popcount_word w) 0 t.words
 
-let union a b =
-  if a.len <> b.len then invalid_arg "Bitset.union: length mismatch";
-  { len = a.len; words = Array.mapi (fun i w -> w lor b.words.(i)) a.words }
-
 let inter a b =
   if a.len <> b.len then invalid_arg "Bitset.inter: length mismatch";
   { len = a.len; words = Array.mapi (fun i w -> w land b.words.(i)) a.words }

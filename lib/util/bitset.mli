@@ -13,7 +13,6 @@ val reset : t -> unit
 
 val mem : t -> int -> bool
 val cardinal : t -> int
-val union : t -> t -> t
 val inter : t -> t -> t
 val copy : t -> t
 val iter : (int -> unit) -> t -> unit

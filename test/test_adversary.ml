@@ -22,21 +22,21 @@ let transcript ?(n = 8) ?(corrupt = [ 0; 1 ]) ?(rounds = 3) ~adversary
     honest_send =
   let net = Network.create ~n ~corrupt () in
   let log = ref [] in
-  let handler p ~round ~inbox =
+  let handler p ~round v =
     List.iter
       (fun (m : Wire.msg) ->
         if Network.is_corrupt net m.Wire.src then
           log :=
             (round, m.Wire.src, p, m.Wire.tag, Bytes.to_string m.Wire.payload)
             :: !log)
-      inbox;
+      (Views.to_list v);
     honest_send net p ~round
   in
   let handlers =
     Array.init n (fun p ->
         if Network.is_corrupt net p then None else Some (handler p))
   in
-  Network.run_active net ~adversary ~rounds
+  Network.run_slices net ~adversary ~rounds
     ~extra:(fun ~round:_ -> Network.everyone net)
     (Array.get handlers);
   List.rev !log
@@ -242,18 +242,59 @@ module G_snark = Srds_experiments.Make (Srds_snark)
 
 let arb_seed = QCheck.int_range 1 1_000_000
 
-let prop_robustness_owf =
-  QCheck.Test.make ~name:"srds-owf: Fig.1 robustness vs attack portfolio"
-    ~count:3 arb_seed (fun seed ->
-      List.for_all
-        (fun adv -> (G_owf.robustness ~n:64 ~t:7 ~seed adv).G_owf.r_accepted)
-        [
-          G_owf.passive_adversary ~t:7;
-          G_owf.silent_adversary ~t:7;
-          G_owf.garbage_adversary ~t:7;
-          G_owf.duplicate_adversary ~t:7;
-          G_owf.isolating_adversary ~t:7;
-        ])
+(* P[Bin(trials, p) <= k], summed term by term. *)
+let binomial_cdf ~trials ~p k =
+  let term = ref ((1. -. p) ** float_of_int trials) and sum = ref 0. in
+  for i = 0 to k do
+    sum := !sum +. !term;
+    term := !term *. float_of_int (trials - i) /. float_of_int (i + 1) *. p /. (1. -. p)
+  done;
+  !sum
+
+(* Fig. 1 robustness of the owf scheme holds with high probability, not
+   at every seed: sortition may draw too few honest signers for the root
+   to attest the threshold. So the test runs a fixed block of seeds and
+   bounds the number that fail, instead of asserting every seed.
+
+   The game rounds n = 64 up to [slots] parties, one slot each, and
+   sortition makes each slot a signer with probability [expected / slots].
+   The root accepts at half the expected signer count, plus one. The
+   adversaries whose corrupt parties contribute nothing (silent, garbage)
+   leave [slots - t] honest slots, so a seed fails with probability at
+   most [eps = P[Bin(slots - t, expected / slots) < threshold]]. Every
+   adversary at a seed shares its sortition draw, and the others' failures
+   are sub-events of that one. [q] is the least count with
+   P[Bin(block, eps) > q] <= 1e-6. The block's size is set by the time
+   budget (about 9 ms per seed). *)
+let test_robustness_owf () =
+  let t = 7 and block = 200 in
+  let slots = (G_owf.game_params ~n:64).Repro_aetree.Params.n in
+  let expected = Srds_owf.expected_signers ~n:slots in
+  let threshold = (expected / 2) + 1 in
+  let eps =
+    binomial_cdf ~trials:(slots - t) ~p:(float_of_int expected /. float_of_int slots) (threshold - 1)
+  in
+  let rec bound q = if 1. -. binomial_cdf ~trials:block ~p:eps q <= 1e-6 then q else bound (q + 1) in
+  let q = bound 0 in
+  let failed =
+    List.filter
+      (fun seed ->
+        not
+          (List.for_all
+             (fun adv -> (G_owf.robustness ~n:64 ~t ~seed adv).G_owf.r_accepted)
+             [
+               G_owf.passive_adversary ~t;
+               G_owf.silent_adversary ~t;
+               G_owf.garbage_adversary ~t;
+               G_owf.duplicate_adversary ~t;
+               G_owf.isolating_adversary ~t;
+             ]))
+      (List.init block (fun k -> k + 1))
+  in
+  if List.length failed > q then
+    Alcotest.failf "%d of seeds 1..%d failed (bound %d at eps = %.2e): %s" (List.length failed)
+      block q eps
+      (String.concat "," (List.map string_of_int failed))
 
 let prop_robustness_snark =
   QCheck.Test.make ~name:"srds-snark: Fig.1 robustness vs attack portfolio"
@@ -389,7 +430,7 @@ let suite =
       test_tree_victims_deterministic;
     Alcotest.test_case "catalogue names stable" `Quick
       test_catalogue_names_stable;
-    QCheck_alcotest.to_alcotest prop_robustness_owf;
+    Alcotest.test_case "srds-owf: Fig.1 robustness vs attack portfolio" `Quick test_robustness_owf;
     QCheck_alcotest.to_alcotest prop_robustness_snark;
     QCheck_alcotest.to_alcotest prop_duplicate_forgery_rejected;
     Alcotest.test_case "regression seed corpus" `Slow test_regression_corpus;

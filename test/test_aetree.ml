@@ -278,7 +278,7 @@ let test_election_with_garbage_adversary () =
                       ~tag:m.Repro_net.Wire.tag
                       (Repro_util.Rng.bytes arng 16))
                   corrupt_set)
-            honest_staged);
+            (Views.to_list honest_staged));
     }
   in
   let res = Election.run ~adversary net params ~rng:(Repro_util.Rng.create 78) in

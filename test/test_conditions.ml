@@ -139,7 +139,7 @@ let qcheck_churn_lossless =
                 (Bytes.of_string (Printf.sprintf "%d.%d" round i))
           done
       in
-      Network.run_active net ~rounds
+      Views.run_lists net ~rounds
         ~extra:(fun ~round:_ -> Network.everyone net)
         (fun i -> Some (handler i));
       let churned =
@@ -188,7 +188,7 @@ let drive_observer inst ~n ~rounds ~per_round ~rng =
             tag = committee_tags.(Rng.int rng (Array.length committee_tags));
             payload = Bytes.empty })
     in
-    inst.Sched.c_observe ~now:round ~round ~msgs
+    inst.Sched.c_observe ~now:round ~round ~msgs:(Views.of_sends msgs)
       ~corrupt:(fun p -> Hashtbl.replace upgraded p ())
   done;
   Hashtbl.length upgraded

@@ -104,7 +104,7 @@ let drive ?backend ?condition script =
       script.sc_sends
   in
   let everyone = Network.everyone net in
-  Network.run_active net ~rounds:script.sc_rounds
+  Views.run_lists net ~rounds:script.sc_rounds
     ~extra:(fun ~round:_ -> everyone)
     (fun i -> Some (handler i));
   Audit.finalize audit;

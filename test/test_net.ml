@@ -19,7 +19,7 @@ let test_delivery_next_round () =
     if round = 0 && p = 0 then
       Network.send net ~src:0 ~dst:1 ~tag:"t" (Bytes.of_string "hi")
   in
-  Network.run_active net ~rounds:3
+  Views.run_lists net ~rounds:3
     ~extra:(fun ~round:_ -> Network.everyone net)
     (fun p -> Some (handler p));
   Alcotest.(check (list (triple int int string))) "delivered round 1"
@@ -35,7 +35,7 @@ let test_metrics_accounting () =
       Network.send net ~src:0 ~dst:2 ~tag:"x" (Bytes.make 20 'a')
     end
   in
-  Network.run_active net ~rounds:2
+  Views.run_lists net ~rounds:2
     ~extra:(fun ~round:_ -> Network.everyone net)
     (fun p -> Some (handler p));
   let m = Network.metrics net in
@@ -52,7 +52,7 @@ let test_report_excludes_corrupt () =
     ignore inbox;
     if round = 0 && p = 0 then Network.send net ~src:0 ~dst:1 ~tag:"t" (Bytes.make 5 'x')
   in
-  Network.run_active net ~rounds:2
+  Views.run_lists net ~rounds:2
     ~extra:(fun ~round:_ -> Network.everyone net)
     (fun p -> if p = 2 then None else Some (handler p));
   let r = Metrics.report ~include_party:(Network.is_honest net) (Network.metrics net) in
@@ -67,6 +67,7 @@ let test_rushing_adversary_sees_staged () =
       adv_step =
         (fun net ~round ~honest_staged ->
           if round = 0 then begin
+            let honest_staged = Views.to_list honest_staged in
             seen := List.map (fun (m : Wire.msg) -> Bytes.to_string m.payload) honest_staged;
             (* echo what party 0 sent, immediately, to party 1 *)
             List.iter
@@ -83,7 +84,7 @@ let test_rushing_adversary_sees_staged () =
       inbox;
     if round = 0 && p = 0 then Network.send net ~src:0 ~dst:1 ~tag:"t" (Bytes.of_string "secret")
   in
-  Network.run_active net ~adversary ~rounds:2
+  Views.run_lists net ~adversary ~rounds:2
     ~extra:(fun ~round:_ -> Network.everyone net)
     (fun p -> if p = 2 then None else Some (handler p));
   Alcotest.(check (list string)) "adversary saw" [ "secret" ] !seen;
@@ -115,7 +116,7 @@ let test_adversary_cannot_impersonate () =
       got :=
         !got @ List.map (fun (m : Wire.msg) -> (m.src, Bytes.to_string m.payload)) inbox
   in
-  Network.run_active net ~adversary ~rounds:2
+  Views.run_lists net ~adversary ~rounds:2
     ~extra:(fun ~round:_ -> Network.everyone net)
     (fun p -> if p = 3 then None else Some (handler p));
   (* the impersonation was rejected, the corrupt-src send delivered *)
@@ -126,7 +127,7 @@ let test_adversary_cannot_impersonate () =
     if p = 0 && round = 2 then
       Network.send net ~src:0 ~dst:1 ~tag:"t" (Bytes.of_string "later")
   in
-  Network.run_active net ~adversary ~rounds:1
+  Views.run_lists net ~adversary ~rounds:1
     ~extra:(fun ~round:_ -> Network.everyone net)
     (fun p -> if p = 3 then None else Some (handler2 p))
 
@@ -138,11 +139,11 @@ let test_flush_drops_in_flight () =
     if round = 0 && p = 0 then Network.send net ~src:0 ~dst:1 ~tag:"t" Bytes.empty
   in
   (* run only the sending round, then flush before delivery is consumed *)
-  Network.run_active net ~rounds:1
+  Views.run_lists net ~rounds:1
     ~extra:(fun ~round:_ -> Network.everyone net)
     (fun p -> Some (handler p));
   Network.flush net;
-  Network.run_active net ~rounds:1
+  Views.run_lists net ~rounds:1
     ~extra:(fun ~round:_ -> Network.everyone net)
     (fun p -> Some (handler p));
   Alcotest.(check int) "nothing received" 0 !received
@@ -159,13 +160,13 @@ let test_flush_keeps_parked_mail () =
         (fun ~now ~round ~src:_ ~dst:_ ~lat ->
           if round = 0 then Sched.Defer (now + 5) else Sched.Deliver lat);
     };
-  Network.run_active net ~rounds:1
+  Views.run_lists net ~rounds:1
     ~extra:(fun ~round:_ -> [ 0 ])
     (fun p ->
       Some (fun ~round:_ ~inbox:_ -> if p = 0 then Network.send net ~src:0 ~dst:1 ~tag:"phase-1" Bytes.empty));
   Network.flush net;
   let read = ref [] in
-  Network.run_active net ~rounds:8
+  Views.run_lists net ~rounds:8
     ~extra:(fun ~round:_ -> [])
     (fun _ ->
       Some
@@ -210,7 +211,7 @@ let payloads_die ?condition () =
   let net = create_on ?condition ~n:(k + 1) ~corrupt:[] () in
   let w = Weak.create k in
   let read = ref 0 in
-  Network.run_active net ~rounds:3
+  Views.run_lists net ~rounds:3
     ~extra:(fun ~round:_ -> Network.everyone net)
     (fun p ->
       Some
@@ -227,12 +228,12 @@ let payloads_die ?condition () =
   Network.flush net;
   check_collected "flushed staged" net w;
   let w = Weak.create k in
-  Network.run_active net ~rounds:1
+  Views.run_lists net ~rounds:1
     ~extra:(fun ~round:_ -> [ 0 ])
     (fun _ -> Some (fun ~round:_ ~inbox:_ -> send_watched net w k));
-  Alcotest.(check int) "delivered" 1 (List.length (Network.inbox net 1));
+  Alcotest.(check int) "delivered" 1 (List.length (Views.inbox net 1));
   Network.flush net;
-  Alcotest.(check int) "flushed" 0 (List.length (Network.inbox net 1));
+  Alcotest.(check int) "flushed" 0 (List.length (Views.inbox net 1));
   check_collected "flushed delivered" net w
 
 (* On both of the executor's zero-knob paths. *)
@@ -262,7 +263,7 @@ let promoted_per_msg ~n ~degree ~step ~rounds ~fresh =
   in
   Gc.full_major ();
   let before = (Gc.quick_stat ()).Gc.promoted_words in
-  Network.run_active net ~rounds
+  Views.run_lists net ~rounds
     ~extra:(fun ~round -> if round = 0 then List.init n Fun.id else [])
     (fun i -> Some (handler i));
   let promoted = (Gc.quick_stat ()).Gc.promoted_words -. before in
@@ -321,14 +322,17 @@ let observation_order ?condition () =
       adv_step =
         (fun net ~round ~honest_staged ->
           if round = 0 then begin
-            seen := List.map (fun (m : Wire.msg) -> (m.src, m.dst, Bytes.to_string m.payload)) honest_staged;
+            seen :=
+              List.map
+                (fun (m : Wire.msg) -> (m.src, m.dst, Bytes.to_string m.payload))
+                (Views.to_list honest_staged);
             Network.send net ~src:3 ~dst:1 ~tag:"t" (Bytes.of_string "d0")
           end);
     }
   in
   let render inbox = List.map (fun (m : Wire.msg) -> (m.src, m.dst, Bytes.to_string m.payload)) inbox in
   let inboxes = ref [] in
-  Network.run_active net ~adversary ~rounds:2
+  Views.run_lists net ~adversary ~rounds:2
     ~extra:(fun ~round -> if round = 0 then [ 0; 1; 2 ] else [ 2 ])
     (fun p ->
       if p = 3 then None
@@ -353,7 +357,7 @@ let observation_order ?condition () =
   (* After the last round: only round 1's single send is pending. *)
   Alcotest.(check (list triples)) "pending inboxes"
     [ [ (2, 0, "e") ]; []; []; [] ]
-    (List.map (fun p -> render (Network.inbox net p)) (Network.everyone net));
+    (List.map (fun p -> render (Views.inbox net p)) (Network.everyone net));
   let vt r = match condition with None -> "" | Some _ -> Printf.sprintf " vt%d" r in
   let send r s d p = Printf.sprintf "send r%d%s %d>%d %s %d" r (vt r) s d p (8 * (String.length p + 5)) in
   Alcotest.(check (list string)) "event stream"
@@ -380,7 +384,7 @@ let test_observation_order () =
    can break or continue: one payload under two tags, one tag with two
    payloads, an A/B/A interleave, a [send_many] fan-out continued by a
    single send, and an equal but distinct payload. A flush between two
-   [run_active] calls drops the inboxes it finds. With [defer], a
+   stepper calls drops the inboxes it finds. With [defer], a
    condition parks some sends on the heap, to be staged again when
    drained; only the general path takes a condition, so the shortcut runs
    the script without it. *)
@@ -452,14 +456,14 @@ let bodies_match_model ?(defer = fun ~round:_ ~src:_ ~dst:_ -> None) ~general ()
       (plan (round, p))
   in
   let run k =
-    Network.run_active net ~rounds:k ~extra:(fun ~round:_ -> Network.everyone net) (fun p -> Some (handler p))
+    Views.run_lists net ~rounds:k ~extra:(fun ~round:_ -> Network.everyone net) (fun p -> Some (handler p))
   in
   run flushed;
   Network.flush net;
   run (rounds - flushed);
   for r = 0 to rounds do
     for p = 0 to n - 1 do
-      let inbox = if r = rounds then render (Network.inbox net p) else Hashtbl.find got (r, p) in
+      let inbox = if r = rounds then render (Views.inbox net p) else Hashtbl.find got (r, p) in
       Alcotest.(check (list (triple int string string)))
         (Printf.sprintf "round %d, party %d" r p) (expected r p) inbox
     done
@@ -718,7 +722,7 @@ let list_engine net ?adversary ~tag ~rounds ~machines () =
   in
   let handlers = Array.make (Network.n net) None in
   List.iter (fun p -> handlers.(p) <- Some (handler p)) participants;
-  Network.run_active net ?adversary ~rounds:(rounds + 1)
+  Views.run_lists net ?adversary ~rounds:(rounds + 1)
     ~extra:(fun ~round:_ -> participants)
     (Array.get handlers)
 
@@ -903,13 +907,13 @@ let send_many_matches_loop ?condition () =
     in
     let inboxes = ref [] in
     for _ = 1 to 2 do
-      Network.run_active net ~adversary ~rounds:1
+      Views.run_lists net ~adversary ~rounds:1
         ~extra:(fun ~round:_ -> [ 0; 1; 2; 3 ])
         (fun p -> Some (handler p));
       inboxes :=
         List.map
           (fun p ->
-            List.map (fun (m : Wire.msg) -> (m.src, m.tag, Bytes.to_string m.payload)) (Network.inbox net p))
+            List.map (fun (m : Wire.msg) -> (m.src, m.tag, Bytes.to_string m.payload)) (Views.inbox net p))
           (Network.everyone net)
         :: !inboxes
     done;
@@ -985,7 +989,7 @@ let test_tag_breakdown_accumulates () =
       Network.send net ~src:0 ~dst:1 ~tag:"sig-ba" (Bytes.make 5 'a')
     end
   in
-  Network.run_active net ~rounds:2
+  Views.run_lists net ~rounds:2
     ~extra:(fun ~round:_ -> Network.everyone net)
     (fun p -> Some (handler p));
   let bd = Metrics.tag_breakdown (Network.metrics net) in
@@ -1009,7 +1013,7 @@ let test_report_empty_selection () =
     if round = 0 && p = 0 then
       Network.send net ~src:0 ~dst:1 ~tag:"t" (Bytes.make 5 'x')
   in
-  Network.run_active net ~rounds:2
+  Views.run_lists net ~rounds:2
     ~extra:(fun ~round:_ -> Network.everyone net)
     (fun p -> Some (handler p));
   let r = Metrics.report ~include_party:(fun _ -> false) (Network.metrics net) in
@@ -1034,7 +1038,7 @@ let test_msgs_recv_counted () =
       Network.send net ~src:0 ~dst:1 ~tag:"t" Bytes.empty
     end
   in
-  Network.run_active net ~rounds:2
+  Views.run_lists net ~rounds:2
     ~extra:(fun ~round:_ -> Network.everyone net)
     (fun p -> Some (handler p));
   let m = Network.metrics net in
@@ -1107,6 +1111,32 @@ let test_wire_encode_stable () =
     (Bytes.to_string enc);
   Alcotest.(check bool) "round-trips" true (Wire.decode enc = Some m)
 
+(* The ledger's list adapter: each handler gets, as a list, the inbox
+   [run_slices] hands over as a view. *)
+let test_run_active_lists () =
+  let run step =
+    let net = Network.create ~n:4 ~corrupt:[] () in
+    let got = ref [] in
+    step net (fun p ~round inbox ->
+        got := (round, p, inbox) :: !got;
+        if round < 2 then
+          Network.send_many net ~src:p ~dsts:[| (p + 1) mod 4; (p + 2) mod 4 |] ~tag:"t"
+            (Bytes.of_string (string_of_int (p + round))));
+    List.rev !got
+  in
+  let everyone ~round:_ = [ 0; 1; 2; 3 ] in
+  let lists =
+    run (fun net h ->
+        Network.run_active net ~rounds:3 ~extra:everyone (fun p -> Some (fun ~round ~inbox -> h p ~round inbox)))
+  in
+  let views =
+    run (fun net h ->
+        Network.run_slices net ~rounds:3 ~extra:everyone (fun p ->
+            Some (fun ~round v -> h p ~round (Views.to_list v))))
+  in
+  Alcotest.(check int) "every party ran every round" 12 (List.length lists);
+  Alcotest.(check bool) "lists equal the views" true (lists = views)
+
 let suite =
   [
     Alcotest.test_case "delivery next round" `Quick test_delivery_next_round;
@@ -1139,4 +1169,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_wire_roundtrip;
     QCheck_alcotest.to_alcotest prop_wire_decode_total;
     Alcotest.test_case "bodies = list model (async)" `Quick test_bodies_match_model;
+    Alcotest.test_case "run_active lists = run_slices views" `Quick test_run_active_lists;
   ]

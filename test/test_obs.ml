@@ -561,7 +561,7 @@ let test_audit_corrupt_masked () =
    condition that defers mail, darkens a party and upgrades another) is
    stepped one round at a time; after each step the reference charges
    every [Send] event since the previous step to its sender and every
-   message of every party's [Network.inbox] to its receiver, at
+   message of every party's delivered inbox to its receiver, at
    8 * [Wire.size]. Its timeline, violations under tight flat budgets and
    totals must equal the auditor's. *)
 
@@ -640,7 +640,7 @@ let audit_reference_case ~general (n, rounds, seed) =
   let step () =
     let round = Network.round net in
     invoked := 0;
-    Network.run_active net ~adversary ~rounds:1
+    Views.run_lists net ~adversary ~rounds:1
       ~extra:(fun ~round -> List.filter (fun p -> h [ 9; round; p ] mod 2 = 0) (Network.everyone net))
       (fun i -> Some (handler i));
     let bits = Array.make n 0 and peers = Array.make n [] in
@@ -663,7 +663,7 @@ let audit_reference_case ~general (n, rounds, seed) =
         (fun (m : Wire.msg) ->
           charged.(p) <- true;
           charge p m.src (8 * Wire.size ~tag:m.tag m.payload))
-        (Network.inbox net p)
+        (Views.inbox net p)
     done;
     let max_bits = ref 0 and sum = ref 0 and active = ref 0 and max_loc = ref 0 in
     let viols = ref 0 in

@@ -421,7 +421,7 @@ let run_delivery_executor c =
   let rounds =
     List.init (Array.length c.d_sends) (fun r ->
         let sends = dcase_round c r in
-        Network.run_active net ~rounds:1
+        Views.run_lists net ~rounds:1
           ~extra:(fun ~round:_ -> everyone)
           (fun i ->
             Some
@@ -433,7 +433,7 @@ let run_delivery_executor c =
         ( Network.virtual_time net,
           Array.init n (fun d ->
               List.map (fun (m : Repro_net.Wire.msg) -> Bytes.to_string m.payload)
-                (Network.inbox net d)) ))
+                (Views.inbox net d)) ))
   in
   let o_stats, o_log = stats_obs (Network.async_stats net) in
   { o_rounds = rounds; o_stats; o_log }
@@ -577,7 +577,7 @@ let executor_order_digest ~seed =
   let ctx = Repro_crypto.Sha256.init () in
   let feed s = Repro_crypto.Sha256.feed ctx (Bytes.unsafe_of_string s) 0 (String.length s) in
   for _ = 1 to rounds do
-    Network.run_active net ~rounds:1
+    Views.run_lists net ~rounds:1
       ~extra:(fun ~round:_ -> everyone)
       (fun i -> Some (handler i));
     feed (Printf.sprintf "vt=%d\n" (Network.virtual_time net));
@@ -587,7 +587,7 @@ let executor_order_digest ~seed =
           feed (Printf.sprintf "%d|%d|%s|" dst m.src m.tag);
           feed (Bytes.to_string m.payload);
           feed "\n")
-        (Network.inbox net dst)
+        (Views.inbox net dst)
     done
   done;
   let s = Network.async_stats net in
@@ -740,7 +740,7 @@ let test_condition_defer_crosses_rounds () =
       Network.send net ~src:0 ~dst:3 ~tag:"x" (Bytes.of_string "b")
     end
   in
-  Network.run_active net ~rounds:8
+  Views.run_lists net ~rounds:8
     ~extra:(fun ~round:_ -> Network.everyone net)
     (fun i -> Some (handler i));
   Alcotest.(check (list (triple int int int)))
@@ -775,7 +775,7 @@ let test_condition_down_party_skip () =
           (Bytes.of_string (string_of_int round))
     done
   in
-  Network.run_active net ~rounds
+  Views.run_lists net ~rounds
     ~extra:(fun ~round:_ -> Network.everyone net)
     (fun i -> Some (handler i));
   List.iter
@@ -889,7 +889,7 @@ let shortcut_run ?condition ~attach_at ~rounds () =
     done
   in
   let step r =
-    Network.run_active net ~rounds:r
+    Views.run_lists net ~rounds:r
       ~extra:(fun ~round:_ -> Network.everyone net)
       (fun i -> Some (handler i))
   in

@@ -1,17 +1,22 @@
 (* Model-based check of the network stepper.
 
-   [Network.run_active] visits only the active set each round: the parties
+   [Network.run_slices] visits only the active set each round: the parties
    holding a delivery plus the protocol's spontaneous actors. The model
    below is the naive reading of the paper's round structure instead: every
    honest party 0..n-1 is visited every round, messages are delivered next
    round in send order, and a rushing adversary acts on the round's honest
-   staged sends. QCheck generates protocols whose parties act only when
-   armed (named in [extra]) or holding mail, so the two must agree exactly:
-   on the full transcript, on every party's inbox in every round, and on
-   which parties acted with what inbox. The stepper is checked on both of
-   the executor's zero-knob paths: the lock-step shortcut, and the general
-   (time, seq) path that attaching {!Sched.pass_condition} forces. *)
+   staged sends, kept as lists. QCheck generates protocols whose parties act
+   only when armed (named in [extra]) or holding mail, so the two must agree
+   exactly: on the full transcript, on every party's inbox in every round,
+   on which parties acted with what inbox, and on the honest sends the
+   rushing view shows the adversary and an attached observing condition.
+   Between two runs a corrupt party's send is staged by hand; the view's
+   honest filter must drop it. The stepper is checked on both of the
+   executor's zero-knob paths: the lock-step shortcut, and the general
+   (time, seq) path that attaching a condition forces (here one that routes
+   like {!Sched.pass_condition} and records what it observes). *)
 
+module Inbox = Repro_net.Inbox
 module Network = Repro_net.Network
 module Sched = Repro_net.Sched
 module Wire = Repro_net.Wire
@@ -76,13 +81,26 @@ let adversary_sends c ~round ~(honest_staged : Wire.msg list) =
 
 let is_armed c round p = List.mem p c.armed.(round)
 
+(* The stepper runs rounds [0, split) and [split, rounds) in two calls; in
+   between, the first corrupt party (if any) stages one send, which goes
+   out in round [split] ahead of that round's other sends. *)
+let split c = c.seed mod c.rounds
+
+let planted c =
+  match List.find_opt (fun p -> c.corrupt.(p)) (List.init c.n Fun.id) with
+  | Some src -> [ { Wire.src; dst = c.seed mod c.n; tag = "planted"; payload = Bytes.of_string "p" } ]
+  | None -> []
+
 (* Observations: the transcript (round, src, dst, tag, payload) in send
-   order; every party's inbox at each round and after the last; and the
-   (round, party, inbox) of every visit that had something to act on. *)
+   order; every party's inbox at each round and after the last; the
+   (round, party, inbox) of every visit that had something to act on; and
+   per round, the honest sends the adversary and the condition saw. *)
 type obs = {
   sends : (int * int * int * string * string) list;
   inboxes : (int * int * string list) list;
   acted : (int * int * string list) list;
+  rushing : (int * string list) list;
+  observed : (int * string list) list;
 }
 
 let show inbox =
@@ -97,7 +115,7 @@ let snapshot round inbox_of n =
 (* The reference executor. *)
 let model c =
   let inbox = Array.make c.n [] in
-  let sends = ref [] and inboxes = ref [] and acted = ref [] in
+  let sends = ref [] and inboxes = ref [] and acted = ref [] and rushing = ref [] in
   for round = 0 to c.rounds - 1 do
     inboxes := List.rev_append (snapshot round (Array.get inbox) c.n) !inboxes;
     let staged = ref [] in
@@ -113,8 +131,10 @@ let model c =
       end
     done;
     let honest_staged = List.rev !staged in
+    rushing := (round, show honest_staged) :: !rushing;
     let all =
-      honest_staged
+      (if round = split c then planted c else [])
+      @ honest_staged
       @ List.map
           (fun (src, dst, tag, payload) -> { Wire.src; dst; tag; payload })
           (adversary_sends c ~round ~honest_staged)
@@ -127,13 +147,31 @@ let model c =
       all
   done;
   inboxes := List.rev_append (snapshot c.rounds (Array.get inbox) c.n) !inboxes;
-  { sends = List.rev !sends; inboxes = List.rev !inboxes; acted = List.rev !acted }
+  let rushing = List.rev !rushing in
+  {
+    sends = List.rev !sends;
+    inboxes = List.rev !inboxes;
+    acted = List.rev !acted;
+    rushing;
+    observed = rushing;
+  }
+
+(* A condition that routes like [Sched.pass_condition] and records, per
+   round, the honest sends it observes. *)
+let observing seen =
+  {
+    Sched.pass_condition with
+    c_name = "observe";
+    c_observe =
+      (fun ~now:_ ~round ~msgs ~corrupt:_ -> seen := (round, show (Views.to_list msgs)) :: !seen);
+  }
 
 (* The stepper under test. Handlers exist for every party, corrupt ones
    included: skipping those is the stepper's job. *)
-let stepper ?condition c =
+let stepper ~observe c =
   let corrupt = List.filter (fun p -> c.corrupt.(p)) (List.init c.n Fun.id) in
   let sends = ref [] and inboxes = ref [] and acted = ref [] in
+  let rushing = ref [] and observed = ref [] in
   let ran = ref (-1) in
   let tap : Repro_obs.Event.sink = function
     | Send { round; src; dst; tag; payload; _ } ->
@@ -141,34 +179,48 @@ let stepper ?condition c =
     | _ -> ()
   in
   let net = Network.create ~sinks:[ tap ] ~n:c.n ~corrupt () in
-  Option.iter (Network.set_condition net) condition;
+  if observe then Network.set_condition net (observing observed);
   let adversary =
     {
       Network.adv_name = "model-echo";
       adv_step =
         (fun net ~round ~honest_staged ->
-          inboxes := List.rev_append (snapshot round (Network.inbox net) c.n) !inboxes;
+          inboxes := List.rev_append (snapshot round (Views.inbox net) c.n) !inboxes;
+          let honest_staged = Views.to_list honest_staged in
+          rushing := (round, show honest_staged) :: !rushing;
           List.iter
             (fun (src, dst, tag, payload) -> Network.send net ~src ~dst ~tag payload)
             (adversary_sends c ~round ~honest_staged));
     }
   in
-  let handler p ~round ~inbox =
+  let handler p ~round v =
+    let inbox = Views.to_list v in
     ran := round;
     acted := (round, p, show inbox) :: !acted;
     List.iter
       (fun (dst, tag, payload) -> Network.send net ~src:p ~dst ~tag payload)
       (behave c ~p ~round ~armed:(is_armed c round p) ~inbox)
   in
-  Network.run_active net ~adversary ~rounds:c.rounds
-    ~extra:(fun ~round -> c.armed.(round))
-    (fun p ->
-      if !ran = Network.round net then
-        QCheck.Test.fail_reportf "round %d: party %d looked up after a handler ran"
-          !ran p;
-      Some (handler p));
-  inboxes := List.rev_append (snapshot c.rounds (Network.inbox net) c.n) !inboxes;
-  { sends = List.rev !sends; inboxes = List.rev !inboxes; acted = List.rev !acted }
+  let run rounds =
+    Network.run_slices net ~adversary ~rounds
+      ~extra:(fun ~round -> c.armed.(round))
+      (fun p ->
+        if !ran = Network.round net then
+          QCheck.Test.fail_reportf "round %d: party %d looked up after a handler ran"
+            !ran p;
+        Some (handler p))
+  in
+  run (split c);
+  List.iter (fun (m : Wire.msg) -> Network.send net ~src:m.src ~dst:m.dst ~tag:m.tag m.payload) (planted c);
+  run (c.rounds - split c);
+  inboxes := List.rev_append (snapshot c.rounds (Views.inbox net) c.n) !inboxes;
+  {
+    sends = List.rev !sends;
+    inboxes = List.rev !inboxes;
+    acted = List.rev !acted;
+    rushing = List.rev !rushing;
+    observed = List.rev !observed;
+  }
 
 let gen_case =
   QCheck.Gen.(
@@ -190,21 +242,84 @@ let print_case c =
           (Array.map (fun l -> String.concat "," (List.map string_of_int l)) c.armed)))
 
 let prop_stepper_matches_model =
-  QCheck.Test.make ~count:300 ~name:"run_active equals the every-party model"
+  QCheck.Test.make ~count:300 ~name:"run_slices equals the every-party model"
     (QCheck.make ~print:print_case gen_case)
     (fun c ->
       let want = model c in
       List.iter
-        (fun (name, condition) ->
-          let got = stepper ?condition c in
+        (fun (name, observe) ->
+          let got = stepper ~observe c in
           if got.sends <> want.sends then
             QCheck.Test.fail_reportf "%s: transcript differs (%d vs %d sends)" name
               (List.length got.sends) (List.length want.sends);
           if got.inboxes <> want.inboxes then
             QCheck.Test.fail_reportf "%s: a per-round inbox differs" name;
           if got.acted <> want.acted then
-            QCheck.Test.fail_reportf "%s: visits differ" name)
-        [ ("shortcut", None); ("general", Some Sched.pass_condition) ];
+            QCheck.Test.fail_reportf "%s: visits differ" name;
+          if got.rushing <> want.rushing then
+            QCheck.Test.fail_reportf "%s: the adversary's view differs" name;
+          if got.observed <> (if observe then want.observed else []) then
+            QCheck.Test.fail_reportf "%s: the condition's view differs" name)
+        [ ("shortcut", false); ("general", true) ];
       true)
 
-let suite = [ QCheck_alcotest.to_alcotest prop_stepper_matches_model ]
+(* Minor words of one round in which every party of [n] sends [per]
+   messages (one shared payload), on a network built by [make] and run
+   with [adversary]. *)
+let round_words ~n ~per ~make ?adversary () =
+  let net = make () in
+  let payload = Bytes.make 16 'v' in
+  let dsts = Array.init per (fun k -> k mod n) in
+  let handler p ~round:_ _ = Network.send_many net ~src:p ~dsts ~tag:"v" payload in
+  let run () =
+    Network.run_slices net ?adversary ~rounds:1 ~extra:(fun ~round:_ -> Network.everyone net)
+      (fun p -> Some (handler p))
+  in
+  (* The first round grows the network's buffers. *)
+  run ();
+  let w0 = Gc.minor_words () in
+  run ();
+  Gc.minor_words () -. w0
+
+(* The rushing view allocates nothing per message. A round of 12,700
+   honest sends with an adversary that reads every message of the view
+   allocates less than one word per message more than the same round with
+   nobody reading it: under [Sched.pass_condition], whose observer asks
+   for the view either way, and on the lock-step shortcut, where only the
+   adversary asks for it, so that the view's building is counted too. *)
+let test_rushing_view_words () =
+  let n = 128 and per = 100 in
+  let sum = ref 0 in
+  let reader =
+    {
+      Network.adv_name = "reader";
+      adv_step =
+        (fun _ ~round:_ ~honest_staged:v ->
+          for k = 0 to Inbox.length v - 1 do
+            sum :=
+              !sum + Inbox.src v k + Inbox.dst v k + String.length (Inbox.tag v k)
+              + Bytes.length (Inbox.payload v k)
+          done);
+    }
+  in
+  let msgs = float_of_int ((n - 1) * per) in
+  List.iter
+    (fun (name, condition) ->
+      let make () =
+        let net = Network.create ~n ~corrupt:[ 0 ] () in
+        Option.iter (Network.set_condition net) condition;
+        net
+      in
+      sum := 0;
+      let quiet = round_words ~n ~per ~make () in
+      let read = round_words ~n ~per ~make ~adversary:reader () in
+      Alcotest.(check bool) (name ^ ": the adversary read every message") true (!sum > 0);
+      let extra = (read -. quiet) /. msgs in
+      if extra >= 1. then Alcotest.failf "%s: the rushing view adds %.2f words per message" name extra)
+    [ ("pass_condition", Some Sched.pass_condition); ("shortcut", None) ]
+
+let suite =
+  [
+    QCheck_alcotest.to_alcotest prop_stepper_matches_model;
+    Alcotest.test_case "rushing view allocates nothing per message" `Quick test_rushing_view_words;
+  ]

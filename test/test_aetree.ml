@@ -319,6 +319,158 @@ let test_aecomm_equivocating_supreme () =
       | None -> Alcotest.fail "no value")
     out
 
+(* --- Election and dissemination under attack, pinned ---
+
+   The seeds [Election.run] hands every party and what both f_ae-comm
+   disseminations of a Fig. 3 run (a small (y, s) pair, then a large
+   certificate that every honest supreme member injects as its own buffer)
+   deliver, at n = 40 and 256, against three adversaries: replay chaff,
+   equivocation, and a hand-built strategy that speaks in look-alike tags.
+   The look-alikes matter because the election parses its tags: today
+   "elect/up/02" and "elect/up/0x2" read as level 2, "elect/upx" as
+   nothing, and a tag equal to an honest one but held in another string is
+   the honest tag. Corrupting parties 0 and 1 puts the forger on every
+   relay committee of the leftmost index-tree path, so its forged up, down
+   and final messages pass the sender filters. *)
+
+let lookalike_tags tag =
+  let fresh = String.init (String.length tag) (String.get tag) in
+  match String.split_on_char '/' tag with
+  | [ "elect"; "up"; l ] ->
+    [ fresh; "elect/up/0" ^ l; "elect/up/0x" ^ l; "elect/up/+" ^ l;
+      "elect/up/" ^ l ^ "_"; "elect/upx"; "elect/up/" ^ l ^ "/x" ]
+  | _ -> [ fresh; tag ^ "/"; "x" ^ tag; String.uppercase_ascii tag ]
+
+let lookalike ~labels =
+  Repro_adversary.Strategy.make ~name:"lookalike-tags" (fun rng env ->
+      let open Repro_adversary.Strategy in
+      let n = Network.n env.net and v = env.honest_staged in
+      let forgers = List.filter (fun c -> c < 2) (Network.corrupt_parties env.net) in
+      let others = Network.corrupt_parties env.net in
+      (* honest payloads under look-alike tags, and junk under a copy of
+         the honest tag *)
+      for k = 0 to min 24 (Repro_net.Inbox.length v) - 1 do
+        let src = List.nth others (k mod List.length others) in
+        let tag = Repro_net.Inbox.tag v k and payload = Repro_net.Inbox.payload v k in
+        List.iter
+          (fun t ->
+            env.emit ~src ~dst:(Repro_net.Inbox.dst v k) ~tag:t payload;
+            env.emit ~src ~dst:(Repro_util.Rng.int rng n) ~tag:t (Repro_util.Rng.bytes rng 12))
+          (lookalike_tags tag)
+      done;
+      (* well-formed forgeries to everyone, from the leftmost relays *)
+      let coin = Repro_util.Rng.bytes rng Repro_crypto.Hashx.kappa_bytes in
+      let up child =
+        Repro_util.Encode.to_bytes (fun b ->
+            Repro_util.Encode.varint b child;
+            Repro_util.Encode.bytes b coin)
+      in
+      let node level idx value =
+        Repro_util.Encode.to_bytes (fun b ->
+            Repro_util.Encode.varint b level;
+            Repro_util.Encode.varint b idx;
+            Repro_util.Encode.bytes b value)
+      in
+      let forged =
+        [ ("elect/up/02", up 0); ("elect/up/0x2", up 0); ("elect/up/3", up 0);
+          ("elect/up/99", up 0); ("elect/up/2", up 1_000_000); ("elect/up/-1", up 0);
+          ("elect/upx", up 0); ("elect/down", coin); ("elect/final", coin);
+          ("elect/down/", coin); ("elect/commit", coin); ("elect/open", coin) ]
+        @ List.concat_map
+            (fun label ->
+              let tag = "aecomm/" ^ label in
+              [ (tag, node 2 0 coin); (tag, node 2 1_000_000 coin);
+                (tag, node 40 0 coin); (tag, node 1 0 coin);
+                (tag, node 1 1_000_000 coin); (tag ^ "x", node 2 0 coin);
+                (tag, Repro_util.Rng.bytes rng 9) ])
+            labels
+      in
+      List.iter
+        (fun src ->
+          for dst = 0 to n - 1 do
+            List.iter (fun (tag, payload) -> env.emit ~src ~dst ~tag payload) forged
+          done)
+        forgers)
+
+let attacked_digest ~n ~strategy =
+  let params = Params.default n in
+  let rng = Repro_util.Rng.create (1000 + n) in
+  let corrupt =
+    List.sort_uniq compare
+      (0 :: 1 :: Repro_util.Rng.subset rng ~n ~size:(n / 8))
+  in
+  (* the transcript too: every accepted send and each round's count of
+     handlers run, which moves with what the honest parties accept *)
+  let ctx = Repro_crypto.Sha256.init () in
+  let feed s = Repro_crypto.Sha256.feed ctx (Bytes.unsafe_of_string s) 0 (String.length s) in
+  let sink = function
+    | Repro_obs.Event.Send { round; src; dst; tag; payload; _ } ->
+      feed (Printf.sprintf "%d:%d:%d:%s:%d:" round src dst tag (Bytes.length payload));
+      Repro_crypto.Sha256.feed ctx payload 0 (Bytes.length payload)
+    | Repro_obs.Event.Round_end { round; scheduled; _ } ->
+      feed (Printf.sprintf "end:%d:%d;" round scheduled)
+    | _ -> ()
+  in
+  let net = Network.create ~sinks:[ sink ] ~n ~corrupt () in
+  let adversary = Repro_adversary.Strategy.instantiate strategy ~seed:n in
+  let res = Election.run ~adversary net params ~rng in
+  Network.flush net;
+  let ae = Ae_comm.create net (Tree.of_seed params res.Election.seed) in
+  let supreme = Tree.supreme_committee (Ae_comm.tree ae) in
+  let in_supreme p = Array.exists (fun q -> q = p) supreme in
+  let pair = Bytes.of_string "pair:1:coin" in
+  let cert = Repro_util.Rng.bytes rng 20_000 in
+  let run label value =
+    let out =
+      Ae_comm.disseminate ~adversary net ae ~label ~values:(fun p ->
+          if in_supreme p then Some (Bytes.copy value) else None)
+    in
+    Network.flush net;
+    out
+  in
+  let d = run "pair" pair in
+  let g = run "cert" cert in
+  let b = Buffer.create 4096 in
+  let opt = function
+    | None -> Buffer.add_string b "-;"
+    | Some v -> Buffer.add_string b (Repro_crypto.Sha256.hex (Repro_crypto.Sha256.digest v) ^ ";")
+  in
+  Buffer.add_string b (Printf.sprintf "rounds=%d;" res.Election.rounds_used);
+  opt (Some res.Election.seed);
+  Array.iter opt res.Election.party_seed;
+  Array.iter opt d;
+  Array.iter opt g;
+  opt (Some (Repro_crypto.Sha256.finish ctx));
+  Repro_crypto.Sha256.hex (Repro_crypto.Sha256.digest (Buffer.to_bytes b))
+
+let attacked_pins =
+  [ (40, "replay-chaff",
+     "6afaa65f2d70f7f9b9a2d1bc07b2f88b3a4be460cc6e7570f523fbbb45496df7");
+    (40, "equivocate",
+     "d09bd7957b42c58289d16e566ed379279fcfed4c1422100dd55a32c65f455ea5");
+    (40, "lookalike-tags",
+     "79ba7b269482a02e3125ab1429991658ba75eb9f3ed16a24aa5837abf5a6a6be");
+    (256, "replay-chaff",
+     "23af997b40628848fb81a9e3bd37d92a79a64013bd2fdbcbe878b2514edf3ecf");
+    (256, "equivocate",
+     "e5598844d39d1d5fa6c830433938e6fbd79e3da36d66d2bf1a77931df17ece83");
+    (256, "lookalike-tags",
+     "900be2d50b6e1af6dc656f1112d04e8c0c999a539cd6d4d13a6806e8aad207ad") ]
+
+let test_attacked_digests_pinned () =
+  List.iter
+    (fun (n, name, expected) ->
+      let strategy =
+        match name with
+        | "replay-chaff" -> Repro_adversary.Strategy.replay_chaff ()
+        | "equivocate" -> Repro_adversary.Strategy.equivocate
+        | _ -> lookalike ~labels:[ "pair"; "cert" ]
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "n=%d %s" n name)
+        expected (attacked_digest ~n ~strategy))
+    attacked_pins
+
 let suite =
   [
     Alcotest.test_case "params default" `Quick test_params_default;
@@ -341,4 +493,6 @@ let suite =
     Alcotest.test_case "params paper profile" `Quick test_params_paper_profile;
     Alcotest.test_case "election garbage" `Quick test_election_with_garbage_adversary;
     Alcotest.test_case "aecomm equivocating supreme" `Quick test_aecomm_equivocating_supreme;
+    Alcotest.test_case "election and dissemination digests under attack pinned" `Quick
+      test_attacked_digests_pinned;
   ]

@@ -222,14 +222,26 @@ let walk_chains t ~from ~upto vals =
 
 type tails = bytes (* 64 bytes per message *)
 
+(* Each message is written into its zeroed block in place; the padding
+   follows it as in [padded_block ~bytes_before:64]. *)
+let tails_init count fill =
+  let b = Bytes.make (64 * count) '\000' in
+  for k = 0 to count - 1 do
+    let pos = 64 * k in
+    let len = fill k b pos in
+    if len < 0 || len > max_short then invalid_arg "Sha256.tails_init: message";
+    Bytes.set b (pos + len) '\x80';
+    Bytes.set_uint16_be b (pos + 62) ((64 + len) * 8)
+  done;
+  b
+
 let tails msgs =
-  Bytes.concat Bytes.empty
-    (Array.to_list
-       (Array.map
-          (fun m ->
-            if Bytes.length m > max_short then invalid_arg "Sha256.tails: message";
-            padded_block ~bytes_before:64 m)
-          msgs))
+  tails_init (Array.length msgs) (fun k dst pos ->
+      let m = msgs.(k) in
+      let len = Bytes.length m in
+      if len > max_short then invalid_arg "Sha256.tails: message";
+      Bytes.blit m 0 dst pos len;
+      len)
 
 (* The number of messages, after the checks. *)
 let nested_with ~sha_ni ~inner ~outer tails dst =

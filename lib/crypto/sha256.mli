@@ -70,6 +70,12 @@ type tails
 val tails : bytes array -> tails
 (** One tail per message, each at most [max_short] bytes. *)
 
+val tails_init : int -> (int -> bytes -> int -> int) -> tails
+(** [tails_init count fill] is [tails msgs] for [count] messages that
+    [fill k dst pos] writes straight into the tails' buffer: message [k] at
+    [pos] of [dst], returning its length and writing nothing else. Raises
+    [Invalid_argument] if a length exceeds [max_short]. *)
+
 val nested_into : inner:midstate -> outer:midstate -> tails -> bytes -> unit
 (** [nested_into ~inner ~outer (tails msgs) dst] writes, for each [k], the
     first [slot] bytes of

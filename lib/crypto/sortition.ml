@@ -7,19 +7,23 @@
    revealed to that party; the adversary, seeing all verification keys,
    cannot tell signers from non-signers (oblivious keys are uniform). *)
 
-type t = { key : Prf.key; n : int; expected : int }
+(* The key is prepared once: a coin then costs the two compressions of its
+   HMAC, not the pads' two more. *)
+type t = { key : Hmac.prepared; n : int; expected : int }
 
 let scale = 1 lsl 30
 
 let create ~key ~n ~expected =
   if expected <= 0 || expected > n then invalid_arg "Sortition.create";
-  { key; n; expected }
+  { key = Hmac.prepare key; n; expected }
+
+let label = Bytes.of_string "sortition"
 
 (* PRF(key, i) interpreted as a fixed-point fraction, compared against
    expected/n. *)
 let is_signer t i =
   if i < 0 || i >= t.n then invalid_arg "Sortition.is_signer";
-  let d = Prf.eval_parts ~key:t.key [ Bytes.of_string "sortition"; Bytes.of_string (string_of_int i) ] in
+  let d = Hmac.mac_prepared t.key [ label; Bytes.of_string (string_of_int i) ] in
   let frac = Hashx.to_int d mod scale in
   (* threshold = expected/n scaled; exact arithmetic since both fit an int *)
   frac * t.n < t.expected * scale

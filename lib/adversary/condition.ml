@@ -67,8 +67,8 @@ let delay =
           (fun ~now ~round:_ ~src:_ ~dst:_ ~lat ->
             let extra = Rng.int rng (cap + 1) in
             if now >= cfg.Sched.a_gst then
-              Sched.Deliver (Int.min (lat + extra) (1 + Int.max 0 cfg.Sched.a_delta))
-            else Sched.Deliver (lat + extra));
+              Sched.deliver (Int.min (lat + extra) (1 + Int.max 0 cfg.Sched.a_delta))
+            else Sched.deliver (lat + extra));
         c_down = no_down;
         c_observe = no_observe;
       })
@@ -96,7 +96,7 @@ let partition_of ~name ~sever ~heal ~victims ~n =
     c_route =
       (fun ~now ~round:_ ~src ~dst ~lat ->
         if now < heal && cross src dst then Sched.Defer heal
-        else Sched.Deliver lat);
+        else Sched.deliver lat);
     c_down = no_down;
     c_observe = no_observe;
   }
@@ -151,7 +151,7 @@ let churn =
       in
       {
         Sched.c_name = "churn";
-        c_route = (fun ~now:_ ~round:_ ~src:_ ~dst:_ ~lat -> Sched.Deliver lat);
+        c_route = (fun ~now:_ ~round:_ ~src:_ ~dst:_ ~lat -> Sched.deliver lat);
         c_down =
           (fun ~now:_ ~round p ->
             List.exists (fun (q, r0, r1) -> q = p && round >= r0 && round < r1) window);
@@ -184,7 +184,7 @@ let adaptive_with ~name ~static_fraction ~per_round ~bounded =
       let upgraded = ref 0 in
       {
         Sched.c_name = name;
-        c_route = (fun ~now:_ ~round:_ ~src:_ ~dst:_ ~lat -> Sched.Deliver lat);
+        c_route = (fun ~now:_ ~round:_ ~src:_ ~dst:_ ~lat -> Sched.deliver lat);
         c_down = no_down;
         c_observe =
           (fun ~now:_ ~round ~msgs ~corrupt ->
@@ -247,7 +247,7 @@ let compose parts =
           c_route =
             (fun ~now ~round ~src ~dst ~lat ->
               let rec go lat = function
-                | [] -> Sched.Deliver lat
+                | [] -> Sched.deliver lat
                 | c :: rest -> (
                   match c.Sched.c_route ~now ~round ~src ~dst ~lat with
                   | Sched.Deliver lat -> go lat rest

@@ -156,9 +156,7 @@ let observed t = match t.sinks with [] -> false | _ -> true
 let rec emit_to ev = function [] -> () | f :: rest -> f ev; emit_to ev rest
 let emit t ev = emit_to ev t.sinks
 
-(* Offsets past the clock up to which a round's due sends are bucketed;
-   latencies above it (a condition's choice) go through the heap. *)
-let bucket_span = 64
+let bucket_span = Sched.bucket_span
 
 let create ?backend ?(sinks = []) ~n ~corrupt () =
   let c = Array.make n false in

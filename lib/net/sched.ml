@@ -453,12 +453,22 @@ type condition = {
       (* adaptive hook: sees the round's honest sends, may upgrade parties *)
 }
 
+(* Offsets past the clock up to which the network buckets a round's due
+   sends; latencies above it go through the heap. *)
+let bucket_span = 64
+
+(* One shared [Deliver lat] per latency the network buckets, so a condition
+   that routes through [deliver] allocates no verdict per message. *)
+let delivers = Array.init (bucket_span + 1) (fun lat -> Deliver lat)
+
+let deliver lat = if lat >= 0 && lat <= bucket_span then delivers.(lat) else Deliver lat
+
 (* The identity condition: routes every message at its drawn latency, keeps
    every party up, never corrupts. Attaching it is observationally a no-op. *)
 let pass_condition =
   {
     c_name = "pass";
-    c_route = (fun ~now:_ ~round:_ ~src:_ ~dst:_ ~lat -> Deliver lat);
+    c_route = (fun ~now:_ ~round:_ ~src:_ ~dst:_ ~lat -> deliver lat);
     c_down = (fun ~now:_ ~round:_ _ -> false);
     c_observe = (fun ~now:_ ~round:_ ~msgs:_ ~corrupt:_ -> ());
   }

@@ -160,5 +160,13 @@ type condition = {
           upgrade parties via [corrupt] *)
 }
 
+val bucket_span : int
+(** 64: the network buckets a round's sends due within this many ticks of
+    the clock; later ones wait on the heap. *)
+
+val deliver : int -> route
+(** [deliver lat] is [Deliver lat], shared for [lat] in [0, bucket_span]:
+    a condition routing through it allocates no verdict per message. *)
+
 val pass_condition : condition
 (** The identity condition — attaching it is observationally a no-op. *)

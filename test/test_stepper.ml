@@ -318,8 +318,29 @@ let test_rushing_view_words () =
       if extra >= 1. then Alcotest.failf "%s: the rushing view adds %.2f words per message" name extra)
     [ ("pass_condition", Some Sched.pass_condition); ("shortcut", None) ]
 
+(* Routing allocates nothing per message: a round of 12,700 sends under
+   [Sched.pass_condition], which draws and routes every send on the
+   general path, allocates less than one word per message more than the
+   same round on the lock-step shortcut. A boxed [Deliver lat] per verdict
+   would add two. *)
+let test_routing_words () =
+  let n = 128 and per = 100 in
+  let make condition () =
+    let net = Network.create ~n ~corrupt:[ 0 ] () in
+    Option.iter (Network.set_condition net) condition;
+    net
+  in
+  let msgs = float_of_int ((n - 1) * per) in
+  let shortcut = round_words ~n ~per ~make:(make None) () in
+  let routed = round_words ~n ~per ~make:(make (Some Sched.pass_condition)) () in
+  let extra = (routed -. shortcut) /. msgs in
+  if extra >= 1. then
+    Alcotest.failf "pass_condition adds %.2f words per message (%.0f vs %.0f)" extra routed
+      shortcut
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_stepper_matches_model;
+    Alcotest.test_case "routing allocates nothing per message" `Quick test_routing_words;
     Alcotest.test_case "rushing view allocates nothing per message" `Quick test_rushing_view_words;
   ]

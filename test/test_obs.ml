@@ -1013,7 +1013,7 @@ let pinned_cells =
   [
     ( Runner.This_work_owf,
       [ ("aecomm.enc_hit", 320); ("aecomm.enc_miss", 90);
-        ("encode.memo_hit", 9837); ("encode.memo_miss", 104);
+        ("encode.memo_hit", 5059); ("encode.memo_miss", 104);
         ("engine.msgs", 54187); ("hashx.hash", 37799);
         ("srds-owf.aggregate", 14); ("srds-owf.keygen", 198);
         ("srds-owf.sign", 180); ("srds-owf.verify", 1); ("wots.sign", 30);
@@ -1023,7 +1023,7 @@ let pinned_cells =
           1968; 525; 560; 5819 ] );
     ( Runner.This_work_snark,
       [ ("aecomm.enc_hit", 320); ("aecomm.enc_miss", 90);
-        ("encode.memo_hit", 12399); ("encode.memo_miss", 256);
+        ("encode.memo_hit", 7621); ("encode.memo_miss", 256);
         ("engine.msgs", 54187); ("hashx.hash", 205955); ("pcd.prove", 194);
         ("pcd.verify", 221); ("snark.prove", 194); ("snark.verify", 221);
         ("srds-snark.aggregate", 14); ("srds-snark.keygen", 198);

@@ -645,7 +645,7 @@ let test_attack_cell_pinned () =
       ("aecomm.enc_hit", 1714);
       ("aecomm.enc_miss", 350);
       ("attack.cells", 1);
-      ("encode.memo_hit", 61869);
+      ("encode.memo_hit", 25801);
       ("encode.memo_miss", 230);
       ("engine.msgs", 430512);
       ("hashx.hash", 57142);

@@ -134,8 +134,21 @@ CONDITIONS_ARGS = attack -n 40 --betas 0.125 --sanity-betas 0.45 \
 conditions-smoke: build
 	$(call domains_identical,$(CONDITIONS_ARGS),CONDITIONS_report1.json,CONDITIONS_report4.json,conditions report)
 
+# $(call stdout_identical,ARGS,NAME): print the standard output of
+# `ba_sim ARGS` at REPRO_DOMAINS=1, run it again at REPRO_DOMAINS=4 (each
+# run must exit 0), and require the two outputs to be byte-identical. The
+# outputs go under _build/.
+define stdout_identical
+	REPRO_DOMAINS=1 $(BA_SIM) $(1) > _build/cli-$(2)1.txt
+	cat _build/cli-$(2)1.txt
+	REPRO_DOMAINS=4 $(BA_SIM) $(1) > _build/cli-$(2)4.txt
+	cmp _build/cli-$(2)1.txt _build/cli-$(2)4.txt && echo "$(2): stdout byte-identical across REPRO_DOMAINS=1 vs 4"
+endef
+
 # <10s: the experiment subcommands no other target runs, at small n. Each
-# exits non-zero if its experiment's gate fails. Then `run`, the CLI's one
+# exits non-zero if its experiment's gate fails; boost, broadcast and
+# attacks, which run the election, the disseminations and the boost round,
+# must also print the same bytes on one domain as on four. Then `run`, the CLI's one
 # path through Runner.run/run_audited: every protocol at n = 32, once under
 # the executor knobs and once audited. `run` exits 1 when its row reads
 # ok=false, and each line must also print its row with ok=true. Dolev-Strong
@@ -154,9 +167,9 @@ cli-smoke: build
 	$(BA_SIM) table1 --ns 32
 	$(BA_SIM) sweep --ns 32,64
 	$(BA_SIM) games -n 64
-	$(BA_SIM) boost -n 64
-	$(BA_SIM) broadcast -n 48
-	$(BA_SIM) attacks -n 64
+	$(call stdout_identical,boost -n 64,boost)
+	$(call stdout_identical,broadcast -n 48,broadcast)
+	$(call stdout_identical,attacks -n 64,attacks)
 	$(BA_SIM) conditions
 
 # Run the five examples: each prints to stdout and writes no file;

@@ -8,16 +8,7 @@ type t = int array
 
 let of_list l = Array.of_list (List.sort_uniq compare l)
 
-(* Top-level, so a lookup allocates no closure: it runs once per
-   delivered committee message. *)
-let rec search (t : t) p lo hi =
-  if lo >= hi then -1
-  else
-    let mid = (lo + hi) lsr 1 in
-    let q = Array.unsafe_get t mid in
-    if q = p then mid else if q < p then search t p (mid + 1) hi else search t p lo mid
-
-let pos (t : t) p = search t p 0 (Array.length t)
+let pos : t -> int -> int = Repro_util.Mathx.sorted_index
 
 let peers (t : t) ~me =
   if pos t me < 0 then t else Array.of_list (List.filter (fun q -> q <> me) (Array.to_list t))

@@ -34,6 +34,17 @@ let isqrt n =
   in
   if n = 0 then 0 else go (max 1 (n / 2))
 
+(* Top-level, so a lookup allocates no closure: the committee machines,
+   the disseminations and the boost filter run it once per message. *)
+let rec search (a : int array) (x : int) lo hi =
+  if lo >= hi then -1
+  else
+    let mid = (lo + hi) lsr 1 in
+    let v = Array.unsafe_get a mid in
+    if v = x then mid else if v < x then search a x (mid + 1) hi else search a x lo mid
+
+let sorted_index a x = search a x 0 (Array.length a)
+
 let clamp ~lo ~hi v = max lo (min hi v)
 
 let mean = function

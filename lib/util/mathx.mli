@@ -6,6 +6,10 @@ val log2_floor : int -> int
 val pow_int : int -> int -> int
 val isqrt : int -> int
 
+val sorted_index : int array -> int -> int
+(** [sorted_index a x] is [x]'s index in [a], which must be ascending
+    without duplicates, by binary search; [-1] when [x] is absent. *)
+
 val mean : float list -> float
 val stddev : float list -> float
 val percentile : float -> float list -> float

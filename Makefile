@@ -148,7 +148,8 @@ endef
 # <10s: the experiment subcommands no other target runs, at small n. Each
 # exits non-zero if its experiment's gate fails; boost, broadcast and
 # attacks, which run the election, the disseminations and the boost round,
-# must also print the same bytes on one domain as on four. Then `run`, the CLI's one
+# and games, whose trials run both schemes' WOTS keygen, sign and verify on
+# the domain pool, must also print the same bytes on one domain as on four. Then `run`, the CLI's one
 # path through Runner.run/run_audited: every protocol at n = 32, once under
 # the executor knobs and once audited. `run` exits 1 when its row reads
 # ok=false, and each line must also print its row with ok=true. Dolev-Strong
@@ -166,7 +167,7 @@ cli-smoke: build
 	! $(BA_SIM) run -p owf -n 32 --beta 0.45
 	$(BA_SIM) table1 --ns 32
 	$(BA_SIM) sweep --ns 32,64
-	$(BA_SIM) games -n 64
+	$(call stdout_identical,games -n 64,games)
 	$(call stdout_identical,boost -n 64,boost)
 	$(call stdout_identical,broadcast -n 48,broadcast)
 	$(call stdout_identical,attacks -n 64,attacks)

@@ -31,12 +31,15 @@ bench-smoke: build
 	$(BA_SIM) validate BENCH_results.json
 
 # Two smoke runs diffed against each other: exercises the regression
-# gate end-to-end (identical runs must report no regressions, exit 0).
+# gate end-to-end. The runs use pool sizes 1 and 4 and are compared both
+# ways at threshold 0: every counter is exact, so any counter that moves
+# with the pool size, however little, fails here.
 bench-compare: build
-	BENCH_SMOKE=1 ./_build/default/bench/main.exe
+	REPRO_DOMAINS=1 BENCH_SMOKE=1 ./_build/default/bench/main.exe
 	cp BENCH_results.json BENCH_prev.json
-	BENCH_SMOKE=1 ./_build/default/bench/main.exe
-	./_build/default/bench/main.exe --compare BENCH_prev.json BENCH_results.json
+	REPRO_DOMAINS=4 BENCH_SMOKE=1 ./_build/default/bench/main.exe
+	./_build/default/bench/main.exe --compare BENCH_prev.json BENCH_results.json --threshold 0
+	./_build/default/bench/main.exe --compare BENCH_results.json BENCH_prev.json --threshold 0
 
 # Audit every Table-1 protocol against its declared complexity budget and
 # validate the per-round timeline (one JSON object per line). Exits
@@ -76,8 +79,8 @@ scale-smoke: build
 	$(BA_SIM) scale --ns 64,128,256 --report SCALE_report.json
 	$(BA_SIM) validate SCALE_report.json
 
-# Self-profiled BA run: per-span GC/alloc hotspot tables, cache and pool
-# introspection, and a validated repro-profile/1 report (under _build/, so
+# Self-profiled BA run: per-span GC/alloc hotspot tables, pool
+# introspection, and a validated repro-profile/2 report (under _build/, so
 # the committed owf n = 64 report below is left alone).
 profile: build
 	$(BA_SIM) profile -p owf -n 256 --report _build/PROFILE_report_256.json
@@ -90,13 +93,14 @@ profile: build
 # is committed with it. Then a fresh report is written under _build/ (never
 # over the committed one, whose wall fields would change), validated, and a
 # second run is compared against it — deterministic sections are exact, so
-# the self-compare must exit 0.
+# the self-compare must exit 0, and so must a third run on a 4-domain pool.
 PROFILE_FRESH = _build/PROFILE_report_fresh.json
 profile-smoke: build
 	$(BA_SIM) profile -p owf -n 64 --compare PROFILE_report.json
 	$(BA_SIM) profile -p owf -n 64 --report $(PROFILE_FRESH)
 	$(BA_SIM) validate $(PROFILE_FRESH)
 	$(BA_SIM) profile -p owf -n 64 --compare $(PROFILE_FRESH)
+	REPRO_DOMAINS=4 $(BA_SIM) profile -p owf -n 64 --compare $(PROFILE_FRESH)
 
 # <60s forensics smoke: a small-n explain with the transcript-replay
 # round-trip (non-zero exit if any cone blows the locality budget or the

@@ -42,9 +42,9 @@ let pick ~smoke:s ~standard ~full:f = if full then f else if smoke then s else s
 (* Collected as experiments run; written once at exit as one Json.t value.
    Each experiment carries its wall time, the full crypto-operation counter
    snapshot accumulated while it ran (the registry is reset between
-   experiments), separately the deterministic subset — the counters
-   [--compare] gates regressions on, stable across pool sizes and
-   machines — and (schema /5) a GC allocation profile: machine context like
+   experiments), the same snapshot again as [det_counters] — the counters
+   [--compare] gates regressions on, exact across pool sizes and machines;
+   older files held only a subset there — and (schema /5) a GC allocation profile: machine context like
    wall time, never gated. Schema /6 adds the E18 scheduler arrays:
    `conform` (executor-path transcript digests) and `async` (partial-
    synchrony chaos cells). Schema /7 adds the E19 `conditions` array: one
@@ -106,10 +106,10 @@ let timed_experiment name f =
   in
   (* Bechamel repeats each microbench until its time quota runs out, so
      that row's crypto counters count iterations and differ between two
-     runs of one build: it publishes no deterministic counters. *)
+     runs of one build: it publishes no [det_counters]. *)
   let det_counters =
     if name = "bechamel" then []
-    else [ ("det_counters", Json.of_counts (Repro_obs.Counters.deterministic_snapshot ())) ]
+    else [ ("det_counters", Json.of_counts (Repro_obs.Counters.snapshot ())) ]
   in
   ( Json.(
       Obj

@@ -456,7 +456,7 @@ let profile_compare_arg =
     & info [ "compare" ] ~docv:"PREV.json"
         ~doc:
           "Compare the deterministic metrics against a previous \
-           repro-profile/1 report; non-zero exit when any regresses past \
+           repro-profile/2 report; non-zero exit when any regresses past \
            --threshold. A structurally incompatible previous file (older \
            schema) is reported as not comparable, never as a failure.")
 
@@ -481,13 +481,13 @@ let profile_cmd =
   in
   experiment_cmd "profile"
     ~report:
-      "Write the machine-readable profile report (schema repro-profile/1; \
+      "Write the machine-readable profile report (schema repro-profile/2; \
        the deterministic section is byte-identical across reruns and \
        REPRO_DOMAINS settings)."
     ~doc:
       "Self-profile one (protocol, n) cell: per-span wall/alloc hotspots, \
        cache effectiveness, scheduler occupancy and domain-pool \
-       utilization; optional repro-profile/1 report and deterministic \
+       utilization; optional repro-profile/2 report and deterministic \
        regression gate (--compare)."
     Term.(
       const action $ protocol_arg $ n_arg $ beta_arg $ seed_arg

@@ -244,12 +244,12 @@ module Games (S : Srds_intf.SCHEME) = struct
 
   (* Trials are independent (each derives its own seed), so they run on the
      domain pool; the per-seed outcomes are identical to the sequential run.
-     Each starts from cold caches, so its counters do not depend on which
-     trials its domain ran before. *)
+     Each starts from a cold [Wots.verify] memo, so its counters do not
+     depend on which trials its domain ran before. *)
   let count ~trials ~seed win =
     Array.fold_left (fun acc w -> if w then acc + 1 else acc) 0
       (Parallel.init trials (fun i ->
-           cold_caches ();
+           Repro_crypto.Wots.clear_cache ();
            win (seed + i)))
 
   let robustness ~n ~t ~trials ~seed =
@@ -365,7 +365,7 @@ let certificates ?(ns = [ 128; 256; 512; 1024; 2048; 4096 ]) () =
   finish b
 
 let succinctness () =
-  cold_caches ();
+  Repro_crypto.Wots.clear_cache ();
   let b = Buffer.create 1024 in
   section b "E8: aggregate size vs aggregation batch size (must stay flat)";
   let n = 512 in
@@ -537,7 +537,7 @@ let tree_quality ?(trials = 3) () =
 module Boost_owf = Boost.Make (Srds_owf)
 
 let boost ?(n = 256) ?(beta = 0.1) ?(seed = 6) () =
-  cold_caches ();
+  Repro_crypto.Wots.clear_cache ();
   let b = Buffer.create 1024 in
   section b "E11: one-shot boost - isolated-party recovery vs PRF degree";
   let corrupt = corrupt_set (Rng.create seed) ~n ~beta in
@@ -561,7 +561,7 @@ let boost ?(n = 256) ?(beta = 0.1) ?(seed = 6) () =
   finish b
 
 let thm14 () =
-  cold_caches ();
+  Repro_crypto.Wots.clear_cache ();
   let b = Buffer.create 512 in
   section b "E11b: Thm 1.4 - one-shot boost when the adversary inverts the OWF";
   let n = 200 in
@@ -583,7 +583,7 @@ let thm14 () =
 (* --- E6b: the VRF grinding attack (Sec. 2.2's model caveat) --- *)
 
 let vrf_grinding () =
-  cold_caches ();
+  Repro_crypto.Wots.clear_cache ();
   let b = Buffer.create 512 in
   section b "E6b: VRF sortition - key-after-CRS grinding attack (Sec. 2.2 caveat)";
   let n = 150 in

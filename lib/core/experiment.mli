@@ -143,5 +143,5 @@ val profile :
   protocol:Runner.protocol -> n:int -> beta:float -> seed:int ->
   ?top:int -> ?compare:string * string -> ?threshold:float -> unit -> outcome
 (** One self-profiled cell: hotspots and pool utilization; report
-    [repro-profile/1]. [compare] is (name, contents) of a previous report:
+    [repro-profile/2]. [compare] is (name, contents) of a previous report:
     a deterministic regression past [threshold] (default 0) fails. *)

@@ -197,15 +197,6 @@ let holders rng ~n ~corrupt =
   let iso = max 1 (Array.length arr / 20) in
   Array.sub arr iso (Array.length arr - iso) |> Array.to_list
 
-(* Every cell starts from cold per-domain crypto caches. A cell must not
-   inherit what its domain verified before: a [Wots.verify] memo hit skips
-   the chain steps and the vk hash that the deterministic [hashx.hash]
-   counter counts, so a warm cache would make a cell's counters depend on
-   which cells its domain ran first. *)
-let cold_caches () =
-  Repro_crypto.Hashx.clear_cache ();
-  Repro_crypto.Wots.clear_cache ()
-
 (* E14's adversary corrupts after seeing the public slot assignment (the
    Fig. 3 idmap): {!Strategy.tree_victims} rebuilds exactly the assignment
    the protocol will use and hands it to the chosen Attacks strategy.
@@ -257,13 +248,13 @@ type outcome = {
 
 (* The one cell runner: every experiment's cell comes from here, so every
    protocol of Table 1 runs under identical conditions. It clears the
-   domain's caches, draws the corrupt set, builds the cell's one network
+   domain's [Wots.verify] memo, draws the corrupt set, builds the cell's one network
    ([sinks] subscribe to it, [cfg] sets its executor knobs, [condition] is
    attached to it), builds the setup unless the caller shares one, and
    runs the protocol on that network. *)
 let run_cell ?setup ?sinks ?cfg ?condition ?adversary ?(draw = Uniform)
     ~protocol ~n ~beta ~seed () : outcome =
-  cold_caches ();
+  Repro_crypto.Wots.clear_cache ();
   let rng = Rng.create seed in
   let corrupt =
     match draw with
@@ -816,12 +807,10 @@ let scale_json results =
 
    One cell with full observability on: counters, spans with Gc capture,
    pool utilization. Mutable observability state is reset up front so the
-   resulting report covers exactly this run; [run_with] starts it with
-   cold domain-local digest caches, so the cache counters/probes start cold
-   too (reruns then produce identical deterministic sections). Collection
-   is left enabled on
-   return: the caller reads the trace buffer and counter registry to build
-   the report. *)
+   resulting report covers exactly this run; [run_with] starts it with a
+   cold [Wots.verify] memo, so reruns produce identical deterministic
+   sections. Collection is left enabled on return: the caller reads the
+   trace buffer and counter registry to build the report. *)
 
 let run_profiled ~protocol ~n ~beta ~seed =
   Repro_obs.Counters.enable ();
@@ -846,7 +835,7 @@ let run_profiled ~protocol ~n ~beta ~seed =
   in
   (row, wall, gc)
 
-(* Regression gate over the deterministic half of two repro-profile/1
+(* Regression gate over the deterministic half of two repro-profile/2
    documents. Deterministic metrics are supposed to be *exact* across
    reruns, so the gate is symmetric: any relative drift past [threshold]
    (in either direction) is a regression — a drop in cache hits and a jump
@@ -891,11 +880,11 @@ let profile_compare ~prev ~cur ~threshold =
       | None -> Error (side ^ " report has no schema field: not comparable")
       | Some s ->
         Error
-          (Printf.sprintf "%s report schema \"%s\" (want repro-profile/1): not comparable"
+          (Printf.sprintf "%s report schema \"%s\" (want repro-profile/2): not comparable"
              side s)
     in
     match (schema pj, schema cj) with
-    | Some "repro-profile/1", Some "repro-profile/1" -> (
+    | Some "repro-profile/2", Some "repro-profile/2" -> (
       match (Json.member "deterministic" pj, Json.member "deterministic" cj) with
       | None, _ ->
         Error "previous report has no \"deterministic\" section: not comparable"
@@ -954,7 +943,7 @@ let profile_compare ~prev ~cur ~threshold =
           gate_assoc "span" (spans dp) (spans dc) regressions
         in
         Ok (List.rev regressions))
-    | (Some "repro-profile/1" | None), other when other <> Some "repro-profile/1"
+    | (Some "repro-profile/2" | None), other when other <> Some "repro-profile/2"
       ->
       bad "current" other
     | other, _ -> bad "previous" other)

@@ -50,12 +50,6 @@ val row_json : row -> Repro_util.Json.t
     fixed decimals ([beta] 3, byte statistics 1; see
     {!Repro_util.Json.fixed}); [tag_breakdown] is sorted by key. *)
 
-val cold_caches : unit -> unit
-(** Clear the calling domain's crypto caches ([Hashx] digests, [Wots]
-    verifications). Every cell starts from them: a warm cache skips work
-    that the deterministic [hashx.hash] counter counts, so a cell's
-    counters would depend on what its domain ran before. *)
-
 val corrupt_set : Repro_util.Rng.t -> n:int -> beta:float -> int list
 (** The uniform corrupt-set draw of a cell: [floor (beta * n)] distinct
     parties, the first draw of the cell's [Rng.create seed]. *)
@@ -316,15 +310,15 @@ val run_profiled :
   row * float * Repro_obs.Trace.gc_delta
 (** Run one cell with full observability on — counters, spans with Gc
     capture, pool utilization — after resetting all of it (and clearing the
-    domain-local digest caches, so cache counters start cold and reruns
-    produce identical deterministic sections). Returns the row, the wall
+    domain's [Wots.verify] memo, so reruns produce identical deterministic
+    sections). Returns the row, the wall
     time in seconds, and the whole-run Gc delta of the calling domain.
     Collection stays enabled on return: read {!Repro_obs.Profile} /
     {!Repro_obs.Counters} to build the report. *)
 
 val profile_compare :
   prev:string -> cur:string -> threshold:float -> (string list, string) result
-(** Regression gate over the deterministic halves of two [repro-profile/1]
+(** Regression gate over the deterministic halves of two [repro-profile/2]
     documents (raw file contents). [Ok []] = no regression; [Ok lines] =
     deterministic metrics (counters, histogram count/sum, span counts
     present in both) drifted past [threshold] relative change in either

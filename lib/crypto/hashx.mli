@@ -4,13 +4,9 @@
 val kappa_bytes : int
 
 val hash : tag:string -> bytes list -> bytes
-(** [hash ~tag parts] is a kappa-byte digest of the tagged concatenation.
-    Small inputs are memoized in a bounded domain-local cache (Merkle-node
-    and other small tagged digests repeat across committee members). *)
-
-val clear_cache : unit -> unit
-(** Drop this domain's digest cache (memory hygiene between experiments;
-    never needed for correctness). *)
+(** [hash ~tag parts] is a kappa-byte digest of the tagged concatenation,
+    SHA-256 of [len(tag) || tag || parts] truncated to kappa. Every call
+    hashes; nothing is memoized. *)
 
 val hash_string : tag:string -> string -> bytes
 
@@ -21,7 +17,7 @@ val walk_chains : from:bytes -> upto:bytes -> bytes -> unit
     (bytes read as integers, [from.[c] <= upto.[c] <= 15]); the step at
     depth [d] is
     [v <- hash ~tag:"wots-f" [Bytes.of_string (Printf.sprintf "%d.%d" c d); v]],
-    byte for byte, without its cache. Each step is one compression from a
+    byte for byte. Each step is one compression from a
     padded template block built once per (chain, depth), inside one C call
     ({!Sha256.walk_chains}), and counts as one [hash] call. Raises
     [Invalid_argument] on other sizes or depths. *)

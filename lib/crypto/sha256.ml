@@ -86,10 +86,11 @@ let iv =
 let init () =
   { h = Array.copy iv.m_h; block = Bytes.create 64; block_len = 0; total_len = 0 }
 
-(* Physical compression-function invocations. Not pool-size independent:
-   the digest caches above this module (Hashx, Wots) are domain-local, so
-   how many hashes reach the compression function depends on scheduling. *)
-let c_compress = Repro_obs.Counters.make ~deterministic:false "sha256.compress"
+(* Physical compression-function invocations. Exact like every counter:
+   the one cache above this module, the [Wots.verify] memo, starts empty at
+   every cell, so the hashes that reach the compression function are a
+   function of the logical work. *)
+let c_compress = Repro_obs.Counters.make "sha256.compress"
 
 let compress ctx b off =
   Repro_obs.Counters.bump c_compress;

@@ -87,8 +87,8 @@ let keygen_oblivious rng : verification_key =
 
 let c_sign = Repro_obs.Counters.make "wots.sign"
 let c_verify = Repro_obs.Counters.make "wots.verify"
-let c_hit = Repro_obs.Counters.make ~deterministic:false "wots.cache_hit"
-let c_miss = Repro_obs.Counters.make ~deterministic:false "wots.cache_miss"
+let c_hit = Repro_obs.Counters.make "wots.cache_hit"
+let c_miss = Repro_obs.Counters.make "wots.cache_miss"
 
 let sign sk msg_digest : signature =
   Repro_obs.Counters.bump c_sign;

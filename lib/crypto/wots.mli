@@ -27,7 +27,12 @@ val verify : verification_key -> bytes -> signature -> bool
 val verify_uncached : verification_key -> bytes -> signature -> bool
 
 val clear_cache : unit -> unit
-(** Drop the verification memo table (between independent runs). *)
+(** Drop the calling domain's verification memo table. Every cell, every
+    [games] trial, every [Balanced_ba.make_ctx] and the start of each
+    experiment that runs crypto outside a cell call it: a memo hit skips
+    the chain steps and the vk hash that [hashx.hash] and [sha256.compress]
+    count, so a warm memo would make a cell's counters depend on which
+    cells its domain ran first. *)
 
 val signature_size : int
 

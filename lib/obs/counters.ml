@@ -3,19 +3,15 @@
    Counters are plain [Atomic.t] cells behind one global enabled flag: a
    disabled bump is a single atomic load and branch, cheap enough to leave in
    every SHA-256 compression. Sums of atomic increments are order
-   independent, so totals accumulated from the domain pool are exact; whether
-   they are also *pool-size* independent is a property of the call sites
-   (recorded per counter in [deterministic]). *)
+   independent, so totals accumulated from the domain pool are exact. *)
 
 type t = {
   name : string;
-  deterministic : bool;
   v : int Atomic.t;
 }
 
 type histogram = {
   h_name : string;
-  h_deterministic : bool;
   h_count : int Atomic.t;
   h_sum : int Atomic.t;
   buckets : int Atomic.t array; (* bucket i: values in [2^i, 2^(i+1)) *)
@@ -36,13 +32,13 @@ let enable () = Atomic.set enabled true
 let disable () = Atomic.set enabled false
 let is_enabled () = Atomic.get enabled
 
-let make ?(deterministic = true) name =
+let make name =
   Mutex.lock reg_mutex;
   let c =
     match List.find_opt (fun c -> c.name = name) !registry with
     | Some c -> c
     | None ->
-      let c = { name; deterministic; v = Atomic.make 0 } in
+      let c = { name; v = Atomic.make 0 } in
       registry := c :: !registry;
       c
   in
@@ -53,7 +49,7 @@ let bump c = if Atomic.get enabled then Atomic.incr c.v
 let add c k = if Atomic.get enabled then ignore (Atomic.fetch_and_add c.v k)
 let value c = Atomic.get c.v
 
-let histogram ?(deterministic = true) name =
+let histogram name =
   Mutex.lock reg_mutex;
   let h =
     match List.find_opt (fun h -> h.h_name = name) !histograms with
@@ -62,7 +58,6 @@ let histogram ?(deterministic = true) name =
       let h =
         {
           h_name = name;
-          h_deterministic = deterministic;
           h_count = Atomic.make 0;
           h_sum = Atomic.make 0;
           buckets = Array.init num_buckets (fun _ -> Atomic.make 0);
@@ -94,14 +89,9 @@ let reset () =
       Array.iter (fun b -> Atomic.set b 0) h.buckets)
     !histograms
 
-let snapshot_of cs =
-  List.map (fun c -> (c.name, Atomic.get c.v)) cs
+let snapshot () =
+  List.map (fun c -> (c.name, Atomic.get c.v)) !registry
   |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-let snapshot () = snapshot_of !registry
-
-let deterministic_snapshot () =
-  snapshot_of (List.filter (fun c -> c.deterministic) !registry)
 
 let pp_table ppf snap =
   let width =
@@ -111,17 +101,12 @@ let pp_table ppf snap =
     (fun (name, v) -> Format.fprintf ppf "  %-*s %12d@." width name v)
     snap
 
-let histogram_snapshot_of hs =
+let histogram_snapshot () =
   List.map
     (fun h ->
       ( h.h_name,
         ( Atomic.get h.h_count,
           Atomic.get h.h_sum,
           Array.map Atomic.get h.buckets ) ))
-    hs
+    !histograms
   |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-let histogram_snapshot () = histogram_snapshot_of !histograms
-
-let deterministic_histogram_snapshot () =
-  histogram_snapshot_of (List.filter (fun h -> h.h_deterministic) !histograms)

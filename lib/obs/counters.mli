@@ -7,11 +7,11 @@
     [enable] (the [--counters] CLI flag, the bench harness) or by setting
     [REPRO_COUNTERS] in the environment.
 
-    Counters are [deterministic] when their value is a function of the
-    logical work only — identical for any [REPRO_DOMAINS] pool size.
-    Cache hit/miss counters and physical SHA-256 compression counts are
-    registered as non-deterministic: the digest caches are domain-local,
-    so their behavior depends on how work was scheduled across domains. *)
+    Every counter and histogram is exact: its value is a function of the
+    logical work only, identical for any [REPRO_DOMAINS] pool size and for
+    a rerun in one process. Instrumented code keeps it so: the one
+    domain-local cache that counted work depends on, the [Wots.verify]
+    memo, is cleared at the start of every cell. *)
 
 type t
 (** A registered counter. *)
@@ -22,9 +22,9 @@ val disable : unit -> unit
 val is_enabled : unit -> bool
 (** Initially true iff [REPRO_COUNTERS] is set in the environment. *)
 
-val make : ?deterministic:bool -> string -> t
-(** Register a counter (default [deterministic:true]). Registering the same
-    name twice returns the existing counter. *)
+val make : string -> t
+(** Register a counter. Registering the same name twice returns the
+    existing counter. *)
 
 val bump : t -> unit
 (** Increment by one when the registry is enabled; no-op otherwise. *)
@@ -41,10 +41,6 @@ val snapshot : unit -> (string * int) list
 (** All counters, sorted by name. Zero-valued counters are included, so the
     key set is stable across runs. *)
 
-val deterministic_snapshot : unit -> (string * int) list
-(** Only the counters whose values are pool-size independent — the subset
-    compared by the determinism test. *)
-
 val pp_table : Format.formatter -> (string * int) list -> unit
 (** Human-readable two-column rendering of a snapshot. *)
 
@@ -54,15 +50,11 @@ type histogram
 (** Power-of-two bucketed histogram: bucket [i] counts observed values [v]
     with [2^i <= v < 2^(i+1)] (bucket 0 also takes [v <= 1]). *)
 
-val histogram : ?deterministic:bool -> string -> histogram
-(** Register a histogram (default [deterministic:true], same contract as
-    counter determinism: distribution is a function of the logical work
-    only). Registering the same name twice returns the existing one. *)
+val histogram : string -> histogram
+(** Register a histogram. Registering the same name twice returns the
+    existing one. *)
 
 val observe : histogram -> int -> unit
 
 val histogram_snapshot : unit -> (string * (int * int * int array)) list
 (** Per histogram, sorted by name: (count, sum, buckets). *)
-
-val deterministic_histogram_snapshot : unit -> (string * (int * int * int array)) list
-(** Only the histograms whose distributions are pool-size independent. *)

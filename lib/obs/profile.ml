@@ -4,30 +4,26 @@
    into Trace buffers and Counters atomics as before; Profile aggregates
    those into a per-path profile tree, pulls point-in-time introspection
    values from registered probes, and renders/serialises the result with
-   deterministic fields (counts, cache hits, histograms, span shapes) kept
-   strictly apart from nondeterministic ones (wall time, allocated words). *)
+   deterministic fields (counters, histograms, span shapes) kept strictly
+   apart from nondeterministic ones (wall time, allocated words, probes). *)
 
 (* ---------- introspection probes ---------- *)
 
-type probe = {
-  pr_name : string;
-  pr_deterministic : bool;
-  pr_read : unit -> (string * int) list;
-}
+type probe = { pr_name : string; pr_read : unit -> (string * int) list }
 
 let probe_mutex = Mutex.create ()
 let probes : probe list ref = ref []
 
-let register_probe ~name ~deterministic read =
+let register_probe ~name read =
   Mutex.lock probe_mutex;
   probes :=
-    { pr_name = name; pr_deterministic = deterministic; pr_read = read }
+    { pr_name = name; pr_read = read }
     :: List.filter (fun p -> p.pr_name <> name) !probes;
   Mutex.unlock probe_mutex
 
-let read_probes ~deterministic () =
+let read_probes () =
   Mutex.lock probe_mutex;
-  let ps = List.filter (fun p -> p.pr_deterministic = deterministic) !probes in
+  let ps = !probes in
   Mutex.unlock probe_mutex;
   List.map
     (fun p ->
@@ -199,14 +195,13 @@ let span_json r =
   Json.(Obj [ "path", Str (path_string r.p_path); "count", int r.p_count ])
 
 let deterministic_json () =
-  let hists = Counters.deterministic_histogram_snapshot () in
+  let hists = Counters.histogram_snapshot () in
   Json.(
     Obj
       [
-        "counters", of_counts (Counters.deterministic_snapshot ());
+        "counters", of_counts (Counters.snapshot ());
         "histograms", Obj (List.map (fun (name, h) -> (name, histogram_json h)) hists);
         "spans", List (List.map span_json (rows ()));
-        "probes", probes_json (read_probes ~deterministic:true ());
       ])
 
 let hotspot_json r =
@@ -220,14 +215,6 @@ let hotspot_json r =
 
 let report_json ~protocol ~n ~beta ~seed ~wall_s ~domains ~(gc : Trace.gc_delta)
     ?(top = 10) () =
-  let det_names =
-    List.map fst (Counters.deterministic_snapshot ()) |> List.sort_uniq compare
-  in
-  let nondet_counters =
-    List.filter
-      (fun (name, _) -> not (List.mem name det_names))
-      (Counters.snapshot ())
-  in
   let rs = rows () in
   let hotspots l = Json.List (List.map hotspot_json l) in
   let gc =
@@ -244,15 +231,14 @@ let report_json ~protocol ~n ~beta ~seed ~wall_s ~domains ~(gc : Trace.gc_delta)
   Json.(
     Obj
       [
-        "schema", Str "repro-profile/1"; "protocol", Str protocol; "n", int n;
+        "schema", Str "repro-profile/2"; "protocol", Str protocol; "n", int n;
         "beta", Num beta; "seed", int seed;
         "deterministic", deterministic_json ();
         ( "nondeterministic",
           Obj
             [
               "wall_s", fixed 6 wall_s; "domains", int domains; "gc", gc;
-              "counters", of_counts nondet_counters;
-              "probes", probes_json (read_probes ~deterministic:false ());
+              "probes", probes_json (read_probes ());
               "hotspots_by_wall", hotspots (hotspots_by_wall ~top rs);
               "hotspots_by_alloc", hotspots (hotspots_by_alloc ~top rs);
             ] );

@@ -7,24 +7,20 @@
       Gc quickstat deltas — allocation attributed to the span that did it;
     - {b introspection probes}: named point-in-time readers registered by
       the instrumented layers (domain-pool utilization from
-      [Repro_util.Parallel], digest-cache occupancy from
-      [Repro_crypto.Hashx]), sampled when a report is built;
-    - a {b report}: ASCII hotspot tables and the [repro-profile/1] JSON
-      document, with deterministic fields (counts, cache hits, histograms,
-      span shapes — identical for any [REPRO_DOMAINS]) kept strictly apart
-      from nondeterministic ones (wall time, allocated words, domain-local
-      cache stats), so the deterministic half can gate regressions
-      byte-for-byte. *)
+      [Repro_util.Parallel]), sampled when a report is built;
+    - a {b report}: ASCII hotspot tables and the [repro-profile/2] JSON
+      document, with deterministic fields (counters, histograms, span
+      shapes — identical for any [REPRO_DOMAINS]) kept strictly apart from
+      nondeterministic ones (wall time, allocated words, probes), so the
+      deterministic half can gate regressions byte-for-byte. *)
 
 (** {1 Probes} *)
 
-val register_probe :
-  name:string -> deterministic:bool -> (unit -> (string * int) list) -> unit
+val register_probe : name:string -> (unit -> (string * int) list) -> unit
 (** Register (or replace, by name) an introspection probe. The reader is
     called when a report is built; a raising reader yields an empty list.
-    [deterministic] follows the {!Counters.make} contract: true only when
-    every reported value is a function of the logical work, independent of
-    the domain-pool size. *)
+    Probes read physical state (how the pool ran), so reports keep them in
+    the nondeterministic section. *)
 
 (** {1 Profile tree} *)
 
@@ -59,8 +55,8 @@ val render_hotspots : ?top:int -> unit -> string
 (** {1 Reports} *)
 
 val deterministic_json : unit -> Json.t
-(** The deterministic half only — counters, histograms, span shape, and
-    deterministic probes — as one JSON object. Its {!Json.compact} bytes
+(** The deterministic half only — counters, histograms and span shape —
+    as one JSON object. Its {!Json.compact} bytes
     are identical across reruns and [REPRO_DOMAINS] settings for the same
     logical run; the determinism tests compare those strings directly. *)
 
@@ -75,7 +71,7 @@ val report_json :
   ?top:int ->
   unit ->
   Json.t
-(** The full [repro-profile/1] document: run identity, the
+(** The full [repro-profile/2] document: run identity, the
     {!deterministic_json} object under ["deterministic"], and wall time,
-    whole-run Gc totals, nondeterministic counters/probes and hotspot
-    lists under ["nondeterministic"]. *)
+    whole-run Gc totals, probes and hotspot lists under
+    ["nondeterministic"]. *)

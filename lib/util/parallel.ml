@@ -261,10 +261,10 @@ let init ?chunk n f =
 
 let map_list ?chunk f l = Array.to_list (map ?chunk f (Array.of_list l))
 
-(* Busy time per slot depends on how chunks landed on domains, so the probe
-   is nondeterministic by contract. *)
+(* Busy time per slot depends on how chunks landed on domains, so the
+   report keeps the probe in its nondeterministic section. *)
 let () =
-  Repro_obs.Profile.register_probe ~name:"pool" ~deterministic:false (fun () ->
+  Repro_obs.Profile.register_probe ~name:"pool" (fun () ->
       let u = utilization () in
       ("domains", domains ())
       :: ("slots", Array.length u)

@@ -446,7 +446,7 @@ let test_coin_tampered_reveal_rejected () =
   done
 
 (* The reveal memo is scoped to one run: two runs in one process count the
-   same deterministic operations as each run alone. *)
+   same operations as each run alone. *)
 let test_coin_counters_run_scoped () =
   let module C = Repro_obs.Counters in
   let was = C.is_enabled () in
@@ -454,7 +454,7 @@ let test_coin_counters_run_scoped () =
   let counted f =
     C.reset ();
     f ();
-    C.deterministic_snapshot ()
+    C.snapshot ()
   in
   let run seed () = ignore (run_coin ~n:7 ~corrupt:[] ~adversary:None ~seed) in
   let a = counted (run 21) in

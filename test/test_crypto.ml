@@ -225,7 +225,7 @@ let kernels =
    shares read: each physical compression must count exactly once, whether
    it ran from OCaml glue or inside one C call. *)
 let test_compress_counter () =
-  let c = Repro_obs.Counters.make ~deterministic:false "sha256.compress" in
+  let c = Repro_obs.Counters.make "sha256.compress" in
   let was_on = Repro_obs.Counters.is_enabled () in
   Repro_obs.Counters.enable ();
   let delta f =
@@ -454,7 +454,7 @@ let test_hmac_tails () =
 let test_wots_counts () =
   let module C = Repro_obs.Counters in
   let hashes = C.make "hashx.hash"
-  and compressions = C.make ~deterministic:false "sha256.compress" in
+  and compressions = C.make "sha256.compress" in
   let was_on = C.is_enabled () in
   C.enable ();
   let delta f =
@@ -499,7 +499,7 @@ let templates_of_count =
       (n, Sha256.chain_templates (Array.init n (fun c -> Array.init 15 (prefix c)))))
     walk_counts
 
-let compressions = Repro_obs.Counters.make ~deterministic:false "sha256.compress"
+let compressions = Repro_obs.Counters.make "sha256.compress"
 
 (* The value of [f ()] and the compressions it counted. *)
 let counted f =

@@ -69,10 +69,9 @@ let test_scale_needs_a_baseline () =
   Alcotest.(check int) "the only failure with dolev-strong" 1
     (List.length o.Experiment.failures)
 
-(* An experiment's deterministic counters are a function of its
-   parameters alone: run twice in one process, each of these reads the
-   same, however warm the previous run left the domain-local crypto
-   caches. Two domains, so the games trials land on a pool worker; the
+(* An experiment's counters are a function of its parameters alone: run
+   twice in one process, each of these reads the same, however warm the
+   previous run left the domain-local [Wots.verify] memo. Two domains, so the games trials land on a pool worker; the
    pool is reset afterwards, so no worker outlives the test. *)
 let test_counters_independent_of_history () =
   let module Counters = Repro_obs.Counters in
@@ -83,7 +82,7 @@ let test_counters_independent_of_history () =
   let snapshot run =
     Counters.reset ();
     ignore (run () : Experiment.outcome);
-    Counters.deterministic_snapshot ()
+    Counters.snapshot ()
   in
   List.iter
     (fun (name, run) ->

@@ -246,10 +246,10 @@ let test_snapshot_shape () =
     (List.exists (fun (_, v) -> v = 0) snap);
   Alcotest.(check bool) "snapshot json well-formed" true
     (json_well_formed (Json.compact (Json.of_counts snap)));
-  (* the deterministic subset excludes the cache/physical-work counters *)
-  let det = List.map fst (Counters.deterministic_snapshot ()) in
-  Alcotest.(check bool) "cache counters excluded" false
-    (List.mem "sha256.compress" det || List.mem "hashx.cache_hit" det);
+  (* one kind of counter: physical compressions and memo hits are in the
+     snapshot like every other counter *)
+  Alcotest.(check bool) "compress and memo counters included" true
+    (List.mem_assoc "sha256.compress" snap && List.mem_assoc "wots.cache_hit" snap);
   Counters.reset ();
   if not was then Counters.disable ()
 
@@ -270,18 +270,18 @@ let test_histogram () =
   Counters.reset ();
   if not was then Counters.disable ()
 
-(* A cell's deterministic counters are a function of the cell alone, not
-   of what its domain ran before: every Runner cell starts from cold
-   crypto caches. A warm [Wots.verify] memo would skip the counted
-   [hashx.hash] of a signature already verified by an earlier cell (the
-   Dolev–Strong cells share their signers' keys across n). *)
+(* A cell's counters are a function of the cell alone, not of what its
+   domain ran before: every Runner cell starts from a cold [Wots.verify]
+   memo. A warm memo would skip the counted [hashx.hash] and
+   [sha256.compress] of a signature already verified by an earlier cell
+   (the Dolev–Strong cells share their signers' keys across n). *)
 let test_cell_counters_history_free () =
   let was = Counters.is_enabled () in
   Counters.enable ();
   let counted n =
     Counters.reset ();
     ignore (Runner.run_with ~protocol:Runner.Dolev_strong ~n ~beta:0.1 ~seed:1 ());
-    List.filter (fun (_, v) -> v <> 0) (Counters.deterministic_snapshot ())
+    List.filter (fun (_, v) -> v <> 0) (Counters.snapshot ())
   in
   let first = counted 24 in
   ignore (counted 32);
@@ -388,10 +388,10 @@ let test_chrome_json () =
 
 (* --- determinism across pool sizes ---------------------------------------
 
-   The acceptance contract: every counter registered as deterministic is a
-   function of the logical work only, identical for any REPRO_DOMAINS. We
-   run the same SRDS keygen fan-out on a 1-domain and a 4-domain pool and
-   compare the deterministic snapshots byte for byte. *)
+   The acceptance contract: every counter is a function of the logical
+   work only, identical for any REPRO_DOMAINS. We run the same SRDS keygen
+   fan-out on a 1-domain and a 4-domain pool and compare the full
+   snapshots, [sha256.compress] included, byte for byte. *)
 let test_counters_pool_independent () =
   let was_enabled = Counters.is_enabled () in
   let saved = Parallel.domains () in
@@ -405,14 +405,14 @@ let test_counters_pool_independent () =
     let pairs = B.keygen_all pp master rng ~count:48 in
     let sks = Array.map snd pairs in
     ignore (B.sign_all pp sks ~msg:(Bytes.of_string "det"));
-    Json.compact (Json.of_counts (Counters.deterministic_snapshot ()))
+    Json.compact (Json.of_counts (Counters.snapshot ()))
   in
   let one = run_with 1 in
   let four = run_with 4 in
   Parallel.set_domains saved;
   Counters.reset ();
   if not was_enabled then Counters.disable ();
-  Alcotest.(check string) "deterministic counters pool-independent" one four;
+  Alcotest.(check string) "counters pool-independent" one four;
   Alcotest.(check bool) "something was counted" true (one <> "{}")
 
 (* --- end-to-end: a full BA run emits the expected span tree --- *)
@@ -854,7 +854,7 @@ let test_breakdown_conserves_total () =
 (* --- profiler --------------------------------------------------------------
 
    The self-profiling layer (Profile): per-span GC deltas, the deterministic
-   profile tree, the repro-profile/1 report and its regression gate. *)
+   profile tree, the repro-profile/2 report and its regression gate. *)
 
 module Profile = Repro_obs.Profile
 
@@ -963,7 +963,7 @@ let test_profile_report_json () =
   | Error e -> Alcotest.fail ("report: " ^ e)
   | Ok v ->
     Alcotest.(check string) "report is a writer fixed point" json (Json.pretty v);
-    Alcotest.(check (option string)) "schema" (Some "repro-profile/1")
+    Alcotest.(check (option string)) "schema" (Some "repro-profile/2")
       (Option.bind (Json.member "schema" v) Json.to_string);
     let det = Json.member "deterministic" v in
     let nondet = Json.member "nondeterministic" v in
@@ -999,7 +999,9 @@ let test_profile_report_json () =
    again when every caller moved onto the one active-set stepper: the
    histograms are now observed on every network round (owf
    [net.active_set] count 10 -> 131, sum 398 -> 4289), and each round is
-   one [net.round] span, no longer nested under [net.sparse_round]. *)
+   one [net.round] span, no longer nested under [net.sparse_round].
+   [sha256.compress] and [wots.cache_hit]/[cache_miss] joined the pin when
+   every counter became exact; no earlier value moved with them. *)
 let pinned_sync_histograms msg_bytes =
   [ ("engine.inbox_depth", [ 2835; 54187; 485; 314; 17; 362; 1001; 656 ]);
     ("net.active_set", [ 131; 4289; 0; 0; 0; 0; 95; 4; 32 ]);
@@ -1015,9 +1017,10 @@ let pinned_cells =
       [ ("aecomm.enc_hit", 320); ("aecomm.enc_miss", 90);
         ("encode.memo_hit", 5059); ("encode.memo_miss", 104);
         ("engine.msgs", 54187); ("hashx.hash", 37799);
-        ("srds-owf.aggregate", 14); ("srds-owf.keygen", 198);
-        ("srds-owf.sign", 180); ("srds-owf.verify", 1); ("wots.sign", 30);
-        ("wots.verify", 210) ],
+        ("sha256.compress", 63557); ("srds-owf.aggregate", 14);
+        ("srds-owf.keygen", 198); ("srds-owf.sign", 180);
+        ("srds-owf.verify", 1); ("wots.cache_hit", 180);
+        ("wots.cache_miss", 30); ("wots.sign", 30); ("wots.verify", 210) ],
       pinned_sync_histograms
         [ 74604; 124880893; 48640; 0; 289; 0; 12238; 972; 0; 0; 0; 1466; 2127;
           1968; 525; 560; 5819 ] );
@@ -1025,9 +1028,11 @@ let pinned_cells =
       [ ("aecomm.enc_hit", 320); ("aecomm.enc_miss", 90);
         ("encode.memo_hit", 7621); ("encode.memo_miss", 256);
         ("engine.msgs", 54187); ("hashx.hash", 205955); ("pcd.prove", 194);
-        ("pcd.verify", 221); ("snark.prove", 194); ("snark.verify", 221);
+        ("pcd.verify", 221); ("sha256.compress", 248677);
+        ("snark.prove", 194); ("snark.verify", 221);
         ("srds-snark.aggregate", 14); ("srds-snark.keygen", 198);
         ("srds-snark.sign", 180); ("srds-snark.verify", 1);
+        ("wots.cache_hit", 180); ("wots.cache_miss", 180);
         ("wots.sign", 180); ("wots.verify", 360) ],
       pinned_sync_histograms
         [ 77629; 3979999; 48160; 0; 289; 0; 12238; 7856; 5530; 0; 0; 2978;
@@ -1041,12 +1046,12 @@ let test_profile_counters_pinned () =
       let _row, _wall, _gc =
         Runner.run_profiled ~protocol ~n:64 ~beta:0.1 ~seed:1
       in
-      let counters = Counters.deterministic_snapshot () in
-      let hists = Counters.deterministic_histogram_snapshot () in
+      let counters = Counters.snapshot () in
+      let hists = Counters.histogram_snapshot () in
       let json = Json.compact (Profile.deterministic_json ()) in
       profiling_off ();
       Alcotest.(check (list (pair string int)))
-        (name ^ " nonzero deterministic counters")
+        (name ^ " nonzero counters")
         recorded
         (List.filter (fun (_, v) -> v <> 0) counters);
       (* count, sum, then the buckets up to the last nonzero one *)
@@ -1056,7 +1061,7 @@ let test_profile_counters_pinned () =
         count :: sum :: Array.to_list (Array.sub buckets 0 (!last + 1))
       in
       Alcotest.(check (list (pair string (list int))))
-        (name ^ " nonempty deterministic histograms")
+        (name ^ " nonempty histograms")
         histograms
         (List.filter_map
            (fun (k, ((count, _, _) as h)) ->
@@ -1069,7 +1074,8 @@ let test_profile_counters_pinned () =
         go 0
       in
       let from = find "\"spans\":" + String.length "\"spans\":" in
-      let spans_json = String.sub json from (find ",\"probes\":" - from) in
+      (* the spans are the section's last field: drop the closing brace *)
+      let spans_json = String.sub json from (String.length json - 1 - from) in
       Alcotest.(check string) (name ^ " span tree") pinned_spans_digest
         (Repro_crypto.Sha256.hex (Repro_crypto.Sha256.digest_string spans_json)))
     pinned_cells
@@ -1077,7 +1083,7 @@ let test_profile_counters_pinned () =
 let test_profile_compare () =
   let doc counters spans =
     Printf.sprintf
-      "{\"schema\":\"repro-profile/1\",\"deterministic\":{\"counters\":%s,\"histograms\":{\"h\":{\"count\":2,\"sum\":5,\"buckets\":[2]}},\"spans\":%s,\"probes\":{}}}"
+      "{\"schema\":\"repro-profile/2\",\"deterministic\":{\"counters\":%s,\"histograms\":{\"h\":{\"count\":2,\"sum\":5,\"buckets\":[2]}},\"spans\":%s}}"
       counters spans
   in
   let base = doc "{\"a\": 10}" "[{\"path\":\"x>y\",\"count\":3}]" in

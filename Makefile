@@ -1,6 +1,7 @@
 .PHONY: build test bench bench-smoke bench-compare audit attack trace \
   scale scale-smoke profile profile-smoke forensics-smoke async-smoke \
-  conditions-smoke cli-smoke examples-smoke list-world check clean
+  conditions-smoke cli-smoke examples-smoke list-world build-flags \
+  hashtbl-order check clean
 
 BA_SIM = ./_build/default/bin/ba_sim.exe
 
@@ -200,10 +201,48 @@ list-world:
 	fi
 	@echo "list-world: no list handlers in lib/"
 
+# The build settings: ./dune-workspace selects the release profile, so
+# library modules are compiled without -opaque (the dev profile's flag,
+# which forbids cross-module inlining on the per-message path), and ./dune
+# keeps the dev profile's warnings as errors in every profile.
+NETWORK_CMX = _build/default/lib/net/.repro_net.objs/native/repro_net__Network.cmx
+WARN_SPEC = (flags(-w@1..3@5..28@30..39@43@46..47@49..57@61..62-40-strict-sequence-strict-formats-short-paths-keep-locs
+build-flags:
+	@rule=$$(dune rules $(NETWORK_CMX)); \
+	if ! printf '%s' "$$rule" | grep -q ocamlopt; then \
+	  echo "build-flags: no ocamlopt rule for $(NETWORK_CMX)"; exit 1; \
+	fi; \
+	if printf '%s' "$$rule" | grep -q -- '-opaque'; then \
+	  echo "build-flags: $(NETWORK_CMX) is compiled with -opaque"; exit 1; \
+	fi
+	@if ! dune printenv lib/net | tr -d ' \n' | grep -qF -- '$(WARN_SPEC)'; then \
+	  echo "build-flags: lib/net is not built with the warnings-as-errors spec"; exit 1; \
+	fi
+	@echo "build-flags: no -opaque, warnings are errors"
+
+# Transcripts must not follow Hashtbl layout (ROADMAP item 12), so lib/
+# may gain no Hashtbl.iter/fold/to_seq* site. The allow-list holds
+# today's sites as file:count pairs, and the found sites must match it
+# exactly: a change that removes a site lowers its count here, so the
+# list only shrinks.
+HASHTBL_ORDER_SITES = lib/aetree/attacks.ml:2 lib/aetree/election.ml:1 \
+  lib/consensus/dolev_strong.ml:1 lib/core/balanced_ba.ml:3 \
+  lib/net/engine.ml:1 lib/net/metrics.ml:1 lib/obs/profile.ml:1 \
+  lib/obs/recorder.ml:2
+hashtbl-order:
+	@found=$$(grep -rEo --include='*.ml' 'Hashtbl\.(iter|fold|to_seq[a-z_]*)\b' lib \
+	  | cut -d: -f1 | sort | uniq -c | awk '{print $$2 ":" $$1}'); \
+	allowed=$$(printf '%s\n' $(HASHTBL_ORDER_SITES) | sort); \
+	if [ "$$found" != "$$allowed" ]; then \
+	  echo "hashtbl-order: Hashtbl.iter/fold/to_seq sites in lib/ differ from the allow-list"; \
+	  echo "found:"; echo "$$found"; echo "allowed:"; echo "$$allowed"; exit 1; \
+	fi
+	@echo "hashtbl-order: $(words $(HASHTBL_ORDER_SITES)) files, no new Hashtbl iteration site"
+
 # Umbrella gate: build, unit tests, bench JSON smoke, complexity audit,
 # attack matrix, scale sweep smoke, profile smoke, forensics smoke,
 # async/conformance smoke, conditions smoke, CLI smoke, the examples, the
-# list-world check —
+# list-world, build-flags and hashtbl-order checks —
 # everything a PR must keep green, with a wall-clock guard so a performance
 # regression in any harness fails the target rather than silently eating
 # CI minutes.
@@ -215,7 +254,7 @@ check: build
 	status0=$$(git status --porcelain 2>/dev/null); \
 	$(MAKE) test bench-smoke audit attack scale-smoke profile-smoke \
 	  forensics-smoke async-smoke conditions-smoke cli-smoke examples-smoke \
-	  list-world || exit 1; \
+	  list-world build-flags hashtbl-order || exit 1; \
 	if [ "$$(git status --porcelain 2>/dev/null)" != "$$status0" ]; then \
 	  echo "check: the gates changed the working tree:"; git status --short; \
 	  exit 1; \

@@ -6,13 +6,19 @@
    count. Reports are normally restricted to honest parties: the adversary
    can always inflate its own parties' numbers. *)
 
-(* The per-message hot path is flat: per-party counters are int arrays,
-   and a party's peer set is one row of ceil(n/8) bytes, one bit per
-   peer, with its cardinality kept in an int array. Adding a peer is one
-   byte test and set, with no allocation (a persistent set would
-   allocate a rebalanced spine per insert — measurably the top cost at n
-   in the thousands). A row is allocated at its party's first charge, so
-   silent parties cost nothing. *)
+(* The hot path is flat: per-party counters are int arrays, and a
+   party's peer set is one row of ceil(n/8) bytes, one bit per peer, with
+   its cardinality kept in an int array. Adding a peer is one byte test
+   and set, with no allocation (a persistent set would allocate a
+   rebalanced spine per insert — measurably the top cost at n in the
+   thousands). A row is allocated at its party's first charge, so silent
+   parties cost nothing.
+
+   Almost all traffic is fan-outs into polylog committees, read from
+   inboxes of tens of messages, so the network charges a fan-out once
+   ({!note_send_many}) and an inbox once ({!note_inbox}): the counters,
+   the tag cell and the party's row are touched once per call, and only
+   the peer bits once per destination or sender. *)
 module Event = Repro_obs.Event
 
 (* The charges since the last round close, kept only for a network with
@@ -44,18 +50,19 @@ type t = {
   mutable last_cell : int ref; (* ... and its group's cell *)
 }
 
-(* Add [peer] to party [p]'s row in [rows] (allocated here at [p]'s
-   first charge; [Bytes.empty] before), counting it in [counts] if new. *)
-let add_peer ~row_len rows counts p peer =
-  let row =
-    let r = rows.(p) in
-    if Bytes.length r > 0 then r
-    else begin
-      let r = Bytes.make row_len '\000' in
-      rows.(p) <- r;
-      r
-    end
-  in
+(* Party [p]'s row in [rows], allocated here at its first charge
+   ([Bytes.empty] before). *)
+let row_of ~row_len rows p =
+  let r = rows.(p) in
+  if Bytes.length r > 0 then r
+  else begin
+    let r = Bytes.make row_len '\000' in
+    rows.(p) <- r;
+    r
+  end
+
+(* Add [peer] to [row], party [p]'s, counting it in [counts] if new. *)
+let set_peer row counts p peer =
   let i = peer lsr 3 and bit = 1 lsl (peer land 7) in
   let byte = Char.code (Bytes.get row i) in
   if byte land bit = 0 then begin
@@ -63,13 +70,14 @@ let add_peer ~row_len rows counts p peer =
     counts.(p) <- counts.(p) + 1
   end
 
-let charge_round ~row_len r p peer size =
+(* Party [p]'s round row, touching [p] at its first charge of the round,
+   when its round peer count is still 0. *)
+let round_row ~row_len r p =
   if r.r_peers.(p) = 0 then begin
     r.r_touched.(r.r_ntouched) <- p;
     r.r_ntouched <- r.r_ntouched + 1
   end;
-  r.r_bytes.(p) <- r.r_bytes.(p) + size;
-  add_peer ~row_len r.r_rows r.r_peers p peer
+  row_of ~row_len r.r_rows p
 
 let create ~per_round n =
   let rnd =
@@ -115,51 +123,90 @@ let tag_group tag =
       head ^ "/" ^ strip_digits rest
     else strip_digits head
 
+(* The byte cell of [tag]'s group. One lookup per call: each tag maps
+   straight to its group's cell, and engine sends reuse interned tags, so
+   a run of sends with the physically same tag skips even that. A group
+   is registered in [by_group] at the first send of its first tag, the
+   insertion order [tag_breakdown]'s fold sees. *)
+let cell_of t tag =
+  if tag == t.last_tag then t.last_cell
+  else begin
+    let cell =
+      match Hashtbl.find t.cell_of_tag tag with
+      | c -> c
+      | exception Not_found ->
+        let g = tag_group tag in
+        let c =
+          match Hashtbl.find t.by_group g with
+          | c -> c
+          | exception Not_found ->
+            let c = ref 0 in
+            Hashtbl.add t.by_group g c;
+            c
+        in
+        Hashtbl.add t.cell_of_tag tag c;
+        c
+    in
+    t.last_tag <- tag;
+    t.last_cell <- cell;
+    cell
+  end
+
+let note_send_many t ~src ~dsts ~tag ~size =
+  let nd = Array.length dsts in
+  if nd > 0 then begin
+    let bytes = nd * size and row_len = t.row_len in
+    t.bytes_sent.(src) <- t.bytes_sent.(src) + bytes;
+    t.msgs_sent.(src) <- t.msgs_sent.(src) + nd;
+    let row = row_of ~row_len t.rows src in
+    for j = 0 to nd - 1 do
+      set_peer row t.peers src (Array.unsafe_get dsts j)
+    done;
+    (match t.rnd with
+    | None -> ()
+    | Some r ->
+      r.r_sent <- r.r_sent + bytes;
+      let row = round_row ~row_len r src in
+      r.r_bytes.(src) <- r.r_bytes.(src) + bytes;
+      for j = 0 to nd - 1 do
+        set_peer row r.r_peers src (Array.unsafe_get dsts j)
+      done);
+    let cell = cell_of t tag in
+    cell := !cell + bytes
+  end
+
 let note_send t ~src ~dst ~tag ~size =
+  let row_len = t.row_len in
   t.bytes_sent.(src) <- t.bytes_sent.(src) + size;
   t.msgs_sent.(src) <- t.msgs_sent.(src) + 1;
-  add_peer ~row_len:t.row_len t.rows t.peers src dst;
+  set_peer (row_of ~row_len t.rows src) t.peers src dst;
   (match t.rnd with
   | None -> ()
   | Some r ->
     r.r_sent <- r.r_sent + size;
-    charge_round ~row_len:t.row_len r src dst size);
-  (* One lookup per send: each tag maps straight to its group's byte cell,
-     and engine sends reuse interned tags, so a run of sends with the
-     physically same tag skips even that. A group is registered in
-     [by_group] at the first send of its first tag, the insertion order
-     [tag_breakdown]'s fold sees. *)
-  let cell =
-    if tag == t.last_tag then t.last_cell
-    else begin
-      let cell =
-        match Hashtbl.find t.cell_of_tag tag with
-        | c -> c
-        | exception Not_found ->
-          let g = tag_group tag in
-          let c =
-            match Hashtbl.find t.by_group g with
-            | c -> c
-            | exception Not_found ->
-              let c = ref 0 in
-              Hashtbl.add t.by_group g c;
-              c
-          in
-          Hashtbl.add t.cell_of_tag tag c;
-          c
-      in
-      t.last_tag <- tag;
-      t.last_cell <- cell;
-      cell
-    end
-  in
+    r.r_bytes.(src) <- r.r_bytes.(src) + size;
+    set_peer (round_row ~row_len r src) r.r_peers src dst);
+  let cell = cell_of t tag in
   cell := !cell + size
 
-let note_recv t ~src ~dst ~size =
-  t.bytes_recv.(dst) <- t.bytes_recv.(dst) + size;
-  t.msgs_recv.(dst) <- t.msgs_recv.(dst) + 1;
-  add_peer ~row_len:t.row_len t.rows t.peers dst src;
-  match t.rnd with None -> () | Some r -> charge_round ~row_len:t.row_len r dst src size
+let note_inbox t ~dst ~srcs ~off ~len ~bytes =
+  if len > 0 then begin
+    let row_len = t.row_len in
+    t.bytes_recv.(dst) <- t.bytes_recv.(dst) + bytes;
+    t.msgs_recv.(dst) <- t.msgs_recv.(dst) + len;
+    let row = row_of ~row_len t.rows dst in
+    for k = off to off + len - 1 do
+      set_peer row t.peers dst srcs.(k)
+    done;
+    match t.rnd with
+    | None -> ()
+    | Some r ->
+      let row = round_row ~row_len r dst in
+      r.r_bytes.(dst) <- r.r_bytes.(dst) + bytes;
+      for k = off to off + len - 1 do
+        set_peer row r.r_peers dst srcs.(k)
+      done
+  end
 
 let note_round t = t.rounds <- t.rounds + 1
 

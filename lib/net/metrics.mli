@@ -2,7 +2,12 @@
     bound (bits per party, locality, rounds). This is the one place a
     message's bits are charged: reports, the per-round summaries observers
     receive in [Round_end] (see {!Repro_obs.Event}) and through them the
-    auditor all read these counts. *)
+    auditor all read these counts.
+
+    The network charges a fan-out once ({!note_send_many}) and each
+    round's inbox once ({!note_inbox}); the totals are exactly those of
+    one charge per message, and so are the per-round summaries, whose
+    parties are sorted at {!close_round}. *)
 
 type t
 
@@ -14,8 +19,17 @@ val create : per_round:bool -> int -> t
 val note_send : t -> src:int -> dst:int -> tag:string -> size:int -> unit
 (** Charge one accepted send of [size] bytes ({!Wire.size}) to [src]. *)
 
-val note_recv : t -> src:int -> dst:int -> size:int -> unit
-(** Charge one delivery of [size] bytes to [dst]. *)
+val note_send_many : t -> src:int -> dsts:int array -> tag:string -> size:int -> unit
+(** Charge a fan-out at once: exactly what {!note_send} to each of [dsts]
+    in turn would charge (duplicates included), with the counters, the
+    tag's cell and [src]'s peer row touched once. An empty [dsts] charges
+    nothing and registers no tag. *)
+
+val note_inbox : t -> dst:int -> srcs:int array -> off:int -> len:int -> bytes:int -> unit
+(** Charge one inbox at once: the [len] deliveries to [dst] whose
+    sources are [srcs.(off) .. srcs.(off + len - 1)] and whose sizes sum
+    to [bytes]. Deliveries are charged when they are made, so mail parked
+    or held at the end of a run is never charged as received. *)
 
 val note_round : t -> unit
 val rounds : t -> int

@@ -64,7 +64,8 @@
 
    Protocols are per-party step functions closing over their own state;
    corrupt parties have no handler and their behaviour lives entirely in
-   the adversary. Every send and delivery is charged once, to {!Metrics};
+   the adversary. Every send and delivery is charged to {!Metrics}, a
+   fan-out in one call and each round's inbox in one call;
    everything else that watches a run (auditor, flight recorder,
    transcript taps) subscribes to the {!Repro_obs.Event} stream emitted
    here, whose [Round_end] carries the round's charges from {!Metrics}. *)
@@ -351,9 +352,9 @@ let send t ~src:s ~dst ~tag payload =
   Repro_obs.Counters.observe h_msg_bytes (Bytes.length payload);
   ignore (stage t ~src:s ~dst ~tag payload ~size : int)
 
-(* One body for the whole fan-out, and the checks and size once; each
-   destination then costs what one [send] adds per message: its event,
-   its charge and three int stores. *)
+(* One body for the whole fan-out, and the checks, the size, the charge
+   and the histogram once; each destination then costs its event, when
+   observed, and three int stores. *)
 let send_many t ~src:s ~dsts ~tag payload =
   let nd = Array.length dsts in
   if nd > 0 then begin
@@ -372,17 +373,19 @@ let send_many t ~src:s ~dsts ~tag payload =
       t.st_dst <- grown_to t.st_dst (k0 + nd) 0;
       t.st_body <- grown_to t.st_body (k0 + nd) 0
     end;
-    let vt = if observed t && not t.lockstep then Some t.vt else None in
-    let len = Bytes.length payload in
+    if observed t then begin
+      let vt = if t.lockstep then None else Some t.vt in
+      for j = 0 to nd - 1 do
+        let dst = Array.unsafe_get dsts j in
+        emit t (Event.Send { round = t.round; vt; src = s; dst; tag; payload; bits = 8 * size })
+      done
+    end;
+    Metrics.note_send_many t.metrics ~src:s ~dsts ~tag ~size;
+    Repro_obs.Counters.observe_n h_msg_bytes (Bytes.length payload) nd;
     let st_src = t.st_src and st_dst = t.st_dst and st_body = t.st_body in
     for j = 0 to nd - 1 do
-      let dst = Array.unsafe_get dsts j in
-      if observed t then
-        emit t (Event.Send { round = t.round; vt; src = s; dst; tag; payload; bits = 8 * size });
-      Metrics.note_send t.metrics ~src:s ~dst ~tag ~size;
-      Repro_obs.Counters.observe h_msg_bytes len;
       st_src.(k0 + j) <- s;
-      st_dst.(k0 + j) <- dst;
+      st_dst.(k0 + j) <- Array.unsafe_get dsts j;
       st_body.(k0 + j) <- body
     done;
     t.st_n <- k0 + nd
@@ -426,9 +429,9 @@ let point_sent t =
    the other n - polylog(n) parties. [dl_order.(0 .. nd - 1)] names the
    round's deliveries (staging slots) in delivery order; a counting sort
    by destination lays each party's inbox out as one slice, keeping that
-   order within it. Each delivery is charged to [Metrics] as it is
-   placed. The staged bodies then back the inboxes, and the previous
-   inboxes' table, cleared, takes the next round's sends. *)
+   order within it. Each inbox is then charged to [Metrics] once. The
+   staged bodies then back the inboxes, and the previous inboxes' table,
+   cleared, takes the next round's sends. *)
 let distribute t nd =
   clear_inboxes t;
   let order = t.dl_order and len = t.dl_len and dirty = t.dirty in
@@ -459,12 +462,20 @@ let distribute t nd =
   let size = t.st_bodies.b_size in
   for k = nd - 1 downto 0 do
     let i = order.(k) in
-    let src = st_src.(i) and dst = st_dst.(i) and body = st_body.(i) in
-    Metrics.note_recv t.metrics ~src ~dst ~size:size.(body);
+    let dst = st_dst.(i) in
     let p = start.(dst) - 1 in
     start.(dst) <- p;
-    dl_src.(p) <- src;
-    dl_body.(p) <- body
+    dl_src.(p) <- st_src.(i);
+    dl_body.(p) <- st_body.(i)
+  done;
+  for j = 0 to t.ndirty - 1 do
+    let d = dirty.(j) in
+    let off = start.(d) and l = len.(d) in
+    let bytes = ref 0 in
+    for p = off to off + l - 1 do
+      bytes := !bytes + size.(dl_body.(p))
+    done;
+    Metrics.note_inbox t.metrics ~dst:d ~srcs:dl_src ~off ~len:l ~bytes:!bytes
   done;
   t.dl_n <- nd;
   let cleared = t.dl_bodies in

@@ -80,6 +80,13 @@ let observe h v =
     Atomic.incr h.buckets.(bucket_of v)
   end
 
+let observe_n h v k =
+  if k > 0 && Atomic.get enabled then begin
+    ignore (Atomic.fetch_and_add h.h_count k);
+    ignore (Atomic.fetch_and_add h.h_sum (k * v));
+    ignore (Atomic.fetch_and_add h.buckets.(bucket_of v) k)
+  end
+
 let reset () =
   List.iter (fun c -> Atomic.set c.v 0) !registry;
   List.iter

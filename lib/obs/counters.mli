@@ -56,5 +56,10 @@ val histogram : string -> histogram
 
 val observe : histogram -> int -> unit
 
+val observe_n : histogram -> int -> int -> unit
+(** [observe_n h v k], for [k >= 0], is [k] calls of [observe h v] in
+    three atomic adds (a fan-out observes one size for all its
+    destinations); [k = 0] is a no-op. *)
+
 val histogram_snapshot : unit -> (string * (int * int * int array)) list
 (** Per histogram, sorted by name: (count, sum, buckets). *)

@@ -1045,6 +1045,219 @@ let test_msgs_recv_counted () =
   Alcotest.(check int) "receiver msg count" 2 (Metrics.party_msgs_recv m 1);
   Alcotest.(check int) "sender received none" 0 (Metrics.party_msgs_recv m 0)
 
+(* --- Metering: the network's Metrics against a per-message model --- *)
+
+type planned = One of int * string * bytes | Fan of int array * string * bytes
+
+(* One scripted run, stepped a round at a time. The model logs every send
+   as the script makes it, with the round it is made in, and every
+   delivery from the inboxes right after the round that made it closes
+   (before a flush drops them); it then charges each message once, per
+   message. The network's metrics must agree with it per party, in the
+   report, in the tag breakdown and, with a sink attached, in every
+   [Round_end]. Mail still parked or held when the run ends is in the
+   send log and in no inbox: it must never be charged as received. *)
+let metering_matches_model ?backend ?condition ~observed () =
+  let n = 8 and rounds = 9 and flush_after = 3 and corrupt = [ 6 ] in
+  let pays = Array.init 4 (fun k -> Bytes.make (5 * k) (Char.chr (Char.code 'a' + k))) in
+  let tags = [| "ba-1/x"; "ba-2/y"; "elect/up/02" |] in
+  (* Fan-outs, empty and with duplicates, interleaved with single sends;
+     tags repeat physically, and two spellings share a group. *)
+  let plan r p =
+    let dst k = (p + (k * (r + 1))) mod n in
+    let fixed =
+      match (r, p) with
+      | 0, 0 ->
+        [ Fan ([| 1; 2; 3 |], "t", pays.(1)); Fan ([||], "empty", pays.(2));
+          Fan ([| 4; 4; 5; 4 |], "t", pays.(1)); One (5, "t", pays.(3));
+          Fan ([| 1; 2 |], String.concat "" [ "ba-"; "3/z" ], pays.(2)) ]
+      | 1, 1 -> [ One (1, "self", pays.(0)); Fan ([| 1; 0; 1 |], "self", pays.(3)) ]
+      | _ -> []
+    in
+    fixed
+    @ [ Fan ([| dst 1; dst 2; dst 3 |], tags.((r + p) mod 3), pays.(p mod 4));
+        One (dst 5, tags.(p mod 3), pays.((r + 1) mod 4));
+        Fan ([| dst 2; dst 7 |], tags.(r mod 3), pays.(r mod 4)) ]
+  in
+  let summaries = ref [] in
+  let sinks =
+    if observed then
+      [ (function Repro_obs.Event.Round_end s -> summaries := s :: !summaries | _ -> ()) ]
+    else []
+  in
+  let net = Network.create ?backend ~sinks ~n ~corrupt () in
+  Option.iter (Network.set_condition net) condition;
+  let sends = ref [] and dels = ref [] and scheduled = Array.make rounds 0 in
+  let act p = function
+    | One (dst, tag, pay) ->
+      sends := (Network.round net, p, dst, tag, Wire.size ~tag pay) :: !sends;
+      Network.send net ~src:p ~dst ~tag pay
+    | Fan (dsts, tag, pay) ->
+      Array.iter
+        (fun dst -> sends := (Network.round net, p, dst, tag, Wire.size ~tag pay) :: !sends)
+        dsts;
+      Network.send_many net ~src:p ~dsts ~tag pay
+  in
+  let adversary =
+    { Network.adv_name = "fan";
+      adv_step =
+        (fun _ ~round:_ ~honest_staged:_ ->
+          List.iter (act 6) [ Fan ([| 0; 1; 2 |], "adv", pays.(1)); One (3, "adv/x", pays.(2)) ]) }
+  in
+  for r = 0 to rounds - 1 do
+    Network.run_slices net ~adversary ~rounds:1
+      ~extra:(fun ~round:_ -> Network.everyone net)
+      (fun p ->
+        if List.mem p corrupt then None
+        else
+          Some
+            (fun ~round _ ->
+              scheduled.(round) <- scheduled.(round) + 1;
+              List.iter (act p) (plan round p)));
+    for p = 0 to n - 1 do
+      List.iter
+        (fun (m : Wire.msg) -> dels := (r, m.src, p, Wire.size ~tag:m.tag m.payload) :: !dels)
+        (Views.inbox net p)
+    done;
+    if r = flush_after then begin
+      (* staged outside any round's handlers, then dropped unsent *)
+      act 0 (One (1, "t", pays.(3)));
+      Network.flush net
+    end
+  done;
+  let sends = List.rev !sends and dels = List.rev !dels in
+  let m = Network.metrics net in
+  (* The model: party [p]'s sends, deliveries and peers over the rounds
+     [within] selects. *)
+  let sum l = List.fold_left (fun acc (_, _, _, s) -> acc + s) 0 l in
+  let charges ?(within = fun _ -> true) p =
+    let out =
+      List.filter_map
+        (fun (r, src, dst, _, size) -> if src = p && within r then Some (r, src, dst, size) else None)
+        sends
+    and inn = List.filter (fun (r, _, dst, _) -> dst = p && within r) dels in
+    let peers =
+      List.sort_uniq compare
+        (List.map (fun (_, _, d, _) -> d) out @ List.map (fun (_, s, _, _) -> s) inn)
+    in
+    (out, inn, peers)
+  in
+  let ctx fmt =
+    Printf.sprintf ("%s%s, " ^^ fmt)
+      (if observed then "observed" else "silent")
+      (match condition with Some c -> " " ^ c.Sched.c_name | None -> "")
+  in
+  for p = 0 to n - 1 do
+    let out, inn, peers = charges p in
+    Alcotest.(check int) (ctx "party %d bytes sent" p) (sum out) (Metrics.party_bytes_sent m p);
+    Alcotest.(check int) (ctx "party %d bytes" p) (sum out + sum inn) (Metrics.party_bytes m p);
+    Alcotest.(check int) (ctx "party %d msgs received" p) (List.length inn)
+      (Metrics.party_msgs_recv m p);
+    Alcotest.(check int) (ctx "party %d locality" p) (List.length peers)
+      (Metrics.party_locality m p)
+  done;
+  let honest = List.filter (fun p -> not (List.mem p corrupt)) (List.init n Fun.id) in
+  let model_report =
+    let bytes = List.map (fun p -> let out, inn, _ = charges p in sum out + sum inn) honest in
+    let locs = List.map (fun p -> let _, _, peers = charges p in List.length peers) honest in
+    let fbytes = List.map float_of_int bytes in
+    let module M = Repro_util.Mathx in
+    { Metrics.max_bytes = List.fold_left max 0 bytes; mean_bytes = M.mean fbytes;
+      p50_bytes = M.percentile 0.5 fbytes; p95_bytes = M.percentile 0.95 fbytes;
+      p99_bytes = M.percentile 0.99 fbytes; stddev_bytes = M.stddev fbytes;
+      total_bytes = List.fold_left (fun acc (_, _, _, _, s) -> acc + s) 0 sends;
+      max_msgs_sent =
+        List.fold_left (fun acc p -> let out, _, _ = charges p in max acc (List.length out)) 0 honest;
+      max_locality = List.fold_left max 0 locs;
+      mean_locality = M.mean (List.map float_of_int locs); rounds }
+  in
+  Alcotest.(check bool) (ctx "report") true
+    (Metrics.report ~include_party:(Network.is_honest net) m = model_report);
+  let groups =
+    List.fold_left
+      (fun acc (_, _, _, tag, size) ->
+        let g = Metrics.tag_group tag in
+        (g, size + Option.value ~default:0 (List.assoc_opt g acc)) :: List.remove_assoc g acc)
+      [] sends
+  in
+  let bd = Metrics.tag_breakdown m in
+  Alcotest.(check (list (pair string int))) (ctx "tag breakdown") (List.sort compare groups)
+    (List.sort compare bd);
+  Alcotest.(check bool) (ctx "breakdown largest first") true
+    (List.sort (fun (_, a) (_, b) -> compare b a) bd = bd);
+  if observed then begin
+    let render (s : Repro_obs.Event.round_summary) =
+      Printf.sprintf "r%d sched %d sent %d:%s" s.round s.scheduled s.sent_bits
+        (String.concat ""
+           (Array.to_list
+              (Array.map
+                 (fun (c : Repro_obs.Event.charge) ->
+                   Printf.sprintf " %d=%d/%d (%d/%d)" c.party c.round_bits c.round_peers c.total_bits
+                     c.total_peers)
+                 s.charged)))
+    in
+    let model r =
+      let this = List.init n (fun p -> charges ~within:(( = ) r) p) in
+      let touched =
+        List.filter
+          (fun p -> match List.nth this p with [], [], _ -> false | _ -> true)
+          (List.init n Fun.id)
+      in
+      Printf.sprintf "r%d sched %d sent %d:%s" r scheduled.(r)
+        (8 * List.fold_left (fun acc (r', _, _, _, s) -> if r' = r then acc + s else acc) 0 sends)
+        (String.concat ""
+           (List.map
+              (fun p ->
+                let out, inn, peers = List.nth this p in
+                let tout, tinn, tpeers = charges ~within:(fun r' -> r' <= r) p in
+                Printf.sprintf " %d=%d/%d (%d/%d)" p (8 * (sum out + sum inn)) (List.length peers)
+                  (8 * (sum tout + sum tinn)) (List.length tpeers))
+              touched))
+    in
+    Alcotest.(check (list string)) (ctx "round summaries") (List.init rounds model)
+      (List.rev_map render !summaries)
+  end;
+  (sends, dels)
+
+let test_metering_matches_model () =
+  let both ?backend ?condition () =
+    ignore (metering_matches_model ?backend ?condition ~observed:false ());
+    metering_matches_model ?backend ?condition ~observed:true ()
+  in
+  let sends, dels = both () in
+  Alcotest.(check bool) "a flushed send is never received" true
+    (List.length dels < List.length sends);
+  ignore (both ~condition:Sched.pass_condition ());
+  ignore (both ~backend:(Sched.Async { Sched.default_async with a_jitter = 3; a_seed = 11 }) ());
+  (* Churn and deferral by hand: party 2 is dark in rounds 2-4, party 5
+     from round 7 to past the end; round 1's sends from party 1 arrive
+     three ticks late, and round 5's to party 3 long after the run. *)
+  let churn =
+    { Sched.pass_condition with
+      c_name = "churn+defer";
+      c_down = (fun ~now:_ ~round p -> (p = 2 && round >= 2 && round < 5) || (p = 5 && round >= 7));
+      c_route =
+        (fun ~now ~round ~src ~dst ~lat ->
+          if round = 1 && src = 1 then Sched.Defer (now + 3)
+          else if round = 5 && dst = 3 then Sched.Defer (now + 100)
+          else Sched.deliver lat) }
+  in
+  let sends, dels = both ~condition:churn () in
+  let late_to d r0 l = List.exists (fun (r, _, dst, _, _) -> dst = d && r >= r0) l in
+  Alcotest.(check bool) "mail held for party 5 at the end" true (late_to 5 6 sends);
+  Alcotest.(check bool) "held mail never received" false
+    (List.exists (fun (r, _, dst, _) -> dst = 5 && r >= 6) dels);
+  let count l = List.length (List.filter (fun (r, d) -> d = 2 && r = 4) l) in
+  Alcotest.(check bool) "mail to party 2 held, then received" true
+    (count (List.map (fun (r, _, d, _) -> (r, d)) dels)
+    > count (List.map (fun (r, _, d, _, _) -> (r, d)) sends));
+  let module C = Repro_adversary.Condition in
+  List.iter
+    (fun c ->
+      let condition = C.prepare c ~n:8 ~beta:0.25 ~seed:3 ~cfg:Sched.default_async in
+      ignore (both ~condition ()))
+    [ C.churn; C.partition ]
+
 (* --- Wire canonical byte form: QCheck round-trip properties --- *)
 
 (* Messages as the simulator produces them: non-negative endpoints,
@@ -1165,6 +1378,7 @@ let suite =
     Alcotest.test_case "report empty selection" `Quick test_report_empty_selection;
     Alcotest.test_case "breakdown json" `Quick test_breakdown_json_sorted;
     Alcotest.test_case "msgs recv" `Quick test_msgs_recv_counted;
+    Alcotest.test_case "metering = per-message model" `Quick test_metering_matches_model;
     Alcotest.test_case "wire encode stable" `Quick test_wire_encode_stable;
     QCheck_alcotest.to_alcotest prop_wire_roundtrip;
     QCheck_alcotest.to_alcotest prop_wire_decode_total;

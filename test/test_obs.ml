@@ -270,6 +270,29 @@ let test_histogram () =
   Counters.reset ();
   if not was then Counters.disable ()
 
+(* [observe_n h v k] is k calls of [observe h v], for any bucket, and
+   k = 0 (or a disabled registry) changes nothing. *)
+let test_histogram_observe_n () =
+  let was = Counters.is_enabled () in
+  Counters.enable ();
+  let h = Counters.histogram "test.obs.hist_n" in
+  let snap () = List.assoc "test.obs.hist_n" (Counters.histogram_snapshot ()) in
+  let calls = [ (1, 3); (0, 2); (7, 0); (1000, 5); (3, 1); (1 lsl 40, 4); (-2, 2) ] in
+  Counters.reset ();
+  List.iter (fun (v, k) -> for _ = 1 to k do Counters.observe h v done) calls;
+  let looped = snap () in
+  Counters.reset ();
+  List.iter (fun (v, k) -> Counters.observe_n h v k) calls;
+  Alcotest.(check bool) "observe_n = observe loop" true (snap () = looped);
+  Counters.observe_n h 5 0;
+  Alcotest.(check bool) "k = 0 is a no-op" true (snap () = looped);
+  Counters.disable ();
+  Counters.observe_n h 5 3;
+  Counters.enable ();
+  Alcotest.(check bool) "disabled: no-op" true (snap () = looped);
+  Counters.reset ();
+  if not was then Counters.disable ()
+
 (* A cell's counters are a function of the cell alone, not of what its
    domain ran before: every Runner cell starts from a cold [Wots.verify]
    memo. A warm memo would skip the counted [hashx.hash] and
@@ -1146,6 +1169,7 @@ let suite =
     Alcotest.test_case "counter basics" `Quick test_counter_basics;
     Alcotest.test_case "snapshot shape" `Quick test_snapshot_shape;
     Alcotest.test_case "histogram" `Quick test_histogram;
+    Alcotest.test_case "histogram observe_n" `Quick test_histogram_observe_n;
     Alcotest.test_case "cell counters independent of earlier cells" `Quick
       test_cell_counters_history_free;
     Alcotest.test_case "span nesting" `Quick test_span_nesting;

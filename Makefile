@@ -31,16 +31,18 @@ bench-smoke: build
 	BENCH_SMOKE=1 ./_build/default/bench/main.exe
 	$(BA_SIM) validate BENCH_results.json
 
-# Two smoke runs diffed against each other: exercises the regression
-# gate end-to-end. The runs use pool sizes 1 and 4 and are compared both
-# ways at threshold 0: every counter is exact, so any counter that moves
-# with the pool size, however little, fails here.
+# The pool-size gate: two smoke runs, at pool sizes 1 and 4, must write
+# equal deterministic halves (`ba_sim diff`: every counter and row is
+# exact, so anything that moves with the pool size fails here). The first
+# run's file is kept under _build/; the second is BENCH_results.json,
+# validated as bench-smoke validates it.
+BENCH_DOMAINS1 = _build/BENCH_results_domains1.json
 bench-compare: build
 	REPRO_DOMAINS=1 BENCH_SMOKE=1 ./_build/default/bench/main.exe
-	cp BENCH_results.json BENCH_prev.json
+	cp BENCH_results.json $(BENCH_DOMAINS1)
 	REPRO_DOMAINS=4 BENCH_SMOKE=1 ./_build/default/bench/main.exe
-	./_build/default/bench/main.exe --compare BENCH_prev.json BENCH_results.json --threshold 0
-	./_build/default/bench/main.exe --compare BENCH_results.json BENCH_prev.json --threshold 0
+	$(BA_SIM) validate BENCH_results.json
+	$(BA_SIM) diff $(BENCH_DOMAINS1) BENCH_results.json
 
 # Audit every Table-1 protocol against its declared complexity budget and
 # validate the per-round timeline (one JSON object per line). Exits
@@ -88,20 +90,24 @@ profile: build
 	$(BA_SIM) validate _build/PROFILE_report_256.json
 
 # <30s variant for CI and `make check`. PROFILE_report.json is committed:
-# a small profiled run is first compared against it, so a change that moves
-# a deterministic counter or histogram fails here until the report
-# regenerated with `ba_sim profile -p owf -n 64 --report PROFILE_report.json`
-# is committed with it. Then a fresh report is written under _build/ (never
-# over the committed one, whose wall fields would change), validated, and a
-# second run is compared against it — deterministic sections are exact, so
-# the self-compare must exit 0, and so must a third run on a 4-domain pool.
+# a fresh small profiled run, written under _build/ (never over the
+# committed report, whose wall fields would change) and validated, must
+# equal it (`ba_sim diff`: every member but "nondeterministic"), so a
+# change that moves a counter, histogram or span count fails here until
+# the report regenerated with `ba_sim profile -p owf -n 64 --report
+# PROFILE_report.json` is committed with it. A rerun, and a third run on a
+# 4-domain pool, must equal the fresh report too.
 PROFILE_FRESH = _build/PROFILE_report_fresh.json
+PROFILE_RERUN = _build/PROFILE_report_rerun.json
+PROFILE_DOMAINS4 = _build/PROFILE_report_domains4.json
 profile-smoke: build
-	$(BA_SIM) profile -p owf -n 64 --compare PROFILE_report.json
 	$(BA_SIM) profile -p owf -n 64 --report $(PROFILE_FRESH)
 	$(BA_SIM) validate $(PROFILE_FRESH)
-	$(BA_SIM) profile -p owf -n 64 --compare $(PROFILE_FRESH)
-	REPRO_DOMAINS=4 $(BA_SIM) profile -p owf -n 64 --compare $(PROFILE_FRESH)
+	$(BA_SIM) diff PROFILE_report.json $(PROFILE_FRESH)
+	$(BA_SIM) profile -p owf -n 64 --report $(PROFILE_RERUN) > /dev/null
+	$(BA_SIM) diff $(PROFILE_FRESH) $(PROFILE_RERUN)
+	REPRO_DOMAINS=4 $(BA_SIM) profile -p owf -n 64 --report $(PROFILE_DOMAINS4) > /dev/null
+	$(BA_SIM) diff $(PROFILE_FRESH) $(PROFILE_DOMAINS4)
 
 # <60s forensics smoke: a small-n explain with the transcript-replay
 # round-trip (non-zero exit if any cone blows the locality budget or the
@@ -161,7 +167,8 @@ endef
 # runs again at seed 2, whose sender is honest, so its relay and signature
 # code runs and every honest party must output the sender's value. The last
 # line must fail: beta = 0.45 breaks the tree, and `run` must say so in its
-# exit status.
+# exit status. Last, `diff` of the committed profile report with itself
+# exits 0, and with a copy whose hashx.hash counter is changed, exits 1.
 cli-smoke: build
 	for p in owf snark multisig sqrt naive ds; do \
 	  $(BA_SIM) run -p $$p -n 32 | grep ' ok=true ' || exit 1; \
@@ -177,6 +184,9 @@ cli-smoke: build
 	$(call stdout_identical,broadcast -n 48,broadcast)
 	$(call stdout_identical,attacks -n 64,attacks)
 	$(BA_SIM) conditions
+	$(BA_SIM) diff PROFILE_report.json PROFILE_report.json
+	sed 's/"hashx.hash":/"hashx.hash":1/' PROFILE_report.json > _build/PROFILE_report_bumped.json
+	$(BA_SIM) diff PROFILE_report.json _build/PROFILE_report_bumped.json; test $$? -eq 1
 
 # Run the five examples: each prints to stdout and writes no file;
 # quickstart exits non-zero when its run fails agreement or validity.
@@ -239,7 +249,7 @@ hashtbl-order:
 	fi
 	@echo "hashtbl-order: $(words $(HASHTBL_ORDER_SITES)) files, no new Hashtbl iteration site"
 
-# Umbrella gate: build, unit tests, bench JSON smoke, complexity audit,
+# Umbrella gate: build, unit tests, the bench pool-size gate, complexity audit,
 # attack matrix, scale sweep smoke, profile smoke, forensics smoke,
 # async/conformance smoke, conditions smoke, CLI smoke, the examples, the
 # list-world, build-flags and hashtbl-order checks —
@@ -252,7 +262,7 @@ CHECK_BUDGET_S ?= 420
 check: build
 	@t0=$$(date +%s); \
 	status0=$$(git status --porcelain 2>/dev/null); \
-	$(MAKE) test bench-smoke audit attack scale-smoke profile-smoke \
+	$(MAKE) test bench-compare audit attack scale-smoke profile-smoke \
 	  forensics-smoke async-smoke conditions-smoke cli-smoke examples-smoke \
 	  list-world build-flags hashtbl-order || exit 1; \
 	if [ "$$(git status --porcelain 2>/dev/null)" != "$$status0" ]; then \
@@ -268,7 +278,7 @@ check: build
 
 clean:
 	dune clean
-	rm -f BENCH_results.json BENCH_prev.json trace.json \
+	rm -f BENCH_results.json trace.json \
 	  audit_timeline.jsonl audit_timeline4.jsonl \
 	  ATTACK_report.json ATTACK_report4.json SCALE_report.json \
 	  FORENSICS_report.json FORENSICS_attack.json \

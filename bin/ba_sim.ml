@@ -3,6 +3,7 @@
    Subcommands:
      run        one protocol execution with a summary line
      validate   check that report files parse as JSON / JSONL
+     diff       compare two reports exactly, all but their nondeterministic part
    and one subcommand per experiment, each a thin caller of one
    Repro_core.Experiment function (see DESIGN.md section 4):
      table1     the measured Table 1 comparison (T1/E1)
@@ -147,7 +148,13 @@ let run_cmd =
     if counters then begin
       Printf.printf "counters:\n";
       Format.printf "%a%!" Repro_obs.Counters.pp_table
-        (Repro_obs.Counters.snapshot ())
+        (Repro_obs.Counters.snapshot ());
+      (* as a profile report's deterministic section holds them *)
+      Printf.printf "histograms (bucket i: values in [2^i, 2^(i+1))):\n";
+      match Json.member "histograms" (Repro_obs.Profile.deterministic_json ()) with
+      | Some (Json.Obj hists) ->
+        List.iter (fun (name, h) -> Printf.printf "  %-20s %s\n" name (Json.compact h)) hists
+      | _ -> ()
     end;
     (match trace_out with
     | Some file ->
@@ -449,36 +456,13 @@ let explain_cmd =
 
 (* --- profile --- *)
 
-let profile_compare_arg =
-  Arg.(
-    value
-    & opt (some file) None
-    & info [ "compare" ] ~docv:"PREV.json"
-        ~doc:
-          "Compare the deterministic metrics against a previous \
-           repro-profile/2 report; non-zero exit when any regresses past \
-           --threshold. A structurally incompatible previous file (older \
-           schema) is reported as not comparable, never as a failure.")
-
-let profile_threshold_arg =
-  Arg.(
-    value & opt float 0.0
-    & info [ "threshold" ] ~docv:"FRAC"
-        ~doc:
-          "Relative drift tolerated by --compare (deterministic metrics are \
-           exact, so the default is 0: any change is a regression).")
-
 let profile_top_arg =
   Arg.(
     value & opt int 10
     & info [ "top" ] ~docv:"K" ~doc:"Rows per hotspot table.")
 
 let profile_cmd =
-  let action protocol n beta seed compare threshold top =
-    let read file = In_channel.with_open_bin file In_channel.input_all in
-    let compare = Option.map (fun file -> (file, read file)) compare in
-    Experiment.profile ~protocol ~n ~beta ~seed ~top ?compare ~threshold ()
-  in
+  let action protocol n beta seed top = Experiment.profile ~protocol ~n ~beta ~seed ~top () in
   experiment_cmd "profile"
     ~report:
       "Write the machine-readable profile report (schema repro-profile/2; \
@@ -487,11 +471,9 @@ let profile_cmd =
     ~doc:
       "Self-profile one (protocol, n) cell: per-span wall/alloc hotspots, \
        cache effectiveness, scheduler occupancy and domain-pool \
-       utilization; optional repro-profile/2 report and deterministic \
-       regression gate (--compare)."
-    Term.(
-      const action $ protocol_arg $ n_arg $ beta_arg $ seed_arg
-      $ profile_compare_arg $ profile_threshold_arg $ profile_top_arg)
+       utilization; optional repro-profile/2 report (compare two with \
+       $(b,ba_sim diff))."
+    Term.(const action $ protocol_arg $ n_arg $ beta_arg $ seed_arg $ profile_top_arg)
 
 (* --- conform: E18 executor-path conformance + async chaos gate --- *)
 
@@ -565,6 +547,49 @@ let validate_cmd =
           FILE:OFFSET and exit non-zero at the first malformed one.")
     Term.(const (List.iter check) $ files_arg)
 
+(* --- diff: the one exact comparison of two reports --- *)
+
+let diff_cmd =
+  let report_arg i docv =
+    Arg.(
+      required & pos i (some file) None
+      & info [] ~docv ~doc:"A report carrying a schema and a deterministic section.")
+  in
+  let action a b =
+    let load file =
+      match Json.parse (In_channel.with_open_bin file In_channel.input_all) with
+      | Ok doc -> doc
+      | Error e -> Printf.printf "%s: %s\n" file e; exit 1
+    in
+    let missing file doc =
+      List.filter_map
+        (fun key ->
+          if Json.member key doc = None then Some (Printf.sprintf "%s: no %S member" file key)
+          else None)
+        [ "schema"; "deterministic" ]
+    in
+    let exact = function
+      | Json.Obj kvs -> Json.Obj (List.filter (fun (k, _) -> k <> "nondeterministic") kvs)
+      | doc -> doc
+    in
+    let da = load a and db = load b in
+    match missing a da @ missing b db @ Json.diff (exact da) (exact db) with
+    | [] -> Printf.printf "%s = %s (every member but \"nondeterministic\")\n" a b
+    | lines ->
+      List.iter print_endline lines;
+      Printf.printf "%s vs %s: %d difference(s)\n" a b (List.length lines);
+      exit 1
+  in
+  Cmd.v
+    (Cmd.info "diff"
+       ~doc:
+         "Compare two reports exactly: every member but \"nondeterministic\" \
+          (the schema, the run's identity and the deterministic section) must \
+          be equal. Prints each path that differs and exits 1 on any \
+          difference or when either report lacks a schema or a deterministic \
+          section.")
+    Term.(const action $ report_arg 0 "A.json" $ report_arg 1 "B.json")
+
 let () =
   let info =
     Cmd.info "ba_sim" ~version:"1.0"
@@ -575,4 +600,4 @@ let () =
        (Cmd.group info
           [ run_cmd; audit_cmd; attack_cmd; conditions_cmd; table1_cmd; sweep_cmd; scale_cmd;
             games_cmd; boost_cmd; broadcast_cmd; attacks_cmd; explain_cmd;
-            profile_cmd; conform_cmd; validate_cmd ]))
+            profile_cmd; conform_cmd; validate_cmd; diff_cmd ]))

@@ -398,7 +398,7 @@ let succinctness () =
    executed. This one runs the full scheme-op contract once per scheme —
    setup, n keygens, n sign attempts, one aggregate chain, one verify — so
    every "<scheme>.{keygen,sign,aggregate,verify}" counter, srds-vrf's
-   included, carries real values for the --compare gate. *)
+   included, carries real values for `ba_sim diff` to compare. *)
 
 module Scheme_ops (S : Srds_intf.SCHEME) = struct
   module W = Srds_intf.Wire (S)
@@ -1149,7 +1149,7 @@ let explain ~protocol ~n ~beta ~seed ?party ?(replay = false) ?log_out () =
 
 (* --- profile: one self-profiled cell --- *)
 
-let profile ~protocol ~n ~beta ~seed ?(top = 10) ?compare ?(threshold = 0.0) () =
+let profile ~protocol ~n ~beta ~seed ?(top = 10) () =
   let b = Buffer.create 4096 in
   let row, wall, gc = run_profiled ~protocol ~n ~beta ~seed in
   let open Repro_obs.Trace in
@@ -1171,25 +1171,4 @@ let profile ~protocol ~n ~beta ~seed ?(top = 10) ?compare ?(threshold = 0.0) () 
     Repro_obs.Profile.report_json ~protocol:row.r_protocol ~n ~beta ~seed ~wall_s:wall
       ~domains:(Parallel.domains ()) ~gc ~top ()
   in
-  let failures =
-    match compare with
-    | None -> []
-    | Some (prev_file, prev) -> (
-      match profile_compare ~prev ~cur:(Json.pretty report) ~threshold with
-      | Error note ->
-        Printf.bprintf b "compare: %s\n" note;
-        []
-      | Ok [] ->
-        Printf.bprintf b "compare: deterministic metrics match %s (threshold %.3f)\n"
-          prev_file threshold;
-        []
-      | Ok regressions ->
-        let failure =
-          check b false
-            (Printf.sprintf "compare: %d deterministic regression(s) vs %s:"
-               (List.length regressions) prev_file)
-        in
-        List.iter (fun l -> Printf.bprintf b "  %s\n" l) regressions;
-        failure)
-  in
-  finish b ~report ~failures
+  finish b ~report

@@ -141,7 +141,7 @@ val explain :
 
 val profile :
   protocol:Runner.protocol -> n:int -> beta:float -> seed:int ->
-  ?top:int -> ?compare:string * string -> ?threshold:float -> unit -> outcome
+  ?top:int -> unit -> outcome
 (** One self-profiled cell: hotspots and pool utilization; report
-    [repro-profile/2]. [compare] is (name, contents) of a previous report:
-    a deterministic regression past [threshold] (default 0) fails. *)
+    [repro-profile/2]. It has no gate: [ba_sim diff] compares two reports'
+    deterministic sections. *)

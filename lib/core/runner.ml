@@ -835,119 +835,6 @@ let run_profiled ~protocol ~n ~beta ~seed =
   in
   (row, wall, gc)
 
-(* Regression gate over the deterministic half of two repro-profile/2
-   documents. Deterministic metrics are supposed to be *exact* across
-   reruns, so the gate is symmetric: any relative drift past [threshold]
-   (in either direction) is a regression — a drop in cache hits and a jump
-   in dispatched messages both mean the logical run changed. Structural
-   mismatches (unparseable file, wrong schema, missing sections — e.g. a
-   previous report predating a schema bump) are [Error]: not comparable,
-   never a false failure. *)
-
-let profile_compare ~prev ~cur ~threshold =
-  let obj_ints = function
-    | Some (Json.Obj kvs) ->
-      List.filter_map
-        (fun (k, v) -> Option.map (fun i -> (k, i)) (Json.to_int v))
-        kvs
-    | _ -> []
-  in
-  let gate kind name p c acc =
-    let fp = float_of_int p and fc = float_of_int c in
-    let base = Float.max 1.0 (abs_float fp) in
-    if abs_float (fc -. fp) /. base > threshold then
-      Printf.sprintf "%s %s: %d -> %d (%+.1f%%)" kind name p c
-        (100.0 *. (fc -. fp) /. base)
-      :: acc
-    else acc
-  in
-  (* Shared keys only: a counter that exists on one side is a code change,
-     not a regression the gate can quantify. *)
-  let gate_assoc kind prev_kvs cur_kvs acc =
-    List.fold_left
-      (fun acc (name, p) ->
-        match List.assoc_opt name cur_kvs with
-        | Some c -> gate kind name p c acc
-        | None -> acc)
-      acc prev_kvs
-  in
-  match (Json.parse prev, Json.parse cur) with
-  | Error e, _ -> Error ("previous report unparseable: " ^ e)
-  | _, Error e -> Error ("current report unparseable: " ^ e)
-  | Ok pj, Ok cj -> (
-    let schema j = Option.bind (Json.member "schema" j) Json.to_string in
-    let bad side = function
-      | None -> Error (side ^ " report has no schema field: not comparable")
-      | Some s ->
-        Error
-          (Printf.sprintf "%s report schema \"%s\" (want repro-profile/2): not comparable"
-             side s)
-    in
-    match (schema pj, schema cj) with
-    | Some "repro-profile/2", Some "repro-profile/2" -> (
-      match (Json.member "deterministic" pj, Json.member "deterministic" cj) with
-      | None, _ ->
-        Error "previous report has no \"deterministic\" section: not comparable"
-      | _, None ->
-        Error "current report has no \"deterministic\" section: not comparable"
-      | Some dp, Some dc ->
-        let regressions =
-          gate_assoc "counter"
-            (obj_ints (Json.member "counters" dp))
-            (obj_ints (Json.member "counters" dc))
-            []
-        in
-        (* Histograms: count and sum carry the distribution identity. *)
-        let hist j =
-          match Json.member "histograms" j with
-          | Some (Json.Obj kvs) ->
-            List.filter_map
-              (fun (name, h) ->
-                match
-                  ( Option.bind (Json.member "count" h) Json.to_int,
-                    Option.bind (Json.member "sum" h) Json.to_int )
-                with
-                | Some count, Some sum -> Some (name, (count, sum))
-                | _ -> None)
-              kvs
-          | _ -> []
-        in
-        let regressions =
-          List.fold_left
-            (fun acc (name, (pc, ps)) ->
-              match List.assoc_opt name (hist dc) with
-              | Some (cc, cs) ->
-                gate "histogram" (name ^ ".count") pc cc acc
-                |> fun acc -> gate "histogram" (name ^ ".sum") ps cs acc
-              | None -> acc)
-            regressions (hist dp)
-        in
-        let spans j =
-          match Json.member "spans" j with
-          | Some l -> (
-            match Json.to_list l with
-            | Some items ->
-              List.filter_map
-                (fun it ->
-                  match
-                    ( Option.bind (Json.member "path" it) Json.to_string,
-                      Option.bind (Json.member "count" it) Json.to_int )
-                  with
-                  | Some path, Some count -> Some (path, count)
-                  | _ -> None)
-                items
-            | None -> [])
-          | None -> []
-        in
-        let regressions =
-          gate_assoc "span" (spans dp) (spans dc) regressions
-        in
-        Ok (List.rev regressions))
-    | (Some "repro-profile/2" | None), other when other <> Some "repro-profile/2"
-      ->
-      bad "current" other
-    | other, _ -> bad "previous" other)
-
 (* --- Forensics: flight-recorded runs, causal cones, equivocation evidence
 
    Three consumers share the flight recorder (Repro_obs.Recorder) riding the

@@ -316,17 +316,6 @@ val run_profiled :
     Collection stays enabled on return: read {!Repro_obs.Profile} /
     {!Repro_obs.Counters} to build the report. *)
 
-val profile_compare :
-  prev:string -> cur:string -> threshold:float -> (string list, string) result
-(** Regression gate over the deterministic halves of two [repro-profile/2]
-    documents (raw file contents). [Ok []] = no regression; [Ok lines] =
-    deterministic metrics (counters, histogram count/sum, span counts
-    present in both) drifted past [threshold] relative change in either
-    direction; [Error note] = the reports are structurally not comparable
-    (unparseable, wrong schema, missing deterministic section — e.g. a
-    previous report predating a schema bump), which callers must not treat
-    as a failure. *)
-
 (** {1 Forensics: flight-recorded runs, causal cones, evidence bundles}
 
     Consumers of {!Repro_obs.Recorder} riding the network's send choke

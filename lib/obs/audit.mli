@@ -148,7 +148,7 @@ val pp_summary : Format.formatter -> t -> unit
 
 (** {1 Global audit mode}
 
-    When enabled (the [REPRO_AUDIT] environment variable, [bench --audit],
+    When enabled (the [REPRO_AUDIT] environment variable, read by bench too,
     [ba_sim run --audit]), the experiment runner subscribes a fresh auditor
     with the protocol's declared budgets to every execution; each recorded
     violation bumps the [audit.violations] counter so bench experiments

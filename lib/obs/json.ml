@@ -296,3 +296,46 @@ let to_float = function Num f -> Some f | _ -> None
 let to_int = function Num f -> Some (int_of_float f) | _ -> None
 let to_string = function Str s -> Some s | _ -> None
 let to_bool = function Bool b -> Some b | _ -> None
+
+(* ---------- exact comparison ---------- *)
+
+let summary = function
+  | Obj kvs -> Printf.sprintf "{%d keys}" (List.length kvs)
+  | List l -> Printf.sprintf "[%d items]" (List.length l)
+  | v -> compact v
+
+let diff a b =
+  let out = ref [] in
+  let note path x y =
+    let side = Option.fold ~none:"(absent)" ~some:summary in
+    let path = if path = "" then "(document)" else path in
+    out := Printf.sprintf "%s: %s -> %s" path (side x) (side y) :: !out
+  in
+  let key path k = if path = "" then k else path ^ "." ^ k in
+  let rec go path a b =
+    match (a, b) with
+    | Obj xs, Obj ys ->
+      List.iter
+        (fun (k, x) ->
+          match List.assoc_opt k ys with
+          | Some y -> go (key path k) x y
+          | None -> note (key path k) (Some x) None)
+        xs;
+      List.iter
+        (fun (k, y) ->
+          if not (List.mem_assoc k xs) then note (key path k) None (Some y))
+        ys
+    | List xs, List ys ->
+      let rec items i xs ys =
+        let path = Printf.sprintf "%s[%d]" path i in
+        match (xs, ys) with
+        | [], [] -> ()
+        | x :: xs, y :: ys -> go path x y; items (i + 1) xs ys
+        | x :: xs, [] -> note path (Some x) None; items (i + 1) xs []
+        | [], y :: ys -> note path None (Some y); items (i + 1) [] ys
+      in
+      items 0 xs ys
+    | _ -> if a <> b then note path (Some a) (Some b)
+  in
+  go "" a b;
+  List.rev !out

@@ -77,3 +77,17 @@ val to_int : t -> int option
 
 val to_string : t -> string option
 val to_bool : t -> bool option
+
+(** {1 Comparing} *)
+
+val diff : t -> t -> string list
+(** [diff a b] is one line per path where [a] and [b] differ, [[]] iff
+    they are equal, in [a]'s member order (then the members only [b]
+    has). A line reads [path: x -> y]: the path names members with [.]
+    and list items with [[i]] (as in [a.b[2].c]; ["(document)"] for the
+    root), and [x] and [y] are the two values, a container shown by its
+    size and a side that lacks the path as [(absent)]. Members are matched
+    by key, so object member order is not compared; list items by index,
+    so lists of different lengths differ at each index only one side
+    has. Numbers compare as floats, and a value of another kind (a number
+    against a string, say) differs. *)

@@ -1103,41 +1103,50 @@ let test_profile_counters_pinned () =
         (Repro_crypto.Sha256.hex (Repro_crypto.Sha256.digest_string spans_json)))
     pinned_cells
 
-let test_profile_compare () =
-  let doc counters spans =
-    Printf.sprintf
-      "{\"schema\":\"repro-profile/2\",\"deterministic\":{\"counters\":%s,\"histograms\":{\"h\":{\"count\":2,\"sum\":5,\"buckets\":[2]}},\"spans\":%s}}"
-      counters spans
+(* Json.diff, the comparison behind `ba_sim diff`: exact, symmetric, and
+   naming each differing path. Two documents of different schemas are not
+   "not comparable" but different: the schema is one of the paths. *)
+let test_json_diff () =
+  let doc = Json.parse_exn in
+  let check msg want a b = Alcotest.(check (list string)) msg want (Json.diff a b) in
+  let base =
+    doc
+      {|{"schema":"repro-profile/2","deterministic":{"counters":{"a":10},
+         "histograms":{"h":{"count":2,"sum":5,"buckets":[2]}}}}|}
   in
-  let base = doc "{\"a\": 10}" "[{\"path\":\"x>y\",\"count\":3}]" in
-  (* identical reports: clean pass *)
-  (match Runner.profile_compare ~prev:base ~cur:base ~threshold:0.0 with
-  | Ok [] -> ()
-  | Ok rs -> Alcotest.fail ("self-compare regressed: " ^ String.concat "; " rs)
-  | Error e -> Alcotest.fail ("self-compare not comparable: " ^ e));
-  (* injected regression: counter doubled, a span count changed *)
-  let worse = doc "{\"a\": 20}" "[{\"path\":\"x>y\",\"count\":4}]" in
-  (match Runner.profile_compare ~prev:base ~cur:worse ~threshold:0.0 with
-  | Ok rs ->
-    Alcotest.(check int) "two regressions flagged" 2 (List.length rs);
-    Alcotest.(check bool) "counter named" true
-      (List.exists (fun r -> String.length r >= 9 && String.sub r 0 9 = "counter a") rs)
-  | Error e -> Alcotest.fail ("regression not comparable: " ^ e));
-  (* the gate is symmetric: a deterministic metric dropping is a change too *)
-  (match Runner.profile_compare ~prev:worse ~cur:base ~threshold:0.0 with
-  | Ok rs -> Alcotest.(check bool) "drop also flagged" true (rs <> [])
-  | Error e -> Alcotest.fail ("symmetric not comparable: " ^ e));
-  (* threshold tolerates drift below it *)
-  (match Runner.profile_compare ~prev:base ~cur:worse ~threshold:2.0 with
-  | Ok rs -> Alcotest.(check int) "threshold 200% tolerates 2x" 0 (List.length rs)
-  | Error e -> Alcotest.fail ("threshold not comparable: " ^ e));
-  (* wrong schema (e.g. a bench results file): not comparable, not a fail *)
-  match
-    Runner.profile_compare ~prev:"{\"schema\":\"repro-bench/5\"}" ~cur:base
-      ~threshold:0.0
-  with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "wrong schema must be Error, not a verdict"
+  check "equal documents" [] base base;
+  check "member order is not compared" []
+    (doc {|{"x":1,"y":[true,null]}|}) (doc {|{"y":[true,null],"x":1}|});
+  let bumped =
+    doc
+      {|{"schema":"repro-profile/2","deterministic":{"counters":{"a":11},
+         "histograms":{"h":{"count":2,"sum":5,"buckets":[2]}}}}|}
+  in
+  check "a rise" [ "deterministic.counters.a: 10 -> 11" ] base bumped;
+  check "a fall" [ "deterministic.counters.a: 11 -> 10" ] bumped base;
+  check "a key only the second has"
+    [ "deterministic.counters.b: (absent) -> 1" ]
+    (doc {|{"deterministic":{"counters":{"a":1}}}|})
+    (doc {|{"deterministic":{"counters":{"a":1,"b":1}}}|});
+  check "a key only the first has"
+    [ "deterministic.histograms: {1 keys} -> (absent)" ]
+    base
+    (doc {|{"schema":"repro-profile/2","deterministic":{"counters":{"a":10}}}|});
+  check "lists of different lengths"
+    [ "h.buckets[2]: (absent) -> 4" ]
+    (doc {|{"h":{"buckets":[1,2]}}|}) (doc {|{"h":{"buckets":[1,2,4]}}|});
+  check "a number against a string" [ "n: 64 -> \"64\"" ]
+    (doc {|{"n":64}|}) (doc {|{"n":"64"}|});
+  check "nested paths" [ "a.b[2].c: 1 -> 2" ]
+    (doc {|{"a":{"b":[0,{},{"c":1}]}}|}) (doc {|{"a":{"b":[0,{},{"c":2}]}}|});
+  check "the schema is a path like any other"
+    [ "schema: \"repro-profile/2\" -> \"repro-profile/1\"" ]
+    base
+    (doc
+       {|{"schema":"repro-profile/1","deterministic":{"counters":{"a":10},
+          "histograms":{"h":{"count":2,"sum":5,"buckets":[2]}}}}|});
+  check "the document itself" [ "(document): [2 items] -> 3" ]
+    (doc "[1,2]") (doc "3")
 
 (* The one hex codec: every byte value round-trips, lowercase out, either
    case in, and malformed input is rejected rather than misread. *)
@@ -1196,7 +1205,7 @@ let suite =
     Alcotest.test_case "profile report json" `Quick test_profile_report_json;
     Alcotest.test_case "profile counters pinned (owf, snark n=64)" `Quick
       test_profile_counters_pinned;
-    Alcotest.test_case "profile compare gate" `Quick test_profile_compare;
+    Alcotest.test_case "json diff" `Quick test_json_diff;
     Alcotest.test_case "hex codec" `Quick test_hex_codec;
     Alcotest.test_case "flame summary counts" `Quick test_flame_summary_counts;
   ]

@@ -214,7 +214,8 @@ list-world:
 # The build settings: ./dune-workspace selects the release profile, so
 # library modules are compiled without -opaque (the dev profile's flag,
 # which forbids cross-module inlining on the per-message path), and ./dune
-# keeps the dev profile's warnings as errors in every profile.
+# keeps the dev profile's warnings as errors in every profile and raises
+# ocamlopt's inlining level to -inline 200.
 NETWORK_CMX = _build/default/lib/net/.repro_net.objs/native/repro_net__Network.cmx
 WARN_SPEC = (flags(-w@1..3@5..28@30..39@43@46..47@49..57@61..62-40-strict-sequence-strict-formats-short-paths-keep-locs
 build-flags:
@@ -224,11 +225,14 @@ build-flags:
 	fi; \
 	if printf '%s' "$$rule" | grep -q -- '-opaque'; then \
 	  echo "build-flags: $(NETWORK_CMX) is compiled with -opaque"; exit 1; \
+	fi; \
+	if ! printf '%s' "$$rule" | tr -s ' \n' '  ' | grep -q -- '-inline 200 '; then \
+	  echo "build-flags: $(NETWORK_CMX) is compiled without -inline 200"; exit 1; \
 	fi
 	@if ! dune printenv lib/net | tr -d ' \n' | grep -qF -- '$(WARN_SPEC)'; then \
 	  echo "build-flags: lib/net is not built with the warnings-as-errors spec"; exit 1; \
 	fi
-	@echo "build-flags: no -opaque, warnings are errors"
+	@echo "build-flags: no -opaque, -inline 200, warnings are errors"
 
 # Transcripts must not follow Hashtbl layout (ROADMAP item 12), so lib/
 # may gain no Hashtbl.iter/fold/to_seq* site. The allow-list holds

@@ -31,7 +31,6 @@ module Field = Repro_crypto.Field
 module Shamir = Repro_crypto.Shamir
 module Hashx = Repro_crypto.Hashx
 module Encode = Repro_util.Encode
-module Inbox = Repro_net.Inbox
 
 let k_elements = 5 (* 5 * 31 bits > kappa = 128 bits of entropy *)
 
@@ -232,17 +231,14 @@ let m_send t ~round (out : Repro_net.Engine.out) =
 
 let m_recv t ~round inbox =
   if round = 0 then begin
-    for k = 0 to Inbox.length inbox - 1 do
-      let j = Members.pos t.members (Inbox.src inbox k) in
-      if j >= 0 then
-        match Encode.decode (Inbox.payload inbox k) dec_deal with
+    Members.iter t.members inbox t (fun t j payload ->
+        match Encode.decode payload dec_deal with
         | Some (mine, rest) -> (
           match t.shared.commits rest with
           | Some commits when deal_ok t mine commits ->
             t.deals.(j) <- Some { d_shares = mine; d_commits = commits }
           | _ -> ())
-        | None -> ()
-    done;
+        | None -> ());
     (* My own deal to myself. *)
     t.deals.(t.my_pos) <-
       Some { d_shares = t.my_deal_private.(t.my_pos); d_commits = t.my_deal_commits }
@@ -254,15 +250,13 @@ let m_recv t ~round inbox =
         if dealer <> t.me && t.deals.(j) = None then
           t.complaints.(j) <- t.complaints.(j) + 1)
       t.members;
-    for k = 0 to Inbox.length inbox - 1 do
-      if Members.pos t.members (Inbox.src inbox k) >= 0 then
-        match Encode.decode (Inbox.payload inbox k) Repro_util.Bitset.decode with
+    Members.iter t.members inbox t (fun t _ payload ->
+        match Encode.decode payload Repro_util.Bitset.decode with
         | Some bits when Repro_util.Bitset.length bits = t.m ->
           for j = 0 to t.m - 1 do
             if Repro_util.Bitset.mem bits j then t.complaints.(j) <- t.complaints.(j) + 1
           done
-        | _ -> ()
-    done
+        | _ -> ())
   end
   else if round = 2 then begin
     (* Gather reveals. My own shares were checked against their
@@ -281,13 +275,10 @@ let m_recv t ~round inbox =
             (t.members.(j), { pairs = d.d_shares; digests = d.d_commits.(t.my_pos) })
         | None -> ())
       t.deals;
-    for k = 0 to Inbox.length inbox - 1 do
-      let pos = Members.pos t.members (Inbox.src inbox k) in
-      if pos >= 0 then
-        match t.shared.reveals (Inbox.payload inbox k) with
+    Members.iter t.members inbox t (fun t pos payload ->
+        match t.shared.reveals payload with
         | Some entries -> List.iter (add_reveal pos) entries
-        | None -> ()
-    done;
+        | None -> ());
     (* Reconstruct qualified dealers' secrets and form the candidate coin.
        Per element, interpolate the first t + 1 commitment-verified shares
        in x order. A share from revealer [pos] verifies only at x = pos + 1

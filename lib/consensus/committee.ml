@@ -23,12 +23,9 @@
    Simulation cost: the committee's sorted member array and the member's
    peers array (the members minus itself) are built once and shared with
    the inner Multi_ba and Phase_king instances. Each send round is one
-   multicast of one payload to the peers array, and each tally walks the
-   inbox view, finds a source by binary search and marks it in a flag
-   string, so per-message work is a lookup and a decode — no per-message
-   tables and no per-round peer lists. *)
-
-module Inbox = Repro_net.Inbox
+   multicast of one payload to the peers array, and each tally is one
+   {!Members} walk of the inbox view, so per-message work is a cursor step
+   and a decode — no per-message tables and no per-round peer lists. *)
 
 type t = {
   members : Members.t;
@@ -78,12 +75,9 @@ let adopt t d =
 
 let m_recv t ~round inbox =
   if round = 0 then begin
-    let received = ref [] in
-    for k = Inbox.length inbox - 1 downto 0 do
-      if Members.pos t.members (Inbox.src inbox k) >= 0 then
-        received := Inbox.payload inbox k :: !received
-    done;
-    t.received <- !received
+    t.received <- [];
+    Members.iter t.members inbox t (fun t _ payload -> t.received <- payload :: t.received);
+    t.received <- List.rev t.received
   end
   else if t.output = None then begin
     (* Rounds past the decision (a smaller committee sharing an engine run

@@ -16,8 +16,14 @@ val peers : t -> me:int -> int array
     member's committee-wide multicasts. A machine stack builds it once and
     shares it; it is never mutated. *)
 
-val iter_first : t -> me:int -> Repro_net.Inbox.t -> (bytes -> unit) -> unit
-(** [iter_first t ~me inbox f] applies [f] to the payload of the first
-    message of each member other than [me], in arrival order; later messages
-    from a counted source, messages from [me] and from non-members are
-    skipped. *)
+val iter : t -> Repro_net.Inbox.t -> 'a -> ('a -> int -> bytes -> unit) -> unit
+(** [iter t inbox ctx f] applies [f ctx i payload] to every message of
+    [inbox] whose source is a member, in inbox order, with [i] the
+    source's position in [t]: [pos t (Inbox.src inbox k)] for message [k].
+    [f] gets its state as [ctx], so a closed function allocates nothing
+    per call. *)
+
+val iter_first : t -> me:int -> Repro_net.Inbox.t -> 'a -> ('a -> int -> bytes -> unit) -> unit
+(** [iter_first t ~me inbox ctx f] is {!iter} restricted to the first
+    message of each member other than [me]: later messages from a counted
+    source, messages from [me] and from non-members are skipped. *)

@@ -84,7 +84,7 @@ let rec bump counts v c =
    so merging the groups by value gives the per-value counts. *)
 let tally t own inbox =
   let raw = ref [] in
-  Members.iter_first t.members ~me:t.me inbox (fun payload -> raw := bump !raw payload 1);
+  Members.iter_first t.members ~me:t.me inbox raw (fun raw _ payload -> raw := bump !raw payload 1);
   let counts = match own with Some v -> [ (v, ref 1) ] | None -> [] in
   List.fold_left
     (fun counts (payload, c) ->

@@ -41,6 +41,8 @@ type t = {
   mutable w_star : value; (* majority bit after round 2 *)
   mutable d : int; (* its support *)
   mutable decided : value;
+  mutable zeros : int; (* the last tally's 0 votes *)
+  mutable ones : int; (* and 1 votes *)
 }
 
 let max_corrupt m = (m - 1) / 3
@@ -65,6 +67,8 @@ let of_members ~members ~me ~peers ~input =
     w_star = Zero;
     d = 0;
     decided = Bot;
+    zeros = 0;
+    ones = 0;
   }
 
 let create ~members ~me ~input =
@@ -79,18 +83,21 @@ let decode payload =
   if Bytes.length payload = 1 then value_of_byte (Char.code (Bytes.get payload 0))
   else None
 
-(* Count each member's vote at most once (first message per source wins);
-   adds the member's own value. Counts are indexed by [value_to_byte]. *)
+(* A vote as [decode] reads it; bot and undecodable votes count for
+   neither bit, and no step reads a bot count. *)
+let count_vote t _ payload =
+  if Bytes.length payload = 1 then
+    match Bytes.unsafe_get payload 0 with
+    | '\000' -> t.zeros <- t.zeros + 1
+    | '\001' -> t.ones <- t.ones + 1
+    | _ -> ()
+
+(* Count each member's vote at most once (first message per source wins),
+   the member's own value included, into [zeros] and [ones]. *)
 let tally t own inbox =
-  let counts = Array.make 3 0 in
-  let bump v =
-    let i = value_to_byte v in
-    counts.(i) <- counts.(i) + 1
-  in
-  bump own;
-  Members.iter_first t.members ~me:t.me inbox (fun payload ->
-      match decode payload with Some v -> bump v | None -> ());
-  counts
+  t.zeros <- (if own = Zero then 1 else 0);
+  t.ones <- (if own = One then 1 else 0);
+  Members.iter_first t.members ~me:t.me inbox t count_vote
 
 (* The first decodable message from [king]. *)
 let king_vote king inbox =
@@ -113,13 +120,13 @@ let m_recv t ~round inbox =
   let phase = round / 3 and step = round mod 3 in
   match step with
   | 0 ->
-    let counts = tally t t.v inbox in
-    t.v <- (if counts.(0) >= t.m - t.t_corrupt then Zero
-            else if counts.(1) >= t.m - t.t_corrupt then One
+    tally t t.v inbox;
+    t.v <- (if t.zeros >= t.m - t.t_corrupt then Zero
+            else if t.ones >= t.m - t.t_corrupt then One
             else Bot)
   | 1 ->
-    let counts = tally t t.v inbox in
-    let zero = counts.(0) and one = counts.(1) in
+    tally t t.v inbox;
+    let zero = t.zeros and one = t.ones in
     if zero >= one then begin
       t.w_star <- Zero;
       t.d <- zero

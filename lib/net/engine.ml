@@ -14,24 +14,20 @@
 
    Nothing is built per message on the way in or out. A party's handler
    runs on the network's slice stepper and reads its inbox as a view of
-   the delivery arrays; the engine counting-sorts that slice by instance
-   into reused int arrays (sender and body per message) and hands each
-   instance a view of its range. A machine sends through an emitter built
-   once per (party, instance), whose [send_many] is one
+   the delivery arrays; the engine demultiplexes that slice in one pass,
+   reading the view's arrays directly, and hands each instance a view of
+   its messages. While every message so far belongs to one instance
+   nothing is copied: an inbox wholly for one instance (one in eight
+   committee messages) is handed over as it is. At the first message
+   that breaks that, the prefix is copied once into that instance's range
+   of reused int arrays (sender and body per message), and every later
+   message is stored into its instance's range. A machine sends through
+   an emitter built once per (party, instance), whose [send_many] is one
    [Network.send_many] over the machine's own destination array. *)
 
 type out = { send : int -> bytes -> unit; send_many : int array -> bytes -> unit }
 
 type machine = { m_send : round:int -> out -> unit; m_recv : round:int -> Inbox.t -> unit }
-
-let collect step =
-  let acc = ref [] in
-  step
-    {
-      send = (fun dst payload -> acc := (dst, payload) :: !acc);
-      send_many = (fun dsts payload -> Array.iter (fun dst -> acc := (dst, payload) :: !acc) dsts);
-    };
-  List.rev !acc
 
 let instance_tag tag inst = tag ^ "/" ^ inst
 
@@ -60,11 +56,10 @@ and find_slot_bytes tags k tag j =
 type party = { tags : string array; ms : machine array; outs : out array }
 
 (* The run's dispatch scratch, shared by its parties (handlers run one at a
-   time) and grown, never shrunk: per inbox message its slot, then per slot
-   its messages' senders and bodies, contiguous. *)
+   time) and grown, never shrunk: for an inbox of [len] messages, slot
+   [j]'s senders and bodies take [j * len, j * len + counts.(j)). *)
 type scratch = {
-  mutable slot_of : int array;
-  mutable ends : int array; (* per slot: a cursor, then its range's end *)
+  mutable counts : int array;
   mutable e_src : int array;
   mutable e_body : int array;
   view : Inbox.t;
@@ -79,49 +74,55 @@ let grow a k = if Array.length a >= k then a else Array.make (max k (2 * Array.l
    itself, so a pass comparing pointers finds their slot; only other
    messages (an adversary's freshly built tags) fall back to comparing
    bytes. Slot tags are distinct, so both passes can only pick the same
-   slot. *)
-let dispatch sc pt ~round v =
-  let k = Array.length pt.tags and len = Inbox.length v in
+   slot, and a message with the previous message's tag (a fan-out's
+   bodies are shared) takes the previous slot without a search. *)
+let dispatch sc pt ~round (v : Inbox.t) =
+  let k = Array.length pt.tags and len = v.len in
   Repro_obs.Counters.observe h_inbox len;
-  sc.slot_of <- grow sc.slot_of len;
-  sc.e_src <- grow sc.e_src len;
-  sc.e_body <- grow sc.e_body len;
-  sc.ends <- grow sc.ends k;
-  let slot_of = sc.slot_of and ends = sc.ends in
-  Array.fill ends 0 k 0;
-  let kept = ref 0 in
+  sc.e_src <- grow sc.e_src (k * len);
+  sc.e_body <- grow sc.e_body (k * len);
+  sc.counts <- grow sc.counts k;
+  let counts = sc.counts and e_src = sc.e_src and e_body = sc.e_body in
+  Array.fill counts 0 k 0;
+  let srcs = v.srcs and bodies = v.bodies and tags = v.tags and off = v.off in
+  (* While [whole], messages [0, i) all belong to slot [j0] and sit
+     uncopied in [v]. *)
+  let whole = ref true and j0 = ref (-1) and kept = ref 0 in
+  let last_tag = ref (Array.unsafe_get pt.tags 0) and last_j = ref 0 in
   for i = 0 to len - 1 do
-    let j = find_slot pt.tags k (Inbox.tag v i) 0 in
-    slot_of.(i) <- j;
-    if j >= 0 then begin
-      incr kept;
-      ends.(j) <- ends.(j) + 1
-    end
+    let body = Array.unsafe_get bodies (off + i) in
+    let tag = Array.unsafe_get tags body in
+    if tag != !last_tag then begin
+      last_tag := tag;
+      last_j := find_slot pt.tags k tag 0
+    end;
+    let j = !last_j in
+    if !whole && j >= 0 && (i = 0 || j = !j0) then j0 := j
+    else begin
+      if !whole then begin
+        whole := false;
+        if i > 0 then begin
+          Array.blit srcs off e_src (!j0 * len) i;
+          Array.blit bodies off e_body (!j0 * len) i;
+          counts.(!j0) <- i
+        end
+      end;
+      if j >= 0 then begin
+        let c = counts.(j) in
+        let at = (j * len) + c in
+        e_src.(at) <- Array.unsafe_get srcs (off + i);
+        e_body.(at) <- body;
+        counts.(j) <- c + 1
+      end
+    end;
+    if j >= 0 then incr kept
   done;
   Repro_obs.Counters.add c_msgs !kept;
-  (* Counts to starts, then place each message at its slot's cursor; the
-     cursors finish at the slots' ends. *)
-  let next = ref 0 in
   for j = 0 to k - 1 do
-    let c = ends.(j) in
-    ends.(j) <- !next;
-    next := !next + c
-  done;
-  let e_src = sc.e_src and e_body = sc.e_body in
-  for i = 0 to len - 1 do
-    let j = slot_of.(i) in
-    if j >= 0 then begin
-      let at = ends.(j) in
-      e_src.(at) <- Inbox.src v i;
-      e_body.(at) <- Inbox.body v i;
-      ends.(j) <- at + 1
-    end
-  done;
-  let off = ref 0 in
-  for j = 0 to k - 1 do
-    let stop = ends.(j) in
-    Inbox.set_within sc.view ~from:v ~srcs:e_src ~bodies:e_body ~off:!off ~len:(stop - !off);
-    off := stop;
+    if !whole && j = !j0 then Inbox.set_within sc.view ~from:v ~srcs ~bodies ~off ~len
+    else
+      Inbox.set_within sc.view ~from:v ~srcs:e_src ~bodies:e_body ~off:(j * len)
+        ~len:counts.(j);
     pt.ms.(j).m_recv ~round sc.view
   done
 
@@ -188,12 +189,14 @@ let run net ?adversary ~tag ~rounds ~(machines : int -> (string * machine) list)
       (Network.everyone net)
   in
   let start = Network.round net in
-  let sc = { slot_of = [||]; ends = [||]; e_src = [||]; e_body = [||]; view = Inbox.create () } in
+  let sc = { counts = [||]; e_src = [||]; e_body = [||]; view = Inbox.create () } in
   let handler pt ~round v =
     let local = round - start in
     if local > 0 then
-      Repro_obs.Trace.span ~cat:"engine" "engine.dispatch" (fun () ->
-          dispatch sc pt ~round:(local - 1) v);
+      if Repro_obs.Trace.enabled () then
+        Repro_obs.Trace.span ~cat:"engine" "engine.dispatch" (fun () ->
+            dispatch sc pt ~round:(local - 1) v)
+      else dispatch sc pt ~round:(local - 1) v;
     if local < rounds then
       for j = 0 to Array.length pt.ms - 1 do
         pt.ms.(j).m_send ~round:local pt.outs.(j)

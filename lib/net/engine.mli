@@ -23,11 +23,6 @@ type machine = {
           with an empty view. The view is valid only during the call. *)
 }
 
-val collect : (out -> unit) -> (int * bytes) list
-(** [collect (m_send ~round)]: the [(dst, payload)] messages a step emits,
-    in send order (a [send_many] listed destination by destination) — the
-    list model for tests and drivers that run machines by hand. *)
-
 val run :
   Network.t ->
   ?adversary:Network.adversary ->

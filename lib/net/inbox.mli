@@ -8,7 +8,21 @@
     arrays behind it are reused by the next round, and the record itself
     by the next party or instance. Read what you need, keep no view. *)
 
-type t
+type t = private {
+  mutable srcs : int array;
+  mutable dsts : int array;
+  mutable self : int;
+  mutable bodies : int array;
+  mutable tags : string array;
+  mutable pays : bytes array;
+  mutable off : int;
+  mutable len : int;
+}
+(** The window [off, off + len) over parallel arrays (see the section for
+    the network and the engine below). Its fields are visible so that the
+    engine's demultiplexer can read a whole slice without a call or a
+    bounds check per message; a protocol reads messages through the
+    functions below. *)
 
 val length : t -> int
 

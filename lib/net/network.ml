@@ -38,7 +38,8 @@
    the staging arrays (source, destination, body);
    delivery counting-sorts the round's deliveries by destination into the
    delivery arrays (source, body), where each party's inbox is one
-   contiguous slice. Two body tables alternate: one backs the current
+   contiguous slice, and sums each inbox's wire bytes as it fills the
+   slice. Two body tables alternate: one backs the current
    inboxes, the other takes this round's sends, and delivery clears the
    older one, body by body, before swapping them. All arrays are reused
    across rounds, so a payload is reachable from the network only until
@@ -126,6 +127,7 @@ type t = {
   mutable dl_bodies : bodies;
   dl_start : int array;
   dl_len : int array;
+  dl_bytes : int array; (* the inbox's wire bytes, for [Metrics.note_inbox] *)
   dirty : int array; (* parties with a non-empty inbox, [0, ndirty) *)
   mutable ndirty : int;
   in_active : Bytes.t; (* the stepper's membership marks, all '\000' between rounds *)
@@ -195,6 +197,7 @@ let create ?backend ?(sinks = []) ~n ~corrupt () =
       dl_bodies = no_bodies ();
       dl_start = Array.make n 0;
       dl_len = Array.make n 0;
+      dl_bytes = Array.make n 0;
       dirty = Array.make n 0;
       ndirty = 0;
       in_active = Bytes.make n '\000';
@@ -429,18 +432,20 @@ let point_sent t =
    the other n - polylog(n) parties. [dl_order.(0 .. nd - 1)] names the
    round's deliveries (staging slots) in delivery order; a counting sort
    by destination lays each party's inbox out as one slice, keeping that
-   order within it. Each inbox is then charged to [Metrics] once. The
+   order within it, and the fill sums each inbox's bytes. Each inbox is
+   then charged to [Metrics] once. The
    staged bodies then back the inboxes, and the previous inboxes' table,
    cleared, takes the next round's sends. *)
 let distribute t nd =
   clear_inboxes t;
   let order = t.dl_order and len = t.dl_len and dirty = t.dirty in
-  let st_dst = t.st_dst in
+  let st_dst = t.st_dst and dl_bytes = t.dl_bytes in
   for k = 0 to nd - 1 do
     let d = st_dst.(order.(k)) in
     if len.(d) = 0 then begin
       dirty.(t.ndirty) <- d;
-      t.ndirty <- t.ndirty + 1
+      t.ndirty <- t.ndirty + 1;
+      dl_bytes.(d) <- 0
     end;
     len.(d) <- len.(d) + 1
   done;
@@ -465,17 +470,15 @@ let distribute t nd =
     let dst = st_dst.(i) in
     let p = start.(dst) - 1 in
     start.(dst) <- p;
+    let body = st_body.(i) in
     dl_src.(p) <- st_src.(i);
-    dl_body.(p) <- st_body.(i)
+    dl_body.(p) <- body;
+    dl_bytes.(dst) <- dl_bytes.(dst) + size.(body)
   done;
   for j = 0 to t.ndirty - 1 do
     let d = dirty.(j) in
-    let off = start.(d) and l = len.(d) in
-    let bytes = ref 0 in
-    for p = off to off + l - 1 do
-      bytes := !bytes + size.(dl_body.(p))
-    done;
-    Metrics.note_inbox t.metrics ~dst:d ~srcs:dl_src ~off ~len:l ~bytes:!bytes
+    Metrics.note_inbox t.metrics ~dst:d ~srcs:dl_src ~off:start.(d) ~len:len.(d)
+      ~bytes:dl_bytes.(d)
   done;
   t.dl_n <- nd;
   let cleared = t.dl_bodies in

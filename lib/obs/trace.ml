@@ -52,13 +52,14 @@ let dls_key =
       b)
 
 let out_file = ref (Sys.getenv_opt "REPRO_TRACE_FILE")
-let enabled = Atomic.make (!out_file <> None)
+let on = Atomic.make (!out_file <> None)
 
-let set_enabled b = Atomic.set enabled b
+let set_enabled b = Atomic.set on b
+let enabled () = Atomic.get on
 
 let set_output o =
   out_file := o;
-  if o <> None then Atomic.set enabled true
+  if o <> None then Atomic.set on true
 
 let output () = !out_file
 
@@ -81,7 +82,7 @@ let record b ev =
   else b.dropped <- b.dropped + 1
 
 let span ?(cat = "repro") ?(args = []) name f =
-  if not (Atomic.get enabled) then f ()
+  if not (Atomic.get on) then f ()
   else begin
     let b = Domain.DLS.get dls_key in
     b.stack <- name :: b.stack;
@@ -137,7 +138,7 @@ let span ?(cat = "repro") ?(args = []) name f =
   end
 
 let mark ?(cat = "repro") ?(args = []) name =
-  if Atomic.get enabled then begin
+  if Atomic.get on then begin
     let b = Domain.DLS.get dls_key in
     record b
       {

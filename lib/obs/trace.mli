@@ -38,6 +38,10 @@ type event = {
 val set_enabled : bool -> unit
 (** Turn collection on/off without touching the output file. *)
 
+val enabled : unit -> bool
+(** Whether spans are being collected: a caller on a hot path can skip
+    building the thunk it would hand {!span}. *)
+
 val set_output : string option -> unit
 (** Register (or clear) the trace file; [Some f] also enables collection.
     Initially taken from [REPRO_TRACE_FILE]. *)

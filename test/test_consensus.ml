@@ -410,7 +410,7 @@ let test_coin_tampered_reveal_rejected () =
           forged)
   in
   for round = 0 to 3 do
-    let sends = Array.map (fun st -> Engine.collect (Coin_toss.m_send st ~round)) states in
+    let sends = Array.map (fun st -> Views.collect (Coin_toss.m_send st ~round)) states in
     if round < 3 then
       (* the victim goes last: every honest copy is memoized by then *)
       for p = 0 to m - 1 do
@@ -481,9 +481,9 @@ let test_multi_tally_decoded () =
   let x_after inbox =
     let members = members_of 4 in
     let st = Multi_ba.create ~members ~me:0 ~input:v0 in
-    ignore (Engine.collect (Multi_ba.m_send st ~round:0));
+    ignore (Views.collect (Multi_ba.m_send st ~round:0));
     Multi_ba.m_recv st ~round:0 (Repro_net.Inbox.of_list inbox);
-    match Engine.collect (Multi_ba.m_send st ~round:1) with
+    match Views.collect (Multi_ba.m_send st ~round:1) with
     | (_, payload) :: _ -> payload
     | [] -> Alcotest.fail "no round-1 sends"
   in
@@ -513,7 +513,7 @@ let inbox_robust ~rng ~m ~rounds ~send ~recv ~output =
   let same = ref true in
   for round = 0 to rounds - 1 do
     let sends =
-      Array.init 2 (fun copy -> Array.init m (fun p -> Engine.collect (send copy p ~round)))
+      Array.init 2 (fun copy -> Array.init m (fun p -> Views.collect (send copy p ~round)))
     in
     if sends.(0) <> sends.(1) then same := false;
     for p = 0 to m - 1 do
@@ -588,6 +588,91 @@ let prop_committee_inbox_robust =
     ~create:(fun ~members ~me candidate -> Committee.create ~members ~me ~candidate ())
     ~rounds:Committee.rounds ~send:Committee.m_send ~recv:Committee.m_recv
     ~output:Committee.output
+
+(* --- Members: the inbox walk against the per-message search --- *)
+
+(* Today's reference: per message, [Mathx.sorted_index]; in first mode,
+   messages from [me] are skipped and one flag byte per member keeps only
+   each member's first message. Each message's payload is its index. *)
+let walk_reference members ~me ~first srcs =
+  let seen = Bytes.make (Array.length members) '\000' in
+  List.concat
+    (List.mapi
+       (fun k src ->
+         let i = Repro_util.Mathx.sorted_index members src in
+         if i < 0 || (first && src = me) then []
+         else if not first then [ (k, i) ]
+         else if Bytes.get seen i = '\001' then []
+         else begin
+           Bytes.set seen i '\001';
+           [ (k, i) ]
+         end)
+       srcs)
+
+let walk_got members ~me ~first srcs =
+  let inbox =
+    Repro_net.Inbox.of_list (List.mapi (fun k src -> (src, Bytes.of_string (string_of_int k))) srcs)
+  in
+  let acc = ref [] in
+  let f acc i payload = acc := (int_of_string (Bytes.to_string payload), i) :: !acc in
+  if first then Members.iter_first members ~me inbox acc f else Members.iter members inbox acc f;
+  List.rev !acc
+
+(* Sources over parties 0-19 with a member subset: sorted ascending
+   (adjacent repeats), descending, as drawn (non-adjacent repeats), or an
+   ascending prefix followed by the rest as drawn (a descent after sources
+   the merge already counted). *)
+let arb_walk =
+  let open QCheck.Gen in
+  let gen =
+    let* members = list_size (int_bound 12) (int_bound 19) in
+    let* me = int_bound 19 in
+    let* srcs = list_size (int_bound 30) (int_bound 19) in
+    let* shape = int_bound 3 in
+    let* cut = int_bound 30 in
+    let srcs =
+      match shape with
+      | 0 -> List.sort compare srcs
+      | 1 -> List.rev (List.sort compare srcs)
+      | 2 -> srcs
+      | _ ->
+        let prefix = List.filteri (fun k _ -> k < cut) srcs in
+        List.sort compare prefix @ List.filteri (fun k _ -> k >= cut) srcs
+    in
+    return (Members.of_list members, me, srcs)
+  in
+  QCheck.make gen ~print:(fun (members, me, srcs) ->
+      let ints l = String.concat "," (List.map string_of_int l) in
+      Printf.sprintf "members=[%s] me=%d srcs=[%s]" (ints (Array.to_list members)) me (ints srcs))
+
+let prop_members_walk =
+  QCheck.Test.make ~name:"members walk = per-message search, both modes" ~count:2000 arb_walk
+    (fun (members, me, srcs) ->
+      List.for_all
+        (fun first -> walk_got members ~me ~first srcs = walk_reference members ~me ~first srcs)
+        [ false; true ])
+
+(* The cases the property must reach, spelled out. *)
+let test_members_walk_cases () =
+  let members = Members.of_list [ 2; 4; 6; 8 ] in
+  List.iter
+    (fun (what, me, srcs) ->
+      List.iter
+        (fun first ->
+          Alcotest.(check (list (pair int int)))
+            (Printf.sprintf "%s (first=%b)" what first)
+            (walk_reference members ~me ~first srcs)
+            (walk_got members ~me ~first srcs))
+        [ false; true ])
+    [
+      ("empty", 4, []);
+      ("ascending", 4, [ 1; 2; 4; 5; 8; 9 ]);
+      ("adjacent repeats", 4, [ 2; 2; 4; 4; 6; 6; 6 ]);
+      ("descending", 4, [ 8; 6; 6; 4; 3; 2 ]);
+      ("non-adjacent repeats", 0, [ 6; 2; 6; 8; 2 ]);
+      ("descent after counted prefix", 4, [ 2; 6; 8; 6; 2; 4; 8 ]);
+      ("non-members only", 4, [ 1; 3; 9; 0 ]);
+    ]
 
 (* --- Dolev-Strong --- *)
 
@@ -704,6 +789,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_pk_inbox_robust;
     QCheck_alcotest.to_alcotest prop_multi_inbox_robust;
     QCheck_alcotest.to_alcotest prop_committee_inbox_robust;
+    QCheck_alcotest.to_alcotest prop_members_walk;
+    Alcotest.test_case "members walk cases" `Quick test_members_walk_cases;
     Alcotest.test_case "dolev-strong honest" `Quick test_ds_honest_sender;
     Alcotest.test_case "dolev-strong silent sender" `Quick test_ds_silent_sender_default;
     Alcotest.test_case "dolev-strong forgery" `Quick test_ds_forged_chain_rejected;

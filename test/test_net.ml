@@ -726,36 +726,17 @@ let list_engine net ?adversary ~tag ~rounds ~machines () =
     ~extra:(fun ~round:_ -> participants)
     (Array.get handlers)
 
-(* Five parties, party 4 corrupt; parties 0-3 host one to three instances
-   each, so every inbox mixes several slots and mail for instances the
-   party does not host. Local round 2 sends nothing. The adversary adds,
-   every round, a fresh byte-equal copy of a genuine tag (not the engine's
-   interned pointer) and lookalike, bare and foreign tags; leftovers of an
-   earlier phase sit in the first inboxes. On the general path a
-   condition defers some sends past the barrier. Each machine must see,
-   round by round, the (src, payload) list the list demultiplexer gives. *)
-let engine_view_matches_model ~general () =
-  let n = 5 and rounds = 5 in
-  let hosted = function
-    | 0 -> [ "a"; "b"; "c" ]
-    | 1 -> [ "a"; "b" ]
-    | 2 -> [ "c"; "a" ]
-    | 3 -> [ "b" ]
-    | _ -> []
-  in
-  let pay p inst r k = Bytes.of_string (Printf.sprintf "%d%s%d.%d" p inst r k) in
-  let others p = List.filter (fun q -> q <> p) [ 0; 1; 2; 3; 4 ] in
-  (* Sends as (destinations, payload) fan-outs; a singleton is one send. *)
-  let plan p inst r =
-    if r = 2 then []
-    else
-      match inst with
-      | "b" when r mod 2 = 1 -> []
-      | "b" -> [ ([ (p + 1) mod 4 ], pay p inst r 0); ([ 3; (p + 2) mod 4 ], pay p inst r 1) ]
-      | _ ->
-        [ ([ (p + 1 + r) mod 4 ], pay p inst r 0); (others p, pay p inst r 1);
-          ([ (p + 3) mod 4; (p + 3) mod 4 ], pay p inst r 2) ]
-  in
+(* The engine and the list demultiplexer run the same script on fresh
+   five-party networks, party 4 corrupt: [hosted p] lists party p's
+   instances of engine tag "eng", [plan p inst r] the (destinations,
+   payload) fan-outs instance [inst] sends in local round [r], and the
+   adversary sends a payload under each of [adv_tags] to parties 0-3 every
+   round. Leftovers of an earlier phase sit in the first inboxes. On the
+   general path a condition defers some sends past the barrier. Each
+   machine must see, round by round, the (src, payload) list the list
+   demultiplexer gives; that list is returned. *)
+let engine_matches_model ~general ~hosted ~plan ~adv_tags ~rounds =
+  let n = 5 in
   let adversary =
     {
       Network.adv_name = "tags";
@@ -767,8 +748,7 @@ let engine_view_matches_model ~general () =
                 (fun dst ->
                   Network.send net ~src:4 ~dst ~tag (Bytes.of_string (Printf.sprintf "adv%d.%d" round k)))
                 [ 0; 1; 2; 3 ])
-            [ String.concat "/" [ "eng"; "a" ]; "eng/z"; "engx/a"; "eng"; "eng/a/";
-              String.concat "/" [ "eng"; "c" ] ]);
+            adv_tags);
     }
   in
   let condition =
@@ -793,10 +773,10 @@ let engine_view_matches_model ~general () =
       Hashtbl.replace seen (p, inst, round)
         (List.map (fun (src, b) -> (src, Bytes.to_string b)) msgs)
     in
-    engine net ~adversary ~record ~plan ~hosted ~rounds;
+    engine net ~adversary ~record;
     List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) seen [])
   in
-  let via_view net ~adversary ~record ~plan ~hosted ~rounds =
+  let via_view net ~adversary ~record =
     Engine.run net ~adversary ~tag:"eng" ~rounds
       ~machines:(fun p ->
         List.map
@@ -815,7 +795,7 @@ let engine_view_matches_model ~general () =
           (hosted p))
       ()
   in
-  let via_lists net ~adversary ~record ~plan ~hosted ~rounds =
+  let via_lists net ~adversary ~record =
     list_engine net ~adversary ~tag:"eng" ~rounds
       ~machines:(fun p ->
         List.map
@@ -832,6 +812,41 @@ let engine_view_matches_model ~general () =
   let expected = run via_lists and got = run via_view in
   let entry = Alcotest.(pair (triple int string int) (list (pair int string))) in
   Alcotest.(check (list entry)) "per instance, per round" expected got;
+  expected
+
+let pay p inst r k = Bytes.of_string (Printf.sprintf "%d%s%d.%d" p inst r k)
+let others p = List.filter (fun q -> q <> p) [ 0; 1; 2; 3; 4 ]
+
+(* Parties 0-3 host one to three instances each, so every inbox mixes
+   several slots and mail for instances the party does not host. Local
+   round 2 sends nothing. The adversary adds, every round, a fresh
+   byte-equal copy of a genuine tag (not the engine's interned pointer)
+   and lookalike, bare and foreign tags. *)
+let engine_view_matches_model ~general () =
+  let rounds = 5 in
+  let hosted = function
+    | 0 -> [ "a"; "b"; "c" ]
+    | 1 -> [ "a"; "b" ]
+    | 2 -> [ "c"; "a" ]
+    | 3 -> [ "b" ]
+    | _ -> []
+  in
+  (* Sends as (destinations, payload) fan-outs; a singleton is one send. *)
+  let plan p inst r =
+    if r = 2 then []
+    else
+      match inst with
+      | "b" when r mod 2 = 1 -> []
+      | "b" -> [ ([ (p + 1) mod 4 ], pay p inst r 0); ([ 3; (p + 2) mod 4 ], pay p inst r 1) ]
+      | _ ->
+        [ ([ (p + 1 + r) mod 4 ], pay p inst r 0); (others p, pay p inst r 1);
+          ([ (p + 3) mod 4; (p + 3) mod 4 ], pay p inst r 2) ]
+  in
+  let adv_tags =
+    [ String.concat "/" [ "eng"; "a" ]; "eng/z"; "engx/a"; "eng"; "eng/a/";
+      String.concat "/" [ "eng"; "c" ] ]
+  in
+  let expected = engine_matches_model ~general ~hosted ~plan ~adv_tags ~rounds in
   let count pred =
     List.length (List.filter (fun (_, msgs) -> List.exists (fun (_, b) -> pred b) msgs) expected)
   in
@@ -846,6 +861,43 @@ let test_engine_view_matches_model () =
   let shortcut = engine_view_matches_model ~general:false () in
   let general = engine_view_matches_model ~general:true () in
   Alcotest.(check bool) "the deferrals moved mail" true (shortcut <> general)
+
+(* The dispatch hands an inbox whose every message belongs to one instance
+   over uncopied, and copies once the first message that does not (another
+   instance's or a dropped one) arrives. Each script below meets the model
+   on both delivery paths: one instance per party; three instances with
+   all mail for one of them; the same with the adversary's foreign,
+   lookalike and bare tags (dropped) after the genuine mail; and three
+   instances that alternate within one inbox. *)
+let test_engine_dispatch_whole_inboxes () =
+  let rounds = 3 in
+  let fan p inst r = [ (others p, pay p inst r 0); ([ (p + 1) mod 4 ], pay p inst r 1) ] in
+  let all_hosts _ = [ "a"; "b"; "c" ] in
+  let cases =
+    [
+      ("one instance", (fun p -> if p < 4 then [ "a" ] else []), fan, []);
+      ( "all mail for one of three",
+        all_hosts,
+        (fun p inst r -> if inst = "b" then fan p inst r else []),
+        [] );
+      ( "one of three, foreign tags dropped",
+        all_hosts,
+        (fun p inst r -> if inst = "b" then fan p inst r else []),
+        [ "eng/z"; "engx/b"; "eng"; "eng/b/" ] );
+      ("mixed slots", all_hosts, (fun p inst r -> fan p inst r), [ String.concat "/" [ "eng"; "c" ] ]);
+    ]
+  in
+  List.iter
+    (fun (what, hosted, plan, adv_tags) ->
+      List.iter
+        (fun general ->
+          let seen = engine_matches_model ~general ~hosted ~plan ~adv_tags ~rounds in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: mail delivered" what)
+            true
+            (List.exists (fun (_, msgs) -> List.length msgs > 1) seen))
+        [ false; true ])
+    cases
 
 (* --- send_many against the equivalent send loop --- *)
 
@@ -1373,6 +1425,8 @@ let suite =
     Alcotest.test_case "engine inbox view = list model" `Quick test_engine_view_matches_model;
     Alcotest.test_case "send_many = send loop" `Quick test_send_many_matches_loop;
     Alcotest.test_case "engine minor words per message" `Quick test_engine_minor_words;
+    Alcotest.test_case "engine whole-inbox dispatch = list model" `Quick
+      test_engine_dispatch_whole_inboxes;
     Alcotest.test_case "tag grouping" `Quick test_tag_grouping;
     Alcotest.test_case "tag breakdown" `Quick test_tag_breakdown_accumulates;
     Alcotest.test_case "report empty selection" `Quick test_report_empty_selection;

@@ -29,7 +29,7 @@ let drive ~rng ~m ~corrupt ~rounds ~send ~recv =
         List.iter
           (fun (dst, payload) ->
             if dst >= 0 && dst < m then mailbox.(dst) <- (p, payload) :: mailbox.(dst))
-          (Repro_net.Engine.collect (send p ~round))
+          (Views.collect (send p ~round))
     done;
     (* Byzantine injection: each corrupt member sends to every honest member
        with probability 3/4 a random payload (1-24 bytes), fully equivocating *)

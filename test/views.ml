@@ -32,3 +32,15 @@ let of_sends (msgs : Wire.msg list) =
     ~pays:(Array.map (fun (m : Wire.msg) -> m.payload) a)
     ~len:(Array.length a);
   v
+
+(* [collect (m_send ~round)]: the [(dst, payload)] messages an engine
+   machine's step emits, in send order (a [send_many] listed destination
+   by destination): the list model for tests that run machines by hand. *)
+let collect step =
+  let acc = ref [] in
+  step
+    {
+      Repro_net.Engine.send = (fun dst payload -> acc := (dst, payload) :: !acc);
+      send_many = (fun dsts payload -> Array.iter (fun dst -> acc := (dst, payload) :: !acc) dsts);
+    };
+  List.rev !acc
